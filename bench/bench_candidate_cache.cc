@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/packet_columns.h"
 #include "src/common/rng.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/candidate_cache.h"
@@ -91,7 +91,7 @@ void BM_SqBatchNoCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));
@@ -105,7 +105,7 @@ void BM_SqBatchColdCache(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     infer::InferenceConfig config = SqConfig();
-    config.candidate_cache = std::make_shared<infer::GroupCandidateCache>(64ull << 20);
+    config.caches.candidate = std::make_shared<infer::GroupCandidateCache>(64ull << 20);
     infer::BatchConfig batch;
     batch.threads = 2;
     infer::BatchAnalyzer analyzer(SqSnapshot(), std::move(config), batch);
@@ -120,7 +120,7 @@ void BM_SqBatchWarmSharedCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 64;
+  batch.caches.candidate.budget_mb = 64;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   analyzer.AnalyzeAll(w.traces);  // warm pass, untimed
   for (auto _ : state) {
@@ -142,10 +142,11 @@ const std::vector<std::vector<infer::TrafficGroup>>& TraceGroups() {
     auto* g = new std::vector<std::vector<infer::TrafficGroup>>;
     const Workload& w = SqWorkload();
     for (const capture::CaptureTrace& trace : w.traces) {
-      std::vector<infer::Flow> flows = infer::ClassifyMediaFlows(trace, w.manifest.host);
+      const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+      const std::vector<uint32_t> media = infer::ClassifyMediaFlowIds(columns, w.manifest.host);
       std::vector<infer::TrafficGroup> split;
-      if (!flows.empty()) {
-        split = infer::SplitIntoGroups(flows.front().packets, {});
+      if (!media.empty()) {
+        split = infer::SplitIntoGroups(columns.flow(media.front()), {});
       }
       g->push_back(std::move(split));
     }

@@ -1,9 +1,8 @@
-// Columnar cold-path microbenchmarks (PR 10 tentpole).
+// Cold-path microbenchmarks over the columnar capture layout.
 //
-// BM_ColdBatch_Aos vs BM_ColdBatch_Soa is the headline number: the same
-// cache-disabled batch (every trace pays the full per-packet pipeline)
-// analyzed through the legacy AoS walk versus the SoA columns + SIMD column
-// kernels. The per-stage pairs attribute the delta: flow classification,
+// BM_ChColdBatch / BM_SqColdBatch are the headline numbers: a cache-disabled
+// batch (every trace pays the full per-packet pipeline) over pre-built
+// columns. The per-stage benches attribute it: flow classification,
 // request/size estimation (CH), traffic splitting (SQ) and the prefix-cache
 // fingerprint, each run over pre-built columns so the stage cost is isolated
 // from the one-time transpose that BM_BuildColumns measures. The kernel
@@ -37,9 +36,8 @@ struct Workload {
   std::vector<capture::CaptureTrace> traces;
   std::vector<capture::PacketColumns> columns;
   size_t total_packets = 0;
-  // Dominant media flow of the first trace, in both layouts, so the stage
-  // benches skip classification.
-  std::vector<capture::PacketRecord> dominant_aos;
+  // Dominant media flow of the first trace, so the stage benches skip
+  // classification.
   uint32_t dominant_flow = 0;
 };
 
@@ -57,14 +55,6 @@ Workload MakeWorkload(infer::DesignType design) {
     w.columns.push_back(capture::PacketColumns::Build(w.traces.back()));
     w.total_packets += w.traces.back().size();
   }
-  auto flows = infer::ClassifyMediaFlows(w.traces.front(), w.manifest.host);
-  size_t best = 0;
-  for (size_t f = 1; f < flows.size(); ++f) {
-    if (flows[f].downlink_bytes > flows[best].downlink_bytes) {
-      best = f;
-    }
-  }
-  w.dominant_aos = std::move(flows[best].packets);
   const auto media = infer::ClassifyMediaFlowIds(w.columns.front(), w.manifest.host);
   w.dominant_flow = media.front();
   for (const uint32_t f : media) {
@@ -86,10 +76,6 @@ const Workload& SqWorkload() {
   return *w;
 }
 
-const std::vector<capture::PacketRecord>& DominantAosFlow(const Workload& w) {
-  return w.dominant_aos;
-}
-
 capture::FlowView DominantFlowView(const Workload& w) {
   return w.columns.front().flow(w.dominant_flow);
 }
@@ -106,19 +92,9 @@ void BM_BuildColumns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.total_packets));
 }
 
-// --- Per-stage AoS vs SoA ----------------------------------------------------
+// --- Per-stage ---------------------------------------------------------------
 
-void BM_Classify_Aos(benchmark::State& state) {
-  const Workload& w = ChWorkload();
-  for (auto _ : state) {
-    for (const capture::CaptureTrace& trace : w.traces) {
-      benchmark::DoNotOptimize(infer::ClassifyMediaFlows(trace, w.manifest.host));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.total_packets));
-}
-
-void BM_Classify_Soa(benchmark::State& state) {
+void BM_Classify(benchmark::State& state) {
   const Workload& w = ChWorkload();
   for (auto _ : state) {
     for (const capture::PacketColumns& columns : w.columns) {
@@ -128,15 +104,7 @@ void BM_Classify_Soa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.total_packets));
 }
 
-void BM_EstimateExchanges_Aos(benchmark::State& state) {
-  const auto& flow = DominantAosFlow(ChWorkload());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::EstimateExchanges(flow, /*quic=*/false));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(flow.size()));
-}
-
-void BM_EstimateExchanges_Soa(benchmark::State& state) {
+void BM_EstimateExchanges(benchmark::State& state) {
   const capture::FlowView view = DominantFlowView(ChWorkload());
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::EstimateExchanges(view, /*quic=*/false));
@@ -144,15 +112,7 @@ void BM_EstimateExchanges_Soa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(view.size()));
 }
 
-void BM_SplitGroups_Aos(benchmark::State& state) {
-  const auto& flow = DominantAosFlow(SqWorkload());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::SplitIntoGroups(flow));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(flow.size()));
-}
-
-void BM_SplitGroups_Soa(benchmark::State& state) {
+void BM_SplitGroups(benchmark::State& state) {
   const capture::FlowView view = DominantFlowView(SqWorkload());
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::SplitIntoGroups(view));
@@ -160,15 +120,7 @@ void BM_SplitGroups_Soa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(view.size()));
 }
 
-void BM_Fingerprint_Aos(benchmark::State& state) {
-  const capture::CaptureTrace& trace = ChWorkload().traces.front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::FingerprintTrace(trace));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
-}
-
-void BM_Fingerprint_Soa(benchmark::State& state) {
+void BM_Fingerprint(benchmark::State& state) {
   const capture::PacketColumns& columns = ChWorkload().columns.front();
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::FingerprintColumns(columns));
@@ -180,35 +132,27 @@ void BM_Fingerprint_Soa(benchmark::State& state) {
 // --- End-to-end cold batch ---------------------------------------------------
 
 void RunColdBatch(benchmark::State& state, const Workload& w,
-                  infer::DesignType design, bool use_columnar) {
+                  infer::DesignType design) {
   infer::InferenceConfig config;
   config.design = design;
   config.host_suffix = w.manifest.host;
-  config.use_columnar = use_columnar;
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
-  batch.prefix_cache_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
   batch.caches.result.budget_mb = 0;
   infer::BatchAnalyzer analyzer(&w.manifest, config, batch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        use_columnar ? analyzer.AnalyzeAll(w.columns) : analyzer.AnalyzeAll(w.traces));
+    benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.columns));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.traces.size()));
 }
 
-void BM_ChColdBatch_Aos(benchmark::State& state) {
-  RunColdBatch(state, ChWorkload(), infer::DesignType::kCH, false);
+void BM_ChColdBatch(benchmark::State& state) {
+  RunColdBatch(state, ChWorkload(), infer::DesignType::kCH);
 }
-void BM_ChColdBatch_Soa(benchmark::State& state) {
-  RunColdBatch(state, ChWorkload(), infer::DesignType::kCH, true);
-}
-void BM_SqColdBatch_Aos(benchmark::State& state) {
-  RunColdBatch(state, SqWorkload(), infer::DesignType::kSQ, false);
-}
-void BM_SqColdBatch_Soa(benchmark::State& state) {
-  RunColdBatch(state, SqWorkload(), infer::DesignType::kSQ, true);
+void BM_SqColdBatch(benchmark::State& state) {
+  RunColdBatch(state, SqWorkload(), infer::DesignType::kSQ);
 }
 
 // --- Kernel micros: scalar vs active dispatch --------------------------------
@@ -286,18 +230,12 @@ void BM_CollectIndices_Simd(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_BuildColumns);
-BENCHMARK(BM_Classify_Aos);
-BENCHMARK(BM_Classify_Soa);
-BENCHMARK(BM_EstimateExchanges_Aos);
-BENCHMARK(BM_EstimateExchanges_Soa);
-BENCHMARK(BM_SplitGroups_Aos);
-BENCHMARK(BM_SplitGroups_Soa);
-BENCHMARK(BM_Fingerprint_Aos);
-BENCHMARK(BM_Fingerprint_Soa);
-BENCHMARK(BM_ChColdBatch_Aos)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_ChColdBatch_Soa)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_SqColdBatch_Aos)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_SqColdBatch_Soa)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_Classify);
+BENCHMARK(BM_EstimateExchanges);
+BENCHMARK(BM_SplitGroups);
+BENCHMARK(BM_Fingerprint);
+BENCHMARK(BM_ChColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SqColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SumInWindow_Scalar);
 BENCHMARK(BM_SumInWindow_Simd);
 BENCHMARK(BM_CollectIndices_Scalar);

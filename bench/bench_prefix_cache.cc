@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/live_database.h"
 #include "src/csi/prefix_cache.h"
@@ -85,12 +85,14 @@ void ReportPrefixCounters(benchmark::State& state, const infer::BatchAnalyzer& a
 // The key itself: fingerprinting a full ~60 s capture. This is the fixed toll
 // every cached lookup pays, so it has to stay a small fraction of the
 // per-packet stages it replaces.
-void BM_FingerprintTrace(benchmark::State& state) {
-  const capture::CaptureTrace& trace = SqWorkload().traces.front();
+void BM_FingerprintColumns(benchmark::State& state) {
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(SqWorkload().traces.front());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::FingerprintTrace(trace));
+    benchmark::DoNotOptimize(infer::FingerprintColumns(columns));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(columns.packet_count()));
 }
 
 // Baseline: per-packet stages recomputed for every trace, every batch.
@@ -98,8 +100,8 @@ void BM_SqBatchNoPrefixCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
-  batch.prefix_cache_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));
@@ -113,10 +115,10 @@ void BM_SqBatchColdPrefixCache(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     infer::InferenceConfig config = SqConfig();
-    config.prefix_cache = std::make_shared<infer::AnalysisPrefixCache>(32ull << 20);
+    config.caches.prefix = std::make_shared<infer::AnalysisPrefixCache>(32ull << 20);
     infer::BatchConfig batch;
     batch.threads = 2;
-    batch.candidate_cache_mb = 0;
+    batch.caches.candidate.budget_mb = 0;
     infer::BatchAnalyzer analyzer(SqSnapshot(), std::move(config), batch);
     state.ResumeTiming();
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));
@@ -130,8 +132,8 @@ void BM_SqBatchWarmPrefixCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
-  batch.prefix_cache_mb = 32;
+  batch.caches.candidate.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 32;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   analyzer.AnalyzeAll(w.traces);  // warm pass, untimed
   for (auto _ : state) {
@@ -191,8 +193,8 @@ void RunLiveReplay(benchmark::State& state, int prefix_cache_mb) {
     infer::LiveChunkDatabase live(plan.start, {});
     infer::BatchConfig batch;
     batch.threads = 2;
-    batch.candidate_cache_mb = 0;
-    batch.prefix_cache_mb = prefix_cache_mb;
+    batch.caches.candidate.budget_mb = 0;
+    batch.caches.prefix.budget_mb = prefix_cache_mb;
     analyzer = std::make_unique<infer::BatchAnalyzer>(live.Acquire(), SqConfig(), batch);
     state.ResumeTiming();
     benchmark::DoNotOptimize(analyzer->AnalyzeAll(w.traces));
@@ -220,7 +222,7 @@ void BM_LiveReplayWarmPrefixCache(benchmark::State& state) { RunLiveReplay(state
 
 }  // namespace
 
-BENCHMARK(BM_FingerprintTrace);
+BENCHMARK(BM_FingerprintColumns);
 BENCHMARK(BM_SqBatchNoPrefixCache)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqBatchColdPrefixCache)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqBatchWarmPrefixCache)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/table.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/splitter.h"
@@ -32,11 +33,12 @@ int main() {
       session.duration = duration;
       session.seed = ++seed;
       const auto result = RunStreamingSession(session);
-      const auto flows = infer::ClassifyMediaFlows(result.capture, "cdn.example");
-      if (flows.empty()) {
+      const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+      const auto media = infer::ClassifyMediaFlowIds(columns, "cdn.example");
+      if (media.empty()) {
         continue;
       }
-      for (const auto& group : infer::SplitIntoGroups(flows[0].packets)) {
+      for (const auto& group : infer::SplitIntoGroups(columns.flow(media[0]))) {
         ++histogram[std::min(group.num_requests(), 16)];
         ++total_groups;
         if (group.num_requests() <= 10) {

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/table.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/group_search.h"
@@ -33,17 +34,19 @@ int main() {
   std::printf("session: %zu packets, %zu chunk downloads (video+audio multiplexed)\n\n",
               result.capture.size(), result.downloads.size());
 
-  // Step 1.1 — flow classification by SNI.
-  const auto flows = infer::ClassifyMediaFlows(result.capture, manifest.host);
-  std::printf("step 1.1: %zu media flow(s); SNI=\"%s\"\n", flows.size(),
-              flows.empty() ? "?" : flows[0].sni.c_str());
-  if (flows.empty()) {
+  // Step 1.1 — flow classification by SNI, over the capture's columns.
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const auto media = infer::ClassifyMediaFlowIds(columns, manifest.host);
+  std::printf("step 1.1: %zu media flow(s); SNI=\"%s\"\n", media.size(),
+              media.empty() ? "?" : columns.flow_sni(media[0]).c_str());
+  if (media.empty()) {
     return 1;
   }
 
   // Step 1.2 — request detection (80-byte heuristic) and SP1/SP2 splitting.
-  const auto requests = infer::DetectRequests(flows[0].packets, /*quic=*/true);
-  const auto groups = infer::SplitIntoGroups(flows[0].packets);
+  const capture::FlowView flow = columns.flow(media[0]);
+  const auto requests = infer::DetectRequests(flow, /*quic=*/true);
+  const auto groups = infer::SplitIntoGroups(flow);
   std::printf("step 1.2: %zu uplink requests -> %zu traffic groups\n", requests.size(),
               groups.size());
   TextTable gt;

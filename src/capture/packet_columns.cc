@@ -13,15 +13,14 @@ const std::string PacketColumns::empty_sni_;
 PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   PacketColumns c;
   const size_t n = trace.size();
-  c.capture_flow_.resize(n);
+  std::vector<uint32_t> flow_of(n);
 
-  // Pass 1: intern flow keys in first-appearance order (the same order
-  // SplitFlows emits), count packets per flow, record first non-empty SNIs,
-  // and intern the distinct SNI strings.
+  // Pass 1: intern flow keys in first-appearance order, count packets per
+  // flow, record first non-empty SNIs, and intern the distinct SNI strings.
   std::map<FlowKey, uint32_t> flow_ids;
   std::map<std::string, int32_t> sni_ids;
   std::vector<uint32_t> counts;
-  std::vector<int32_t> capture_sni(n, -1);
+  std::vector<int32_t> sni_of(n, -1);
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
     const auto [it, inserted] = flow_ids.try_emplace(
@@ -32,7 +31,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
       counts.push_back(0);
     }
     const uint32_t f = it->second;
-    c.capture_flow_[i] = f;
+    flow_of[i] = f;
     ++counts[f];
     if (!r.sni.empty()) {
       if (c.flow_snis_[f].empty()) {
@@ -43,7 +42,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
       if (sni_inserted) {
         c.sni_table_.push_back(sit->first);
       }
-      capture_sni[i] = sit->second;
+      sni_of[i] = sit->second;
     }
   }
 
@@ -56,14 +55,14 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   // Scatter map: flow-major slot of each capture index. When every flow's
   // packets are already contiguous, the runs appear in first-appearance (= id)
   // order, so the permutation is the identity and no cursors are needed.
-  c.capture_slot_.resize(n);
-  if (simd::CountRuns(c.capture_flow_.data(), n) == flows) {
-    std::iota(c.capture_slot_.begin(), c.capture_slot_.end(), 0u);
+  std::vector<uint32_t> slot_of(n);
+  if (simd::CountRuns(flow_of.data(), n) == flows) {
+    std::iota(slot_of.begin(), slot_of.end(), 0u);
   } else {
     std::vector<size_t> cursor(c.flow_begin_.begin(),
                                c.flow_begin_.begin() + flows);
     for (size_t i = 0; i < n; ++i) {
-      c.capture_slot_[i] = static_cast<uint32_t>(cursor[c.capture_flow_[i]]++);
+      slot_of[i] = static_cast<uint32_t>(cursor[flow_of[i]]++);
     }
   }
 
@@ -78,7 +77,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   c.sni_ref_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
-    const uint32_t slot = c.capture_slot_[i];
+    const uint32_t slot = slot_of[i];
     c.ts_[slot] = r.timestamp;
     c.payload_[slot] = r.payload;
     c.wire_[slot] = r.wire_size;
@@ -86,11 +85,10 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
     c.ack_[slot] = r.tcp_ack;
     c.pn_[slot] = r.quic_packet_number;
     c.dir_[slot] = r.from_client ? 1 : 0;
-    c.sni_ref_[slot] = capture_sni[i];
+    c.sni_ref_[slot] = sni_of[i];
   }
 
-  // Per-flow downlink totals straight off the columns (matches the sum
-  // SplitFlows accumulated while copying packets).
+  // Per-flow downlink totals straight off the columns.
   c.flow_downlink_.resize(flows);
   for (size_t f = 0; f < flows; ++f) {
     const size_t b = c.flow_begin_[f];

@@ -11,19 +11,17 @@
 //   - uint64 tcp-seq / tcp-ack / quic-packet-number columns,
 //   - a uint8 direction column holding exactly 0 or 1 (1 = client→server),
 //   - a small-int SNI reference column pointing into a side table of the few
-//     distinct SNI strings (satellite: SNIs are interned once per trace, not
-//     copied per packet),
+//     distinct SNI strings (SNIs are interned once per trace, not copied per
+//     packet),
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span) built from the same single interning pass that
-//     `SplitFlows` used to spend materializing per-flow packet vectors.
+//     total, column span) built in the same single interning pass.
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
 // `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
-// follow first-appearance order — exactly the flow ordering `SplitFlows`
-// produces. A `FlowView` is a non-owning {columns, flow, span} triple that the
-// estimator/splitter stages consume with zero per-flow packet copies. The
-// original capture order is retained as an index pair (flow-of, slot-of) so
-// the prefix-cache fingerprint can replay the byte-exact AoS absorption order.
+// follow first-appearance order. A `FlowView` is a non-owning
+// {columns, flow, span} triple that the estimator/splitter stages consume
+// with zero per-flow packet copies. The cross-flow interleaving of the
+// capture is not kept: no analysis stage reads it.
 //
 // `kPacketLayoutVersion` names this layout in `csi_build_info` so metrics and
 // traces identify SoA builds.
@@ -108,12 +106,6 @@ class PacketColumns {
     return FlowView{this, f, flow_begin(f), flow_end(f)};
   }
 
-  // Capture-order maps (size packet_count()): capture index i landed in flow
-  // capture_flow()[i] at flow-major slot capture_slot()[i]. These let the
-  // trace fingerprint replay the original packet order over columns.
-  const uint32_t* capture_flow() const { return capture_flow_.data(); }
-  const uint32_t* capture_slot() const { return capture_slot_.data(); }
-
  private:
   std::vector<int64_t> ts_;
   std::vector<int64_t> payload_;
@@ -130,8 +122,6 @@ class PacketColumns {
   std::vector<size_t> flow_begin_;  // size flow_count() + 1
 
   std::vector<std::string> sni_table_;
-  std::vector<uint32_t> capture_flow_;
-  std::vector<uint32_t> capture_slot_;
 
   static const std::string empty_sni_;
 };

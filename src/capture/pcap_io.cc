@@ -10,6 +10,9 @@ namespace {
 
 constexpr uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
 constexpr uint32_t kLinkTypeRaw = 101;       // raw IPv4/IPv6
+constexpr uint32_t kIpv4HeaderBytes = 20;    // no options
+constexpr uint32_t kTcpHeaderBytes = 20;     // no options
+constexpr uint32_t kUdpHeaderBytes = 8;
 
 void Put8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
 void Put16be(std::vector<uint8_t>& out, uint16_t v) {
@@ -182,6 +185,11 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
       throw std::runtime_error("pcap: truncated packet body");
     }
 
+    // Every record must hold the fixed IPv4 header before any of it is read,
+    // and the transport header once the protocol is known (below).
+    if (incl_len < kIpv4HeaderBytes) {
+      throw std::runtime_error("pcap: packet shorter than its headers");
+    }
     PacketRecord r;
     r.timestamp = static_cast<TimeUs>(ts_sec) * kUsPerSec + ts_usec;
     // IPv4 header.
@@ -194,9 +202,15 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
     in.Skip(2);
     const uint32_t src_ip = in.U32be();
     const uint32_t dst_ip = in.U32be();
+    const bool is_tcp = proto == 6;
+    const uint32_t headers = kIpv4HeaderBytes + (is_tcp ? kTcpHeaderBytes : kUdpHeaderBytes);
+    // A short capture length would read the fixed transport fields out of the
+    // next record; a short original length would make the payload negative.
+    if (incl_len < headers || orig_len < headers) {
+      throw std::runtime_error("pcap: packet shorter than its headers");
+    }
     const uint16_t src_port = in.U16be();
     const uint16_t dst_port = in.U16be();
-    const bool is_tcp = proto == 6;
     r.transport = is_tcp ? net::Transport::kTcp : net::Transport::kUdp;
     // Client side = the endpoint on the ephemeral port.
     r.from_client = dst_port == 443;
@@ -204,9 +218,8 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
     r.server_ip = r.from_client ? dst_ip : src_ip;
     r.client_port = r.from_client ? src_port : dst_port;
     r.server_port = r.from_client ? dst_port : src_port;
-    const Bytes transport_header = is_tcp ? 20 : 8;
     r.wire_size = static_cast<Bytes>(orig_len);
-    r.payload = static_cast<Bytes>(orig_len) - 20 - transport_header;
+    r.payload = static_cast<Bytes>(orig_len) - static_cast<Bytes>(headers);
     if (is_tcp) {
       r.tcp_seq = in.U32be();
       r.tcp_ack = in.U32be();

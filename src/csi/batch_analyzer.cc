@@ -23,37 +23,30 @@ int ResolveThreads(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// A tier's budget: the deprecated per-tier alias wins when set (>= 0, with 0
-// still meaning "disabled"); otherwise the unified CacheOptions decides.
-int ResolveBudgetMb(int legacy_mb, const CacheOptions& options) {
-  return legacy_mb >= 0 ? legacy_mb : options.effective_budget_mb();
-}
-
 // Creates the batch-wide shared candidate cache unless the caller brought
-// their own (either config spelling), disabled the tier, or the env forces it
-// off.
+// their own, disabled the tier, or the env forces it off.
 void ResolveCandidateCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = ResolveBudgetMb(batch.candidate_cache_mb, batch.caches.candidate);
-  if (config->candidate_cache != nullptr || config->caches.candidate != nullptr ||
-      budget_mb <= 0 || GroupCandidateCache::EnvForcesOff()) {
+  const int budget_mb = batch.caches.candidate.effective_budget_mb();
+  if (config->caches.candidate != nullptr || budget_mb <= 0 ||
+      GroupCandidateCache::EnvForcesOff()) {
     return;
   }
-  config->candidate_cache =
+  config->caches.candidate =
       std::make_shared<GroupCandidateCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
 }
 
 // Same resolution for the analysis-prefix cache.
 void ResolvePrefixCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = ResolveBudgetMb(batch.prefix_cache_mb, batch.caches.prefix);
-  if (config->prefix_cache != nullptr || config->caches.prefix != nullptr ||
-      budget_mb <= 0 || AnalysisPrefixCache::EnvForcesOff()) {
+  const int budget_mb = batch.caches.prefix.effective_budget_mb();
+  if (config->caches.prefix != nullptr || budget_mb <= 0 ||
+      AnalysisPrefixCache::EnvForcesOff()) {
     return;
   }
-  config->prefix_cache =
+  config->caches.prefix =
       std::make_shared<AnalysisPrefixCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
 }
 
-// Same resolution for the whole-result cache (no legacy alias).
+// Same resolution for the whole-result cache.
 void ResolveResultCache(InferenceConfig* config, const BatchConfig& batch) {
   const int budget_mb = batch.caches.result.effective_budget_mb();
   if (config->caches.result != nullptr || budget_mb <= 0 || ResultCache::EnvForcesOff()) {

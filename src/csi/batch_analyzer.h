@@ -55,14 +55,9 @@ struct BatchConfig {
     CacheOptions result{/*budget_mb=*/64};
   };
   Caches caches;
-  // Deprecated aliases of caches.candidate.budget_mb / caches.prefix.budget_mb,
-  // kept for source compatibility: a non-negative value wins over the unified
-  // block (0 still disables); the -1 default defers to `caches`.
-  int candidate_cache_mb = -1;
-  int prefix_cache_mb = -1;
   // Test seam / fault injection: when set, called instead of
   // InferenceEngine::Analyze for every trace. Trace-mode batches only — the
-  // columnar AnalyzeAll overloads have no AoS trace to hand it and always go
+  // columnar AnalyzeAll overloads have no trace to hand it and always go
   // through the engine.
   std::function<InferenceResult(const capture::CaptureTrace&)> analyze_override;
   // Invoked with (completed, total) after every `progress_every`-th completed
@@ -124,7 +119,7 @@ class BatchAnalyzer {
   // pre-built PacketColumns (see InferenceEngine::Analyze(PacketColumns)).
   // Callers that re-analyze the same captures (csi_batch --repeat /
   // --follow-manifests) transpose once up front and every pass skips the
-  // per-trace column build and the AoS fingerprint walk.
+  // per-trace column build.
   std::vector<InferenceResult> AnalyzeAll(
       const std::vector<const capture::PacketColumns*>& columns,
       std::vector<double>* trace_seconds = nullptr,
@@ -141,12 +136,12 @@ class BatchAnalyzer {
   // The shared group-candidate cache (caller-provided or analyzer-created);
   // null when disabled. Stats reads are safe while a batch runs.
   const GroupCandidateCache* candidate_cache() const {
-    return engine_.config().candidate_cache.get();
+    return engine_.config().caches.candidate.get();
   }
   // The shared analysis-prefix cache (caller-provided or analyzer-created);
   // null when disabled. Stats reads are safe while a batch runs.
   const AnalysisPrefixCache* prefix_cache() const {
-    return engine_.config().prefix_cache.get();
+    return engine_.config().caches.prefix.get();
   }
   // The shared whole-result cache (caller-provided or analyzer-created); null
   // when disabled. Stats reads are safe while a batch runs.

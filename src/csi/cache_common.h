@@ -46,6 +46,8 @@ struct CacheStats {
   uint64_t misses = 0;
   uint64_t inserts = 0;
   uint64_t evictions = 0;
+  // Inserts not admitted because the entry alone exceeds one shard's budget.
+  uint64_t refused = 0;
   // Entries dropped because a newer state's appends (or a compaction that hid
   // them) could have changed their output.
   uint64_t invalidations = 0;
@@ -65,12 +67,14 @@ inline std::string FormatCacheSummary(const std::string& name, const CacheStats&
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "%s cache: %.1f%% hit ratio (%llu hit(s), %llu miss(es)), "
-                "%llu invalidation(s), %llu eviction(s), %.1f MiB in %llu entries",
+                "%llu invalidation(s), %llu eviction(s), %llu refused, "
+                "%.1f MiB in %llu entries",
                 name.c_str(), 100.0 * stats.hit_ratio(),
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.misses),
                 static_cast<unsigned long long>(stats.invalidations),
                 static_cast<unsigned long long>(stats.evictions),
+                static_cast<unsigned long long>(stats.refused),
                 static_cast<double>(stats.bytes) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(stats.entries));
   return buffer;

@@ -282,7 +282,10 @@ void GroupCandidateCache::Insert(const Query& query, const DbSnapshot& db,
   entry.set = std::move(set);
   const int64_t evicted = store_.InsertAndEvict(std::move(entry));
   if (evicted < 0) {
-    return;  // bigger than a whole shard's budget; refused
+    // Bigger than a whole shard's budget: never admitted, but counted.
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    CSI_COUNTER_INC("csi_candidate_cache_refused_total");
+    return;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   if (evicted > 0) {
@@ -302,6 +305,7 @@ GroupCandidateCache::Stats GroupCandidateCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.refused = refused_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
   store_.AccumulateShards(&s);
   {

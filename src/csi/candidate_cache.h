@@ -223,6 +223,7 @@ class GroupCandidateCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> refused_{0};
   std::atomic<uint64_t> invalidations_{0};
 };
 

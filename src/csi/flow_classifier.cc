@@ -1,9 +1,5 @@
 #include "src/csi/flow_classifier.h"
 
-#include <cstddef>
-#include <map>
-#include <utility>
-
 namespace csi::infer {
 namespace {
 
@@ -22,86 +18,6 @@ bool IsMediaFlow(const std::string& sni, uint32_t server_ip,
 }
 
 }  // namespace
-
-std::vector<Flow> SplitFlows(const capture::CaptureTrace& trace) {
-  std::vector<Flow> flows;
-  std::map<capture::FlowKey, size_t> index;
-  for (const auto& record : trace) {
-    const capture::FlowKey key = FlowKeyOf(record);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      it = index.emplace(key, flows.size()).first;
-      flows.push_back(Flow{key, {}, {}, 0});
-    }
-    Flow& flow = flows[it->second];
-    if (!record.sni.empty() && flow.sni.empty()) {
-      flow.sni = record.sni;
-    }
-    if (!record.from_client) {
-      flow.downlink_bytes += record.payload;
-    }
-    flow.packets.push_back(record);
-  }
-  return flows;
-}
-
-std::vector<Flow> ClassifyMediaFlows(const capture::CaptureTrace& trace,
-                                     const std::string& host_suffix,
-                                     const std::set<uint32_t>& known_server_ips) {
-  // Pass 1: per-flow metadata only — key, first non-empty SNI, downlink
-  // bytes, packet count. No packets are copied yet.
-  struct Meta {
-    std::string sni;
-    Bytes downlink_bytes = 0;
-    size_t packet_count = 0;
-  };
-  std::map<capture::FlowKey, size_t> index;
-  std::vector<capture::FlowKey> keys;
-  std::vector<Meta> metas;
-  for (const auto& record : trace) {
-    const capture::FlowKey key = FlowKeyOf(record);
-    auto it = index.find(key);
-    if (it == index.end()) {
-      it = index.emplace(key, metas.size()).first;
-      keys.push_back(key);
-      metas.emplace_back();
-    }
-    Meta& meta = metas[it->second];
-    if (!record.sni.empty() && meta.sni.empty()) {
-      meta.sni = record.sni;
-    }
-    if (!record.from_client) {
-      meta.downlink_bytes += record.payload;
-    }
-    ++meta.packet_count;
-  }
-
-  // Classify on the metadata, materializing Flow entries (in first-appearance
-  // order, exactly sized) for media flows only.
-  std::vector<Flow> media;
-  std::vector<ptrdiff_t> media_slot(metas.size(), -1);
-  for (size_t f = 0; f < metas.size(); ++f) {
-    if (IsMediaFlow(metas[f].sni, keys[f].server_ip, host_suffix,
-                    known_server_ips)) {
-      media_slot[f] = static_cast<ptrdiff_t>(media.size());
-      media.push_back(
-          Flow{keys[f], std::move(metas[f].sni), {}, metas[f].downlink_bytes});
-      media.back().packets.reserve(metas[f].packet_count);
-    }
-  }
-  if (media.empty()) {
-    return media;
-  }
-
-  // Pass 2: copy packets into the media flows only.
-  for (const auto& record : trace) {
-    const ptrdiff_t slot = media_slot[index.find(FlowKeyOf(record))->second];
-    if (slot >= 0) {
-      media[slot].packets.push_back(record);
-    }
-  }
-  return media;
-}
 
 std::vector<uint32_t> ClassifyMediaFlowIds(
     const capture::PacketColumns& columns, const std::string& host_suffix,

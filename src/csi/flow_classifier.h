@@ -13,32 +13,14 @@
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 
 namespace csi::infer {
 
-struct Flow {
-  capture::FlowKey key;
-  std::string sni;
-  std::vector<capture::PacketRecord> packets;  // in capture order
-  Bytes downlink_bytes = 0;
-};
-
-// All flows in the capture, in order of first appearance.
-std::vector<Flow> SplitFlows(const capture::CaptureTrace& trace);
-
-// Flows that belong to the video service identified by `host_suffix` (or by
-// server IP when the SNI is missing). Classifies on per-flow metadata first
-// and materializes packet vectors only for the flows that match, so non-media
-// flows are never copied.
-std::vector<Flow> ClassifyMediaFlows(const capture::CaptureTrace& trace,
-                                     const std::string& host_suffix,
-                                     const std::set<uint32_t>& known_server_ips = {});
-
-// Columnar classification: the ids (first-appearance order) of the flows in
-// `columns` that belong to the video service. No packets are touched at all —
-// the interning pass of PacketColumns::Build already extracted the per-flow
-// SNI and key, and downstream stages consume FlowViews over the same columns.
+// The ids (first-appearance order) of the flows in `columns` that belong to
+// the video service identified by `host_suffix` (or by server IP when the
+// flow never showed an SNI). No packets are touched at all — the interning
+// pass of PacketColumns::Build already extracted the per-flow SNI and key, and
+// downstream stages consume FlowViews over the same columns.
 std::vector<uint32_t> ClassifyMediaFlowIds(
     const capture::PacketColumns& columns, const std::string& host_suffix,
     const std::set<uint32_t>& known_server_ips = {});

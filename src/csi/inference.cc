@@ -47,19 +47,6 @@ InferenceEngine::InferenceEngine(const media::Manifest* manifest, InferenceConfi
 }
 
 void InferenceEngine::FinishConfig() {
-  // Reconcile the deprecated per-tier cache fields with the unified `caches`
-  // block: a legacy field set non-null wins; from here on both spellings name
-  // the same cache, so readers of either see one coherent set.
-  if (config_.candidate_cache != nullptr) {
-    config_.caches.candidate = config_.candidate_cache;
-  } else {
-    config_.candidate_cache = config_.caches.candidate;
-  }
-  if (config_.prefix_cache != nullptr) {
-    config_.caches.prefix = config_.prefix_cache;
-  } else {
-    config_.prefix_cache = config_.caches.prefix;
-  }
   if (config_.host_suffix.empty()) {
     config_.host_suffix = manifest_->host;
   }
@@ -69,10 +56,10 @@ void InferenceEngine::FinishConfig() {
     config_.other_object_sizes.push_back(manifest_->SerializedSize() +
                                          config_.expected_fixed_overhead);
   }
-  if (config_.prefix_cache != nullptr) {
+  if (config_.caches.prefix != nullptr) {
     // Intern after the host-suffix default fill so two engines built from the
     // same manifest share a context whether or not the suffix was explicit.
-    prefix_context_ = config_.prefix_cache->InternContext(
+    prefix_context_ = config_.caches.prefix->InternContext(
         config_.design, config_.host_suffix, config_.splitter);
   }
   if (config_.caches.result != nullptr) {
@@ -159,51 +146,7 @@ void InferenceEngine::MergePhantomSplits(std::vector<EstimatedExchange>* exchang
   }
 }
 
-AnalysisPrefix InferenceEngine::ComputePrefixAoS(const capture::CaptureTrace& trace) const {
-  AnalysisPrefix prefix;
-  std::vector<Flow> flows;
-  {
-    CSI_SPAN("flow_classify");
-    CSI_TRACE_SPAN_ARGS("flow_classify", "stage",
-                        {"packets", static_cast<int64_t>(trace.size())});
-    flows = ClassifyMediaFlows(trace, config_.host_suffix);
-  }
-  prefix.media_flows = static_cast<int>(flows.size());
-  if (flows.empty()) {
-    return prefix;
-  }
-  // The player streams over one connection; if several media flows exist
-  // (e.g. probes), analyze the one carrying the bulk of the download.
-  auto main_flow = std::max_element(
-      flows.begin(), flows.end(),
-      [](const Flow& a, const Flow& b) { return a.downlink_bytes < b.downlink_bytes; });
-
-  if (config_.design == DesignType::kSQ) {
-    CSI_SPAN("traffic_split");
-    CSI_TRACE_SPAN_ARGS("traffic_split", "stage",
-                        {"packets", static_cast<int64_t>(main_flow->packets.size())});
-    prefix.groups = SplitIntoGroups(main_flow->packets, config_.splitter);
-  } else {
-    CSI_SPAN("size_estimate");
-    CSI_TRACE_SPAN_ARGS("size_estimate", "stage",
-                        {"packets", static_cast<int64_t>(main_flow->packets.size())});
-    for (const EstimatedExchange& ex :
-         EstimateExchanges(main_flow->packets, IsQuic(config_.design))) {
-      if (ex.carries_sni) {
-        // Handshake exchange (ClientHello / QUIC Initial): the data in its
-        // window is the server's handshake flight, not a media object.
-        continue;
-      }
-      prefix.exchanges.push_back(ex);
-    }
-    // Merge repair stays OUT of the prefix: MatchesSomething probes the
-    // database snapshot, so the repaired exchange list is snapshot-dependent
-    // while everything above this line is not.
-  }
-  return prefix;
-}
-
-AnalysisPrefix InferenceEngine::ComputePrefixColumns(
+AnalysisPrefix InferenceEngine::ComputePrefix(
     const capture::PacketColumns& columns) const {
   AnalysisPrefix prefix;
   std::vector<uint32_t> media;
@@ -217,9 +160,9 @@ AnalysisPrefix InferenceEngine::ComputePrefixColumns(
   if (media.empty()) {
     return prefix;
   }
-  // First-max over the per-flow downlink totals: media ids ascend in
-  // first-appearance order, so this picks the same flow max_element picks on
-  // the AoS flow vector.
+  // The player streams over one connection; if several media flows exist
+  // (e.g. probes), analyze the one carrying the bulk of the download (the
+  // first such flow on a tie).
   uint32_t main_flow = media.front();
   for (const uint32_t f : media) {
     if (columns.flow_downlink_bytes(f) > columns.flow_downlink_bytes(main_flow)) {
@@ -246,7 +189,9 @@ AnalysisPrefix InferenceEngine::ComputePrefixColumns(
       }
       prefix.exchanges.push_back(ex);
     }
-    // Merge repair stays OUT of the prefix (see ComputePrefixAoS).
+    // Merge repair stays OUT of the prefix: MatchesSomething probes the
+    // database snapshot, so the repaired exchange list is snapshot-dependent
+    // while everything above this line is not.
   }
   return prefix;
 }
@@ -254,29 +199,27 @@ AnalysisPrefix InferenceEngine::ComputePrefixColumns(
 InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {
-  return AnalyzeImpl(&trace, nullptr, display, audit);
+  capture::PacketColumns columns;
+  {
+    CSI_SPAN("column_build");
+    CSI_TRACE_SPAN_ARGS("column_build", "stage",
+                        {"packets", static_cast<int64_t>(trace.size())});
+    columns = capture::PacketColumns::Build(trace);
+  }
+  return Analyze(columns, display, audit);
 }
 
 InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {
-  return AnalyzeImpl(nullptr, &columns, display, audit);
-}
-
-InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
-                                             const capture::PacketColumns* columns,
-                                             const DisplayConstraints& display,
-                                             InferenceAudit* audit) const {
-  const size_t packet_count =
-      trace != nullptr ? trace->size() : columns->packet_count();
   CSI_SPAN("analyze");
   CSI_TRACE_SPAN_ARGS("analyze", "stage",
-                      {"packets", static_cast<int64_t>(packet_count)});
+                      {"packets", static_cast<int64_t>(columns.packet_count())});
   CSI_COUNTER_INC("csi_analyze_calls_total");
 
   AnalysisPrefixCache* const prefix_cache =
-      config_.prefix_cache != nullptr && !AnalysisPrefixCache::EnvForcesOff()
-          ? config_.prefix_cache.get()
+      config_.caches.prefix != nullptr && !AnalysisPrefixCache::EnvForcesOff()
+          ? config_.caches.prefix.get()
           : nullptr;
   // Top tier: the whole-result cache. Calls with display constraints bypass
   // it — the key deliberately covers only the unconstrained path.
@@ -284,13 +227,10 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
       config_.caches.result != nullptr && !ResultCache::EnvForcesOff() && display.empty()
           ? config_.caches.result.get()
           : nullptr;
-  // One fingerprint pass feeds both the result- and prefix-tier keys. The
-  // two flavors produce the same digest for the same capture, so entries are
-  // shared across AoS and columnar callers.
+  // One fingerprint pass feeds both the result- and prefix-tier keys.
   TraceFingerprint fingerprint;
   if (result_cache != nullptr || prefix_cache != nullptr) {
-    fingerprint = columns != nullptr ? FingerprintColumns(*columns)
-                                     : FingerprintTrace(*trace);
+    fingerprint = FingerprintColumns(columns);
   }
   ResultCache::Query result_query;
   if (result_cache != nullptr) {
@@ -337,25 +277,7 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
     prefix = prefix_cache->Lookup(prefix_query);
   }
   if (prefix == nullptr) {
-    std::shared_ptr<AnalysisPrefix> computed;
-    if (columns != nullptr) {
-      computed = std::make_shared<AnalysisPrefix>(ComputePrefixColumns(*columns));
-    } else if (config_.use_columnar) {
-      // Transpose lazily — only when the prefix actually has to be
-      // recomputed — so warm cache hits never pay for a column build.
-      capture::PacketColumns built;
-      {
-        CSI_SPAN("column_build");
-        CSI_TRACE_SPAN_ARGS("column_build", "stage",
-                            {"packets", static_cast<int64_t>(trace->size())});
-        built = capture::PacketColumns::Build(*trace);
-      }
-      CSI_TRACE_INSTANT("column_layout", "stage",
-                        {"flows", static_cast<int64_t>(built.flow_count())});
-      computed = std::make_shared<AnalysisPrefix>(ComputePrefixColumns(built));
-    } else {
-      computed = std::make_shared<AnalysisPrefix>(ComputePrefixAoS(*trace));
-    }
+    auto computed = std::make_shared<AnalysisPrefix>(ComputePrefix(columns));
     if (prefix_cache != nullptr) {
       prefix_cache->Insert(prefix_query, computed);
     }
@@ -392,7 +314,7 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
   group.enable_wildcards = config_.enable_wildcards;
   group.enable_merge_repair = config_.enable_merge_repair;
   group.pool = config_.search_pool;
-  group.shared_cache = config_.candidate_cache.get();
+  group.shared_cache = config_.caches.candidate.get();
   if (!config_.enable_phantom_deficit) {
     group.max_phantom_requests = 0;
   }

@@ -41,12 +41,6 @@ struct InferenceConfig {
   int max_sequences = 512;
   SplitterConfig splitter;
   int max_candidates_per_group = 5000;
-  // Run the per-packet cold stages over the columnar (SoA) capture layout
-  // with the SIMD column kernels. Output is byte-identical either way (the
-  // cold-path differential test locks this in), so the knob is deliberately
-  // excluded from the prefix/result cache contexts — cached entries are
-  // interchangeable between layouts. Off = the legacy AoS reference path.
-  bool use_columnar = true;
   // Ablation switches (see bench_ablation_robustness).
   bool enable_wildcards = true;
   bool enable_merge_repair = true;
@@ -64,31 +58,20 @@ struct InferenceConfig {
   // index is byte-identical for every pool/shard combination.
   ThreadPool* db_build_pool = nullptr;
   int db_build_shards = 0;
-  // Deprecated alias of caches.candidate (see below); either spelling may be
-  // set and the engine reconciles them at construction, a non-null alias
-  // winning. Optional shared group-candidate result cache (candidate_cache.h)
-  // consulted by the SQ enumeration. Shared ownership: several engines (or a
-  // BatchAnalyzer plus standalone engines) may point at one cache and warm
-  // each other up. Results are byte-identical with or without it. Null: no
-  // cross-trace caching.
-  std::shared_ptr<GroupCandidateCache> candidate_cache;
-  // Deprecated alias of caches.prefix, reconciled like candidate_cache.
-  // Optional shared analysis-prefix cache (see prefix_cache.h), consulted
-  // before the per-packet stages (flow classification, size estimation,
-  // traffic splitting). Keyed on a trace fingerprint + interned config
-  // context, and snapshot-independent: entries stay valid across
-  // UpdateSnapshot / LiveChunkDatabase publishes. Shared ownership like
-  // candidate_cache; results are byte-identical with or without it. Null: the
-  // prefix is recomputed per Analyze.
-  std::shared_ptr<AnalysisPrefixCache> prefix_cache;
-  // The unified cache block: one struct naming every tier, in pipeline order
-  // from outermost to innermost. `result` (result_cache.h) memoizes whole
-  // InferenceResults keyed on (trace fingerprint, config context, database
-  // lineage) — a hit skips classification, splitting, enumeration and the
-  // sequence search outright; calls with display constraints bypass it. All
-  // three tiers are share-owned, optional, and byte-transparent: results are
-  // identical with any subset attached. The legacy per-tier fields above
-  // remain as aliases; after construction both spellings agree.
+  // The shared cache tiers. All three are share-owned (several engines, or a
+  // BatchAnalyzer plus standalone engines, may point at one cache and warm
+  // each other up), optional (null: no caching at that tier) and
+  // byte-transparent: results are identical with any subset attached.
+  //  * result (result_cache.h) memoizes whole InferenceResults keyed on
+  //    (trace fingerprint, config context, database lineage) — a hit skips
+  //    classification, splitting, enumeration and the sequence search
+  //    outright; calls with display constraints bypass it.
+  //  * prefix (prefix_cache.h) is consulted before the per-packet stages
+  //    (flow classification, size estimation, traffic splitting). Keyed on a
+  //    trace fingerprint + interned config context, and snapshot-independent:
+  //    entries stay valid across UpdateSnapshot / LiveChunkDatabase publishes.
+  //  * candidate (candidate_cache.h) holds group-candidate sets consulted by
+  //    the SQ enumeration.
   struct Caches {
     std::shared_ptr<AnalysisPrefixCache> prefix;
     std::shared_ptr<GroupCandidateCache> candidate;
@@ -110,22 +93,20 @@ class InferenceEngine {
   // the snapshot constructor with that database at epoch 0.
   InferenceEngine(const media::Manifest* manifest, InferenceConfig config);
 
-  // Runs the inference on a capture. `display` optionally carries
+  // Runs the inference on a capture's columns (see
+  // capture/packet_columns.h): the cache fingerprint mixes over the columns
+  // and the per-packet stages consume FlowViews. `display` optionally carries
   // (index -> track) constraints from screen analysis. `audit`, when
   // non-null, is filled with the per-trace explanation record (see audit.h);
   // collecting it never changes the result.
-  InferenceResult Analyze(const capture::CaptureTrace& trace,
+  InferenceResult Analyze(const capture::PacketColumns& columns,
                           const DisplayConstraints& display = {},
                           InferenceAudit* audit = nullptr) const;
 
-  // Columnar entry point: analyzes a pre-built PacketColumns (see
-  // capture/packet_columns.h) without ever touching an AoS trace — the
-  // fingerprint mixes over the columns and the cold stages consume FlowViews.
-  // Byte-identical to Analyze on the trace the columns were built from;
-  // callers that analyze the same capture repeatedly (csi_batch --repeat,
-  // --follow-manifests) build the columns once and skip the per-call
-  // transpose entirely.
-  InferenceResult Analyze(const capture::PacketColumns& columns,
+  // Convenience for one-shot callers: PacketColumns::Build, then the columns
+  // overload. Callers that analyze the same capture repeatedly (csi_batch
+  // --repeat, --follow-manifests) build the columns once instead.
+  InferenceResult Analyze(const capture::CaptureTrace& trace,
                           const DisplayConstraints& display = {},
                           InferenceAudit* audit = nullptr) const;
 
@@ -137,31 +118,16 @@ class InferenceEngine {
   void UpdateSnapshot(DbSnapshot snapshot);
 
   const DbSnapshot& snapshot() const { return snapshot_; }
-  // Deprecated: the snapshot's base database (does not see the delta buffer).
-  const ChunkDatabase& db() const { return snapshot_.base(); }
   const InferenceConfig& config() const { return config_; }
 
  private:
   // Shared tail of both constructors: config defaults derived from manifest_.
   void FinishConfig();
-  // Shared body of both Analyze overloads: exactly one of trace/columns is
-  // non-null. The fingerprint and (on a prefix-cache miss) the cold stages
-  // run off whichever representation the caller provided; the trace flavor
-  // transposes to columns lazily — only when the prefix actually has to be
-  // recomputed — so warm cache hits never pay for a column build.
-  InferenceResult AnalyzeImpl(const capture::CaptureTrace* trace,
-                              const capture::PacketColumns* columns,
-                              const DisplayConstraints& display,
-                              InferenceAudit* audit) const;
   // The snapshot-independent front of Analyze: flow classification plus — for
   // the dominant media flow — SP1/SP2 traffic splitting (SQ) or SNI-filtered
   // per-exchange size estimation (pre-merge-repair). A pure function of
   // (capture, design, host_suffix, splitter); what the prefix cache memoizes.
-  // Two byte-identical implementations: the legacy AoS walk (the differential
-  // reference, reachable via use_columnar = false) and the columnar one.
-  AnalysisPrefix ComputePrefixAoS(const capture::CaptureTrace& trace) const;
-  AnalysisPrefix ComputePrefixColumns(
-      const capture::PacketColumns& columns) const;
+  AnalysisPrefix ComputePrefix(const capture::PacketColumns& columns) const;
   // True if `estimate` satisfies Property (1) for some video chunk, audio
   // chunk, or known non-media object.
   bool MatchesSomething(Bytes estimate, double k) const;

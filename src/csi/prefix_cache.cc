@@ -31,9 +31,7 @@ inline uint64_t MixStep(uint64_t h, uint64_t v) {
 // latched in a function-local static and cannot be flipped after first use).
 std::atomic<bool> g_force_env_off{false};
 
-// Accumulates the two mixes over the observer-visible field stream. The AoS
-// and columnar fingerprints both feed packets through AbsorbPacket in capture
-// order, so they cannot drift apart field-by-field.
+// Accumulates the two mixes over the observer-visible field stream.
 struct Mixer {
   uint64_t lo = kFnvOffset;
   uint64_t hi = 0x9AE16A3B2F90404Full;  // arbitrary odd seed, distinct from lo
@@ -43,26 +41,9 @@ struct Mixer {
     hi = MixStep(hi, v);
   }
 
-  void AbsorbPacket(TimeUs timestamp, const capture::FlowKey& key,
-                    bool from_client, Bytes payload, Bytes wire_size,
-                    uint64_t tcp_seq, uint64_t tcp_ack,
-                    uint64_t quic_packet_number, const std::string& sni) {
-    Absorb(static_cast<uint64_t>(timestamp));
-    // Pack the small fields into one word so short traces still stir both
-    // accumulators per packet instead of feeding runs of near-zero words.
-    Absorb((static_cast<uint64_t>(key.client_port) << 48) |
-           (static_cast<uint64_t>(key.server_port) << 32) |
-           (static_cast<uint64_t>(static_cast<uint8_t>(key.transport)) << 8) |
-           static_cast<uint64_t>(from_client ? 1 : 0));
-    Absorb((static_cast<uint64_t>(key.client_ip) << 32) |
-           static_cast<uint64_t>(key.server_ip));
-    Absorb(static_cast<uint64_t>(payload));
-    Absorb(static_cast<uint64_t>(wire_size));
-    Absorb(tcp_seq);
-    Absorb(tcp_ack);
-    Absorb(quic_packet_number);
-    Absorb(static_cast<uint64_t>(sni.size()));
-    for (const char c : sni) {
+  void AbsorbString(const std::string& s) {
+    Absorb(static_cast<uint64_t>(s.size()));
+    for (const char c : s) {
       Absorb(static_cast<uint64_t>(static_cast<uint8_t>(c)));
     }
   }
@@ -70,34 +51,31 @@ struct Mixer {
 
 }  // namespace
 
-TraceFingerprint FingerprintTrace(const capture::CaptureTrace& trace) {
-  Mixer mixer;
-  mixer.Absorb(static_cast<uint64_t>(trace.size()));
-  for (const capture::PacketRecord& p : trace) {
-    mixer.AbsorbPacket(p.timestamp, FlowKeyOf(p), p.from_client, p.payload,
-                       p.wire_size, p.tcp_seq, p.tcp_ack, p.quic_packet_number,
-                       p.sni);
-  }
-  return TraceFingerprint{mixer.lo, mixer.hi};
-}
-
 TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns) {
   Mixer mixer;
-  const size_t n = columns.packet_count();
-  mixer.Absorb(static_cast<uint64_t>(n));
-  // Replay the original capture order through the (flow, slot) maps so the
-  // field stream matches FingerprintTrace exactly.
-  const uint32_t* flow_of = columns.capture_flow();
-  const uint32_t* slot_of = columns.capture_slot();
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t slot = slot_of[i];
-    mixer.AbsorbPacket(columns.timestamps()[slot],
-                       columns.flow_key(flow_of[i]),
-                       columns.from_client()[slot] != 0,
-                       columns.payloads()[slot], columns.wire_sizes()[slot],
-                       columns.tcp_seqs()[slot], columns.tcp_acks()[slot],
-                       columns.quic_packet_numbers()[slot],
-                       columns.sni_at(slot));
+  mixer.Absorb(static_cast<uint64_t>(columns.packet_count()));
+  mixer.Absorb(static_cast<uint64_t>(columns.flow_count()));
+  for (uint32_t f = 0; f < columns.flow_count(); ++f) {
+    const capture::FlowKey& key = columns.flow_key(f);
+    // Pack the small fields into one word so short traces still stir both
+    // accumulators instead of feeding runs of near-zero words.
+    mixer.Absorb((static_cast<uint64_t>(key.client_port) << 48) |
+                 (static_cast<uint64_t>(key.server_port) << 32) |
+                 static_cast<uint64_t>(static_cast<uint8_t>(key.transport)));
+    mixer.Absorb((static_cast<uint64_t>(key.client_ip) << 32) |
+                 static_cast<uint64_t>(key.server_ip));
+    const capture::FlowView view = columns.flow(f);
+    mixer.Absorb(static_cast<uint64_t>(view.size()));
+    for (size_t i = view.begin; i < view.end; ++i) {
+      mixer.Absorb(static_cast<uint64_t>(columns.timestamps()[i]));
+      mixer.Absorb(columns.from_client()[i]);
+      mixer.Absorb(static_cast<uint64_t>(columns.payloads()[i]));
+      mixer.Absorb(static_cast<uint64_t>(columns.wire_sizes()[i]));
+      mixer.Absorb(columns.tcp_seqs()[i]);
+      mixer.Absorb(columns.tcp_acks()[i]);
+      mixer.Absorb(columns.quic_packet_numbers()[i]);
+      mixer.AbsorbString(columns.sni_at(i));
+    }
   }
   return TraceFingerprint{mixer.lo, mixer.hi};
 }
@@ -145,14 +123,6 @@ uint32_t AnalysisPrefixCache::InternContext(DesignType design, const std::string
   }
   contexts_.push_back(std::move(ctx));
   return static_cast<uint32_t>(contexts_.size());
-}
-
-AnalysisPrefixCache::Query AnalysisPrefixCache::MakeQuery(const capture::CaptureTrace& trace,
-                                                          uint32_t context) {
-  Query q;
-  q.fingerprint = FingerprintTrace(trace);
-  q.context = context;
-  return q;
 }
 
 AnalysisPrefixCache::Query AnalysisPrefixCache::MakeQuery(
@@ -216,7 +186,10 @@ void AnalysisPrefixCache::Insert(const Query& query,
   // are deterministic, so either copy serves — the store keeps the fresher.
   const int64_t evicted = store_.InsertAndEvict(std::move(entry));
   if (evicted < 0) {
-    return;  // bigger than a whole shard's budget; refused
+    // Bigger than a whole shard's budget: never admitted, but counted.
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    CSI_COUNTER_INC("csi_prefix_cache_refused_total");
+    return;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   CSI_COUNTER_INC("csi_prefix_cache_inserts_total");
@@ -237,6 +210,7 @@ AnalysisPrefixCache::Stats AnalysisPrefixCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.refused = refused_.load(std::memory_order_relaxed);
   store_.AccumulateShards(&s);
   {
     std::lock_guard<std::mutex> lock(contexts_mu_);

@@ -15,10 +15,11 @@
 //
 // to the immutable `AnalysisPrefix` the per-packet stages produce. The
 // fingerprint hashes every observer-visible packet field (timing, addressing,
-// direction, sizes, sequence/packet numbers, SNI), so two captures share an
-// entry exactly when the inference input is bit-identical; the context
-// interns the knobs the prefix stages read (design, host suffix, splitter
-// thresholds) with full structural equality, never a lossy hash.
+// direction, sizes, sequence/packet numbers, SNI) flow by flow, so two
+// captures share an entry exactly when their PacketColumns — the inference
+// input — are identical; the context interns the knobs the prefix stages
+// read (design, host suffix, splitter thresholds) with full structural
+// equality, never a lossy hash.
 //
 // Safety argument (simpler than the candidate cache's): the cached value is a
 // pure function of (capture bytes, context). No database state enters the
@@ -47,17 +48,16 @@
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/cache_common.h"
 #include "src/csi/splitter.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
 
-// Deterministic 128-bit digest of a capture trace. Two independent 64-bit
-// mixes over the same field stream: a single 64-bit FNV would make accidental
-// collisions plausible at deployment trace counts, 128 bits makes them
-// negligible. Pure integer arithmetic — identical on every platform.
+// Deterministic 128-bit digest of a capture's columns. Two independent
+// 64-bit mixes over the same field stream: a single 64-bit FNV would make
+// accidental collisions plausible at deployment trace counts, 128 bits makes
+// them negligible. Pure integer arithmetic — identical on every platform.
 struct TraceFingerprint {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -65,13 +65,11 @@ struct TraceFingerprint {
   friend bool operator==(const TraceFingerprint&, const TraceFingerprint&) = default;
 };
 
-TraceFingerprint FingerprintTrace(const capture::CaptureTrace& trace);
-
-// Identical digest computed from the columnar layout: replays the original
-// capture order through the columns' (flow, slot) maps so the field stream —
-// and therefore the fingerprint — is bit-identical to FingerprintTrace over
-// the trace the columns were built from. Cached prefixes are interchangeable
-// between the AoS and SoA paths.
+// One sequential sweep: packet count, flow count, then every flow in id order
+// — its key, its packet count and each of its packets' fields, SNI included.
+// Equal digests therefore mean equal PacketColumns as analysis reads them;
+// captures that differ only in how their flows interleave share a digest
+// (and an analysis result).
 TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns);
 
 // Immutable output of the snapshot-independent front of Analyze: flow
@@ -130,11 +128,8 @@ class AnalysisPrefixCache {
   uint32_t InternContext(DesignType design, const std::string& host_suffix,
                          const SplitterConfig& splitter);
 
-  // Fingerprints `trace` and assembles the key. O(packets), but pure
+  // Fingerprints `columns` and assembles the key. O(packets), but pure
   // arithmetic — far cheaper than the classify/split work a hit skips.
-  static Query MakeQuery(const capture::CaptureTrace& trace, uint32_t context);
-
-  // Columnar flavor: same key for the same capture (see FingerprintColumns).
   static Query MakeQuery(const capture::PacketColumns& columns,
                          uint32_t context);
 
@@ -190,6 +185,7 @@ class AnalysisPrefixCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> refused_{0};
 };
 
 }  // namespace csi::infer

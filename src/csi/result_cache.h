@@ -209,7 +209,7 @@ class ResultCache {
   uint32_t InternContext(const Context& context);
 
   // Assembles a key from an already-computed fingerprint (the engine shares
-  // one FingerprintTrace pass with the prefix cache) and `db`'s lineage.
+  // one FingerprintColumns pass with the prefix cache) and `db`'s lineage.
   static Query MakeQuery(const TraceFingerprint& fingerprint, uint32_t context,
                          const DbSnapshot& db);
 
@@ -270,6 +270,7 @@ class ResultCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> refused_{0};
   std::atomic<uint64_t> invalidations_{0};
 };
 

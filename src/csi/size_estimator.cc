@@ -1,7 +1,6 @@
 #include "src/csi/size_estimator.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -14,23 +13,7 @@ namespace {
 // message (requests themselves are separated by at least a response RTT).
 constexpr TimeUs kRequestMergeGap = 25 * kUsPerMs;
 
-// First-occurrence flags for downlink data packets of an HTTPS flow
-// (duplicate TCP sequence numbers = retransmissions, removed per §3.2).
-std::vector<bool> FirstOccurrenceDownlink(const std::vector<capture::PacketRecord>& flow) {
-  std::vector<bool> first(flow.size(), false);
-  std::set<uint64_t> seen;
-  for (size_t i = 0; i < flow.size(); ++i) {
-    const auto& p = flow[i];
-    if (p.from_client || p.payload <= 0) {
-      continue;
-    }
-    first[i] = seen.insert(p.tcp_seq).second;
-  }
-  return first;
-}
-
-// Per-thread scratch for the columnar path: candidate indices from the SIMD
-// prefilter, the QUIC effective-payload column, and data-packet masks. Reused
+// Per-thread scratch: candidate indices from the SIMD prefilter, the QUIC effective-payload column, and data-packet masks. Reused
 // across calls so the cold batch loop does not churn the allocator.
 struct ColumnScratch {
   std::vector<uint32_t> indices;
@@ -44,8 +27,8 @@ ColumnScratch& Scratch() {
 }
 
 // First-occurrence mask over a flow view: mask[i] = 1 exactly when packet i is
-// the first downlink data packet with its TCP sequence number (same flags the
-// AoS FirstOccurrenceDownlink computes, as 0/1 bytes for the SIMD kernels).
+// the first downlink data packet with its TCP sequence number (duplicates are
+// retransmissions, removed per §3.2), as 0/1 bytes for the SIMD kernels.
 void FirstOccurrenceMask(const capture::FlowView& flow,
                          std::vector<uint8_t>* mask) {
   const size_t n = flow.size();
@@ -63,119 +46,6 @@ void FirstOccurrenceMask(const capture::FlowView& flow,
 }
 
 }  // namespace
-
-std::vector<DetectedRequest> DetectRequests(const std::vector<capture::PacketRecord>& flow,
-                                            bool quic) {
-  std::vector<DetectedRequest> requests;
-  if (quic) {
-    for (const auto& p : flow) {
-      if (p.from_client && p.payload >= kQuicRequestThreshold) {
-        requests.push_back(DetectedRequest{p.timestamp, !p.sni.empty()});
-      }
-    }
-    return requests;
-  }
-  // HTTPS: uplink packets with payload, de-duplicated by sequence number and
-  // merged when contiguous in sequence and near-simultaneous (multi-segment
-  // request messages).
-  std::set<uint64_t> seen;
-  uint64_t last_end_seq = 0;
-  TimeUs last_time = -kUsPerSec;
-  bool last_sni = false;
-  bool have_last = false;
-  for (const auto& p : flow) {
-    if (!p.from_client || p.payload <= 0) {
-      continue;
-    }
-    if (!seen.insert(p.tcp_seq).second) {
-      continue;  // retransmission
-    }
-    const bool contiguous = have_last && p.tcp_seq == last_end_seq;
-    const bool near = p.timestamp - last_time <= kRequestMergeGap;
-    if (contiguous && near) {
-      // Continuation of the previous request message.
-      last_end_seq = p.tcp_seq + static_cast<uint64_t>(p.payload);
-      last_time = p.timestamp;
-      if (!p.sni.empty()) {
-        requests.back().carries_sni = true;
-      }
-      continue;
-    }
-    requests.push_back(DetectedRequest{p.timestamp, !p.sni.empty()});
-    last_end_seq = p.tcp_seq + static_cast<uint64_t>(p.payload);
-    last_time = p.timestamp;
-    last_sni = !p.sni.empty();
-    have_last = true;
-  }
-  (void)last_sni;
-  return requests;
-}
-
-Bytes EstimateDownlinkBytes(const std::vector<capture::PacketRecord>& flow, bool quic,
-                            TimeUs begin, TimeUs end) {
-  Bytes total = 0;
-  if (quic) {
-    for (const auto& p : flow) {
-      if (p.from_client || p.payload <= 0) {
-        continue;
-      }
-      if (p.timestamp <= begin || (end >= 0 && p.timestamp > end)) {
-        continue;
-      }
-      total += std::max<Bytes>(p.payload - net::kQuicHeaderBytes, 0);
-    }
-    return total;
-  }
-  const std::vector<bool> first = FirstOccurrenceDownlink(flow);
-  for (size_t i = 0; i < flow.size(); ++i) {
-    if (!first[i]) {
-      continue;
-    }
-    const auto& p = flow[i];
-    if (p.timestamp <= begin || (end >= 0 && p.timestamp > end)) {
-      continue;
-    }
-    total += p.payload;
-  }
-  return total;
-}
-
-std::vector<EstimatedExchange> EstimateExchanges(const std::vector<capture::PacketRecord>& flow,
-                                                 bool quic) {
-  const std::vector<DetectedRequest> requests = DetectRequests(flow, quic);
-  std::vector<EstimatedExchange> exchanges;
-  exchanges.reserve(requests.size());
-  const std::vector<bool> first =
-      quic ? std::vector<bool>() : FirstOccurrenceDownlink(flow);
-  for (size_t r = 0; r < requests.size(); ++r) {
-    const TimeUs begin = requests[r].time;
-    const TimeUs end = r + 1 < requests.size() ? requests[r + 1].time : -1;
-    EstimatedExchange ex;
-    ex.request_time = begin;
-    ex.last_data_time = begin;
-    ex.carries_sni = requests[r].carries_sni;
-    for (size_t i = 0; i < flow.size(); ++i) {
-      const auto& p = flow[i];
-      if (p.from_client || p.payload <= 0) {
-        continue;
-      }
-      if (p.timestamp <= begin || (end >= 0 && p.timestamp > end)) {
-        continue;
-      }
-      if (quic) {
-        ex.estimated_size += std::max<Bytes>(p.payload - net::kQuicHeaderBytes, 0);
-      } else {
-        if (!first[i]) {
-          continue;
-        }
-        ex.estimated_size += p.payload;
-      }
-      ex.last_data_time = std::max(ex.last_data_time, p.timestamp);
-    }
-    exchanges.push_back(ex);
-  }
-  return exchanges;
-}
 
 std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
                                             bool quic) {
@@ -198,8 +68,10 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
     }
     return requests;
   }
-  // HTTPS: SIMD prefilter to uplink data packets, then the same stateful
-  // dedup/merge walk as the AoS path over the (few) candidates.
+  // HTTPS: SIMD prefilter to uplink data packets, then a stateful walk over
+  // the (few) candidates that drops retransmissions (duplicate sequence
+  // numbers) and merges segments of one multi-segment request message
+  // (contiguous in sequence and near-simultaneous).
   const size_t hits =
       simd::CollectIndices(dir, 1, payload, 1, n, scratch.indices.data());
   const uint64_t* seq = flow.tcp_seqs();
@@ -240,7 +112,7 @@ Bytes EstimateDownlinkBytes(const capture::FlowView& flow, bool quic,
   scratch.eff.resize(n);
   if (quic) {
     // max(payload - header, 0) is already 0 for uplink and non-data packets,
-    // so one masked transform plus one windowed sum reproduces the AoS loop.
+    // so one masked transform plus one windowed sum gives the estimate.
     simd::MaskedQuicPayload(dir, payload, n, net::kQuicHeaderBytes,
                             scratch.eff.data());
   } else {
@@ -264,9 +136,9 @@ std::vector<EstimatedExchange> EstimateExchanges(const capture::FlowView& flow,
   if (quic) {
     simd::MaskedQuicPayload(dir, payload, n, net::kQuicHeaderBytes,
                             scratch.eff.data());
-    // The AoS loop advances last_data_time for every downlink data packet in
-    // the window, even when the header strip leaves 0 bytes — so the time
-    // mask is downlink && payload > 0, independent of the size column.
+    // last_data_time advances for every downlink data packet in the window,
+    // even when the header strip leaves 0 bytes — so the time mask is
+    // downlink && payload > 0, independent of the size column.
     scratch.mask.resize(n);
     for (size_t i = 0; i < n; ++i) {
       scratch.mask[i] = (dir[i] == 0 && payload[i] > 0) ? 1 : 0;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
@@ -33,26 +32,17 @@ struct DetectedRequest {
   bool carries_sni = false;  // the ClientHello (never an HTTP request)
 };
 
-std::vector<DetectedRequest> DetectRequests(const std::vector<capture::PacketRecord>& flow,
+// Detected requests of one flow, in capture order (rules above).
+std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
                                             bool quic);
 
 // Per-exchange size estimates for designs without transport MUX: downlink
 // traffic between consecutive requests is one object (§5.3.1 Step 1.2).
-std::vector<EstimatedExchange> EstimateExchanges(const std::vector<capture::PacketRecord>& flow,
-                                                 bool quic);
-
-// Total estimated downlink object bytes in the half-open time window
-// [begin, end). Set end < 0 for "until the end of the flow".
-Bytes EstimateDownlinkBytes(const std::vector<capture::PacketRecord>& flow, bool quic,
-                            TimeUs begin, TimeUs end);
-
-// Columnar overloads: identical semantics (and byte-identical output — the
-// cold-path differential test locks this in) over a zero-copy FlowView,
-// with the per-packet scans running through the SIMD column kernels.
-std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
-                                            bool quic);
 std::vector<EstimatedExchange> EstimateExchanges(const capture::FlowView& flow,
                                                  bool quic);
+
+// Total estimated downlink object bytes in the time window (begin, end].
+// Set end < 0 for "until the end of the flow".
 Bytes EstimateDownlinkBytes(const capture::FlowView& flow, bool quic,
                             TimeUs begin, TimeUs end);
 

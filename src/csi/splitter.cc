@@ -10,17 +10,26 @@
 namespace csi::infer {
 namespace {
 
-// The split algorithm itself, shared verbatim by the AoS and columnar entry
-// points so split decisions, telemetry counters and group construction cannot
-// drift apart. The flavors differ only in how they produced `requests` and
-// `downlink_times` and in how a group's downlink bytes are summed
-// (`estimate(start, end)`).
-template <typename EstimateFn>
-std::vector<TrafficGroup> SplitCore(std::vector<DetectedRequest> requests,
-                                    const std::vector<TimeUs>& downlink_times,
-                                    bool have_packets, TimeUs last_packet_time,
-                                    const SplitterConfig& config,
-                                    EstimateFn&& estimate) {
+// Per-thread scratch for SplitIntoGroups (indices from the SIMD
+// downlink scan, the effective-payload column, the gathered timestamps).
+struct SplitterScratch {
+  std::vector<uint32_t> indices;
+  std::vector<int64_t> eff;
+  std::vector<TimeUs> downlink_times;
+};
+
+SplitterScratch& Scratch() {
+  static thread_local SplitterScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+std::vector<TrafficGroup> SplitCore(
+    std::vector<DetectedRequest> requests,
+    const std::vector<TimeUs>& downlink_times, bool have_packets,
+    TimeUs last_packet_time, const SplitterConfig& config,
+    const std::function<Bytes(TimeUs, TimeUs)>& estimate) {
   // The padded Initial (ClientHello) clears the request-size threshold but is
   // handshake, not HTTP: drop it so the first group starts at the first real
   // request and the server's handshake flight stays outside every group
@@ -99,39 +108,6 @@ std::vector<TrafficGroup> SplitCore(std::vector<DetectedRequest> requests,
     groups.push_back(std::move(group));
   }
   return groups;
-}
-
-// Per-thread scratch for the columnar entry point (indices from the SIMD
-// downlink scan, the effective-payload column, the gathered timestamps).
-struct SplitterScratch {
-  std::vector<uint32_t> indices;
-  std::vector<int64_t> eff;
-  std::vector<TimeUs> downlink_times;
-};
-
-SplitterScratch& Scratch() {
-  static thread_local SplitterScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-std::vector<TrafficGroup> SplitIntoGroups(const std::vector<capture::PacketRecord>& flow,
-                                          const SplitterConfig& config) {
-  // Timestamps of downlink data packets, for idle detection and the SP2
-  // "no data in between" check.
-  std::vector<TimeUs> downlink_times;
-  for (const auto& p : flow) {
-    if (!p.from_client && p.payload > net::kQuicHeaderBytes) {
-      downlink_times.push_back(p.timestamp);
-    }
-  }
-  return SplitCore(
-      DetectRequests(flow, /*quic=*/true), downlink_times, !flow.empty(),
-      flow.empty() ? 0 : flow.back().timestamp, config,
-      [&flow](TimeUs begin, TimeUs end) {
-        return EstimateDownlinkBytes(flow, /*quic=*/true, begin, end);
-      });
 }
 
 std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,

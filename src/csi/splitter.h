@@ -12,10 +12,10 @@
 #ifndef CSI_SRC_CSI_SPLITTER_H_
 #define CSI_SRC_CSI_SPLITTER_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/size_estimator.h"
 #include "src/csi/types.h"
 
@@ -43,15 +43,23 @@ struct TrafficGroup {
   int num_requests() const { return static_cast<int>(requests.size()); }
 };
 
-// Splits a QUIC flow into traffic groups.
-std::vector<TrafficGroup> SplitIntoGroups(const std::vector<capture::PacketRecord>& flow,
-                                          const SplitterConfig& config = {});
-
-// Columnar overload: identical split decisions and group totals (byte-exact,
-// checked by the cold-path differential test) over a zero-copy FlowView; the
-// downlink-data scan and per-group byte sums run through the SIMD kernels.
+// Splits a QUIC flow into traffic groups. The downlink-data scan and the
+// per-group byte sums run through the SIMD column kernels.
 std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
                                           const SplitterConfig& config = {});
+
+// The layout-free SP1/SP2 split behind SplitIntoGroups, for callers that
+// detect requests and sum bytes their own way. `requests` are the flow's
+// detected requests in capture order (handshake requests are dropped here),
+// `downlink_times` the ascending timestamps of its downlink data packets,
+// `last_packet_time` the flow's final timestamp (read only when
+// `have_packets`), and `estimate(start, end)` the estimated downlink object
+// bytes in the window (start, end], end < 0 meaning "to the end of the flow".
+std::vector<TrafficGroup> SplitCore(
+    std::vector<DetectedRequest> requests,
+    const std::vector<TimeUs>& downlink_times, bool have_packets,
+    TimeUs last_packet_time, const SplitterConfig& config,
+    const std::function<Bytes(TimeUs, TimeUs)>& estimate);
 
 }  // namespace csi::infer
 

@@ -10,6 +10,7 @@
 
 #include "src/common/telemetry.h"
 #include "src/csi/batch_analyzer.h"
+#include "src/csi/flow_classifier.h"
 #include "src/csi/live_database.h"
 #include "src/csi/splitter.h"
 #include "src/testbed/experiment.h"
@@ -218,7 +219,10 @@ TEST(GroupSearchParallel, CandidateListsIdenticalSerialVsParallelOnSqSession) {
   const auto session = RunStreamingSession(session_config);
 
   // Media-flow packets only (same filter the engine applies).
-  const auto groups = infer::SplitIntoGroups(session.capture);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(session.capture);
+  const std::vector<uint32_t> media = infer::ClassifyMediaFlowIds(columns, manifest.host);
+  ASSERT_EQ(media.size(), 1u);
+  const auto groups = infer::SplitIntoGroups(columns.flow(media[0]));
   ASSERT_FALSE(groups.empty());
 
   const infer::ChunkDatabase db(&manifest);

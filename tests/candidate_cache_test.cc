@@ -537,7 +537,7 @@ TEST(CandidateCacheBatch, GoldenDigestsHoldWithCacheOnAndOff) {
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     infer::BatchConfig off;
     off.threads = 4;
-    off.candidate_cache_mb = 0;
+    off.caches.candidate.budget_mb = 0;
     EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design)),
               testutil::GoldenBatchDigest(design))
         << DesignTypeName(design) << " cache on";
@@ -577,7 +577,7 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   cache_on.caches.result.enabled = false;
   BatchConfig cache_off;
   cache_off.threads = 2;
-  cache_off.candidate_cache_mb = 0;
+  cache_off.caches.candidate.budget_mb = 0;
   cache_off.caches.result.enabled = false;
 
   BatchAnalyzer with_cache(&manifest, config, cache_on);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/capture/capture.h"
 #include "src/capture/pcap_io.h"
@@ -140,6 +143,86 @@ TEST(Pcap, RejectsGarbage) {
   std::vector<uint8_t> bad = SerializePcap(SampleTrace());
   bad.resize(bad.size() - 3);  // truncated body
   EXPECT_THROW(ParsePcap(bad), std::runtime_error);
+}
+
+// A pcap file written byte by byte, so a record can lie about its lengths.
+class PcapBuilder {
+ public:
+  PcapBuilder() {
+    Le32(0xa1b2c3d4);  // microsecond magic
+    Le32(0x00040002);  // version 2.4
+    Le32(0);           // thiszone
+    Le32(0);           // sigfigs
+    Le32(kPcapSnapLen);
+    Le32(101);  // raw IP
+  }
+
+  // One IPv4/TCP record (downlink, from port 443) whose full 40 header bytes
+  // are cut to `incl_len` captured bytes, claiming `orig_len` on the wire.
+  PcapBuilder& TcpRecord(uint32_t incl_len, uint32_t orig_len) {
+    Le32(1);  // ts_sec
+    Le32(0);  // ts_usec
+    Le32(incl_len);
+    Le32(orig_len);
+    std::vector<uint8_t> packet = {
+        0x45, 0, 0, 40, 0, 0, 0x40, 0, 64, 6, 0, 0,  // IPv4, proto TCP
+        192, 168, 0, 1, 10, 0, 0, 2,                 // src, dst
+        0x01, 0xbb, 0xc8, 0x22,                      // 443 -> 51234
+        0, 0, 0x10, 0x92, 0, 0, 0x16, 0x22,          // seq, ack
+        0x50, 0x10, 0xff, 0xff, 0, 0, 0, 0};         // offset, flags, ...
+    packet.resize(incl_len, 0);
+    bytes_.insert(bytes_.end(), packet.begin(), packet.end());
+    return *this;
+  }
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  void Le32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  std::vector<uint8_t> bytes_;
+};
+
+std::string ParseError(const std::vector<uint8_t>& bytes) {
+  try {
+    ParsePcap(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Pcap, HandBuiltRecordsParse) {
+  const CaptureTrace parsed =
+      ParsePcap(PcapBuilder().TcpRecord(40, 1040).TcpRecord(40, 40).bytes());
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_FALSE(parsed[0].from_client);
+  EXPECT_EQ(parsed[0].server_port, 443);
+  EXPECT_EQ(parsed[0].client_port, 51234);
+  EXPECT_EQ(parsed[0].tcp_seq, 4242u);
+  EXPECT_EQ(parsed[0].tcp_ack, 5666u);
+  EXPECT_EQ(parsed[0].payload, 1000);
+  EXPECT_EQ(parsed[1].payload, 0);
+}
+
+TEST(Pcap, RejectsRecordShorterThanItsHeaders) {
+  // 30 captured bytes end inside the TCP header: reading its fixed fields
+  // would run into the next record.
+  EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(30, 1500).TcpRecord(40, 1040).bytes()),
+            "pcap: packet shorter than its headers");
+  // Too short for even the IPv4 header.
+  EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(12, 1500).bytes()),
+            "pcap: packet shorter than its headers");
+}
+
+TEST(Pcap, RejectsOriginalLengthShorterThanItsHeaders) {
+  // orig_len 30 < 40 header bytes would give a payload of -10.
+  EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(40, 30).bytes()),
+            "pcap: packet shorter than its headers");
 }
 
 }  // namespace

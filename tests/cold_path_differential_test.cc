@@ -1,22 +1,19 @@
-// End-to-end differential harness for the columnar cold path.
+// Differential harness for the Step-1 cold path.
 //
-// The tentpole claim of the SoA layout is byte-identity: for every design
-// (CH/SH/CQ/SQ), every seeded capture and every SIMD backend, an engine
-// running the columnar stages (use_columnar = true, the default) produces
-// exactly the InferenceResult of the legacy AoS walk (use_columnar = false,
-// kept as the differential reference). This suite locks that in at the
-// engine and batch level:
+// Inference runs Step 1 once, over PacketColumns with the SIMD column kernels.
+// This suite checks it against the deliberately naive record-based oracle in
+// tests/naive_oracle.h and locks the engine output in:
 //
-//   1. Seeded sweep: testbed sessions across all four designs, AoS reference
-//      vs columnar engine under forced scalar and under every supported
-//      vector backend. CSI_TEST_SCHEDULES raises the sweep for the nightly
-//      deep-differential job.
-//   2. Golden digests: the fixed instrumentation-invariance batch must hash
-//      to the same per-design constants as always — with the columnar path
-//      off, on, and on under each forced backend.
-//   3. Overload identity: Analyze(PacketColumns) == Analyze(trace) for the
-//      same capture, including through a shared prefix cache (cached entries
-//      are interchangeable between layouts by fingerprint construction).
+//   1. Seeded sweep: testbed sessions across all four designs. On every
+//      supported SIMD backend, each columnar stage — media-flow ids,
+//      requests, exchanges, windowed byte sums, SP1/SP2 groups — equals the
+//      oracle, and the engine digest equals the forced-scalar digest.
+//      CSI_TEST_SCHEDULES raises the sweep for the nightly deep-differential
+//      job.
+//   2. Golden digests: the fixed instrumentation-invariance batch hashes to
+//      the same per-design constants under each forced backend.
+//   3. Overload identity: Analyze(trace) — PacketColumns::Build, then the
+//      columns overload — shares prefix-cache entries with Analyze(columns).
 //   4. Batch identity: BatchAnalyzer::AnalyzeAll over pre-built columns
 //      equals the trace batch, for serial and threaded pools (the threaded
 //      run doubles as TSan coverage for concurrent read-only column access).
@@ -33,6 +30,7 @@
 #include "src/csi/batch_analyzer.h"
 #include "src/testbed/experiment.h"
 #include "tests/inference_digest.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_env.h"
 
 namespace csi::infer {
@@ -82,14 +80,13 @@ capture::CaptureTrace MakeSession(const media::Manifest& manifest, DesignType de
   return testbed::RunStreamingSession(config).capture;
 }
 
-InferenceConfig EngineConfig(DesignType design, bool use_columnar) {
+InferenceConfig EngineConfig(DesignType design) {
   InferenceConfig config;
   config.design = design;
-  config.use_columnar = use_columnar;
   return config;
 }
 
-TEST(ColdPathDifferential, SeededSweepMatchesAosReferenceOnEveryBackend) {
+TEST(ColdPathDifferential, SeededSweepMatchesOracleOnEveryBackend) {
   BackendGuard guard;
   const std::vector<simd::Backend> backends = AllSupportedBackends();
   // One testbed session per schedule, round-robin over the designs. The
@@ -98,68 +95,60 @@ TEST(ColdPathDifferential, SeededSweepMatchesAosReferenceOnEveryBackend) {
   const uint64_t schedules = testutil::ScheduleCount(12);
   const TimeUs duration = 60 * kUsPerSec;
   for (uint64_t s = 0; s < schedules; ++s) {
+    SCOPED_TRACE("schedule " + std::to_string(s));
     const DesignType design = kAllDesigns[s % 4];
     const media::Manifest manifest =
         testbed::MakeAssetForDesign(design, static_cast<int>(s % 3), duration);
     const capture::CaptureTrace trace = MakeSession(manifest, design, s, duration);
     const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+    const InferenceEngine engine(&manifest, EngineConfig(design));
 
     ASSERT_TRUE(simd::ForceBackend(simd::Backend::kScalar));
-    const InferenceEngine reference(&manifest, EngineConfig(design, false));
-    const uint64_t want = DigestOne(reference.Analyze(trace));
-
-    const InferenceEngine columnar(&manifest, EngineConfig(design, true));
+    const uint64_t want = DigestOne(engine.Analyze(columns));
     for (const simd::Backend backend : backends) {
+      SCOPED_TRACE(simd::BackendName(backend));
       ASSERT_TRUE(simd::ForceBackend(backend));
-      EXPECT_EQ(DigestOne(columnar.Analyze(trace)), want)
-          << "schedule " << s << " backend " << simd::BackendName(backend);
-      EXPECT_EQ(DigestOne(columnar.Analyze(columns)), want)
-          << "schedule " << s << " backend " << simd::BackendName(backend)
-          << " (columns overload)";
+      oracle::ExpectColumnarMatchesOracle(trace, manifest.host);
+      EXPECT_EQ(DigestOne(engine.Analyze(columns)), want);
+      EXPECT_EQ(DigestOne(engine.Analyze(trace)), want) << "trace overload";
     }
   }
 }
 
-TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryLayoutAndBackend) {
+TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryBackend) {
   BackendGuard guard;
   for (const DesignType design : kAllDesigns) {
     const uint64_t golden = testutil::GoldenBatchDigest(design);
-    // Legacy AoS reference path.
-    {
-      InferenceConfig config;
-      config.use_columnar = false;
-      EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design, {}, config)),
-                golden)
-          << "AoS reference, design " << static_cast<int>(design);
-    }
-    // Columnar path under each forced backend.
     for (const simd::Backend backend : AllSupportedBackends()) {
       ASSERT_TRUE(simd::ForceBackend(backend));
       EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design)), golden)
-          << "columnar, design " << static_cast<int>(design) << " backend "
+          << "design " << static_cast<int>(design) << " backend "
           << simd::BackendName(backend);
     }
   }
 }
 
-TEST(ColdPathDifferential, PrefixCacheEntriesInterchangeableBetweenLayouts) {
+TEST(ColdPathDifferential, TraceOverloadSharesPrefixCacheWithColumns) {
+  if (AnalysisPrefixCache::EnvForcesOff()) {
+    GTEST_SKIP() << "prefix cache forced off in the environment";
+  }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kSQ, 0, duration);
   const capture::CaptureTrace trace = MakeSession(manifest, DesignType::kSQ, 3, duration);
   const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
 
-  InferenceConfig config = EngineConfig(DesignType::kSQ, true);
-  config.prefix_cache = std::make_shared<AnalysisPrefixCache>(8 * 1024 * 1024);
+  InferenceConfig config = EngineConfig(DesignType::kSQ);
+  config.caches.prefix = std::make_shared<AnalysisPrefixCache>(8 * 1024 * 1024);
   const InferenceEngine engine(&manifest, config);
 
   // Warm the cache through the trace overload, then hit it through the
-  // columns overload: FingerprintColumns replays the same field stream, so
-  // the second call must be a hit with identical output.
+  // columns overload: both fingerprint the same columns, so the second call
+  // must be a hit with identical output.
   const uint64_t want = DigestOne(engine.Analyze(trace));
-  const auto before = config.prefix_cache->stats();
+  const auto before = config.caches.prefix->stats();
   EXPECT_EQ(DigestOne(engine.Analyze(columns)), want);
-  const auto after = config.prefix_cache->stats();
+  const auto after = config.caches.prefix->stats();
   EXPECT_EQ(after.hits, before.hits + 1);
   EXPECT_EQ(after.misses, before.misses);
 }
@@ -175,7 +164,7 @@ TEST(ColdPathDifferential, BatchColumnsOverloadMatchesTraceBatch) {
     columns.push_back(capture::PacketColumns::Build(traces.back()));
   }
 
-  InferenceConfig config = EngineConfig(DesignType::kCQ, true);
+  InferenceConfig config = EngineConfig(DesignType::kCQ);
   uint64_t want = 0;
   {
     BatchConfig batch;

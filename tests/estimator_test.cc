@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/size_estimator.h"
 #include "src/testbed/experiment.h"
@@ -31,10 +32,12 @@ EstimateCheck CheckEstimates(DesignType design, double loss, uint64_t seed) {
   s.duration = 8 * 60 * kUsPerSec;
   s.seed = seed;
   const auto result = RunStreamingSession(s);
-  const auto flows = ClassifyMediaFlows(result.capture, "cdn.example");
-  EXPECT_EQ(flows.size(), 1u);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const std::vector<uint32_t> media = ClassifyMediaFlowIds(columns, "cdn.example");
+  EXPECT_EQ(media.size(), 1u);
+  const capture::FlowView flow = columns.flow(media[0]);
   const bool quic = IsQuic(design);
-  const auto exchanges = EstimateExchanges(flows[0].packets, quic);
+  const auto exchanges = EstimateExchanges(flow, quic);
   std::map<TimeUs, Bytes> gt_by_time;
   for (const auto& d : result.downloads) {
     gt_by_time[d.request_time] = d.bytes;
@@ -62,7 +65,7 @@ EstimateCheck CheckEstimates(DesignType design, double loss, uint64_t seed) {
   for (size_t i = 0; i < gt.size(); ++i) {
     const TimeUs begin = gt[i].first;
     const TimeUs end = i + 1 < gt.size() ? gt[i + 1].first : -1;
-    const Bytes estimate = EstimateDownlinkBytes(flows[0].packets, /*quic=*/true, begin, end);
+    const Bytes estimate = EstimateDownlinkBytes(flow, /*quic=*/true, begin, end);
     const double ratio = static_cast<double>(estimate) / static_cast<double>(gt[i].second);
     check.max_ratio = std::max(check.max_ratio, ratio);
     check.min_ratio = std::min(check.min_ratio, ratio);
@@ -104,8 +107,10 @@ TEST(DetectRequests, HttpsCountsMediaRequestsPlusHandshake) {
   s.duration = 5 * 60 * kUsPerSec;
   s.seed = 3;
   const auto result = RunStreamingSession(s);
-  const auto flows = ClassifyMediaFlows(result.capture, "cdn.example");
-  const auto requests = DetectRequests(flows[0].packets, /*quic=*/false);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const std::vector<uint32_t> media = ClassifyMediaFlowIds(columns, "cdn.example");
+  ASSERT_EQ(media.size(), 1u);
+  const auto requests = DetectRequests(columns.flow(media[0]), /*quic=*/false);
   // ClientHello + (Finished+manifest merged) + one request per chunk.
   EXPECT_EQ(requests.size(), result.downloads.size() + 2);
   EXPECT_TRUE(requests[0].carries_sni);
@@ -124,8 +129,10 @@ TEST(DetectRequests, QuicThresholdSeparatesAcksFromRequests) {
   s.duration = 5 * 60 * kUsPerSec;
   s.seed = 4;
   const auto result = RunStreamingSession(s);
-  const auto flows = ClassifyMediaFlows(result.capture, "cdn.example");
-  const auto requests = DetectRequests(flows[0].packets, /*quic=*/true);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const std::vector<uint32_t> media = ClassifyMediaFlowIds(columns, "cdn.example");
+  ASSERT_EQ(media.size(), 1u);
+  const auto requests = DetectRequests(columns.flow(media[0]), /*quic=*/true);
   // Initial + manifest + chunk requests; uplink retransmissions may add a
   // few phantoms but never remove any.
   EXPECT_GE(requests.size(), result.downloads.size() + 2);
@@ -141,9 +148,10 @@ TEST(FlowClassifier, SelectsFlowBySniSuffix) {
   s.duration = 2 * 60 * kUsPerSec;
   s.seed = 5;
   const auto result = RunStreamingSession(s);
-  EXPECT_EQ(ClassifyMediaFlows(result.capture, "cdn.example").size(), 1u);
-  EXPECT_EQ(ClassifyMediaFlows(result.capture, "example").size(), 1u);  // suffix match
-  EXPECT_EQ(ClassifyMediaFlows(result.capture, "other.service").size(), 0u);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  EXPECT_EQ(ClassifyMediaFlowIds(columns, "cdn.example").size(), 1u);
+  EXPECT_EQ(ClassifyMediaFlowIds(columns, "example").size(), 1u);  // suffix match
+  EXPECT_EQ(ClassifyMediaFlowIds(columns, "other.service").size(), 0u);
 }
 
 TEST(FlowClassifier, FallsBackToServerIpWithoutSni) {
@@ -158,8 +166,9 @@ TEST(FlowClassifier, FallsBackToServerIpWithoutSni) {
   r.from_client = true;
   r.payload = 100;
   trace.push_back(r);
-  EXPECT_EQ(ClassifyMediaFlows(trace, "cdn.example").size(), 0u);
-  EXPECT_EQ(ClassifyMediaFlows(trace, "cdn.example", {42u}).size(), 1u);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+  EXPECT_EQ(ClassifyMediaFlowIds(columns, "cdn.example").size(), 0u);
+  EXPECT_EQ(ClassifyMediaFlowIds(columns, "cdn.example", {42u}).size(), 1u);
 }
 
 TEST(EstimateDownlinkBytes, WindowBoundariesAreHalfOpenRight) {
@@ -177,10 +186,12 @@ TEST(EstimateDownlinkBytes, WindowBoundariesAreHalfOpenRight) {
   add(300, 1000, 2000);
   // Window (100, 300] excludes the packet at exactly t=100 (it belongs to the
   // completing previous download) and includes t=300.
-  EXPECT_EQ(EstimateDownlinkBytes(flow, false, 100, 300), 2000);
+  const capture::PacketColumns three = capture::PacketColumns::Build(flow);
+  EXPECT_EQ(EstimateDownlinkBytes(three.flow(0), false, 100, 300), 2000);
   // Duplicate sequence number = retransmission, dropped.
   add(400, 1000, 2000);
-  EXPECT_EQ(EstimateDownlinkBytes(flow, false, 100, 500), 2000);
+  const capture::PacketColumns four = capture::PacketColumns::Build(flow);
+  EXPECT_EQ(EstimateDownlinkBytes(four.flow(0), false, 100, 500), 2000);
 }
 
 }  // namespace

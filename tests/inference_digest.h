@@ -99,11 +99,9 @@ inline uint64_t GoldenBatchDigest(infer::DesignType design) {
 
 // The fixed batch every invariance test analyzes: 4 deterministic synthetic
 // sessions of a 90 s single-asset manifest. `batch` lets cache/threading
-// tests vary the execution shape, and `config` lets layout/backend tests flip
-// engine knobs that must not change output (use_columnar, ablations left at
-// defaults) — the digest must not move for ANY such shape (output is
-// scheduling-, cache- and layout-independent by design; `config.design` is
-// overwritten with `design`).
+// tests vary the execution shape — the digest must not move for ANY such
+// shape (output is scheduling-, cache- and SIMD-backend-independent by
+// design).
 inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
     infer::DesignType design,
     infer::BatchConfig batch =
@@ -111,11 +109,11 @@ inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
           infer::BatchConfig b;
           b.threads = 4;
           return b;
-        }(),
-    infer::InferenceConfig config = {}) {
+        }()) {
   const TimeUs duration = 90 * kUsPerSec;
   const media::Manifest manifest = testbed::MakeAssetForDesign(design, 1, duration);
   const auto traces = MakeBatch(manifest, design, 4, duration);
+  infer::InferenceConfig config;
   config.design = design;
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
   return analyzer.AnalyzeAll(traces);

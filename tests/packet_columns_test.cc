@@ -2,18 +2,19 @@
 //
 // Three layers are locked in here:
 //   1. Builder identity: PacketColumns::Build reproduces exactly the flow
-//      order, per-flow packet order, SNI and downlink totals that SplitFlows
-//      computes — on hand-written edge cases (empty trace, single-packet
-//      flows, interleaved 5-tuples, SNI on a non-first packet) and on seeded
-//      random traces.
+//      order, per-flow packet order, SNI and downlink totals of the naive
+//      oracle's split flows — on hand-written edge cases (empty trace,
+//      single-packet flows, interleaved 5-tuples, SNI on a non-first packet)
+//      and on seeded random traces.
 //   2. Kernel identity: every cold-path column kernel returns bit-identical
 //      results on every supported backend vs a plain scalar reference, over
 //      adversarial lengths (0..17 straddle every vector width) and INT64
 //      extremes.
-//   3. Stage identity: DetectRequests / EstimateExchanges /
-//      EstimateDownlinkBytes / SplitIntoGroups over a FlowView match the AoS
-//      overloads field-for-field, per backend, on random interleaved traces.
-//      (End-to-end engine identity lives in cold_path_differential_test.)
+//   3. Stage identity: classification, DetectRequests, EstimateExchanges,
+//      EstimateDownlinkBytes and SplitIntoGroups over columns match the
+//      oracle (tests/naive_oracle.h) field for field, per backend, on random
+//      interleaved traces. (Testbed sessions and engine output live in
+//      cold_path_differential_test.)
 
 #include <algorithm>
 #include <cstdint>
@@ -27,10 +28,7 @@
 #include "src/capture/packet_columns.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
-#include "src/csi/flow_classifier.h"
-#include "src/csi/prefix_cache.h"
-#include "src/csi/size_estimator.h"
-#include "src/csi/splitter.h"
+#include "tests/naive_oracle.h"
 
 namespace csi::capture {
 namespace {
@@ -138,8 +136,6 @@ TEST(PacketColumns, SingleFlowIsIdentityPermutation) {
   EXPECT_EQ(columns.flow_begin(0), 0u);
   EXPECT_EQ(columns.flow_end(0), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(columns.capture_flow()[i], 0u);
-    EXPECT_EQ(columns.capture_slot()[i], static_cast<uint32_t>(i));
     EXPECT_EQ(columns.timestamps()[i], trace[i].timestamp);
     EXPECT_EQ(columns.payloads()[i], trace[i].payload);
     EXPECT_EQ(columns.wire_sizes()[i], trace[i].wire_size);
@@ -152,39 +148,12 @@ TEST(PacketColumns, SingleFlowIsIdentityPermutation) {
 }
 
 // The reference: flow order, per-flow packet order, SNI and downlink totals
-// must all match what SplitFlows materializes.
-void ExpectMatchesSplitFlows(const CaptureTrace& trace) {
-  const PacketColumns columns = PacketColumns::Build(trace);
-  const std::vector<infer::Flow> flows = infer::SplitFlows(trace);
-  ASSERT_EQ(columns.packet_count(), trace.size());
-  ASSERT_EQ(columns.flow_count(), flows.size());
-  for (size_t f = 0; f < flows.size(); ++f) {
-    const uint32_t id = static_cast<uint32_t>(f);
-    EXPECT_EQ(columns.flow_key(id), flows[f].key) << "flow " << f;
-    EXPECT_EQ(columns.flow_sni(id), flows[f].sni) << "flow " << f;
-    EXPECT_EQ(columns.flow_downlink_bytes(id), flows[f].downlink_bytes) << "flow " << f;
-    const FlowView view = columns.flow(id);
-    ASSERT_EQ(view.size(), flows[f].packets.size()) << "flow " << f;
-    for (size_t i = 0; i < view.size(); ++i) {
-      const PacketRecord& p = flows[f].packets[i];
-      EXPECT_EQ(view.timestamps()[i], p.timestamp);
-      EXPECT_EQ(view.payloads()[i], p.payload);
-      EXPECT_EQ(view.wire_sizes()[i], p.wire_size);
-      EXPECT_EQ(view.tcp_seqs()[i], p.tcp_seq);
-      EXPECT_EQ(view.from_client()[i] != 0, p.from_client);
-      EXPECT_EQ(view.has_sni(i), !p.sni.empty());
-    }
-  }
-  // The capture-order maps must address every packet at its original value.
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const uint32_t slot = columns.capture_slot()[i];
-    EXPECT_EQ(FlowKeyOf(trace[i]), columns.flow_key(columns.capture_flow()[i]));
-    EXPECT_EQ(columns.timestamps()[slot], trace[i].timestamp);
-    EXPECT_EQ(columns.sni_at(slot), trace[i].sni);
-  }
+// (and every stage over them) must all match the oracle.
+void ExpectMatchesOracle(const CaptureTrace& trace) {
+  oracle::ExpectColumnarMatchesOracle(trace, "cdn.example");
 }
 
-TEST(PacketColumns, InterleavedFlowsMatchSplitFlows) {
+TEST(PacketColumns, InterleavedFlowsMatchOracle) {
   CaptureTrace trace;
   // Three flows interleaved packet-by-packet; one is single-packet.
   trace.push_back(MakePacket(10, 40000, true, 120, net::Transport::kUdp, "a.example"));
@@ -193,7 +162,7 @@ TEST(PacketColumns, InterleavedFlowsMatchSplitFlows) {
   trace.push_back(MakePacket(40, 40000, false, 1300));
   trace.push_back(MakePacket(50, 40001, true, 200, net::Transport::kTcp, "b.example"));
   trace.push_back(MakePacket(60, 40000, false, 1200));
-  ExpectMatchesSplitFlows(trace);
+  ExpectMatchesOracle(trace);
 }
 
 TEST(PacketColumns, SniOnNonFirstPacket) {
@@ -206,7 +175,7 @@ TEST(PacketColumns, SniOnNonFirstPacket) {
   EXPECT_EQ(columns.flow_sni(0), "late.example");
   EXPECT_EQ(columns.sni_at(0), "");
   EXPECT_EQ(columns.sni_at(1), "late.example");
-  ExpectMatchesSplitFlows(trace);
+  ExpectMatchesOracle(trace);
 }
 
 TEST(PacketColumns, SniInternedOncePerDistinctName) {
@@ -218,22 +187,11 @@ TEST(PacketColumns, SniInternedOncePerDistinctName) {
   EXPECT_EQ(columns.sni_table().size(), 2u);
 }
 
-TEST(PacketColumns, RandomTracesMatchSplitFlows) {
+TEST(PacketColumns, RandomTracesMatchOracle) {
   for (uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(900 + seed);
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ExpectMatchesSplitFlows(RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 200))));
-  }
-}
-
-TEST(PacketColumns, FingerprintMatchesTraceFingerprint) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    Rng rng(1700 + seed);
-    const CaptureTrace trace = RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 150)));
-    const PacketColumns columns = PacketColumns::Build(trace);
-    const infer::TraceFingerprint a = infer::FingerprintTrace(trace);
-    const infer::TraceFingerprint b = infer::FingerprintColumns(columns);
-    EXPECT_EQ(a, b) << "seed " << seed;
+    ExpectMatchesOracle(RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 200))));
   }
 }
 
@@ -362,58 +320,7 @@ TEST(SimdColumnKernels, AllBackendsMatchScalarReference) {
 
 // ---- Stage identity --------------------------------------------------------
 
-void ExpectStagesMatch(const CaptureTrace& trace) {
-  const PacketColumns columns = PacketColumns::Build(trace);
-  const std::vector<infer::Flow> flows = infer::SplitFlows(trace);
-  ASSERT_EQ(columns.flow_count(), flows.size());
-  for (size_t f = 0; f < flows.size(); ++f) {
-    const FlowView view = columns.flow(static_cast<uint32_t>(f));
-    for (const bool quic : {false, true}) {
-      const auto aos_req = infer::DetectRequests(flows[f].packets, quic);
-      const auto soa_req = infer::DetectRequests(view, quic);
-      ASSERT_EQ(aos_req.size(), soa_req.size()) << "flow " << f << " quic " << quic;
-      for (size_t i = 0; i < aos_req.size(); ++i) {
-        EXPECT_EQ(aos_req[i].time, soa_req[i].time);
-        EXPECT_EQ(aos_req[i].carries_sni, soa_req[i].carries_sni);
-      }
-
-      const auto aos_ex = infer::EstimateExchanges(flows[f].packets, quic);
-      const auto soa_ex = infer::EstimateExchanges(view, quic);
-      ASSERT_EQ(aos_ex.size(), soa_ex.size()) << "flow " << f << " quic " << quic;
-      for (size_t i = 0; i < aos_ex.size(); ++i) {
-        EXPECT_EQ(aos_ex[i].request_time, soa_ex[i].request_time);
-        EXPECT_EQ(aos_ex[i].last_data_time, soa_ex[i].last_data_time);
-        EXPECT_EQ(aos_ex[i].estimated_size, soa_ex[i].estimated_size);
-        EXPECT_EQ(aos_ex[i].carries_sni, soa_ex[i].carries_sni);
-      }
-
-      for (const TimeUs begin : {TimeUs{-1}, TimeUs{0}, TimeUs{500 * kUsPerMs}}) {
-        for (const TimeUs end : {TimeUs{-1}, TimeUs{1 * kUsPerSec}}) {
-          EXPECT_EQ(infer::EstimateDownlinkBytes(flows[f].packets, quic, begin, end),
-                    infer::EstimateDownlinkBytes(view, quic, begin, end))
-              << "flow " << f << " quic " << quic;
-        }
-      }
-    }
-
-    const auto aos_groups = infer::SplitIntoGroups(flows[f].packets);
-    const auto soa_groups = infer::SplitIntoGroups(view);
-    ASSERT_EQ(aos_groups.size(), soa_groups.size()) << "flow " << f;
-    for (size_t g = 0; g < aos_groups.size(); ++g) {
-      EXPECT_EQ(aos_groups[g].start_time, soa_groups[g].start_time);
-      EXPECT_EQ(aos_groups[g].end_time, soa_groups[g].end_time);
-      EXPECT_EQ(aos_groups[g].estimated_total, soa_groups[g].estimated_total);
-      ASSERT_EQ(aos_groups[g].requests.size(), soa_groups[g].requests.size());
-      for (size_t i = 0; i < aos_groups[g].requests.size(); ++i) {
-        EXPECT_EQ(aos_groups[g].requests[i].time, soa_groups[g].requests[i].time);
-        EXPECT_EQ(aos_groups[g].requests[i].carries_sni,
-                  soa_groups[g].requests[i].carries_sni);
-      }
-    }
-  }
-}
-
-TEST(PacketColumns, StageOutputsMatchAosOnEveryBackend) {
+TEST(PacketColumns, StageOutputsMatchOracleOnEveryBackend) {
   BackendGuard guard;
   for (const simd::Backend backend : AllSupportedBackends()) {
     ASSERT_TRUE(simd::ForceBackend(backend));
@@ -421,24 +328,7 @@ TEST(PacketColumns, StageOutputsMatchAosOnEveryBackend) {
     for (uint64_t seed = 0; seed < 15; ++seed) {
       Rng rng(4400 + seed);
       SCOPED_TRACE("seed " + std::to_string(seed));
-      ExpectStagesMatch(RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 250))));
-    }
-  }
-}
-
-TEST(PacketColumns, ClassifyMediaFlowIdsMatchesClassifyMediaFlows) {
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(6200 + seed);
-    const CaptureTrace trace = RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 200)));
-    const PacketColumns columns = PacketColumns::Build(trace);
-    const auto media = infer::ClassifyMediaFlows(trace, "cdn.example");
-    const auto ids = infer::ClassifyMediaFlowIds(columns, "cdn.example");
-    ASSERT_EQ(media.size(), ids.size()) << "seed " << seed;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(columns.flow_key(ids[i]), media[i].key);
-      EXPECT_EQ(columns.flow_sni(ids[i]), media[i].sni);
-      EXPECT_EQ(columns.flow_downlink_bytes(ids[i]), media[i].downlink_bytes);
-      EXPECT_EQ(columns.flow(ids[i]).size(), media[i].packets.size());
+      ExpectMatchesOracle(RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 250))));
     }
   }
 }

@@ -67,25 +67,29 @@ capture::PacketRecord BasePacket() {
 
 // --- Fingerprint stability and sensitivity --------------------------------
 
+TraceFingerprint Fingerprint(const capture::CaptureTrace& trace) {
+  return FingerprintColumns(capture::PacketColumns::Build(trace));
+}
+
 TEST(TraceFingerprint, DeterministicAcrossCalls) {
   capture::CaptureTrace trace{BasePacket(), BasePacket(), BasePacket()};
   trace[1].timestamp = 2000;
   trace[2].timestamp = 3000;
-  const TraceFingerprint a = FingerprintTrace(trace);
-  const TraceFingerprint b = FingerprintTrace(trace);
+  const TraceFingerprint a = Fingerprint(trace);
+  const TraceFingerprint b = Fingerprint(trace);
   EXPECT_EQ(a, b);
   const capture::CaptureTrace copy = trace;
-  EXPECT_EQ(FingerprintTrace(copy), a);
+  EXPECT_EQ(Fingerprint(copy), a);
 }
 
 TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
   const capture::CaptureTrace base{BasePacket()};
-  const TraceFingerprint ref = FingerprintTrace(base);
+  const TraceFingerprint ref = Fingerprint(base);
 
   const auto mutated = [&](auto&& mutate) {
     capture::CaptureTrace t = base;
     mutate(t[0]);
-    return FingerprintTrace(t);
+    return Fingerprint(t);
   };
   EXPECT_NE(mutated([](auto& p) { p.timestamp += 1; }), ref);
   EXPECT_NE(mutated([](auto& p) { p.from_client = false; }), ref);
@@ -102,11 +106,11 @@ TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
   EXPECT_NE(mutated([](auto& p) { p.sni = "w.example.com"; }), ref);
   EXPECT_NE(mutated([](auto& p) { p.sni.clear(); }), ref);
 
-  // Packet count and order matter too.
+  // Packet count matters too.
   capture::CaptureTrace two{BasePacket(), BasePacket()};
-  EXPECT_NE(FingerprintTrace(two), ref);
+  EXPECT_NE(Fingerprint(two), ref);
   capture::CaptureTrace empty;
-  EXPECT_NE(FingerprintTrace(empty), ref);
+  EXPECT_NE(Fingerprint(empty), ref);
 }
 
 TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
@@ -133,12 +137,72 @@ TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
       }
       trace.push_back(p);
     }
-    const TraceFingerprint fp = FingerprintTrace(trace);
+    const TraceFingerprint fp = Fingerprint(trace);
     for (const TraceFingerprint& other : seen) {
       ASSERT_FALSE(fp == other) << "collision at trace " << t;
     }
     seen.push_back(fp);
   }
+}
+
+// A media session plus a second, non-media flow whose packets fall between
+// the session's: `interleaved` merges the two by time, `flow_by_flow` keeps the
+// session's packets first and appends the other flow's, `other_first` puts
+// the other flow's packets first. Every flow's own packet sequence is the
+// same in all three.
+struct TwoFlowCaptures {
+  media::Manifest manifest;
+  capture::CaptureTrace interleaved;
+  capture::CaptureTrace flow_by_flow;
+  capture::CaptureTrace other_first;
+};
+
+TwoFlowCaptures MakeTwoFlowCaptures() {
+  TwoFlowCaptures c;
+  c.manifest = testbed::MakeAssetForDesign(DesignType::kCH, 1, 60 * kUsPerSec);
+  const capture::CaptureTrace session = MakeBatch(c.manifest, DesignType::kCH, 1,
+                                                  60 * kUsPerSec)
+                                            .front();
+  capture::CaptureTrace other;
+  for (size_t i = 1; i + 1 < session.size(); i += 97) {
+    capture::PacketRecord p = BasePacket();
+    p.timestamp = session[i].timestamp;
+    p.sni = i == 1 ? "other.example" : "";
+    other.push_back(p);
+  }
+  c.interleaved = session;
+  c.interleaved.insert(c.interleaved.end(), other.begin(), other.end());
+  std::stable_sort(c.interleaved.begin(), c.interleaved.end(),
+                   [](const capture::PacketRecord& a, const capture::PacketRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  c.flow_by_flow = session;
+  c.flow_by_flow.insert(c.flow_by_flow.end(), other.begin(), other.end());
+  c.other_first = other;
+  c.other_first.insert(c.other_first.end(), session.begin(), session.end());
+  return c;
+}
+
+TEST(TraceFingerprint, CrossFlowInterleavingDoesNotMatter) {
+  const TwoFlowCaptures c = MakeTwoFlowCaptures();
+  // The other flow's packets really are spread through the session.
+  ASSERT_NE(FlowKeyOf(c.interleaved.back()), FlowKeyOf(c.flow_by_flow.back()));
+  const capture::PacketColumns a = capture::PacketColumns::Build(c.interleaved);
+  const capture::PacketColumns b = capture::PacketColumns::Build(c.flow_by_flow);
+  ASSERT_EQ(a.flow_count(), 2u);
+  EXPECT_EQ(FingerprintColumns(a), FingerprintColumns(b));
+
+  InferenceConfig config;
+  config.design = DesignType::kCH;
+  const InferenceEngine engine(&c.manifest, config);
+  const InferenceResult result = engine.Analyze(a);
+  ASSERT_FALSE(result.sequences.empty());
+  EXPECT_EQ(DigestResults({engine.Analyze(b)}), DigestResults({result}));
+}
+
+TEST(TraceFingerprint, FlowOrderMatters) {
+  const TwoFlowCaptures c = MakeTwoFlowCaptures();
+  EXPECT_NE(Fingerprint(c.other_first), Fingerprint(c.flow_by_flow));
 }
 
 // --- Cache mechanics -------------------------------------------------------
@@ -173,7 +237,7 @@ TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
   }
   AnalysisPrefixCache cache(1 << 20);
   const capture::CaptureTrace trace{BasePacket()};
-  const auto query = AnalysisPrefixCache::MakeQuery(trace, 1);
+  const auto query = AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(trace), 1);
 
   EXPECT_EQ(cache.Lookup(query), nullptr);
   auto value = std::make_shared<AnalysisPrefix>();
@@ -212,7 +276,8 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
     value->exchanges.resize(8);
     capture::CaptureTrace t = trace;
     t[0].timestamp = 1000 + i;
-    cache.Insert(AnalysisPrefixCache::MakeQuery(t, 1), std::move(value));
+    cache.Insert(AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(t), 1),
+                 std::move(value));
   }
   const auto stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -222,9 +287,13 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
   // A value bigger than a whole shard is refused outright.
   auto huge = std::make_shared<AnalysisPrefix>();
   huge->exchanges.resize(4096);
-  const auto huge_query = AnalysisPrefixCache::MakeQuery(trace, 9);
+  const auto huge_query =
+      AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(trace), 9);
+  const uint64_t inserts_before = cache.stats().inserts;
   cache.Insert(huge_query, huge);
   EXPECT_EQ(cache.Lookup(huge_query), nullptr);
+  EXPECT_EQ(cache.stats().refused, 1u);
+  EXPECT_EQ(cache.stats().inserts, inserts_before);
 }
 
 TEST(AnalysisPrefixCache, OffValueSpellings) {
@@ -267,8 +336,8 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     config.design = design;
     BatchConfig off;
     off.threads = 1;
-    off.candidate_cache_mb = 0;
-    off.prefix_cache_mb = 0;
+    off.caches.candidate.budget_mb = 0;
+    off.caches.prefix.budget_mb = 0;
     BatchAnalyzer reference(&manifest, config, off);
     const auto expected = reference.AnalyzeAll(traces);
     EXPECT_EQ(reference.prefix_cache(), nullptr);
@@ -313,7 +382,7 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     {
       const ForceEnvOffGuard guard;
       InferenceConfig forced = config;
-      forced.prefix_cache = std::make_shared<AnalysisPrefixCache>(32 << 20);
+      forced.caches.prefix = std::make_shared<AnalysisPrefixCache>(32 << 20);
       BatchConfig on;
       on.threads = 3;
       BatchAnalyzer analyzer(&manifest, forced, on);
@@ -321,7 +390,7 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
       for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i], expected[i]) << ctx << " env-disabled trace " << i;
       }
-      const auto stats = forced.prefix_cache->stats();
+      const auto stats = forced.caches.prefix->stats();
       EXPECT_EQ(stats.lookups(), 0u) << ctx;
       EXPECT_EQ(stats.inserts, 0u) << ctx;
       EXPECT_EQ(stats.entries, 0u) << ctx;
@@ -334,7 +403,7 @@ TEST(PrefixCacheDifferential, GoldenDigestsHoldOnOffAndEnvDisabled) {
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     BatchConfig off;
     off.threads = 4;
-    off.prefix_cache_mb = 0;
+    off.caches.prefix.budget_mb = 0;
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
         << DesignTypeName(design) << " prefix cache on";
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design, off)), GoldenBatchDigest(design))
@@ -355,7 +424,7 @@ TEST(PrefixCacheSharing, WarmHitsAcrossEnginesAndBatches) {
 
   InferenceConfig config;
   config.design = DesignType::kSQ;
-  config.prefix_cache = shared;
+  config.caches.prefix = shared;
   BatchConfig batch;
   batch.threads = 2;
 
@@ -434,17 +503,17 @@ TEST(PrefixCacheLiveReplay, EntriesSurviveRefreshesAndStayByteIdentical) {
   config.other_object_sizes.push_back(full.SerializedSize() +
                                       config.expected_fixed_overhead);
   auto shared = std::make_shared<AnalysisPrefixCache>(32 << 20);
-  config.prefix_cache = shared;
+  config.caches.prefix = shared;
   BatchConfig batch;
   batch.threads = 2;
   BatchAnalyzer analyzer(live.Acquire(), config, batch);
 
   InferenceConfig no_cache = config;
-  no_cache.prefix_cache = nullptr;
+  no_cache.caches.prefix = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
 
   uint64_t hits_before = 0;
   for (size_t round = 0; round <= refreshes.size(); ++round) {
@@ -494,7 +563,7 @@ TEST(PrefixCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   config.other_object_sizes.push_back(full.SerializedSize() +
                                       config.expected_fixed_overhead);
   auto shared = std::make_shared<AnalysisPrefixCache>(32 << 20);
-  config.prefix_cache = shared;
+  config.caches.prefix = shared;
 
   constexpr int kWorkers = 2;
   constexpr int kRounds = 4;
@@ -541,11 +610,11 @@ TEST(PrefixCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   // Serial reference per recorded snapshot, all caches off: the concurrent
   // results must be byte-identical per index.
   InferenceConfig no_cache = config;
-  no_cache.prefix_cache = nullptr;
+  no_cache.caches.prefix = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
   for (int w = 0; w < kWorkers; ++w) {
     ASSERT_EQ(recorded[static_cast<size_t>(w)].size(), static_cast<size_t>(kRounds));
     for (int r = 0; r < kRounds; ++r) {
@@ -570,7 +639,7 @@ TEST(PrefixCacheBatchConfig, ZeroBudgetDisablesTheCache) {
   InferenceConfig config;
   config.design = DesignType::kCH;
   BatchConfig batch;
-  batch.prefix_cache_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
   batch.threads = 1;
   BatchAnalyzer analyzer(&manifest, config, batch);
   EXPECT_EQ(analyzer.prefix_cache(), nullptr);

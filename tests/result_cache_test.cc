@@ -67,7 +67,8 @@ capture::PacketRecord BasePacket() {
 ResultCache::Query QueryFor(const DbSnapshot& db, uint32_t context, TimeUs stamp) {
   capture::CaptureTrace trace{BasePacket()};
   trace[0].timestamp = stamp;
-  return ResultCache::MakeQuery(FingerprintTrace(trace), context, db);
+  return ResultCache::MakeQuery(FingerprintColumns(capture::PacketColumns::Build(trace)),
+                                context, db);
 }
 
 std::shared_ptr<const InferenceResult> MakeResult(int sequences) {
@@ -425,6 +426,26 @@ TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
   EXPECT_EQ(cleared.bytes, 0u);
 }
 
+TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
+  if (ResultCache::EnvForcesOff()) {
+    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+  }
+  const media::Manifest manifest =
+      testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
+  LiveChunkDatabase live(manifest, {});
+  const DbSnapshot db = live.Acquire();
+
+  // Two shards of 2 KiB each: a 256-sequence result alone exceeds one shard.
+  ResultCache cache(4096, 2);
+  const auto query = QueryFor(db, 1, 1000);
+  cache.Insert(query, db, ResultHull{}, MakeResult(256), {});
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.refused, 1u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(cache.Lookup(query, db), nullptr);
+}
+
 TEST(ResultCacheMechanics, ForceEnvOffMakesLookupAndInsertNoOps) {
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
@@ -479,8 +500,8 @@ TEST(ResultCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     config.design = design;
     BatchConfig off;
     off.threads = 1;
-    off.candidate_cache_mb = 0;
-    off.prefix_cache_mb = 0;
+    off.caches.candidate.budget_mb = 0;
+    off.caches.prefix.budget_mb = 0;
     off.caches.result.enabled = false;
     BatchAnalyzer reference(&manifest, config, off);
     const auto expected = reference.AnalyzeAll(traces);
@@ -647,8 +668,8 @@ TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
   no_cache.caches.result = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
   off.caches.result.enabled = false;
 
   for (size_t round = 0; round <= refreshes.size(); ++round) {
@@ -747,8 +768,8 @@ TEST(ResultCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   no_cache.caches.result = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
   off.caches.result.enabled = false;
   for (int w = 0; w < kWorkers; ++w) {
     ASSERT_EQ(recorded[static_cast<size_t>(w)].size(), static_cast<size_t>(kRounds));

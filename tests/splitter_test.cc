@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/splitter.h"
 #include "src/testbed/experiment.h"
 
 namespace csi::infer {
 namespace {
+
+// SP1/SP2 groups of a capture holding at most one flow.
+std::vector<TrafficGroup> SplitTrace(const capture::CaptureTrace& trace) {
+  const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+  return columns.flow_count() == 0 ? std::vector<TrafficGroup>{}
+                                   : SplitIntoGroups(columns.flow(0));
+}
 
 // Builds a synthetic QUIC flow from (time, direction, payload) triples.
 struct FlowBuilder {
@@ -51,7 +59,7 @@ TEST(Splitter, Sp1SplitsAtIdleGap) {
   // OFF period of 3 seconds, then a new request.
   b.Request(3500 * kUsPerMs);
   b.Data(3520 * kUsPerMs);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].num_requests(), 1);
   EXPECT_EQ(groups[1].num_requests(), 1);
@@ -66,7 +74,7 @@ TEST(Splitter, NoSplitWithoutGapOrSimultaneity) {
   b.Data(300 * kUsPerMs);
   b.Request(400 * kUsPerMs);
   b.Data(420 * kUsPerMs);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].num_requests(), 3);
 }
@@ -80,7 +88,7 @@ TEST(Splitter, Sp2SplitsAtSimultaneousPair) {
   b.Request(200 * kUsPerMs);
   b.Request(200 * kUsPerMs);
   b.Data(250 * kUsPerMs);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].num_requests(), 1);
   EXPECT_EQ(groups[1].num_requests(), 2);
@@ -94,7 +102,7 @@ TEST(Splitter, Sp2RequiresNoInterveningData) {
   b.Data(200 * kUsPerMs + 10);  // data strictly between the near-simultaneous pair
   b.Request(200 * kUsPerMs + 20);
   b.Data(300 * kUsPerMs);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   EXPECT_EQ(groups.size(), 1u);
 }
 
@@ -106,7 +114,7 @@ TEST(Splitter, DataAtRequestInstantDoesNotBlockSp2) {
   b.Request(200 * kUsPerMs);
   b.Request(200 * kUsPerMs);
   b.Data(260 * kUsPerMs);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   ASSERT_EQ(groups.size(), 2u);
 }
 
@@ -116,7 +124,7 @@ TEST(Splitter, DropsHandshakeInitial) {
   b.Data(30 * kUsPerMs);       // server flight
   b.Request(60 * kUsPerMs);    // manifest request
   b.Data(90 * kUsPerMs);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].num_requests(), 1);
   EXPECT_EQ(groups[0].start_time, 60 * kUsPerMs);
@@ -131,14 +139,14 @@ TEST(Splitter, GroupSizesEstimateWindows) {
   b.Data(20 * kUsPerMs, 2000 + net::kQuicHeaderBytes);
   b.Request(5 * kUsPerSec);  // after an SP1 gap
   b.Data(5 * kUsPerSec + 10 * kUsPerMs, 500 + net::kQuicHeaderBytes);
-  const auto groups = SplitIntoGroups(b.flow);
+  const auto groups = SplitTrace(b.flow);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].estimated_total, 3000);
   EXPECT_EQ(groups[1].estimated_total, 500);
 }
 
 TEST(Splitter, EmptyFlowYieldsNoGroups) {
-  EXPECT_TRUE(SplitIntoGroups(std::vector<capture::PacketRecord>{}).empty());
+  EXPECT_TRUE(SplitTrace({}).empty());
 }
 
 TEST(Splitter, RealSqSessionGroupsAreSmall) {
@@ -153,9 +161,10 @@ TEST(Splitter, RealSqSessionGroupsAreSmall) {
   s.duration = 10 * 60 * kUsPerSec;
   s.seed = 11;
   const auto result = testbed::RunStreamingSession(s);
-  const auto flows = ClassifyMediaFlows(result.capture, "cdn.example");
-  ASSERT_EQ(flows.size(), 1u);
-  const auto groups = SplitIntoGroups(flows[0].packets);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const std::vector<uint32_t> media = ClassifyMediaFlowIds(columns, "cdn.example");
+  ASSERT_EQ(media.size(), 1u);
+  const auto groups = SplitIntoGroups(columns.flow(media[0]));
   ASSERT_GT(groups.size(), 20u);
   int small = 0;
   for (const auto& g : groups) {

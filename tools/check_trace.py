@@ -214,17 +214,19 @@ MONOTONIC_COUNTERS = (
     "csi_prefix_cache_misses_total",
     "csi_prefix_cache_inserts_total",
     "csi_prefix_cache_evictions_total",
+    "csi_prefix_cache_refused_total",
     "csi_result_cache_lookups_total",
     "csi_result_cache_hits_total",
     "csi_result_cache_misses_total",
     "csi_result_cache_inserts_total",
     "csi_result_cache_evictions_total",
+    "csi_result_cache_refused_total",
     "csi_result_cache_invalidations_total",
 )
 
 
 def check_cache_counters(path, counters, tier):
-    """lookups == hits + misses; inserts <= misses; evictions <= inserts.
+    """lookups == hits + misses; inserts + refused <= misses; evictions <= inserts.
 
     Absent counters read as 0: a cache-off run legitimately exports none.
     """
@@ -233,10 +235,11 @@ def check_cache_counters(path, counters, tier):
     misses = counters.get(f"csi_{tier}_cache_misses_total", 0)
     inserts = counters.get(f"csi_{tier}_cache_inserts_total", 0)
     evictions = counters.get(f"csi_{tier}_cache_evictions_total", 0)
+    refused = counters.get(f"csi_{tier}_cache_refused_total", 0)
     if hits + misses != lookups:
         fail(f"{path}: {tier}-cache lookups ({lookups}) != hits ({hits}) + misses ({misses})")
-    if inserts > misses:
-        fail(f"{path}: {tier}-cache inserts ({inserts}) > misses ({misses})")
+    if inserts + refused > misses:
+        fail(f"{path}: {tier}-cache inserts ({inserts}) + refused ({refused}) > misses ({misses})")
     if evictions > inserts:
         fail(f"{path}: {tier}-cache evictions ({evictions}) > inserts ({inserts})")
     if tier == "result":

@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   // Before the database build so the build spans land in the trace.
   tools::StartTraceSessionIfRequested(common);
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
-  // Transpose to the columnar layout right after the pcap parse; the AoS
-  // trace never reaches the engine.
+  // Transpose to the columnar layout right after the pcap parse; the packet
+  // records are dropped before the engine runs.
   const capture::PacketColumns columns =
       capture::PacketColumns::Build(capture::ReadPcap(pcap_path));
   std::printf("loaded %zu packets, manifest %s: %d video tracks x %d chunks%s\n",
@@ -106,14 +106,14 @@ int main(int argc, char** argv) {
   // signatures across SQ groups); the cache also feeds the hit-rate metrics.
   if (const int cache_mb = common.candidate_cache_budget_mb();
       cache_mb > 0 && !infer::GroupCandidateCache::EnvForcesOff()) {
-    config.candidate_cache = std::make_shared<infer::GroupCandidateCache>(
+    config.caches.candidate = std::make_shared<infer::GroupCandidateCache>(
         static_cast<size_t>(cache_mb) * 1024 * 1024);
   }
   // One trace means at most one prefix entry, but attaching the cache keeps
   // the lookup metrics and trace instants exercised on the single-shot tool.
   if (const int cache_mb = common.prefix_cache_budget_mb();
       cache_mb > 0 && !infer::AnalysisPrefixCache::EnvForcesOff()) {
-    config.prefix_cache = std::make_shared<infer::AnalysisPrefixCache>(
+    config.caches.prefix = std::make_shared<infer::AnalysisPrefixCache>(
         static_cast<size_t>(cache_mb) * 1024 * 1024);
   }
   // Same reasoning for the whole-result tier: a single shot can only miss,
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
               result.truncated ? " (truncated)" : "");
   {
     const std::string cache_block = tools::FormatCacheSummaryBlock(
-        config.caches.result.get(), config.prefix_cache.get(), config.candidate_cache.get());
+        config.caches.result.get(), config.caches.prefix.get(), config.caches.candidate.get());
     if (!cache_block.empty()) {
       std::printf("%s\n", cache_block.c_str());
     }

@@ -220,9 +220,9 @@ int main(int argc, char** argv) {
 
   // Transpose every capture to the columnar layout once, up front: each
   // --repeat / --follow-manifests round then analyzes the PacketColumns
-  // directly, so repeats never pay the per-call column build — and the AoS
-  // traces are released here since the columns carry everything inference
-  // reads.
+  // directly, so repeats never pay the per-call column build — and the
+  // packet records are released here since the columns carry everything
+  // inference reads.
   std::vector<capture::PacketColumns> columns;
   columns.reserve(traces.size());
   for (const capture::CaptureTrace& trace : traces) {
@@ -325,7 +325,9 @@ int main(int argc, char** argv) {
     }
   }
   const double sessions = static_cast<double>(columns.size()) * repeat;
-  std::printf("analyzed %.0f session(s) in %.3f s on %d worker(s): %.2f sessions/sec\n",
+  // The calling thread analyzes alongside the pool's workers.
+  std::printf("analyzed %.0f session(s) in %.3f s on %d worker(s) + the calling thread: "
+              "%.2f sessions/sec\n",
               sessions, elapsed.count(), analyzer->threads(),
               sessions / std::max(elapsed.count(), 1e-9));
   if (live.has_value()) {
