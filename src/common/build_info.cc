@@ -1,30 +1,14 @@
 #include "src/common/build_info.h"
 
-#include <cstdlib>
-#include <string>
-
 #include "src/common/simd.h"
+// Header-only (the CSI_CACHE parser); csi_common links nothing from csi_core.
+#include "src/csi/cache_common.h"
 
 namespace csi {
 
-namespace {
-
-// Mirrors infer::GroupCandidateCache::EnvForcesOff(); duplicated here so
-// csi_common does not depend on csi_core.
-bool CandidateCacheEnvOff() {
-  const char* env = std::getenv("CSI_CANDIDATE_CACHE");
-  if (env == nullptr) {
-    return false;
-  }
-  const std::string value(env);
-  return value == "off" || value == "OFF" || value == "0" || value == "none";
-}
-
-}  // namespace
-
 telemetry::Labels BuildInfoLabels() {
   return {
-      {"candidate_cache_default", CandidateCacheEnvOff() ? "off" : "on"},
+      {"candidate_cache_default", infer::CsiCacheEnvDisables("candidate") ? "off" : "on"},
       // Mirrors capture::kPacketLayoutVersion (packet_columns.h); duplicated
       // here so csi_common does not depend on csi_capture.
       {"packet_layout", "soa-v1"},
@@ -36,20 +20,6 @@ telemetry::Labels BuildInfoLabels() {
 #endif
       },
       {"simd_backend", simd::BackendName(simd::ActiveBackend())},
-      {"telemetry",
-#if defined(CSI_TELEMETRY_DISABLED)
-       "off"
-#else
-       "on"
-#endif
-      },
-      {"tracing",
-#if defined(CSI_TRACING_DISABLED)
-       "off"
-#else
-       "on"
-#endif
-      },
   };
 }
 

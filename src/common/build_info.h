@@ -1,5 +1,5 @@
 // Build/runtime provenance for metrics artifacts: which SIMD backend the
-// process dispatched to, which instrumentation layers were compiled in, and
+// process dispatched to, whether the vector kernels were compiled in, and
 // whether the environment forces the candidate cache off. Exported as the
 // conventional `csi_build_info` gauge (constant value 1, facts in labels) so
 // every METRICS_*.json / .prom snapshot records how it was produced.
@@ -13,11 +13,12 @@ namespace csi {
 
 // Label set describing this binary and process:
 //   simd_backend          runtime-dispatched kernel ("scalar"/"sse2"/...)
-//   telemetry / simd / tracing
-//                         "on" unless compiled out with -DCSI_*=OFF
+//   simd                  "on" unless compiled out with -DCSI_SIMD=OFF
 //   candidate_cache_default
-//                         "off" iff CSI_CANDIDATE_CACHE in the environment
-//                         forces the cache off, else "on"
+//                         "off" iff CSI_CACHE in the environment forces the
+//                         candidate tier off (candidate:off or all:off),
+//                         else "on"
+//   packet_layout         the capture column layout version
 telemetry::Labels BuildInfoLabels();
 
 // Registers/updates `csi_build_info{...} 1` in the global registry. Called by

@@ -9,8 +9,6 @@ namespace csi::telemetry {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
-
 // Numbers in exports must be deterministic across platforms for golden
 // tests: integral values print as integers, everything else as shortest %g
 // with enough digits to round-trip float-ish precision.
@@ -152,10 +150,6 @@ bool IsValidPrometheusLabelName(const std::string& name) {
   return true;
 }
 
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
 int ThreadStripe() {
   static std::atomic<unsigned> next{0};
   thread_local const unsigned stripe =
@@ -188,9 +182,6 @@ Histogram::Histogram(std::vector<double> bounds)
 }
 
 void Histogram::Observe(double value) {
-  if (!Enabled()) {
-    return;
-  }
   // lower_bound: first bound >= value, so a value equal to a bound lands in
   // that bound's bucket (Prometheus `le` buckets are inclusive upper bounds).
   const size_t bucket = static_cast<size_t>(
@@ -254,6 +245,11 @@ const std::vector<double>& CountBuckets() {
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed
   return *registry;
+}
+
+Histogram* StageHistogram(const std::string& stage) {
+  return MetricsRegistry::Global().GetHistogram("csi_stage_duration_seconds",
+                                                DurationBuckets(), {{"stage", stage}});
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name, const Labels& labels) {

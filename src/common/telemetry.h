@@ -1,19 +1,22 @@
 // Pipeline telemetry: a process-wide metrics registry (counters, gauges,
-// fixed-bucket histograms) plus a scoped span timer that records per-stage
-// durations, exported as JSON or Prometheus text exposition.
+// fixed-bucket histograms) plus the scoped stage span that is the one
+// instrumentation point of every pipeline stage, exported as JSON or
+// Prometheus text exposition.
 //
 // Hot-path contract, in order of importance:
 //   1. Telemetry must never change what the pipeline computes. All
 //      instrumentation is write-only from the instrumented code's point of
-//      view; inference output is byte-identical with telemetry enabled,
-//      disabled, or compiled out (covered by telemetry_test).
+//      view; inference output is byte-identical with and without an active
+//      trace session (covered by the golden digests in telemetry_test and
+//      tracing_test).
 //   2. Increments are uncontended: every metric is sharded into
 //      cache-line-aligned stripes and each thread writes its own stripe
 //      (relaxed atomics), so concurrent batch workers never bounce a line
 //      and TSan sees only atomic accesses. Stripes are summed on Snapshot().
-//   3. The process-wide kill switch (`SetEnabled(false)`) reduces every
-//      instrumentation site to one relaxed load and a branch; defining
-//      CSI_TELEMETRY_DISABLED compiles the CSI_* macros away entirely.
+//   3. One plane, no switches: metrics always record, and a stage span
+//      (CSI_SPAN) feeds both its histogram and, while a TraceSession is
+//      active, the trace ring under the same name. With no session the trace
+//      half costs one relaxed load and a branch.
 //
 // Instrumentation sites use the CSI_* macros below. Each site resolves its
 // metric pointer once (function-local static), so the registry mutex is
@@ -25,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,12 +36,9 @@
 #include <utility>
 #include <vector>
 
-namespace csi::telemetry {
+#include "src/common/tracing.h"
 
-// Runtime kill switch. Defaults to enabled; flipping it affects only whether
-// new samples are recorded, never pipeline behavior.
-bool Enabled();
-void SetEnabled(bool on);
+namespace csi::telemetry {
 
 // Label set attached to a metric, e.g. {{"stage", "path_search"}}. Kept
 // sorted by key inside the registry so identity and export order are
@@ -72,9 +73,6 @@ inline void AtomicAdd(std::atomic<double>& target, double delta) {
 class Counter {
  public:
   void Add(int64_t n) {
-    if (!Enabled()) {
-      return;
-    }
     stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
@@ -91,11 +89,7 @@ class Counter {
 // Last-write-wins instantaneous value (queue depth, batch progress).
 class Gauge {
  public:
-  void Set(double v) {
-    if (Enabled()) {
-      value_.store(v, std::memory_order_relaxed);
-    }
-  }
+  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -214,21 +208,18 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
 };
 
-// Scoped timer recording its lifetime into a histogram, in seconds. Reads
-// the clock only when telemetry is enabled at construction.
+// The csi_stage_duration_seconds{stage="<stage>"} histogram of the global
+// registry (registered on first use).
+Histogram* StageHistogram(const std::string& stage);
+
+// Scoped timer recording its lifetime into a histogram, in seconds.
 class SpanTimer {
  public:
-  explicit SpanTimer(Histogram* hist) : hist_(Enabled() ? hist : nullptr) {
-    if (hist_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
+  explicit SpanTimer(Histogram* hist)
+      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
   ~SpanTimer() {
-    if (hist_ != nullptr) {
-      hist_->Observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                   start_)
-                         .count());
-    }
+    hist_->Observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count());
   }
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
@@ -238,46 +229,50 @@ class SpanTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+// One pipeline stage: times its scope into the stage's histogram and, while
+// a TraceSession is active, brackets it with a 'B'/'E' pair of the same name
+// in trace category "stage". The session state is captured at construction
+// so a session starting mid-span never emits an unmatched 'E'. `stage` and
+// string-valued args must be string literals (see trace::TraceArg).
+class StageSpan {
+ public:
+  StageSpan(Histogram* hist, const char* stage, std::initializer_list<trace::TraceArg> args)
+      : timer_(hist), stage_(stage), traced_(trace::Enabled()) {
+    if (traced_) {
+      trace::EmitBegin(stage_, "stage", args);
+    }
+  }
+  ~StageSpan() {
+    if (traced_) {
+      trace::EmitEnd(stage_, "stage");
+    }
+  }
+  StageSpan(const StageSpan&) = delete;
+  StageSpan& operator=(const StageSpan&) = delete;
+
+ private:
+  SpanTimer timer_;  // destroyed after the 'E' is emitted
+  const char* stage_;
+  bool traced_;
+};
+
 }  // namespace csi::telemetry
 
 #define CSI_TELEMETRY_CAT2(a, b) a##b
 #define CSI_TELEMETRY_CAT(a, b) CSI_TELEMETRY_CAT2(a, b)
 
-#if defined(CSI_TELEMETRY_DISABLED)
-
-#define CSI_SPAN(stage) \
-  do {                  \
-  } while (false)
-#define CSI_SCOPED_HIST_TIMER(metric) \
-  do {                                \
-  } while (false)
-#define CSI_COUNTER_ADD(metric, n) \
-  do {                             \
-  } while (false)
-#define CSI_COUNTER_INC(metric) \
-  do {                          \
-  } while (false)
-#define CSI_GAUGE_SET(metric, v) \
-  do {                           \
-  } while (false)
-#define CSI_HISTOGRAM_OBSERVE(metric, bucket_bounds, v) \
-  do {                                                  \
-  } while (false)
-
-#else
-
-// Records the enclosing scope's duration into the per-stage latency
-// histogram `csi_stage_duration_seconds{stage="<stage>"}`.
-#define CSI_SPAN(stage)                                                             \
+// Stage span over the enclosing scope, optionally with up to
+// trace::kMaxTraceArgs args on its 'B' event, e.g.
+//   CSI_SPAN("db_build", {"tracks", tracks}, {"positions", positions});
+#define CSI_SPAN(stage, ...)                                                        \
   static ::csi::telemetry::Histogram* const CSI_TELEMETRY_CAT(csi_span_hist_,       \
                                                               __LINE__) =           \
-      ::csi::telemetry::MetricsRegistry::Global().GetHistogram(                     \
-          "csi_stage_duration_seconds", ::csi::telemetry::DurationBuckets(),        \
-          {{"stage", (stage)}});                                                    \
-  ::csi::telemetry::SpanTimer CSI_TELEMETRY_CAT(csi_span_timer_, __LINE__)(         \
-      CSI_TELEMETRY_CAT(csi_span_hist_, __LINE__))
+      ::csi::telemetry::StageHistogram(stage);                                      \
+  ::csi::telemetry::StageSpan CSI_TELEMETRY_CAT(csi_span_, __LINE__)(               \
+      CSI_TELEMETRY_CAT(csi_span_hist_, __LINE__), (stage), {__VA_ARGS__})
 
-// Like CSI_SPAN but into an unlabelled histogram named `metric`.
+// Times the enclosing scope into an unlabelled histogram named `metric`
+// (metrics only; not a pipeline stage).
 #define CSI_SCOPED_HIST_TIMER(metric)                                               \
   static ::csi::telemetry::Histogram* const CSI_TELEMETRY_CAT(csi_timer_hist_,      \
                                                               __LINE__) =           \
@@ -309,7 +304,5 @@ class SpanTimer {
                                                                  (bucket_bounds));  \
     csi_hist_site->Observe(static_cast<double>(v));                                 \
   } while (false)
-
-#endif  // CSI_TELEMETRY_DISABLED
 
 #endif  // CSI_SRC_COMMON_TELEMETRY_H_

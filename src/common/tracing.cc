@@ -201,9 +201,7 @@ bool WriteStringToFile(const std::string& path, const std::string& contents,
 
 }  // namespace
 
-#if !defined(CSI_TRACING_DISABLED)
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-#endif
 
 uint64_t NewFlowId() {
   return g_next_flow_id.fetch_add(1, std::memory_order_relaxed);

@@ -5,13 +5,13 @@
 // Contract, mirroring the telemetry conventions (telemetry.h):
 //   1. Tracing must never change what the pipeline computes. Events are
 //      write-only from the instrumented code's point of view; inference
-//      output is byte-identical tracing-on vs tracing-off vs compiled out
-//      (covered by tracing_test).
-//   2. Disabled is the default and nearly free: every instrumentation site
+//      output is byte-identical tracing-on vs tracing-off (covered by
+//      tracing_test).
+//   2. Off is the default and nearly free: every instrumentation site
 //      reduces to one relaxed load and a branch while no session is active.
-//      Defining CSI_TRACING_DISABLED (cmake -DCSI_TRACING=OFF) compiles the
-//      CSI_TRACE_* macros away entirely; the session API stays linkable so
-//      tools build unchanged.
+//      Stage spans come from CSI_SPAN (telemetry.h), which feeds the stage
+//      histogram and this ring under one name; this header adds instants
+//      and flows.
 //   3. Bounded memory: each thread owns a fixed-capacity ring and overwrites
 //      its own oldest events; a runaway stage can never grow the trace
 //      without limit. Writers never contend with each other — each thread
@@ -44,14 +44,8 @@
 namespace csi::trace {
 
 // True while a TraceSession is active. One relaxed load; every
-// instrumentation helper checks it first. With CSI_TRACING_DISABLED it is a
-// compile-time false, so `if (trace::Enabled())` guards dead-code eliminate
-// even the non-macro instrumentation sites (ThreadPool flow propagation).
-#if defined(CSI_TRACING_DISABLED)
-inline constexpr bool Enabled() { return false; }
-#else
+// instrumentation helper checks it first.
 bool Enabled();
-#endif
 
 enum class Mode {
   kFull,    // big rings, export at end of run
@@ -166,66 +160,11 @@ void EmitInstant(const char* name, const char* category,
 // 'f' when the logical operation completes.
 void EmitFlow(char phase, const char* name, uint64_t flow_id);
 
-// RAII begin/end pair. Captures Enabled() at construction so a session
-// starting mid-span cannot emit an 'E' with no matching 'B'; a session
-// stopping mid-span leaves an unclosed 'B', which viewers auto-close.
-class SpanGuard {
- public:
-  SpanGuard(const char* name, const char* category,
-            std::initializer_list<TraceArg> args = {})
-      : name_(name), category_(category), armed_(Enabled()) {
-    if (armed_) {
-      EmitBegin(name_, category_, args);
-    }
-  }
-  ~SpanGuard() {
-    if (armed_) {
-      EmitEnd(name_, category_);
-    }
-  }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-
- private:
-  const char* name_;
-  const char* category_;
-  bool armed_;
-};
-
 }  // namespace csi::trace
-
-#define CSI_TRACING_CAT2(a, b) a##b
-#define CSI_TRACING_CAT(a, b) CSI_TRACING_CAT2(a, b)
-
-#if defined(CSI_TRACING_DISABLED)
-
-#define CSI_TRACE_SPAN(name, category) \
-  do {                                 \
-  } while (false)
-#define CSI_TRACE_SPAN_ARGS(name, category, ...) \
-  do {                                           \
-  } while (false)
-#define CSI_TRACE_INSTANT(name, category, ...) \
-  do {                                         \
-  } while (false)
-
-#else
-
-// Duration span covering the enclosing scope.
-#define CSI_TRACE_SPAN(name, category) \
-  ::csi::trace::SpanGuard CSI_TRACING_CAT(csi_trace_span_, __LINE__)((name), (category))
-
-// Duration span whose 'B' event carries args, e.g.
-//   CSI_TRACE_SPAN_ARGS("db_build", "db", {"chunks", total}, {"shards", n});
-#define CSI_TRACE_SPAN_ARGS(name, category, ...)                         \
-  ::csi::trace::SpanGuard CSI_TRACING_CAT(csi_trace_span_, __LINE__)(    \
-      (name), (category), {__VA_ARGS__})
 
 // Instant event with args, e.g.
 //   CSI_TRACE_INSTANT("group_cache", "cache", {"outcome", "hit"});
 #define CSI_TRACE_INSTANT(name, category, ...) \
   ::csi::trace::EmitInstant((name), (category), {__VA_ARGS__})
-
-#endif  // CSI_TRACING_DISABLED
 
 #endif  // CSI_SRC_COMMON_TRACING_H_

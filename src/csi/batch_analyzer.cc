@@ -115,44 +115,43 @@ std::vector<InferenceResult> BatchAnalyzer::RunBatch(
   if (audits != nullptr) {
     audits->assign(total, InferenceAudit{});
   }
-  CSI_TRACE_SPAN_ARGS("batch_analyze_all", "batch",
-                      {"traces", static_cast<int64_t>(total)});
+  CSI_SPAN("batch_analyze_all", {"traces", static_cast<int64_t>(total)});
   std::atomic<size_t> completed{0};
   std::mutex progress_mu;
   pool_.ParallelFor(static_cast<int64_t>(total), [&](int64_t i) {
-    // One clock pair per trace is noise next to Analyze itself; reading it
-    // unconditionally keeps the timing slots available with telemetry off.
+    // The per-trace timing slot keeps its own clock pair (noise next to
+    // Analyze itself); the batch_trace span feeds the histogram and trace.
     const auto start = std::chrono::steady_clock::now();
-    CSI_TRACE_SPAN_ARGS("batch_trace", "batch", {"index", i});
-    // A throwing trace must not take its siblings down with it: the slot
-    // keeps a default result and the error is reported by index. Letting the
-    // exception escape would make ParallelFor abort the remaining traces.
-    try {
-      InferenceAudit* const audit =
-          audits != nullptr ? &(*audits)[static_cast<size_t>(i)] : nullptr;
-      results[static_cast<size_t>(i)] = analyze_one(static_cast<size_t>(i), audit);
-    } catch (const std::exception& e) {
-      if (trace_errors != nullptr) {
-        (*trace_errors)[static_cast<size_t>(i)] = e.what();
+    {
+      CSI_SPAN("batch_trace", {"index", i});
+      // A throwing trace must not take its siblings down with it: the slot
+      // keeps a default result and the error is reported by index. Letting
+      // the exception escape would make ParallelFor abort the remaining
+      // traces.
+      try {
+        InferenceAudit* const audit =
+            audits != nullptr ? &(*audits)[static_cast<size_t>(i)] : nullptr;
+        results[static_cast<size_t>(i)] = analyze_one(static_cast<size_t>(i), audit);
+      } catch (const std::exception& e) {
+        if (trace_errors != nullptr) {
+          (*trace_errors)[static_cast<size_t>(i)] = e.what();
+        }
+        CSI_COUNTER_INC("csi_batch_trace_analyze_failures_total");
+        trace::TraceSession::Global().DumpFlightRecord(
+            "batch trace " + std::to_string(i), e.what());
+      } catch (...) {
+        if (trace_errors != nullptr) {
+          (*trace_errors)[static_cast<size_t>(i)] = "unknown error";
+        }
+        CSI_COUNTER_INC("csi_batch_trace_analyze_failures_total");
+        trace::TraceSession::Global().DumpFlightRecord(
+            "batch trace " + std::to_string(i), "unknown error");
       }
-      CSI_COUNTER_INC("csi_batch_trace_analyze_failures_total");
-      trace::TraceSession::Global().DumpFlightRecord(
-          "batch trace " + std::to_string(i), e.what());
-    } catch (...) {
-      if (trace_errors != nullptr) {
-        (*trace_errors)[static_cast<size_t>(i)] = "unknown error";
-      }
-      CSI_COUNTER_INC("csi_batch_trace_analyze_failures_total");
-      trace::TraceSession::Global().DumpFlightRecord(
-          "batch trace " + std::to_string(i), "unknown error");
     }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (trace_seconds != nullptr) {
-      (*trace_seconds)[static_cast<size_t>(i)] = seconds;
+      (*trace_seconds)[static_cast<size_t>(i)] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     }
-    CSI_HISTOGRAM_OBSERVE("csi_batch_trace_duration_seconds",
-                          telemetry::DurationBuckets(), seconds);
     CSI_COUNTER_INC("csi_batch_traces_total");
     const size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
     CSI_GAUGE_SET("csi_batch_traces_in_flight", total - done);

@@ -1,9 +1,7 @@
 #include "src/csi/candidate_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
-#include <string>
 #include <utility>
 
 #include "src/common/telemetry.h"
@@ -19,8 +17,8 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_CANDIDATE_CACHE=off (the real env read
-// is latched in a function-local static and cannot be flipped after first
+// In-process override simulating CSI_CACHE=candidate:off (the real env read is
+// latched in a function-local static and cannot be flipped after first
 // use).
 std::atomic<bool> g_force_env_off{false};
 
@@ -39,15 +37,8 @@ size_t GroupCandidateCache::QueryHash::operator()(const Query& q) const {
 GroupCandidateCache::GroupCandidateCache(size_t budget_bytes, int shards)
     : store_(budget_bytes, shards) {}
 
-bool GroupCandidateCache::IsOffValue(const std::string& value) {
-  return CacheOffSpelling(value);
-}
-
 bool GroupCandidateCache::EnvForcesOff() {
-  static const bool off = [] {
-    const char* env = std::getenv("CSI_CANDIDATE_CACHE");
-    return (env != nullptr && IsOffValue(env)) || CsiCacheEnvDisables("candidate");
-  }();
+  static const bool off = CsiCacheEnvDisables("candidate");
   return off || g_force_env_off.load(std::memory_order_relaxed);
 }
 
@@ -201,9 +192,9 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
   CSI_SPAN("group_cache_lookup");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const GroupCandidateSet> hit;
-  [[maybe_unused]] bool found = false;
+  bool found = false;
   bool same_state = false;
-  [[maybe_unused]] bool stale_snapshot = false;
+  bool stale_snapshot = false;
   bool invalidated = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);

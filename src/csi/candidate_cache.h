@@ -35,9 +35,9 @@
 // copy candidate vectors and never block behind a publish. Eviction is
 // per-shard second-chance (clock) over a byte budget via the shared
 // ShardedClockStore (cache_common.h); an entry's cost is the heap footprint
-// of its candidate vectors. Force-off escape hatches: CSI_CANDIDATE_CACHE=off
-// or the unified CSI_CACHE=candidate:off turn every lookup into a miss and
-// every insert into a no-op, for A/B runs and bypass-path CI.
+// of its candidate vectors. Force-off escape hatch: CSI_CACHE=candidate:off
+// turns every lookup into a miss and every insert into a no-op, for A/B runs
+// and bypass-path CI.
 
 #ifndef CSI_SRC_CSI_CANDIDATE_CACHE_H_
 #define CSI_SRC_CSI_CANDIDATE_CACHE_H_
@@ -121,16 +121,13 @@ class GroupCandidateCache {
   GroupCandidateCache(const GroupCandidateCache&) = delete;
   GroupCandidateCache& operator=(const GroupCandidateCache&) = delete;
 
-  // True when CSI_CANDIDATE_CACHE=off|OFF|0|none or the unified
-  // CSI_CACHE=candidate:off override forces the cache out of the picture
+  // True when the CSI_CACHE=candidate:off (or all:off) override forces the
+  // cache out of the picture
   // (environment checked once per process), or a test forced it via
   // ForceEnvOffForTest. Enumeration treats the cache as absent; a constructed
   // cache stays empty.
   static bool EnvForcesOff();
-  // Recognizer behind the env override, exposed so tests can pin the accepted
-  // spellings without re-execing under a modified environment.
-  static bool IsOffValue(const std::string& value);
-  // Test seam simulating CSI_CANDIDATE_CACHE=off in-process (the real env
+  // Test seam simulating CSI_CACHE=candidate:off in-process (the real env
   // read is cached in a static). Always reset to false before the test
   // returns.
   static void ForceEnvOffForTest(bool off);

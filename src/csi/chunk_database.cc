@@ -6,7 +6,6 @@
 
 #include "src/common/simd.h"
 #include "src/common/telemetry.h"
-#include "src/common/tracing.h"
 #include "src/common/thread_pool.h"
 
 namespace csi::infer {
@@ -91,11 +90,9 @@ ChunkDatabase::ChunkDatabase(const media::Manifest* manifest)
 
 ChunkDatabase::ChunkDatabase(const media::Manifest* manifest, const DbBuildOptions& options)
     : manifest_(manifest) {
-  CSI_SPAN("db_build");
   num_tracks_ = manifest->num_video_tracks();
   num_positions_ = manifest->num_positions();
-  CSI_TRACE_SPAN_ARGS("db_build", "db", {"tracks", num_tracks_},
-                      {"positions", num_positions_});
+  CSI_SPAN("db_build", {"tracks", num_tracks_}, {"positions", num_positions_});
   const size_t total = static_cast<size_t>(num_tracks_) * static_cast<size_t>(num_positions_);
   size_of_.assign(total, 0);
   min_at_.assign(static_cast<size_t>(num_positions_), 0);

@@ -185,10 +185,8 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   if (n_req == 0) {
     return set;
   }
-  CSI_SPAN("candidate_enum");
-  CSI_TRACE_SPAN_ARGS("candidate_enum", "search", {"requests", n_req},
-                      {"start_lo", start_lo}, {"start_hi", start_hi},
-                      {"estimated_total", group.estimated_total});
+  CSI_SPAN("candidate_enum", {"requests", n_req}, {"start_lo", start_lo},
+           {"start_hi", start_hi}, {"estimated_total", group.estimated_total});
   CSI_COUNTER_INC("csi_group_enumerations_total");
   InferenceAudit* const audit = CurrentAudit();
   if (audit != nullptr) {
@@ -525,9 +523,7 @@ class GroupSequenceSearcher {
   }
 
   InferenceResult Run() {
-    CSI_SPAN("sequence_chain");
-    CSI_TRACE_SPAN_ARGS("sequence_chain", "search",
-                        {"groups", static_cast<int64_t>(groups_.size())});
+    CSI_SPAN("sequence_chain", {"groups", static_cast<int64_t>(groups_.size())});
     InferenceResult result;
     for (const auto& g : groups_) {
       result.group_sizes.push_back(g.num_requests());

@@ -91,7 +91,7 @@ struct GroupSearchConfig {
   // Optional shared cross-trace result cache (see candidate_cache.h):
   // enumeration consults it before the DFS and publishes after rank+truncate,
   // so results are bit-identical cache-on vs cache-off by construction. Null
-  // (or CSI_CANDIDATE_CACHE=off): every enumeration computes. The caller
+  // (or CSI_CACHE=candidate:off): every enumeration computes. The caller
   // keeps the cache alive for the search's lifetime; it is safe to share
   // across concurrent searches.
   GroupCandidateCache* shared_cache = nullptr;

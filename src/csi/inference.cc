@@ -151,9 +151,7 @@ AnalysisPrefix InferenceEngine::ComputePrefix(
   AnalysisPrefix prefix;
   std::vector<uint32_t> media;
   {
-    CSI_SPAN("flow_classify");
-    CSI_TRACE_SPAN_ARGS("flow_classify", "stage",
-                        {"packets", static_cast<int64_t>(columns.packet_count())});
+    CSI_SPAN("flow_classify", {"packets", static_cast<int64_t>(columns.packet_count())});
     media = ClassifyMediaFlowIds(columns, config_.host_suffix);
   }
   prefix.media_flows = static_cast<int>(media.size());
@@ -172,14 +170,10 @@ AnalysisPrefix InferenceEngine::ComputePrefix(
   const capture::FlowView view = columns.flow(main_flow);
 
   if (config_.design == DesignType::kSQ) {
-    CSI_SPAN("traffic_split");
-    CSI_TRACE_SPAN_ARGS("traffic_split", "stage",
-                        {"packets", static_cast<int64_t>(view.size())});
+    CSI_SPAN("traffic_split", {"packets", static_cast<int64_t>(view.size())});
     prefix.groups = SplitIntoGroups(view, config_.splitter);
   } else {
-    CSI_SPAN("size_estimate");
-    CSI_TRACE_SPAN_ARGS("size_estimate", "stage",
-                        {"packets", static_cast<int64_t>(view.size())});
+    CSI_SPAN("size_estimate", {"packets", static_cast<int64_t>(view.size())});
     for (const EstimatedExchange& ex :
          EstimateExchanges(view, IsQuic(config_.design))) {
       if (ex.carries_sni) {
@@ -201,9 +195,7 @@ InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
                                          InferenceAudit* audit) const {
   capture::PacketColumns columns;
   {
-    CSI_SPAN("column_build");
-    CSI_TRACE_SPAN_ARGS("column_build", "stage",
-                        {"packets", static_cast<int64_t>(trace.size())});
+    CSI_SPAN("column_build", {"packets", static_cast<int64_t>(trace.size())});
     columns = capture::PacketColumns::Build(trace);
   }
   return Analyze(columns, display, audit);
@@ -212,9 +204,7 @@ InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
 InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {
-  CSI_SPAN("analyze");
-  CSI_TRACE_SPAN_ARGS("analyze", "stage",
-                      {"packets", static_cast<int64_t>(columns.packet_count())});
+  CSI_SPAN("analyze", {"packets", static_cast<int64_t>(columns.packet_count())});
   CSI_COUNTER_INC("csi_analyze_calls_total");
 
   AnalysisPrefixCache* const prefix_cache =
@@ -348,9 +338,7 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     }
     groups = &local_groups;
   }
-  CSI_SPAN("group_search");
-  CSI_TRACE_SPAN_ARGS("group_search", "stage",
-                      {"groups", static_cast<int64_t>(groups->size())});
+  CSI_SPAN("group_search", {"groups", static_cast<int64_t>(groups->size())});
   if (effective_audit != nullptr) {
     effective_audit->groups = static_cast<int>(groups->size());
   }

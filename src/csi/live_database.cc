@@ -77,7 +77,7 @@ DbSnapshot LiveChunkDatabase::Acquire() const { return DbSnapshot(Current()); }
 
 void LiveChunkDatabase::Publish(std::shared_ptr<const internal::SnapshotRep> rep) {
   const size_t delta_chunks = rep->delta.size();
-  [[maybe_unused]] const uint64_t epoch = rep->epoch;
+  const uint64_t epoch = rep->epoch;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     current_ = std::move(rep);
@@ -195,7 +195,6 @@ void LiveChunkDatabase::CompactFrom(std::shared_ptr<const media::Manifest> manif
   std::shared_ptr<const ChunkDatabase> base;
   {
     CSI_SPAN("db_compaction");
-    CSI_TRACE_SPAN("db_compaction", "db");
     base = std::make_shared<const ChunkDatabase>(
         manifest_version.get(), DbBuildOptions{options_.pool, options_.build_shards});
   }
@@ -258,7 +257,7 @@ void LiveChunkDatabase::StartBackgroundCompaction(
           std::atomic<bool>* flag;
           ~ClearFlag() { flag->store(false); }
         } clear{&compaction_running_};
-        CSI_TRACE_SPAN("background_compaction", "db");
+        CSI_SPAN("background_compaction");
         if (flow_id != 0 && trace::Enabled()) {
           trace::EmitFlow('t', "background_compaction", flow_id);
         }

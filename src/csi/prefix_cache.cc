@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <iterator>
 #include <utility>
 
@@ -27,7 +26,7 @@ inline uint64_t MixStep(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_PREFIX_CACHE=off (the real env read is
+// In-process override simulating CSI_CACHE=prefix:off (the real env read is
 // latched in a function-local static and cannot be flipped after first use).
 std::atomic<bool> g_force_env_off{false};
 
@@ -90,15 +89,8 @@ size_t AnalysisPrefixCache::QueryHash::operator()(const Query& q) const {
 AnalysisPrefixCache::AnalysisPrefixCache(size_t budget_bytes, int shards)
     : store_(budget_bytes, shards) {}
 
-bool AnalysisPrefixCache::IsOffValue(const std::string& value) {
-  return CacheOffSpelling(value);
-}
-
 bool AnalysisPrefixCache::EnvForcesOff() {
-  static const bool off = [] {
-    const char* env = std::getenv("CSI_PREFIX_CACHE");
-    return (env != nullptr && IsOffValue(env)) || CsiCacheEnvDisables("prefix");
-  }();
+  static const bool off = CsiCacheEnvDisables("prefix");
   return off || g_force_env_off.load(std::memory_order_relaxed);
 }
 
@@ -148,7 +140,6 @@ std::shared_ptr<const AnalysisPrefix> AnalysisPrefixCache::Lookup(const Query& q
     return nullptr;
   }
   CSI_SPAN("prefix_cache_lookup");
-  CSI_TRACE_SPAN("prefix_cache_lookup", "cache");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const AnalysisPrefix> hit;
   {

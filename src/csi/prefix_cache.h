@@ -34,8 +34,8 @@
 // jumps straight to the snapshot-dependent candidate/graph search without
 // copying packet vectors. Eviction is per-shard second-chance (clock) over a
 // byte budget via the shared ShardedClockStore (cache_common.h). Force-off
-// escape hatches: CSI_PREFIX_CACHE=off or the unified CSI_CACHE=prefix:off
-// turn every lookup into a miss and every insert into a no-op.
+// escape hatch: CSI_CACHE=prefix:off turns every lookup into a miss and
+// every insert into a no-op.
 
 #ifndef CSI_SRC_CSI_PREFIX_CACHE_H_
 #define CSI_SRC_CSI_PREFIX_CACHE_H_
@@ -108,16 +108,13 @@ class AnalysisPrefixCache {
   AnalysisPrefixCache(const AnalysisPrefixCache&) = delete;
   AnalysisPrefixCache& operator=(const AnalysisPrefixCache&) = delete;
 
-  // True when CSI_PREFIX_CACHE=off|OFF|0|none or the unified
-  // CSI_CACHE=prefix:off override forces the cache out of the picture
+  // True when the CSI_CACHE=prefix:off (or all:off) override forces the
+  // cache out of the picture
   // (environment checked once per process), or a test forced it via
   // ForceEnvOffForTest. Engines treat the cache as absent; a constructed
   // cache stays empty.
   static bool EnvForcesOff();
-  // Recognizer behind the env override, exposed so tests can pin the accepted
-  // spellings without re-execing under a modified environment.
-  static bool IsOffValue(const std::string& value);
-  // Test seam simulating CSI_PREFIX_CACHE=off in-process (the real env read
+  // Test seam simulating CSI_CACHE=prefix:off in-process (the real env read
   // is cached in a static). Always reset to false before the test returns.
   static void ForceEnvOffForTest(bool off);
 

@@ -1,6 +1,5 @@
 #include "src/csi/result_cache.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "src/common/telemetry.h"
@@ -16,7 +15,7 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_RESULT_CACHE=off (the real env read is
+// In-process override simulating CSI_CACHE=result:off (the real env read is
 // latched in a function-local static and cannot be flipped after first use).
 std::atomic<bool> g_force_env_off{false};
 
@@ -97,13 +96,8 @@ size_t ResultCache::QueryHash::operator()(const Query& q) const {
 
 ResultCache::ResultCache(size_t budget_bytes, int shards) : store_(budget_bytes, shards) {}
 
-bool ResultCache::IsOffValue(const std::string& value) { return CacheOffSpelling(value); }
-
 bool ResultCache::EnvForcesOff() {
-  static const bool off = [] {
-    const char* env = std::getenv("CSI_RESULT_CACHE");
-    return (env != nullptr && IsOffValue(env)) || CsiCacheEnvDisables("result");
-  }();
+  static const bool off = CsiCacheEnvDisables("result");
   return off || g_force_env_off.load(std::memory_order_relaxed);
 }
 
@@ -196,12 +190,11 @@ std::shared_ptr<const InferenceResult> ResultCache::Lookup(const Query& query,
     return nullptr;
   }
   CSI_SPAN("result_cache_lookup");
-  CSI_TRACE_SPAN("result_cache_lookup", "cache");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const InferenceResult> hit;
-  [[maybe_unused]] bool found = false;
+  bool found = false;
   bool same_state = false;
-  [[maybe_unused]] bool stale_snapshot = false;
+  bool stale_snapshot = false;
   bool invalidated = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);

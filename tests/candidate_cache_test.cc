@@ -308,7 +308,7 @@ class CandidateCacheInvalidation : public ::testing::Test {
  protected:
   void SetUp() override {
     if (GroupCandidateCache::EnvForcesOff()) {
-      GTEST_SKIP() << "CSI_CANDIDATE_CACHE forces the cache off";
+      GTEST_SKIP() << "CSI_CACHE=candidate:off in the environment";
     }
   }
 
@@ -436,7 +436,7 @@ TEST_F(CandidateCacheInvalidation, CompactionWithoutAppendsKeepsEntries) {
 
 TEST(CandidateCacheEviction, NeverExceedsByteBudgetUnderLoad) {
   if (GroupCandidateCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CANDIDATE_CACHE forces the cache off";
+    GTEST_SKIP() << "CSI_CACHE=candidate:off in the environment";
   }
   const Manifest m = SmallManifest(12);
   const ChunkDatabase db(&m);

@@ -168,7 +168,7 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     FlagParser parser;
     common.Register(&parser);
     const Argv args({"--manifest", "m.txt", "--design", "SQ",
-                     "--candidate-cache-mb", "128"});
+                     "--cache-mb", "candidate=128"});
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
     ASSERT_TRUE(common.Validate(&error)) << error;
     EXPECT_EQ(common.candidate_cache_mb, 128);
@@ -183,18 +183,18 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     EXPECT_EQ(common.candidate_cache_budget_mb(), 64);
   }
   {
-    // --candidate-cache off beats any budget.
+    // --cache candidate=off beats any budget.
     CommonOptions common;
     FlagParser parser;
     common.Register(&parser);
-    const Argv args({"--manifest", "m.txt", "--design", "SQ", "--candidate-cache",
-                     "off", "--candidate-cache-mb", "128"});
+    const Argv args({"--manifest", "m.txt", "--design", "SQ", "--cache",
+                     "candidate=off", "--cache-mb", "candidate=128"});
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
     ASSERT_TRUE(common.Validate(&error)) << error;
     EXPECT_EQ(common.candidate_cache_budget_mb(), 0);
   }
   {
-    // --candidate-cache-mb 0 disables without the switch.
+    // --cache-mb candidate=0 disables without the switch.
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
@@ -208,7 +208,7 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     common.design_name = "SQ";
     common.candidate_cache_mb = -1;
     EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("candidate-cache-mb"), std::string::npos);
+    EXPECT_NE(error.find("--cache-mb candidate"), std::string::npos);
   }
   {
     CommonOptions common;
@@ -216,7 +216,7 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     common.design_name = "SQ";
     common.candidate_cache = "maybe";
     EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("candidate-cache"), std::string::npos);
+    EXPECT_NE(error.find("--cache candidate"), std::string::npos);
   }
 }
 
@@ -268,28 +268,39 @@ TEST(CommonOptionsTest, UnifiedCacheFlagsCoverAllTiers) {
   ASSERT_TRUE(common.Validate(&error)) << error;
   EXPECT_EQ(common.prefix_cache_budget_mb(), 8);
   EXPECT_EQ(common.candidate_cache_budget_mb(), 16);
-  // off beats the budget, same combination rule as the legacy flags.
+  // off beats the budget.
   EXPECT_EQ(common.result_cache_budget_mb(), 0);
   EXPECT_EQ(common.result_cache_mb, 256);
 }
 
-TEST(CommonOptionsTest, LegacyCacheFlagsAliasUnifiedStorage) {
-  // Old and new spellings write the same variables: last one on the command
-  // line wins, regardless of which surface it came from.
+TEST(CommonOptionsTest, RepeatedCacheFlagsLastOneWins) {
   std::string error;
   CommonOptions common;
   FlagParser parser;
   common.Register(&parser);
   const Argv args({"--manifest", "m.txt", "--design", "SQ",
-                   "--candidate-cache-mb", "128",
+                   "--cache-mb", "candidate=128",
                    "--cache-mb", "candidate=32",
                    "--cache", "prefix=off",
-                   "--prefix-cache", "on"});
+                   "--cache", "prefix=on"});
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
   EXPECT_EQ(common.candidate_cache_budget_mb(), 32);
   EXPECT_EQ(common.prefix_cache, "on");
   EXPECT_EQ(common.prefix_cache_budget_mb(), 32);
+}
+
+TEST(CommonOptionsTest, PerTierCacheFlagsAreGone) {
+  for (const char* flag :
+       {"--candidate-cache", "--candidate-cache-mb", "--prefix-cache", "--prefix-cache-mb"}) {
+    CommonOptions common;
+    FlagParser parser;
+    common.Register(&parser);
+    const Argv args({"--manifest", "m.txt", "--design", "SQ", flag, "1"});
+    std::string error;
+    EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << flag;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+  }
 }
 
 TEST(CommonOptionsTest, ResultCacheFlagsValidate) {
@@ -330,8 +341,57 @@ TEST(CommonOptionsTest, CsiCacheEnvOverridesPerTier) {
   EXPECT_FALSE(infer::CsiCacheEnvDisables("candidate"));
   ASSERT_EQ(setenv("CSI_CACHE", "all:off", 1), 0);
   EXPECT_TRUE(infer::CsiCacheEnvDisables("candidate"));
+  // The value spellings that mean "off", for every tier.
+  for (const std::string tier : {"result", "prefix", "candidate"}) {
+    for (const std::string value : {"off", "OFF", "0", "none"}) {
+      ASSERT_EQ(setenv("CSI_CACHE", (tier + ":" + value).c_str(), 1), 0);
+      EXPECT_TRUE(infer::CsiCacheEnvDisables(tier.c_str())) << tier << ":" << value;
+    }
+    for (const std::string value : {"on", "", "1"}) {
+      ASSERT_EQ(setenv("CSI_CACHE", (tier + ":" + value).c_str(), 1), 0);
+      EXPECT_FALSE(infer::CsiCacheEnvDisables(tier.c_str())) << tier << ":" << value;
+    }
+  }
   ASSERT_EQ(unsetenv("CSI_CACHE"), 0);
   EXPECT_FALSE(infer::CsiCacheEnvDisables("result"));
+}
+
+// A hand-built snapshot shaped like one cold SQ batch plus its database
+// build: only stages that are not nested inside another reported stage may
+// add to a total.
+TEST(FormatStageBreakdownTest, CountsEachSecondOnce) {
+  telemetry::MetricsSnapshot snapshot;
+  const auto stage = [&snapshot](const char* name, double sum) {
+    telemetry::HistogramSnapshot h;
+    h.name = "csi_stage_duration_seconds";
+    h.labels = {{"stage", name}};
+    h.count = 1;
+    h.sum = sum;
+    snapshot.histograms.push_back(h);
+  };
+  stage("batch_analyze_all", 1.26);
+  stage("batch_trace", 1.25);
+  stage("column_build", 0.05);
+  stage("analyze", 1.0);
+  stage("result_cache_lookup", 0.01);
+  stage("prefix_cache_lookup", 0.02);
+  stage("flow_classify", 0.03);
+  stage("traffic_split", 0.07);
+  stage("group_search", 0.8);
+  stage("candidate_enum", 0.1);
+  stage("group_cache_lookup", 0.05);
+  stage("sequence_chain", 0.6);
+  stage("db_build", 0.2);
+  stage("db_build_shard", 0.15);
+  // Unlabelled stage histograms and other metrics are ignored.
+  telemetry::HistogramSnapshot task;
+  task.name = "csi_threadpool_task_duration_seconds";
+  task.sum = 9.0;
+  snapshot.histograms.push_back(task);
+  EXPECT_EQ(FormatStageBreakdown(snapshot),
+            "stage timing: analyze 1.000s; per-packet 0.100s (10.0%); "
+            "search 0.800s (80.0%); cache lookup 0.030s (3.0%); other stages 0.250s");
+  EXPECT_EQ(FormatStageBreakdown(telemetry::MetricsSnapshot{}), "");
 }
 
 TEST(CommonOptionsTest, ParseDesignNameCoversAllDesigns) {

@@ -130,7 +130,7 @@ TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryBackend) {
 
 TEST(ColdPathDifferential, TraceOverloadSharesPrefixCacheWithColumns) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "prefix cache forced off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest =

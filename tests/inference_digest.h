@@ -1,11 +1,10 @@
 // Shared fixed-batch + digest harness for instrumentation-invariance tests.
 //
 // telemetry_test and tracing_test lock inference output with the same golden
-// digest: the observability layers (metrics, traces, audits) must never
-// change what the pipeline computes, in any build mode. The digest is pure
-// integer arithmetic over a deterministic synthetic batch, so it is identical
-// on every platform and with telemetry/tracing enabled, runtime-disabled, or
-// compiled out.
+// digest: the observability plane (metrics, traces, audits) must never change
+// what the pipeline computes. The digest is pure integer arithmetic over a
+// deterministic synthetic batch, so it is identical on every platform and
+// with or without an active trace session.
 
 #ifndef CSI_TESTS_INFERENCE_DIGEST_H_
 #define CSI_TESTS_INFERENCE_DIGEST_H_
@@ -73,11 +72,10 @@ inline uint64_t DigestResults(const std::vector<infer::InferenceResult>& results
   return h;
 }
 
-// Golden digests of the fixed batches below, one per design type. Computed
-// with all instrumentation enabled; must match with telemetry/tracing
-// runtime-disabled, in -DCSI_TELEMETRY=OFF / -DCSI_TRACING=OFF (compiled-out)
-// builds, and with the candidate/prefix caches on, off, or env-disabled — CI
-// runs the invariance tests in each configuration.
+// Golden digests of the fixed batches below, one per design type. Must match
+// with and without an active trace session (full or flight mode), in
+// -DCSI_SIMD=OFF builds, and with any cache tier on, off, or env-disabled —
+// CI runs the invariance tests in each configuration.
 inline constexpr uint64_t kChBatchDigest = 0xd4a3acc8aa2025b6ull;
 inline constexpr uint64_t kShBatchDigest = 0xb3d468293556d2b8ull;
 inline constexpr uint64_t kCqBatchDigest = 0x29a194610a7aadffull;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "src/common/build_info.h"
 #include "src/common/telemetry.h"
 #include "src/testbed/experiment.h"
@@ -191,6 +194,32 @@ TEST(PrometheusExporter, BuildInfoIsWellFormed) {
   for (const auto& [key, value] : labels) {
     EXPECT_TRUE(telemetry::IsValidPrometheusLabelName(key)) << key;
     EXPECT_EQ(telemetry::PromEscapeLabelValue(value), value) << value;
+  }
+}
+
+// The label a cache-off run is recognized by must follow the one CSI_CACHE
+// override (restoring whatever value the caller's environment had).
+TEST(PrometheusExporter, BuildInfoCandidateCacheDefaultFollowsCsiCache) {
+  const auto label = [] {
+    for (const auto& [key, value] : BuildInfoLabels()) {
+      if (key == "candidate_cache_default") {
+        return value;
+      }
+    }
+    return std::string("missing");
+  };
+  const char* saved = std::getenv("CSI_CACHE");
+  const std::string restore = saved != nullptr ? saved : "";
+  ASSERT_EQ(setenv("CSI_CACHE", "candidate:off", 1), 0);
+  EXPECT_EQ(label(), "off");
+  ASSERT_EQ(setenv("CSI_CACHE", "all:off", 1), 0);
+  EXPECT_EQ(label(), "off");
+  ASSERT_EQ(setenv("CSI_CACHE", "result:off", 1), 0);
+  EXPECT_EQ(label(), "on");
+  ASSERT_EQ(unsetenv("CSI_CACHE"), 0);
+  EXPECT_EQ(label(), "on");
+  if (saved != nullptr) {
+    ASSERT_EQ(setenv("CSI_CACHE", restore.c_str(), 1), 0);
   }
 }
 

@@ -233,7 +233,7 @@ TEST(AnalysisPrefixCache, InternContextDistinguishesEveryKnob) {
 
 TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   AnalysisPrefixCache cache(1 << 20);
   const capture::CaptureTrace trace{BasePacket()};
@@ -264,7 +264,7 @@ TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
 
 TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   // Budget small enough that a few entries overflow each shard; the clock
   // sweep must keep per-shard bytes bounded and count evictions.
@@ -294,16 +294,6 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
   EXPECT_EQ(cache.Lookup(huge_query), nullptr);
   EXPECT_EQ(cache.stats().refused, 1u);
   EXPECT_EQ(cache.stats().inserts, inserts_before);
-}
-
-TEST(AnalysisPrefixCache, OffValueSpellings) {
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("off"));
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("OFF"));
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("0"));
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("none"));
-  EXPECT_FALSE(AnalysisPrefixCache::IsOffValue("on"));
-  EXPECT_FALSE(AnalysisPrefixCache::IsOffValue(""));
-  EXPECT_FALSE(AnalysisPrefixCache::IsOffValue("1"));
 }
 
 // --- Differential replay: on vs off vs env-disabled ------------------------
@@ -431,7 +421,7 @@ TEST(PrefixCacheSharing, WarmHitsAcrossEnginesAndBatches) {
   BatchAnalyzer first(&manifest, config, batch);
   const auto expected = first.AnalyzeAll(traces);
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   const auto cold = shared->stats();
   EXPECT_EQ(cold.hits, 0u);
@@ -483,7 +473,7 @@ media::Manifest PrefixManifest(const media::Manifest& full, int positions) {
 
 TEST(PrefixCacheLiveReplay, EntriesSurviveRefreshesAndStayByteIdentical) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =

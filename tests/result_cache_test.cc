@@ -244,19 +244,9 @@ TEST(ResultCacheMechanics, InternContextDistinguishesEveryKnob) {
   EXPECT_EQ(cache.stats().contexts, 12u);
 }
 
-TEST(ResultCacheMechanics, OffValueSpellings) {
-  EXPECT_TRUE(ResultCache::IsOffValue("off"));
-  EXPECT_TRUE(ResultCache::IsOffValue("OFF"));
-  EXPECT_TRUE(ResultCache::IsOffValue("0"));
-  EXPECT_TRUE(ResultCache::IsOffValue("none"));
-  EXPECT_FALSE(ResultCache::IsOffValue("on"));
-  EXPECT_FALSE(ResultCache::IsOffValue(""));
-  EXPECT_FALSE(ResultCache::IsOffValue("1"));
-}
-
 TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
@@ -348,7 +338,7 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
 
 TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
@@ -399,7 +389,7 @@ TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
 
 TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
@@ -428,7 +418,7 @@ TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
 
 TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
@@ -588,7 +578,7 @@ TEST(ResultCacheSharing, SecondBatchOverSameTracesRunsFullyWarm) {
   BatchAnalyzer analyzer(&manifest, config, batch);
   const auto expected = analyzer.AnalyzeAll(traces);
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   ASSERT_NE(analyzer.result_cache(), nullptr);
   const auto cold = analyzer.result_cache()->stats();
@@ -639,7 +629,7 @@ media::Manifest PrefixManifest(const media::Manifest& full, int positions) {
 
 TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =

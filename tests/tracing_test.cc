@@ -8,8 +8,7 @@
 //   * a flight-recorder session dumps the last events plus a metrics
 //     snapshot when a batch trace analysis throws, first failure wins;
 //   * instrumentation never changes inference output: the golden digest
-//     holds with tracing enabled, disabled, and — in the -DCSI_TRACING=OFF
-//     CI build — compiled out entirely, and collecting audits is equally
+//     holds with tracing on and off, and collecting audits is equally
 //     inert.
 
 #include <gtest/gtest.h>
@@ -39,14 +38,12 @@ using testutil::DigestResults;
 using testutil::kSqBatchDigest;
 using testutil::MakeBatch;
 
-[[maybe_unused]] std::string Slurp(const std::string& path) {
+std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
-
-#if !defined(CSI_TRACING_DISABLED)
 
 TEST(Tracing, RingOverwritesOldestAndCountsDrops) {
   trace::SessionOptions options;
@@ -170,8 +167,6 @@ TEST(Tracing, FlightRecorderDumpsOnAnalysisFailureFirstWins) {
   EXPECT_EQ(dump.find("cascade failure"), std::string::npos);
 }
 
-#endif  // !CSI_TRACING_DISABLED
-
 TEST(Tracing, ChromeTraceJsonGolden) {
   std::vector<trace::TraceEvent> events(5);
   events[0].name = "analyze";
@@ -224,10 +219,8 @@ TEST(Tracing, ChromeTraceJsonGolden) {
 }
 
 // The invariance contract, tracing edition: the golden digest holds with an
-// active full-mode session, with tracing runtime-off, and (when CI builds
-// with -DCSI_TRACING=OFF) compiled out — this test runs unchanged in every
-// configuration.
-TEST(TracingInvariance, ResultsByteIdenticalOnVsOffVsCompiledOut) {
+// active full-mode session and with tracing off.
+TEST(TracingInvariance, ResultsByteIdenticalOnVsOff) {
   // All four design paths, not just SQ: the CH/SH/CQ pipelines emit their own
   // span/instant mix (size_estimate instead of traffic_split, merge repair),
   // and each must be inert too.

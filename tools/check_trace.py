@@ -26,6 +26,13 @@ Result-cache telemetry checks on the same trace file:
     exactly once. "invalidated" instants are extra (a lookup that drops a
     stale entry then misses emits both), so they may not exceed lookups.
 
+Cross-plane check (--run-metrics, a metrics JSON export written by the same
+run as the trace): every stage span in the trace ('B' events of category
+"stage", all emitted by CSI_SPAN) must appear as a csi_stage_duration_seconds
+histogram with that stage label, and its 'B' count must not exceed the
+histogram's count — both planes come from the same span sites, and the trace
+may only hold fewer (ring overwrites, session start after the first stages).
+
 Optionally validates an --audit JSONL file: one JSON object per line, each
 with the per-trace audit fields the inference engine records.
 
@@ -38,7 +45,8 @@ csi_prefix_cache_*_total / csi_result_cache_*_total counter must be
 monotonically non-decreasing — the order should match the order the exports
 were produced in.
 
-Usage: check_trace.py TRACE_JSON [--audit AUDIT_JSONL] [--metrics JSON ...]
+Usage: check_trace.py TRACE_JSON [--run-metrics JSON] [--audit AUDIT_JSONL]
+                      [--metrics JSON ...]
 Exits non-zero with a message on the first violation.
 """
 
@@ -80,6 +88,7 @@ def check_trace(path):
     result_lookups = 0  # 'B' events of the result_cache_lookup span
     result_terminal = 0  # result_cache instants that resolve a lookup
     result_invalidated = 0  # extra instants for dropped stale entries
+    stage_begins = {}  # stage name -> 'B' count
     for i, ev in enumerate(events):
         where = f"{path}: event {i}"
         for key, types in (
@@ -101,6 +110,8 @@ def check_trace(path):
             fail(f"{where}: negative timestamp")
         if ph == "B":
             depth[ev["tid"]] = depth.get(ev["tid"], 0) + 1
+            if ev["cat"] == "stage":
+                stage_begins[ev["name"]] = stage_begins.get(ev["name"], 0) + 1
         elif ph == "E":
             d = depth.get(ev["tid"], 0)
             if d == 0:
@@ -183,6 +194,40 @@ def check_trace(path):
         f"{open_spans} trailing open span(s), "
         f"{prefix_lookups} prefix-cache lookup(s), "
         f"{result_lookups} result-cache lookup(s)"
+    )
+    return stage_begins
+
+
+def check_stage_planes(trace_path, stage_begins, metrics_path):
+    """Every traced stage is a stage histogram with at least as many samples."""
+    with open(metrics_path, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    if not isinstance(doc, dict) or not isinstance(doc.get("histograms"), list):
+        fail(f"{metrics_path}: metrics export must be an object with a histograms list")
+    counts = {}
+    for h in doc["histograms"]:
+        if not isinstance(h, dict) or h.get("name") != "csi_stage_duration_seconds":
+            continue
+        stage = h.get("labels", {}).get("stage")
+        if not isinstance(stage, str) or not isinstance(h.get("count"), int):
+            fail(f"{metrics_path}: malformed stage histogram {h!r}")
+        counts[stage] = h["count"]
+    if not stage_begins:
+        fail(f"{trace_path}: no stage spans to compare against {metrics_path}")
+    for stage, begins in sorted(stage_begins.items()):
+        if stage not in counts:
+            fail(
+                f"{trace_path}: stage span {stage!r} has no "
+                f"csi_stage_duration_seconds histogram in {metrics_path}"
+            )
+        if begins > counts[stage]:
+            fail(
+                f"{trace_path}: stage {stage!r} has {begins} 'B' event(s) but "
+                f"its histogram in {metrics_path} counts only {counts[stage]}"
+            )
+    print(
+        f"check_trace: OK: {len(stage_begins)} traced stage(s) present in the "
+        f"metrics plane"
     )
 
 
@@ -286,6 +331,11 @@ def check_metrics(paths):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace-event JSON file")
+    parser.add_argument(
+        "--run-metrics",
+        metavar="FILE",
+        help="metrics JSON export of the same run, for the cross-plane stage check",
+    )
     parser.add_argument("--audit", help="audit JSONL file to validate too")
     parser.add_argument(
         "--metrics",
@@ -295,7 +345,9 @@ def main():
         help="metrics JSON export(s), in production order; repeatable",
     )
     args = parser.parse_args()
-    check_trace(args.trace)
+    stage_begins = check_trace(args.trace)
+    if args.run_metrics:
+        check_stage_planes(args.trace, stage_begins, args.run_metrics)
     if args.audit:
         check_audit(args.audit)
     if args.metrics:

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "src/common/build_info.h"
 #include "src/common/telemetry.h"
@@ -143,18 +145,12 @@ void CommonOptions::Register(FlagParser* parser) {
   parser->AddString("--metrics-out", &metrics_out);
   parser->AddString("--metrics-format", &metrics_format);
   parser->AddInt("--db-build-threads", &db_build_threads);
-  // The unified per-tier cache flags and their legacy aliases write the same
-  // storage, so either spelling (or a mix) works and the last one wins.
   parser->AddKeyedString("--cache", "prefix", &prefix_cache);
   parser->AddKeyedString("--cache", "candidate", &candidate_cache);
   parser->AddKeyedString("--cache", "result", &result_cache);
   parser->AddKeyedInt("--cache-mb", "prefix", &prefix_cache_mb);
   parser->AddKeyedInt("--cache-mb", "candidate", &candidate_cache_mb);
   parser->AddKeyedInt("--cache-mb", "result", &result_cache_mb);
-  parser->AddInt("--candidate-cache-mb", &candidate_cache_mb);
-  parser->AddString("--candidate-cache", &candidate_cache);
-  parser->AddInt("--prefix-cache-mb", &prefix_cache_mb);
-  parser->AddString("--prefix-cache", &prefix_cache);
   parser->AddString("--trace-out", &trace_out);
   parser->AddString("--trace-mode", &trace_mode);
   parser->AddString("--audit-out", &audit_out);
@@ -186,41 +182,22 @@ bool CommonOptions::Validate(std::string* error) const {
     }
     return false;
   }
-  if (candidate_cache_mb < 0) {
-    if (error != nullptr) {
-      *error = "--candidate-cache-mb must be >= 0";
+  for (const auto& [name, mode, budget_mb] :
+       {std::tuple{"result", &result_cache, result_cache_mb},
+        std::tuple{"prefix", &prefix_cache, prefix_cache_mb},
+        std::tuple{"candidate", &candidate_cache, candidate_cache_mb}}) {
+    if (budget_mb < 0) {
+      if (error != nullptr) {
+        *error = std::string("--cache-mb ") + name + " must be >= 0";
+      }
+      return false;
     }
-    return false;
-  }
-  if (candidate_cache != "on" && candidate_cache != "off") {
-    if (error != nullptr) {
-      *error = "--candidate-cache must be on or off";
+    if (*mode != "on" && *mode != "off") {
+      if (error != nullptr) {
+        *error = std::string("--cache ") + name + " must be on or off";
+      }
+      return false;
     }
-    return false;
-  }
-  if (prefix_cache_mb < 0) {
-    if (error != nullptr) {
-      *error = "--prefix-cache-mb must be >= 0";
-    }
-    return false;
-  }
-  if (prefix_cache != "on" && prefix_cache != "off") {
-    if (error != nullptr) {
-      *error = "--prefix-cache must be on or off";
-    }
-    return false;
-  }
-  if (result_cache_mb < 0) {
-    if (error != nullptr) {
-      *error = "--cache-mb result must be >= 0";
-    }
-    return false;
-  }
-  if (result_cache != "on" && result_cache != "off") {
-    if (error != nullptr) {
-      *error = "--cache result must be on or off";
-    }
-    return false;
   }
   if (trace_mode != "full" && trace_mode != "flight") {
     if (error != nullptr) {
@@ -348,9 +325,15 @@ std::string FormatPrefixCacheSummary(const infer::AnalysisPrefixCache::Stats& st
 }
 
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
-  // Pull per-stage wall-clock sums out of the span histogram. Stage names are
-  // the CSI_SPAN sites in src/csi; anything unlisted lands in "other" so new
-  // spans never silently vanish from the breakdown.
+  // Per-stage wall-clock sums from the span histogram. Stages that run
+  // inside another reported stage, and envelopes around reported stages,
+  // are skipped so no second is counted twice: the search's candidate_enum,
+  // group_cache_lookup and sequence_chain; db_build's shards; the batch and
+  // per-trace envelopes; and the compaction wrappers around db_build. Any
+  // other stage lands in "other" so new spans never silently vanish.
+  static const std::set<std::string> kNestedOrEnvelope = {
+      "candidate_enum",    "group_cache_lookup", "sequence_chain", "db_build_shard",
+      "batch_analyze_all", "batch_trace",        "db_compaction",  "background_compaction"};
   double per_packet = 0.0;  // flow_classify + traffic_split + size_estimate
   double search = 0.0;      // group_search (candidate + graph layers)
   double cache_lookup = 0.0;
@@ -362,22 +345,18 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
         h.labels[0].first != "stage") {
       continue;
     }
+    any = true;
     const std::string& stage = h.labels[0].second;
     if (stage == "analyze") {
-      // The envelope span, not a component: it brackets everything below.
-      analyze += h.sum;
-      any = true;
-      continue;
-    }
-    any = true;
-    if (stage == "flow_classify" || stage == "traffic_split" || stage == "size_estimate") {
+      analyze += h.sum;  // the envelope the components are reported against
+    } else if (stage == "flow_classify" || stage == "traffic_split" ||
+               stage == "size_estimate") {
       per_packet += h.sum;
     } else if (stage == "group_search") {
       search += h.sum;
-    } else if (stage == "group_cache_lookup" || stage == "prefix_cache_lookup" ||
-               stage == "result_cache_lookup") {
+    } else if (stage == "prefix_cache_lookup" || stage == "result_cache_lookup") {
       cache_lookup += h.sum;
-    } else {
+    } else if (kNestedOrEnvelope.count(stage) == 0) {
       other += h.sum;
     }
   }
@@ -387,8 +366,8 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
   const auto pct = [analyze](double v) {
     return analyze > 0.0 ? 100.0 * v / analyze : 0.0;
   };
-  // "other" can include stages outside the analyze envelope (db build,
-  // exports), so the components are reported against analyze, not summed to
+  // "other" holds stages outside the analyze envelope (column build, db
+  // build), so the components are reported against analyze, not summed to
   // it.
   char buf[320];
   std::snprintf(buf, sizeof(buf),

@@ -72,12 +72,10 @@ struct CommonOptions {
   std::string metrics_format = "json";
   // Shard count for the chunk-database build (0 = one shard per worker).
   int db_build_threads = 0;
-  // Per-tier cache knobs, written by the unified `--cache <name>=on|off` /
-  // `--cache-mb <name>=N` flags and equally by the legacy per-tier flags
-  // (`--candidate-cache-mb` etc.), which are plain aliases of the same
-  // storage — last flag on the command line wins, whichever spelling. "off"
-  // wins over any budget; the CSI_CACHE=<name>:off (or legacy per-tier)
-  // environment override beats both.
+  // Per-tier cache knobs, written by the `--cache <name>=on|off` /
+  // `--cache-mb <name>=N` flags (last flag on the command line wins). "off"
+  // wins over any budget; the CSI_CACHE=<name>:off environment override
+  // beats both.
   // Byte budget (MiB) for the shared group-candidate cache; 0 disables it.
   int candidate_cache_mb = 64;
   // "on" (default) or "off".
@@ -87,7 +85,6 @@ struct CommonOptions {
   // "on" (default) or "off".
   std::string prefix_cache = "on";
   // Byte budget (MiB) for the shared whole-result cache; 0 disables it.
-  // Unified spelling only (the tier is newer than the legacy flags).
   int result_cache_mb = 64;
   // "on" (default) or "off".
   std::string result_cache = "on";
@@ -102,10 +99,9 @@ struct CommonOptions {
   std::string audit_out;
 
   // Registers --manifest, --design, --host, --metrics-out, --metrics-format,
-  // --db-build-threads, the unified cache flags --cache <name>=on|off and
-  // --cache-mb <name>=N for name in {prefix, candidate, result}, their legacy
-  // aliases --candidate-cache-mb, --candidate-cache, --prefix-cache-mb,
-  // --prefix-cache, plus --trace-out, --trace-mode, --audit-out.
+  // --db-build-threads, the cache flags --cache <name>=on|off and
+  // --cache-mb <name>=N for name in {prefix, candidate, result}, plus
+  // --trace-out, --trace-mode, --audit-out.
   void Register(FlagParser* parser);
   // Returns false and fills *error when required flags are missing or values
   // are out of range. Call after Parse().
@@ -160,11 +156,11 @@ std::string FormatPrefixCacheSummary(const infer::AnalysisPrefixCache::Stats& st
 
 // Per-stage timing breakdown from the csi_stage_duration_seconds span
 // histograms in `snapshot`: per-packet stages (flow_classify, traffic_split,
-// size_estimate) vs. the candidate/graph search (group_search), plus cache
-// lookup overhead — so the prefix-cache win is visible straight from the
-// csi_batch summary, no trace viewer needed. Empty string when the snapshot
-// carries no stage histograms (e.g. telemetry compiled out). No trailing
-// newline.
+// size_estimate) vs. the candidate/graph search (group_search), plus the
+// prefix/result cache lookups, each against the analyze envelope, and the
+// top-level stages outside it as "other". Stages nested inside a reported
+// stage are not counted again. Empty string when the snapshot carries no
+// stage histograms. No trailing newline.
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);
 
 // Writes audits[i] as a JSON line labeled labels[i] (falling back to the

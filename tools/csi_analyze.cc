@@ -39,8 +39,7 @@ namespace {
                "                   [--host SUFFIX] [--max-sequences N]\n"
                "                   [--report sequence|qoe|both] [--db-build-threads N]\n"
                "                   [--cache NAME=on|off] [--cache-mb NAME=N]\n"
-               "                   (NAME in {result, prefix, candidate}; legacy\n"
-               "                   --candidate-cache*/--prefix-cache* flags still accepted)\n"
+               "                   (NAME in {result, prefix, candidate})\n"
                "                   [--metrics-out FILE] [--metrics-format json|prom]\n"
                "                   [--trace-out FILE] [--trace-mode full|flight]\n"
                "                   [--audit-out FILE]\n");

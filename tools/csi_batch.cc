@@ -72,9 +72,7 @@ namespace {
                "                         compaction (default 4096; 0 = every refresh)\n"
                "  --cache NAME=on|off    toggle one shared cache tier, NAME in\n"
                "                         {result, prefix, candidate}; results are\n"
-               "                         byte-identical with any subset enabled. Legacy\n"
-               "                         spellings --candidate-cache / --prefix-cache\n"
-               "                         (and their -mb forms) remain as aliases\n"
+               "                         byte-identical with any subset enabled\n"
                "  --cache-mb NAME=N      byte budget (MiB) for one tier (defaults:\n"
                "                         result 64, prefix 32, candidate 64; 0 disables).\n"
                "                         CSI_CACHE=NAME:off,... overrides from the\n"
