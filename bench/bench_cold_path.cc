@@ -5,9 +5,7 @@
 // columns. The per-stage benches attribute it: flow classification,
 // request/size estimation (CH), traffic splitting (SQ) and the prefix-cache
 // fingerprint, each run over pre-built columns so the stage cost is isolated
-// from the one-time transpose that BM_BuildColumns measures. The kernel
-// micros compare the forced-scalar and active-SIMD dispatch of the two
-// hottest column scans on a synthetic 64k-packet column.
+// from the one-time transpose that BM_BuildColumns measures.
 
 #include <benchmark/benchmark.h>
 
@@ -15,8 +13,6 @@
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/prefix_cache.h"
@@ -155,78 +151,6 @@ void BM_SqColdBatch(benchmark::State& state) {
   RunColdBatch(state, SqWorkload(), infer::DesignType::kSQ);
 }
 
-// --- Kernel micros: scalar vs active dispatch --------------------------------
-
-struct KernelColumns {
-  std::vector<int64_t> ts;
-  std::vector<int64_t> payload;
-  std::vector<uint8_t> dir;
-};
-
-const KernelColumns& SyntheticColumns() {
-  static const KernelColumns* cols = [] {
-    auto* c = new KernelColumns;
-    Rng rng(77);
-    constexpr size_t kPackets = 64 * 1024;
-    int64_t now = 0;
-    for (size_t i = 0; i < kPackets; ++i) {
-      now += rng.UniformInt(1, 2000);
-      c->ts.push_back(now);
-      c->payload.push_back(rng.UniformInt(0, 1500));
-      c->dir.push_back(rng.Chance(0.3) ? 1 : 0);
-    }
-    return c;
-  }();
-  return *cols;
-}
-
-void RunSumInWindow(benchmark::State& state, simd::Backend backend) {
-  const KernelColumns& c = SyntheticColumns();
-  const simd::Backend saved = simd::ActiveBackend();
-  if (!simd::ForceBackend(backend)) {
-    state.SkipWithError("backend unsupported");
-    return;
-  }
-  const int64_t end = c.ts.back() / 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::SumInWindow(c.ts.data(), c.payload.data(), c.ts.size(), 0, end));
-  }
-  simd::ForceBackend(saved);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(c.ts.size()));
-}
-
-void BM_SumInWindow_Scalar(benchmark::State& state) {
-  RunSumInWindow(state, simd::Backend::kScalar);
-}
-void BM_SumInWindow_Simd(benchmark::State& state) {
-  RunSumInWindow(state, simd::ActiveBackend());
-}
-
-void RunCollectIndices(benchmark::State& state, simd::Backend backend) {
-  const KernelColumns& c = SyntheticColumns();
-  const simd::Backend saved = simd::ActiveBackend();
-  if (!simd::ForceBackend(backend)) {
-    state.SkipWithError("backend unsupported");
-    return;
-  }
-  std::vector<uint32_t> out(c.ts.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::CollectIndices(c.dir.data(), 1, c.payload.data(),
-                                                  infer::kQuicRequestThreshold,
-                                                  c.dir.size(), out.data()));
-  }
-  simd::ForceBackend(saved);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(c.dir.size()));
-}
-
-void BM_CollectIndices_Scalar(benchmark::State& state) {
-  RunCollectIndices(state, simd::Backend::kScalar);
-}
-void BM_CollectIndices_Simd(benchmark::State& state) {
-  RunCollectIndices(state, simd::ActiveBackend());
-}
-
 }  // namespace
 
 BENCHMARK(BM_BuildColumns);
@@ -236,9 +160,5 @@ BENCHMARK(BM_SplitGroups);
 BENCHMARK(BM_Fingerprint);
 BENCHMARK(BM_ChColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_SumInWindow_Scalar);
-BENCHMARK(BM_SumInWindow_Simd);
-BENCHMARK(BM_CollectIndices_Scalar);
-BENCHMARK(BM_CollectIndices_Simd);
 
 BENCHMARK_MAIN();

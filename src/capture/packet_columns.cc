@@ -4,8 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "src/common/simd.h"
-
 namespace csi::capture {
 
 const std::string PacketColumns::empty_sni_;
@@ -15,12 +13,14 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   const size_t n = trace.size();
   std::vector<uint32_t> flow_of(n);
 
-  // Pass 1: intern flow keys in first-appearance order, count packets per
-  // flow, record first non-empty SNIs, and intern the distinct SNI strings.
+  // Pass 1: intern flow keys in first-appearance order, count packets and
+  // downlink bytes per flow and runs of equal flow ids, record first
+  // non-empty SNIs, and intern the distinct SNI strings.
   std::map<FlowKey, uint32_t> flow_ids;
   std::map<std::string, int32_t> sni_ids;
   std::vector<uint32_t> counts;
   std::vector<int32_t> sni_of(n, -1);
+  size_t runs = 0;
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
     const auto [it, inserted] = flow_ids.try_emplace(
@@ -28,11 +28,16 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
     if (inserted) {
       c.flow_keys_.push_back(it->first);
       c.flow_snis_.emplace_back();
+      c.flow_downlink_.push_back(0);
       counts.push_back(0);
     }
     const uint32_t f = it->second;
+    runs += (i == 0 || flow_of[i - 1] != f) ? 1 : 0;
     flow_of[i] = f;
     ++counts[f];
+    if (!r.from_client) {
+      c.flow_downlink_[f] += r.payload;
+    }
     if (!r.sni.empty()) {
       if (c.flow_snis_[f].empty()) {
         c.flow_snis_[f] = r.sni;
@@ -56,7 +61,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   // packets are already contiguous, the runs appear in first-appearance (= id)
   // order, so the permutation is the identity and no cursors are needed.
   std::vector<uint32_t> slot_of(n);
-  if (simd::CountRuns(flow_of.data(), n) == flows) {
+  if (runs == flows) {
     std::iota(slot_of.begin(), slot_of.end(), 0u);
   } else {
     std::vector<size_t> cursor(c.flow_begin_.begin(),
@@ -86,14 +91,6 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
     c.pn_[slot] = r.quic_packet_number;
     c.dir_[slot] = r.from_client ? 1 : 0;
     c.sni_ref_[slot] = sni_of[i];
-  }
-
-  // Per-flow downlink totals straight off the columns.
-  c.flow_downlink_.resize(flows);
-  for (size_t f = 0; f < flows; ++f) {
-    const size_t b = c.flow_begin_[f];
-    c.flow_downlink_[f] = simd::DirectionMaskedSum(
-        c.dir_.data() + b, 0, c.payload_.data() + b, c.flow_begin_[f + 1] - b);
   }
   return c;
 }

@@ -5,7 +5,7 @@
 // packet. The cold inference path — classify, split, request detection, size
 // estimation, fingerprinting — only ever streams a few scalar fields at a
 // time, so `PacketColumns` transposes the trace once into parallel flat
-// columns that the SIMD kernels in src/common/simd.h can scan directly:
+// columns that those stages scan with plain loops:
 //
 //   - int64 timestamp / payload / wire-size columns,
 //   - uint64 tcp-seq / tcp-ack / quic-packet-number columns,
@@ -45,7 +45,7 @@ inline constexpr char kPacketLayoutVersion[] = "soa-v1";
 class PacketColumns;
 
 // Non-owning view of one flow's contiguous column span. Pointer accessors are
-// already offset to the flow's first packet, so kernels index 0..size().
+// already offset to the flow's first packet, so stages index 0..size().
 struct FlowView {
   const PacketColumns* columns = nullptr;
   uint32_t flow = 0;

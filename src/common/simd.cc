@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #if !defined(CSI_SIMD_DISABLED)
@@ -27,75 +26,6 @@ size_t CountBelowScalar(const int64_t* data, size_t n, int64_t bound) {
   return count;
 }
 
-// The scalar column kernels are the reference semantics: every vector backend
-// below must match them bit-for-bit on every input (the cold-path differential
-// test sweeps them against each other). Dispatchers normalize end < 0 to
-// INT64_MAX before these run, so the window test is a plain pair of compares.
-
-int64_t SumInWindowScalar(const int64_t* ts, const int64_t* values, size_t n,
-                          int64_t begin, int64_t end) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (ts[i] > begin && ts[i] <= end) {
-      sum += values[i];
-    }
-  }
-  return sum;
-}
-
-void MaskedQuicPayloadScalar(const uint8_t* from_client, const int64_t* payload,
-                             size_t n, int64_t header, int64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t stripped = payload[i] - header;
-    out[i] = (from_client[i] != 0 || stripped < 0) ? 0 : stripped;
-  }
-}
-
-int64_t DirectionMaskedSumScalar(const uint8_t* from_client, uint8_t want,
-                                 const int64_t* payload, size_t n) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (from_client[i] == want) {
-      sum += payload[i];
-    }
-  }
-  return sum;
-}
-
-size_t CollectIndicesScalar(const uint8_t* from_client, uint8_t want,
-                            const int64_t* payload, int64_t min_payload,
-                            size_t n, uint32_t* out) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (from_client[i] == want && payload[i] >= min_payload) {
-      out[count++] = static_cast<uint32_t>(i);
-    }
-  }
-  return count;
-}
-
-int64_t MaxTsInWindowScalar(const int64_t* ts, const uint8_t* mask, size_t n,
-                            int64_t begin, int64_t end) {
-  int64_t best = INT64_MIN;
-  for (size_t i = 0; i < n; ++i) {
-    if (mask[i] != 0 && ts[i] > begin && ts[i] <= end && ts[i] > best) {
-      best = ts[i];
-    }
-  }
-  return best;
-}
-
-size_t CountRunsScalar(const uint32_t* ids, size_t n) {
-  if (n == 0) {
-    return 0;
-  }
-  size_t runs = 1;
-  for (size_t i = 1; i < n; ++i) {
-    runs += ids[i] != ids[i - 1] ? 1 : 0;
-  }
-  return runs;
-}
-
 #if defined(CSI_SIMD_X86)
 
 // Per-64-bit-lane sign mask using only SSE2 ops: arithmetic-shift each 32-bit
@@ -114,18 +44,6 @@ inline __m128i CmpLt64Sse2(__m128i a, __m128i b) {
   const __m128i sel =
       _mm_or_si128(_mm_andnot_si128(mixed, diff), _mm_and_si128(mixed, a));
   return SignMask64Sse2(sel);
-}
-
-// Per-64-bit-lane equality using only SSE2 ops: both 32-bit halves of a lane
-// must compare equal.
-inline __m128i CmpEq64Sse2(__m128i a, __m128i b) {
-  const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-  return _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
-// Widen two adjacent direction/mask bytes into 64-bit lanes.
-inline __m128i BytePair64Sse2(const uint8_t* d) {
-  return _mm_set_epi64x(static_cast<int64_t>(d[1]), static_cast<int64_t>(d[0]));
 }
 
 size_t CountBelowSse2(const int64_t* data, size_t n, int64_t bound) {
@@ -166,326 +84,6 @@ __attribute__((target("avx2"))) size_t CountBelowAvx2(const int64_t* data,
   return count;
 }
 
-int64_t SumInWindowSse2(const int64_t* ts, const int64_t* values, size_t n,
-                        int64_t begin, int64_t end) {
-  const __m128i b = _mm_set1_epi64x(begin);
-  const __m128i e = _mm_set1_epi64x(end);
-  __m128i acc = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i t = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ts + i));
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    // ts > begin && !(end < ts)
-    const __m128i in_window =
-        _mm_andnot_si128(CmpLt64Sse2(e, t), CmpLt64Sse2(b, t));
-    acc = _mm_add_epi64(acc, _mm_and_si128(v, in_window));
-  }
-  alignas(16) int64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) {
-    if (ts[i] > begin && ts[i] <= end) {
-      sum += values[i];
-    }
-  }
-  return sum;
-}
-
-void MaskedQuicPayloadSse2(const uint8_t* from_client, const int64_t* payload,
-                           size_t n, int64_t header, int64_t* out) {
-  const __m128i h = _mm_set1_epi64x(header);
-  const __m128i zero = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i p =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(payload + i));
-    const __m128i stripped = _mm_sub_epi64(p, h);
-    // max(stripped, 0): zero out lanes whose sign bit is set.
-    const __m128i kept = _mm_andnot_si128(SignMask64Sse2(stripped), stripped);
-    const __m128i downlink = CmpEq64Sse2(BytePair64Sse2(from_client + i), zero);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_and_si128(kept, downlink));
-  }
-  for (; i < n; ++i) {
-    const int64_t stripped = payload[i] - header;
-    out[i] = (from_client[i] != 0 || stripped < 0) ? 0 : stripped;
-  }
-}
-
-int64_t DirectionMaskedSumSse2(const uint8_t* from_client, uint8_t want,
-                               const int64_t* payload, size_t n) {
-  const __m128i w = _mm_set1_epi64x(static_cast<int64_t>(want));
-  __m128i acc = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i p =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(payload + i));
-    const __m128i match = CmpEq64Sse2(BytePair64Sse2(from_client + i), w);
-    acc = _mm_add_epi64(acc, _mm_and_si128(p, match));
-  }
-  alignas(16) int64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int64_t sum = lanes[0] + lanes[1];
-  for (; i < n; ++i) {
-    if (from_client[i] == want) {
-      sum += payload[i];
-    }
-  }
-  return sum;
-}
-
-size_t CollectIndicesSse2(const uint8_t* from_client, uint8_t want,
-                          const int64_t* payload, int64_t min_payload, size_t n,
-                          uint32_t* out) {
-  const __m128i w = _mm_set1_epi64x(static_cast<int64_t>(want));
-  const __m128i mp = _mm_set1_epi64x(min_payload);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i p =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(payload + i));
-    // dir == want && !(payload < min_payload)
-    const __m128i ok = _mm_andnot_si128(
-        CmpLt64Sse2(p, mp), CmpEq64Sse2(BytePair64Sse2(from_client + i), w));
-    const int mask = _mm_movemask_pd(_mm_castsi128_pd(ok));
-    if (mask & 1) {
-      out[count++] = static_cast<uint32_t>(i);
-    }
-    if (mask & 2) {
-      out[count++] = static_cast<uint32_t>(i + 1);
-    }
-  }
-  for (; i < n; ++i) {
-    if (from_client[i] == want && payload[i] >= min_payload) {
-      out[count++] = static_cast<uint32_t>(i);
-    }
-  }
-  return count;
-}
-
-int64_t MaxTsInWindowSse2(const int64_t* ts, const uint8_t* mask, size_t n,
-                          int64_t begin, int64_t end) {
-  const __m128i b = _mm_set1_epi64x(begin);
-  const __m128i e = _mm_set1_epi64x(end);
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i floor = _mm_set1_epi64x(INT64_MIN);
-  __m128i best = floor;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i t = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ts + i));
-    const __m128i in_window =
-        _mm_andnot_si128(CmpLt64Sse2(e, t), CmpLt64Sse2(b, t));
-    const __m128i qualifies = _mm_andnot_si128(
-        CmpEq64Sse2(BytePair64Sse2(mask + i), zero), in_window);
-    const __m128i cand = _mm_or_si128(_mm_and_si128(qualifies, t),
-                                      _mm_andnot_si128(qualifies, floor));
-    const __m128i lt = CmpLt64Sse2(best, cand);
-    best = _mm_or_si128(_mm_and_si128(lt, cand), _mm_andnot_si128(lt, best));
-  }
-  alignas(16) int64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), best);
-  int64_t result = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; i < n; ++i) {
-    if (mask[i] != 0 && ts[i] > begin && ts[i] <= end && ts[i] > result) {
-      result = ts[i];
-    }
-  }
-  return result;
-}
-
-size_t CountRunsSse2(const uint32_t* ids, size_t n) {
-  if (n == 0) {
-    return 0;
-  }
-  size_t breaks = 0;
-  size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i));
-    const __m128i prev =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i - 1));
-    const int eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, prev)));
-    breaks += static_cast<size_t>(__builtin_popcount(~eq & 0xF));
-  }
-  for (; i < n; ++i) {
-    breaks += ids[i] != ids[i - 1] ? 1 : 0;
-  }
-  return breaks + 1;
-}
-
-// Widen four adjacent direction/mask bytes into 64-bit lanes.
-__attribute__((target("avx2"))) inline __m256i ByteQuad64Avx2(
-    const uint8_t* d) {
-  uint32_t word;
-  std::memcpy(&word, d, sizeof(word));
-  return _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(word)));
-}
-
-__attribute__((target("avx2"))) int64_t SumInWindowAvx2(const int64_t* ts,
-                                                        const int64_t* values,
-                                                        size_t n, int64_t begin,
-                                                        int64_t end) {
-  const __m256i b = _mm256_set1_epi64x(begin);
-  const __m256i e = _mm256_set1_epi64x(end);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i t =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ts + i));
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    // ts > begin && !(ts > end)
-    const __m256i in_window = _mm256_andnot_si256(_mm256_cmpgt_epi64(t, e),
-                                                  _mm256_cmpgt_epi64(t, b));
-    acc = _mm256_add_epi64(acc, _mm256_and_si256(v, in_window));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    if (ts[i] > begin && ts[i] <= end) {
-      sum += values[i];
-    }
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) void MaskedQuicPayloadAvx2(
-    const uint8_t* from_client, const int64_t* payload, size_t n,
-    int64_t header, int64_t* out) {
-  const __m256i h = _mm256_set1_epi64x(header);
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(payload + i));
-    const __m256i stripped = _mm256_sub_epi64(p, h);
-    const __m256i kept =
-        _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, stripped), stripped);
-    const __m256i downlink =
-        _mm256_cmpeq_epi64(ByteQuad64Avx2(from_client + i), zero);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(kept, downlink));
-  }
-  for (; i < n; ++i) {
-    const int64_t stripped = payload[i] - header;
-    out[i] = (from_client[i] != 0 || stripped < 0) ? 0 : stripped;
-  }
-}
-
-__attribute__((target("avx2"))) int64_t DirectionMaskedSumAvx2(
-    const uint8_t* from_client, uint8_t want, const int64_t* payload,
-    size_t n) {
-  const __m256i w = _mm256_set1_epi64x(static_cast<int64_t>(want));
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(payload + i));
-    const __m256i match =
-        _mm256_cmpeq_epi64(ByteQuad64Avx2(from_client + i), w);
-    acc = _mm256_add_epi64(acc, _mm256_and_si256(p, match));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    if (from_client[i] == want) {
-      sum += payload[i];
-    }
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) size_t CollectIndicesAvx2(
-    const uint8_t* from_client, uint8_t want, const int64_t* payload,
-    int64_t min_payload, size_t n, uint32_t* out) {
-  const __m256i w = _mm256_set1_epi64x(static_cast<int64_t>(want));
-  const __m256i mp = _mm256_set1_epi64x(min_payload);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(payload + i));
-    // dir == want && !(min_payload > payload)
-    const __m256i ok =
-        _mm256_andnot_si256(_mm256_cmpgt_epi64(mp, p),
-                            _mm256_cmpeq_epi64(ByteQuad64Avx2(from_client + i), w));
-    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(ok));
-    for (int lane = 0; lane < 4; ++lane) {
-      if (mask & (1 << lane)) {
-        out[count++] = static_cast<uint32_t>(i + static_cast<size_t>(lane));
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    if (from_client[i] == want && payload[i] >= min_payload) {
-      out[count++] = static_cast<uint32_t>(i);
-    }
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) int64_t MaxTsInWindowAvx2(const int64_t* ts,
-                                                          const uint8_t* mask,
-                                                          size_t n,
-                                                          int64_t begin,
-                                                          int64_t end) {
-  const __m256i b = _mm256_set1_epi64x(begin);
-  const __m256i e = _mm256_set1_epi64x(end);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i floor = _mm256_set1_epi64x(INT64_MIN);
-  __m256i best = floor;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i t =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ts + i));
-    const __m256i in_window = _mm256_andnot_si256(_mm256_cmpgt_epi64(t, e),
-                                                  _mm256_cmpgt_epi64(t, b));
-    const __m256i qualifies = _mm256_andnot_si256(
-        _mm256_cmpeq_epi64(ByteQuad64Avx2(mask + i), zero), in_window);
-    const __m256i cand = _mm256_blendv_epi8(floor, t, qualifies);
-    best = _mm256_blendv_epi8(best, cand, _mm256_cmpgt_epi64(cand, best));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-  int64_t result = lanes[0];
-  for (int lane = 1; lane < 4; ++lane) {
-    if (lanes[lane] > result) {
-      result = lanes[lane];
-    }
-  }
-  for (; i < n; ++i) {
-    if (mask[i] != 0 && ts[i] > begin && ts[i] <= end && ts[i] > result) {
-      result = ts[i];
-    }
-  }
-  return result;
-}
-
-__attribute__((target("avx2"))) size_t CountRunsAvx2(const uint32_t* ids,
-                                                     size_t n) {
-  if (n == 0) {
-    return 0;
-  }
-  size_t breaks = 0;
-  size_t i = 1;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    const __m256i prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i - 1));
-    const int eq =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, prev)));
-    breaks += static_cast<size_t>(__builtin_popcount(~eq & 0xFF));
-  }
-  for (; i < n; ++i) {
-    breaks += ids[i] != ids[i - 1] ? 1 : 0;
-  }
-  return breaks + 1;
-}
-
 #endif  // CSI_SIMD_X86
 
 #if defined(CSI_SIMD_NEON)
@@ -504,144 +102,6 @@ size_t CountBelowNeon(const int64_t* data, size_t n, int64_t bound) {
     count += data[i] < bound ? 1 : 0;
   }
   return count;
-}
-
-// Widen two adjacent direction/mask bytes into 64-bit lanes.
-inline int64x2_t BytePair64Neon(const uint8_t* d) {
-  return vcombine_s64(vcreate_s64(static_cast<uint64_t>(d[0])),
-                      vcreate_s64(static_cast<uint64_t>(d[1])));
-}
-
-int64_t SumInWindowNeon(const int64_t* ts, const int64_t* values, size_t n,
-                        int64_t begin, int64_t end) {
-  const int64x2_t b = vdupq_n_s64(begin);
-  const int64x2_t e = vdupq_n_s64(end);
-  int64x2_t acc = vdupq_n_s64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t t = vld1q_s64(ts + i);
-    const int64x2_t v = vld1q_s64(values + i);
-    const uint64x2_t in_window = vandq_u64(vcgtq_s64(t, b), vcleq_s64(t, e));
-    acc = vaddq_s64(acc, vandq_s64(v, vreinterpretq_s64_u64(in_window)));
-  }
-  int64_t sum = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-  for (; i < n; ++i) {
-    if (ts[i] > begin && ts[i] <= end) {
-      sum += values[i];
-    }
-  }
-  return sum;
-}
-
-void MaskedQuicPayloadNeon(const uint8_t* from_client, const int64_t* payload,
-                           size_t n, int64_t header, int64_t* out) {
-  const int64x2_t h = vdupq_n_s64(header);
-  const int64x2_t zero = vdupq_n_s64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t p = vld1q_s64(payload + i);
-    const int64x2_t stripped = vsubq_s64(p, h);
-    const int64x2_t kept = vandq_s64(
-        stripped, vreinterpretq_s64_u64(vcgtq_s64(stripped, zero)));
-    const uint64x2_t downlink = vceqq_s64(BytePair64Neon(from_client + i), zero);
-    vst1q_s64(out + i, vandq_s64(kept, vreinterpretq_s64_u64(downlink)));
-  }
-  for (; i < n; ++i) {
-    const int64_t stripped = payload[i] - header;
-    out[i] = (from_client[i] != 0 || stripped < 0) ? 0 : stripped;
-  }
-}
-
-int64_t DirectionMaskedSumNeon(const uint8_t* from_client, uint8_t want,
-                               const int64_t* payload, size_t n) {
-  const int64x2_t w = vdupq_n_s64(static_cast<int64_t>(want));
-  int64x2_t acc = vdupq_n_s64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t p = vld1q_s64(payload + i);
-    const uint64x2_t match = vceqq_s64(BytePair64Neon(from_client + i), w);
-    acc = vaddq_s64(acc, vandq_s64(p, vreinterpretq_s64_u64(match)));
-  }
-  int64_t sum = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-  for (; i < n; ++i) {
-    if (from_client[i] == want) {
-      sum += payload[i];
-    }
-  }
-  return sum;
-}
-
-size_t CollectIndicesNeon(const uint8_t* from_client, uint8_t want,
-                          const int64_t* payload, int64_t min_payload, size_t n,
-                          uint32_t* out) {
-  const int64x2_t w = vdupq_n_s64(static_cast<int64_t>(want));
-  const int64x2_t mp = vdupq_n_s64(min_payload);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t p = vld1q_s64(payload + i);
-    const uint64x2_t ok = vandq_u64(
-        vceqq_s64(BytePair64Neon(from_client + i), w), vcgeq_s64(p, mp));
-    if (vgetq_lane_u64(ok, 0) != 0) {
-      out[count++] = static_cast<uint32_t>(i);
-    }
-    if (vgetq_lane_u64(ok, 1) != 0) {
-      out[count++] = static_cast<uint32_t>(i + 1);
-    }
-  }
-  for (; i < n; ++i) {
-    if (from_client[i] == want && payload[i] >= min_payload) {
-      out[count++] = static_cast<uint32_t>(i);
-    }
-  }
-  return count;
-}
-
-int64_t MaxTsInWindowNeon(const int64_t* ts, const uint8_t* mask, size_t n,
-                          int64_t begin, int64_t end) {
-  const int64x2_t b = vdupq_n_s64(begin);
-  const int64x2_t e = vdupq_n_s64(end);
-  const int64x2_t zero = vdupq_n_s64(0);
-  const int64x2_t floor = vdupq_n_s64(INT64_MIN);
-  int64x2_t best = floor;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t t = vld1q_s64(ts + i);
-    const uint64x2_t in_window = vandq_u64(vcgtq_s64(t, b), vcleq_s64(t, e));
-    const uint64x2_t qualifies =
-        vbicq_u64(in_window, vceqq_s64(BytePair64Neon(mask + i), zero));
-    const int64x2_t cand = vbslq_s64(qualifies, t, floor);
-    best = vbslq_s64(vcgtq_s64(cand, best), cand, best);
-  }
-  int64_t result = vgetq_lane_s64(best, 0);
-  if (vgetq_lane_s64(best, 1) > result) {
-    result = vgetq_lane_s64(best, 1);
-  }
-  for (; i < n; ++i) {
-    if (mask[i] != 0 && ts[i] > begin && ts[i] <= end && ts[i] > result) {
-      result = ts[i];
-    }
-  }
-  return result;
-}
-
-size_t CountRunsNeon(const uint32_t* ids, size_t n) {
-  if (n == 0) {
-    return 0;
-  }
-  size_t breaks = 0;
-  size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const uint32x4_t v = vld1q_u32(ids + i);
-    const uint32x4_t prev = vld1q_u32(ids + i - 1);
-    // Differing lanes are all-ones; their top bit counts one break each.
-    const uint32x4_t ne = vmvnq_u32(vceqq_u32(v, prev));
-    breaks += static_cast<size_t>(vaddvq_u32(vshrq_n_u32(ne, 31)));
-  }
-  for (; i < n; ++i) {
-    breaks += ids[i] != ids[i - 1] ? 1 : 0;
-  }
-  return breaks + 1;
 }
 
 #endif  // CSI_SIMD_NEON
@@ -761,124 +221,6 @@ size_t CountAtOrBelow(const int64_t* data, size_t n, int64_t bound) {
     return n;  // bound + 1 would overflow; everything qualifies
   }
   return CountBelow(data, n, bound + 1);
-}
-
-int64_t SumInWindow(const int64_t* ts, const int64_t* values, size_t n,
-                    int64_t begin, int64_t end) {
-  if (end < 0) {
-    end = INT64_MAX;  // "no upper bound" per the estimator convention
-  }
-  switch (ActiveBackend()) {
-#if defined(CSI_SIMD_X86)
-    case Backend::kAvx2:
-      return SumInWindowAvx2(ts, values, n, begin, end);
-    case Backend::kSse2:
-      return SumInWindowSse2(ts, values, n, begin, end);
-#endif
-#if defined(CSI_SIMD_NEON)
-    case Backend::kNeon:
-      return SumInWindowNeon(ts, values, n, begin, end);
-#endif
-    default:
-      return SumInWindowScalar(ts, values, n, begin, end);
-  }
-}
-
-void MaskedQuicPayload(const uint8_t* from_client, const int64_t* payload,
-                       size_t n, int64_t header, int64_t* out) {
-  switch (ActiveBackend()) {
-#if defined(CSI_SIMD_X86)
-    case Backend::kAvx2:
-      return MaskedQuicPayloadAvx2(from_client, payload, n, header, out);
-    case Backend::kSse2:
-      return MaskedQuicPayloadSse2(from_client, payload, n, header, out);
-#endif
-#if defined(CSI_SIMD_NEON)
-    case Backend::kNeon:
-      return MaskedQuicPayloadNeon(from_client, payload, n, header, out);
-#endif
-    default:
-      return MaskedQuicPayloadScalar(from_client, payload, n, header, out);
-  }
-}
-
-int64_t DirectionMaskedSum(const uint8_t* from_client, uint8_t want,
-                           const int64_t* payload, size_t n) {
-  switch (ActiveBackend()) {
-#if defined(CSI_SIMD_X86)
-    case Backend::kAvx2:
-      return DirectionMaskedSumAvx2(from_client, want, payload, n);
-    case Backend::kSse2:
-      return DirectionMaskedSumSse2(from_client, want, payload, n);
-#endif
-#if defined(CSI_SIMD_NEON)
-    case Backend::kNeon:
-      return DirectionMaskedSumNeon(from_client, want, payload, n);
-#endif
-    default:
-      return DirectionMaskedSumScalar(from_client, want, payload, n);
-  }
-}
-
-size_t CollectIndices(const uint8_t* from_client, uint8_t want,
-                      const int64_t* payload, int64_t min_payload, size_t n,
-                      uint32_t* out) {
-  switch (ActiveBackend()) {
-#if defined(CSI_SIMD_X86)
-    case Backend::kAvx2:
-      return CollectIndicesAvx2(from_client, want, payload, min_payload, n,
-                                out);
-    case Backend::kSse2:
-      return CollectIndicesSse2(from_client, want, payload, min_payload, n,
-                                out);
-#endif
-#if defined(CSI_SIMD_NEON)
-    case Backend::kNeon:
-      return CollectIndicesNeon(from_client, want, payload, min_payload, n,
-                                out);
-#endif
-    default:
-      return CollectIndicesScalar(from_client, want, payload, min_payload, n,
-                                  out);
-  }
-}
-
-int64_t MaxTsInWindow(const int64_t* ts, const uint8_t* mask, size_t n,
-                      int64_t begin, int64_t end) {
-  if (end < 0) {
-    end = INT64_MAX;  // "no upper bound" per the estimator convention
-  }
-  switch (ActiveBackend()) {
-#if defined(CSI_SIMD_X86)
-    case Backend::kAvx2:
-      return MaxTsInWindowAvx2(ts, mask, n, begin, end);
-    case Backend::kSse2:
-      return MaxTsInWindowSse2(ts, mask, n, begin, end);
-#endif
-#if defined(CSI_SIMD_NEON)
-    case Backend::kNeon:
-      return MaxTsInWindowNeon(ts, mask, n, begin, end);
-#endif
-    default:
-      return MaxTsInWindowScalar(ts, mask, n, begin, end);
-  }
-}
-
-size_t CountRuns(const uint32_t* ids, size_t n) {
-  switch (ActiveBackend()) {
-#if defined(CSI_SIMD_X86)
-    case Backend::kAvx2:
-      return CountRunsAvx2(ids, n);
-    case Backend::kSse2:
-      return CountRunsSse2(ids, n);
-#endif
-#if defined(CSI_SIMD_NEON)
-    case Backend::kNeon:
-      return CountRunsNeon(ids, n);
-#endif
-    default:
-      return CountRunsScalar(ids, n);
-  }
 }
 
 }  // namespace csi::simd

@@ -1,11 +1,7 @@
-// SIMD kernels for the flat chunk-size index and the columnar cold path.
+// SIMD size-window scans for the flat chunk-size index.
 //
-// Two families live here. The size-window scans back the hot database query —
-// "how many sizes in this sorted run fall below a bound" — which reduces to
-// counting compare-mask lanes. The cold-path column kernels back the
-// structure-of-arrays capture layout (capture::PacketColumns): windowed
-// payload sums, direction-masked scans, request-boundary index collection and
-// flow-id run partitioning over parallel columns. All entry points dispatch
+// The hot database query — "how many sizes in this sorted run fall below a
+// bound" — reduces to counting compare-mask lanes. Both entry points dispatch
 // at runtime to the widest lane width the CPU supports (AVX2 > SSE2 on
 // x86-64, NEON on aarch64) with a scalar fallback that is always available.
 //
@@ -52,43 +48,6 @@ size_t CountBelow(const int64_t* data, size_t n, int64_t bound);
 // Number of values in data[0..n) at or below `bound`. On a sorted run this is
 // exactly the upper_bound index.
 size_t CountAtOrBelow(const int64_t* data, size_t n, int64_t bound);
-
-// ---- Cold-path column kernels -------------------------------------------
-//
-// These operate on the parallel packet columns of capture::PacketColumns:
-// int64 timestamp/payload columns, a uint8 direction column holding exactly
-// 0 or 1 (1 = client→server), and a uint32 flow-id column. Time windows
-// follow the estimator convention `ts > begin && ts <= end`, with `end < 0`
-// meaning "no upper bound". Every backend returns bit-identical results.
-
-// Sum of values[i] where ts[i] > begin and (end < 0 || ts[i] <= end).
-int64_t SumInWindow(const int64_t* ts, const int64_t* values, size_t n,
-                    int64_t begin, int64_t end);
-
-// out[i] = from_client[i] ? 0 : max(payload[i] - header, 0). The QUIC
-// effective-payload transform: header bytes stripped, uplink lanes zeroed.
-void MaskedQuicPayload(const uint8_t* from_client, const int64_t* payload,
-                       size_t n, int64_t header, int64_t* out);
-
-// Sum of payload[i] where from_client[i] == want (want must be 0 or 1).
-int64_t DirectionMaskedSum(const uint8_t* from_client, uint8_t want,
-                           const int64_t* payload, size_t n);
-
-// Writes the ascending indices i with from_client[i] == want and
-// payload[i] >= min_payload into out[] (which must hold at least n entries);
-// returns how many indices were written.
-size_t CollectIndices(const uint8_t* from_client, uint8_t want,
-                      const int64_t* payload, int64_t min_payload, size_t n,
-                      uint32_t* out);
-
-// Maximum ts[i] with mask[i] != 0 inside the window (ts[i] > begin and
-// (end < 0 || ts[i] <= end)); INT64_MIN when no lane qualifies.
-int64_t MaxTsInWindow(const int64_t* ts, const uint8_t* mask, size_t n,
-                      int64_t begin, int64_t end);
-
-// Number of maximal runs of equal adjacent values in ids[0..n); 0 for n == 0.
-// Equals the flow count exactly when the capture is already flow-contiguous.
-size_t CountRuns(const uint32_t* ids, size_t n);
 
 }  // namespace csi::simd
 

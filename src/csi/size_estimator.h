@@ -36,15 +36,35 @@ struct DetectedRequest {
 std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
                                             bool quic);
 
+// Counted downlink traffic of one window (begin, end].
+struct DownlinkWindow {
+  Bytes bytes = 0;           // estimated object bytes in the window
+  TimeUs last_data_time = 0;  // last counted packet in it, or begin if none
+};
+
+// The downlink packets of one flow that count toward a size estimate — HTTPS:
+// the first data packet with each TCP sequence number (later ones are
+// retransmissions); QUIC: every data packet, as its payload minus the public
+// header (floored at 0) — in timestamp order with their byte prefix sums.
+// Built in one pass per flow (plus a sort only when the capture steps back in
+// time), so every window query is two binary searches.
+class CountedDownlink {
+ public:
+  CountedDownlink(const capture::FlowView& flow, bool quic);
+
+  // The counted packets with begin < timestamp <= end; end < 0 means "until
+  // the end of the flow".
+  DownlinkWindow Window(TimeUs begin, TimeUs end) const;
+
+ private:
+  std::vector<TimeUs> times_;   // ascending
+  std::vector<Bytes> prefix_;   // prefix_[i] = bytes of the first i packets
+};
+
 // Per-exchange size estimates for designs without transport MUX: downlink
 // traffic between consecutive requests is one object (§5.3.1 Step 1.2).
 std::vector<EstimatedExchange> EstimateExchanges(const capture::FlowView& flow,
                                                  bool quic);
-
-// Total estimated downlink object bytes in the time window (begin, end].
-// Set end < 0 for "until the end of the flow".
-Bytes EstimateDownlinkBytes(const capture::FlowView& flow, bool quic,
-                            TimeUs begin, TimeUs end);
 
 }  // namespace csi::infer
 

@@ -4,26 +4,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/simd.h"
 #include "src/common/telemetry.h"
 
 namespace csi::infer {
-namespace {
-
-// Per-thread scratch for SplitIntoGroups (indices from the SIMD
-// downlink scan, the effective-payload column, the gathered timestamps).
-struct SplitterScratch {
-  std::vector<uint32_t> indices;
-  std::vector<int64_t> eff;
-  std::vector<TimeUs> downlink_times;
-};
-
-SplitterScratch& Scratch() {
-  static thread_local SplitterScratch scratch;
-  return scratch;
-}
-
-}  // namespace
 
 std::vector<TrafficGroup> SplitCore(
     std::vector<DetectedRequest> requests,
@@ -116,29 +99,24 @@ std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
   const int64_t* ts = flow.timestamps();
   const int64_t* payload = flow.payloads();
   const uint8_t* dir = flow.from_client();
-  SplitterScratch& scratch = Scratch();
 
-  // Downlink data packet timestamps via the SIMD boundary scan
-  // (payload > header bytes, i.e. >= header + 1).
-  scratch.indices.resize(n);
-  const size_t hits = simd::CollectIndices(
-      dir, 0, payload, net::kQuicHeaderBytes + 1, n, scratch.indices.data());
-  scratch.downlink_times.resize(hits);
-  for (size_t h = 0; h < hits; ++h) {
-    scratch.downlink_times[h] = ts[scratch.indices[h]];
+  // Downlink data packets (payload beyond the QUIC public header), sorted
+  // because SplitCore binary-searches them and a capture may step back in
+  // time.
+  std::vector<TimeUs> downlink_times;
+  for (size_t i = 0; i < n; ++i) {
+    if (dir[i] == 0 && payload[i] > net::kQuicHeaderBytes) {
+      downlink_times.push_back(ts[i]);
+    }
+  }
+  if (!std::is_sorted(downlink_times.begin(), downlink_times.end())) {
+    std::sort(downlink_times.begin(), downlink_times.end());
   }
 
-  // Hoist the QUIC effective-payload column once; each group's byte total is
-  // then a single windowed SIMD sum.
-  scratch.eff.resize(n);
-  simd::MaskedQuicPayload(dir, payload, n, net::kQuicHeaderBytes,
-                          scratch.eff.data());
-
-  return SplitCore(DetectRequests(flow, /*quic=*/true), scratch.downlink_times,
-                   n > 0, n > 0 ? ts[n - 1] : 0, config,
-                   [&](TimeUs begin, TimeUs end) {
-                     return simd::SumInWindow(ts, scratch.eff.data(), n, begin,
-                                              end);
+  const CountedDownlink counted(flow, /*quic=*/true);
+  return SplitCore(DetectRequests(flow, /*quic=*/true), downlink_times, n > 0,
+                   n > 0 ? ts[n - 1] : 0, config, [&counted](TimeUs begin, TimeUs end) {
+                     return counted.Window(begin, end).bytes;
                    });
 }
 

@@ -43,8 +43,8 @@ struct TrafficGroup {
   int num_requests() const { return static_cast<int>(requests.size()); }
 };
 
-// Splits a QUIC flow into traffic groups. The downlink-data scan and the
-// per-group byte sums run through the SIMD column kernels.
+// Splits a QUIC flow into traffic groups. One pass collects the downlink data
+// times; each group's byte total is a CountedDownlink window query.
 std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
                                           const SplitterConfig& config = {});
 

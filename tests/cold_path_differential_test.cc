@@ -1,15 +1,16 @@
 // Differential harness for the Step-1 cold path.
 //
-// Inference runs Step 1 once, over PacketColumns with the SIMD column kernels.
-// This suite checks it against the deliberately naive record-based oracle in
-// tests/naive_oracle.h and locks the engine output in:
+// Inference runs Step 1 once, over PacketColumns with plain loops and one
+// per-flow prefix sum. This suite checks it against the deliberately naive
+// record-based oracle in tests/naive_oracle.h and locks the engine output in:
 //
-//   1. Seeded sweep: testbed sessions across all four designs. On every
-//      supported SIMD backend, each columnar stage — media-flow ids,
-//      requests, exchanges, windowed byte sums, SP1/SP2 groups — equals the
-//      oracle, and the engine digest equals the forced-scalar digest.
-//      CSI_TEST_SCHEDULES raises the sweep for the nightly deep-differential
-//      job.
+//   1. Seeded sweep: testbed sessions across all four designs. Each columnar
+//      stage — media-flow ids, requests, exchanges, windowed byte sums,
+//      SP1/SP2 groups — equals the oracle (the stages do not dispatch on the
+//      SIMD backend, so once is enough), and on every supported backend the
+//      engine digest equals the forced-scalar digest (the chunk database's
+//      size-window scans do dispatch). CSI_TEST_SCHEDULES raises the sweep
+//      for the nightly deep-differential job.
 //   2. Golden digests: the fixed instrumentation-invariance batch hashes to
 //      the same per-design constants under each forced backend.
 //   3. Overload identity: Analyze(trace) — PacketColumns::Build, then the
@@ -86,7 +87,7 @@ InferenceConfig EngineConfig(DesignType design) {
   return config;
 }
 
-TEST(ColdPathDifferential, SeededSweepMatchesOracleOnEveryBackend) {
+TEST(ColdPathDifferential, SeededSweepMatchesOracle) {
   BackendGuard guard;
   const std::vector<simd::Backend> backends = AllSupportedBackends();
   // One testbed session per schedule, round-robin over the designs. The
@@ -103,12 +104,12 @@ TEST(ColdPathDifferential, SeededSweepMatchesOracleOnEveryBackend) {
     const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
     const InferenceEngine engine(&manifest, EngineConfig(design));
 
+    oracle::ExpectColumnarMatchesOracle(trace, manifest.host);
     ASSERT_TRUE(simd::ForceBackend(simd::Backend::kScalar));
     const uint64_t want = DigestOne(engine.Analyze(columns));
     for (const simd::Backend backend : backends) {
       SCOPED_TRACE(simd::BackendName(backend));
       ASSERT_TRUE(simd::ForceBackend(backend));
-      oracle::ExpectColumnarMatchesOracle(trace, manifest.host);
       EXPECT_EQ(DigestOne(engine.Analyze(columns)), want);
       EXPECT_EQ(DigestOne(engine.Analyze(trace)), want) << "trace overload";
     }

@@ -62,10 +62,11 @@ EstimateCheck CheckEstimates(DesignType design, double loss, uint64_t seed) {
   // Validate the estimation primitive on ground-truth request windows
   // instead: downlink payload between consecutive true requests.
   std::vector<std::pair<TimeUs, Bytes>> gt(gt_by_time.begin(), gt_by_time.end());
+  const CountedDownlink counted(flow, /*quic=*/true);
   for (size_t i = 0; i < gt.size(); ++i) {
     const TimeUs begin = gt[i].first;
     const TimeUs end = i + 1 < gt.size() ? gt[i + 1].first : -1;
-    const Bytes estimate = EstimateDownlinkBytes(flow, /*quic=*/true, begin, end);
+    const Bytes estimate = counted.Window(begin, end).bytes;
     const double ratio = static_cast<double>(estimate) / static_cast<double>(gt[i].second);
     check.max_ratio = std::max(check.max_ratio, ratio);
     check.min_ratio = std::min(check.min_ratio, ratio);
@@ -171,7 +172,7 @@ TEST(FlowClassifier, FallsBackToServerIpWithoutSni) {
   EXPECT_EQ(ClassifyMediaFlowIds(columns, "cdn.example", {42u}).size(), 1u);
 }
 
-TEST(EstimateDownlinkBytes, WindowBoundariesAreHalfOpenRight) {
+TEST(CountedDownlink, WindowBoundariesAreHalfOpenRight) {
   capture::CaptureTrace flow;
   auto add = [&flow](TimeUs t, Bytes payload, uint64_t seq) {
     capture::PacketRecord r;
@@ -187,11 +188,15 @@ TEST(EstimateDownlinkBytes, WindowBoundariesAreHalfOpenRight) {
   // Window (100, 300] excludes the packet at exactly t=100 (it belongs to the
   // completing previous download) and includes t=300.
   const capture::PacketColumns three = capture::PacketColumns::Build(flow);
-  EXPECT_EQ(EstimateDownlinkBytes(three.flow(0), false, 100, 300), 2000);
+  const DownlinkWindow window = CountedDownlink(three.flow(0), false).Window(100, 300);
+  EXPECT_EQ(window.bytes, 2000);
+  EXPECT_EQ(window.last_data_time, 300);
+  // An empty window reports its own start as the last data time.
+  EXPECT_EQ(CountedDownlink(three.flow(0), false).Window(300, 400).last_data_time, 300);
   // Duplicate sequence number = retransmission, dropped.
   add(400, 1000, 2000);
   const capture::PacketColumns four = capture::PacketColumns::Build(flow);
-  EXPECT_EQ(EstimateDownlinkBytes(four.flow(0), false, 100, 500), 2000);
+  EXPECT_EQ(CountedDownlink(four.flow(0), false).Window(100, 500).bytes, 2000);
 }
 
 }  // namespace

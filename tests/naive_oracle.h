@@ -1,19 +1,21 @@
 // Deliberately naive reference for Step 1 (paper §5.3.1), test-only.
 //
-// The production stages run over PacketColumns with SIMD kernels and one
-// pass per flow where they can. This oracle restates the same definitions
-// over plain PacketRecord vectors, in the most direct way:
+// The production stages run over PacketColumns in one pass per flow, with
+// every estimator and splitter window answered from one per-flow prefix sum
+// (infer::CountedDownlink). This oracle restates the same definitions over
+// plain PacketRecord vectors, in the most direct way:
 //
 //   - flows are split out of the capture first (one packet vector per
 //     5-tuple, in first-appearance order) and only then filtered by the SNI /
 //     server-IP rule;
 //   - HTTPS retransmissions are found with a std::set of seen sequence
 //     numbers;
-//   - every exchange rescans the whole flow, so size estimation is
-//     O(requests × packets);
-//   - SP1/SP2 splitting hands oracle requests, downlink times and byte sums
-//     to the layout-free split core (infer::SplitCore), so the oracle checks
-//     everything the columnar splitter computes before that core.
+//   - every exchange and every window rescans the whole flow, so size
+//     estimation is O(requests × packets) and needs no sorted timestamps;
+//   - SP1/SP2 splitting hands oracle requests, sorted downlink times and
+//     byte sums to the layout-free split core (infer::SplitCore), so the
+//     oracle checks everything the columnar splitter computes before that
+//     core.
 //
 // ExpectColumnarMatchesOracle compares every columnar stage against it on
 // one capture.
@@ -195,6 +197,8 @@ inline std::vector<infer::TrafficGroup> SplitIntoGroups(
       downlink_times.push_back(p.timestamp);
     }
   }
+  // SplitCore binary-searches the times; a capture may step back in time.
+  std::sort(downlink_times.begin(), downlink_times.end());
   return infer::SplitCore(DetectRequests(flow, /*quic=*/true), downlink_times, !flow.empty(),
                           flow.empty() ? 0 : flow.back().timestamp, config,
                           [&flow](TimeUs begin, TimeUs end) {
@@ -271,6 +275,7 @@ inline void ExpectColumnarMatchesOracle(const capture::CaptureTrace& trace,
 
     for (const bool quic : {false, true}) {
       SCOPED_TRACE(quic ? "as QUIC" : "as HTTPS");
+      const infer::CountedDownlink counted(view, quic);
       ExpectRequestsEqual(DetectRequests(packets, quic), infer::DetectRequests(view, quic));
 
       const auto want_ex = EstimateExchanges(packets, quic);
@@ -285,7 +290,7 @@ inline void ExpectColumnarMatchesOracle(const capture::CaptureTrace& trace,
 
       for (const auto& [begin, end] : windows) {
         EXPECT_EQ(EstimateDownlinkBytes(packets, quic, begin, end),
-                  infer::EstimateDownlinkBytes(view, quic, begin, end))
+                  counted.Window(begin, end).bytes)
             << "window (" << begin << ", " << end << "]";
       }
     }
