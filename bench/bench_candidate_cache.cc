@@ -134,8 +134,9 @@ void BM_SqBatchWarmSharedCache(benchmark::State& state) {
 //
 // The layer the cache targets, isolated: every trace's split groups,
 // enumerated over the full admissible start range (the sequence-root regime —
-// chained groups collapse to single-start ranges the per-searcher memo
-// already absorbs, so the shared cache earns its keep exactly here).
+// chained groups collapse to single-start ranges the searcher's own
+// per-(group, start range) memo already absorbs, so the shared cache earns its
+// keep exactly here).
 
 const std::vector<std::vector<infer::TrafficGroup>>& TraceGroups() {
   static const auto* groups = [] {

@@ -55,7 +55,7 @@ std::string JsonLabels(const Labels& labels) {
   return out;
 }
 
-// `{stage="path_search"}` — empty string when there are no labels.
+// `{stage="group_search"}` — empty string when there are no labels.
 std::string PromLabels(const Labels& labels) {
   if (labels.empty()) {
     return "";

@@ -40,7 +40,7 @@
 
 namespace csi::telemetry {
 
-// Label set attached to a metric, e.g. {{"stage", "path_search"}}. Kept
+// Label set attached to a metric, e.g. {{"stage", "group_search"}}. Kept
 // sorted by key inside the registry so identity and export order are
 // canonical.
 using Labels = std::vector<std::pair<std::string, std::string>>;

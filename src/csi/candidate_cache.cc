@@ -57,7 +57,6 @@ uint32_t GroupCandidateCache::InternContext(const GroupSearchConfig& config,
   ctx.expected_overhead = config.expected_overhead;
   ctx.expected_fixed_overhead = config.expected_fixed_overhead;
   ctx.max_candidates_per_group = config.max_candidates_per_group;
-  ctx.max_dfs_nodes = config.max_dfs_nodes;
   ctx.max_group_requests = config.max_group_requests;
   ctx.max_phantom_requests = config.max_phantom_requests;
   ctx.other_object_sizes = config.other_object_sizes;
@@ -100,8 +99,7 @@ GroupCandidateCache::Query GroupCandidateCache::MakeQuery(const DbSnapshot& db,
 // that touch an appended position, or (c) per-start node budgets shifting
 // with the clamped range. Each case is ruled out in turn; anything not
 // provably identical returns false.
-bool GroupCandidateCache::Revalidate(Entry& entry, const DbSnapshot& db,
-                                     const GroupSearchConfig& config) {
+bool GroupCandidateCache::Revalidate(Entry& entry, const DbSnapshot& db) {
   if (db.state_id() == entry.state_id) {
     return true;
   }
@@ -162,7 +160,7 @@ bool GroupCandidateCache::Revalidate(Entry& entry, const DbSnapshot& db,
   }
   const int range_a = pa - entry.query.start_lo;  // starts enumerated at A
   if (hull.v_max >= 2 && range_a >= 1 &&
-      config.max_dfs_nodes / range_a > kPerStartNodeFloor) {
+      kMaxDfsNodes / range_a > kPerStartNodeFloor) {
     // The per-start budget at A exceeded the floor, so widening the range at
     // B would shrink it — same inputs, different cutoff.
     return false;
@@ -184,8 +182,7 @@ size_t GroupCandidateCache::ApproxBytes(const GroupCandidateSet& set) {
 }
 
 std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
-    const Query& query, const DbSnapshot& db, const GroupSearchConfig& config,
-    CandidateSetHull* hull_out) {
+    const Query& query, const DbSnapshot& db, CandidateSetHull* hull_out) {
   if (EnvForcesOff()) {
     return nullptr;
   }
@@ -203,7 +200,7 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
       found = true;
       Entry& entry = *it->second;
       same_state = entry.state_id == db.state_id();
-      if (Revalidate(entry, db, config)) {
+      if (Revalidate(entry, db)) {
         entry.referenced = true;
         hit = entry.set;
         if (hull_out != nullptr) {
@@ -226,9 +223,10 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
     }
   }
   InferenceAudit* const audit = CurrentAudit();
+  CSI_COUNTER_INC("csi_candidate_cache_lookups_total");
   if (hit != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    CSI_COUNTER_INC("csi_group_cache_hits_total");
+    CSI_COUNTER_INC("csi_candidate_cache_hits_total");
     if (audit != nullptr) {
       ++(same_state ? audit->cache_hits : audit->cache_revalidations);
     }
@@ -239,7 +237,7 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
   }
   if (invalidated) {
     invalidations_.fetch_add(1, std::memory_order_relaxed);
-    CSI_COUNTER_INC("csi_group_cache_invalidations_total");
+    CSI_COUNTER_INC("csi_candidate_cache_invalidations_total");
     if (audit != nullptr) {
       ++audit->cache_invalidations;
     }
@@ -247,7 +245,7 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
                       {"reason", "delta_in_window_or_compaction"});
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  CSI_COUNTER_INC("csi_group_cache_misses_total");
+  CSI_COUNTER_INC("csi_candidate_cache_misses_total");
   if (audit != nullptr) {
     ++audit->cache_misses;
   }
@@ -279,13 +277,14 @@ void GroupCandidateCache::Insert(const Query& query, const DbSnapshot& db,
     return;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
+  CSI_COUNTER_INC("csi_candidate_cache_inserts_total");
   if (evicted > 0) {
     evictions_.fetch_add(static_cast<uint64_t>(evicted), std::memory_order_relaxed);
-    CSI_COUNTER_ADD("csi_group_cache_evictions_total", evicted);
+    CSI_COUNTER_ADD("csi_candidate_cache_evictions_total", evicted);
   }
   // Per-shard drift between publishes is fine for a gauge; exact totals come
   // from stats().
-  CSI_GAUGE_SET("csi_group_cache_bytes", static_cast<int64_t>(stats().bytes));
+  CSI_GAUGE_SET("csi_candidate_cache_bytes", static_cast<int64_t>(stats().bytes));
 }
 
 void GroupCandidateCache::Clear() { store_.Clear(); }

@@ -54,7 +54,6 @@
 #include "src/csi/cache_common.h"
 #include "src/csi/db_snapshot.h"
 #include "src/csi/group_search.h"
-#include "src/csi/path_search.h"
 
 namespace csi::infer {
 
@@ -95,7 +94,7 @@ class GroupCandidateCache {
   // sentinel, so chain-root ranges hit across refreshes that move the edge.
   static constexpr int kOpenHi = std::numeric_limits<int>::max();
   static constexpr int kDefaultShards = 16;
-  // Per-start DFS budget floor, mirroring group_search.cc's enumeration. The
+  // Per-start DFS budget floor of group_search.cc's enumeration. The
   // growth-range revalidation (here and in the result cache) leans on budgets
   // flooring identically at both states.
   static constexpr int64_t kPerStartNodeFloor = 1 << 16;
@@ -149,12 +148,10 @@ class GroupCandidateCache {
   // state, else null. An entry computed at an older state of the same lineage
   // is revalidated against `db`'s delta buffer (and re-anchored on success);
   // one that provably cannot be revalidated is dropped and counted as an
-  // invalidation. `config` must be the config `query.context` was interned
-  // from (its DFS budget feeds the growth-range check). On a hit, `hull_out`
-  // (when non-null) receives the entry's recorded size hulls so the caller
-  // can fold the skipped enumeration into the result-tier hull.
+  // invalidation. On a hit, `hull_out` (when non-null) receives the entry's
+  // recorded size hulls so the caller can fold the skipped enumeration into
+  // the result-tier hull.
   std::shared_ptr<const GroupCandidateSet> Lookup(const Query& query, const DbSnapshot& db,
-                                                  const GroupSearchConfig& config,
                                                   CandidateSetHull* hull_out = nullptr);
 
   // Publishes an enumeration result computed against `db`. Replaces any
@@ -194,7 +191,6 @@ class GroupCandidateCache {
     double expected_overhead = 0.0;
     Bytes expected_fixed_overhead = 0;
     int max_candidates_per_group = 0;
-    int64_t max_dfs_nodes = 0;
     int max_group_requests = 0;
     int max_phantom_requests = 0;
     std::vector<Bytes> other_object_sizes;
@@ -206,7 +202,7 @@ class GroupCandidateCache {
 
   // True when the entry's output is byte-identical under `db`; re-anchors the
   // entry on success. Caller holds the shard mutex.
-  static bool Revalidate(Entry& entry, const DbSnapshot& db, const GroupSearchConfig& config);
+  static bool Revalidate(Entry& entry, const DbSnapshot& db);
   static size_t ApproxBytes(const GroupCandidateSet& set);
 
   internal::ShardedClockStore<Query, Entry, QueryHash> store_;

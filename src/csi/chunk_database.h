@@ -126,10 +126,6 @@ class ChunkDatabase {
   std::vector<Bytes> max_at_;
 };
 
-// CandidateQueryCache moved to src/csi/db_snapshot.h: it is now bound to a
-// DbSnapshot and keyed by snapshot state so memoized windows can never serve
-// candidates from a stale database version.
-
 }  // namespace csi::infer
 
 #endif  // CSI_SRC_CSI_CHUNK_DATABASE_H_

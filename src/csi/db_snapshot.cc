@@ -165,51 +165,4 @@ int DbSnapshot::MatchingAudioTrack(Bytes estimated, double k) const {
   return -1;
 }
 
-void CandidateQueryCache::Rebind(DbSnapshot snapshot) {
-  if (!snapshot_.valid() || !snapshot_.SameStateAs(snapshot)) {
-    track_ordered_memo_ = Memo{};
-    flat_ordered_memo_ = Memo{};
-  }
-  snapshot_ = std::move(snapshot);
-}
-
-template <typename Fetch>
-const std::vector<media::ChunkRef>& CandidateQueryCache::Lookup(Memo* memo,
-                                                                const Window& window,
-                                                                const Fetch& fetch) {
-  auto it = memo->map.find(window);
-  if (it != memo->map.end()) {
-    ++hits_;
-    CSI_COUNTER_INC("csi_candidate_cache_hits_total");
-    return it->second;
-  }
-  ++misses_;
-  CSI_COUNTER_INC("csi_candidate_cache_misses_total");
-  if (memo->map.size() >= max_entries_per_memo_) {
-    // FIFO eviction: drop the oldest window. Erasing one entry leaves every
-    // other entry's storage in place, so only references to the evicted
-    // window die — hence the "valid until the next call" contract.
-    memo->map.erase(memo->order.front());
-    memo->order.pop_front();
-    ++evictions_;
-    CSI_COUNTER_INC("csi_candidate_cache_evictions_total");
-  }
-  memo->order.push_back(window);
-  return memo->map.emplace(window, fetch()).first->second;
-}
-
-const std::vector<media::ChunkRef>& CandidateQueryCache::VideoCandidates(Bytes estimated,
-                                                                         double k) {
-  const Window window{ChunkDatabase::AdmissibleLow(estimated, k), estimated};
-  return Lookup(&track_ordered_memo_, window,
-                [&]() { return snapshot_.VideoCandidates(estimated, k); });
-}
-
-const std::vector<media::ChunkRef>& CandidateQueryCache::VideoCandidatesInSizeRange(Bytes lo,
-                                                                                    Bytes hi) {
-  const Window window{lo, hi};
-  return Lookup(&flat_ordered_memo_, window,
-                [&]() { return snapshot_.VideoCandidatesInSizeRange(lo, hi); });
-}
-
 }  // namespace csi::infer

@@ -23,9 +23,7 @@
 #define CSI_SRC_CSI_DB_SNAPSHOT_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -137,9 +135,6 @@ class DbSnapshot {
   // narrow the sorted delta buffer plus a scan of the in-window entries.
   bool DeltaHasSizeInWindow(Bytes lo, Bytes hi, int min_index) const;
 
-  // The compacted base index. Deprecated escape hatch for code that still
-  // wants a raw ChunkDatabase; it does NOT see the delta buffer.
-  const ChunkDatabase& base() const { return *rep_->base; }
   // Manifest version this snapshot describes.
   const media::Manifest* manifest() const {
     return rep_->manifest_version != nullptr ? rep_->manifest_version.get()
@@ -187,92 +182,6 @@ class DbSnapshot {
   std::pair<size_t, size_t> DeltaRange(Bytes lo, Bytes hi) const;
 
   std::shared_ptr<const internal::SnapshotRep> rep_;
-};
-
-// Memo cache for repeated size-range queries against one DbSnapshot.
-//
-// Real traces repeat sizes heavily (CBR audio chunks, re-downloaded and
-// co-sized video chunks), so candidate queries for the same (estimate, k) —
-// equivalently the same admissible byte window — recur many times within one
-// analysis. The cache is deliberately *per analysis call*, not per database:
-// it is single-threaded by construction, which keeps the shared snapshot free
-// of mutable state and race-free under batch inference.
-//
-// Epoch keying: every entry belongs to the snapshot the cache is bound to.
-// Rebind() re-points the cache at a newer snapshot and drops all entries
-// unless the new handle pins the exact same published state — a memoized
-// window can therefore never serve candidates from a stale database.
-//
-// Bounded: each memo holds at most `max_entries_per_memo` windows; inserting
-// past the cap evicts the oldest entry (FIFO), so an arbitrarily long session
-// cannot grow the cache without limit. A returned reference is therefore only
-// valid until the next call on the same cache.
-class CandidateQueryCache {
- public:
-  static constexpr size_t kDefaultMaxEntriesPerMemo = 4096;
-
-  explicit CandidateQueryCache(DbSnapshot snapshot,
-                               size_t max_entries_per_memo = kDefaultMaxEntriesPerMemo)
-      : snapshot_(std::move(snapshot)),
-        max_entries_per_memo_(max_entries_per_memo == 0 ? 1 : max_entries_per_memo) {}
-
-  // Deprecated adapter: binds to a non-owning epoch-0 view of `db`.
-  explicit CandidateQueryCache(const ChunkDatabase* db,
-                               size_t max_entries_per_memo = kDefaultMaxEntriesPerMemo)
-      : CandidateQueryCache(DbSnapshot(*db), max_entries_per_memo) {}
-
-  // Re-points the cache at `snapshot`. Entries survive only when the new
-  // handle pins the same published state (SameStateAs); otherwise both memos
-  // are cleared so no stale window can be served.
-  void Rebind(DbSnapshot snapshot);
-
-  // Cached DbSnapshot::VideoCandidates(estimated, k).
-  const std::vector<media::ChunkRef>& VideoCandidates(Bytes estimated, double k);
-  // Cached DbSnapshot::VideoCandidatesInSizeRange(lo, hi).
-  const std::vector<media::ChunkRef>& VideoCandidatesInSizeRange(Bytes lo, Bytes hi);
-
-  const DbSnapshot& snapshot() const { return snapshot_; }
-  uint64_t epoch() const { return snapshot_.epoch(); }
-  // Deprecated: the bound snapshot's base database.
-  const ChunkDatabase& db() const { return snapshot_.base(); }
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-  size_t evictions() const { return evictions_; }
-  // Total entries currently held across both memos.
-  size_t size() const {
-    return track_ordered_memo_.map.size() + flat_ordered_memo_.map.size();
-  }
-  size_t max_entries_per_memo() const { return max_entries_per_memo_; }
-
- private:
-  using Window = std::pair<Bytes, Bytes>;
-
-  struct WindowHash {
-    size_t operator()(const Window& w) const {
-      return std::hash<Bytes>()(w.first) ^ (std::hash<Bytes>()(w.second) * 0x9E3779B97F4A7C15ull);
-    }
-  };
-
-  // One memo plus its FIFO eviction order.
-  struct Memo {
-    std::unordered_map<Window, std::vector<media::ChunkRef>, WindowHash> map;
-    std::deque<Window> order;
-  };
-
-  template <typename Fetch>
-  const std::vector<media::ChunkRef>& Lookup(Memo* memo, const Window& window,
-                                             const Fetch& fetch);
-
-  DbSnapshot snapshot_;
-  size_t max_entries_per_memo_;
-  // Keyed on the admissible byte window [lo, hi]; a (estimate, k) query maps
-  // to ([AdmissibleLow(estimate, k), estimate]). Two memos because the two
-  // entry points guarantee different orderings.
-  Memo track_ordered_memo_;
-  Memo flat_ordered_memo_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-  size_t evictions_ = 0;
 };
 
 }  // namespace csi::infer

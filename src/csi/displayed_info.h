@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "src/csi/path_search.h"
+#include "src/csi/types.h"
 #include "src/player/abr_player.h"
 
 namespace csi::infer {

@@ -19,14 +19,11 @@ namespace csi::infer {
 namespace {
 
 // Prefix sums of per-position min/max video chunk sizes, for DFS pruning.
-// Arena-backed: rebuilt per enumeration, dropped wholesale at the next reset.
 struct SizeBounds {
-  ArenaVector<Bytes> min_prefix;  // min_prefix[i] = sum of MinSizeAt(0..i-1)
-  ArenaVector<Bytes> max_prefix;
+  std::vector<Bytes> min_prefix;  // min_prefix[i] = sum of MinSizeAt(0..i-1)
+  std::vector<Bytes> max_prefix;
 
-  SizeBounds(const DbSnapshot& db, MonotonicArena* arena)
-      : min_prefix(ArenaAllocator<Bytes>(arena)),
-        max_prefix(ArenaAllocator<Bytes>(arena)) {
+  explicit SizeBounds(const DbSnapshot& db) {
     const int p = db.num_positions();
     min_prefix.assign(static_cast<size_t>(p) + 1, 0);
     max_prefix.assign(static_cast<size_t>(p) + 1, 0);
@@ -61,11 +58,10 @@ struct ObjectSplit {
 // enumeration order (mask outer, then deficit, then video count). Splits
 // depend only on the group and config, never on the start range — computing
 // them once up front is what lets per-start work be partitioned freely.
-ArenaVector<ObjectSplit> EnumerateObjectSplits(const TrafficGroup& group,
+std::vector<ObjectSplit> EnumerateObjectSplits(const TrafficGroup& group,
                                                const DbSnapshot& db,
-                                               const GroupSearchConfig& config,
-                                               MonotonicArena* arena) {
-  ArenaVector<ObjectSplit> splits{ArenaAllocator<ObjectSplit>(arena)};
+                                               const GroupSearchConfig& config) {
+  std::vector<ObjectSplit> splits;
   const int n_req = group.num_requests();
   const Bytes audio_size = db.audio_sizes().empty() ? 0 : db.audio_sizes()[0];
   const int num_others = static_cast<int>(config.other_object_sizes.size());
@@ -178,8 +174,7 @@ struct RunDfs {
 
 std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     const TrafficGroup& group, const DbSnapshot& db, const GroupSearchConfig& config,
-    const DisplayConstraints& display, int start_lo, int start_hi,
-    CandidateQueryCache* cache, MonotonicArena* arena, uint32_t context_id) {
+    const DisplayConstraints& display, int start_lo, int start_hi, uint32_t context_id) {
   auto set = std::make_shared<GroupCandidateSet>();
   const int n_req = group.num_requests();
   if (n_req == 0) {
@@ -227,7 +222,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
                                            start_lo, start_hi);
     CandidateSetHull cached_hull;
     if (std::shared_ptr<const GroupCandidateSet> hit =
-            shared->Lookup(query, db, config, &cached_hull)) {
+            shared->Lookup(query, db, &cached_hull)) {
       if (audit != nullptr) {
         audit->candidates += static_cast<int64_t>(hit->candidates.size());
         if (hit->truncated) {
@@ -237,26 +232,19 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
       // A hit skipped the enumeration but the result still depends on it:
       // fold the entry's recorded hulls into the result-tier collector
       // exactly as the computed path below would.
-      RecordEnumerationForResultCache(cached_hull, canon_lo, canon_hi, db.num_positions(),
-                                      config.max_dfs_nodes);
+      RecordEnumerationForResultCache(cached_hull, canon_lo, canon_hi, db.num_positions());
       return hit;
     }
   }
 
-  // Every allocation below that does not cross a thread boundary lands in the
-  // arena: it is scratch, reclaimed wholesale by the reset at the next call.
-  MonotonicArena local_arena;
-  MonotonicArena* scratch = arena != nullptr ? arena : &local_arena;
-  scratch->Reset();
-  ArenaVector<GroupCandidate> candidates{ArenaAllocator<GroupCandidate>(scratch)};
+  std::vector<GroupCandidate> candidates;
   const Bytes audio_size = db.audio_sizes().empty() ? 0 : db.audio_sizes()[0];
   const int positions = db.num_positions();
   const int tracks = db.num_video_tracks();
   start_lo = std::max(start_lo, 0);
   start_hi = std::min(start_hi, positions - 1);
 
-  const ArenaVector<ObjectSplit> splits =
-      EnumerateObjectSplits(group, db, config, scratch);
+  const std::vector<ObjectSplit> splits = EnumerateObjectSplits(group, db, config);
   bool capped_flag = false;
 
   // Size hulls of the splits, recorded with the cache entry so later states
@@ -299,18 +287,11 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     if (split.video_count != 1 || start_lo > start_hi) {
       continue;
     }
-    const Bytes lo = std::max<Bytes>(split.video_lo, 0);
-    std::vector<media::ChunkRef> hits_storage;
-    const std::vector<media::ChunkRef>* hits;
-    if (cache != nullptr) {
-      hits = &cache->VideoCandidatesInSizeRange(lo, split.video_hi);
-    } else {
-      hits_storage = db.VideoCandidatesInSizeRange(lo, split.video_hi);
-      hits = &hits_storage;
-    }
-    ArenaVector<media::ChunkRef> admitted{ArenaAllocator<media::ChunkRef>(scratch)};
-    admitted.reserve(hits->size());
-    for (const media::ChunkRef& ref : *hits) {
+    const std::vector<media::ChunkRef> hits =
+        db.VideoCandidatesInSizeRange(std::max<Bytes>(split.video_lo, 0), split.video_hi);
+    std::vector<media::ChunkRef> admitted;
+    admitted.reserve(hits.size());
+    for (const media::ChunkRef& ref : hits) {
       if (ref.index < start_lo || ref.index > start_hi) {
         continue;
       }
@@ -350,12 +331,10 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     any_multi = any_multi || split.video_count >= 2;
   }
   if (any_multi && start_lo <= start_hi) {
-    const SizeBounds bounds(db, scratch);
+    const SizeBounds bounds(db);
     const int range = start_hi - start_lo + 1;
     const int64_t per_start_nodes =
-        std::max<int64_t>(config.max_dfs_nodes / range, 1 << 16);
-    // Per-start outputs are written by pool workers, so they stay on the
-    // default allocator — the single-threaded arena must not cross threads.
+        std::max<int64_t>(kMaxDfsNodes / range, GroupCandidateCache::kPerStartNodeFloor);
     std::vector<std::vector<GroupCandidate>> per_start(static_cast<size_t>(range));
     std::vector<char> start_capped(static_cast<size_t>(range), 0);
     // Per-job tallies merged by the calling thread: the audit collector is
@@ -459,17 +438,14 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     wild.wildcard = true;
     candidates.push_back(wild);
   }
-  // The survivors move out to caller-owned storage; everything else the
-  // enumeration touched dies with the arena at the next reset.
   set->truncated = capped_flag;
+  // Moved into an exact-capacity vector: the cache tiers charge by capacity.
   set->candidates.reserve(candidates.size());
   std::move(candidates.begin(), candidates.end(), std::back_inserter(set->candidates));
-  CSI_GAUGE_SET("csi_group_search_arena_bytes", scratch->peak_bytes());
   if (shared != nullptr) {
     shared->Insert(query, db, hull, set);
   }
-  RecordEnumerationForResultCache(hull, canon_lo, canon_hi, db.num_positions(),
-                                  config.max_dfs_nodes);
+  RecordEnumerationForResultCache(hull, canon_lo, canon_hi, db.num_positions());
   return set;
 }
 
@@ -478,11 +454,9 @@ std::vector<GroupCandidate> EnumerateGroupCandidates(const TrafficGroup& group,
                                                      const GroupSearchConfig& config,
                                                      const DisplayConstraints& display,
                                                      int start_lo, int start_hi,
-                                                     bool* truncated,
-                                                     CandidateQueryCache* cache,
-                                                     MonotonicArena* arena) {
-  const std::shared_ptr<const GroupCandidateSet> set = EnumerateGroupCandidateSet(
-      group, db, config, display, start_lo, start_hi, cache, arena, /*context_id=*/0);
+                                                     bool* truncated) {
+  const std::shared_ptr<const GroupCandidateSet> set =
+      EnumerateGroupCandidateSet(group, db, config, display, start_lo, start_hi);
   if (set->truncated && truncated != nullptr) {
     *truncated = true;
   }
@@ -513,8 +487,7 @@ class GroupSequenceSearcher {
         db_(db),
         config_(config),
         display_(display),
-        positions_(db.num_positions()),
-        query_cache_(db_) {
+        positions_(db.num_positions()) {
     // Intern the shared-cache context once per search instead of per
     // enumeration (it is identical for every group of this run).
     if (config_.shared_cache != nullptr && !GroupCandidateCache::EnvForcesOff()) {
@@ -574,20 +547,7 @@ class GroupSequenceSearcher {
             truncated_ = true;
             break;
           }
-          Transition tr;
-          if (c.wildcard) {
-            tr.feasible = true;
-            tr.lo = parent.lo;
-            tr.hi = std::min(parent.hi + group.num_requests(), positions_);
-          } else if (c.video_start < 0) {
-            tr.feasible = true;
-            tr.lo = parent.lo;
-            tr.hi = parent.hi;
-          } else if (c.video_start >= parent.lo && c.video_start <= parent.hi) {
-            tr.feasible = true;
-            tr.lo = c.video_end() + 1;
-            tr.hi = tr.lo;
-          }
+          const Transition tr = Apply(c, group.num_requests(), parent.lo, parent.hi);
           if (!tr.feasible) {
             continue;
           }
@@ -691,9 +651,7 @@ class GroupSequenceSearcher {
       chosen.resize(static_cast<size_t>(config_.max_sequences));
       truncated_ = true;
     }
-    sequences_ = std::move(chosen);
-
-    for (const auto& assignment : sequences_) {
+    for (const auto& assignment : chosen) {
       result.sequences.push_back(BuildSequence(assignment));
     }
     result.truncated = truncated_;
@@ -748,8 +706,7 @@ class GroupSequenceSearcher {
       return it->second;
     }
     const std::shared_ptr<const GroupCandidateSet> set =
-        EnumerateGroupCandidateSet(MergedGroup(g), db_, config_, display_, lo, hi,
-                                   &query_cache_, &enum_arena_, context_id_);
+        EnumerateGroupCandidateSet(MergedGroup(g), db_, config_, display_, lo, hi, context_id_);
     // Only the one-object-deficit explanations make sense for a merge (two
     // requests, one real object); the filtered copy stays local — the shared
     // cache keeps the unfiltered set for other consumers of the same key.
@@ -775,18 +732,19 @@ class GroupSequenceSearcher {
       return it->second->candidates;
     }
     std::shared_ptr<const GroupCandidateSet> set = EnumerateGroupCandidateSet(
-        groups_[static_cast<size_t>(g)], db_, config_, display_, lo, hi,
-        &query_cache_, &enum_arena_, context_id_);
+        groups_[static_cast<size_t>(g)], db_, config_, display_, lo, hi, context_id_);
     truncated_ = truncated_ || set->truncated;
     return cand_cache_.emplace(key, std::move(set)).first->second->candidates;
   }
 
-  Transition Apply(const GroupCandidate& c, int g, int lo, int hi) const {
+  // Next-index range after explaining a group of `requests` detected
+  // requests (two for a merged pair) with `c`, from the range [lo, hi].
+  Transition Apply(const GroupCandidate& c, int requests, int lo, int hi) const {
     Transition tr;
     if (c.wildcard) {
       tr.feasible = true;
       tr.lo = lo;
-      tr.hi = std::min(hi + groups_[static_cast<size_t>(g)].num_requests(), positions_);
+      tr.hi = std::min(hi + requests, positions_);
       return tr;
     }
     if (c.video_start < 0) {
@@ -802,29 +760,6 @@ class GroupSequenceSearcher {
     tr.lo = c.video_end() + 1;
     tr.hi = tr.lo;
     return tr;
-  }
-
-  bool CanComplete(int g, int lo, int hi) {
-    if (g == static_cast<int>(groups_.size())) {
-      return true;
-    }
-    const auto key = std::make_tuple(g, lo, hi);
-    auto memo = can_memo_.find(key);
-    if (memo != can_memo_.end()) {
-      return memo->second;
-    }
-    can_memo_[key] = false;
-    bool ok = false;
-    const std::vector<GroupCandidate>& cands = CandidatesFor(g, lo, hi);
-    for (const GroupCandidate& c : cands) {
-      const Transition tr = Apply(c, g, lo, hi);
-      if (tr.feasible && CanComplete(g + 1, tr.lo, tr.hi)) {
-        ok = true;
-        break;
-      }
-    }
-    can_memo_[key] = ok;
-    return ok;
   }
 
   InferredSequence BuildSequence(const std::vector<SlotAssignment>& assignment) const {
@@ -893,12 +828,6 @@ class GroupSequenceSearcher {
   uint32_t context_id_ = 0;
   std::map<std::tuple<int, int, int>, std::shared_ptr<const GroupCandidateSet>> cand_cache_;
   std::map<std::tuple<int, int, int>, std::vector<GroupCandidate>> merged_cand_cache_;
-  // Thread-confined: one searcher runs one trace, on one thread. The arena
-  // backs each enumeration's scratch and is reset at every call.
-  CandidateQueryCache query_cache_;
-  MonotonicArena enum_arena_;
-  std::map<std::tuple<int, int, int>, bool> can_memo_;
-  std::vector<std::vector<SlotAssignment>> sequences_;
   bool truncated_ = false;
 };
 

@@ -1,8 +1,11 @@
-// Step 2 for the transport-MUX design (SQ): per-group bounded exhaustive
-// search plus cross-group sequence chaining (paper §5.3.2, Fig. 9b).
+// Step 2 for every design: per-group bounded exhaustive search plus
+// cross-group sequence chaining (paper §5.3, Fig. 9). For SQ the groups come
+// from the SP1/SP2 splitter (Fig. 9b); for the non-MUX designs every
+// estimated exchange is its own single-request group, which makes the chain
+// the Fig. 9a layered graph.
 //
-// After splitting, each traffic group exposes only (request count, total
-// estimated bytes). A *group candidate* explains the group as
+// Each traffic group exposes only (request count, total estimated bytes). A
+// *group candidate* explains the group as
 //   a contiguous run of video chunks (start index + a track per position)
 //   + some number of CBR audio chunks
 //   + optionally known non-media objects (e.g. the manifest, fetched once),
@@ -10,13 +13,13 @@
 // found by depth-first search over per-position track choices with
 // partial-sum pruning against the admissible window.
 //
-// Groups are chained like the layers of the non-MUX graph: the searcher
-// tracks the *range* of possible next video indexes, and candidate
-// enumeration is lazy, conditioned on that range — without the conditioning
-// the per-group candidate space explodes and exhaustive search becomes
-// infeasible. Oversized or unexplainable groups degrade to a *wildcard*
-// (their requests stay unidentified and widen the index range by the request
-// count) instead of breaking the whole chain.
+// Groups are chained as the layers of the graph: the searcher tracks the
+// *range* of possible next video indexes, and candidate enumeration is lazy,
+// conditioned on that range — without the conditioning the per-group
+// candidate space explodes and exhaustive search becomes infeasible.
+// Oversized or unexplainable groups degrade to a *wildcard* (their requests
+// stay unidentified and widen the index range by the request count) instead
+// of breaking the whole chain.
 
 #ifndef CSI_SRC_CSI_GROUP_SEARCH_H_
 #define CSI_SRC_CSI_GROUP_SEARCH_H_
@@ -25,10 +28,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/thread_pool.h"
 #include "src/csi/db_snapshot.h"
-#include "src/csi/path_search.h"
 #include "src/csi/splitter.h"
 #include "src/csi/types.h"
 
@@ -55,6 +56,11 @@ struct GroupCandidate {
   friend bool operator==(const GroupCandidate&, const GroupCandidate&) = default;
 };
 
+// DFS node budget per (group, start-range) enumeration, split evenly across
+// the start indexes with a floor of GroupCandidateCache::kPerStartNodeFloor
+// each. The cache tiers' growth revalidation reads it too.
+inline constexpr int64_t kMaxDfsNodes = 2'000'000;
+
 struct GroupSearchConfig {
   double k = 0.05;  // QUIC size-estimation error bound
   // Calibrated estimate-inflation model (protocol overhead, §3.2):
@@ -66,8 +72,6 @@ struct GroupSearchConfig {
   Bytes expected_fixed_overhead = 230;
   // Per-(group, start-range) candidate cap.
   int max_candidates_per_group = 5000;
-  // DFS node budget per (group, start-range) enumeration.
-  int64_t max_dfs_nodes = 2'000'000;
   // Groups with more requests than this always become wildcards.
   int max_group_requests = 16;
   // QUIC request packets may be retransmitted under new packet numbers and
@@ -103,19 +107,12 @@ struct GroupSearchConfig {
 // CandidateCost; ties keep a fixed enumeration order (video-free, then
 // single-chunk runs from the flat size index, then longer runs by start
 // index), so the output is deterministic and independent of config.pool.
-// `cache` optionally memoizes flat-index queries across calls; it must not
-// be shared across threads. `arena` optionally backs the enumeration's
-// scratch allocations (splits, prefix-sum bounds, the pre-rank candidate
-// accumulator); it is reset at every call, so it must be exclusive to this
-// function — the per-searcher pattern. Null falls back to a call-local arena.
 std::vector<GroupCandidate> EnumerateGroupCandidates(const TrafficGroup& group,
                                                      const DbSnapshot& db,
                                                      const GroupSearchConfig& config,
                                                      const DisplayConstraints& display,
                                                      int start_lo, int start_hi,
-                                                     bool* truncated,
-                                                     CandidateQueryCache* cache = nullptr,
-                                                     MonotonicArena* arena = nullptr);
+                                                     bool* truncated);
 
 // Same enumeration, returning the immutable shared form the cross-trace
 // cache stores: on a cache hit the set is shared, never copied. Callers that
@@ -124,9 +121,7 @@ std::vector<GroupCandidate> EnumerateGroupCandidates(const TrafficGroup& group,
 // demand). EnumerateGroupCandidates is a copying wrapper over this.
 std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     const TrafficGroup& group, const DbSnapshot& db, const GroupSearchConfig& config,
-    const DisplayConstraints& display, int start_lo, int start_hi,
-    CandidateQueryCache* cache = nullptr, MonotonicArena* arena = nullptr,
-    uint32_t context_id = 0);
+    const DisplayConstraints& display, int start_lo, int start_hi, uint32_t context_id = 0);
 
 // Ranking cost: relative deviation of the observed estimate from the
 // candidate's predicted estimate under the calibrated overhead model.

@@ -18,7 +18,6 @@
 #include "src/csi/chunk_database.h"
 #include "src/csi/db_snapshot.h"
 #include "src/csi/group_search.h"
-#include "src/csi/path_search.h"
 #include "src/csi/prefix_cache.h"
 #include "src/csi/result_cache.h"
 #include "src/csi/splitter.h"
@@ -71,7 +70,7 @@ struct InferenceConfig {
   //    trace fingerprint + interned config context, and snapshot-independent:
   //    entries stay valid across UpdateSnapshot / LiveChunkDatabase publishes.
   //  * candidate (candidate_cache.h) holds group-candidate sets consulted by
-  //    the SQ enumeration.
+  //    the group enumeration of every design.
   struct Caches {
     std::shared_ptr<AnalysisPrefixCache> prefix;
     std::shared_ptr<GroupCandidateCache> candidate;

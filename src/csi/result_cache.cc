@@ -33,8 +33,7 @@ ResultHullScope::~ResultHullScope() { t_result_hull = previous_; }
 ResultHull* CurrentResultHull() { return t_result_hull; }
 
 void RecordEnumerationForResultCache(const CandidateSetHull& hull, int start_lo,
-                                     int canonical_start_hi, int positions,
-                                     int64_t max_dfs_nodes) {
+                                     int canonical_start_hi, int positions) {
   ResultHull* const collector = CurrentResultHull();
   if (collector == nullptr || !hull.has_video_split) {
     // Video-free (and wildcard-fallback) explanations never read the position
@@ -62,7 +61,7 @@ void RecordEnumerationForResultCache(const CandidateSetHull& hull, int start_lo,
   // pruned/filtered, and surviving old starts must keep their exact budgets.
   const int range = pa - std::max(start_lo, 0);
   if (hull.v_max >= 2 && range >= 1 &&
-      max_dfs_nodes / range > GroupCandidateCache::kPerStartNodeFloor) {
+      kMaxDfsNodes / range > GroupCandidateCache::kPerStartNodeFloor) {
     // The per-start budget exceeded the floor, so widening the range would
     // shrink it — same inputs, different cutoff. No window can prove
     // identity; the result only ever hits at this exact state.

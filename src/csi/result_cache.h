@@ -123,8 +123,7 @@ ResultHull* CurrentResultHull();
 // must already be canonicalized (GroupCandidateCache::kOpenHi when the range
 // reached the live edge), `positions` is the analyze-time snapshot's count.
 void RecordEnumerationForResultCache(const CandidateSetHull& hull, int start_lo,
-                                     int canonical_start_hi, int positions,
-                                     int64_t max_dfs_nodes);
+                                     int canonical_start_hi, int positions);
 
 // Folds one merge-repair size probe into the active collector (no-op without
 // one): the probe's answer can only flip if an appended chunk lands in the

@@ -3,6 +3,7 @@
 #ifndef CSI_SRC_CSI_TYPES_H_
 #define CSI_SRC_CSI_TYPES_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,10 @@ enum class DesignType { kCH, kSH, kCQ, kSQ };
 std::string DesignTypeName(DesignType type);
 bool IsQuic(DesignType type);
 bool HasSeparateAudio(DesignType type);
+
+// Optional displayed-chunk information (§4.2): OCR of player overlays yields
+// (playback index -> track) constraints that prune video candidates.
+using DisplayConstraints = std::map<int, int>;
 
 // One detected HTTP exchange: a request packet and the estimated size of the
 // response downloaded before the next request (Step 1 output, §3.1).

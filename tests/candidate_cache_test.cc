@@ -50,13 +50,19 @@ Bytes RandomChunkSize(Rng* rng, std::vector<Bytes>* palette) {
   return size;
 }
 
-// Random uniform live-edge manifest (same shape as live_database_test).
+// Random uniform live-edge manifest (same shape as live_database_test). Mixes
+// narrow manifests, where a growth range's per-start DFS budget
+// (kMaxDfsNodes / range) sits above its floor and trips the growth-range
+// budget check, with wide ones (>= 31 positions), where a chain-root range
+// floors the budget and revalidates by the delta-size probe alone.
 Manifest RandomUniformManifest(Rng* rng, std::vector<Bytes>* palette) {
   Manifest m;
   m.asset_id = "cache-fuzz";
   m.host = "cdn.live.example";
   const int tracks = static_cast<int>(rng->UniformInt(1, 4));
-  const int positions = rng->Chance(0.05) ? 0 : static_cast<int>(rng->UniformInt(1, 16));
+  const int positions = rng->Chance(0.05)  ? 0
+                        : rng->Chance(0.5) ? static_cast<int>(rng->UniformInt(1, 16))
+                                           : static_cast<int>(rng->UniformInt(31, 40));
   for (int t = 0; t < tracks; ++t) {
     Track track;
     track.name = "v" + std::to_string(t);
@@ -169,9 +175,6 @@ GroupSearchConfig FuzzConfig(Rng* rng, const std::vector<Bytes>& palette) {
   config.k = 0.05;
   config.expected_overhead = 0.005;
   config.expected_fixed_overhead = 0;
-  // Mix budgets that floor per-start (always revalidatable) with the default
-  // (which trips the growth-range budget check at these position counts).
-  config.max_dfs_nodes = rng->Chance(0.5) ? 50'000 : 2'000'000;
   if (rng->Chance(0.3) && !palette.empty()) {
     config.other_object_sizes.push_back(palette[0]);
   }
@@ -269,6 +272,13 @@ TEST(CandidateCacheDifferential, CacheOnMatchesCacheOffOn120Schedules) {
 
 // --- Targeted delta invalidation ------------------------------------------
 
+// Positions of the invalidation fixture's manifests: enough that a
+// [0, live edge] range floors the per-start DFS budget (kMaxDfsNodes / 32 is
+// below GroupCandidateCache::kPerStartNodeFloor), so growth revalidation is
+// decided by the delta-size probe alone, not the budget-shift guard.
+constexpr int kFlooredPositions = 32;
+static_assert(kMaxDfsNodes / kFlooredPositions <= GroupCandidateCache::kPerStartNodeFloor);
+
 // Fixed two-track manifest with well-separated sizes; audio 32000.
 Manifest SmallManifest(int positions) {
   Manifest m;
@@ -320,10 +330,6 @@ class CandidateCacheInvalidation : public ::testing::Test {
     off.k = 0.05;
     off.expected_overhead = 0.005;
     off.expected_fixed_overhead = 0;
-    // Keep the per-start DFS budget at its floor so growth revalidation is
-    // decided by the delta-size probe alone, not the budget-shift guard
-    // (which conservatively invalidates at toy position counts).
-    off.max_dfs_nodes = 50'000;
     GroupSearchConfig on = off;
     on.shared_cache = cache;
     bool trunc_on = false;
@@ -339,7 +345,7 @@ class CandidateCacheInvalidation : public ::testing::Test {
 };
 
 TEST_F(CandidateCacheInvalidation, AppendOutsideWindowRevalidatesAndHits) {
-  const Manifest m = SmallManifest(8);
+  const Manifest m = SmallManifest(kFlooredPositions);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);
@@ -362,7 +368,7 @@ TEST_F(CandidateCacheInvalidation, AppendOutsideWindowRevalidatesAndHits) {
 }
 
 TEST_F(CandidateCacheInvalidation, AppendInsideWindowInvalidates) {
-  const Manifest m = SmallManifest(8);
+  const Manifest m = SmallManifest(kFlooredPositions);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);
@@ -388,7 +394,7 @@ TEST_F(CandidateCacheInvalidation, AppendInsideWindowInvalidates) {
 }
 
 TEST_F(CandidateCacheInvalidation, CompactionHidingAppendsInvalidates) {
-  const Manifest m = SmallManifest(8);
+  const Manifest m = SmallManifest(kFlooredPositions);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);
@@ -410,7 +416,7 @@ TEST_F(CandidateCacheInvalidation, CompactionHidingAppendsInvalidates) {
 }
 
 TEST_F(CandidateCacheInvalidation, CompactionWithoutAppendsKeepsEntries) {
-  const Manifest m = SmallManifest(8);
+  const Manifest m = SmallManifest(kFlooredPositions);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);

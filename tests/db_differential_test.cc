@@ -354,56 +354,5 @@ TEST(DbDifferentialTest, CountKernelsOnSortedRunsMatchBinarySearch) {
   }
 }
 
-// --- Bounded CandidateQueryCache ------------------------------------------
-
-TEST(DbDifferentialTest, CandidateQueryCacheStaysBounded) {
-  Rng rng(5);
-  Manifest m;
-  m.asset_id = "cache";
-  Track t;
-  t.name = "v0";
-  t.type = MediaType::kVideo;
-  for (int i = 0; i < 512; ++i) {
-    t.chunks.push_back(Chunk{1000 + 7 * i, 2'000'000});
-  }
-  m.video_tracks.push_back(std::move(t));
-  const ChunkDatabase db(&m);
-
-  CandidateQueryCache cache(&db, /*max_entries_per_memo=*/8);
-  ASSERT_EQ(cache.max_entries_per_memo(), 8u);
-  // 100 distinct windows per entry point: far past the cap.
-  for (int i = 0; i < 100; ++i) {
-    const Bytes est = 1000 + 7 * i;
-    cache.VideoCandidates(est, 0.01);
-    cache.VideoCandidatesInSizeRange(est, est + 20);
-  }
-  EXPECT_LE(cache.size(), 16u);  // 8 per memo
-  EXPECT_GE(cache.evictions(), 2u * (100u - 8u));
-  // An evicted window re-fetches correctly (and identically to the db).
-  EXPECT_EQ(cache.VideoCandidates(1000, 0.01), db.VideoCandidates(1000, 0.01));
-  EXPECT_EQ(cache.VideoCandidatesInSizeRange(1000, 1020),
-            db.VideoCandidatesInSizeRange(1000, 1020));
-  EXPECT_LE(cache.size(), 16u);
-
-  // Repeats of a resident window hit, not evict.
-  CandidateQueryCache small(&db, 4);
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 4; ++i) {
-      small.VideoCandidates(1000 + 7 * i, 0.01);
-    }
-  }
-  EXPECT_EQ(small.misses(), 4u);
-  EXPECT_EQ(small.hits(), 36u);
-  EXPECT_EQ(small.evictions(), 0u);
-
-  // A zero cap clamps to one entry instead of dividing by zero.
-  CandidateQueryCache clamped(&db, 0);
-  EXPECT_EQ(clamped.max_entries_per_memo(), 1u);
-  clamped.VideoCandidates(1000, 0.01);
-  clamped.VideoCandidates(1007, 0.01);
-  EXPECT_EQ(clamped.size(), 1u);
-  EXPECT_EQ(clamped.evictions(), 1u);
-}
-
 }  // namespace
 }  // namespace csi::infer

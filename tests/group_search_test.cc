@@ -1,3 +1,6 @@
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/csi/group_search.h"
@@ -303,6 +306,189 @@ TEST(CandidateCost, GroundTruthRanksAheadOfImpostors) {
   const Bytes estimate = Est(truth.implied_total);
   EXPECT_LT(CandidateCost(truth, estimate, 2, config),
             CandidateCost(impostor, estimate, 2, config));
+}
+
+// --- Single-request groups: the non-MUX designs (Fig. 9a) ------------------
+//
+// InferenceEngine::Analyze turns every estimated exchange of a CH/SH/CQ
+// capture into its own single-request group, so the chain below is the
+// Fig. 9a layered graph: one layer per exchange, Property (1) per layer and
+// Property (2) between consecutive video layers.
+
+// 3 video tracks x 6 positions with well-separated sizes, 1 audio track.
+media::Manifest ExchangeManifest() {
+  media::Manifest m;
+  m.asset_id = "exchanges";
+  m.host = "cdn.example";
+  for (int t = 0; t < 3; ++t) {
+    media::Track track;
+    track.name = "T" + std::to_string(t);
+    track.nominal_bitrate = (t + 1) * 500 * kKbps;
+    for (int i = 0; i < 6; ++i) {
+      // Distinct sizes everywhere: 100k*(t+1) + 3k*i.
+      track.chunks.push_back(media::Chunk{100000 * (t + 1) + 3000 * i, 5 * kUsPerSec});
+    }
+    m.video_tracks.push_back(track);
+  }
+  media::Track audio;
+  audio.type = media::MediaType::kAudio;
+  audio.name = "audio";
+  for (int i = 0; i < 6; ++i) {
+    audio.chunks.push_back(media::Chunk{50000, 5 * kUsPerSec});
+  }
+  m.audio_tracks.push_back(audio);
+  return m;
+}
+
+// One single-request group per exchange estimate, built as Analyze builds
+// them from its EstimatedExchange list.
+std::vector<TrafficGroup> ExchangeGroups(const std::vector<Bytes>& estimates) {
+  std::vector<TrafficGroup> groups;
+  TimeUs t = 0;
+  for (const Bytes estimate : estimates) {
+    TrafficGroup g;
+    g.requests.push_back(DetectedRequest{t, false});
+    g.start_time = t;
+    g.end_time = t + kUsPerSec;
+    g.estimated_total = estimate;
+    groups.push_back(std::move(g));
+    t += 2 * kUsPerSec;
+  }
+  return groups;
+}
+
+// The engine's HTTPS search config (InferenceConfig defaults).
+GroupSearchConfig HttpsConfig() {
+  GroupSearchConfig config;
+  config.k = 0.01;
+  config.expected_overhead = 0.0015;
+  config.expected_fixed_overhead = 180;
+  return config;
+}
+
+// HTTPS estimate of a true size: +0.2%, inside the k = 1% window.
+Bytes HttpsEst(Bytes true_size) { return true_size + true_size / 500; }
+
+std::vector<std::pair<int, int>> VideoSlots(const InferredSequence& seq) {
+  std::vector<std::pair<int, int>> video;
+  for (const InferredSlot& slot : seq.slots) {
+    if (slot.kind == SlotKind::kVideo) {
+      video.emplace_back(slot.chunk.track, slot.chunk.index);
+    }
+  }
+  return video;
+}
+
+TEST(SearchGroupSequences, ExchangesRecoverContiguousRunAcrossTracks) {
+  const media::Manifest m = ExchangeManifest();
+  const ChunkDatabase db(&m);
+  // Video: (t0,i1), (t2,i2), (t1,i3).
+  const auto result = SearchGroupSequences(
+      ExchangeGroups({HttpsEst(103000), HttpsEst(306000), HttpsEst(209000)}), db,
+      HttpsConfig());
+  ASSERT_EQ(result.sequences.size(), 1u);
+  EXPECT_FALSE(result.truncated);
+  EXPECT_EQ(VideoSlots(result.sequences[0]),
+            (std::vector<std::pair<int, int>>{{0, 1}, {2, 2}, {1, 3}}));
+  EXPECT_EQ(result.group_sizes, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(SearchGroupSequences, AudioExchangeBetweenVideoExchanges) {
+  const media::Manifest m = ExchangeManifest();
+  const ChunkDatabase db(&m);
+  // video i0, audio, video i1: the audio layer keeps the index range, so
+  // Property (2) still links i0 to i1.
+  const auto result = SearchGroupSequences(
+      ExchangeGroups({HttpsEst(100000), HttpsEst(50000), HttpsEst(103000)}), db,
+      HttpsConfig());
+  ASSERT_EQ(result.sequences.size(), 1u);
+  const auto& slots = result.sequences[0].slots;
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0].kind, SlotKind::kVideo);
+  EXPECT_EQ(slots[1].kind, SlotKind::kAudio);
+  EXPECT_EQ(slots[2].kind, SlotKind::kVideo);
+  EXPECT_EQ(slots[0].chunk.index, 0);
+  EXPECT_EQ(slots[2].chunk.index, 1);
+  // The audio index is anchored alongside the video run.
+  EXPECT_EQ(slots[1].chunk.index, 0);
+}
+
+TEST(SearchGroupSequences, NonContiguousExchangesYieldNoCleanSequence) {
+  const media::Manifest m = ExchangeManifest();
+  const ChunkDatabase db(&m);
+  // (t2,i0) then (t0,i2): no contiguous reading exists, and no single chunk
+  // explains both exchanges as one phantom-split object. The second exchange
+  // degrades to a wildcard (an unidentified slot) instead of emptying the
+  // output.
+  const auto result = SearchGroupSequences(
+      ExchangeGroups({HttpsEst(300000), HttpsEst(106000)}), db, HttpsConfig());
+  ASSERT_EQ(result.sequences.size(), 1u);
+  const auto& slots = result.sequences[0].slots;
+  ASSERT_EQ(slots.size(), 2u);
+  EXPECT_EQ(VideoSlots(result.sequences[0]), (std::vector<std::pair<int, int>>{{2, 0}}));
+  EXPECT_EQ(slots[1].kind, SlotKind::kOther);
+}
+
+TEST(SearchGroupSequences, CollidingTracksYieldFourSequences) {
+  media::Manifest m = ExchangeManifest();
+  // Tracks 0 and 1 collide at every position: two readings per exchange.
+  for (size_t i = 0; i < 6; ++i) {
+    m.video_tracks[1].chunks[i].size = m.video_tracks[0].chunks[i].size;
+  }
+  const ChunkDatabase db(&m);
+  const auto result = SearchGroupSequences(
+      ExchangeGroups({HttpsEst(100000), HttpsEst(103000)}), db, HttpsConfig());
+  // 2 track choices per slot, indexes fixed by contiguity: 4 sequences.
+  ASSERT_EQ(result.sequences.size(), 4u);
+  EXPECT_FALSE(result.truncated);
+  for (const InferredSequence& seq : result.sequences) {
+    const auto video = VideoSlots(seq);
+    ASSERT_EQ(video.size(), 2u);
+    EXPECT_EQ(video[0].second, 0);
+    EXPECT_EQ(video[1].second, 1);
+  }
+}
+
+TEST(SearchGroupSequences, SequenceCapReturnsExactlyTheCapAndTruncates) {
+  media::Manifest m = ExchangeManifest();
+  for (size_t i = 0; i < 6; ++i) {
+    m.video_tracks[1].chunks[i].size = m.video_tracks[0].chunks[i].size;
+    m.video_tracks[2].chunks[i].size = m.video_tracks[0].chunks[i].size;
+  }
+  const ChunkDatabase db(&m);
+  std::vector<Bytes> estimates;
+  for (int i = 0; i < 5; ++i) {
+    estimates.push_back(HttpsEst(100000 + 3000 * i));
+  }
+  GroupSearchConfig config = HttpsConfig();
+  config.max_sequences = 10;  // 3^5 = 243 readings exist
+  const auto result = SearchGroupSequences(ExchangeGroups(estimates), db, config);
+  EXPECT_EQ(result.sequences.size(), 10u);
+  EXPECT_TRUE(result.truncated);
+}
+
+TEST(SearchGroupSequences, ExchangeRunNeedNotStartAtIndexZero) {
+  const media::Manifest m = ExchangeManifest();
+  const ChunkDatabase db(&m);
+  // Only indexes 4, 5 downloaded (resumed playback).
+  const auto result = SearchGroupSequences(
+      ExchangeGroups({HttpsEst(112000), HttpsEst(115000)}), db, HttpsConfig());
+  ASSERT_EQ(result.sequences.size(), 1u);
+  EXPECT_EQ(VideoSlots(result.sequences[0]),
+            (std::vector<std::pair<int, int>>{{0, 4}, {0, 5}}));
+}
+
+TEST(SearchGroupSequences, UnmatchedExchangesBecomeUnidentifiedSlots) {
+  const media::Manifest m = ExchangeManifest();
+  const ChunkDatabase db(&m);
+  // Neither exchange matches a video or audio chunk: each becomes a wildcard,
+  // so the one sequence holds only unidentified slots.
+  const auto result = SearchGroupSequences(ExchangeGroups({999, 777}), db, HttpsConfig());
+  ASSERT_EQ(result.sequences.size(), 1u);
+  ASSERT_EQ(result.sequences[0].slots.size(), 2u);
+  for (const InferredSlot& slot : result.sequences[0].slots) {
+    EXPECT_EQ(slot.kind, SlotKind::kOther);
+  }
 }
 
 }  // namespace

@@ -423,43 +423,6 @@ TEST(LiveDatabaseTest, EpochAndDeltaAccounting) {
   EXPECT_TRUE(s3.SameStateAs(s2));
 }
 
-// --- Epoch-keyed CandidateQueryCache --------------------------------------
-
-TEST(LiveDatabaseTest, QueryCacheRebindDropsStaleEntries) {
-  Manifest m = SmallManifest(6);
-  LiveChunkDatabase::Options options;
-  options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
-  LiveChunkDatabase live(m, options);
-
-  CandidateQueryCache cache(live.Acquire());
-  const Bytes est = 1007;  // track 0, position 1
-  const auto before = cache.VideoCandidates(est, 0.01);
-  cache.VideoCandidates(est, 0.01);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // Rebinding to the same published state keeps the memo warm.
-  cache.Rebind(live.Acquire());
-  cache.VideoCandidates(est, 0.01);
-  EXPECT_EQ(cache.hits(), 2u);
-
-  // A refresh that adds a chunk matching the memoized window must be visible
-  // after Rebind: the stale entry is dropped, not served.
-  ManifestRefresh refresh;
-  refresh.video_appends.resize(2);
-  refresh.video_appends[0].push_back(Chunk{est, 2'000'000});
-  refresh.video_appends[1].push_back(Chunk{777'777, 2'000'000});
-  ApplyToManifest(&m, refresh);
-  live.ApplyRefresh(refresh);
-  cache.Rebind(live.Acquire());
-  EXPECT_EQ(cache.size(), 0u);
-  const auto after = cache.VideoCandidates(est, 0.01);
-  const ChunkDatabase full(&m);
-  EXPECT_EQ(after, full.VideoCandidates(est, 0.01));
-  EXPECT_GT(after.size(), before.size());
-  EXPECT_EQ(cache.epoch(), 1u);
-}
-
 // --- Input validation ------------------------------------------------------
 
 TEST(LiveDatabaseTest, RejectsRaggedInitialManifest) {

@@ -129,8 +129,9 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
   video.hull1_hi = 800;
   video.hull2_hi = 1200;
   video.hull_all_hi = 1500;
-  const int kPositions = 100;
-  const int64_t kSmallBudget = 1 << 10;
+  // Wide enough that a [0, live edge] range floors the per-start DFS budget.
+  constexpr int kPositions = 100;
+  static_assert(kMaxDfsNodes / kPositions <= GroupCandidateCache::kPerStartNodeFloor);
 
   {
     // No video split: the enumeration never reads the position axis.
@@ -138,15 +139,14 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
     ResultHullScope scope(&out);
     CandidateSetHull no_video = video;
     no_video.has_video_split = false;
-    RecordEnumerationForResultCache(no_video, 0, GroupCandidateCache::kOpenHi, kPositions,
-                                    kSmallBudget);
+    RecordEnumerationForResultCache(no_video, 0, GroupCandidateCache::kOpenHi, kPositions);
     EXPECT_FALSE(out.sensitive);
   }
   {
     // Concrete range whose longest run cannot cross the live edge.
     ResultHull out;
     ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 10, 20, kPositions, kSmallBudget);
+    RecordEnumerationForResultCache(video, 10, 20, kPositions);
     EXPECT_FALSE(out.sensitive);
   }
   {
@@ -155,7 +155,7 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
     // a new candidate.
     ResultHull out;
     ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 90, kPositions - 2, kPositions, kSmallBudget);
+    RecordEnumerationForResultCache(video, 90, kPositions - 2, kPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_FALSE(out.unsafe);
     EXPECT_EQ(out.probe_lo, 0);
@@ -166,8 +166,7 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
     // chunks can seed candidates anywhere up to the overall hull.
     ResultHull out;
     ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 0, GroupCandidateCache::kOpenHi, kPositions,
-                                    kSmallBudget);
+    RecordEnumerationForResultCache(video, 0, GroupCandidateCache::kOpenHi, kPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_FALSE(out.unsafe);
     EXPECT_EQ(out.probe_lo, 0);
@@ -179,22 +178,21 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
     ResultHullScope scope(&out);
     CandidateSetHull single = video;
     single.v_max = 1;
-    RecordEnumerationForResultCache(single, 0, GroupCandidateCache::kOpenHi, kPositions,
-                                    kSmallBudget);
+    RecordEnumerationForResultCache(single, 0, GroupCandidateCache::kOpenHi, kPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_FALSE(out.unsafe);
     EXPECT_EQ(out.probe_lo, single.hull1_lo);
     EXPECT_EQ(out.probe_hi, single.hull_all_hi);
   }
   {
-    // Growth range with a per-start DFS budget above the floor: the cutoff
-    // itself shifts with the live edge — unprovable by any window.
+    // Growth range narrow enough that its per-start DFS budget sits above
+    // the floor: the cutoff itself shifts with the live edge — unprovable by
+    // any window.
     ResultHull out;
     ResultHullScope scope(&out);
-    const int64_t huge = static_cast<int64_t>(kPositions + 1) *
-                         (GroupCandidateCache::kPerStartNodeFloor + 1);
-    RecordEnumerationForResultCache(video, 0, GroupCandidateCache::kOpenHi, kPositions,
-                                    huge);
+    constexpr int kNarrowPositions = 10;
+    static_assert(kMaxDfsNodes / kNarrowPositions > GroupCandidateCache::kPerStartNodeFloor);
+    RecordEnumerationForResultCache(video, 0, GroupCandidateCache::kOpenHi, kNarrowPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_TRUE(out.unsafe);
   }

@@ -37,13 +37,13 @@ Optionally validates an --audit JSONL file: one JSON object per line, each
 with the per-trace audit fields the inference engine records.
 
 Optionally validates one or more --metrics JSON exports (csi_batch
---metrics-out --metrics-format json). Per file, the prefix-cache and
-result-cache counters must be internally consistent (lookups == hits +
-misses, inserts <= misses, evictions <= inserts, and for the result tier
+--metrics-out --metrics-format json). Per file, the counters of each cache
+tier (prefix, result, candidate) must be internally consistent (lookups ==
+hits + misses, inserts + refused <= misses, evictions <= inserts,
 invalidations <= misses). Across files given in order, every
-csi_prefix_cache_*_total / csi_result_cache_*_total counter must be
-monotonically non-decreasing — the order should match the order the exports
-were produced in.
+csi_{prefix,result,candidate}_cache_*_total counter must be monotonically
+non-decreasing — the order should match the order the exports were produced
+in.
 
 Usage: check_trace.py TRACE_JSON [--run-metrics JSON] [--audit AUDIT_JSONL]
                       [--metrics JSON ...]
@@ -267,11 +267,19 @@ MONOTONIC_COUNTERS = (
     "csi_result_cache_evictions_total",
     "csi_result_cache_refused_total",
     "csi_result_cache_invalidations_total",
+    "csi_candidate_cache_lookups_total",
+    "csi_candidate_cache_hits_total",
+    "csi_candidate_cache_misses_total",
+    "csi_candidate_cache_inserts_total",
+    "csi_candidate_cache_evictions_total",
+    "csi_candidate_cache_refused_total",
+    "csi_candidate_cache_invalidations_total",
 )
 
 
 def check_cache_counters(path, counters, tier):
-    """lookups == hits + misses; inserts + refused <= misses; evictions <= inserts.
+    """lookups == hits + misses; inserts + refused <= misses; evictions <= inserts;
+    invalidations <= misses.
 
     Absent counters read as 0: a cache-off run legitimately exports none.
     """
@@ -287,11 +295,11 @@ def check_cache_counters(path, counters, tier):
         fail(f"{path}: {tier}-cache inserts ({inserts}) + refused ({refused}) > misses ({misses})")
     if evictions > inserts:
         fail(f"{path}: {tier}-cache evictions ({evictions}) > inserts ({inserts})")
-    if tier == "result":
-        # A dropped stale entry always resolves as a miss in the same lookup.
-        invalidations = counters.get("csi_result_cache_invalidations_total", 0)
-        if invalidations > misses:
-            fail(f"{path}: result-cache invalidations ({invalidations}) > misses ({misses})")
+    # A dropped stale entry always resolves as a miss in the same lookup (the
+    # prefix tier never invalidates, so it reads 0 there).
+    invalidations = counters.get(f"csi_{tier}_cache_invalidations_total", 0)
+    if invalidations > misses:
+        fail(f"{path}: {tier}-cache invalidations ({invalidations}) > misses ({misses})")
 
 
 def load_counters(path):
@@ -314,6 +322,7 @@ def check_metrics(paths):
         counters = load_counters(path)
         check_cache_counters(path, counters, "prefix")
         check_cache_counters(path, counters, "result")
+        check_cache_counters(path, counters, "candidate")
         if previous is not None:
             for name in MONOTONIC_COUNTERS:
                 before = previous.get(name, 0)

@@ -316,14 +316,6 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
   return block;
 }
 
-std::string FormatCandidateCacheSummary(const infer::GroupCandidateCache::Stats& stats) {
-  return infer::FormatCacheSummary("candidate", stats);
-}
-
-std::string FormatPrefixCacheSummary(const infer::AnalysisPrefixCache::Stats& stats) {
-  return infer::FormatCacheSummary("prefix", stats);
-}
-
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
   // Per-stage wall-clock sums from the span histogram. Stages that run
   // inside another reported stage, and envelopes around reported stages,

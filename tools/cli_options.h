@@ -149,11 +149,6 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
                                     const infer::AnalysisPrefixCache* prefix,
                                     const infer::GroupCandidateCache* candidate);
 
-// Deprecated single-tier summaries, now thin wrappers over the shared
-// infer::FormatCacheSummary formatter (one consistent line shape per tier).
-std::string FormatCandidateCacheSummary(const infer::GroupCandidateCache::Stats& stats);
-std::string FormatPrefixCacheSummary(const infer::AnalysisPrefixCache::Stats& stats);
-
 // Per-stage timing breakdown from the csi_stage_duration_seconds span
 // histograms in `snapshot`: per-packet stages (flow_classify, traffic_split,
 // size_estimate) vs. the candidate/graph search (group_search), plus the
