@@ -4,11 +4,14 @@
 #include <numeric>
 #include <utility>
 
+#include "src/common/telemetry.h"
+
 namespace csi::capture {
 
 const std::string PacketColumns::empty_sni_;
 
 PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
+  CSI_SPAN("column_build", {"packets", static_cast<int64_t>(trace.size())});
   PacketColumns c;
   const size_t n = trace.size();
   std::vector<uint32_t> flow_of(n);

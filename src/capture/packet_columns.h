@@ -71,7 +71,8 @@ class PacketColumns {
   // flow ids in first-appearance order and counts packets per flow, then a
   // scatter places every packet into its flow's span. When the capture is
   // already flow-contiguous (flow-id run count == flow count) the scatter
-  // degenerates to an identity copy.
+  // degenerates to an identity copy. Timed under the `column_build` stage
+  // span.
   static PacketColumns Build(const CaptureTrace& trace);
 
   size_t packet_count() const { return ts_.size(); }

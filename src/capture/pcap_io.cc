@@ -1,9 +1,17 @@
 #include "src/capture/pcap_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstring>
+#include <cerrno>
+#include <cstddef>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
+
+#include "src/common/telemetry.h"
 
 namespace csi::capture {
 namespace {
@@ -13,59 +21,149 @@ constexpr uint32_t kLinkTypeRaw = 101;       // raw IPv4/IPv6
 constexpr uint32_t kIpv4HeaderBytes = 20;    // no options
 constexpr uint32_t kTcpHeaderBytes = 20;     // no options
 constexpr uint32_t kUdpHeaderBytes = 8;
+constexpr uint8_t kIpProtoTcp = 6;
+constexpr uint8_t kIpProtoUdp = 17;
+constexpr ptrdiff_t kGlobalHeaderBytes = 24;
+constexpr ptrdiff_t kRecordHeaderBytes = 16;
 
 void Put8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
 void Put16be(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v));
+  out.insert(out.end(), {static_cast<uint8_t>(v >> 8), static_cast<uint8_t>(v)});
 }
 void Put32be(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 24));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v));
+  Put16be(out, static_cast<uint16_t>(v >> 16));
+  Put16be(out, static_cast<uint16_t>(v));
 }
 void Put32le(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<uint8_t>(v >> shift));
+  }
+}
+void PutSni(std::vector<uint8_t>& out, const std::string& sni) {
+  Put16be(out, static_cast<uint16_t>(sni.size()));
+  out.insert(out.end(), sni.begin(), sni.end());
 }
 
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& data) : data_(data) {}
-  uint8_t U8() { return data_.at(pos_++); }
-  uint16_t U16be() {
-    const uint16_t hi = U8();
-    return static_cast<uint16_t>(hi << 8 | U8());
-  }
-  uint32_t U32be() {
-    const uint32_t hi = U16be();
-    return hi << 16 | U16be();
-  }
-  uint32_t U32le() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(U8()) << (8 * i);
-    }
-    return v;
-  }
-  void Skip(size_t n) {
-    if (pos_ + n > data_.size()) {
-      throw std::runtime_error("pcap: truncated");
-    }
-    pos_ += n;
-  }
-  size_t pos() const { return pos_; }
-  void Seek(size_t p) { pos_ = p; }
-  bool AtEnd() const { return pos_ >= data_.size(); }
-  size_t Remaining() const { return data_.size() - pos_; }
-
- private:
-  const std::vector<uint8_t>& data_;
-  size_t pos_ = 0;
+struct FileCloser {
+  int fd;
+  ~FileCloser() { ::close(fd); }
 };
+
+// Loads from a byte pointer. Callers check the bytes are there first.
+uint16_t Load16be(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
+uint32_t Load32be(const uint8_t* p) { return uint32_t{Load16be(p)} << 16 | Load16be(p + 2); }
+uint32_t Load32le(const uint8_t* p) {
+  return uint32_t{p[3]} << 24 | uint32_t{p[2]} << 16 | uint32_t{p[1]} << 8 | p[0];
+}
+
+// The SNI of `len` bytes at `p` when all of them lie before `end`, else "".
+std::string SniAt(const uint8_t* p, const uint8_t* end, uint16_t len) {
+  if (len == 0 || len > end - p) {
+    return std::string();
+  }
+  return std::string(reinterpret_cast<const char*>(p), len);
+}
+
+// Parses the pcap bytes [begin, end). Every length is checked against the
+// bytes left before the load it guards, so no pointer moves past `end`.
+CaptureTrace Parse(const uint8_t* begin, const uint8_t* end) {
+  const uint8_t* p = begin;
+  if (end - p < 4 || Load32le(p) != kPcapMagic) {
+    throw std::runtime_error("pcap: bad magic");
+  }
+  if (end - p < kGlobalHeaderBytes) {
+    throw std::runtime_error("pcap: truncated");
+  }
+  if (Load32le(p + 20) != kLinkTypeRaw) {
+    throw std::runtime_error("pcap: unsupported link type");
+  }
+  p += kGlobalHeaderBytes;
+
+  // Hop the record headers once so the trace is sized once; a record that
+  // runs past the end stops the count and is rejected by the parse below.
+  size_t records = 0;
+  for (const uint8_t* q = p; end - q >= kRecordHeaderBytes;) {
+    const uint32_t incl_len = Load32le(q + 8);
+    if (incl_len > end - q - kRecordHeaderBytes) {
+      break;
+    }
+    q += kRecordHeaderBytes + incl_len;
+    ++records;
+  }
+  CaptureTrace trace;
+  trace.reserve(records);
+
+  while (p != end) {
+    if (end - p < kRecordHeaderBytes) {
+      throw std::runtime_error("pcap: truncated packet header");
+    }
+    const uint32_t ts_sec = Load32le(p);
+    const uint32_t ts_usec = Load32le(p + 4);
+    const uint32_t incl_len = Load32le(p + 8);
+    const uint32_t orig_len = Load32le(p + 12);
+    p += kRecordHeaderBytes;
+    if (incl_len > end - p) {
+      throw std::runtime_error("pcap: truncated packet body");
+    }
+    const uint8_t* const pkt = p;
+    const uint8_t* const pkt_end = p + incl_len;
+    p = pkt_end;
+
+    // Every record must hold the fixed IPv4 header before any of it is read,
+    // and the transport header once the protocol is known (below).
+    if (incl_len < kIpv4HeaderBytes) {
+      throw std::runtime_error("pcap: packet shorter than its headers");
+    }
+    if ((pkt[0] >> 4) != 4) {
+      throw std::runtime_error("pcap: not IPv4");
+    }
+    const uint8_t proto = pkt[9];
+    if (proto != kIpProtoTcp && proto != kIpProtoUdp) {
+      throw std::runtime_error("pcap: unsupported IP protocol");
+    }
+    const bool is_tcp = proto == kIpProtoTcp;
+    const uint32_t headers = kIpv4HeaderBytes + (is_tcp ? kTcpHeaderBytes : kUdpHeaderBytes);
+    // A short capture length would read the fixed transport fields out of the
+    // next record; a short original length would make the payload negative.
+    if (incl_len < headers || orig_len < headers) {
+      throw std::runtime_error("pcap: packet shorter than its headers");
+    }
+    const uint32_t src_ip = Load32be(pkt + 12);
+    const uint32_t dst_ip = Load32be(pkt + 16);
+    const uint8_t* const l4 = pkt + kIpv4HeaderBytes;
+    const uint16_t src_port = Load16be(l4);
+    const uint16_t dst_port = Load16be(l4 + 2);
+
+    PacketRecord& r = trace.emplace_back();
+    r.timestamp = static_cast<TimeUs>(ts_sec) * kUsPerSec + ts_usec;
+    r.transport = is_tcp ? net::Transport::kTcp : net::Transport::kUdp;
+    // Client side = the endpoint on the ephemeral port.
+    r.from_client = dst_port == 443;
+    r.client_ip = r.from_client ? src_ip : dst_ip;
+    r.server_ip = r.from_client ? dst_ip : src_ip;
+    r.client_port = r.from_client ? src_port : dst_port;
+    r.server_port = r.from_client ? dst_port : src_port;
+    r.wire_size = static_cast<Bytes>(orig_len);
+    r.payload = static_cast<Bytes>(orig_len) - static_cast<Bytes>(headers);
+    const uint8_t* const body = pkt + headers;
+    if (is_tcp) {
+      r.tcp_seq = Load32be(l4 + 4);
+      r.tcp_ack = Load32be(l4 + 8);
+      // SNI marker: TLS handshake record.
+      if (r.payload > 0 && pkt_end - body >= 5 && body[0] == 0x16 && body[1] == 0x03 &&
+          body[2] == 0x01) {
+        r.sni = SniAt(body + 5, pkt_end, Load16be(body + 3));
+      }
+    } else if (pkt_end - body >= 13) {
+      // QUIC public header: flags, 8-byte CID, 4-byte packet number.
+      r.quic_packet_number = Load32be(body + 9);
+      if ((body[0] & 0x80) != 0 && pkt_end - body >= 15) {
+        r.sni = SniAt(body + 15, pkt_end, Load16be(body + 13));
+      }
+    }
+  }
+  return trace;
+}
 
 }  // namespace
 
@@ -73,10 +171,7 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
   std::vector<uint8_t> out;
   // Global header.
   Put32le(out, kPcapMagic);
-  out.push_back(2);
-  out.push_back(0);  // version major = 2 (LE u16)
-  out.push_back(4);
-  out.push_back(0);  // version minor = 4
+  Put32le(out, 0x00040002);    // version 2.4
   Put32le(out, 0);             // thiszone
   Put32le(out, 0);             // sigfigs
   Put32le(out, kPcapSnapLen);  // snaplen
@@ -94,13 +189,11 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
     const uint32_t transport_header = is_tcp ? 20u : 8u;
     const uint32_t ip_total = 20u + transport_header + static_cast<uint32_t>(r.payload);
     // IPv4 header.
-    Put8(pkt, 0x45);
-    Put8(pkt, 0);
+    Put16be(pkt, 0x4500);  // version 4, IHL 5, TOS 0
     Put16be(pkt, static_cast<uint16_t>(std::min<uint32_t>(ip_total, 0xFFFF)));
-    Put16be(pkt, 0);  // id
-    Put16be(pkt, 0x4000);  // DF
+    Put32be(pkt, 0x4000);  // id 0, DF
     Put8(pkt, 64);         // ttl
-    Put8(pkt, is_tcp ? 6 : 17);
+    Put8(pkt, is_tcp ? kIpProtoTcp : kIpProtoUdp);
     Put16be(pkt, 0);  // checksum (unverified)
     Put32be(pkt, src_ip);
     Put32be(pkt, dst_ip);
@@ -109,20 +202,13 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
       Put16be(pkt, dst_port);
       Put32be(pkt, static_cast<uint32_t>(r.tcp_seq));
       Put32be(pkt, static_cast<uint32_t>(r.tcp_ack));
-      Put8(pkt, 0x50);  // data offset 5
-      Put8(pkt, 0x10);  // ACK flag
+      Put16be(pkt, 0x5010);  // data offset 5, ACK flag
       Put16be(pkt, 0xFFFF);  // window
-      Put16be(pkt, 0);       // checksum
-      Put16be(pkt, 0);       // urgent
+      Put32be(pkt, 0);       // checksum, urgent
       if (!r.sni.empty()) {
         // Minimal TLS handshake record exposing the SNI.
-        Put8(pkt, 0x16);
-        Put8(pkt, 0x03);
-        Put8(pkt, 0x01);
-        Put16be(pkt, static_cast<uint16_t>(r.sni.size()));
-        for (char c : r.sni) {
-          Put8(pkt, static_cast<uint8_t>(c));
-        }
+        pkt.insert(pkt.end(), {0x16, 0x03, 0x01});
+        PutSni(pkt, r.sni);
       }
     } else {
       Put16be(pkt, src_port);
@@ -131,25 +217,15 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
       Put16be(pkt, 0);  // checksum
       // QUIC public header: flags + 8-byte CID + 4-byte packet number.
       Put8(pkt, r.sni.empty() ? 0x40 : 0xC0);
-      for (int i = 0; i < 8; ++i) {
-        Put8(pkt, 0);
-      }
+      pkt.insert(pkt.end(), 8, 0);
       Put32be(pkt, static_cast<uint32_t>(r.quic_packet_number));
       if (!r.sni.empty()) {
-        Put16be(pkt, static_cast<uint16_t>(r.sni.size()));
-        for (char c : r.sni) {
-          Put8(pkt, static_cast<uint8_t>(c));
-        }
+        PutSni(pkt, r.sni);
       }
     }
-    // Zero-fill the rest of the payload up to the snap length.
+    // Zero-fill the rest of the payload up to the snap length, or cut there.
     const size_t full_len = 20u + transport_header + static_cast<size_t>(r.payload);
-    const size_t incl = std::min<size_t>(full_len, kPcapSnapLen);
-    if (pkt.size() < incl) {
-      pkt.resize(incl, 0);
-    } else if (pkt.size() > incl) {
-      pkt.resize(incl);
-    }
+    pkt.resize(std::min<size_t>(full_len, kPcapSnapLen), 0);
 
     // Per-packet header.
     Put32le(out, static_cast<uint32_t>(r.timestamp / kUsPerSec));
@@ -162,108 +238,7 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
 }
 
 CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
-  Reader in(bytes);
-  if (in.U32le() != kPcapMagic) {
-    throw std::runtime_error("pcap: bad magic");
-  }
-  in.Skip(2 + 2 + 4 + 4 + 4);  // versions, thiszone, sigfigs, snaplen
-  if (in.U32le() != kLinkTypeRaw) {
-    throw std::runtime_error("pcap: unsupported link type");
-  }
-
-  CaptureTrace trace;
-  while (!in.AtEnd()) {
-    if (in.Remaining() < 16) {
-      throw std::runtime_error("pcap: truncated packet header");
-    }
-    const uint32_t ts_sec = in.U32le();
-    const uint32_t ts_usec = in.U32le();
-    const uint32_t incl_len = in.U32le();
-    const uint32_t orig_len = in.U32le();
-    const size_t pkt_start = in.pos();
-    if (in.Remaining() < incl_len) {
-      throw std::runtime_error("pcap: truncated packet body");
-    }
-
-    // Every record must hold the fixed IPv4 header before any of it is read,
-    // and the transport header once the protocol is known (below).
-    if (incl_len < kIpv4HeaderBytes) {
-      throw std::runtime_error("pcap: packet shorter than its headers");
-    }
-    PacketRecord r;
-    r.timestamp = static_cast<TimeUs>(ts_sec) * kUsPerSec + ts_usec;
-    // IPv4 header.
-    const uint8_t vihl = in.U8();
-    if ((vihl >> 4) != 4) {
-      throw std::runtime_error("pcap: not IPv4");
-    }
-    in.Skip(1 + 2 + 2 + 2 + 1);  // tos, total, id, frag, ttl
-    const uint8_t proto = in.U8();
-    in.Skip(2);
-    const uint32_t src_ip = in.U32be();
-    const uint32_t dst_ip = in.U32be();
-    const bool is_tcp = proto == 6;
-    const uint32_t headers = kIpv4HeaderBytes + (is_tcp ? kTcpHeaderBytes : kUdpHeaderBytes);
-    // A short capture length would read the fixed transport fields out of the
-    // next record; a short original length would make the payload negative.
-    if (incl_len < headers || orig_len < headers) {
-      throw std::runtime_error("pcap: packet shorter than its headers");
-    }
-    const uint16_t src_port = in.U16be();
-    const uint16_t dst_port = in.U16be();
-    r.transport = is_tcp ? net::Transport::kTcp : net::Transport::kUdp;
-    // Client side = the endpoint on the ephemeral port.
-    r.from_client = dst_port == 443;
-    r.client_ip = r.from_client ? src_ip : dst_ip;
-    r.server_ip = r.from_client ? dst_ip : src_ip;
-    r.client_port = r.from_client ? src_port : dst_port;
-    r.server_port = r.from_client ? dst_port : src_port;
-    r.wire_size = static_cast<Bytes>(orig_len);
-    r.payload = static_cast<Bytes>(orig_len) - static_cast<Bytes>(headers);
-    if (is_tcp) {
-      r.tcp_seq = in.U32be();
-      r.tcp_ack = in.U32be();
-      const uint8_t offset_byte = in.U8();
-      in.Skip(1 + 2 + 2 + 2);  // flags, window, checksum, urgent
-      (void)offset_byte;
-      // SNI marker: TLS handshake record.
-      if (r.payload > 0 && in.pos() + 5 <= pkt_start + incl_len) {
-        const size_t mark = in.pos();
-        if (in.U8() == 0x16 && in.U8() == 0x03 && in.U8() == 0x01) {
-          const uint16_t sni_len = in.U16be();
-          if (sni_len > 0 && in.pos() + sni_len <= pkt_start + incl_len) {
-            std::string sni;
-            for (uint16_t i = 0; i < sni_len; ++i) {
-              sni.push_back(static_cast<char>(in.U8()));
-            }
-            r.sni = sni;
-          }
-        } else {
-          in.Seek(mark);
-        }
-      }
-    } else {
-      in.Skip(2 + 2);  // udp len, checksum
-      if (in.pos() + 13 <= pkt_start + incl_len) {
-        const uint8_t flags = in.U8();
-        in.Skip(8);  // CID
-        r.quic_packet_number = in.U32be();
-        if ((flags & 0x80) != 0 && in.pos() + 2 <= pkt_start + incl_len) {
-          const uint16_t sni_len = in.U16be();
-          if (sni_len > 0 && in.pos() + sni_len <= pkt_start + incl_len) {
-            std::string sni;
-            for (uint16_t i = 0; i < sni_len; ++i) {
-              sni.push_back(static_cast<char>(in.U8()));
-            }
-            r.sni = sni;
-          }
-        }
-      }
-    }
-    in.Seek(pkt_start + incl_len);
-    trace.push_back(std::move(r));
-  }
-  return trace;
+  return Parse(bytes.data(), bytes.data() + bytes.size());
 }
 
 void WritePcap(const std::string& path, const CaptureTrace& trace) {
@@ -274,16 +249,39 @@ void WritePcap(const std::string& path, const CaptureTrace& trace) {
   }
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    throw std::runtime_error("pcap: cannot write " + path);
+  }
 }
 
 CaptureTrace ReadPcap(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw std::runtime_error("pcap: cannot open " + path);
   }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  return ParsePcap(bytes);
+  const FileCloser closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw std::runtime_error("pcap: cannot read " + path);
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  CSI_SPAN("pcap_read", {"bytes", static_cast<int64_t>(size)});
+  // One sized read; the buffer is not zeroed first since the read fills it.
+  const std::unique_ptr<uint8_t[]> bytes = std::make_unique_for_overwrite<uint8_t[]>(size);
+  for (size_t done = 0; done < size;) {
+    const ssize_t n = ::read(fd, bytes.get() + done, size - done);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      throw std::runtime_error("pcap: cannot read " + path);
+    }
+    done += static_cast<size_t>(n);
+  }
+  CaptureTrace trace = Parse(bytes.get(), bytes.get() + size);
+  CSI_COUNTER_ADD("csi_pcap_packets_read_total", trace.size());
+  return trace;
 }
 
 }  // namespace csi::capture

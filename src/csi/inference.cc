@@ -193,12 +193,7 @@ AnalysisPrefix InferenceEngine::ComputePrefix(
 InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {
-  capture::PacketColumns columns;
-  {
-    CSI_SPAN("column_build", {"packets", static_cast<int64_t>(trace.size())});
-    columns = capture::PacketColumns::Build(trace);
-  }
-  return Analyze(columns, display, audit);
+  return Analyze(capture::PacketColumns::Build(trace), display, audit);
 }
 
 InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,

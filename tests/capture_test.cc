@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/capture/capture.h"
 #include "src/capture/pcap_io.h"
+#include "src/common/rng.h"
 #include "src/sim/simulator.h"
+#include "tests/test_env.h"
 
 namespace csi::capture {
 namespace {
@@ -96,6 +102,7 @@ TEST(Pcap, SerializeParseRoundTrip) {
   const CaptureTrace trace = SampleTrace();
   const CaptureTrace parsed = ParsePcap(SerializePcap(trace));
   ASSERT_EQ(parsed.size(), trace.size());
+  EXPECT_EQ(parsed.capacity(), trace.size());  // the header pass sized it once
   for (size_t i = 0; i < trace.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_EQ(parsed[i].timestamp, trace[i].timestamp);
@@ -160,24 +167,57 @@ class PcapBuilder {
   // One IPv4/TCP record (downlink, from port 443) whose full 40 header bytes
   // are cut to `incl_len` captured bytes, claiming `orig_len` on the wire.
   PcapBuilder& TcpRecord(uint32_t incl_len, uint32_t orig_len) {
-    Le32(1);  // ts_sec
-    Le32(0);  // ts_usec
-    Le32(incl_len);
-    Le32(orig_len);
+    return TcpRecord(incl_len, orig_len, {});
+  }
+
+  // The same TCP header followed by `payload`, all of it cut to `incl_len`.
+  PcapBuilder& TcpRecord(uint32_t incl_len, uint32_t orig_len,
+                         const std::vector<uint8_t>& payload) {
     std::vector<uint8_t> packet = {
         0x45, 0, 0, 40, 0, 0, 0x40, 0, 64, 6, 0, 0,  // IPv4, proto TCP
         192, 168, 0, 1, 10, 0, 0, 2,                 // src, dst
         0x01, 0xbb, 0xc8, 0x22,                      // 443 -> 51234
         0, 0, 0x10, 0x92, 0, 0, 0x16, 0x22,          // seq, ack
         0x50, 0x10, 0xff, 0xff, 0, 0, 0, 0};         // offset, flags, ...
+    packet.insert(packet.end(), payload.begin(), payload.end());
+    return Record(std::move(packet), incl_len, orig_len);
+  }
+
+  // One IPv4/UDP record (uplink, to port 443) carrying `payload` after the
+  // 8-byte UDP header, cut to `incl_len`.
+  PcapBuilder& UdpRecord(uint32_t incl_len, uint32_t orig_len,
+                         const std::vector<uint8_t>& payload) {
+    std::vector<uint8_t> packet = {
+        0x45, 0, 0, 0, 0, 0, 0x40, 0, 64, 17, 0, 0,  // IPv4, proto UDP
+        10, 0, 0, 2, 192, 168, 0, 1,                 // src, dst
+        0xc8, 0x22, 0x01, 0xbb, 0, 0, 0, 0};         // 51234 -> 443, len, sum
+    packet.insert(packet.end(), payload.begin(), payload.end());
+    return Record(std::move(packet), incl_len, orig_len);
+  }
+
+  // One 40-byte IPv4 record whose protocol byte is `proto`.
+  PcapBuilder& ProtoRecord(uint8_t proto) {
+    std::vector<uint8_t> packet = {
+        0x45, 0, 0, 40, 0, 0, 0x40, 0, 64, proto, 0, 0,  // IPv4, proto
+        192, 168, 0, 1, 10, 0, 0, 2};                    // src, dst
+    return Record(std::move(packet), 40, 40);
+  }
+
+  // A copy sized exactly, so the sanitizer builds flag a read one byte past
+  // the last record.
+  std::vector<uint8_t> bytes() const { return bytes_; }
+
+ private:
+  PcapBuilder& Record(std::vector<uint8_t> packet, uint32_t incl_len, uint32_t orig_len) {
+    Le32(1);  // ts_sec
+    Le32(0);  // ts_usec
+    Le32(incl_len);
+    Le32(orig_len);
     packet.resize(incl_len, 0);
     bytes_.insert(bytes_.end(), packet.begin(), packet.end());
     return *this;
   }
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-
- private:
   void Le32(uint32_t v) {
     for (int i = 0; i < 4; ++i) {
       bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -217,12 +257,210 @@ TEST(Pcap, RejectsRecordShorterThanItsHeaders) {
   // Too short for even the IPv4 header.
   EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(12, 1500).bytes()),
             "pcap: packet shorter than its headers");
+  // One byte short of the TCP and of the UDP header.
+  EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(39, 1500).bytes()),
+            "pcap: packet shorter than its headers");
+  EXPECT_EQ(ParseError(PcapBuilder().UdpRecord(27, 1500, {}).bytes()),
+            "pcap: packet shorter than its headers");
 }
 
 TEST(Pcap, RejectsOriginalLengthShorterThanItsHeaders) {
   // orig_len 30 < 40 header bytes would give a payload of -10.
   EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(40, 30).bytes()),
             "pcap: packet shorter than its headers");
+}
+
+TEST(Pcap, RejectsIpProtocolsOtherThanTcpAndUdp) {
+  // ICMP and GRE must not come out as plausible-looking UDP packets.
+  for (const uint8_t proto : {1, 47}) {
+    SCOPED_TRACE(static_cast<int>(proto));
+    EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(40, 40).ProtoRecord(proto).bytes()),
+              "pcap: unsupported IP protocol");
+  }
+}
+
+// The "abc" SNI behind a TLS handshake record header whose length field
+// claims `claimed` bytes.
+std::vector<uint8_t> TlsSni(uint8_t claimed) { return {0x16, 3, 1, 0, claimed, 'a', 'b', 'c'}; }
+
+// The "abc" SNI behind a long-header QUIC public header (flags, 8-byte CID,
+// packet number 7) whose SNI length field claims `claimed` bytes.
+std::vector<uint8_t> QuicSni(uint8_t claimed) {
+  std::vector<uint8_t> bytes = {0xC0};
+  bytes.resize(9, 0);
+  bytes.insert(bytes.end(), {0, 0, 0, 7, 0, claimed, 'a', 'b', 'c'});
+  return bytes;
+}
+
+// An SNI whose length field claims one byte more than the record captured
+// is dropped, and the record itself still parses; the exact length parses.
+TEST(Pcap, TcpSniLengthOnePastTheRecordIsIgnored) {
+  const CaptureTrace parsed = ParsePcap(PcapBuilder()
+                                            .TcpRecord(48, 100, TlsSni(4))
+                                            .TcpRecord(48, 100, TlsSni(3))
+                                            .TcpRecord(40, 40)
+                                            .bytes());
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed[0].sni, "");
+  EXPECT_EQ(parsed[0].payload, 60);
+  EXPECT_EQ(parsed[1].sni, "abc");
+
+  // The record ends one byte into the TLS record's length field.
+  const CaptureTrace last = ParsePcap(PcapBuilder().TcpRecord(44, 100, TlsSni(3)).bytes());
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].sni, "");
+}
+
+TEST(Pcap, QuicSniLengthOnePastTheRecordIsIgnored) {
+  const CaptureTrace parsed = ParsePcap(PcapBuilder()
+                                            .UdpRecord(46, 1200, QuicSni(4))
+                                            .UdpRecord(46, 1200, QuicSni(3))
+                                            .TcpRecord(40, 40)
+                                            .bytes());
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed[0].transport, net::Transport::kUdp);
+  EXPECT_EQ(parsed[0].quic_packet_number, 7u);
+  EXPECT_EQ(parsed[0].sni, "");
+  EXPECT_EQ(parsed[1].sni, "abc");
+
+  // The record ends one byte into the SNI length field.
+  std::vector<uint8_t> cut = QuicSni(3);
+  cut.resize(14);
+  const CaptureTrace last = ParsePcap(PcapBuilder().UdpRecord(42, 1200, cut).bytes());
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].quic_packet_number, 7u);
+  EXPECT_EQ(last[0].sni, "");
+}
+
+TEST(Pcap, UdpRecordShorterThanTheQuicHeaderKeepsNoQuicFields) {
+  // 12 bytes after the UDP header, one short of flags + CID + packet number.
+  std::vector<uint8_t> short_header = QuicSni(3);
+  short_header.resize(12);
+  const CaptureTrace parsed = ParsePcap(PcapBuilder().UdpRecord(40, 40, short_header).bytes());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_TRUE(parsed[0].from_client);
+  EXPECT_EQ(parsed[0].client_port, 51234);
+  EXPECT_EQ(parsed[0].payload, 12);
+  EXPECT_EQ(parsed[0].quic_packet_number, 0u);
+  EXPECT_EQ(parsed[0].sni, "");
+}
+
+std::string ReadError(const std::string& path) {
+  try {
+    ReadPcap(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Pcap, ReadRejectsEmptyMissingAndDirectoryPaths) {
+  const std::string dir = ::testing::TempDir() + "/csi_capture_test_dir";
+  const std::string empty = dir + "/empty.pcap";
+  ::mkdir(dir.c_str(), 0700);
+  std::ofstream(empty).close();
+  EXPECT_EQ(ReadError(empty), "pcap: bad magic");
+  EXPECT_EQ(ReadError(dir + "/missing.pcap"), "pcap: cannot open " + dir + "/missing.pcap");
+  EXPECT_EQ(ReadError(dir), "pcap: cannot read " + dir);
+  std::remove(empty.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// Parses a mutated capture: it must either return a trace whose every record
+// is self-consistent or throw std::runtime_error. Any other exception fails
+// the test, and the sanitizer builds catch an out-of-bounds read.
+void ParseMutant(const std::vector<uint8_t>& bytes) {
+  CaptureTrace parsed;
+  try {
+    parsed = ParsePcap(bytes);
+  } catch (const std::runtime_error&) {
+    return;
+  }
+  for (const PacketRecord& r : parsed) {
+    ASSERT_GE(r.payload, 0);
+    ASSERT_EQ(r.wire_size - r.payload, r.transport == net::Transport::kTcp ? 40 : 28);
+    ASSERT_LE(r.sni.size(), kPcapSnapLen);
+  }
+}
+
+// The byte offsets of each record's incl_len field in a capture SerializePcap
+// wrote (orig_len follows at +4).
+std::vector<size_t> InclLenOffsets(const std::vector<uint8_t>& bytes) {
+  std::vector<size_t> offsets;
+  for (size_t at = 24; at + 16 <= bytes.size();) {
+    offsets.push_back(at + 8);
+    at += 16 + (bytes[at + 8] | bytes[at + 9] << 8 | bytes[at + 10] << 16 |
+                static_cast<size_t>(bytes[at + 11]) << 24);
+  }
+  return offsets;
+}
+
+void PutLe32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(PcapMutation, TruncationAtEveryOffset) {
+  // The serialized sample, and two captures whose last bytes are an SNI, so
+  // a cut that the body check let through would read past the buffer.
+  const std::vector<std::vector<uint8_t>> bases = {
+      SerializePcap(SampleTrace()),
+      PcapBuilder().TcpRecord(40, 40).TcpRecord(48, 100, TlsSni(3)).bytes(),
+      PcapBuilder().TcpRecord(40, 40).UdpRecord(46, 1200, QuicSni(3)).bytes()};
+  for (const std::vector<uint8_t>& base : bases) {
+    for (size_t len = 0; len <= base.size(); ++len) {
+      SCOPED_TRACE(len);
+      ParseMutant(
+          std::vector<uint8_t>(base.begin(), base.begin() + static_cast<ptrdiff_t>(len)));
+    }
+  }
+}
+
+TEST(PcapMutation, LyingLengthFields) {
+  const std::vector<uint8_t> base = SerializePcap(SampleTrace());
+  const std::vector<size_t> offsets = InclLenOffsets(base);
+  ASSERT_EQ(offsets.size(), SampleTrace().size());
+  for (const size_t at : offsets) {
+    for (const size_t field : {at, at + 4}) {  // incl_len, orig_len
+      for (const uint32_t value : {0u, 19u, 39u, kPcapSnapLen + 1, 0xFFFFFFFFu}) {
+        SCOPED_TRACE(testing::Message() << "offset " << field << " value " << value);
+        std::vector<uint8_t> mutant = base;
+        PutLe32(mutant, field, value);
+        ParseMutant(mutant);
+      }
+    }
+  }
+}
+
+TEST(PcapMutation, RandomBitFlipsAndLengths) {
+  const std::vector<uint8_t> base = SerializePcap(SampleTrace());
+  const std::vector<size_t> offsets = InclLenOffsets(base);
+  const uint32_t lengths[] = {0, 19, 39, kPcapSnapLen + 1, 0xFFFFFFFF};
+  const uint64_t rounds = testutil::ScheduleCount(20);
+  for (uint64_t round = 0; round < rounds; ++round) {
+    Rng rng(0x9CA9 + round);
+    for (int i = 0; i < 100; ++i) {
+      std::vector<uint8_t> mutant = base;
+      const int64_t flips = rng.UniformInt(1, 8);
+      for (int64_t f = 0; f < flips; ++f) {
+        const auto at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(base.size()) - 1));
+        mutant[at] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+      }
+      if (rng.UniformInt(0, 3) == 0) {  // sometimes a lying length as well
+        const size_t at = offsets[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(offsets.size()) - 1))];
+        PutLe32(mutant, at + 4 * static_cast<size_t>(rng.UniformInt(0, 1)),
+                lengths[rng.UniformInt(0, 4)]);
+      }
+      if (rng.UniformInt(0, 3) == 0) {  // and sometimes a cut
+        mutant.resize(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(mutant.size()))));
+      }
+      SCOPED_TRACE(testing::Message() << "round " << round << " mutant " << i);
+      ParseMutant(mutant);
+    }
+  }
 }
 
 }  // namespace

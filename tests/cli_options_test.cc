@@ -371,6 +371,7 @@ TEST(FormatStageBreakdownTest, CountsEachSecondOnce) {
   };
   stage("batch_analyze_all", 1.26);
   stage("batch_trace", 1.25);
+  stage("pcap_read", 0.4);
   stage("column_build", 0.05);
   stage("analyze", 1.0);
   stage("result_cache_lookup", 0.01);
@@ -389,8 +390,8 @@ TEST(FormatStageBreakdownTest, CountsEachSecondOnce) {
   task.sum = 9.0;
   snapshot.histograms.push_back(task);
   EXPECT_EQ(FormatStageBreakdown(snapshot),
-            "stage timing: analyze 1.000s; per-packet 0.100s (10.0%); "
-            "search 0.800s (80.0%); cache lookup 0.030s (3.0%); other stages 0.250s");
+            "stage timing: ingest 0.450s; analyze 1.000s; per-packet 0.100s (10.0%); "
+            "search 0.800s (80.0%); cache lookup 0.030s (3.0%); other stages 0.200s");
   EXPECT_EQ(FormatStageBreakdown(telemetry::MetricsSnapshot{}), "");
 }
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -241,6 +242,15 @@ bool ParseDesignName(const std::string& name, infer::DesignType* out) {
   return true;
 }
 
+int GuardedMain(int (*run)(int, char**), int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
 bool ReadFileToString(const std::string& path, std::string* out, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -321,11 +331,13 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
   // inside another reported stage, and envelopes around reported stages,
   // are skipped so no second is counted twice: the search's candidate_enum,
   // group_cache_lookup and sequence_chain; db_build's shards; the batch and
-  // per-trace envelopes; and the compaction wrappers around db_build. Any
-  // other stage lands in "other" so new spans never silently vanish.
+  // per-trace envelopes; and the compaction wrappers around db_build. The
+  // pcap read and column build are the ingest row. Any other stage lands in
+  // "other" so new spans never silently vanish.
   static const std::set<std::string> kNestedOrEnvelope = {
       "candidate_enum",    "group_cache_lookup", "sequence_chain", "db_build_shard",
       "batch_analyze_all", "batch_trace",        "db_compaction",  "background_compaction"};
+  double ingest = 0.0;      // pcap_read + column_build
   double per_packet = 0.0;  // flow_classify + traffic_split + size_estimate
   double search = 0.0;      // group_search (candidate + graph layers)
   double cache_lookup = 0.0;
@@ -341,6 +353,8 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
     const std::string& stage = h.labels[0].second;
     if (stage == "analyze") {
       analyze += h.sum;  // the envelope the components are reported against
+    } else if (stage == "pcap_read" || stage == "column_build") {
+      ingest += h.sum;
     } else if (stage == "flow_classify" || stage == "traffic_split" ||
                stage == "size_estimate") {
       per_packet += h.sum;
@@ -358,15 +372,14 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
   const auto pct = [analyze](double v) {
     return analyze > 0.0 ? 100.0 * v / analyze : 0.0;
   };
-  // "other" holds stages outside the analyze envelope (column build, db
-  // build), so the components are reported against analyze, not summed to
-  // it.
-  char buf[320];
+  // Ingest and "other" (db build) lie outside the analyze envelope, so the
+  // components are reported against analyze, not summed to it.
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
-                "stage timing: analyze %.3fs; per-packet %.3fs (%.1f%%); "
+                "stage timing: ingest %.3fs; analyze %.3fs; per-packet %.3fs (%.1f%%); "
                 "search %.3fs (%.1f%%); cache lookup %.3fs (%.1f%%); other stages %.3fs",
-                analyze, per_packet, pct(per_packet), search, pct(search), cache_lookup,
-                pct(cache_lookup), other);
+                ingest, analyze, per_packet, pct(per_packet), search, pct(search),
+                cache_lookup, pct(cache_lookup), other);
   return buf;
 }
 

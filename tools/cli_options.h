@@ -120,6 +120,11 @@ struct CommonOptions {
 // Parses CH|SH|CQ|SQ into *out; false on anything else.
 bool ParseDesignName(const std::string& name, infer::DesignType* out);
 
+// Runs a tool's `run(argc, argv)` and returns its exit status. An exception
+// that escapes it (unreadable pcap, malformed manifest, unwritable output)
+// prints "error: <what>" to stderr and exits 1 instead of aborting.
+int GuardedMain(int (*run)(int, char**), int argc, char** argv);
+
 // Slurps `path` into *out; false with *error on failure.
 bool ReadFileToString(const std::string& path, std::string* out, std::string* error);
 
@@ -150,10 +155,11 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
                                     const infer::GroupCandidateCache* candidate);
 
 // Per-stage timing breakdown from the csi_stage_duration_seconds span
-// histograms in `snapshot`: per-packet stages (flow_classify, traffic_split,
-// size_estimate) vs. the candidate/graph search (group_search), plus the
-// prefix/result cache lookups, each against the analyze envelope, and the
-// top-level stages outside it as "other". Stages nested inside a reported
+// histograms in `snapshot`: ingest (pcap_read + column_build), then
+// per-packet stages (flow_classify, traffic_split, size_estimate) vs. the
+// candidate/graph search (group_search), plus the prefix/result cache
+// lookups, each against the analyze envelope, and the remaining top-level
+// stages outside it as "other". Stages nested inside a reported
 // stage are not counted again. Empty string when the snapshot carries no
 // stage histograms. No trailing newline.
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);

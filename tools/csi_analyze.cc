@@ -46,9 +46,7 @@ namespace {
   std::exit(error == nullptr ? 0 : 2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   tools::CommonOptions common;
   std::string pcap_path;
   std::string report = "both";
@@ -204,3 +202,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::GuardedMain(Run, argc, argv); }

@@ -13,14 +13,17 @@
 // Together with csi_analyze this reproduces the paper's workflow end to end
 // from the command line.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "src/capture/pcap_io.h"
 #include "src/csi/inference.h"
 #include "src/testbed/experiment.h"
+#include "tools/cli_options.h"
 
 using namespace csi;
 
@@ -39,34 +42,29 @@ namespace {
   std::exit(error == nullptr ? 0 : 2);
 }
 
-infer::DesignType ParseDesign(const std::string& name) {
-  if (name == "CH") {
-    return infer::DesignType::kCH;
+// The whole of `text` as a number, or a usage error naming `flag`.
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [used, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || used != end) {
+    Usage(("invalid value for " + flag + ": '" + text + "'").c_str());
   }
-  if (name == "SH") {
-    return infer::DesignType::kSH;
-  }
-  if (name == "CQ") {
-    return infer::DesignType::kCQ;
-  }
-  if (name == "SQ") {
-    return infer::DesignType::kSQ;
-  }
-  Usage("unknown design type");
+  return value;
 }
 
 void WriteFileOrDie(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
+  out << content;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(2);
   }
-  out << content;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   std::string design_name;
   std::string out_dir;
   std::string adaptation = "hybrid";
@@ -91,21 +89,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_dir = next();
     } else if (arg == "--duration") {
-      duration_s = std::stod(next());
+      duration_s = ParseNumber<double>(arg, next());
     } else if (arg == "--bandwidth") {
-      bandwidth_mbps = std::stod(next());
+      bandwidth_mbps = ParseNumber<double>(arg, next());
     } else if (arg == "--cv") {
-      cv = std::stod(next());
+      cv = ParseNumber<double>(arg, next());
     } else if (arg == "--adaptation") {
       adaptation = next();
     } else if (arg == "--pasr") {
-      pasr = std::stod(next());
+      pasr = ParseNumber<double>(arg, next());
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = ParseNumber<uint64_t>(arg, next());
     } else if (arg == "--shaper-rate") {
-      shaper_rate_mbps = std::stod(next());
+      shaper_rate_mbps = ParseNumber<double>(arg, next());
     } else if (arg == "--shaper-bucket") {
-      shaper_bucket = std::stoll(next());
+      shaper_bucket = ParseNumber<Bytes>(arg, next());
     } else if (arg == "--help" || arg == "-h") {
       Usage(nullptr);
     } else {
@@ -116,7 +114,10 @@ int main(int argc, char** argv) {
     Usage("--design and --out are required");
   }
 
-  const infer::DesignType design = ParseDesign(design_name);
+  infer::DesignType design{};
+  if (!tools::ParseDesignName(design_name, &design)) {
+    Usage("unknown design type");
+  }
   const TimeUs duration = SecondsToUs(duration_s);
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(design, static_cast<int>(seed % 5), duration, pasr);
@@ -159,3 +160,7 @@ int main(int argc, char** argv) {
               out_dir.c_str(), out_dir.c_str(), design_name.c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return tools::GuardedMain(Run, argc, argv); }
