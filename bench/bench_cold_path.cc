@@ -5,7 +5,9 @@
 // columns. The per-stage benches attribute it: flow classification,
 // request/size estimation (CH), traffic splitting (SQ) and the prefix-cache
 // fingerprint, each run over pre-built columns so the stage cost is isolated
-// from the one-time transpose that BM_BuildColumns measures.
+// from the one-time transpose that BM_BuildColumns measures. BM_SequenceChain
+// times Step 2 alone: the layered chain search over one 10-min SQ session's
+// split groups.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +16,10 @@
 
 #include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
+#include "src/csi/chunk_database.h"
 #include "src/csi/flow_classifier.h"
+#include "src/csi/group_search.h"
+#include "src/csi/inference.h"
 #include "src/csi/prefix_cache.h"
 #include "src/csi/size_estimator.h"
 #include "src/csi/splitter.h"
@@ -125,6 +130,57 @@ void BM_Fingerprint(benchmark::State& state) {
                           static_cast<int64_t>(columns.packet_count()));
 }
 
+// --- Step-2 chain -------------------------------------------------------------
+
+// The split groups of one 10-min SQ session and the search config the engine
+// builds for SQ from InferenceConfig defaults, with no candidate tier and no
+// pool: every enumeration and the whole beam run inside the timed loop.
+struct ChainInput {
+  media::Manifest manifest;
+  std::vector<infer::TrafficGroup> groups;
+  infer::GroupSearchConfig config;
+};
+
+ChainInput MakeChainInput() {
+  ChainInput in;
+  in.manifest = testbed::MakeAssetForDesign(infer::DesignType::kSQ, 1);
+  testbed::SessionConfig session;
+  session.design = infer::DesignType::kSQ;
+  session.manifest = &in.manifest;
+  session.downlink = nettrace::StableTrace("s", 4 * kMbps);
+  session.duration = 600 * kUsPerSec;
+  session.seed = 200;
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(testbed::RunStreamingSession(session).capture);
+  uint32_t main_flow = 0;
+  bool found = false;
+  for (const uint32_t f : infer::ClassifyMediaFlowIds(columns, in.manifest.host)) {
+    if (!found || columns.flow_downlink_bytes(f) > columns.flow_downlink_bytes(main_flow)) {
+      main_flow = f;
+      found = true;
+    }
+  }
+  const infer::InferenceConfig defaults;
+  in.groups = infer::SplitIntoGroups(columns.flow(main_flow), defaults.splitter);
+  in.config.k = defaults.k_quic;
+  in.config.expected_overhead = defaults.expected_overhead_quic;
+  in.config.expected_fixed_overhead = defaults.expected_fixed_overhead;
+  in.config.max_sequences = defaults.max_sequences;
+  in.config.max_candidates_per_group = defaults.max_candidates_per_group;
+  in.config.other_object_sizes = {in.manifest.SerializedSize() +
+                                  defaults.expected_fixed_overhead};
+  return in;
+}
+
+void BM_SequenceChain(benchmark::State& state) {
+  static const ChainInput* in = new ChainInput(MakeChainInput());
+  const infer::ChunkDatabase db(&in->manifest);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(infer::SearchGroupSequences(in->groups, db, in->config));
+  }
+  state.counters["groups"] = static_cast<double>(in->groups.size());
+}
+
 // --- End-to-end cold batch ---------------------------------------------------
 
 void RunColdBatch(benchmark::State& state, const Workload& w,
@@ -158,6 +214,7 @@ BENCHMARK(BM_Classify);
 BENCHMARK(BM_EstimateExchanges);
 BENCHMARK(BM_SplitGroups);
 BENCHMARK(BM_Fingerprint);
+BENCHMARK(BM_SequenceChain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ChColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 

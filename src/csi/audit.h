@@ -40,7 +40,8 @@ struct InferenceAudit {
   int64_t cache_revalidations = 0;  // proven valid under a newer state
   int64_t cache_invalidations = 0;  // entry erased by the probe
   int64_t cache_misses = 0;
-  // Sequence chaining.
+  // Sequence chaining. chain_nodes counts the root plus every child the
+  // beam generated, not the path nodes it stored (only beam survivors are).
   int64_t chain_nodes = 0;
   int sequences = 0;
   bool truncated = false;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <tuple>
 
@@ -510,94 +511,83 @@ class GroupSequenceSearcher {
     // lowest-cost partial explanations at every layer. Wildcards carry a
     // large penalty and act as a last resort, so the most plausible complete
     // sequences surface first in the output.
-    struct PathNode {
-      int g = -1;       // group this node's candidate covers (start)
-      int next_g = 0;   // first uncovered group (g+1, or g+2 for a merge)
-      int lo = 0;
-      int hi = 0;
-      const GroupCandidate* cand = nullptr;
-      bool merged = false;  // candidate explains groups g and g+1 jointly
-      int parent = -1;
-      double cost = 0.0;
-    };
-    std::vector<PathNode> arena;
-    std::vector<int> frontier;
-    {
-      PathNode root;
-      root.lo = 0;
-      root.hi = positions_;
-      arena.push_back(root);
-      frontier.push_back(0);
-    }
+    //
+    // Because a merge advances two layers at once, frontiers are kept per
+    // "first uncovered group" and processed in order. Only beam survivors
+    // become PathNodes; every expanded child is first a 16-byte Child.
+    std::vector<std::vector<PathNode>> frontiers(groups_.size() + 2);
+    frontiers[0].push_back(PathNode{-1, 0, positions_, nullptr, false, -1, 0.0});
+    int64_t chain_nodes = 1;  // the root plus every generated child
     const int beam_width = std::max(config_.max_sequences * 4, 2048);
     const int max_expansions_per_node = 768;
 
-    // Because a merge advances two layers at once, frontiers are kept per
-    // "first uncovered group" and processed in order.
-    std::vector<std::vector<int>> frontiers(groups_.size() + 2);
-    frontiers[0] = frontier;
+    std::vector<Child> next;
+    std::vector<ParentLists> lists;
     for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
-      std::vector<std::pair<double, int>> next;
-      auto expand_with = [&](int idx, const std::vector<GroupCandidate>& cands,
-                             const TrafficGroup& group, bool merged, int next_g) {
-        const PathNode parent = arena[static_cast<size_t>(idx)];
+      const std::vector<PathNode>& frontier = frontiers[static_cast<size_t>(g)];
+      const int requests = groups_[static_cast<size_t>(g)].num_requests();
+      // Merge interpretation: a retransmitted request split one object's
+      // traffic into two single-request groups (QUIC phantoms, §2); the joint
+      // group explains both requests with a one-object deficit. The beam ranks
+      // this against the unmerged reading by cost.
+      const bool merge = config_.enable_merge_repair &&
+                         g + 1 < static_cast<int>(groups_.size()) && requests == 1 &&
+                         groups_[static_cast<size_t>(g) + 1].num_requests() == 1;
+      next.clear();
+      lists.resize(frontier.size());
+      auto expand_with = [&](int slot, const CostedList& list, int list_requests,
+                             uint32_t merged_bit) {
+        const PathNode& parent = frontier[static_cast<size_t>(slot)];
         int expansions = 0;
-        for (const GroupCandidate& c : cands) {
+        for (size_t i = 0; i < list.cands->size(); ++i) {
           if (expansions >= max_expansions_per_node) {
             truncated_ = true;
             break;
           }
-          const Transition tr = Apply(c, group.num_requests(), parent.lo, parent.hi);
-          if (!tr.feasible) {
+          if (!Apply((*list.cands)[i], list_requests, parent.lo, parent.hi).feasible) {
             continue;
           }
-          const double step_cost =
-              CandidateCost(c, group.estimated_total, group.num_requests(), config_);
-          PathNode node;
-          node.g = g;
-          node.next_g = next_g;
-          node.lo = tr.lo;
-          node.hi = tr.hi;
-          node.cand = &c;
-          node.merged = merged;
-          node.parent = idx;
-          node.cost = parent.cost + step_cost;
-          arena.push_back(node);
-          next.emplace_back(node.cost, static_cast<int>(arena.size()) - 1);
+          next.push_back(Child{parent.cost + (*list.costs)[i], slot,
+                               static_cast<uint32_t>(i) << 1 | merged_bit});
           ++expansions;
         }
       };
-
-      for (int idx : frontiers[static_cast<size_t>(g)]) {
-        const PathNode parent = arena[static_cast<size_t>(idx)];
-        expand_with(idx, CandidatesFor(g, parent.lo, parent.hi),
-                    groups_[static_cast<size_t>(g)], /*merged=*/false, g + 1);
-        // Merge interpretation: a retransmitted request split one object's
-        // traffic into two single-request groups (QUIC phantoms, §2); the
-        // joint group explains both requests with a one-object deficit. The
-        // beam ranks this against the unmerged reading by cost.
-        if (config_.enable_merge_repair && g + 1 < static_cast<int>(groups_.size()) &&
-            groups_[static_cast<size_t>(g)].num_requests() == 1 &&
-            groups_[static_cast<size_t>(g) + 1].num_requests() == 1) {
-          expand_with(idx, MergedCandidatesFor(g, parent.lo, parent.hi),
-                      MergedGroup(g), /*merged=*/true, g + 2);
+      for (int slot = 0; slot < static_cast<int>(frontier.size()); ++slot) {
+        const PathNode& parent = frontier[static_cast<size_t>(slot)];
+        ParentLists& parent_lists = lists[static_cast<size_t>(slot)];
+        parent_lists.plain = CandidatesFor(g, parent.lo, parent.hi);
+        expand_with(slot, parent_lists.plain, requests, 0);
+        if (merge) {
+          parent_lists.merged = MergedCandidatesFor(g, parent.lo, parent.hi);
+          expand_with(slot, parent_lists.merged, 2, 1);
         }
       }
-      std::sort(next.begin(), next.end(), [](const auto& a, const auto& b) {
-        return a.first < b.first;
-      });
+      chain_nodes += static_cast<int64_t>(next.size());
+      // The children arrive in generation order, and std::sort's tie order
+      // over that sequence is part of the output: keep both.
+      std::sort(next.begin(), next.end(),
+                [](const Child& a, const Child& b) { return a.cost < b.cost; });
       if (static_cast<int>(next.size()) > beam_width) {
         next.resize(static_cast<size_t>(beam_width));
         truncated_ = true;
       }
-      for (const auto& [cost, idx] : next) {
-        frontiers[static_cast<size_t>(arena[static_cast<size_t>(idx)].next_g)].push_back(idx);
+      for (const Child& child : next) {
+        const PathNode& parent = frontier[static_cast<size_t>(child.parent)];
+        const bool merged = (child.cand & 1) != 0;
+        const ParentLists& parent_lists = lists[static_cast<size_t>(child.parent)];
+        const GroupCandidate& c =
+            (*(merged ? parent_lists.merged : parent_lists.plain).cands)[child.cand >> 1];
+        const Transition tr = Apply(c, merged ? 2 : requests, parent.lo, parent.hi);
+        frontiers[static_cast<size_t>(g) + (merged ? 2 : 1)].push_back(
+            PathNode{g, tr.lo, tr.hi, &c, merged, child.parent, child.cost});
       }
     }
-    frontier = frontiers[groups_.size()];
     // Keep the final frontier sorted by cost.
-    std::sort(frontier.begin(), frontier.end(), [&arena](int a, int b) {
-      return arena[static_cast<size_t>(a)].cost < arena[static_cast<size_t>(b)].cost;
+    const std::vector<PathNode>& last = frontiers[groups_.size()];
+    std::vector<int> frontier(last.size());
+    std::iota(frontier.begin(), frontier.end(), 0);
+    std::sort(frontier.begin(), frontier.end(), [&last](int a, int b) {
+      return last[static_cast<size_t>(a)].cost < last[static_cast<size_t>(b)].cost;
     });
 
     // Emit the lowest-cost complete explanations. A sequence is *clean* when
@@ -612,13 +602,11 @@ class GroupSequenceSearcher {
     // (chosen vs runner-up explanation scores).
     std::vector<double> clean_costs;
     std::vector<double> degraded_costs;
-    for (int idx : frontier) {
+    for (int slot : frontier) {
       std::vector<SlotAssignment> assignment;
-      int cursor = idx;
-      while (cursor > 0) {
-        const PathNode& node = arena[static_cast<size_t>(cursor)];
-        assignment.push_back(SlotAssignment{node.g, node.cand, node.merged});
-        cursor = node.parent;
+      for (const PathNode* node = &last[static_cast<size_t>(slot)]; node->g >= 0;
+           node = &frontiers[static_cast<size_t>(node->g)][static_cast<size_t>(node->parent)]) {
+        assignment.push_back(SlotAssignment{node->g, node->cand, node->merged});
       }
       std::reverse(assignment.begin(), assignment.end());
       bool is_clean = true;
@@ -642,8 +630,7 @@ class GroupSequenceSearcher {
         }
       }
       (is_clean ? clean : degraded).push_back(std::move(assignment));
-      (is_clean ? clean_costs : degraded_costs)
-          .push_back(arena[static_cast<size_t>(idx)].cost);
+      (is_clean ? clean_costs : degraded_costs).push_back(last[static_cast<size_t>(slot)].cost);
     }
     auto& chosen = clean.empty() ? degraded : clean;
     const auto& chosen_costs = clean.empty() ? degraded_costs : clean_costs;
@@ -655,12 +642,12 @@ class GroupSequenceSearcher {
       result.sequences.push_back(BuildSequence(assignment));
     }
     result.truncated = truncated_;
-    CSI_COUNTER_ADD("csi_chain_nodes_total", arena.size());
+    CSI_COUNTER_ADD("csi_chain_nodes_total", chain_nodes);
     if (truncated_) {
       CSI_COUNTER_INC("csi_chain_truncated_total");
     }
     if (InferenceAudit* audit = CurrentAudit()) {
-      audit->chain_nodes += static_cast<int64_t>(arena.size());
+      audit->chain_nodes += chain_nodes;
       if (!chosen_costs.empty()) {
         audit->has_best_cost = true;
         audit->best_cost = chosen_costs[0];
@@ -686,6 +673,50 @@ class GroupSequenceSearcher {
     bool merged = false;
   };
 
+  // A beam survivor. Its candidate covers group g (and g+1 when merged); its
+  // parent is frontiers[g][parent]. The root has g = -1.
+  struct PathNode {
+    int g = -1;
+    int lo = 0;
+    int hi = 0;
+    const GroupCandidate* cand = nullptr;
+    bool merged = false;
+    int parent = -1;
+    double cost = 0.0;
+  };
+
+  // An expanded child before the beam cut: its path cost, its parent's slot
+  // in the layer's frontier, and its candidate index shifted left past the
+  // merged bit.
+  struct Child {
+    double cost;
+    int parent;
+    uint32_t cand;
+  };
+  static_assert(sizeof(Child) == 16);
+
+  // A cached candidate list and each candidate's step cost (CandidateCost
+  // against the group it explains), computed once per list.
+  struct CostedList {
+    const std::vector<GroupCandidate>* cands = nullptr;
+    const std::vector<double>* costs = nullptr;
+  };
+  // The lists one parent was expanded with, for decoding its survivors.
+  struct ParentLists {
+    CostedList plain;
+    CostedList merged;
+  };
+
+  static std::vector<double> StepCosts(const std::vector<GroupCandidate>& cands,
+                                       const TrafficGroup& group, const GroupSearchConfig& config) {
+    std::vector<double> costs;
+    costs.reserve(cands.size());
+    for (const GroupCandidate& c : cands) {
+      costs.push_back(CandidateCost(c, group.estimated_total, group.num_requests(), config));
+    }
+    return costs;
+  }
+
   // Two adjacent single-request groups viewed as one (phantom repair).
   TrafficGroup MergedGroup(int g) const {
     const TrafficGroup& a = groups_[static_cast<size_t>(g)];
@@ -699,42 +730,47 @@ class GroupSequenceSearcher {
     return merged;
   }
 
-  const std::vector<GroupCandidate>& MergedCandidatesFor(int g, int lo, int hi) {
+  CostedList MergedCandidatesFor(int g, int lo, int hi) {
     const auto key = std::make_tuple(g, lo, hi);
     auto it = merged_cand_cache_.find(key);
-    if (it != merged_cand_cache_.end()) {
-      return it->second;
-    }
-    const std::shared_ptr<const GroupCandidateSet> set =
-        EnumerateGroupCandidateSet(MergedGroup(g), db_, config_, display_, lo, hi, context_id_);
-    // Only the one-object-deficit explanations make sense for a merge (two
-    // requests, one real object); the filtered copy stays local — the shared
-    // cache keeps the unfiltered set for other consumers of the same key.
-    std::vector<GroupCandidate> cands;
-    for (const GroupCandidate& c : set->candidates) {
-      if (c.wildcard ||
-          static_cast<int>(c.tracks.size()) + c.audio_count + c.other_count != 1) {
-        continue;
+    if (it == merged_cand_cache_.end()) {
+      const TrafficGroup merged = MergedGroup(g);
+      const std::shared_ptr<const GroupCandidateSet> set =
+          EnumerateGroupCandidateSet(merged, db_, config_, display_, lo, hi, context_id_);
+      // Only the one-object-deficit explanations make sense for a merge (two
+      // requests, one real object); the filtered copy stays local — the
+      // shared cache keeps the unfiltered set for other consumers of the
+      // same key.
+      MergedList list;
+      for (const GroupCandidate& c : set->candidates) {
+        if (c.wildcard ||
+            static_cast<int>(c.tracks.size()) + c.audio_count + c.other_count != 1) {
+          continue;
+        }
+        list.cands.push_back(c);
       }
-      cands.push_back(c);
+      list.costs = StepCosts(list.cands, merged, config_);
+      truncated_ = truncated_ || set->truncated;
+      it = merged_cand_cache_.emplace(key, std::move(list)).first;
     }
-    truncated_ = truncated_ || set->truncated;
-    return merged_cand_cache_.emplace(key, std::move(cands)).first->second;
+    return CostedList{&it->second.cands, &it->second.costs};
   }
 
   // Lazy, cached per-(group, start-range) candidate enumeration. The range
   // conditioning is what keeps the per-group search space tractable. Sets are
   // held by pointer: a shared-cache hit is never copied into the searcher.
-  const std::vector<GroupCandidate>& CandidatesFor(int g, int lo, int hi) {
+  CostedList CandidatesFor(int g, int lo, int hi) {
     const auto key = std::make_tuple(g, lo, hi);
     auto it = cand_cache_.find(key);
-    if (it != cand_cache_.end()) {
-      return it->second->candidates;
+    if (it == cand_cache_.end()) {
+      const TrafficGroup& group = groups_[static_cast<size_t>(g)];
+      std::shared_ptr<const GroupCandidateSet> set =
+          EnumerateGroupCandidateSet(group, db_, config_, display_, lo, hi, context_id_);
+      truncated_ = truncated_ || set->truncated;
+      std::vector<double> costs = StepCosts(set->candidates, group, config_);
+      it = cand_cache_.emplace(key, CachedSet{std::move(set), std::move(costs)}).first;
     }
-    std::shared_ptr<const GroupCandidateSet> set = EnumerateGroupCandidateSet(
-        groups_[static_cast<size_t>(g)], db_, config_, display_, lo, hi, context_id_);
-    truncated_ = truncated_ || set->truncated;
-    return cand_cache_.emplace(key, std::move(set)).first->second->candidates;
+    return CostedList{&it->second.set->candidates, &it->second.costs};
   }
 
   // Next-index range after explaining a group of `requests` detected
@@ -826,8 +862,16 @@ class GroupSequenceSearcher {
   // Shared-cache context id, interned once in the constructor (0 = no shared
   // cache; the enumeration then ignores it).
   uint32_t context_id_ = 0;
-  std::map<std::tuple<int, int, int>, std::shared_ptr<const GroupCandidateSet>> cand_cache_;
-  std::map<std::tuple<int, int, int>, std::vector<GroupCandidate>> merged_cand_cache_;
+  struct CachedSet {
+    std::shared_ptr<const GroupCandidateSet> set;
+    std::vector<double> costs;
+  };
+  struct MergedList {
+    std::vector<GroupCandidate> cands;
+    std::vector<double> costs;
+  };
+  std::map<std::tuple<int, int, int>, CachedSet> cand_cache_;
+  std::map<std::tuple<int, int, int>, MergedList> merged_cand_cache_;
   bool truncated_ = false;
 };
 

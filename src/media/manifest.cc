@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/stats.h"
 
@@ -79,12 +80,29 @@ std::string Manifest::Serialize() const {
   return out.str();
 }
 
+namespace {
+
+// True when every field read from `ls` parsed and nothing follows them. A
+// serialized line ends at its last field, so the read of that field has
+// already set eof and no further extraction runs.
+bool AtCleanEnd(std::istringstream& ls) {
+  std::string extra;
+  return !ls.fail() && (ls.eof() || !(ls >> extra));
+}
+
+}  // namespace
+
 Manifest Manifest::Parse(const std::string& text) {
   Manifest m;
   std::istringstream in(text);
   std::string line;
   Track* current = nullptr;
-  while (std::getline(in, line)) {
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    // Serialize ends every line with '\n': a last line without one is what
+    // is left of a cut file.
+    if (in.eof()) {
+      throw std::runtime_error("manifest: truncated line " + std::to_string(line_no));
+    }
     if (line.empty() || line[0] == '#') {
       continue;
     }
@@ -113,6 +131,9 @@ Manifest Manifest::Parse(const std::string& text) {
       current->chunks.push_back(c);
     } else {
       throw std::runtime_error("manifest: unknown tag '" + tag + "'");
+    }
+    if (!AtCleanEnd(ls)) {
+      throw std::runtime_error("manifest: malformed line " + std::to_string(line_no));
     }
   }
   return m;

@@ -74,7 +74,9 @@ struct Manifest {
   Bytes SizeOf(const ChunkRef& ref) const { return ChunkOf(ref).size; }
 
   // Serializes to / parses from a simple line-oriented text format, standing
-  // in for a DASH MPD / HLS playlist with explicit chunk sizes.
+  // in for a DASH MPD / HLS playlist with explicit chunk sizes. Parse throws
+  // std::runtime_error on an unknown tag, a field that does not parse, a
+  // trailing token, or a last line without its '\n' (a cut file).
   std::string Serialize() const;
   static Manifest Parse(const std::string& text);
 

@@ -21,6 +21,8 @@ manifest=$work/good/video.manifest
 head -c 1000 "$work/good/session.pcap" > "$work/truncated.pcap"
 printf 'this is not a capture\n' > "$work/junk.pcap"
 head -c 4096 /dev/urandom > "$work/junk.manifest"
+# A manifest cut mid-line, as an interrupted copy leaves it.
+head -c 200 "$manifest" > "$work/truncated.manifest"
 
 failures=0
 expect_error() {
@@ -42,7 +44,7 @@ for input in missing truncated junk; do
   expect_error "$analyze" --pcap "$pcap" --manifest "$manifest" --design CH
   expect_error "$batch" --manifest "$manifest" --design CH --quiet "$pcap"
 done
-for input in missing junk; do
+for input in missing truncated junk; do
   expect_error "$analyze" --pcap "$work/good/session.pcap" \
     --manifest "$work/$input.manifest" --design CH
   expect_error "$batch" --manifest "$work/$input.manifest" --design CH --quiet \

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+#include "src/csi/audit.h"
 #include "src/csi/group_search.h"
 #include "src/media/manifest.h"
+#include "tests/naive_chain_oracle.h"
+#include "tests/test_env.h"
 
 namespace csi::infer {
 namespace {
@@ -489,6 +493,151 @@ TEST(SearchGroupSequences, UnmatchedExchangesBecomeUnidentifiedSlots) {
   for (const InferredSlot& slot : result.sequences[0].slots) {
     EXPECT_EQ(slot.kind, SlotKind::kOther);
   }
+}
+
+// --- Chain differential: SearchGroupSequences against the full-arena beam ---
+//
+// Seeded MUX-style instances over a manifest whose tracks 0 and 1 have
+// identical chunk sizes, so every reading through one has an equal-cost twin
+// through the other: exact cost ties inside the beam and at its 2,048 cut.
+// Loose size windows (k up to 0.3) push some parents past the 768-per-parent
+// cap and layers past the beam width; split objects exercise the merge repair
+// and junk groups the wildcards.
+
+struct ChainInstance {
+  media::Manifest manifest;
+  std::vector<TrafficGroup> groups;
+  GroupSearchConfig config;
+};
+
+ChainInstance RandomChainInstance(uint64_t seed) {
+  Rng rng(seed);
+  ChainInstance inst;
+  media::Manifest& m = inst.manifest;
+  m.asset_id = "chain";
+  m.host = "cdn.example";
+  const int tracks = static_cast<int>(rng.UniformInt(3, 5));
+  const int positions = static_cast<int>(rng.UniformInt(10, 16));
+  for (int t = 0; t < tracks; ++t) {
+    media::Track track;
+    track.name = "T" + std::to_string(t);
+    track.nominal_bitrate = (t + 1) * 500 * kKbps;
+    for (int i = 0; i < positions; ++i) {
+      const Bytes size = t == 1 ? m.video_tracks[0].chunks[static_cast<size_t>(i)].size
+                                : 100000 * (t + 1) + rng.UniformInt(0, 40000);
+      track.chunks.push_back(media::Chunk{size, 5 * kUsPerSec});
+    }
+    m.video_tracks.push_back(track);
+  }
+  media::Track audio;
+  audio.type = media::MediaType::kAudio;
+  audio.name = "audio";
+  for (int i = 0; i < positions; ++i) {
+    audio.chunks.push_back(media::Chunk{60000, 5 * kUsPerSec});
+  }
+  m.audio_tracks.push_back(audio);
+
+  GroupSearchConfig& config = inst.config;
+  config.k = std::vector<double>{0.02, 0.1, 0.3}[static_cast<size_t>(rng.UniformInt(0, 2))];
+  config.expected_overhead = 0.005;
+  config.expected_fixed_overhead = 0;
+  config.enable_merge_repair = rng.UniformInt(0, 3) != 0;
+  config.enable_wildcards = rng.UniformInt(0, 3) != 0;
+  config.max_sequences = rng.UniformInt(0, 1) == 0 ? 512 : 8;
+
+  // Ground truth: a random track per position from a random start.
+  int index = static_cast<int>(rng.UniformInt(0, 2));
+  TimeUs t = 0;
+  auto video = [&](int i) {
+    const int track = static_cast<int>(rng.UniformInt(0, tracks - 1));
+    return m.video_tracks[static_cast<size_t>(track)].chunks[static_cast<size_t>(i)].size;
+  };
+  auto add = [&](int requests, Bytes truth) {
+    TrafficGroup g = MakeGroup(requests, truth + truth / 200, t);
+    inst.groups.push_back(std::move(g));
+    t += 5 * kUsPerSec;
+  };
+  const int groups = static_cast<int>(rng.UniformInt(4, 7));
+  while (static_cast<int>(inst.groups.size()) < groups && index < positions) {
+    const int kind = static_cast<int>(rng.UniformInt(0, 9));
+    if (kind <= 4) {  // a MUX group: a video run plus optional audio
+      const int v = static_cast<int>(std::min<int64_t>(rng.UniformInt(1, 3), positions - index));
+      const int a = static_cast<int>(rng.UniformInt(0, 1));
+      Bytes truth = a * 60000;
+      for (int j = 0; j < v; ++j) {
+        truth += video(index + j);
+      }
+      index += v;
+      add(v + a, truth);
+    } else if (kind <= 6) {  // one object split into two single-request groups
+      const Bytes truth = video(index++);
+      const Bytes first = truth * rng.UniformInt(30, 70) / 100;
+      add(1, first);
+      add(1, truth - first);
+    } else if (kind == 7) {  // junk: explains nothing
+      add(1, 999);
+    } else {
+      add(1, video(index++));
+    }
+  }
+  return inst;
+}
+
+void ExpectChainMatchesOracle(const ChainInstance& inst,
+                              oracle::NaiveChainSearch::Coverage* coverage) {
+  const ChunkDatabase db(&inst.manifest);
+  InferenceAudit want_audit;
+  InferenceResult want;
+  {
+    AuditScope scope(&want_audit);
+    oracle::NaiveChainSearch naive(inst.groups, db, inst.config, {});
+    want = naive.Run();
+    const auto& c = naive.coverage();
+    coverage->capped_parents += c.capped_parents;
+    coverage->beam_cuts += c.beam_cuts;
+    coverage->boundary_ties += c.boundary_ties;
+    coverage->beam_ties += c.beam_ties;
+    coverage->merged_nodes += c.merged_nodes;
+    coverage->wildcard_nodes += c.wildcard_nodes;
+  }
+  InferenceAudit got_audit;
+  InferenceResult got;
+  {
+    AuditScope scope(&got_audit);
+    got = SearchGroupSequences(inst.groups, db, inst.config);
+  }
+  ASSERT_EQ(got.sequences.size(), want.sequences.size());
+  for (size_t i = 0; i < want.sequences.size(); ++i) {
+    ASSERT_EQ(got.sequences[i], want.sequences[i]) << "sequence " << i;
+  }
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.group_sizes, want.group_sizes);
+  EXPECT_EQ(got_audit.chain_nodes, want_audit.chain_nodes);
+  EXPECT_EQ(got_audit.has_best_cost, want_audit.has_best_cost);
+  EXPECT_EQ(got_audit.best_cost, want_audit.best_cost);
+  EXPECT_EQ(got_audit.has_runner_up_cost, want_audit.has_runner_up_cost);
+  EXPECT_EQ(got_audit.runner_up_cost, want_audit.runner_up_cost);
+  EXPECT_EQ(got_audit.enumerations, want_audit.enumerations);
+  EXPECT_EQ(got_audit.candidates, want_audit.candidates);
+}
+
+TEST(ChainDifferential, MatchesFullArenaOracleOnSeededInstances) {
+  oracle::NaiveChainSearch::Coverage coverage;
+  const uint64_t rounds = testutil::ScheduleCount(80);
+  for (uint64_t seed = 1; seed <= rounds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectChainMatchesOracle(RandomChainInstance(seed), &coverage);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  // The sweep reached every case it exists for.
+  EXPECT_GT(coverage.capped_parents, 0);
+  EXPECT_GT(coverage.beam_cuts, 0);
+  EXPECT_GT(coverage.boundary_ties, 0);
+  EXPECT_GT(coverage.beam_ties, 0);
+  EXPECT_GT(coverage.merged_nodes, 0);
+  EXPECT_GT(coverage.wildcard_nodes, 0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/stats.h"
 
@@ -225,6 +227,50 @@ TEST(Manifest, SerializeParseRoundTrip) {
       EXPECT_EQ(a.chunks[i].duration, b.chunks[i].duration);
     }
   }
+}
+
+std::string ParseError(const std::string& text) {
+  try {
+    Manifest::Parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Manifest, ParseRejectsCutText) {
+  Rng rng(12);
+  const std::string text =
+      EncodeAsset("asset-1", "cdn.example", 60 * kUsPerSec, BaseConfig(), rng).Serialize();
+  // Every prefix that stops inside a line is refused with that line's number.
+  int line_no = 1;
+  for (size_t cut = 1; cut < text.size(); ++cut) {
+    if (text[cut - 1] == '\n') {
+      ++line_no;
+      continue;
+    }
+    ASSERT_EQ(ParseError(text.substr(0, cut)),
+              "manifest: truncated line " + std::to_string(line_no))
+        << "cut at " << cut;
+  }
+  EXPECT_EQ(ParseError(text), "");
+  EXPECT_EQ(ParseError(""), "");
+  EXPECT_EQ(ParseError("#CSI-MANIFEST v1"), "manifest: truncated line 1");
+}
+
+TEST(Manifest, ParseRejectsMalformedFields) {
+  const std::string head = "#CSI-MANIFEST v1\nasset a\nhost h\nvideo-track T0 300000\n";
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000\n"), "");
+  EXPECT_EQ(ParseError(head + "chunk 1000\n"), "manifest: malformed line 5");
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000 7\n"), "manifest: malformed line 5");
+  EXPECT_EQ(ParseError(head + "chunk 10x0 5000000\n"), "manifest: malformed line 5");
+  EXPECT_EQ(ParseError(head + "chunk 1000 5e6\n"), "manifest: malformed line 5");
+  EXPECT_EQ(ParseError(head + "chunk abc 5000000\n"), "manifest: malformed line 5");
+  EXPECT_EQ(ParseError("video-track T0\n"), "manifest: malformed line 1");
+  EXPECT_EQ(ParseError("video-track T0 3x\n"), "manifest: malformed line 1");
+  EXPECT_EQ(ParseError("asset a b\n"), "manifest: malformed line 1");
+  EXPECT_EQ(ParseError("host\n"), "manifest: malformed line 1");
+  EXPECT_EQ(ParseError("# a comment may say anything\nasset a\n"), "");
 }
 
 TEST(Manifest, ChunkLookup) {
