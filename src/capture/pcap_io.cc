@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -23,8 +24,8 @@ constexpr uint32_t kTcpHeaderBytes = 20;     // no options
 constexpr uint32_t kUdpHeaderBytes = 8;
 constexpr uint8_t kIpProtoTcp = 6;
 constexpr uint8_t kIpProtoUdp = 17;
-constexpr ptrdiff_t kGlobalHeaderBytes = 24;
-constexpr ptrdiff_t kRecordHeaderBytes = 16;
+constexpr size_t kGlobalHeaderBytes = 24;
+constexpr size_t kRecordHeaderBytes = 16;
 
 void Put8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
 void Put16be(std::vector<uint8_t>& out, uint16_t v) {
@@ -64,50 +65,117 @@ std::string SniAt(const uint8_t* p, const uint8_t* end, uint16_t len) {
   return std::string(reinterpret_cast<const char*>(p), len);
 }
 
-// Parses the pcap bytes [begin, end). Every length is checked against the
-// bytes left before the load it guards, so no pointer moves past `end`.
-CaptureTrace Parse(const uint8_t* begin, const uint8_t* end) {
-  const uint8_t* p = begin;
-  if (end - p < 4 || Load32le(p) != kPcapMagic) {
+// The pcap bytes seen through one reused buffer that holds bytes
+// [base_, base_ + len_) of the source: a file read with pread, or memory
+// copied in. The buffer is kPcapWindowBytes long (less for a smaller source)
+// and grows only for a single record longer than that.
+class Window {
+ public:
+  Window(const uint8_t* bytes, size_t size) : Window(size) { bytes_ = bytes; }
+  Window(int fd, const std::string& path, size_t size) : Window(size) {
+    fd_ = fd;
+    path_ = &path;
+  }
+
+  size_t size() const { return size_; }
+
+  // The `n` bytes at source offset `at`, which the caller has checked lie
+  // before the end of the source; they are loaded first if the buffer does
+  // not hold all of them.
+  const uint8_t* At(size_t at, size_t n) {
+    if (at < base_ || at + n > base_ + len_) {
+      Load(at, n);
+    }
+    return buf_.get() + (at - base_);
+  }
+
+ private:
+  explicit Window(size_t size)
+      : size_(size),
+        cap_(std::min(kPcapWindowBytes, size)),
+        buf_(std::make_unique_for_overwrite<uint8_t[]>(cap_)) {}
+
+  // Refills the buffer from `at`; a short read (the file shrank after fstat)
+  // throws "pcap: cannot read <path>".
+  void Load(size_t at, size_t n) {
+    if (n > cap_) {
+      cap_ = n;
+      buf_ = std::make_unique_for_overwrite<uint8_t[]>(cap_);
+    }
+    base_ = at;
+    len_ = std::min(cap_, size_ - at);
+    if (fd_ < 0) {
+      std::memcpy(buf_.get(), bytes_ + at, len_);
+      return;
+    }
+    for (size_t done = 0; done < len_;) {
+      const ssize_t got =
+          ::pread(fd_, buf_.get() + done, len_ - done, static_cast<off_t>(at + done));
+      if (got < 0 && errno == EINTR) {
+        continue;
+      }
+      if (got <= 0) {
+        throw std::runtime_error("pcap: cannot read " + *path_);
+      }
+      done += static_cast<size_t>(got);
+    }
+  }
+
+  const uint8_t* bytes_ = nullptr;
+  int fd_ = -1;
+  const std::string* path_ = nullptr;
+  size_t size_;
+  size_t cap_;
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t base_ = 0;
+  size_t len_ = 0;
+};
+
+// Parses the pcap bytes behind `window`. Every length is checked against the
+// bytes left in the source before the bytes it covers are asked for, and the
+// record's own bounds guard every load inside it.
+CaptureTrace Parse(Window& window) {
+  const size_t size = window.size();
+  if (size < 4 || Load32le(window.At(0, 4)) != kPcapMagic) {
     throw std::runtime_error("pcap: bad magic");
   }
-  if (end - p < kGlobalHeaderBytes) {
+  if (size < kGlobalHeaderBytes) {
     throw std::runtime_error("pcap: truncated");
   }
-  if (Load32le(p + 20) != kLinkTypeRaw) {
+  if (Load32le(window.At(20, 4)) != kLinkTypeRaw) {
     throw std::runtime_error("pcap: unsupported link type");
   }
-  p += kGlobalHeaderBytes;
 
-  // Hop the record headers once so the trace is sized once; a record that
-  // runs past the end stops the count and is rejected by the parse below.
+  // Count the records in a first pass so the trace is sized once; a record
+  // that runs past the end stops the count and is rejected by the parse below.
   size_t records = 0;
-  for (const uint8_t* q = p; end - q >= kRecordHeaderBytes;) {
-    const uint32_t incl_len = Load32le(q + 8);
-    if (incl_len > end - q - kRecordHeaderBytes) {
+  for (size_t at = kGlobalHeaderBytes; size - at >= kRecordHeaderBytes;) {
+    const uint32_t incl_len = Load32le(window.At(at, kRecordHeaderBytes) + 8);
+    if (incl_len > size - at - kRecordHeaderBytes) {
       break;
     }
-    q += kRecordHeaderBytes + incl_len;
+    at += kRecordHeaderBytes + incl_len;
     ++records;
   }
   CaptureTrace trace;
   trace.reserve(records);
 
-  while (p != end) {
-    if (end - p < kRecordHeaderBytes) {
+  for (size_t at = kGlobalHeaderBytes; at != size;) {
+    if (size - at < kRecordHeaderBytes) {
       throw std::runtime_error("pcap: truncated packet header");
     }
-    const uint32_t ts_sec = Load32le(p);
-    const uint32_t ts_usec = Load32le(p + 4);
-    const uint32_t incl_len = Load32le(p + 8);
-    const uint32_t orig_len = Load32le(p + 12);
-    p += kRecordHeaderBytes;
-    if (incl_len > end - p) {
+    const uint32_t incl_len = Load32le(window.At(at, kRecordHeaderBytes) + 8);
+    if (incl_len > size - at - kRecordHeaderBytes) {
       throw std::runtime_error("pcap: truncated packet body");
     }
-    const uint8_t* const pkt = p;
-    const uint8_t* const pkt_end = p + incl_len;
-    p = pkt_end;
+    // The whole record, header and body, in the window at once.
+    const uint8_t* const header = window.At(at, kRecordHeaderBytes + incl_len);
+    at += kRecordHeaderBytes + incl_len;
+    const uint32_t ts_sec = Load32le(header);
+    const uint32_t ts_usec = Load32le(header + 4);
+    const uint32_t orig_len = Load32le(header + 12);
+    const uint8_t* const pkt = header + kRecordHeaderBytes;
+    const uint8_t* const pkt_end = pkt + incl_len;
 
     // Every record must hold the fixed IPv4 header before any of it is read,
     // and the transport header once the protocol is known (below).
@@ -238,7 +306,8 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
 }
 
 CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
-  return Parse(bytes.data(), bytes.data() + bytes.size());
+  Window window(bytes.data(), bytes.size());
+  return Parse(window);
 }
 
 void WritePcap(const std::string& path, const CaptureTrace& trace) {
@@ -267,19 +336,8 @@ CaptureTrace ReadPcap(const std::string& path) {
   }
   const size_t size = static_cast<size_t>(st.st_size);
   CSI_SPAN("pcap_read", {"bytes", static_cast<int64_t>(size)});
-  // One sized read; the buffer is not zeroed first since the read fills it.
-  const std::unique_ptr<uint8_t[]> bytes = std::make_unique_for_overwrite<uint8_t[]>(size);
-  for (size_t done = 0; done < size;) {
-    const ssize_t n = ::read(fd, bytes.get() + done, size - done);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      throw std::runtime_error("pcap: cannot read " + path);
-    }
-    done += static_cast<size_t>(n);
-  }
-  CaptureTrace trace = Parse(bytes.get(), bytes.get() + size);
+  Window window(fd, path, size);
+  CaptureTrace trace = Parse(window);
   CSI_COUNTER_ADD("csi_pcap_packets_read_total", trace.size());
   return trace;
 }

@@ -9,17 +9,25 @@
 // the original length is preserved in the per-packet header, exactly like a
 // `tcpdump -s 256` capture of encrypted traffic.
 //
-// `ReadPcap` takes the file size from fstat and reads the whole file with one
-// sized read, then parses it in place with bounds-checked loads: every length
-// field is checked against the bytes left before anything it covers is read,
-// and a first pass over the record headers sizes the trace once. Malformed
-// input (bad magic or link type, a truncated header or body, a non-IPv4
-// packet, an IP protocol other than TCP/UDP, or lengths shorter than the
-// headers) throws std::runtime_error; it never reads past the buffer.
+// `ReadPcap` takes the file size from fstat and streams the file with pread
+// through one reused window of kPcapWindowBytes, in two passes: the first
+// hops the record headers to count the records so the trace is sized once,
+// the second parses. The window starts each refill at the first record that
+// does not fit, so a record is always parsed in one piece; it grows only for
+// a record longer than the window, and only after that record's length has
+// been checked against the bytes left in the file. `ParsePcap` feeds the same
+// window from memory, so both entry points share one framing and parse loop.
+// The reader uses pread, not mmap, so a file truncated while it is read fails
+// with an error instead of raising SIGBUS. Every length field is checked
+// against the bytes left before anything it covers is read. Malformed input
+// (bad magic or link type, a truncated header or body, a non-IPv4 packet, an
+// IP protocol other than TCP/UDP, or lengths shorter than the headers) throws
+// std::runtime_error; it never reads past the input.
 
 #ifndef CSI_SRC_CAPTURE_PCAP_IO_H_
 #define CSI_SRC_CAPTURE_PCAP_IO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,6 +37,9 @@
 namespace csi::capture {
 
 inline constexpr uint32_t kPcapSnapLen = 256;
+// The reader's window: large enough that a refill costs little against the
+// records it holds, small enough to stay in L2 beside the parse.
+inline constexpr size_t kPcapWindowBytes = 256 * 1024;
 
 // Serializes the trace into pcap bytes.
 std::vector<uint8_t> SerializePcap(const CaptureTrace& trace);
@@ -41,8 +52,9 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes);
 // File convenience wrappers. WritePcap throws std::runtime_error when the file
 // cannot be opened or the write comes up short; ReadPcap throws
 // "pcap: cannot open <path>" / "pcap: cannot read <path>" when the path is
-// missing, is not a regular file, or cannot be read in full, and times the
-// read and parse under the `pcap_read` stage span.
+// missing, is not a regular file, or cannot be read in full (a file that
+// shrinks while it is read), and times the read and parse under the
+// `pcap_read` stage span.
 void WritePcap(const std::string& path, const CaptureTrace& trace);
 CaptureTrace ReadPcap(const std::string& path);
 

@@ -136,6 +136,11 @@ Manifest Manifest::Parse(const std::string& text) {
       throw std::runtime_error("manifest: malformed line " + std::to_string(line_no));
     }
   }
+  // Inference matches against the video ladder: without one every slot would
+  // come out as "other" with zero QoE instead of an error.
+  if (m.video_tracks.empty()) {
+    throw std::runtime_error("manifest: no video track");
+  }
   return m;
 }
 

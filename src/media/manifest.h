@@ -76,7 +76,8 @@ struct Manifest {
   // Serializes to / parses from a simple line-oriented text format, standing
   // in for a DASH MPD / HLS playlist with explicit chunk sizes. Parse throws
   // std::runtime_error on an unknown tag, a field that does not parse, a
-  // trailing token, or a last line without its '\n' (a cut file).
+  // trailing token, a last line without its '\n' (a cut file), or a ladder
+  // without a video track (an empty file).
   std::string Serialize() const;
   static Manifest Parse(const std::string& text);
 

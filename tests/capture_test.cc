@@ -5,14 +5,18 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/capture/capture.h"
 #include "src/capture/pcap_io.h"
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
+#include "src/testbed/experiment.h"
 #include "tests/test_env.h"
 
 namespace csi::capture {
@@ -383,14 +387,18 @@ void ParseMutant(const std::vector<uint8_t>& bytes) {
   }
 }
 
+uint32_t GetLe32(const std::vector<uint8_t>& bytes, size_t at) {
+  return bytes[at] | bytes[at + 1] << 8 | bytes[at + 2] << 16 |
+         static_cast<uint32_t>(bytes[at + 3]) << 24;
+}
+
 // The byte offsets of each record's incl_len field in a capture SerializePcap
 // wrote (orig_len follows at +4).
 std::vector<size_t> InclLenOffsets(const std::vector<uint8_t>& bytes) {
   std::vector<size_t> offsets;
   for (size_t at = 24; at + 16 <= bytes.size();) {
     offsets.push_back(at + 8);
-    at += 16 + (bytes[at + 8] | bytes[at + 9] << 8 | bytes[at + 10] << 16 |
-                static_cast<size_t>(bytes[at + 11]) << 24);
+    at += 16 + size_t{GetLe32(bytes, at + 8)};
   }
   return offsets;
 }
@@ -401,13 +409,22 @@ void PutLe32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
   }
 }
 
+// A capture with one legal record longer than the reader's window between
+// two short ones, so the window has to grow to parse it.
+std::vector<uint8_t> CaptureWithRecordLongerThanTheWindow() {
+  constexpr uint32_t kLong = kPcapWindowBytes + 100;
+  return PcapBuilder().TcpRecord(40, 40).TcpRecord(kLong, kLong).TcpRecord(40, 1040).bytes();
+}
+
 TEST(PcapMutation, TruncationAtEveryOffset) {
-  // The serialized sample, and two captures whose last bytes are an SNI, so
-  // a cut that the body check let through would read past the buffer.
+  // The serialized sample, two captures whose last bytes are an SNI, so a cut
+  // that the body check let through would read past the buffer, and one
+  // longer than the reader's window, so cuts land after a refill.
   const std::vector<std::vector<uint8_t>> bases = {
       SerializePcap(SampleTrace()),
       PcapBuilder().TcpRecord(40, 40).TcpRecord(48, 100, TlsSni(3)).bytes(),
-      PcapBuilder().TcpRecord(40, 40).UdpRecord(46, 1200, QuicSni(3)).bytes()};
+      PcapBuilder().TcpRecord(40, 40).UdpRecord(46, 1200, QuicSni(3)).bytes(),
+      CaptureWithRecordLongerThanTheWindow()};
   for (const std::vector<uint8_t>& base : bases) {
     for (size_t len = 0; len <= base.size(); ++len) {
       SCOPED_TRACE(len);
@@ -461,6 +478,191 @@ TEST(PcapMutation, RandomBitFlipsAndLengths) {
       ParseMutant(mutant);
     }
   }
+}
+
+// --- Reading through the window ----------------------------------------------
+
+// A 60-s testbed CH session: several MB of records of varied length, so its
+// serialized capture spans many of the reader's windows.
+struct LongSession {
+  CaptureTrace trace;
+  std::vector<uint8_t> bytes;
+};
+
+const LongSession& LongCapture() {
+  static const LongSession* const session = [] {
+    const media::Manifest manifest =
+        testbed::MakeAssetForDesign(infer::DesignType::kCH, 1, 60 * kUsPerSec);
+    testbed::SessionConfig config;
+    config.design = infer::DesignType::kCH;
+    config.manifest = &manifest;
+    config.downlink = nettrace::StableTrace("s", 5 * kMbps);
+    config.duration = 60 * kUsPerSec;
+    config.seed = 1;
+    auto* out = new LongSession{testbed::RunStreamingSession(config).capture, {}};
+    out->bytes = SerializePcap(out->trace);
+    return out;
+  }();
+  return *session;
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// The record count a read returned, or the message it threw.
+std::string Outcome(const std::function<CaptureTrace()>& read) {
+  try {
+    return "records " + std::to_string(read().size());
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+}
+
+auto Fields(const PacketRecord& r) {
+  return std::tuple(r.timestamp, r.from_client, r.transport, r.client_ip, r.server_ip,
+                    r.client_port, r.server_port, r.payload, r.wire_size, r.tcp_seq, r.tcp_ack,
+                    r.quic_packet_number, r.sni);
+}
+
+void ExpectSameRecords(const CaptureTrace& a, const CaptureTrace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(Fields(a[i]), Fields(b[i])) << "record " << i;
+  }
+}
+
+// The record starts where the reader refills its window while it walks
+// `bytes` from a window that starts at `first`: a refill starts at the first
+// record that does not fit in the kPcapWindowBytes the window holds. The
+// count pass starts its window at 0, the parse pass at the first record.
+std::vector<size_t> RefillStarts(const std::vector<uint8_t>& bytes, size_t first) {
+  std::vector<size_t> starts;
+  size_t base = first;
+  for (const size_t incl_at : InclLenOffsets(bytes)) {
+    const size_t start = incl_at - 8;
+    if (start + 16 + GetLe32(bytes, incl_at) > base + kPcapWindowBytes) {
+      starts.push_back(start);
+      base = start;
+    }
+  }
+  return starts;
+}
+
+TEST(PcapWindow, FileAndMemoryGiveBackALongSession) {
+  const std::vector<uint8_t>& bytes = LongCapture().bytes;
+  ASSERT_GE(bytes.size(), 4 * kPcapWindowBytes);
+  const std::string path = ::testing::TempDir() + "/csi_capture_window.pcap";
+  WriteBytes(path, bytes);
+  const CaptureTrace from_file = ReadPcap(path);
+  EXPECT_EQ(from_file.capacity(), from_file.size());
+  // Both entry points give back the session's own records.
+  ExpectSameRecords(from_file, LongCapture().trace);
+  ExpectSameRecords(ParsePcap(bytes), LongCapture().trace);
+  std::remove(path.c_str());
+}
+
+TEST(PcapWindow, TruncationAroundWindowEdges) {
+  const std::vector<uint8_t>& bytes = LongCapture().bytes;
+  // Cuts within 64 bytes of where each of the first four windows of either
+  // pass ends or its successor starts.
+  std::set<size_t, std::greater<>> cuts;
+  for (const size_t first : {size_t{0}, size_t{24}}) {
+    size_t base = first;
+    for (const size_t start : RefillStarts(bytes, first)) {
+      if (base >= first + 4 * kPcapWindowBytes) {
+        break;
+      }
+      for (const size_t edge : {base + kPcapWindowBytes, start}) {
+        for (size_t cut = edge - 64; cut <= edge + 64; ++cut) {
+          cuts.insert(cut);
+        }
+      }
+      base = start;
+    }
+  }
+  ASSERT_GE(cuts.size(), 4 * 129u);
+  // Longest first, so one file is cut shorter and shorter.
+  const std::string path = ::testing::TempDir() + "/csi_capture_window_cut.pcap";
+  WriteBytes(path, bytes);
+  for (const size_t cut : cuts) {
+    SCOPED_TRACE(cut);
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(cut)), 0);
+    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_EQ(Outcome([&] { return ReadPcap(path); }),
+              Outcome([&] { return ParsePcap(prefix); }));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PcapWindow, LyingLengthsOnRecordsThatStraddleAWindowEdge) {
+  const std::vector<uint8_t>& bytes = LongCapture().bytes;
+  std::set<size_t> straddlers;
+  for (const size_t first : {size_t{0}, size_t{24}}) {
+    for (const size_t start : RefillStarts(bytes, first)) {
+      straddlers.insert(start);
+    }
+  }
+  ASSERT_GE(straddlers.size(), 4u);
+  const std::string path = ::testing::TempDir() + "/csi_capture_window_lie.pcap";
+  for (const size_t start : straddlers) {
+    for (const size_t field : {start + 8, start + 12}) {  // incl_len, orig_len
+      for (const uint32_t value : {0u, 19u, 39u, kPcapSnapLen + 1, 0xFFFFFFFFu}) {
+        SCOPED_TRACE(testing::Message() << "offset " << field << " value " << value);
+        std::vector<uint8_t> mutant = bytes;
+        PutLe32(mutant, field, value);
+        WriteBytes(path, mutant);
+        EXPECT_EQ(Outcome([&] { return ReadPcap(path); }),
+                  Outcome([&] { return ParsePcap(mutant); }));
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// An SNI record ending within 80 bytes either side of the parse pass's first
+// window edge (its window starts at the first record, byte 24): the last
+// byte of the SNI is the last byte of the record, so a window one byte short
+// garbles it.
+TEST(PcapWindow, RecordEndingNearTheWindowEdge) {
+  constexpr size_t kFiller = 16 + kPcapSnapLen;  // one full-snap record
+  constexpr size_t kSniRecord = 16 + 48;
+  const std::string path = ::testing::TempDir() + "/csi_capture_window_edge.pcap";
+  for (int delta = -80; delta <= 80; ++delta) {
+    SCOPED_TRACE(delta);
+    // Fillers, then one record sized so the SNI record ends at edge + delta.
+    const size_t to_fill = kPcapWindowBytes + static_cast<size_t>(delta) - kSniRecord;
+    PcapBuilder builder;
+    for (size_t i = 0; i < to_fill / kFiller - 1; ++i) {
+      builder.TcpRecord(kPcapSnapLen, 1500);
+    }
+    const auto last_filler = static_cast<uint32_t>(to_fill % kFiller + kFiller - 16);
+    builder.TcpRecord(last_filler, last_filler).TcpRecord(48, 100, TlsSni(3)).TcpRecord(40, 40);
+    const std::vector<uint8_t> bytes = builder.bytes();
+    ASSERT_EQ(InclLenOffsets(bytes)[to_fill / kFiller] + 8 + 48,
+              24 + kPcapWindowBytes + static_cast<size_t>(delta));
+    WriteBytes(path, bytes);
+    const CaptureTrace from_file = ReadPcap(path);
+    ASSERT_EQ(from_file.size(), to_fill / kFiller + 2);
+    EXPECT_EQ(from_file[from_file.size() - 2].sni, "abc");
+    EXPECT_EQ(from_file[from_file.size() - 3].wire_size, last_filler);
+    ExpectSameRecords(from_file, ParsePcap(bytes));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PcapWindow, RecordLongerThanTheWindowGrowsIt) {
+  const std::vector<uint8_t> bytes = CaptureWithRecordLongerThanTheWindow();
+  const std::string path = ::testing::TempDir() + "/csi_capture_window_long.pcap";
+  WriteBytes(path, bytes);
+  const CaptureTrace from_file = ReadPcap(path);
+  ASSERT_EQ(from_file.size(), 3u);
+  EXPECT_EQ(from_file[1].payload, static_cast<Bytes>(kPcapWindowBytes + 100 - 40));
+  EXPECT_EQ(from_file[2].payload, 1000);
+  ExpectSameRecords(from_file, ParsePcap(bytes));
+  std::remove(path.c_str());
 }
 
 }  // namespace

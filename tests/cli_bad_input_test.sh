@@ -2,7 +2,8 @@
 # Runs csi_analyze, csi_batch and csi_testgen on missing, truncated and junk
 # inputs. Each run must exit non-zero without being killed by a signal (an
 # exception escaping main aborts with SIGABRT, status 134) and must say why on
-# an "error:" line.
+# an "error:" line. Where $expected_error is set, stderr must also carry that
+# message (csi_batch names each capture that failed to load on its own line).
 #
 # Usage: cli_bad_input_test.sh CSI_ANALYZE CSI_BATCH CSI_TESTGEN
 set -u
@@ -17,12 +18,22 @@ mkdir "$work/good"
   echo "FAIL: csi_testgen could not write the reference session"
   exit 1
 }
+# A 60-s capture spans several read windows, where the 20-s one fits in one.
+mkdir "$work/long"
+"$testgen" --design CH --duration 60 --seed 1 --out "$work/long" > /dev/null || {
+  echo "FAIL: csi_testgen could not write the 60-s reference session"
+  exit 1
+}
 manifest=$work/good/video.manifest
 head -c 1000 "$work/good/session.pcap" > "$work/truncated.pcap"
+# Cut mid-record about four windows in.
+head -c 1000003 "$work/long/session.pcap" > "$work/cut-late.pcap"
 printf 'this is not a capture\n' > "$work/junk.pcap"
 head -c 4096 /dev/urandom > "$work/junk.manifest"
 # A manifest cut mid-line, as an interrupted copy leaves it.
 head -c 200 "$manifest" > "$work/truncated.manifest"
+# An empty manifest has no video track to match against.
+: > "$work/empty.manifest"
 
 failures=0
 expect_error() {
@@ -32,8 +43,9 @@ expect_error() {
     echo "FAIL (exit $status): $*"
     cat "$work/stderr"
     failures=$((failures + 1))
-  elif ! grep -q '^error: ' "$work/stderr"; then
-    echo "FAIL (no error line, exit $status): $*"
+  elif ! grep -q '^error: ' "$work/stderr" ||
+    ! grep -qF "${expected_error:-error: }" "$work/stderr"; then
+    echo "FAIL (no error line or no '${expected_error:-}', exit $status): $*"
     cat "$work/stderr"
     failures=$((failures + 1))
   fi
@@ -44,14 +56,28 @@ for input in missing truncated junk; do
   expect_error "$analyze" --pcap "$pcap" --manifest "$manifest" --design CH
   expect_error "$batch" --manifest "$manifest" --design CH --quiet "$pcap"
 done
+expected_error="pcap: truncated packet body"
+expect_error "$analyze" --pcap "$work/cut-late.pcap" --manifest "$manifest" --design CH
+expect_error "$batch" --manifest "$manifest" --design CH --quiet "$work/cut-late.pcap"
+expected_error=
 for input in missing truncated junk; do
   expect_error "$analyze" --pcap "$work/good/session.pcap" \
     --manifest "$work/$input.manifest" --design CH
   expect_error "$batch" --manifest "$work/$input.manifest" --design CH --quiet \
     "$work/good/session.pcap"
 done
-# A pcap path that names a directory.
+expected_error="manifest: no video track"
+expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$work/empty.manifest" \
+  --design CH
+expect_error "$batch" --manifest "$work/empty.manifest" --design CH --quiet \
+  "$work/good/session.pcap"
+expected_error=
+# A pcap path and a manifest path that name a directory.
 expect_error "$analyze" --pcap "$work/good" --manifest "$manifest" --design CH
+expected_error="cannot read $work/good"
+expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$work/good" --design CH
+expect_error "$batch" --manifest "$work/good" --design CH --quiet "$work/good/session.pcap"
+expected_error=
 # csi_testgen's inputs are its flags and its output directory.
 expect_error "$testgen" --design CH --out "$work/missing-dir"
 expect_error "$testgen" --design CH --out "$work/good" --duration abc

@@ -254,8 +254,18 @@ TEST(Manifest, ParseRejectsCutText) {
         << "cut at " << cut;
   }
   EXPECT_EQ(ParseError(text), "");
-  EXPECT_EQ(ParseError(""), "");
   EXPECT_EQ(ParseError("#CSI-MANIFEST v1"), "manifest: truncated line 1");
+}
+
+// An empty file, or a ladder with only audio, has nothing to match chunks
+// against: it is refused rather than labelling every slot "other".
+TEST(Manifest, ParseRejectsLadderWithoutVideo) {
+  EXPECT_EQ(ParseError(""), "manifest: no video track");
+  EXPECT_EQ(ParseError("#CSI-MANIFEST v1\nasset a\nhost cdn.example\n"),
+            "manifest: no video track");
+  EXPECT_EQ(ParseError("#CSI-MANIFEST v1\naudio-track a0 128000\nchunk 1000 4000000\n"),
+            "manifest: no video track");
+  EXPECT_EQ(ParseError("video-track v0 500000\nchunk 1000 4000000\n"), "");
 }
 
 TEST(Manifest, ParseRejectsMalformedFields) {
@@ -270,7 +280,7 @@ TEST(Manifest, ParseRejectsMalformedFields) {
   EXPECT_EQ(ParseError("video-track T0 3x\n"), "manifest: malformed line 1");
   EXPECT_EQ(ParseError("asset a b\n"), "manifest: malformed line 1");
   EXPECT_EQ(ParseError("host\n"), "manifest: malformed line 1");
-  EXPECT_EQ(ParseError("# a comment may say anything\nasset a\n"), "");
+  EXPECT_EQ(ParseError("# a comment may say anything\nasset a\nvideo-track T0 300000\n"), "");
 }
 
 TEST(Manifest, ChunkLookup) {

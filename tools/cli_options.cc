@@ -1,5 +1,9 @@
 #include "tools/cli_options.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -7,7 +11,6 @@
 #include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "src/common/build_info.h"
@@ -252,16 +255,38 @@ int GuardedMain(int (*run)(int, char**), int argc, char** argv) {
 }
 
 bool ReadFileToString(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     if (error != nullptr) {
       *error = "cannot open " + path;
     }
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
+  // A directory opens too and reads as nothing: only a regular file read to
+  // its end counts.
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  std::string text;
+  char chunk[1 << 16];
+  while (ok) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n == 0) {
+      break;
+    }
+    if (n > 0) {
+      text.append(chunk, static_cast<size_t>(n));
+    } else {
+      ok = errno == EINTR;
+    }
+  }
+  ::close(fd);
+  if (!ok) {
+    if (error != nullptr) {
+      *error = "cannot read " + path;
+    }
+    return false;
+  }
+  *out = std::move(text);
   return true;
 }
 

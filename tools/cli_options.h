@@ -125,7 +125,9 @@ bool ParseDesignName(const std::string& name, infer::DesignType* out);
 // prints "error: <what>" to stderr and exits 1 instead of aborting.
 int GuardedMain(int (*run)(int, char**), int argc, char** argv);
 
-// Slurps `path` into *out; false with *error on failure.
+// Slurps `path` into *out; false with *error ("cannot open <path>", or
+// "cannot read <path>" for a directory or other non-regular file and for a
+// failed read) on failure.
 bool ReadFileToString(const std::string& path, std::string* out, std::string* error);
 
 // Writes the global telemetry snapshot to `path` as json or prom ("prom"
