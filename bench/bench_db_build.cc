@@ -1,21 +1,18 @@
-// ChunkDatabase build and size-window-scan microbenchmarks (PR 3 tentpole).
+// ChunkDatabase build and size-window-scan microbenchmarks.
 //
-// BM_DbBuild sweeps the shard count of the index build over a worker pool on
-// a deployment-scale synthetic manifest (the index is byte-identical for
-// every shard count — db_differential_test — so this measures pure build
-// speed). BM_SizeWindowScan compares the scalar and SIMD count kernels on the
-// exact window the hybrid FlatRange query hands them, and BM_CandidateQuery
-// measures the end-to-end lookup both ways.
+// BM_DbBuild times the serial index build on two synthetic ladders: 6 tracks
+// x 120 positions, the size of the 10-min testbed assets the tools serve, and
+// 12 x 4096, far past them. BM_SizeWindowScan compares the scalar and SIMD
+// count kernels on the exact window the hybrid FlatRange query hands them,
+// and BM_CandidateQuery measures the end-to-end lookup both ways.
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/simd.h"
-#include "src/common/thread_pool.h"
 #include "src/csi/chunk_database.h"
 #include "src/media/manifest.h"
 
@@ -23,38 +20,32 @@ using namespace csi;
 
 namespace {
 
-// A large VBR ladder: 12 tracks x 4096 positions ~ 49k chunks, an order of
-// magnitude past the testbed assets so the build has something to chew on.
-const media::Manifest& BigManifest() {
-  static std::unique_ptr<media::Manifest> cache;
-  if (cache == nullptr) {
-    cache = std::make_unique<media::Manifest>();
-    cache->asset_id = "bench-db-build";
-    cache->host = "bench.example";
-    Rng rng(0xdbb);
-    for (int t = 0; t < 12; ++t) {
-      media::Track track;
-      track.name = "v" + std::to_string(t);
-      track.type = media::MediaType::kVideo;
-      track.nominal_bitrate = (t + 1) * 1'000'000;
-      const double mean = 250'000.0 * (t + 1);
-      for (int i = 0; i < 4096; ++i) {
-        const Bytes size = static_cast<Bytes>(mean * rng.Uniform(0.5, 1.8));
-        track.chunks.push_back(media::Chunk{size, 2'000'000});
-      }
-      cache->video_tracks.push_back(std::move(track));
+// A synthetic VBR ladder of `tracks` x `positions` 2-s chunks.
+media::Manifest Ladder(int tracks, int positions) {
+  media::Manifest manifest;
+  manifest.asset_id = "bench-db-build";
+  manifest.host = "bench.example";
+  Rng rng(0xdbb);
+  for (int t = 0; t < tracks; ++t) {
+    media::Track track;
+    track.name = "v" + std::to_string(t);
+    track.type = media::MediaType::kVideo;
+    track.nominal_bitrate = (t + 1) * 1'000'000;
+    const double mean = 250'000.0 * (t + 1);
+    for (int i = 0; i < positions; ++i) {
+      const Bytes size = static_cast<Bytes>(mean * rng.Uniform(0.5, 1.8));
+      track.chunks.push_back(media::Chunk{size, 2'000'000});
     }
+    manifest.video_tracks.push_back(std::move(track));
   }
-  return *cache;
+  return manifest;
 }
 
 void BM_DbBuild(benchmark::State& state) {
-  const media::Manifest& manifest = BigManifest();
-  const int shards = static_cast<int>(state.range(0));
-  ThreadPool pool(4);
+  const media::Manifest manifest =
+      Ladder(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    infer::ChunkDatabase db(&manifest,
-                            infer::DbBuildOptions{shards > 1 ? &pool : nullptr, shards});
+    infer::ChunkDatabase db(&manifest);
     benchmark::DoNotOptimize(db);
   }
   state.counters["chunks"] =
@@ -124,7 +115,7 @@ void BM_SizeWindowScan_Simd(benchmark::State& state) {
 
 void QueryBody(benchmark::State& state, bool scalar) {
   ScopedBackend scoped(scalar ? simd::Backend::kScalar : simd::ActiveBackend());
-  const media::Manifest& manifest = BigManifest();
+  const media::Manifest manifest = Ladder(12, 4096);
   const infer::ChunkDatabase db(&manifest);
   Rng rng(0x63);
   std::vector<Bytes> estimates(1024);
@@ -147,13 +138,10 @@ void BM_CandidateQuery_Dispatched(benchmark::State& state) { QueryBody(state, fa
 }  // namespace
 
 BENCHMARK(BM_DbBuild)
-    ->ArgName("shards")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->ArgNames({"tracks", "positions"})
+    ->Args({6, 120})
+    ->Args({12, 4096})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SizeWindowScan_Scalar);
 BENCHMARK(BM_SizeWindowScan_Simd);
 BENCHMARK(BM_CandidateQuery_Scalar);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/csi/candidate_cache.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/group_search.h"
@@ -132,16 +131,13 @@ void BM_SnapshotQuery(benchmark::State& state) {
   state.counters["delta"] = static_cast<double>(snap.delta_chunks());
 }
 
-// The full sharded rebuild a compaction runs (over a pool, off the hot path).
+// The full serial rebuild a compaction runs (off the hot path).
 void BM_Compaction(benchmark::State& state) {
   const media::Manifest manifest = LiveManifest(2048);
-  ThreadPool pool(4);
   Rng rng(0xc0);
   for (auto _ : state) {
     state.PauseTiming();
     infer::LiveChunkDatabase::Options options;
-    options.pool = &pool;
-    options.build_shards = static_cast<int>(state.range(0));
     options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
     infer::LiveChunkDatabase live(manifest, options);
     for (int r = 0; r < 8; ++r) {
@@ -233,7 +229,7 @@ BENCHMARK(BM_FullRebuildPerRefresh)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_SnapshotQuery)->ArgName("delta")->Arg(0)->Arg(64)->Arg(512)->Arg(4096);
-BENCHMARK(BM_Compaction)->ArgName("shards")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Compaction)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GroupEnumAcrossRefreshes)
     ->ArgName("cache")
     ->Arg(0)

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -58,26 +59,6 @@ void ResolveResultCache(InferenceConfig* config, const BatchConfig& batch) {
 
 }  // namespace
 
-InferenceEngine BatchAnalyzer::MakeEngine(const media::Manifest* manifest,
-                                          InferenceConfig config, const BatchConfig& batch,
-                                          ThreadPool* pool) {
-  if (batch.parallel_group_search) {
-    config.search_pool = pool;
-  }
-  // The shared database builds once, before any trace runs, so the batch
-  // pool is idle and free to take the shard jobs.
-  if (config.db_build_pool == nullptr) {
-    config.db_build_pool = pool;
-  }
-  if (config.db_build_shards == 0) {
-    config.db_build_shards = batch.db_build_shards;
-  }
-  ResolveCandidateCache(&config, batch);
-  ResolvePrefixCache(&config, batch);
-  ResolveResultCache(&config, batch);
-  return InferenceEngine(manifest, std::move(config));
-}
-
 InferenceEngine BatchAnalyzer::MakeEngine(DbSnapshot snapshot, InferenceConfig config,
                                           const BatchConfig& batch, ThreadPool* pool) {
   if (batch.parallel_group_search) {
@@ -91,9 +72,8 @@ InferenceEngine BatchAnalyzer::MakeEngine(DbSnapshot snapshot, InferenceConfig c
 
 BatchAnalyzer::BatchAnalyzer(const media::Manifest* manifest, InferenceConfig config,
                              BatchConfig batch)
-    : batch_(std::move(batch)),
-      pool_(ResolveThreads(batch_.threads)),
-      engine_(MakeEngine(manifest, std::move(config), batch_, &pool_)) {}
+    : BatchAnalyzer(DbSnapshot(std::make_shared<const ChunkDatabase>(manifest)),
+                    std::move(config), std::move(batch)) {}
 
 BatchAnalyzer::BatchAnalyzer(DbSnapshot snapshot, InferenceConfig config, BatchConfig batch)
     : batch_(std::move(batch)),

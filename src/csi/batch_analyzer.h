@@ -32,10 +32,6 @@ struct BatchConfig {
   // per-trace fan-out already saturates the pool, and intra-trace
   // parallelism only helps when analyzing fewer traces than workers.
   bool parallel_group_search = false;
-  // Shard count for the shared ChunkDatabase build, fanned over the batch
-  // pool; 0 = one shard per worker plus the caller, 1 = serial build. The
-  // index is byte-identical for every value (db_differential_test).
-  int db_build_shards = 0;
   // Unified per-tier knobs for the shared caches this analyzer creates when
   // the matching InferenceConfig cache pointer is null (an explicit pointer
   // always wins). One CacheOptions (cache_common.h) per tier:
@@ -71,7 +67,7 @@ struct BatchConfig {
 class BatchAnalyzer {
  public:
   // `manifest` must outlive the analyzer (same contract as InferenceEngine).
-  // Builds the shared database on the batch pool.
+  // Builds the shared database once, serially, before any trace runs.
   BatchAnalyzer(const media::Manifest* manifest, InferenceConfig config,
                 BatchConfig batch = {});
 
@@ -148,11 +144,9 @@ class BatchAnalyzer {
   const ResultCache* result_cache() const { return engine_.config().caches.result.get(); }
 
  private:
-  // Both constructors funnel through these: they patch `config` with the
-  // batch pool and return the engine by value (guaranteed elision), which
+  // Both constructors funnel through this: it patches `config` with the
+  // batch pool and returns the engine by value (guaranteed elision), which
   // keeps the member-init list free of evaluation-order traps.
-  static InferenceEngine MakeEngine(const media::Manifest* manifest, InferenceConfig config,
-                                    const BatchConfig& batch, ThreadPool* pool);
   static InferenceEngine MakeEngine(DbSnapshot snapshot, InferenceConfig config,
                                     const BatchConfig& batch, ThreadPool* pool);
 

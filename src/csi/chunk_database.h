@@ -7,11 +7,11 @@
 //
 // Storage is a single flat size-sorted index over *all* video chunks (SoA:
 // one contiguous sizes array plus a parallel packed (track, index) array).
-// Construction can be sharded across a thread pool: each shard sorts a
-// contiguous slice of the (size, ref) pairs and the sorted runs are merged in
-// a fixed order — the comparator is a strict total order (packed refs are
-// unique), so the final index is byte-identical to the serial build for every
-// shard count (locked in by tests/db_differential_test.cc).
+// Construction is one serial pass over the manifest and one sort on
+// (size, packed ref), a strict total order because packed refs are unique
+// (checked against an in-test oracle by tests/db_differential_test.cc). For
+// the ladders the tools serve (6 tracks x 120 positions) it takes
+// microseconds and runs once per batch.
 //
 // A range query binary-narrows the sorted sizes array to a small window and
 // resolves the exact bounds with a SIMD count scan (src/common/simd.h); the
@@ -29,25 +29,11 @@
 #include "src/common/units.h"
 #include "src/media/manifest.h"
 
-namespace csi {
-class ThreadPool;
-}
-
 namespace csi::infer {
-
-struct DbBuildOptions {
-  // Worker pool the shard jobs fan out over; null builds on the calling
-  // thread (shards are still sorted/merged independently, just serially).
-  ThreadPool* pool = nullptr;
-  // Number of index shards; 0 picks pool->num_workers() + 1 (or 1 without a
-  // pool). The resulting index is byte-identical for every value.
-  int shards = 0;
-};
 
 class ChunkDatabase {
  public:
   explicit ChunkDatabase(const media::Manifest* manifest);
-  ChunkDatabase(const media::Manifest* manifest, const DbBuildOptions& options);
 
   // All video chunks whose true size could have produced estimate
   // `estimated` under error bound `k`. Ordered by (track, size, index).
@@ -90,8 +76,6 @@ class ChunkDatabase {
   // sorted sizes and the parallel packed (track, index) words.
   const std::vector<Bytes>& flat_sizes() const { return sizes_; }
   const std::vector<uint32_t>& flat_packed_refs() const { return packed_refs_; }
-  // Shard count the index was built with.
-  int build_shards() const { return build_shards_; }
 
   // Packs (track, index) into one word of the flat index. Shared with
   // DbSnapshot's delta buffer so merged windows order identically. Limits:
@@ -113,7 +97,6 @@ class ChunkDatabase {
   const media::Manifest* manifest_;
   int num_tracks_ = 0;
   int num_positions_ = 0;
-  int build_shards_ = 1;
   // Flat global index, sorted by (size, track, index). `sizes_[i]` and
   // `packed_refs_[i]` describe the same chunk.
   std::vector<Bytes> sizes_;

@@ -41,8 +41,7 @@ InferenceEngine::InferenceEngine(DbSnapshot snapshot, InferenceConfig config)
 InferenceEngine::InferenceEngine(const media::Manifest* manifest, InferenceConfig config)
     : manifest_(manifest),
       config_(std::move(config)),
-      snapshot_(std::make_shared<const ChunkDatabase>(
-          manifest, DbBuildOptions{config_.db_build_pool, config_.db_build_shards})) {
+      snapshot_(std::make_shared<const ChunkDatabase>(manifest)) {
   FinishConfig();
 }
 

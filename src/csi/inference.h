@@ -52,11 +52,6 @@ struct InferenceConfig {
   // GroupSearchConfig::pool). Results are identical with or without it.
   // Caller keeps the pool alive for the engine's lifetime.
   ThreadPool* search_pool = nullptr;
-  // Optional pool + shard count for the ChunkDatabase build (see
-  // DbBuildOptions). The pool is used only during engine construction; the
-  // index is byte-identical for every pool/shard combination.
-  ThreadPool* db_build_pool = nullptr;
-  int db_build_shards = 0;
   // The shared cache tiers. All three are share-owned (several engines, or a
   // BatchAnalyzer plus standalone engines, may point at one cache and warm
   // each other up), optional (null: no caching at that tier) and
@@ -88,8 +83,8 @@ class InferenceEngine {
   InferenceEngine(DbSnapshot snapshot, InferenceConfig config);
 
   // Deprecated adapter: builds a full database from `manifest` (caller keeps
-  // it alive) using config's db_build_pool/db_build_shards, then behaves like
-  // the snapshot constructor with that database at epoch 0.
+  // it alive), then behaves like the snapshot constructor with that database
+  // at epoch 0.
   InferenceEngine(const media::Manifest* manifest, InferenceConfig config);
 
   // Runs the inference on a capture's columns (see

@@ -41,8 +41,7 @@ LiveChunkDatabase::LiveChunkDatabase(const media::Manifest& initial, Options opt
     options_.background_compaction = false;
   }
   auto manifest_version = std::make_shared<const media::Manifest>(initial);
-  auto base = std::make_shared<const ChunkDatabase>(
-      manifest_version.get(), DbBuildOptions{options_.pool, options_.build_shards});
+  auto base = std::make_shared<const ChunkDatabase>(manifest_version.get());
   num_tracks_ = base->num_video_tracks();
 
   auto rep = std::make_shared<internal::SnapshotRep>();
@@ -195,8 +194,7 @@ void LiveChunkDatabase::CompactFrom(std::shared_ptr<const media::Manifest> manif
   std::shared_ptr<const ChunkDatabase> base;
   {
     CSI_SPAN("db_compaction");
-    base = std::make_shared<const ChunkDatabase>(
-        manifest_version.get(), DbBuildOptions{options_.pool, options_.build_shards});
+    base = std::make_shared<const ChunkDatabase>(manifest_version.get());
   }
   CSI_COUNTER_INC("csi_db_compactions_total");
 

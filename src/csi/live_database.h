@@ -9,12 +9,12 @@
 // pinned epoch until they finish, and nobody ever blocks on a writer.
 //
 // Once the delta grows past a threshold, a compaction rebuilds the full flat
-// index (the PR 3 sharded build, fanned over the ThreadPool) from the pinned
-// manifest version and splices it in under the writer lock: delta entries the
-// new base now covers are dropped, later appends survive. Every publish —
-// refresh or compaction — bumps the epoch, and every snapshot answers queries
-// byte-identically to a full rebuild at its refresh point (the determinism
-// contract; see tests/live_database_test.cc).
+// index (one serial ChunkDatabase build, in the background on the ThreadPool
+// when one is given) from the pinned manifest version and splices it in under
+// the writer lock: delta entries the new base now covers are dropped, later
+// appends survive. Every publish — refresh or compaction — bumps the epoch,
+// and every snapshot answers queries byte-identically to a full rebuild at its
+// refresh point (the determinism contract; see tests/live_database_test.cc).
 
 #ifndef CSI_SRC_CSI_LIVE_DATABASE_H_
 #define CSI_SRC_CSI_LIVE_DATABASE_H_
@@ -48,10 +48,8 @@ struct ManifestRefresh {
 // Tuning knobs for LiveChunkDatabase. Namespace-scope (not nested) so it is
 // a complete type when used as a defaulted constructor argument.
 struct LiveDbOptions {
-  // Pool the compaction rebuild shards over; null builds serially.
+  // Pool background compactions run on; null compacts inline.
   ThreadPool* pool = nullptr;
-  // Shard count for compaction rebuilds (DbBuildOptions::shards).
-  int build_shards = 0;
   // Delta size (in chunks) at which a refresh triggers compaction. 0
   // compacts after every refresh; SIZE_MAX never compacts automatically.
   size_t compact_after_delta_chunks = 4096;

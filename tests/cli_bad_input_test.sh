@@ -78,6 +78,27 @@ expected_error="cannot read $work/good"
 expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$work/good" --design CH
 expect_error "$batch" --manifest "$work/good" --design CH --quiet "$work/good/session.pcap"
 expected_error=
+# Usage errors exit before any worker pool starts.
+expected_error="error: --threads must be >= 0"
+expect_error "$batch" --manifest "$manifest" --design CH --quiet --threads -3 \
+  "$work/good/session.pcap"
+# The database build is serial; its thread-count flag is gone.
+expected_error="unknown argument: --db-build-threads"
+expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$manifest" --design CH \
+  --db-build-threads 2
+expect_error "$batch" --manifest "$manifest" --design CH --quiet --db-build-threads 2 \
+  "$work/good/session.pcap"
+# A metrics or audit file that cannot take the bytes is a failed run.
+if [ -e /dev/full ]; then
+  expected_error="short write to /dev/full"
+  for flag in --metrics-out --audit-out; do
+    expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$manifest" \
+      --design CH "$flag" /dev/full
+    expect_error "$batch" --manifest "$manifest" --design CH --quiet "$flag" /dev/full \
+      "$work/good/session.pcap"
+  done
+fi
+expected_error=
 # csi_testgen's inputs are its flags and its output directory.
 expect_error "$testgen" --design CH --out "$work/missing-dir"
 expect_error "$testgen" --design CH --out "$work/good" --duration abc

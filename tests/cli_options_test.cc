@@ -114,15 +114,13 @@ TEST(CommonOptionsTest, RegistersAndValidates) {
   FlagParser parser;
   common.Register(&parser);
   const Argv args({"--manifest", "m.txt", "--design", "SQ", "--host", "cdn.example",
-                   "--metrics-out", "metrics.prom", "--metrics-format", "prom",
-                   "--db-build-threads", "4"});
+                   "--metrics-out", "metrics.prom", "--metrics-format", "prom"});
   std::string error;
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
   EXPECT_EQ(common.manifest_path, "m.txt");
   EXPECT_EQ(common.host_suffix, "cdn.example");
   EXPECT_EQ(common.metrics_format, "prom");
-  EXPECT_EQ(common.db_build_threads, 4);
   EXPECT_EQ(common.design(), infer::DesignType::kSQ);
 }
 
@@ -144,13 +142,6 @@ TEST(CommonOptionsTest, ValidateRejectsBadInputs) {
     common.manifest_path = "m.txt";
     common.design_name = "CH";
     common.metrics_format = "xml";
-    EXPECT_FALSE(common.Validate(&error));
-  }
-  {
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "CH";
-    common.db_build_threads = -1;
     EXPECT_FALSE(common.Validate(&error));
   }
   {
@@ -383,7 +374,6 @@ TEST(FormatStageBreakdownTest, CountsEachSecondOnce) {
   stage("group_cache_lookup", 0.05);
   stage("sequence_chain", 0.6);
   stage("db_build", 0.2);
-  stage("db_build_shard", 0.15);
   // Unlabelled stage histograms and other metrics are ignored.
   telemetry::HistogramSnapshot task;
   task.name = "csi_threadpool_task_duration_seconds";

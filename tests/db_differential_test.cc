@@ -1,12 +1,12 @@
-// Property-based differential tests for the sharded ChunkDatabase build and
-// the SIMD size-window scan.
+// Property-based differential tests for the ChunkDatabase build and the SIMD
+// size-window scan.
 //
 // Two identities are locked in here:
-//   1. Build identity: for any manifest and any shard count / worker pool,
-//      the flat index is byte-identical to the serial build. The comparator
-//      (size, packed ref) is a strict total order because packed refs are
-//      unique, so every correct merge of the per-shard sorted runs must
-//      reproduce the full sort exactly.
+//   1. Build identity: for any manifest the flat index equals an oracle
+//      computed in the test: every (chunk size, PackRef(t, i)) pair read
+//      straight from the manifest, std::sort-ed. The order (size, packed ref)
+//      is a strict total order because packed refs are unique, so the oracle
+//      pins every tie.
 //   2. Query identity: for any (estimate, k) or [lo, hi] window — including
 //      empty and INT64_MAX-adjacent ones — every SIMD backend returns the
 //      same candidates as the scalar path.
@@ -26,7 +26,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/simd.h"
-#include "src/common/thread_pool.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/db_snapshot.h"
 #include "src/media/manifest.h"
@@ -63,8 +62,8 @@ std::vector<simd::Backend> SupportedVectorBackends() {
 }
 
 // A random VBR encoding ladder. Sizes are drawn to collide often (duplicate
-// sizes within and across tracks) because ties are exactly where a sort/merge
-// could diverge from the serial order. Track/position counts stay far inside
+// sizes within and across tracks) because ties are exactly where a sort
+// without the packed-ref tiebreak would diverge from the oracle. Track/position counts stay far inside
 // the PackRef limits (track < 4096, index < 2^20).
 Manifest RandomManifest(Rng* rng) {
   Manifest m;
@@ -107,42 +106,45 @@ Manifest RandomManifest(Rng* rng) {
   return m;
 }
 
-void ExpectSameIndex(const ChunkDatabase& a, const ChunkDatabase& b,
-                     const std::string& context) {
-  ASSERT_EQ(a.flat_sizes(), b.flat_sizes()) << context;
-  ASSERT_EQ(a.flat_packed_refs(), b.flat_packed_refs()) << context;
+// The flat index the build must produce, computed without the database:
+// every video chunk's (size, PackRef(t, i)) read from the manifest, sorted.
+void ExpectMatchesOracle(const Manifest& m, const ChunkDatabase& db,
+                         const std::string& context) {
+  std::vector<std::pair<Bytes, uint32_t>> oracle;
+  for (size_t t = 0; t < m.video_tracks.size(); ++t) {
+    const std::vector<Chunk>& chunks = m.video_tracks[t].chunks;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      oracle.emplace_back(chunks[i].size,
+                          ChunkDatabase::PackRef(static_cast<int>(t), static_cast<int>(i)));
+    }
+  }
+  std::sort(oracle.begin(), oracle.end());
+  std::vector<Bytes> sizes;
+  std::vector<uint32_t> refs;
+  for (const auto& [size, ref] : oracle) {
+    sizes.push_back(size);
+    refs.push_back(ref);
+  }
+  ASSERT_EQ(db.flat_sizes(), sizes) << context;
+  ASSERT_EQ(db.flat_packed_refs(), refs) << context;
 }
 
 // --- Build identity -------------------------------------------------------
 
-TEST(DbDifferentialTest, ShardedBuildMatchesSerialOn200RandomManifests) {
-  ThreadPool pool(3);
-  const int shard_counts[] = {1, 2, 7, pool.num_workers() + 1};
+TEST(DbDifferentialTest, BuildMatchesSortedOracleOn200RandomManifests) {
   const uint64_t schedules = testutil::ScheduleCount(200);
   for (uint64_t seed = 0; seed < schedules; ++seed) {
     Rng rng(seed);
     const Manifest m = RandomManifest(&rng);
-    const ChunkDatabase serial(&m);
-    ASSERT_EQ(serial.build_shards(), 1);
-    for (int shards : shard_counts) {
-      const ChunkDatabase sharded(&m, DbBuildOptions{&pool, shards});
-      ExpectSameIndex(serial, sharded,
-                      "seed " + std::to_string(seed) + " shards " + std::to_string(shards));
-    }
-    // shards = 0: auto pick from the pool.
-    const ChunkDatabase auto_sharded(&m, DbBuildOptions{&pool, 0});
-    ExpectSameIndex(serial, auto_sharded, "seed " + std::to_string(seed) + " auto shards");
-    // Sharded but pool-less: shards still sort/merge, just on this thread.
-    const ChunkDatabase poolless(&m, DbBuildOptions{nullptr, 5});
-    ExpectSameIndex(serial, poolless, "seed " + std::to_string(seed) + " poolless");
+    const ChunkDatabase db(&m);
+    ExpectMatchesOracle(m, db, "seed " + std::to_string(seed));
   }
 }
 
 TEST(DbDifferentialTest, FlatIndexIsSortedWithUniqueRefs) {
   Rng rng(42);
   const Manifest m = RandomManifest(&rng);
-  ThreadPool pool(2);
-  const ChunkDatabase db(&m, DbBuildOptions{&pool, 4});
+  const ChunkDatabase db(&m);
   const auto& sizes = db.flat_sizes();
   const auto& refs = db.flat_packed_refs();
   ASSERT_EQ(sizes.size(), refs.size());
@@ -164,13 +166,11 @@ TEST(DbDifferentialTest, ZeroChunkTracksProduceEmptyIndex) {
   t.type = MediaType::kVideo;
   m.video_tracks.push_back(t);
   m.video_tracks.push_back(t);
-  ThreadPool pool(2);
-  for (int shards : {1, 2, 7}) {
-    const ChunkDatabase db(&m, DbBuildOptions{&pool, shards});
-    EXPECT_TRUE(db.flat_sizes().empty());
-    EXPECT_TRUE(db.VideoCandidates(1000, 0.05).empty());
-    EXPECT_FALSE(db.HasVideoCandidate(1000, 0.05));
-  }
+  const ChunkDatabase db(&m);
+  ExpectMatchesOracle(m, db, "zero-chunk tracks");
+  EXPECT_TRUE(db.flat_sizes().empty());
+  EXPECT_TRUE(db.VideoCandidates(1000, 0.05).empty());
+  EXPECT_FALSE(db.HasVideoCandidate(1000, 0.05));
 }
 
 TEST(DbDifferentialTest, SingleChunkVideo) {
@@ -181,20 +181,18 @@ TEST(DbDifferentialTest, SingleChunkVideo) {
   t.type = MediaType::kVideo;
   t.chunks.push_back(Chunk{1000, 2'000'000});
   m.video_tracks.push_back(t);
-  ThreadPool pool(2);
-  for (int shards : {1, 2, 7}) {
-    const ChunkDatabase db(&m, DbBuildOptions{&pool, shards});
-    ASSERT_EQ(db.flat_sizes().size(), 1u);
-    EXPECT_TRUE(db.HasVideoCandidate(1000, 0.0));
-    EXPECT_EQ(db.VideoCandidates(1000, 0.05),
-              (std::vector<ChunkRef>{{MediaType::kVideo, 0, 0}}));
-    EXPECT_TRUE(db.VideoCandidates(999, 0.0).empty());
-  }
+  const ChunkDatabase db(&m);
+  ExpectMatchesOracle(m, db, "single chunk");
+  ASSERT_EQ(db.flat_sizes().size(), 1u);
+  EXPECT_TRUE(db.HasVideoCandidate(1000, 0.0));
+  EXPECT_EQ(db.VideoCandidates(1000, 0.05),
+            (std::vector<ChunkRef>{{MediaType::kVideo, 0, 0}}));
+  EXPECT_TRUE(db.VideoCandidates(999, 0.0).empty());
 }
 
 TEST(DbDifferentialTest, DuplicateSizesAcrossTracksKeepDeterministicOrder) {
   // Every chunk has the same size: the index order is decided purely by the
-  // packed-ref tiebreak, the worst case for merge determinism.
+  // packed-ref tiebreak.
   Manifest m;
   m.asset_id = "dups";
   for (int t = 0; t < 5; ++t) {
@@ -206,15 +204,11 @@ TEST(DbDifferentialTest, DuplicateSizesAcrossTracksKeepDeterministicOrder) {
     }
     m.video_tracks.push_back(std::move(track));
   }
-  ThreadPool pool(3);
-  const ChunkDatabase serial(&m);
-  for (int shards : {2, 3, 7, 11}) {
-    const ChunkDatabase sharded(&m, DbBuildOptions{&pool, shards});
-    ExpectSameIndex(serial, sharded, "all-duplicate, shards " + std::to_string(shards));
-  }
-  const auto& refs = serial.flat_packed_refs();
+  const ChunkDatabase db(&m);
+  ExpectMatchesOracle(m, db, "all-duplicate");
+  const auto& refs = db.flat_packed_refs();
   ASSERT_TRUE(std::is_sorted(refs.begin(), refs.end()));
-  EXPECT_EQ(serial.VideoCandidatesInSizeRange(7777, 7777).size(), 5u * 17u);
+  EXPECT_EQ(db.VideoCandidatesInSizeRange(7777, 7777).size(), 5u * 17u);
 }
 
 // --- Query identity: scalar vs SIMD ---------------------------------------
@@ -225,11 +219,10 @@ TEST(DbDifferentialTest, ScalarAndSimdQueriesAgreeOnRandomWindows) {
     GTEST_SKIP() << "no vector backend on this build/CPU (scalar-only)";
   }
   BackendGuard guard;
-  ThreadPool pool(2);
   for (uint64_t seed = 1000; seed < 1060; ++seed) {
     Rng rng(seed);
     const Manifest m = RandomManifest(&rng);
-    const ChunkDatabase db(&m, DbBuildOptions{&pool, 0});
+    const ChunkDatabase db(&m);
     const Bytes max_size =
         db.flat_sizes().empty() ? 4'000'000 : db.flat_sizes().back();
 

@@ -4,8 +4,8 @@
 // The contract locked in here: for any uniform live manifest and any append
 // schedule, queries against the incrementally updated database are
 // byte-identical to a fresh full ChunkDatabase build of the manifest at the
-// same refresh point — for every shard count, compaction cadence (inline,
-// background, CompactNow, never), and SIMD backend. Snapshots acquired before
+// same refresh point — for every compaction cadence (inline, background,
+// CompactNow, never) and SIMD backend. Snapshots acquired before
 // a publish keep answering for their pinned version, and the whole structure
 // is hammered by concurrent readers while a writer refreshes and compacts
 // (run under TSan in CI).
@@ -239,7 +239,7 @@ TEST(LiveDatabaseTest, IncrementalMatchesFullBuildOn120Schedules) {
 
     LiveChunkDatabase::Options options;
     options.pool = rng.Chance(0.7) ? &pool : nullptr;
-    options.build_shards = static_cast<int>(rng.UniformInt(0, 3));
+    rng.UniformInt(0, 3);  // unused draw: keeps each seed's schedule unchanged
     switch (rng.UniformInt(0, 2)) {
       case 0:
         options.compact_after_delta_chunks = 0;  // compact after every refresh
@@ -460,7 +460,6 @@ TEST(LiveDatabaseTest, ConcurrentReadersHammerWriterAndCompactions) {
   Manifest m = SmallManifest(8);
   LiveChunkDatabase::Options options;
   options.pool = &pool;
-  options.build_shards = 2;
   options.compact_after_delta_chunks = 16;
   options.background_compaction = true;
   LiveChunkDatabase live(m, options);

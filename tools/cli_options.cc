@@ -148,7 +148,6 @@ void CommonOptions::Register(FlagParser* parser) {
   parser->AddString("--host", &host_suffix);
   parser->AddString("--metrics-out", &metrics_out);
   parser->AddString("--metrics-format", &metrics_format);
-  parser->AddInt("--db-build-threads", &db_build_threads);
   parser->AddKeyedString("--cache", "prefix", &prefix_cache);
   parser->AddKeyedString("--cache", "candidate", &candidate_cache);
   parser->AddKeyedString("--cache", "result", &result_cache);
@@ -177,12 +176,6 @@ bool CommonOptions::Validate(std::string* error) const {
   if (metrics_format != "json" && metrics_format != "prom") {
     if (error != nullptr) {
       *error = "--metrics-format must be json or prom";
-    }
-    return false;
-  }
-  if (db_build_threads < 0) {
-    if (error != nullptr) {
-      *error = "--db-build-threads must be >= 0";
     }
     return false;
   }
@@ -290,6 +283,23 @@ bool ReadFileToString(const std::string& path, std::string* out, std::string* er
   return true;
 }
 
+namespace {
+
+// Flushes and closes `out`; a failed write or close (a full disk, /dev/full)
+// is reported as the trace export reports it.
+bool CloseChecked(std::ofstream* out, const std::string& path, std::string* error) {
+  out->close();
+  if (!*out) {
+    if (error != nullptr) {
+      *error = "short write to " + path;
+    }
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool WriteMetricsSnapshot(const std::string& path, const std::string& format,
                           std::string* error) {
   RecordBuildInfoMetric();
@@ -302,7 +312,7 @@ bool WriteMetricsSnapshot(const std::string& path, const std::string& format,
     return false;
   }
   out << (format == "prom" ? snapshot.ToPrometheus() : snapshot.ToJson());
-  return true;
+  return CloseChecked(&out, path, error);
 }
 
 void StartTraceSessionIfRequested(const CommonOptions& options) {
@@ -355,13 +365,13 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
   // Per-stage wall-clock sums from the span histogram. Stages that run
   // inside another reported stage, and envelopes around reported stages,
   // are skipped so no second is counted twice: the search's candidate_enum,
-  // group_cache_lookup and sequence_chain; db_build's shards; the batch and
-  // per-trace envelopes; and the compaction wrappers around db_build. The
+  // group_cache_lookup and sequence_chain; the batch and per-trace
+  // envelopes; and the compaction wrappers around db_build. The
   // pcap read and column build are the ingest row. Any other stage lands in
   // "other" so new spans never silently vanish.
   static const std::set<std::string> kNestedOrEnvelope = {
-      "candidate_enum",    "group_cache_lookup", "sequence_chain", "db_build_shard",
-      "batch_analyze_all", "batch_trace",        "db_compaction",  "background_compaction"};
+      "candidate_enum", "group_cache_lookup", "sequence_chain", "batch_analyze_all",
+      "batch_trace", "db_compaction", "background_compaction"};
   double ingest = 0.0;      // pcap_read + column_build
   double per_packet = 0.0;  // flow_classify + traffic_split + size_estimate
   double search = 0.0;      // group_search (candidate + graph layers)
@@ -420,7 +430,7 @@ bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& la
   for (size_t i = 0; i < audits.size(); ++i) {
     out << audits[i].ToJsonLine(i < labels.size() ? labels[i] : std::to_string(i)) << '\n';
   }
-  return true;
+  return CloseChecked(&out, path, error);
 }
 
 }  // namespace csi::tools

@@ -70,8 +70,6 @@ struct CommonOptions {
   std::string host_suffix;
   std::string metrics_out;
   std::string metrics_format = "json";
-  // Shard count for the chunk-database build (0 = one shard per worker).
-  int db_build_threads = 0;
   // Per-tier cache knobs, written by the `--cache <name>=on|off` /
   // `--cache-mb <name>=N` flags (last flag on the command line wins). "off"
   // wins over any budget; the CSI_CACHE=<name>:off environment override
@@ -99,9 +97,8 @@ struct CommonOptions {
   std::string audit_out;
 
   // Registers --manifest, --design, --host, --metrics-out, --metrics-format,
-  // --db-build-threads, the cache flags --cache <name>=on|off and
-  // --cache-mb <name>=N for name in {prefix, candidate, result}, plus
-  // --trace-out, --trace-mode, --audit-out.
+  // the cache flags --cache <name>=on|off and --cache-mb <name>=N for name in
+  // {prefix, candidate, result}, plus --trace-out, --trace-mode, --audit-out.
   void Register(FlagParser* parser);
   // Returns false and fills *error when required flags are missing or values
   // are out of range. Call after Parse().
@@ -131,9 +128,10 @@ int GuardedMain(int (*run)(int, char**), int argc, char** argv);
 bool ReadFileToString(const std::string& path, std::string* out, std::string* error);
 
 // Writes the global telemetry snapshot to `path` as json or prom ("prom"
-// selects the Prometheus exposition format); false with *error on failure.
-// Stamps the csi_build_info gauge first, so every export carries the build
-// configuration.
+// selects the Prometheus exposition format); false with *error ("cannot
+// write metrics to <path>", or "short write to <path>" when the write or the
+// close fails) on failure. Stamps the csi_build_info gauge first, so every
+// export carries the build configuration.
 bool WriteMetricsSnapshot(const std::string& path, const std::string& format,
                           std::string* error);
 
@@ -167,7 +165,8 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);
 
 // Writes audits[i] as a JSON line labeled labels[i] (falling back to the
-// index when labels run short); false with *error on failure.
+// index when labels run short); false with *error ("cannot write audit log
+// to <path>", or "short write to <path>") on failure.
 bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& labels,
                      const std::vector<infer::InferenceAudit>& audits, std::string* error);
 

@@ -3,7 +3,6 @@
 // Usage:
 //   csi_analyze --pcap session.pcap --manifest video.manifest --design SH
 //               [--host suffix] [--max-sequences N] [--report sequence|qoe|both]
-//               [--db-build-threads N]
 //               [--cache NAME=on|off] [--cache-mb NAME=N]
 //               [--metrics-out FILE] [--metrics-format json|prom]
 //               [--trace-out FILE] [--trace-mode full|flight] [--audit-out FILE]
@@ -37,7 +36,7 @@ namespace {
   std::fprintf(stderr,
                "usage: csi_analyze --pcap FILE --manifest FILE --design CH|SH|CQ|SQ\n"
                "                   [--host SUFFIX] [--max-sequences N]\n"
-               "                   [--report sequence|qoe|both] [--db-build-threads N]\n"
+               "                   [--report sequence|qoe|both]\n"
                "                   [--cache NAME=on|off] [--cache-mb NAME=N]\n"
                "                   (NAME in {result, prefix, candidate})\n"
                "                   [--metrics-out FILE] [--metrics-format json|prom]\n"
@@ -95,7 +94,6 @@ int Run(int argc, char** argv) {
   infer::InferenceConfig config;
   config.design = common.design();
   config.max_sequences = max_sequences;
-  config.db_build_shards = common.db_build_threads;
   if (!common.host_suffix.empty()) {
     config.host_suffix = common.host_suffix;
   }

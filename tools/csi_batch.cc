@@ -2,7 +2,7 @@
 //
 // Usage:
 //   csi_batch --manifest FILE --design CH|SH|CQ|SQ (--dir DIR | PCAP...)
-//             [--threads N] [--db-build-threads N] [--repeat R]
+//             [--threads N] [--repeat R]
 //             [--host SUFFIX] [--quiet]
 //             [--follow-manifests N] [--db-compact-after N]
 //             [--cache NAME=on|off] [--cache-mb NAME=N]
@@ -55,7 +55,7 @@ namespace {
   }
   std::fprintf(stderr,
                "usage: csi_batch --manifest FILE --design CH|SH|CQ|SQ (--dir DIR | PCAP...)\n"
-               "                 [--threads N] [--db-build-threads N] [--repeat R]\n"
+               "                 [--threads N] [--repeat R]\n"
                "                 [--host SUFFIX] [--quiet]\n"
                "                 [--follow-manifests N] [--db-compact-after N]\n"
                "                 [--cache NAME=on|off] [--cache-mb NAME=N]\n"
@@ -63,9 +63,8 @@ namespace {
                "                 [--trace-out FILE] [--trace-mode full|flight]\n"
                "                 [--audit-out FILE]\n"
                "\n"
-               "  --db-build-threads N   shard the chunk-database build into N jobs fanned\n"
-               "                         over the worker pool (0 = one shard per worker;\n"
-               "                         1 = serial build; the index is identical either way)\n"
+               "  --threads N            worker threads for the trace fan-out\n"
+               "                         (default 0 = hardware concurrency)\n"
                "  --follow-manifests N   replay a live manifest: start from a half-length\n"
                "                         prefix and apply N metadata refreshes spread across\n"
                "                         the --repeat rounds via a LiveChunkDatabase\n"
@@ -172,6 +171,9 @@ int Run(int argc, char** argv) {
   if (pcap_paths.empty()) {
     Usage("no pcap inputs (pass files or --dir)");
   }
+  if (threads < 0) {
+    Usage("--threads must be >= 0");
+  }
   if (repeat < 1) {
     Usage("--repeat must be >= 1");
   }
@@ -230,7 +232,6 @@ int Run(int argc, char** argv) {
   }
   infer::BatchConfig batch;
   batch.threads = threads;
-  batch.db_build_shards = common.db_build_threads;
   batch.caches.candidate.budget_mb = common.candidate_cache_budget_mb();
   batch.caches.prefix.budget_mb = common.prefix_cache_budget_mb();
   batch.caches.result.budget_mb = common.result_cache_budget_mb();
@@ -257,7 +258,6 @@ int Run(int argc, char** argv) {
   }
   if (plan.has_value()) {
     infer::LiveChunkDatabase::Options live_options;
-    live_options.build_shards = common.db_build_threads;
     if (db_compact_after >= 0) {
       live_options.compact_after_delta_chunks = static_cast<size_t>(db_compact_after);
     }
