@@ -11,11 +11,14 @@
 // fingerprint, each run over pre-built columns so the stage cost is isolated
 // from the one-time transpose that BM_BuildColumns measures. BM_SequenceChain
 // times Step 2 alone: the layered chain search over one 10-min SQ session's
-// split groups.
+// split groups. BM_ChildSort times the beam cut inside it on one synthetic
+// layer the size of that search's largest: a full std::sort of the children
+// against SortPrefix of the kept beam.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +27,8 @@
 
 #include "src/capture/packet_columns.h"
 #include "src/capture/pcap_io.h"
+#include "src/common/rng.h"
+#include "src/common/sort_prefix.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/flow_classifier.h"
@@ -248,6 +253,67 @@ void BM_SequenceChain(benchmark::State& state) {
   state.counters["groups"] = static_cast<double>(in->groups.size());
 }
 
+// One layer of the chain's beam cut, shaped like the largest layer of the
+// BM_SequenceChain search: 2048 parents x 768 children = 1,572,864 sixteen-byte
+// children in generation order (parents by ascending cost, each parent's
+// children by ascending step cost), about 1% of them tied on cost with another
+// child, cut to a 2048-wide beam.
+struct BeamChild {
+  double cost;
+  int parent;
+  uint32_t cand;
+};
+constexpr int kBeamWidth = 2048;
+constexpr int kChildrenPerParent = 768;
+
+const std::vector<BeamChild>& BeamLayer() {
+  static const std::vector<BeamChild>* layer = [] {
+    Rng rng(55);
+    std::vector<double> parent_costs(kBeamWidth);
+    for (double& c : parent_costs) {
+      c = rng.Uniform(0.0, 0.004);
+    }
+    std::sort(parent_costs.begin(), parent_costs.end());
+    auto* out = new std::vector<BeamChild>();
+    out->reserve(static_cast<size_t>(kBeamWidth) * kChildrenPerParent);
+    std::vector<double> steps(kChildrenPerParent);
+    for (int p = 0; p < kBeamWidth; ++p) {
+      for (double& s : steps) {
+        s = rng.Uniform(0.0067, 0.033);
+      }
+      std::sort(steps.begin(), steps.end());
+      for (int c = 0; c < kChildrenPerParent; ++c) {
+        double cost = parent_costs[static_cast<size_t>(p)] + steps[static_cast<size_t>(c)];
+        if (!out->empty() && rng.Chance(0.0057)) {
+          const int64_t tie = rng.UniformInt(0, static_cast<int64_t>(out->size()) - 1);
+          cost = (*out)[static_cast<size_t>(tie)].cost;
+        }
+        out->push_back(BeamChild{cost, p, static_cast<uint32_t>(c) << 1});
+      }
+    }
+    return out;
+  }();
+  return *layer;
+}
+
+void BM_ChildSort(benchmark::State& state, bool prefix_only) {
+  const std::vector<BeamChild>& layer = BeamLayer();
+  const auto by_cost = [](const BeamChild& a, const BeamChild& b) { return a.cost < b.cost; };
+  std::vector<BeamChild> next;
+  for (auto _ : state) {
+    state.PauseTiming();
+    next = layer;
+    state.ResumeTiming();
+    if (prefix_only) {
+      SortPrefix(next.begin(), next.end(), kBeamWidth, by_cost);
+    } else {
+      std::sort(next.begin(), next.end(), by_cost);
+    }
+    benchmark::DoNotOptimize(next.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(layer.size()));
+}
+
 // --- End-to-end cold batch ---------------------------------------------------
 
 void RunColdBatch(benchmark::State& state, const Workload& w,
@@ -284,6 +350,8 @@ BENCHMARK(BM_EstimateExchanges);
 BENCHMARK(BM_SplitGroups);
 BENCHMARK(BM_Fingerprint);
 BENCHMARK(BM_SequenceChain)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ChildSort, std_sort, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ChildSort, sort_prefix, true)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ChColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqColdBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 

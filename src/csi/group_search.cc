@@ -10,6 +10,7 @@
 #include <queue>
 #include <tuple>
 
+#include "src/common/sort_prefix.h"
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
 #include "src/csi/audit.h"
@@ -564,9 +565,11 @@ class GroupSequenceSearcher {
       }
       chain_nodes += static_cast<int64_t>(next.size());
       // The children arrive in generation order, and std::sort's tie order
-      // over that sequence is part of the output: keep both.
-      std::sort(next.begin(), next.end(),
-                [](const Child& a, const Child& b) { return a.cost < b.cost; });
+      // over that sequence is part of the output. SortPrefix reproduces that
+      // order for the beam_width children the beam keeps and leaves the
+      // rest unsorted.
+      SortPrefix(next.begin(), next.end(), beam_width,
+                 [](const Child& a, const Child& b) { return a.cost < b.cost; });
       if (static_cast<int>(next.size()) > beam_width) {
         next.resize(static_cast<size_t>(beam_width));
         truncated_ = true;

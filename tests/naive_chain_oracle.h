@@ -12,11 +12,13 @@
 //   - the candidate lists come from infer::EnumerateGroupCandidateSet with
 //     no per-list memo beyond the (group, lo, hi) map the beam needs.
 //
-// Both sort each layer's children, in generation order, with std::sort on
-// the cost alone, so their tie orders agree and the outputs must be
-// identical: sequences in order, `truncated`, and the audit's chain_nodes,
-// best cost and runner-up cost (written to infer::CurrentAudit() exactly as
-// the production search writes them).
+// Both order each layer's children, in generation order, on the cost alone:
+// the oracle with a full std::sort, the search with SortPrefix, which puts
+// std::sort's elements in std::sort's tie order into the beam_width slots it
+// keeps. So the beams agree and the outputs must be identical: sequences in
+// order, `truncated`, and the audit's chain_nodes, best cost and runner-up
+// cost (written to infer::CurrentAudit() exactly as the production search
+// writes them).
 
 #ifndef CSI_TESTS_NAIVE_CHAIN_ORACLE_H_
 #define CSI_TESTS_NAIVE_CHAIN_ORACLE_H_
