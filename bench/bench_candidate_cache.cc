@@ -253,8 +253,7 @@ infer::TrafficGroup PlantedGroup(const media::Manifest& m, int start, int run) {
 // Full enumeration cost for one two-chunk group over the whole start range.
 void BM_GroupEnumCold(benchmark::State& state) {
   const media::Manifest m = DenseManifest(512);
-  const infer::ChunkDatabase db(&m);
-  const infer::DbSnapshot snap(db);
+  const infer::DbSnapshot snap(std::make_shared<const infer::ChunkDatabase>(&m));
   const infer::TrafficGroup group = PlantedGroup(m, 37, 2);
   infer::GroupSearchConfig config;
   config.k = 0.05;
@@ -268,8 +267,7 @@ void BM_GroupEnumCold(benchmark::State& state) {
 // The same call against a warm shared cache: time/op = ns per cached group.
 void BM_GroupEnumHit(benchmark::State& state) {
   const media::Manifest m = DenseManifest(512);
-  const infer::ChunkDatabase db(&m);
-  const infer::DbSnapshot snap(db);
+  const infer::DbSnapshot snap(std::make_shared<const infer::ChunkDatabase>(&m));
   const infer::TrafficGroup group = PlantedGroup(m, 37, 2);
   infer::GroupCandidateCache cache(64ull << 20);
   infer::GroupSearchConfig config;

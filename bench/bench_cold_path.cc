@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -246,7 +247,7 @@ ChainInput MakeChainInput() {
 
 void BM_SequenceChain(benchmark::State& state) {
   static const ChainInput* in = new ChainInput(MakeChainInput());
-  const infer::ChunkDatabase db(&in->manifest);
+  const infer::DbSnapshot db(std::make_shared<const infer::ChunkDatabase>(&in->manifest));
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::SearchGroupSequences(in->groups, db, in->config));
   }

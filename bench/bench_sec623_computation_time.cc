@@ -99,9 +99,9 @@ void BM_BatchInferenceCold(benchmark::State& state) {
   config.design = infer::DesignType::kSH;
   infer::BatchConfig batch;
   batch.threads = static_cast<int>(state.range(0));
-  batch.caches.result.enabled = false;
-  batch.caches.prefix.enabled = false;
-  batch.caches.candidate.enabled = false;
+  batch.caches.result.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
   infer::BatchAnalyzer analyzer(&prepared.manifest, config, batch);
   for (auto _ : state) {
     auto results = analyzer.AnalyzeAll(prepared.traces);

@@ -8,6 +8,7 @@
 // Run: ./build/examples/quic_mux_inference
 
 #include <cstdio>
+#include <memory>
 
 #include "src/capture/packet_columns.h"
 #include "src/common/table.h"
@@ -61,7 +62,7 @@ int main() {
 
   // Step 2.1 — per-group candidate search (shown for one mid-session group,
   // conditioned on the chained start index as the engine does internally).
-  const infer::ChunkDatabase db(&manifest);
+  const infer::DbSnapshot db(std::make_shared<const infer::ChunkDatabase>(&manifest));
   infer::GroupSearchConfig gconfig;
   gconfig.other_object_sizes = {manifest.SerializedSize() + 180};
   if (groups.size() > 4) {

@@ -1,8 +1,8 @@
 // Build/runtime provenance for metrics artifacts: which SIMD backend the
-// process dispatched to, whether the vector kernels were compiled in, and
-// whether the environment forces the candidate cache off. Exported as the
-// conventional `csi_build_info` gauge (constant value 1, facts in labels) so
-// every METRICS_*.json / .prom snapshot records how it was produced.
+// process dispatched to, whether the vector kernels were compiled in, and the
+// capture column layout. Exported as the conventional `csi_build_info` gauge
+// (constant value 1, facts in labels) so every METRICS_*.json / .prom
+// snapshot records how it was produced.
 
 #ifndef CSI_SRC_COMMON_BUILD_INFO_H_
 #define CSI_SRC_COMMON_BUILD_INFO_H_
@@ -14,10 +14,6 @@ namespace csi {
 // Label set describing this binary and process:
 //   simd_backend          runtime-dispatched kernel ("scalar"/"sse2"/...)
 //   simd                  "on" unless compiled out with -DCSI_SIMD=OFF
-//   candidate_cache_default
-//                         "off" iff CSI_CACHE in the environment forces the
-//                         candidate tier off (candidate:off or all:off),
-//                         else "on"
 //   packet_layout         the capture column layout version
 telemetry::Labels BuildInfoLabels();
 

@@ -24,49 +24,23 @@ int ResolveThreads(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// Creates the batch-wide shared candidate cache unless the caller brought
-// their own, disabled the tier, or the env forces it off.
-void ResolveCandidateCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = batch.caches.candidate.effective_budget_mb();
-  if (config->caches.candidate != nullptr || budget_mb <= 0 ||
-      GroupCandidateCache::EnvForcesOff()) {
+// Creates the batch-wide shared cache of one tier unless the caller brought
+// their own or the tier's budget is 0.
+template <typename Cache>
+void ResolveCache(std::shared_ptr<Cache>* cache, const CacheOptions& options) {
+  if (*cache != nullptr || options.budget_mb <= 0) {
     return;
   }
-  config->caches.candidate =
-      std::make_shared<GroupCandidateCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
-}
-
-// Same resolution for the analysis-prefix cache.
-void ResolvePrefixCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = batch.caches.prefix.effective_budget_mb();
-  if (config->caches.prefix != nullptr || budget_mb <= 0 ||
-      AnalysisPrefixCache::EnvForcesOff()) {
-    return;
-  }
-  config->caches.prefix =
-      std::make_shared<AnalysisPrefixCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
-}
-
-// Same resolution for the whole-result cache.
-void ResolveResultCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = batch.caches.result.effective_budget_mb();
-  if (config->caches.result != nullptr || budget_mb <= 0 || ResultCache::EnvForcesOff()) {
-    return;
-  }
-  config->caches.result =
-      std::make_shared<ResultCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
+  *cache = std::make_shared<Cache>(static_cast<size_t>(options.budget_mb) * 1024 * 1024);
 }
 
 }  // namespace
 
 InferenceEngine BatchAnalyzer::MakeEngine(DbSnapshot snapshot, InferenceConfig config,
-                                          const BatchConfig& batch, ThreadPool* pool) {
-  if (batch.parallel_group_search) {
-    config.search_pool = pool;
-  }
-  ResolveCandidateCache(&config, batch);
-  ResolvePrefixCache(&config, batch);
-  ResolveResultCache(&config, batch);
+                                          const BatchConfig& batch) {
+  ResolveCache(&config.caches.candidate, batch.caches.candidate);
+  ResolveCache(&config.caches.prefix, batch.caches.prefix);
+  ResolveCache(&config.caches.result, batch.caches.result);
   return InferenceEngine(std::move(snapshot), std::move(config));
 }
 
@@ -78,7 +52,7 @@ BatchAnalyzer::BatchAnalyzer(const media::Manifest* manifest, InferenceConfig co
 BatchAnalyzer::BatchAnalyzer(DbSnapshot snapshot, InferenceConfig config, BatchConfig batch)
     : batch_(std::move(batch)),
       pool_(ResolveThreads(batch_.threads)),
-      engine_(MakeEngine(std::move(snapshot), std::move(config), batch_, &pool_)) {}
+      engine_(MakeEngine(std::move(snapshot), std::move(config), batch_)) {}
 
 std::vector<InferenceResult> BatchAnalyzer::RunBatch(
     size_t total,

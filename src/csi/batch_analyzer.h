@@ -27,11 +27,6 @@ namespace csi::infer {
 struct BatchConfig {
   // Worker threads for the trace fan-out; 0 means hardware concurrency.
   int threads = 0;
-  // Also hand the pool to each trace's SQ candidate enumeration
-  // (GroupSearchConfig::pool). Off by default: with a full batch the
-  // per-trace fan-out already saturates the pool, and intra-trace
-  // parallelism only helps when analyzing fewer traces than workers.
-  bool parallel_group_search = false;
   // Unified per-tier knobs for the shared caches this analyzer creates when
   // the matching InferenceConfig cache pointer is null (an explicit pointer
   // always wins). One CacheOptions (cache_common.h) per tier:
@@ -42,9 +37,9 @@ struct BatchConfig {
   //  * result    — whole-result cache (result_cache.h): a repeat of the same
   //    trace under the same (or a provably-equivalent) snapshot state skips
   //    the entire pipeline.
-  // `enabled = false` or `budget_mb = 0` disables a tier. Results are
-  // byte-identical with any subset enabled (prefix_cache_test,
-  // candidate_cache_test, result_cache_test).
+  // `budget_mb = 0` disables a tier. Results are byte-identical with any
+  // subset disabled (inference_e2e_test's AnyTierSubsetKeepsGoldenDigests,
+  // plus the per-tier on-vs-off tests).
   struct Caches {
     CacheOptions prefix{/*budget_mb=*/32};
     CacheOptions candidate{/*budget_mb=*/64};
@@ -144,11 +139,11 @@ class BatchAnalyzer {
   const ResultCache* result_cache() const { return engine_.config().caches.result.get(); }
 
  private:
-  // Both constructors funnel through this: it patches `config` with the
-  // batch pool and returns the engine by value (guaranteed elision), which
-  // keeps the member-init list free of evaluation-order traps.
+  // Both constructors funnel through this: it attaches the batch's cache
+  // tiers to `config` and returns the engine by value (guaranteed elision),
+  // which keeps the member-init list free of evaluation-order traps.
   static InferenceEngine MakeEngine(DbSnapshot snapshot, InferenceConfig config,
-                                    const BatchConfig& batch, ThreadPool* pool);
+                                    const BatchConfig& batch);
 
   // Shared fan-out core of every AnalyzeAll flavor: by-index slots, per-trace
   // timing/fault isolation/telemetry, progress throttling. `analyze_one` runs

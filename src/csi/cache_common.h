@@ -1,8 +1,7 @@
 // Common machinery behind the three cache tiers (prefix / candidate /
-// result): the unified budget/enable knob, the shared stats block and its
-// summary formatter, the CSI_CACHE env override, and the sharded
-// second-chance (clock) store that used to be copy-pasted between
-// prefix_cache.cc and candidate_cache.cc.
+// result): the unified budget knob, the shared stats block and its summary
+// formatter, and the sharded second-chance (clock) store that used to be
+// copy-pasted between prefix_cache.cc and candidate_cache.cc.
 //
 // Each tier keeps its own Query/Entry/Lookup semantics (the prefix cache has
 // no revalidation, the candidate and result caches revalidate against the
@@ -15,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <list>
 #include <memory>
@@ -27,14 +25,11 @@
 
 namespace csi::infer {
 
-// Budget/enable knob for one cache tier — the unit of the unified `caches`
-// block in InferenceConfig/BatchConfig and of the `--cache` / `--cache-mb`
-// tool flags. `enabled == false` beats any budget.
+// Budget knob for one cache tier — the unit of the unified `caches` block in
+// BatchConfig and of the `--cache-mb` tool flag. A budget of 0 (or less)
+// turns the tier off.
 struct CacheOptions {
   int budget_mb = 0;
-  bool enabled = true;
-
-  int effective_budget_mb() const { return enabled ? budget_mb : 0; }
 
   friend bool operator==(const CacheOptions&, const CacheOptions&) = default;
 };
@@ -78,45 +73,6 @@ inline std::string FormatCacheSummary(const std::string& name, const CacheStats&
                 static_cast<double>(stats.bytes) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(stats.entries));
   return buffer;
-}
-
-// The "off" spellings every cache env override accepts.
-inline bool CacheOffSpelling(const std::string& value) {
-  return value == "off" || value == "OFF" || value == "0" || value == "none";
-}
-
-// True when CSI_CACHE disables the named tier. The value is a comma-separated
-// list of <name>:off entries (= also accepted as the separator), e.g.
-// CSI_CACHE=prefix:off,result:off; <name> is prefix, candidate, result, or
-// all. Reads the environment on every call — the per-cache EnvForcesOff
-// wrappers latch the result in a function-local static.
-inline bool CsiCacheEnvDisables(const char* name) {
-  const char* env = std::getenv("CSI_CACHE");
-  if (env == nullptr) {
-    return false;
-  }
-  const std::string spec(env);
-  const std::string want(name);
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string token = spec.substr(pos, comma - pos);
-    size_t sep = token.find(':');
-    if (sep == std::string::npos) {
-      sep = token.find('=');
-    }
-    if (sep != std::string::npos) {
-      const std::string key = token.substr(0, sep);
-      if ((key == want || key == "all") && CacheOffSpelling(token.substr(sep + 1))) {
-        return true;
-      }
-    }
-    pos = comma + 1;
-  }
-  return false;
 }
 
 namespace internal {

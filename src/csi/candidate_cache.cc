@@ -17,11 +17,6 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_CACHE=candidate:off (the real env read is
-// latched in a function-local static and cannot be flipped after first
-// use).
-std::atomic<bool> g_force_env_off{false};
-
 }  // namespace
 
 size_t GroupCandidateCache::QueryHash::operator()(const Query& q) const {
@@ -36,15 +31,6 @@ size_t GroupCandidateCache::QueryHash::operator()(const Query& q) const {
 
 GroupCandidateCache::GroupCandidateCache(size_t budget_bytes, int shards)
     : store_(budget_bytes, shards) {}
-
-bool GroupCandidateCache::EnvForcesOff() {
-  static const bool off = CsiCacheEnvDisables("candidate");
-  return off || g_force_env_off.load(std::memory_order_relaxed);
-}
-
-void GroupCandidateCache::ForceEnvOffForTest(bool off) {
-  g_force_env_off.store(off, std::memory_order_relaxed);
-}
 
 uint32_t GroupCandidateCache::InternContext(const GroupSearchConfig& config,
                                             const DisplayConstraints& display) {
@@ -183,9 +169,6 @@ size_t GroupCandidateCache::ApproxBytes(const GroupCandidateSet& set) {
 
 std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
     const Query& query, const DbSnapshot& db, CandidateSetHull* hull_out) {
-  if (EnvForcesOff()) {
-    return nullptr;
-  }
   CSI_SPAN("group_cache_lookup");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const GroupCandidateSet> hit;
@@ -259,7 +242,7 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
 void GroupCandidateCache::Insert(const Query& query, const DbSnapshot& db,
                                  const CandidateSetHull& hull,
                                  std::shared_ptr<const GroupCandidateSet> set) {
-  if (EnvForcesOff() || set == nullptr) {
+  if (set == nullptr) {
     return;
   }
   Entry entry;

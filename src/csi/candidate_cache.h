@@ -35,9 +35,8 @@
 // copy candidate vectors and never block behind a publish. Eviction is
 // per-shard second-chance (clock) over a byte budget via the shared
 // ShardedClockStore (cache_common.h); an entry's cost is the heap footprint
-// of its candidate vectors. Force-off escape hatch: CSI_CACHE=candidate:off
-// turns every lookup into a miss and every insert into a no-op, for A/B runs
-// and bypass-path CI.
+// of its candidate vectors. A budget of 0 (BatchConfig::caches.candidate)
+// means no cache is created at all.
 
 #ifndef CSI_SRC_CSI_CANDIDATE_CACHE_H_
 #define CSI_SRC_CSI_CANDIDATE_CACHE_H_
@@ -120,17 +119,6 @@ class GroupCandidateCache {
   GroupCandidateCache(const GroupCandidateCache&) = delete;
   GroupCandidateCache& operator=(const GroupCandidateCache&) = delete;
 
-  // True when the CSI_CACHE=candidate:off (or all:off) override forces the
-  // cache out of the picture
-  // (environment checked once per process), or a test forced it via
-  // ForceEnvOffForTest. Enumeration treats the cache as absent; a constructed
-  // cache stays empty.
-  static bool EnvForcesOff();
-  // Test seam simulating CSI_CACHE=candidate:off in-process (the real env
-  // read is cached in a static). Always reset to false before the test
-  // returns.
-  static void ForceEnvOffForTest(bool off);
-
   // Interns the enumeration-relevant subset of (config, display) and returns
   // a process-stable id (>= 1) for use in queries. Full structural equality —
   // never a lossy hash — so two contexts share an id only when every knob the
@@ -156,7 +144,7 @@ class GroupCandidateCache {
 
   // Publishes an enumeration result computed against `db`. Replaces any
   // existing entry for the key; sets larger than a whole shard's budget are
-  // not admitted. No-op when the env forces the cache off.
+  // not admitted.
   void Insert(const Query& query, const DbSnapshot& db, const CandidateSetHull& hull,
               std::shared_ptr<const GroupCandidateSet> set);
 

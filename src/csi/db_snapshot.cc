@@ -19,29 +19,16 @@ uint64_t NextSnapshotStateId() {
 
 }  // namespace internal
 
-namespace {
-
-std::shared_ptr<const internal::SnapshotRep> MakeFullRep(
-    std::shared_ptr<const ChunkDatabase> owned, const ChunkDatabase* base, uint64_t epoch) {
+DbSnapshot::DbSnapshot(std::shared_ptr<const ChunkDatabase> db, uint64_t epoch) {
   auto rep = std::make_shared<internal::SnapshotRep>();
-  rep->owned_base = std::move(owned);
-  rep->base = base;
-  rep->audio_sizes = base->audio_sizes();
-  rep->num_positions = base->num_positions();
+  rep->audio_sizes = db->audio_sizes();
+  rep->num_positions = db->num_positions();
+  rep->base = std::move(db);
   rep->epoch = epoch;
   rep->state_id = internal::NextSnapshotStateId();
   // Standalone full builds are their own (single-state) lineage.
   rep->lineage_id = rep->state_id;
-  return rep;
-}
-
-}  // namespace
-
-DbSnapshot::DbSnapshot(const ChunkDatabase& db) : rep_(MakeFullRep(nullptr, &db, 0)) {}
-
-DbSnapshot::DbSnapshot(std::shared_ptr<const ChunkDatabase> db, uint64_t epoch) {
-  const ChunkDatabase* base = db.get();
-  rep_ = MakeFullRep(std::move(db), base, epoch);
+  rep_ = std::move(rep);
 }
 
 std::pair<size_t, size_t> DbSnapshot::DeltaRange(Bytes lo, Bytes hi) const {

@@ -13,11 +13,6 @@
 // the candidate lists are byte-identical to a full rebuild at the same
 // refresh point — the determinism contract locked in by
 // tests/live_database_test.cc.
-//
-// Deprecated adapter: DbSnapshot is implicitly constructible from
-// `const ChunkDatabase&` (non-owning, epoch 0, empty delta), so code written
-// against the old `const ChunkDatabase&` API keeps compiling while call sites
-// migrate.
 
 #ifndef CSI_SRC_CSI_DB_SNAPSHOT_H_
 #define CSI_SRC_CSI_DB_SNAPSHOT_H_
@@ -51,18 +46,17 @@ struct DeltaEntry {
 };
 
 // The immutable state one snapshot pins. Built once by LiveChunkDatabase (or
-// the adapters below) and never mutated afterwards; concurrent readers share
-// it freely.
+// the full-build DbSnapshot constructor) and never mutated afterwards;
+// concurrent readers share it freely.
 struct SnapshotRep {
-  // Manifest version this snapshot describes. Null only for the deprecated
-  // non-owning adapter, where base->manifest() is the caller's manifest.
+  // Manifest version this snapshot describes. Null for every full-build
+  // snapshot, where base->manifest() is the manifest the caller keeps alive.
   std::shared_ptr<const media::Manifest> manifest_version;
   // Manifest version `base` was built from (kept alive because the base holds
   // a raw pointer into it). May lag manifest_version by the delta appends.
   std::shared_ptr<const media::Manifest> base_manifest;
-  std::shared_ptr<const ChunkDatabase> owned_base;
-  // Always valid; == owned_base.get() unless the rep is a non-owning view.
-  const ChunkDatabase* base = nullptr;
+  // The compacted base index; always valid.
+  std::shared_ptr<const ChunkDatabase> base;
   // Entries appended after `base` was built, sorted by (size, packed). All
   // packed refs name positions >= base->num_positions(), so base and delta
   // are disjoint.
@@ -101,12 +95,6 @@ uint64_t NextSnapshotStateId();
 class DbSnapshot {
  public:
   DbSnapshot() = default;  // empty handle; valid() is false
-
-  // Deprecated adapter: non-owning view of a caller-kept database, epoch 0,
-  // no delta. Implicit on purpose so `const ChunkDatabase&` call sites keep
-  // compiling during the migration. The database must outlive the snapshot.
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  DbSnapshot(const ChunkDatabase& db);
 
   // Owning snapshot of a full database (no delta). The snapshot keeps the
   // database alive; `epoch` tags it for cache keying.

@@ -211,10 +211,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
 
   // Consult the shared cross-trace cache before doing any work. The two
   // early-outs above are cheaper than a cache probe and stay uncached.
-  GroupCandidateCache* shared = config.shared_cache;
-  if (shared != nullptr && GroupCandidateCache::EnvForcesOff()) {
-    shared = nullptr;
-  }
+  GroupCandidateCache* const shared = config.shared_cache;
   GroupCandidateCache::Query query;
   if (shared != nullptr) {
     if (context_id == 0) {
@@ -492,7 +489,7 @@ class GroupSequenceSearcher {
         positions_(db.num_positions()) {
     // Intern the shared-cache context once per search instead of per
     // enumeration (it is identical for every group of this run).
-    if (config_.shared_cache != nullptr && !GroupCandidateCache::EnvForcesOff()) {
+    if (config_.shared_cache != nullptr) {
       context_id_ = config_.shared_cache->InternContext(config_, display_);
     }
   }

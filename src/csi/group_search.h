@@ -94,8 +94,8 @@ struct GroupSearchConfig {
   ThreadPool* pool = nullptr;
   // Optional shared cross-trace result cache (see candidate_cache.h):
   // enumeration consults it before the DFS and publishes after rank+truncate,
-  // so results are bit-identical cache-on vs cache-off by construction. Null
-  // (or CSI_CACHE=candidate:off): every enumeration computes. The caller
+  // so results are bit-identical cache-on vs cache-off by construction. Null:
+  // every enumeration computes. The caller
   // keeps the cache alive for the search's lifetime; it is safe to share
   // across concurrent searches.
   GroupCandidateCache* shared_cache = nullptr;
@@ -128,10 +128,9 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
 double CandidateCost(const GroupCandidate& candidate, Bytes estimated_total,
                      int group_requests, const GroupSearchConfig& config);
 
-// Full SQ inference over the split groups. `db` is an immutable snapshot (a
-// bare `ChunkDatabase` converts implicitly via the deprecated adapter); the
-// search holds it for the whole call, so concurrent live-database publishes
-// never affect an in-flight search.
+// Full SQ inference over the split groups. `db` is an immutable snapshot;
+// the search holds it for the whole call, so concurrent live-database
+// publishes never affect an in-flight search.
 InferenceResult SearchGroupSequences(const std::vector<TrafficGroup>& groups,
                                      const DbSnapshot& db, const GroupSearchConfig& config,
                                      const DisplayConstraints& display = {});

@@ -201,16 +201,10 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
   CSI_SPAN("analyze", {"packets", static_cast<int64_t>(columns.packet_count())});
   CSI_COUNTER_INC("csi_analyze_calls_total");
 
-  AnalysisPrefixCache* const prefix_cache =
-      config_.caches.prefix != nullptr && !AnalysisPrefixCache::EnvForcesOff()
-          ? config_.caches.prefix.get()
-          : nullptr;
+  AnalysisPrefixCache* const prefix_cache = config_.caches.prefix.get();
   // Top tier: the whole-result cache. Calls with display constraints bypass
   // it — the key deliberately covers only the unconstrained path.
-  ResultCache* const result_cache =
-      config_.caches.result != nullptr && !ResultCache::EnvForcesOff() && display.empty()
-          ? config_.caches.result.get()
-          : nullptr;
+  ResultCache* const result_cache = display.empty() ? config_.caches.result.get() : nullptr;
   // One fingerprint pass feeds both the result- and prefix-tier keys.
   TraceFingerprint fingerprint;
   if (result_cache != nullptr || prefix_cache != nullptr) {

@@ -82,9 +82,8 @@ class InferenceEngine {
   // size).
   InferenceEngine(DbSnapshot snapshot, InferenceConfig config);
 
-  // Deprecated adapter: builds a full database from `manifest` (caller keeps
-  // it alive), then behaves like the snapshot constructor with that database
-  // at epoch 0.
+  // Builds a full database from `manifest` (caller keeps it alive), then
+  // behaves like the snapshot constructor with that database at epoch 0.
   InferenceEngine(const media::Manifest* manifest, InferenceConfig config);
 
   // Runs the inference on a capture's columns (see

@@ -26,10 +26,6 @@ inline uint64_t MixStep(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_CACHE=prefix:off (the real env read is
-// latched in a function-local static and cannot be flipped after first use).
-std::atomic<bool> g_force_env_off{false};
-
 // Accumulates the two mixes over the observer-visible field stream.
 struct Mixer {
   uint64_t lo = kFnvOffset;
@@ -89,15 +85,6 @@ size_t AnalysisPrefixCache::QueryHash::operator()(const Query& q) const {
 AnalysisPrefixCache::AnalysisPrefixCache(size_t budget_bytes, int shards)
     : store_(budget_bytes, shards) {}
 
-bool AnalysisPrefixCache::EnvForcesOff() {
-  static const bool off = CsiCacheEnvDisables("prefix");
-  return off || g_force_env_off.load(std::memory_order_relaxed);
-}
-
-void AnalysisPrefixCache::ForceEnvOffForTest(bool off) {
-  g_force_env_off.store(off, std::memory_order_relaxed);
-}
-
 uint32_t AnalysisPrefixCache::InternContext(DesignType design, const std::string& host_suffix,
                                             const SplitterConfig& splitter) {
   Context ctx;
@@ -136,9 +123,6 @@ size_t AnalysisPrefixCache::ApproxBytes(const AnalysisPrefix& prefix) {
 }
 
 std::shared_ptr<const AnalysisPrefix> AnalysisPrefixCache::Lookup(const Query& query) {
-  if (EnvForcesOff()) {
-    return nullptr;
-  }
   CSI_SPAN("prefix_cache_lookup");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const AnalysisPrefix> hit;
@@ -166,7 +150,7 @@ std::shared_ptr<const AnalysisPrefix> AnalysisPrefixCache::Lookup(const Query& q
 
 void AnalysisPrefixCache::Insert(const Query& query,
                                  std::shared_ptr<const AnalysisPrefix> prefix) {
-  if (EnvForcesOff() || prefix == nullptr) {
+  if (prefix == nullptr) {
     return;
   }
   Entry entry;

@@ -33,9 +33,8 @@
 // Hits return a shared_ptr to an immutable AnalysisPrefix — a warm Analyze
 // jumps straight to the snapshot-dependent candidate/graph search without
 // copying packet vectors. Eviction is per-shard second-chance (clock) over a
-// byte budget via the shared ShardedClockStore (cache_common.h). Force-off
-// escape hatch: CSI_CACHE=prefix:off turns every lookup into a miss and
-// every insert into a no-op.
+// byte budget via the shared ShardedClockStore (cache_common.h). A budget of 0
+// (BatchConfig::caches.prefix) means no cache is created at all.
 
 #ifndef CSI_SRC_CSI_PREFIX_CACHE_H_
 #define CSI_SRC_CSI_PREFIX_CACHE_H_
@@ -108,16 +107,6 @@ class AnalysisPrefixCache {
   AnalysisPrefixCache(const AnalysisPrefixCache&) = delete;
   AnalysisPrefixCache& operator=(const AnalysisPrefixCache&) = delete;
 
-  // True when the CSI_CACHE=prefix:off (or all:off) override forces the
-  // cache out of the picture
-  // (environment checked once per process), or a test forced it via
-  // ForceEnvOffForTest. Engines treat the cache as absent; a constructed
-  // cache stays empty.
-  static bool EnvForcesOff();
-  // Test seam simulating CSI_CACHE=prefix:off in-process (the real env read
-  // is cached in a static). Always reset to false before the test returns.
-  static void ForceEnvOffForTest(bool off);
-
   // Interns the prefix-relevant subset of an inference config — design type,
   // host suffix, splitter knobs — and returns a process-stable id (>= 1).
   // Full structural equality, so two engines share an id only when every knob
@@ -137,7 +126,7 @@ class AnalysisPrefixCache {
 
   // Publishes a computed prefix. Replaces any existing entry for the key (a
   // racing thread computed the same trace); values larger than a whole
-  // shard's budget are not admitted. No-op when the env forces the cache off.
+  // shard's budget are not admitted.
   void Insert(const Query& query, std::shared_ptr<const AnalysisPrefix> prefix);
 
   // Drops every entry (stats survive). Test/bench seam for cold-start runs.

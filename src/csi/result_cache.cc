@@ -15,10 +15,6 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_CACHE=result:off (the real env read is
-// latched in a function-local static and cannot be flipped after first use).
-std::atomic<bool> g_force_env_off{false};
-
 // The collector the engine installed around the running Analyze, if any.
 thread_local ResultHull* t_result_hull = nullptr;
 
@@ -94,15 +90,6 @@ size_t ResultCache::QueryHash::operator()(const Query& q) const {
 }
 
 ResultCache::ResultCache(size_t budget_bytes, int shards) : store_(budget_bytes, shards) {}
-
-bool ResultCache::EnvForcesOff() {
-  static const bool off = CsiCacheEnvDisables("result");
-  return off || g_force_env_off.load(std::memory_order_relaxed);
-}
-
-void ResultCache::ForceEnvOffForTest(bool off) {
-  g_force_env_off.store(off, std::memory_order_relaxed);
-}
 
 uint32_t ResultCache::InternContext(const Context& context) {
   std::lock_guard<std::mutex> lock(contexts_mu_);
@@ -185,9 +172,6 @@ size_t ResultCache::ApproxBytes(const InferenceResult& result) {
 std::shared_ptr<const InferenceResult> ResultCache::Lookup(const Query& query,
                                                            const DbSnapshot& db,
                                                            AuditShape* shape) {
-  if (EnvForcesOff()) {
-    return nullptr;
-  }
   CSI_SPAN("result_cache_lookup");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const InferenceResult> hit;
@@ -251,7 +235,7 @@ std::shared_ptr<const InferenceResult> ResultCache::Lookup(const Query& query,
 void ResultCache::Insert(const Query& query, const DbSnapshot& db, const ResultHull& hull,
                          std::shared_ptr<const InferenceResult> result,
                          const AuditShape& shape) {
-  if (EnvForcesOff() || result == nullptr) {
+  if (result == nullptr) {
     return;
   }
   Entry entry;

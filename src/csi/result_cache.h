@@ -43,9 +43,8 @@
 // Hits share the result by pointer internally; lookups with non-empty
 // display constraints bypass the cache (the engine keys only on the
 // constraint-free path). Eviction is per-shard second-chance (clock) over a
-// byte budget via the shared ShardedClockStore (cache_common.h). Force-off
-// escape hatch: CSI_CACHE=result:off turns every lookup into a miss and
-// every insert into a no-op.
+// byte budget via the shared ShardedClockStore (cache_common.h). A budget of 0
+// (BatchConfig::caches.result) means no cache is created at all.
 
 #ifndef CSI_SRC_CSI_RESULT_CACHE_H_
 #define CSI_SRC_CSI_RESULT_CACHE_H_
@@ -189,16 +188,6 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  // True when the CSI_CACHE=result:off (or all:off) override forces the
-  // cache out of the picture
-  // (environment checked once per process), or a test forced it via
-  // ForceEnvOffForTest. Engines treat the cache as absent; a constructed
-  // cache stays empty.
-  static bool EnvForcesOff();
-  // Test seam simulating CSI_CACHE=result:off in-process (the real env read
-  // is cached in a static). Always reset to false before the test returns.
-  static void ForceEnvOffForTest(bool off);
-
   // Interns a result context and returns a process-stable id (>= 1). Full
   // structural equality — never a lossy hash. The engine interns once at
   // construction.
@@ -219,8 +208,7 @@ class ResultCache {
 
   // Publishes a result computed against `db` with the hull its computation
   // collected. Replaces any existing entry for the key; results larger than a
-  // whole shard's budget are not admitted. No-op when the env forces the
-  // cache off.
+  // whole shard's budget are not admitted.
   void Insert(const Query& query, const DbSnapshot& db, const ResultHull& hull,
               std::shared_ptr<const InferenceResult> result, const AuditShape& shape);
 

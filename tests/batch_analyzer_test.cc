@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -225,7 +226,7 @@ TEST(GroupSearchParallel, CandidateListsIdenticalSerialVsParallelOnSqSession) {
   const auto groups = infer::SplitIntoGroups(columns.flow(media[0]));
   ASSERT_FALSE(groups.empty());
 
-  const infer::ChunkDatabase db(&manifest);
+  const infer::DbSnapshot db(std::make_shared<const infer::ChunkDatabase>(&manifest));
   ThreadPool pool(8);
   infer::GroupSearchConfig serial_config;
   infer::GroupSearchConfig parallel_config;

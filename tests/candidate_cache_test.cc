@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -316,12 +317,6 @@ ManifestRefresh UniformAppend(int tracks, Bytes size) {
 
 class CandidateCacheInvalidation : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GroupCandidateCache::EnvForcesOff()) {
-      GTEST_SKIP() << "CSI_CACHE=candidate:off in the environment";
-    }
-  }
-
   // Enumerates `group` over [0, live edge] with the cache and asserts the
   // result matches a cache-off run at the same state.
   std::vector<GroupCandidate> Enumerate(const DbSnapshot& snap, const TrafficGroup& group,
@@ -441,12 +436,8 @@ TEST_F(CandidateCacheInvalidation, CompactionWithoutAppendsKeepsEntries) {
 // --- Eviction stays under the byte budget ---------------------------------
 
 TEST(CandidateCacheEviction, NeverExceedsByteBudgetUnderLoad) {
-  if (GroupCandidateCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=candidate:off in the environment";
-  }
   const Manifest m = SmallManifest(12);
-  const ChunkDatabase db(&m);
-  const DbSnapshot snap(db);
+  const DbSnapshot snap(std::make_shared<const ChunkDatabase>(&m));
   constexpr size_t kBudget = 64 * 1024;
   GroupCandidateCache cache(kBudget, /*shards=*/2);
   GroupSearchConfig config;
@@ -580,11 +571,11 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   cache_on.threads = 2;
   // Keep the result tier out of the way: it would serve the duplicated back
   // half wholesale and starve the candidate-tier warm-hit stats under test.
-  cache_on.caches.result.enabled = false;
+  cache_on.caches.result.budget_mb = 0;
   BatchConfig cache_off;
   cache_off.threads = 2;
   cache_off.caches.candidate.budget_mb = 0;
-  cache_off.caches.result.enabled = false;
+  cache_off.caches.result.budget_mb = 0;
 
   BatchAnalyzer with_cache(&manifest, config, cache_on);
   BatchAnalyzer without_cache(&manifest, config, cache_off);
@@ -596,18 +587,16 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   }
 
   EXPECT_EQ(without_cache.candidate_cache(), nullptr);
-  if (!GroupCandidateCache::EnvForcesOff()) {
-    ASSERT_NE(with_cache.candidate_cache(), nullptr);
-    const auto stats = with_cache.candidate_cache()->stats();
-    EXPECT_GT(stats.hits, 0u) << "duplicate traces must warm-start from the shared cache";
-    // A second batch over the same traces starts warm.
-    const uint64_t hits_after_first = stats.hits;
-    const auto again = with_cache.AnalyzeAll(traces);
-    for (size_t i = 0; i < again.size(); ++i) {
-      EXPECT_EQ(again[i], off[i]) << "warm trace " << i;
-    }
-    EXPECT_GT(with_cache.candidate_cache()->stats().hits, hits_after_first);
+  ASSERT_NE(with_cache.candidate_cache(), nullptr);
+  const auto stats = with_cache.candidate_cache()->stats();
+  EXPECT_GT(stats.hits, 0u) << "duplicate traces must warm-start from the shared cache";
+  // A second batch over the same traces starts warm.
+  const uint64_t hits_after_first = stats.hits;
+  const auto again = with_cache.AnalyzeAll(traces);
+  for (size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i], off[i]) << "warm trace " << i;
   }
+  EXPECT_GT(with_cache.candidate_cache()->stats().hits, hits_after_first);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 # inputs. Each run must exit non-zero without being killed by a signal (an
 # exception escaping main aborts with SIGABRT, status 134) and must say why on
 # an "error:" line. Where $expected_error is set, stderr must also carry that
-# message (csi_batch names each capture that failed to load on its own line).
+# message (csi_batch names each capture that failed to load on its own line);
+# where $expected_status is set, the exit status must be exactly that.
 #
 # Usage: cli_bad_input_test.sh CSI_ANALYZE CSI_BATCH CSI_TESTGEN
 set -u
@@ -39,7 +40,8 @@ failures=0
 expect_error() {
   "$@" > /dev/null 2> "$work/stderr"
   local status=$?
-  if [ "$status" -eq 0 ] || [ "$status" -ge 128 ]; then
+  if [ "$status" -eq 0 ] || [ "$status" -ge 128 ] ||
+    [ "$status" -ne "${expected_status:-$status}" ]; then
     echo "FAIL (exit $status): $*"
     cat "$work/stderr"
     failures=$((failures + 1))
@@ -88,6 +90,21 @@ expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$manifest" 
   --db-build-threads 2
 expect_error "$batch" --manifest "$manifest" --design CH --quiet --db-build-threads 2 \
   "$work/good/session.pcap"
+# A tier is turned off by a budget of 0; the on/off flag is gone.
+expected_error="unknown argument: --cache"
+expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$manifest" --design CH \
+  --cache prefix=off
+expect_error "$batch" --manifest "$manifest" --design CH --quiet --cache prefix=off \
+  "$work/good/session.pcap"
+# A cap below one sequence is a usage error (exit 2), raised before the pcap
+# is read: the missing capture would otherwise fail first.
+expected_error="error: --max-sequences must be >= 1"
+expected_status=2
+for n in 0 -5; do
+  expect_error "$analyze" --pcap "$work/missing.pcap" --manifest "$manifest" --design CH \
+    --max-sequences "$n"
+done
+expected_status=
 # A metrics or audit file that cannot take the bytes is a failed run.
 if [ -e /dev/full ]; then
   expected_error="short write to /dev/full"

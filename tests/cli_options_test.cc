@@ -1,7 +1,6 @@
 // Unit tests for the shared command-line option layer (tools/cli_options.h)
 // factored out of csi_analyze and csi_batch.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -163,7 +162,6 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
     ASSERT_TRUE(common.Validate(&error)) << error;
     EXPECT_EQ(common.candidate_cache_mb, 128);
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 128);
   }
   {
     // Defaults: cache on at 64 MiB.
@@ -171,27 +169,15 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 64);
+    EXPECT_EQ(common.candidate_cache_mb, 64);
   }
   {
-    // --cache candidate=off beats any budget.
-    CommonOptions common;
-    FlagParser parser;
-    common.Register(&parser);
-    const Argv args({"--manifest", "m.txt", "--design", "SQ", "--cache",
-                     "candidate=off", "--cache-mb", "candidate=128"});
-    ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
-    ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 0);
-  }
-  {
-    // --cache-mb candidate=0 disables without the switch.
+    // --cache-mb candidate=0 is valid: it turns the tier off.
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     common.candidate_cache_mb = 0;
-    ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 0);
+    EXPECT_TRUE(common.Validate(&error)) << error;
   }
   {
     CommonOptions common;
@@ -201,38 +187,27 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     EXPECT_FALSE(common.Validate(&error));
     EXPECT_NE(error.find("--cache-mb candidate"), std::string::npos);
   }
-  {
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "SQ";
-    common.candidate_cache = "maybe";
-    EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("--cache candidate"), std::string::npos);
-  }
 }
 
 TEST(FlagParserTest, KeyedFlagsParseAndReject) {
-  std::string mode = "on";
   int budget = 64;
   FlagParser parser;
-  parser.AddKeyedString("--cache", "prefix", &mode);
   parser.AddKeyedInt("--cache-mb", "prefix", &budget);
   {
-    const Argv args({"--cache", "prefix=off", "--cache-mb", "prefix=128"});
+    const Argv args({"--cache-mb", "prefix=128"});
     std::string error;
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
-    EXPECT_EQ(mode, "off");
     EXPECT_EQ(budget, 128);
   }
   {
     // A keyed value without '=' is a parse error, not a silent default.
-    const Argv args({"--cache", "prefix"});
+    const Argv args({"--cache-mb", "prefix"});
     std::string error;
     EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error));
     EXPECT_NE(error.find("KEY=VALUE"), std::string::npos);
   }
   {
-    const Argv args({"--cache", "nonsense=off"});
+    const Argv args({"--cache-mb", "nonsense=1"});
     std::string error;
     EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error));
     EXPECT_NE(error.find("nonsense"), std::string::npos);
@@ -251,17 +226,14 @@ TEST(CommonOptionsTest, UnifiedCacheFlagsCoverAllTiers) {
   FlagParser parser;
   common.Register(&parser);
   const Argv args({"--manifest", "m.txt", "--design", "SQ",
-                   "--cache", "result=off",
                    "--cache-mb", "prefix=8",
                    "--cache-mb", "candidate=16",
-                   "--cache-mb", "result=256"});
+                   "--cache-mb", "result=0"});
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
-  EXPECT_EQ(common.prefix_cache_budget_mb(), 8);
-  EXPECT_EQ(common.candidate_cache_budget_mb(), 16);
-  // off beats the budget.
-  EXPECT_EQ(common.result_cache_budget_mb(), 0);
-  EXPECT_EQ(common.result_cache_mb, 256);
+  EXPECT_EQ(common.prefix_cache_mb, 8);
+  EXPECT_EQ(common.candidate_cache_mb, 16);
+  EXPECT_EQ(common.result_cache_mb, 0);
 }
 
 TEST(CommonOptionsTest, RepeatedCacheFlagsLastOneWins) {
@@ -272,18 +244,17 @@ TEST(CommonOptionsTest, RepeatedCacheFlagsLastOneWins) {
   const Argv args({"--manifest", "m.txt", "--design", "SQ",
                    "--cache-mb", "candidate=128",
                    "--cache-mb", "candidate=32",
-                   "--cache", "prefix=off",
-                   "--cache", "prefix=on"});
+                   "--cache-mb", "prefix=0",
+                   "--cache-mb", "prefix=16"});
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
-  EXPECT_EQ(common.candidate_cache_budget_mb(), 32);
-  EXPECT_EQ(common.prefix_cache, "on");
-  EXPECT_EQ(common.prefix_cache_budget_mb(), 32);
+  EXPECT_EQ(common.candidate_cache_mb, 32);
+  EXPECT_EQ(common.prefix_cache_mb, 16);
 }
 
 TEST(CommonOptionsTest, PerTierCacheFlagsAreGone) {
-  for (const char* flag :
-       {"--candidate-cache", "--candidate-cache-mb", "--prefix-cache", "--prefix-cache-mb"}) {
+  for (const char* flag : {"--cache", "--candidate-cache", "--candidate-cache-mb",
+                           "--prefix-cache", "--prefix-cache-mb"}) {
     CommonOptions common;
     FlagParser parser;
     common.Register(&parser);
@@ -302,7 +273,7 @@ TEST(CommonOptionsTest, ResultCacheFlagsValidate) {
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.result_cache_budget_mb(), 64);
+    EXPECT_EQ(common.result_cache_mb, 64);
   }
   {
     CommonOptions common;
@@ -312,39 +283,6 @@ TEST(CommonOptionsTest, ResultCacheFlagsValidate) {
     EXPECT_FALSE(common.Validate(&error));
     EXPECT_NE(error.find("--cache-mb result"), std::string::npos);
   }
-  {
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "SQ";
-    common.result_cache = "maybe";
-    EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("--cache result"), std::string::npos);
-  }
-}
-
-TEST(CommonOptionsTest, CsiCacheEnvOverridesPerTier) {
-  // The unified CSI_CACHE variable disables tiers past whatever the flags
-  // say; each cache's EnvForcesOff latches it, so exercise the parser layer
-  // directly here (the latch behavior itself is covered per-cache).
-  ASSERT_EQ(setenv("CSI_CACHE", "result:off,prefix=off", 1), 0);
-  EXPECT_TRUE(infer::CsiCacheEnvDisables("result"));
-  EXPECT_TRUE(infer::CsiCacheEnvDisables("prefix"));
-  EXPECT_FALSE(infer::CsiCacheEnvDisables("candidate"));
-  ASSERT_EQ(setenv("CSI_CACHE", "all:off", 1), 0);
-  EXPECT_TRUE(infer::CsiCacheEnvDisables("candidate"));
-  // The value spellings that mean "off", for every tier.
-  for (const std::string tier : {"result", "prefix", "candidate"}) {
-    for (const std::string value : {"off", "OFF", "0", "none"}) {
-      ASSERT_EQ(setenv("CSI_CACHE", (tier + ":" + value).c_str(), 1), 0);
-      EXPECT_TRUE(infer::CsiCacheEnvDisables(tier.c_str())) << tier << ":" << value;
-    }
-    for (const std::string value : {"on", "", "1"}) {
-      ASSERT_EQ(setenv("CSI_CACHE", (tier + ":" + value).c_str(), 1), 0);
-      EXPECT_FALSE(infer::CsiCacheEnvDisables(tier.c_str())) << tier << ":" << value;
-    }
-  }
-  ASSERT_EQ(unsetenv("CSI_CACHE"), 0);
-  EXPECT_FALSE(infer::CsiCacheEnvDisables("result"));
 }
 
 // A hand-built snapshot shaped like one cold SQ batch plus its database

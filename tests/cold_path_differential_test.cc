@@ -130,9 +130,6 @@ TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryBackend) {
 }
 
 TEST(ColdPathDifferential, TraceOverloadSharesPrefixCacheWithColumns) {
-  if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
-  }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kSQ, 0, duration);

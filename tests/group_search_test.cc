@@ -1,3 +1,4 @@
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -63,7 +64,7 @@ GroupSearchConfig Config() {
 
 TEST(EnumerateGroupCandidates, SingleVideoPlusAudioPair) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Group: video (t1, i3) + one audio chunk.
   const Bytes truth = db.VideoSize(1, 3) + 60000;
   bool truncated = false;
@@ -79,7 +80,7 @@ TEST(EnumerateGroupCandidates, SingleVideoPlusAudioPair) {
 
 TEST(EnumerateGroupCandidates, StartRangeConstrains) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   const Bytes truth = db.VideoSize(0, 5) + 60000;
   bool truncated = false;
   // Range [5,5] finds it; range [0,2] cannot.
@@ -95,7 +96,7 @@ TEST(EnumerateGroupCandidates, StartRangeConstrains) {
 
 TEST(EnumerateGroupCandidates, MultiChunkRun) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Videos (t0,i2),(t2,i3),(t1,i4) + 3 audio.
   const Bytes truth = db.VideoSize(0, 2) + db.VideoSize(2, 3) + db.VideoSize(1, 4) + 3 * 60000;
   bool truncated = false;
@@ -114,7 +115,7 @@ TEST(EnumerateGroupCandidates, MultiChunkRun) {
 
 TEST(EnumerateGroupCandidates, AudioOnlyGroup) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   bool truncated = false;
   const auto candidates =
       EnumerateGroupCandidates(MakeGroup(2, Est(120000)), db, Config(), {}, 0, 7, &truncated);
@@ -129,7 +130,7 @@ TEST(EnumerateGroupCandidates, AudioOnlyGroup) {
 
 TEST(EnumerateGroupCandidates, OversizedGroupBecomesWildcard) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   config.max_group_requests = 4;
   bool truncated = false;
@@ -141,7 +142,7 @@ TEST(EnumerateGroupCandidates, OversizedGroupBecomesWildcard) {
 
 TEST(EnumerateGroupCandidates, UnexplainableGroupBecomesWildcard) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   bool truncated = false;
   const auto candidates =
       EnumerateGroupCandidates(MakeGroup(1, 33), db, Config(), {}, 0, 7, &truncated);
@@ -151,7 +152,7 @@ TEST(EnumerateGroupCandidates, UnexplainableGroupBecomesWildcard) {
 
 TEST(EnumerateGroupCandidates, PhantomRequestDeficit) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // 3 requests but only 2 objects (one request was a retransmission).
   const Bytes truth = db.VideoSize(1, 0) + 60000;
   GroupSearchConfig config = Config();
@@ -170,7 +171,7 @@ TEST(EnumerateGroupCandidates, PhantomRequestDeficit) {
 
 TEST(EnumerateGroupCandidates, KnownOtherObjectConsumed) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   config.other_object_sizes = {25000};  // e.g. the manifest
   const Bytes truth = db.VideoSize(0, 0) + 25000;
@@ -188,7 +189,7 @@ TEST(EnumerateGroupCandidates, KnownOtherObjectConsumed) {
 
 TEST(EnumerateGroupCandidates, DisplayConstraintPrunesTracks) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   const Bytes truth = db.VideoSize(1, 3) + 60000;
   DisplayConstraints display;
   display[3] = 2;  // screen says track 2 at index 3 -> truth (track 1) pruned
@@ -204,7 +205,7 @@ TEST(EnumerateGroupCandidates, DisplayConstraintPrunesTracks) {
 
 TEST(SearchGroupSequences, ChainsGroupsContiguously) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   std::vector<TrafficGroup> groups;
   // Group 0: video i0 (t0) + audio; group 1: video i1,i2 (t1,t1) + 2 audio.
   groups.push_back(MakeGroup(2, Est(db.VideoSize(0, 0) + 60000), 0));
@@ -229,7 +230,7 @@ TEST(SearchGroupSequences, ChainsGroupsContiguously) {
 
 TEST(SearchGroupSequences, WildcardGroupWidensButChainRecovers) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   std::vector<TrafficGroup> groups;
   groups.push_back(MakeGroup(2, Est(db.VideoSize(0, 0) + 60000), 0));
   groups.push_back(MakeGroup(2, 12345, 10 * kUsPerSec));  // unexplainable
@@ -251,7 +252,7 @@ TEST(SearchGroupSequences, WildcardGroupWidensButChainRecovers) {
 
 TEST(EnumerateGroupCandidates, ParallelPartitioningIsBitIdenticalToSerial) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   ThreadPool pool(8);
   GroupSearchConfig serial_config = Config();
   GroupSearchConfig parallel_config = Config();
@@ -280,7 +281,7 @@ TEST(EnumerateGroupCandidates, ParallelPartitioningIsBitIdenticalToSerial) {
 
 TEST(EnumerateGroupCandidates, CandidateCapKeepsBestRankedDeterministically) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   config.max_candidates_per_group = 3;
   const Bytes truth = db.VideoSize(1, 3) + 60000;
@@ -297,7 +298,7 @@ TEST(EnumerateGroupCandidates, CandidateCapKeepsBestRankedDeterministically) {
 
 TEST(CandidateCost, GroundTruthRanksAheadOfImpostors) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   GroupCandidate truth;
   truth.video_start = 0;
@@ -385,7 +386,7 @@ std::vector<std::pair<int, int>> VideoSlots(const InferredSequence& seq) {
 
 TEST(SearchGroupSequences, ExchangesRecoverContiguousRunAcrossTracks) {
   const media::Manifest m = ExchangeManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Video: (t0,i1), (t2,i2), (t1,i3).
   const auto result = SearchGroupSequences(
       ExchangeGroups({HttpsEst(103000), HttpsEst(306000), HttpsEst(209000)}), db,
@@ -399,7 +400,7 @@ TEST(SearchGroupSequences, ExchangesRecoverContiguousRunAcrossTracks) {
 
 TEST(SearchGroupSequences, AudioExchangeBetweenVideoExchanges) {
   const media::Manifest m = ExchangeManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // video i0, audio, video i1: the audio layer keeps the index range, so
   // Property (2) still links i0 to i1.
   const auto result = SearchGroupSequences(
@@ -419,7 +420,7 @@ TEST(SearchGroupSequences, AudioExchangeBetweenVideoExchanges) {
 
 TEST(SearchGroupSequences, NonContiguousExchangesYieldNoCleanSequence) {
   const media::Manifest m = ExchangeManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // (t2,i0) then (t0,i2): no contiguous reading exists, and no single chunk
   // explains both exchanges as one phantom-split object. The second exchange
   // degrades to a wildcard (an unidentified slot) instead of emptying the
@@ -439,7 +440,7 @@ TEST(SearchGroupSequences, CollidingTracksYieldFourSequences) {
   for (size_t i = 0; i < 6; ++i) {
     m.video_tracks[1].chunks[i].size = m.video_tracks[0].chunks[i].size;
   }
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   const auto result = SearchGroupSequences(
       ExchangeGroups({HttpsEst(100000), HttpsEst(103000)}), db, HttpsConfig());
   // 2 track choices per slot, indexes fixed by contiguity: 4 sequences.
@@ -459,7 +460,7 @@ TEST(SearchGroupSequences, SequenceCapReturnsExactlyTheCapAndTruncates) {
     m.video_tracks[1].chunks[i].size = m.video_tracks[0].chunks[i].size;
     m.video_tracks[2].chunks[i].size = m.video_tracks[0].chunks[i].size;
   }
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   std::vector<Bytes> estimates;
   for (int i = 0; i < 5; ++i) {
     estimates.push_back(HttpsEst(100000 + 3000 * i));
@@ -473,7 +474,7 @@ TEST(SearchGroupSequences, SequenceCapReturnsExactlyTheCapAndTruncates) {
 
 TEST(SearchGroupSequences, ExchangeRunNeedNotStartAtIndexZero) {
   const media::Manifest m = ExchangeManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Only indexes 4, 5 downloaded (resumed playback).
   const auto result = SearchGroupSequences(
       ExchangeGroups({HttpsEst(112000), HttpsEst(115000)}), db, HttpsConfig());
@@ -484,7 +485,7 @@ TEST(SearchGroupSequences, ExchangeRunNeedNotStartAtIndexZero) {
 
 TEST(SearchGroupSequences, UnmatchedExchangesBecomeUnidentifiedSlots) {
   const media::Manifest m = ExchangeManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Neither exchange matches a video or audio chunk: each becomes a wildcard,
   // so the one sequence holds only unidentified slots.
   const auto result = SearchGroupSequences(ExchangeGroups({999, 777}), db, HttpsConfig());
@@ -585,7 +586,7 @@ ChainInstance RandomChainInstance(uint64_t seed) {
 
 void ExpectChainMatchesOracle(const ChainInstance& inst,
                               oracle::NaiveChainSearch::Coverage* coverage) {
-  const ChunkDatabase db(&inst.manifest);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&inst.manifest));
   InferenceAudit want_audit;
   InferenceResult want;
   {

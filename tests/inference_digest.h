@@ -74,8 +74,8 @@ inline uint64_t DigestResults(const std::vector<infer::InferenceResult>& results
 
 // Golden digests of the fixed batches below, one per design type. Must match
 // with and without an active trace session (full or flight mode), in
-// -DCSI_SIMD=OFF builds, and with any cache tier on, off, or env-disabled —
-// CI runs the invariance tests in each configuration.
+// -DCSI_SIMD=OFF builds, and with any subset of cache tiers set to budget 0
+// (inference_e2e_test's AnyTierSubsetKeepsGoldenDigests).
 inline constexpr uint64_t kChBatchDigest = 0xd4a3acc8aa2025b6ull;
 inline constexpr uint64_t kShBatchDigest = 0xb3d468293556d2b8ull;
 inline constexpr uint64_t kCqBatchDigest = 0x29a194610a7aadffull;
@@ -96,10 +96,22 @@ inline uint64_t GoldenBatchDigest(infer::DesignType design) {
 }
 
 // The fixed batch every invariance test analyzes: 4 deterministic synthetic
-// sessions of a 90 s single-asset manifest. `batch` lets cache/threading
-// tests vary the execution shape — the digest must not move for ANY such
-// shape (output is scheduling-, cache- and SIMD-backend-independent by
-// design).
+// sessions of a 90 s single-asset manifest.
+struct FixedBatch {
+  media::Manifest manifest;
+  std::vector<capture::CaptureTrace> traces;
+};
+
+inline FixedBatch MakeFixedBatch(infer::DesignType design) {
+  const TimeUs duration = 90 * kUsPerSec;
+  FixedBatch fixed{testbed::MakeAssetForDesign(design, 1, duration), {}};
+  fixed.traces = MakeBatch(fixed.manifest, design, 4, duration);
+  return fixed;
+}
+
+// Analyzes the fixed batch. `batch` lets cache/threading tests vary the
+// execution shape — the digest must not move for ANY such shape (output is
+// scheduling-, cache- and SIMD-backend-independent by design).
 inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
     infer::DesignType design,
     infer::BatchConfig batch =
@@ -108,13 +120,11 @@ inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
           b.threads = 4;
           return b;
         }()) {
-  const TimeUs duration = 90 * kUsPerSec;
-  const media::Manifest manifest = testbed::MakeAssetForDesign(design, 1, duration);
-  const auto traces = MakeBatch(manifest, design, 4, duration);
+  const FixedBatch fixed = MakeFixedBatch(design);
   infer::InferenceConfig config;
   config.design = design;
-  infer::BatchAnalyzer analyzer(&manifest, config, batch);
-  return analyzer.AnalyzeAll(traces);
+  infer::BatchAnalyzer analyzer(&fixed.manifest, config, batch);
+  return analyzer.AnalyzeAll(fixed.traces);
 }
 
 inline std::vector<infer::InferenceResult> AnalyzeFixedSqBatch() {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/capture/pcap_io.h"
 #include "src/csi/displayed_info.h"
 #include "src/csi/inference.h"
@@ -195,6 +197,48 @@ TEST(InferenceE2e, GoldenDigestsCoverAllDesignPaths) {
     // batch actually infers sequences on every path.
     for (const auto& r : results) {
       EXPECT_FALSE(r.sequences.empty()) << infer::DesignTypeName(design);
+    }
+  }
+}
+
+// Any subset of the three cache tiers set to budget 0 (none, each alone, each
+// pair, all three) must leave the golden digests in place, on a cold pass and
+// on a warm second pass over the same traces, where every attached tier
+// serves hits.
+TEST(InferenceE2e, AnyTierSubsetKeepsGoldenDigests) {
+  for (const DesignType design :
+       {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
+    const testutil::FixedBatch fixed = testutil::MakeFixedBatch(design);
+    infer::InferenceConfig config;
+    config.design = design;
+    for (int mask = 0; mask < 8; ++mask) {
+      const bool prefix_off = (mask & 1) != 0;
+      const bool candidate_off = (mask & 2) != 0;
+      const bool result_off = (mask & 4) != 0;
+      infer::BatchConfig batch;
+      batch.threads = 4;
+      if (prefix_off) {
+        batch.caches.prefix.budget_mb = 0;
+      }
+      if (candidate_off) {
+        batch.caches.candidate.budget_mb = 0;
+      }
+      if (result_off) {
+        batch.caches.result.budget_mb = 0;
+      }
+      infer::BatchAnalyzer analyzer(&fixed.manifest, config, batch);
+      const auto state = [](bool off) { return off ? "off" : "on"; };
+      const std::string shape = infer::DesignTypeName(design) + " prefix " +
+                                state(prefix_off) + ", candidate " + state(candidate_off) +
+                                ", result " + state(result_off);
+      EXPECT_EQ(analyzer.prefix_cache() == nullptr, prefix_off) << shape;
+      EXPECT_EQ(analyzer.candidate_cache() == nullptr, candidate_off) << shape;
+      EXPECT_EQ(analyzer.result_cache() == nullptr, result_off) << shape;
+      for (const char* pass : {"cold", "warm"}) {
+        EXPECT_EQ(testutil::DigestResults(analyzer.AnalyzeAll(fixed.traces)),
+                  testutil::GoldenBatchDigest(design))
+            << shape << ", " << pass << " pass";
+      }
     }
   }
 }

@@ -1,9 +1,9 @@
 // Differential replay harness for the analysis-prefix cache.
 //
 // The cache's contract is absolute: inference output is byte-identical with
-// the prefix cache on, off, and env-disabled, for every design path, capture
-// set, repeat schedule, and thread count — the cache may only change WHEN the
-// per-packet stages run, never what they produce. This suite locks that down
+// the prefix cache on and off, for every design path, capture set, repeat
+// schedule, and thread count — the cache may only change WHEN the per-packet
+// stages run, never what they produce. This suite locks that down
 // with seeded replay sweeps against cache-off references, fingerprint
 // stability/collision tests, a live-refresh replay (entries must survive
 // snapshot publishes — they are snapshot-independent), and a TSan'd hammer
@@ -40,12 +40,6 @@ using testutil::AnalyzeFixedBatch;
 using testutil::DigestResults;
 using testutil::GoldenBatchDigest;
 using testutil::MakeBatch;
-
-// Restores the in-process env-off override no matter how the test exits.
-struct ForceEnvOffGuard {
-  ForceEnvOffGuard() { AnalysisPrefixCache::ForceEnvOffForTest(true); }
-  ~ForceEnvOffGuard() { AnalysisPrefixCache::ForceEnvOffForTest(false); }
-};
 
 capture::PacketRecord BasePacket() {
   capture::PacketRecord p;
@@ -232,9 +226,6 @@ TEST(AnalysisPrefixCache, InternContextDistinguishesEveryKnob) {
 }
 
 TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
-  if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
-  }
   AnalysisPrefixCache cache(1 << 20);
   const capture::CaptureTrace trace{BasePacket()};
   const auto query = AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(trace), 1);
@@ -263,9 +254,6 @@ TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
 }
 
 TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
-  if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
-  }
   // Budget small enough that a few entries overflow each shard; the clock
   // sweep must keep per-shard bytes bounded and count evictions.
   AnalysisPrefixCache cache(4096, 2);
@@ -296,7 +284,7 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
   EXPECT_EQ(cache.stats().inserts, inserts_before);
 }
 
-// --- Differential replay: on vs off vs env-disabled ------------------------
+// --- Differential replay: on vs off -----------------------------------------
 
 std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manifest,
                                                     DesignType design, int unique) {
@@ -310,7 +298,7 @@ std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manif
   return traces;
 }
 
-TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules) {
+TEST(PrefixCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
   // Capture sets (per design) × repeat schedules × thread counts. Tier-1 runs
   // the default; CSI_TEST_SCHEDULES raises the repeat sweep for the deep job.
   const int max_repeats = static_cast<int>(std::min<uint64_t>(
@@ -339,7 +327,7 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
         // This test targets the prefix tier's warm-hit stats; the result tier
         // would absorb the duplicate traces first, so keep it off here (its
         // own differential lives in result_cache_test).
-        on.caches.result.enabled = false;
+        on.caches.result.budget_mb = 0;
         BatchAnalyzer analyzer(&manifest, config, on);
         for (int r = 0; r < repeats; ++r) {
           const auto got = analyzer.AnalyzeAll(traces);
@@ -349,46 +337,24 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
                 << ctx << " threads=" << threads << " repeat " << r << " trace " << i;
           }
         }
-        if (!AnalysisPrefixCache::EnvForcesOff()) {
-          ASSERT_NE(analyzer.prefix_cache(), nullptr);
-          const auto stats = analyzer.prefix_cache()->stats();
-          // Serial passes must hit on the duplicated back half of the set; a
-          // single concurrent pass may legitimately race dup pairs to
-          // all-miss, but any second pass runs against a fully warm cache.
-          if (threads == 1 || repeats >= 2) {
-            EXPECT_GT(stats.hits, 0u) << ctx << " threads=" << threads
-                                      << " repeats=" << repeats;
-          }
-          EXPECT_LE(stats.misses,
-                    static_cast<uint64_t>(traces.size()) *
-                        static_cast<uint64_t>(threads))
-              << ctx;
+        ASSERT_NE(analyzer.prefix_cache(), nullptr);
+        const auto stats = analyzer.prefix_cache()->stats();
+        // Serial passes must hit on the duplicated back half of the set; a
+        // single concurrent pass may legitimately race dup pairs to
+        // all-miss, but any second pass runs against a fully warm cache.
+        if (threads == 1 || repeats >= 2) {
+          EXPECT_GT(stats.hits, 0u) << ctx << " threads=" << threads
+                                    << " repeats=" << repeats;
         }
+        EXPECT_LE(stats.misses,
+                  static_cast<uint64_t>(traces.size()) * static_cast<uint64_t>(threads))
+            << ctx;
       }
-    }
-
-    // Env-disabled: the engine must bypass an attached cache entirely and
-    // still produce identical bytes.
-    {
-      const ForceEnvOffGuard guard;
-      InferenceConfig forced = config;
-      forced.caches.prefix = std::make_shared<AnalysisPrefixCache>(32 << 20);
-      BatchConfig on;
-      on.threads = 3;
-      BatchAnalyzer analyzer(&manifest, forced, on);
-      const auto got = analyzer.AnalyzeAll(traces);
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], expected[i]) << ctx << " env-disabled trace " << i;
-      }
-      const auto stats = forced.caches.prefix->stats();
-      EXPECT_EQ(stats.lookups(), 0u) << ctx;
-      EXPECT_EQ(stats.inserts, 0u) << ctx;
-      EXPECT_EQ(stats.entries, 0u) << ctx;
     }
   }
 }
 
-TEST(PrefixCacheDifferential, GoldenDigestsHoldOnOffAndEnvDisabled) {
+TEST(PrefixCacheDifferential, GoldenDigestsHoldOnAndOff) {
   for (const DesignType design :
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     BatchConfig off;
@@ -398,11 +364,6 @@ TEST(PrefixCacheDifferential, GoldenDigestsHoldOnOffAndEnvDisabled) {
         << DesignTypeName(design) << " prefix cache on";
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design, off)), GoldenBatchDigest(design))
         << DesignTypeName(design) << " prefix cache off";
-    {
-      const ForceEnvOffGuard guard;
-      EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
-          << DesignTypeName(design) << " prefix cache env-disabled";
-    }
   }
 }
 
@@ -420,9 +381,6 @@ TEST(PrefixCacheSharing, WarmHitsAcrossEnginesAndBatches) {
 
   BatchAnalyzer first(&manifest, config, batch);
   const auto expected = first.AnalyzeAll(traces);
-  if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
-  }
   const auto cold = shared->stats();
   EXPECT_EQ(cold.hits, 0u);
   EXPECT_EQ(cold.misses, static_cast<uint64_t>(traces.size()));
@@ -472,9 +430,6 @@ media::Manifest PrefixManifest(const media::Manifest& full, int positions) {
 }
 
 TEST(PrefixCacheLiveReplay, EntriesSurviveRefreshesAndStayByteIdentical) {
-  if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
-  }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);

@@ -1,9 +1,8 @@
 // Differential replay harness for the snapshot-keyed whole-result cache.
 //
 // Same absolute contract as the lower tiers, one level up: inference output
-// is byte-identical with the result cache on, off, and env-disabled, for
-// every design path, capture set, repeat schedule, thread count, and
-// live-refresh replay — the cache may only change WHETHER the pipeline runs,
+// is byte-identical with the result cache on and off, for every design path,
+// capture set, repeat schedule, thread count, and live-refresh replay — the cache may only change WHETHER the pipeline runs,
 // never what it produces. On top of the differential sweeps this suite pins
 // the hull-capture rules (RecordEnumerationForResultCache mirrors the
 // candidate tier's Revalidate conditions at analyze time), the revalidation
@@ -42,12 +41,6 @@ using testutil::AnalyzeFixedBatch;
 using testutil::DigestResults;
 using testutil::GoldenBatchDigest;
 using testutil::MakeBatch;
-
-// Restores the in-process env-off override no matter how the test exits.
-struct ForceEnvOffGuard {
-  ForceEnvOffGuard() { ResultCache::ForceEnvOffForTest(true); }
-  ~ForceEnvOffGuard() { ResultCache::ForceEnvOffForTest(false); }
-};
 
 capture::PacketRecord BasePacket() {
   capture::PacketRecord p;
@@ -243,9 +236,6 @@ TEST(ResultCacheMechanics, InternContextDistinguishesEveryKnob) {
 }
 
 TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
-  if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
-  }
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
   const int start_positions = std::max(1, full.num_positions() / 2);
@@ -335,9 +325,6 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
 }
 
 TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
-  if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
-  }
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
   const int start_positions = std::max(1, full.num_positions() / 2);
@@ -386,9 +373,6 @@ TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
 }
 
 TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
-  if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
-  }
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
   LiveChunkDatabase live(manifest, {});
@@ -415,9 +399,6 @@ TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
 }
 
 TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
-  if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
-  }
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
   LiveChunkDatabase live(manifest, {});
@@ -434,31 +415,7 @@ TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
   EXPECT_EQ(cache.Lookup(query, db), nullptr);
 }
 
-TEST(ResultCacheMechanics, ForceEnvOffMakesLookupAndInsertNoOps) {
-  const media::Manifest manifest =
-      testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
-  LiveChunkDatabase live(manifest, {});
-  const DbSnapshot db = live.Acquire();
-  ResultCache cache(1 << 20);
-  const auto query = QueryFor(db, 1, 1000);
-  {
-    const ForceEnvOffGuard guard;
-    EXPECT_TRUE(ResultCache::EnvForcesOff());
-    cache.Insert(query, db, ResultHull{}, MakeResult(1), {});
-    EXPECT_EQ(cache.Lookup(query, db), nullptr);
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.lookups(), 0u);
-    EXPECT_EQ(stats.inserts, 0u);
-    EXPECT_EQ(stats.entries, 0u);
-  }
-  // Back on: the same calls work again.
-  if (!ResultCache::EnvForcesOff()) {
-    cache.Insert(query, db, ResultHull{}, MakeResult(1), {});
-    EXPECT_NE(cache.Lookup(query, db), nullptr);
-  }
-}
-
-// --- Differential replay: on vs off vs env-disabled -------------------------
+// --- Differential replay: on vs off -----------------------------------------
 
 std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manifest,
                                                     DesignType design, int unique) {
@@ -472,7 +429,7 @@ std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manif
   return traces;
 }
 
-TEST(ResultCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules) {
+TEST(ResultCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
   // Capture sets (per design) × repeat schedules × thread counts. Tier-1 runs
   // the default; CSI_TEST_SCHEDULES raises the repeat sweep for the deep job.
   const int max_repeats = static_cast<int>(std::min<uint64_t>(
@@ -490,7 +447,7 @@ TEST(ResultCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     off.threads = 1;
     off.caches.candidate.budget_mb = 0;
     off.caches.prefix.budget_mb = 0;
-    off.caches.result.enabled = false;
+    off.caches.result.budget_mb = 0;
     BatchAnalyzer reference(&manifest, config, off);
     const auto expected = reference.AnalyzeAll(traces);
     EXPECT_EQ(reference.result_cache(), nullptr);
@@ -508,59 +465,32 @@ TEST(ResultCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
                 << ctx << " threads=" << threads << " repeat " << r << " trace " << i;
           }
         }
-        if (!ResultCache::EnvForcesOff()) {
-          ASSERT_NE(analyzer.result_cache(), nullptr);
-          const auto stats = analyzer.result_cache()->stats();
-          // Serial passes must hit on the duplicated back half; a single
-          // concurrent pass may race dup pairs to all-miss, but any second
-          // pass runs against a fully warm cache at the same state.
-          if (threads == 1 || repeats >= 2) {
-            EXPECT_GT(stats.hits, 0u)
-                << ctx << " threads=" << threads << " repeats=" << repeats;
-          }
-          EXPECT_LE(stats.misses, static_cast<uint64_t>(traces.size()) *
-                                      static_cast<uint64_t>(threads))
-              << ctx;
+        ASSERT_NE(analyzer.result_cache(), nullptr);
+        const auto stats = analyzer.result_cache()->stats();
+        // Serial passes must hit on the duplicated back half; a single
+        // concurrent pass may race dup pairs to all-miss, but any second
+        // pass runs against a fully warm cache at the same state.
+        if (threads == 1 || repeats >= 2) {
+          EXPECT_GT(stats.hits, 0u) << ctx << " threads=" << threads << " repeats=" << repeats;
         }
+        EXPECT_LE(stats.misses,
+                  static_cast<uint64_t>(traces.size()) * static_cast<uint64_t>(threads))
+            << ctx;
       }
-    }
-
-    // Env-disabled: the engine must bypass an attached cache entirely and
-    // still produce identical bytes.
-    {
-      const ForceEnvOffGuard guard;
-      InferenceConfig forced = config;
-      forced.caches.result = std::make_shared<ResultCache>(32 << 20);
-      BatchConfig on;
-      on.threads = 3;
-      BatchAnalyzer analyzer(&manifest, forced, on);
-      const auto got = analyzer.AnalyzeAll(traces);
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], expected[i]) << ctx << " env-disabled trace " << i;
-      }
-      const auto stats = forced.caches.result->stats();
-      EXPECT_EQ(stats.lookups(), 0u) << ctx;
-      EXPECT_EQ(stats.inserts, 0u) << ctx;
-      EXPECT_EQ(stats.entries, 0u) << ctx;
     }
   }
 }
 
-TEST(ResultCacheDifferential, GoldenDigestsHoldOnOffAndEnvDisabled) {
+TEST(ResultCacheDifferential, GoldenDigestsHoldOnAndOff) {
   for (const DesignType design :
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     BatchConfig off;
     off.threads = 4;
-    off.caches.result.enabled = false;
+    off.caches.result.budget_mb = 0;
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
         << DesignTypeName(design) << " result cache on";
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design, off)), GoldenBatchDigest(design))
         << DesignTypeName(design) << " result cache off";
-    {
-      const ForceEnvOffGuard guard;
-      EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
-          << DesignTypeName(design) << " result cache env-disabled";
-    }
   }
 }
 
@@ -575,9 +505,6 @@ TEST(ResultCacheSharing, SecondBatchOverSameTracesRunsFullyWarm) {
   batch.threads = 2;
   BatchAnalyzer analyzer(&manifest, config, batch);
   const auto expected = analyzer.AnalyzeAll(traces);
-  if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
-  }
   ASSERT_NE(analyzer.result_cache(), nullptr);
   const auto cold = analyzer.result_cache()->stats();
   EXPECT_EQ(cold.hits, 0u);
@@ -626,9 +553,6 @@ media::Manifest PrefixManifest(const media::Manifest& full, int positions) {
 }
 
 TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
-  if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
-  }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
@@ -658,7 +582,7 @@ TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
   off.threads = 1;
   off.caches.candidate.budget_mb = 0;
   off.caches.prefix.budget_mb = 0;
-  off.caches.result.enabled = false;
+  off.caches.result.budget_mb = 0;
 
   for (size_t round = 0; round <= refreshes.size(); ++round) {
     if (round > 0) {
@@ -758,7 +682,7 @@ TEST(ResultCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   off.threads = 1;
   off.caches.candidate.budget_mb = 0;
   off.caches.prefix.budget_mb = 0;
-  off.caches.result.enabled = false;
+  off.caches.result.budget_mb = 0;
   for (int w = 0; w < kWorkers; ++w) {
     ASSERT_EQ(recorded[static_cast<size_t>(w)].size(), static_cast<size_t>(kRounds));
     for (int r = 0; r < kRounds; ++r) {
@@ -786,16 +710,7 @@ TEST(ResultCacheBatchConfig, KnobsCreateAndDisableTheTier) {
     BatchConfig batch;
     batch.threads = 1;
     BatchAnalyzer analyzer(&manifest, config, batch);
-    if (!ResultCache::EnvForcesOff()) {
-      EXPECT_NE(analyzer.result_cache(), nullptr);  // default-on tier
-    }
-  }
-  {
-    BatchConfig batch;
-    batch.threads = 1;
-    batch.caches.result.enabled = false;
-    BatchAnalyzer analyzer(&manifest, config, batch);
-    EXPECT_EQ(analyzer.result_cache(), nullptr);
+    EXPECT_NE(analyzer.result_cache(), nullptr);  // default-on tier
   }
   {
     BatchConfig batch;

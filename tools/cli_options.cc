@@ -11,7 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <set>
-#include <tuple>
+#include <utility>
 
 #include "src/common/build_info.h"
 #include "src/common/telemetry.h"
@@ -31,17 +31,10 @@ void FlagParser::AddBool(const std::string& name, bool* value) {
   flags_[name] = Flag{Kind::kBool, value, {}};
 }
 
-void FlagParser::AddKeyedString(const std::string& name, const std::string& key,
-                                std::string* value) {
-  Flag& flag = flags_[name];
-  flag.kind = Kind::kKeyed;
-  flag.keyed[key] = Flag{Kind::kString, value, {}};
-}
-
 void FlagParser::AddKeyedInt(const std::string& name, const std::string& key, int* value) {
   Flag& flag = flags_[name];
-  flag.kind = Kind::kKeyed;
-  flag.keyed[key] = Flag{Kind::kInt, value, {}};
+  flag.kind = Kind::kKeyedInt;
+  flag.keyed[key] = value;
 }
 
 namespace {
@@ -101,7 +94,7 @@ bool FlagParser::Parse(int argc, const char* const* argv,
       return false;
     }
     const std::string value = argv[++i];
-    if (flag.kind == Kind::kKeyed) {
+    if (flag.kind == Kind::kKeyedInt) {
       const size_t eq = value.find('=');
       if (eq == std::string::npos) {
         if (error != nullptr) {
@@ -118,9 +111,7 @@ bool FlagParser::Parse(int argc, const char* const* argv,
         }
         return false;
       }
-      if (sub->second.kind == Kind::kString) {
-        *static_cast<std::string*>(sub->second.target) = rest;
-      } else if (!ParseIntValue(rest, static_cast<int*>(sub->second.target))) {
+      if (!ParseIntValue(rest, sub->second)) {
         if (error != nullptr) {
           *error = "invalid integer for " + arg + " " + key + ": " + rest;
         }
@@ -148,9 +139,6 @@ void CommonOptions::Register(FlagParser* parser) {
   parser->AddString("--host", &host_suffix);
   parser->AddString("--metrics-out", &metrics_out);
   parser->AddString("--metrics-format", &metrics_format);
-  parser->AddKeyedString("--cache", "prefix", &prefix_cache);
-  parser->AddKeyedString("--cache", "candidate", &candidate_cache);
-  parser->AddKeyedString("--cache", "result", &result_cache);
   parser->AddKeyedInt("--cache-mb", "prefix", &prefix_cache_mb);
   parser->AddKeyedInt("--cache-mb", "candidate", &candidate_cache_mb);
   parser->AddKeyedInt("--cache-mb", "result", &result_cache_mb);
@@ -179,19 +167,12 @@ bool CommonOptions::Validate(std::string* error) const {
     }
     return false;
   }
-  for (const auto& [name, mode, budget_mb] :
-       {std::tuple{"result", &result_cache, result_cache_mb},
-        std::tuple{"prefix", &prefix_cache, prefix_cache_mb},
-        std::tuple{"candidate", &candidate_cache, candidate_cache_mb}}) {
+  for (const auto& [name, budget_mb] :
+       {std::pair{"result", result_cache_mb}, std::pair{"prefix", prefix_cache_mb},
+        std::pair{"candidate", candidate_cache_mb}}) {
     if (budget_mb < 0) {
       if (error != nullptr) {
         *error = std::string("--cache-mb ") + name + " must be >= 0";
-      }
-      return false;
-    }
-    if (*mode != "on" && *mode != "off") {
-      if (error != nullptr) {
-        *error = std::string("--cache ") + name + " must be on or off";
       }
       return false;
     }
@@ -203,18 +184,6 @@ bool CommonOptions::Validate(std::string* error) const {
     return false;
   }
   return true;
-}
-
-int CommonOptions::candidate_cache_budget_mb() const {
-  return candidate_cache == "off" ? 0 : candidate_cache_mb;
-}
-
-int CommonOptions::prefix_cache_budget_mb() const {
-  return prefix_cache == "off" ? 0 : prefix_cache_mb;
-}
-
-int CommonOptions::result_cache_budget_mb() const {
-  return result_cache == "off" ? 0 : result_cache_mb;
 }
 
 infer::DesignType CommonOptions::design() const {

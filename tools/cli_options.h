@@ -32,12 +32,9 @@ class FlagParser {
   void AddInt(const std::string& name, int* value);
   // Presence flag `--name` (no value); sets *value to true.
   void AddBool(const std::string& name, bool* value);
-  // `--name KEY=VALUE`, repeatable: the VALUE for each registered KEY lands
-  // in that key's target (an unregistered KEY is a parse error). Register the
-  // same flag name once per key; string and int targets may mix across keys
-  // of different flags but each key has one kind.
-  void AddKeyedString(const std::string& name, const std::string& key, std::string* value);
-  // Keyed variant of AddInt: `--name KEY=N`.
+  // `--name KEY=N`, repeatable: the N for each registered KEY lands in that
+  // key's target (an unregistered KEY is a parse error). Register the same
+  // flag name once per key.
   void AddKeyedInt(const std::string& name, const std::string& key, int* value);
 
   // Parses argv[1..argc). Returns false and fills *error on an unknown flag,
@@ -50,12 +47,12 @@ class FlagParser {
   bool help_requested() const { return help_requested_; }
 
  private:
-  enum class Kind { kString, kInt, kBool, kKeyed };
+  enum class Kind { kString, kInt, kBool, kKeyedInt };
   struct Flag {
     Kind kind = Kind::kString;
     void* target = nullptr;
-    // kKeyed only: per-KEY subtargets (kString or kInt each).
-    std::map<std::string, Flag> keyed;
+    // kKeyedInt only: the target of each KEY.
+    std::map<std::string, int*> keyed;
   };
 
   std::map<std::string, Flag> flags_;
@@ -70,22 +67,14 @@ struct CommonOptions {
   std::string host_suffix;
   std::string metrics_out;
   std::string metrics_format = "json";
-  // Per-tier cache knobs, written by the `--cache <name>=on|off` /
-  // `--cache-mb <name>=N` flags (last flag on the command line wins). "off"
-  // wins over any budget; the CSI_CACHE=<name>:off environment override
-  // beats both.
-  // Byte budget (MiB) for the shared group-candidate cache; 0 disables it.
+  // Per-tier cache budgets in MiB, written by `--cache-mb <name>=N` (last
+  // flag on the command line wins); 0 turns the tier off.
+  // The shared group-candidate cache.
   int candidate_cache_mb = 64;
-  // "on" (default) or "off".
-  std::string candidate_cache = "on";
-  // Byte budget (MiB) for the shared analysis-prefix cache; 0 disables it.
+  // The shared analysis-prefix cache.
   int prefix_cache_mb = 32;
-  // "on" (default) or "off".
-  std::string prefix_cache = "on";
-  // Byte budget (MiB) for the shared whole-result cache; 0 disables it.
+  // The shared whole-result cache.
   int result_cache_mb = 64;
-  // "on" (default) or "off".
-  std::string result_cache = "on";
   // Structured-trace output (Chrome trace-event JSON, Perfetto-loadable);
   // empty leaves tracing off entirely.
   std::string trace_out;
@@ -97,21 +86,14 @@ struct CommonOptions {
   std::string audit_out;
 
   // Registers --manifest, --design, --host, --metrics-out, --metrics-format,
-  // the cache flags --cache <name>=on|off and --cache-mb <name>=N for name in
-  // {prefix, candidate, result}, plus --trace-out, --trace-mode, --audit-out.
+  // --cache-mb <name>=N for name in {prefix, candidate, result}, plus
+  // --trace-out, --trace-mode, --audit-out.
   void Register(FlagParser* parser);
   // Returns false and fills *error when required flags are missing or values
   // are out of range. Call after Parse().
   bool Validate(std::string* error) const;
   // The parsed --design value; only valid after Validate() passed.
   infer::DesignType design() const;
-  // The effective cache budget in MiB after combining both cache flags
-  // (0 when disabled). Only valid after Validate() passed.
-  int candidate_cache_budget_mb() const;
-  // Same combination for the analysis-prefix cache flags.
-  int prefix_cache_budget_mb() const;
-  // Same combination for the whole-result cache flags.
-  int result_cache_budget_mb() const;
 };
 
 // Parses CH|SH|CQ|SQ into *out; false on anything else.

@@ -3,7 +3,7 @@
 // Usage:
 //   csi_analyze --pcap session.pcap --manifest video.manifest --design SH
 //               [--host suffix] [--max-sequences N] [--report sequence|qoe|both]
-//               [--cache NAME=on|off] [--cache-mb NAME=N]
+//               [--cache-mb NAME=N]
 //               [--metrics-out FILE] [--metrics-format json|prom]
 //               [--trace-out FILE] [--trace-mode full|flight] [--audit-out FILE]
 //
@@ -37,8 +37,8 @@ namespace {
                "usage: csi_analyze --pcap FILE --manifest FILE --design CH|SH|CQ|SQ\n"
                "                   [--host SUFFIX] [--max-sequences N]\n"
                "                   [--report sequence|qoe|both]\n"
-               "                   [--cache NAME=on|off] [--cache-mb NAME=N]\n"
-               "                   (NAME in {result, prefix, candidate})\n"
+               "                   [--cache-mb NAME=N]  (NAME in {result, prefix,\n"
+               "                   candidate}; N = 0 turns that cache off)\n"
                "                   [--metrics-out FILE] [--metrics-format json|prom]\n"
                "                   [--trace-out FILE] [--trace-mode full|flight]\n"
                "                   [--audit-out FILE]\n");
@@ -73,6 +73,9 @@ int Run(int argc, char** argv) {
   if (report != "sequence" && report != "qoe" && report != "both") {
     Usage("--report must be sequence, qoe or both");
   }
+  if (max_sequences < 1) {
+    Usage("--max-sequences must be >= 1");
+  }
 
   std::string manifest_text;
   if (!tools::ReadFileToString(common.manifest_path, &manifest_text, &error)) {
@@ -99,24 +102,21 @@ int Run(int argc, char** argv) {
   }
   // Single-trace runs still profit within the trace (repeated group
   // signatures across SQ groups); the cache also feeds the hit-rate metrics.
-  if (const int cache_mb = common.candidate_cache_budget_mb();
-      cache_mb > 0 && !infer::GroupCandidateCache::EnvForcesOff()) {
+  if (common.candidate_cache_mb > 0) {
     config.caches.candidate = std::make_shared<infer::GroupCandidateCache>(
-        static_cast<size_t>(cache_mb) * 1024 * 1024);
+        static_cast<size_t>(common.candidate_cache_mb) * 1024 * 1024);
   }
   // One trace means at most one prefix entry, but attaching the cache keeps
   // the lookup metrics and trace instants exercised on the single-shot tool.
-  if (const int cache_mb = common.prefix_cache_budget_mb();
-      cache_mb > 0 && !infer::AnalysisPrefixCache::EnvForcesOff()) {
+  if (common.prefix_cache_mb > 0) {
     config.caches.prefix = std::make_shared<infer::AnalysisPrefixCache>(
-        static_cast<size_t>(cache_mb) * 1024 * 1024);
+        static_cast<size_t>(common.prefix_cache_mb) * 1024 * 1024);
   }
   // Same reasoning for the whole-result tier: a single shot can only miss,
   // but the lookup path and its metrics stay exercised.
-  if (const int cache_mb = common.result_cache_budget_mb();
-      cache_mb > 0 && !infer::ResultCache::EnvForcesOff()) {
+  if (common.result_cache_mb > 0) {
     config.caches.result = std::make_shared<infer::ResultCache>(
-        static_cast<size_t>(cache_mb) * 1024 * 1024);
+        static_cast<size_t>(common.result_cache_mb) * 1024 * 1024);
   }
   const infer::InferenceEngine engine(&manifest, config);
   infer::InferenceAudit audit;

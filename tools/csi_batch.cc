@@ -5,7 +5,7 @@
 //             [--threads N] [--repeat R]
 //             [--host SUFFIX] [--quiet]
 //             [--follow-manifests N] [--db-compact-after N]
-//             [--cache NAME=on|off] [--cache-mb NAME=N]
+//             [--cache-mb NAME=N]
 //             [--metrics-out FILE] [--metrics-format json|prom]
 //             [--trace-out FILE] [--trace-mode full|flight] [--audit-out FILE]
 //
@@ -58,7 +58,7 @@ namespace {
                "                 [--threads N] [--repeat R]\n"
                "                 [--host SUFFIX] [--quiet]\n"
                "                 [--follow-manifests N] [--db-compact-after N]\n"
-               "                 [--cache NAME=on|off] [--cache-mb NAME=N]\n"
+               "                 [--cache-mb NAME=N]\n"
                "                 [--metrics-out FILE] [--metrics-format json|prom]\n"
                "                 [--trace-out FILE] [--trace-mode full|flight]\n"
                "                 [--audit-out FILE]\n"
@@ -70,13 +70,10 @@ namespace {
                "                         the --repeat rounds via a LiveChunkDatabase\n"
                "  --db-compact-after N   delta chunks that trigger a live-database\n"
                "                         compaction (default 4096; 0 = every refresh)\n"
-               "  --cache NAME=on|off    toggle one shared cache tier, NAME in\n"
-               "                         {result, prefix, candidate}; results are\n"
-               "                         byte-identical with any subset enabled\n"
-               "  --cache-mb NAME=N      byte budget (MiB) for one tier (defaults:\n"
-               "                         result 64, prefix 32, candidate 64; 0 disables).\n"
-               "                         CSI_CACHE=NAME:off,... overrides from the\n"
-               "                         environment\n"
+               "  --cache-mb NAME=N      byte budget (MiB) for one shared cache tier, NAME\n"
+               "                         in {result, prefix, candidate} (defaults: result 64,\n"
+               "                         prefix 32, candidate 64; 0 turns the tier off).\n"
+               "                         Results are byte-identical with any subset off\n"
                "  --trace-out FILE       record a structured event trace; full mode writes\n"
                "                         Chrome trace-event JSON (Perfetto-loadable) at exit\n"
                "  --trace-mode full|flight\n"
@@ -232,9 +229,9 @@ int Run(int argc, char** argv) {
   }
   infer::BatchConfig batch;
   batch.threads = threads;
-  batch.caches.candidate.budget_mb = common.candidate_cache_budget_mb();
-  batch.caches.prefix.budget_mb = common.prefix_cache_budget_mb();
-  batch.caches.result.budget_mb = common.result_cache_budget_mb();
+  batch.caches.candidate.budget_mb = common.candidate_cache_mb;
+  batch.caches.prefix.budget_mb = common.prefix_cache_mb;
+  batch.caches.result.budget_mb = common.result_cache_mb;
   if (!quiet) {
     batch.progress = [](size_t done, size_t total_traces) {
       std::fprintf(stderr, "  ...%zu/%zu traces\n", done, total_traces);
