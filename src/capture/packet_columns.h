@@ -1,20 +1,23 @@
 // Columnar (structure-of-arrays) view of a capture trace.
 //
-// A `CaptureTrace` stores one ~88-byte `PacketRecord` struct (plus an
+// A `CaptureTrace` stores one 104-byte `PacketRecord` struct (plus an
 // `std::string sni` that is empty for all but the rare ClientHello) per
-// packet. The cold inference path — classify, split, request detection, size
-// estimation, fingerprinting — only ever streams a few scalar fields at a
-// time, so `PacketColumns` transposes the trace once into parallel flat
-// columns that those stages scan with plain loops:
+// packet. CSI reads five things per packet: size, timing, direction, the TCP
+// sequence number and the SNI. `PacketColumns` holds exactly those, as
+// parallel flat columns that the cold-path stages (classify, split, request
+// detection, size estimation, fingerprinting) scan with plain loops:
 //
-//   - int64 timestamp / payload / wire-size columns,
-//   - uint64 tcp-seq / tcp-ack / quic-packet-number columns,
+//   - int64 timestamp / payload columns,
+//   - a uint64 tcp-seq column,
 //   - a uint8 direction column holding exactly 0 or 1 (1 = client→server),
 //   - a small-int SNI reference column pointing into a side table of the few
 //     distinct SNI strings (SNIs are interned once per trace, not copied per
 //     packet),
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span) built in the same single interning pass.
+//     total, column span) built in the same pass.
+//
+// 29 bytes per packet. Wire size, TCP ack and QUIC packet number stay in the
+// records: no stage reads them.
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
 // `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
@@ -40,7 +43,7 @@ namespace csi::capture {
 
 // Reported by csi_build_info (see src/common/build_info.cc, which duplicates
 // the literal to keep csi_common independent of csi_capture).
-inline constexpr char kPacketLayoutVersion[] = "soa-v1";
+inline constexpr char kPacketLayoutVersion[] = "soa-v2";
 
 class PacketColumns;
 
@@ -57,7 +60,6 @@ struct FlowView {
 
   inline const int64_t* timestamps() const;
   inline const int64_t* payloads() const;
-  inline const int64_t* wire_sizes() const;
   inline const uint64_t* tcp_seqs() const;
   inline const uint8_t* from_client() const;
   inline bool has_sni(size_t i) const;  // i is view-relative
@@ -67,12 +69,12 @@ struct FlowView {
 
 class PacketColumns {
  public:
-  // Transposes `trace` into columns. Two passes: one interning pass assigns
-  // flow ids in first-appearance order and counts packets per flow, then a
-  // scatter places every packet into its flow's span. When the capture is
-  // already flow-contiguous (flow-id run count == flow count) the scatter
-  // degenerates to an identity copy. Timed under the `column_build` stage
-  // span.
+  // Transposes `trace` into columns in one pass over the records: it writes
+  // every column in capture order while assigning flow ids in
+  // first-appearance order. Only when the capture is not flow-contiguous
+  // (flow-id run count != flow count) are the columns then scattered into
+  // flow-major order, one column at a time. Timed under the `column_build`
+  // stage span.
   static PacketColumns Build(const CaptureTrace& trace);
 
   size_t packet_count() const { return ts_.size(); }
@@ -81,10 +83,7 @@ class PacketColumns {
   // Flow-major columns (size packet_count()).
   const int64_t* timestamps() const { return ts_.data(); }
   const int64_t* payloads() const { return payload_.data(); }
-  const int64_t* wire_sizes() const { return wire_.data(); }
   const uint64_t* tcp_seqs() const { return seq_.data(); }
-  const uint64_t* tcp_acks() const { return ack_.data(); }
-  const uint64_t* quic_packet_numbers() const { return pn_.data(); }
   const uint8_t* from_client() const { return dir_.data(); }
 
   // SNI reference column: -1 for no SNI, else an index into sni_table().
@@ -110,10 +109,7 @@ class PacketColumns {
  private:
   std::vector<int64_t> ts_;
   std::vector<int64_t> payload_;
-  std::vector<int64_t> wire_;
   std::vector<uint64_t> seq_;
-  std::vector<uint64_t> ack_;
-  std::vector<uint64_t> pn_;
   std::vector<uint8_t> dir_;
   std::vector<int32_t> sni_ref_;
 
@@ -132,9 +128,6 @@ inline const int64_t* FlowView::timestamps() const {
 }
 inline const int64_t* FlowView::payloads() const {
   return columns->payloads() + begin;
-}
-inline const int64_t* FlowView::wire_sizes() const {
-  return columns->wire_sizes() + begin;
 }
 inline const uint64_t* FlowView::tcp_seqs() const {
   return columns->tcp_seqs() + begin;

@@ -1,6 +1,7 @@
 #include "src/csi/inference.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
@@ -46,6 +47,9 @@ InferenceEngine::InferenceEngine(const media::Manifest* manifest, InferenceConfi
 }
 
 void InferenceEngine::FinishConfig() {
+  if (config_.max_sequences < 1) {
+    throw std::invalid_argument("max_sequences must be >= 1");
+  }
   if (config_.host_suffix.empty()) {
     config_.host_suffix = manifest_->host;
   }

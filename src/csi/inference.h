@@ -79,7 +79,7 @@ class InferenceEngine {
   // Primary constructor: the engine queries `snapshot` — an immutable,
   // epoch-tagged database version (see db_snapshot.h / live_database.h). The
   // snapshot's manifest fills config defaults (host suffix, manifest object
-  // size).
+  // size). Throws std::invalid_argument when config.max_sequences < 1.
   InferenceEngine(DbSnapshot snapshot, InferenceConfig config);
 
   // Builds a full database from `manifest` (caller keeps it alive), then
@@ -114,7 +114,8 @@ class InferenceEngine {
   const InferenceConfig& config() const { return config_; }
 
  private:
-  // Shared tail of both constructors: config defaults derived from manifest_.
+  // Shared tail of both constructors: validates the config, then fills the
+  // defaults derived from manifest_.
   void FinishConfig();
   // The snapshot-independent front of Analyze: flow classification plus — for
   // the dominant media flow — SP1/SP2 traffic splitting (SQ) or SNI-filtered

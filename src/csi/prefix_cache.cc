@@ -65,10 +65,7 @@ TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns) {
       mixer.Absorb(static_cast<uint64_t>(columns.timestamps()[i]));
       mixer.Absorb(columns.from_client()[i]);
       mixer.Absorb(static_cast<uint64_t>(columns.payloads()[i]));
-      mixer.Absorb(static_cast<uint64_t>(columns.wire_sizes()[i]));
       mixer.Absorb(columns.tcp_seqs()[i]);
-      mixer.Absorb(columns.tcp_acks()[i]);
-      mixer.Absorb(columns.quic_packet_numbers()[i]);
       mixer.AbsorbString(columns.sni_at(i));
     }
   }

@@ -14,10 +14,12 @@
 //   (128-bit trace fingerprint, interned classifier/splitter context)
 //
 // to the immutable `AnalysisPrefix` the per-packet stages produce. The
-// fingerprint hashes every observer-visible packet field (timing, addressing,
-// direction, sizes, sequence/packet numbers, SNI) flow by flow, so two
+// fingerprint hashes every field the PacketColumns hold (addressing, timing,
+// direction, payload size, TCP sequence number, SNI) flow by flow, so two
 // captures share an entry exactly when their PacketColumns — the inference
-// input — are identical; the context interns the knobs the prefix stages
+// input — are identical. Captures that differ only in fields the columns do
+// not hold (wire size, TCP ack, QUIC packet number) share an entry, and the
+// same analysis result. The context interns the knobs the prefix stages
 // read (design, host suffix, splitter thresholds) with full structural
 // equality, never a lossy hash.
 //
@@ -65,7 +67,8 @@ struct TraceFingerprint {
 };
 
 // One sequential sweep: packet count, flow count, then every flow in id order
-// — its key, its packet count and each of its packets' fields, SNI included.
+// — its key, its packet count and each of its packets' column values, SNI
+// included.
 // Equal digests therefore mean equal PacketColumns as analysis reads them;
 // captures that differ only in how their flows interleave share a digest
 // (and an analysis result).

@@ -1,6 +1,7 @@
 #include "src/csi/size_estimator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -11,6 +12,31 @@ namespace {
 // Two uplink TCP data packets closer than this are segments of one request
 // message (requests themselves are separated by at least a response RTT).
 constexpr TimeUs kRequestMergeGap = 25 * kUsPerMs;
+
+// The TCP sequence numbers a flow has shown so far, for dropping
+// retransmissions: the first packet with a number counts, whatever its
+// timestamp. Numbers mostly arrive ascending, so a number above every earlier
+// one is appended to a sorted vector with no lookup. Any other number is
+// binary-searched there, and only the out-of-order first occurrences go into
+// a hash set.
+class SeenSequences {
+ public:
+  // True the first time `seq` is offered.
+  bool Insert(uint64_t seq) {
+    if (ascending_.empty() || seq > ascending_.back()) {
+      ascending_.push_back(seq);
+      return true;
+    }
+    if (std::binary_search(ascending_.begin(), ascending_.end(), seq)) {
+      return false;
+    }
+    return out_of_order_.insert(seq).second;
+  }
+
+ private:
+  std::vector<uint64_t> ascending_;  // strictly increasing
+  std::unordered_set<uint64_t> out_of_order_;
+};
 
 }  // namespace
 
@@ -34,7 +60,7 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
   // multi-segment request message (contiguous in sequence and
   // near-simultaneous).
   const uint64_t* seq = flow.tcp_seqs();
-  std::unordered_set<uint64_t> seen;
+  SeenSequences seen;
   uint64_t last_end_seq = 0;
   TimeUs last_time = -kUsPerSec;
   bool have_last = false;
@@ -42,7 +68,7 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
     if (dir[i] == 0 || payload[i] <= 0) {
       continue;
     }
-    if (!seen.insert(seq[i]).second) {
+    if (!seen.Insert(seq[i])) {
       continue;  // retransmission
     }
     const bool contiguous = have_last && seq[i] == last_end_seq;
@@ -69,12 +95,8 @@ CountedDownlink::CountedDownlink(const capture::FlowView& flow, bool quic) {
   const int64_t* payload = flow.payloads();
   const uint8_t* dir = flow.from_client();
   const uint64_t* seq = flow.tcp_seqs();
-  // Retransmissions are removed in capture order (§3.2): the first packet
-  // with a sequence number counts, whatever its timestamp.
-  std::unordered_set<uint64_t> seen;
-  if (!quic) {
-    seen.reserve(n);
-  }
+  // Retransmissions are removed in capture order (§3.2).
+  SeenSequences seen;
   std::vector<std::pair<TimeUs, Bytes>> counted;
   for (size_t i = 0; i < n; ++i) {
     if (dir[i] != 0 || payload[i] <= 0) {
@@ -82,7 +104,7 @@ CountedDownlink::CountedDownlink(const capture::FlowView& flow, bool quic) {
     }
     if (quic) {
       counted.emplace_back(ts[i], std::max<Bytes>(payload[i] - net::kQuicHeaderBytes, 0));
-    } else if (seen.insert(seq[i]).second) {
+    } else if (seen.Insert(seq[i])) {
       counted.emplace_back(ts[i], payload[i]);
     }
   }

@@ -30,7 +30,6 @@
 #include "src/csi/live_database.h"
 #include "src/media/manifest.h"
 #include "src/testbed/experiment.h"
-#include "tests/inference_digest.h"
 #include "tests/test_env.h"
 
 namespace csi::infer {
@@ -525,24 +524,6 @@ TEST(CandidateCacheConcurrency, SharedCacheHammeredByReadersWhileRefreshing) {
 }
 
 // --- Batch-level identity and warm-start ----------------------------------
-
-// The shared multi-design golden digests must hold with the candidate cache
-// on and off — same constants inference_e2e_test locks, so a cache bug that
-// moves output is pinned to the cache, not the pipeline.
-TEST(CandidateCacheBatch, GoldenDigestsHoldWithCacheOnAndOff) {
-  for (const DesignType design :
-       {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
-    infer::BatchConfig off;
-    off.threads = 4;
-    off.caches.candidate.budget_mb = 0;
-    EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design)),
-              testutil::GoldenBatchDigest(design))
-        << DesignTypeName(design) << " cache on";
-    EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design, off)),
-              testutil::GoldenBatchDigest(design))
-        << DesignTypeName(design) << " cache off";
-  }
-}
 
 TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   using testbed::MakeAssetForDesign;

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "src/capture/pcap_io.h"
+#include "src/csi/batch_analyzer.h"
 #include "src/csi/displayed_info.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
@@ -181,12 +183,35 @@ TEST(InferenceE2e, EmptyCaptureYieldsNoSequences) {
   EXPECT_TRUE(result.sequences.empty());
 }
 
+// Asking for fewer than one sequence is a caller error: both constructors
+// reject it up front, with the CLI's wording, instead of returning nothing
+// (0) or failing inside the search (negative).
+TEST(InferenceE2e, MaxSequencesBelowOneIsRejected) {
+  const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 0, 60 * kUsPerSec);
+  for (const int max_sequences : {0, -5}) {
+    SCOPED_TRACE("max_sequences " + std::to_string(max_sequences));
+    infer::InferenceConfig config;
+    config.design = DesignType::kSQ;
+    config.max_sequences = max_sequences;
+    try {
+      const infer::InferenceEngine engine(&manifest, config);
+      ADD_FAILURE() << "InferenceEngine accepted the cap";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "max_sequences must be >= 1");
+    }
+    EXPECT_THROW(infer::BatchAnalyzer(&manifest, config), std::invalid_argument);
+  }
+  infer::InferenceConfig config;
+  config.max_sequences = 1;
+  EXPECT_NO_THROW(infer::InferenceEngine(&manifest, config));
+}
+
 // Multi-service golden digests: the shared fixed batch locked to one constant
-// per design path (CH/SH/CQ/SQ), not just SQ. The prefix-cache,
-// candidate-cache, telemetry, and tracing identity tests reuse the same
-// helpers, so any pipeline change that moves real inference output fails
-// loudly here first — and an instrumentation or caching change that moves it
-// fails THERE with the same constants.
+// per design path (CH/SH/CQ/SQ), not just SQ. The cache-tier test below and
+// the tracing and cold-path identity tests reuse the same helpers, so any
+// pipeline change that moves real inference output fails loudly here first —
+// and an instrumentation or caching change that moves it fails THERE with the
+// same constants.
 TEST(InferenceE2e, GoldenDigestsCoverAllDesignPaths) {
   for (const DesignType design :
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {

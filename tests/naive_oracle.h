@@ -248,10 +248,7 @@ inline void ExpectColumnarMatchesOracle(const capture::CaptureTrace& trace,
       const capture::PacketRecord& p = packets[i];
       EXPECT_EQ(view.timestamps()[i], p.timestamp);
       EXPECT_EQ(view.payloads()[i], p.payload);
-      EXPECT_EQ(view.wire_sizes()[i], p.wire_size);
       EXPECT_EQ(view.tcp_seqs()[i], p.tcp_seq);
-      EXPECT_EQ(columns.tcp_acks()[view.begin + i], p.tcp_ack);
-      EXPECT_EQ(columns.quic_packet_numbers()[view.begin + i], p.quic_packet_number);
       EXPECT_EQ(view.from_client()[i] != 0, p.from_client);
       EXPECT_EQ(columns.sni_at(view.begin + i), p.sni);
     }

@@ -12,6 +12,10 @@
 //      traces, including traces whose timestamps step backwards within a
 //      flow. (Testbed sessions and engine output live in
 //      cold_path_differential_test.)
+//   3. Retransmission edge cases: hand-built TCP flows whose sequence numbers
+//      step below the running maximum, arrive out of order and are then
+//      retransmitted, wrap at 2^32, repeat on every packet, or never carry
+//      data, alone and interleaved, against the oracle's std::set dedupe.
 
 #include <algorithm>
 #include <cstdint>
@@ -110,10 +114,7 @@ TEST(PacketColumns, SingleFlowIsIdentityPermutation) {
   for (size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(columns.timestamps()[i], trace[i].timestamp);
     EXPECT_EQ(columns.payloads()[i], trace[i].payload);
-    EXPECT_EQ(columns.wire_sizes()[i], trace[i].wire_size);
     EXPECT_EQ(columns.tcp_seqs()[i], trace[i].tcp_seq);
-    EXPECT_EQ(columns.tcp_acks()[i], trace[i].tcp_ack);
-    EXPECT_EQ(columns.quic_packet_numbers()[i], trace[i].quic_packet_number);
     EXPECT_EQ(columns.from_client()[i] != 0, trace[i].from_client);
     EXPECT_EQ(columns.sni_at(i), trace[i].sni);
   }
@@ -159,16 +160,38 @@ TEST(PacketColumns, SniInternedOncePerDistinctName) {
   EXPECT_EQ(columns.sni_table().size(), 2u);
 }
 
+// True when some flow's packets are not contiguous in capture order, so
+// Build must scatter the columns into flow-major order.
+bool FlowsInterleave(const CaptureTrace& trace) {
+  std::vector<FlowKey> closed;
+  for (size_t i = 1; i < trace.size(); ++i) {
+    const FlowKey key = FlowKeyOf(trace[i]);
+    if (key != FlowKeyOf(trace[i - 1])) {
+      if (std::find(closed.begin(), closed.end(), key) != closed.end()) {
+        return true;
+      }
+      closed.push_back(FlowKeyOf(trace[i - 1]));
+    }
+  }
+  return false;
+}
+
 TEST(PacketColumns, RandomTracesMatchOracle) {
+  int interleaved = 0;
   for (const bool backwards : {false, true}) {
     SCOPED_TRACE(backwards ? "timestamps step back" : "timestamps ascend");
     for (uint64_t seed = 0; seed < 40; ++seed) {
       Rng rng(900 + seed);
       SCOPED_TRACE("seed " + std::to_string(seed));
-      ExpectMatchesOracle(
-          RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 200)), backwards));
+      const CaptureTrace trace =
+          RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 200)), backwards);
+      interleaved += FlowsInterleave(trace) ? 1 : 0;
+      ExpectMatchesOracle(trace);
     }
   }
+  // Most of the traces take Build's scatter path; a few stay flow-contiguous.
+  EXPECT_GT(interleaved, 40);
+  EXPECT_LT(interleaved, 80);
 }
 
 // ---- Stage identity --------------------------------------------------------
@@ -179,6 +202,136 @@ TEST(PacketColumns, StageOutputsMatchOracle) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExpectMatchesOracle(RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 250))));
   }
+}
+
+// ---- Retransmission edge cases --------------------------------------------
+
+// One packet of a hand-built TCP flow.
+struct TcpStep {
+  bool from_client = false;
+  uint64_t seq = 0;
+  Bytes payload = 0;
+};
+
+// A TCP flow from client port `port`, one packet every 40 ms from `start`,
+// with the media SNI on its first packet.
+CaptureTrace TcpFlow(const std::vector<TcpStep>& steps, uint16_t port = 40000,
+                     TimeUs start = 0) {
+  CaptureTrace trace;
+  TimeUs now = start;
+  for (const TcpStep& step : steps) {
+    now += 40 * kUsPerMs;
+    PacketRecord r = MakePacket(now, port, step.from_client, step.payload,
+                                net::Transport::kTcp,
+                                trace.empty() ? "media.cdn.example" : "");
+    r.tcp_seq = step.seq;
+    trace.push_back(std::move(r));
+  }
+  return trace;
+}
+
+constexpr uint64_t kWrap = uint64_t{1} << 32;
+
+// Downlink 2400 and uplink 1 come back after higher numbers were seen.
+const std::vector<TcpStep> kBelowRunningMax = {
+    {true, 1, 300},      {false, 1000, 1400}, {false, 2400, 1400},
+    {false, 3800, 1400}, {false, 2400, 1400}, {true, 301, 300},
+    {true, 1, 300},      {false, 5200, 1400}, {false, 1000, 1400},
+};
+
+// Downlink 2400 and uplink 301 first appear below the running maximum, and
+// then are retransmitted: only a record of out-of-order numbers drops the
+// second copy.
+const std::vector<TcpStep> kOutOfOrderThenRetransmitted = {
+    {true, 1, 300},      {false, 1000, 1400}, {false, 3800, 1400},
+    {false, 2400, 1400}, {false, 2400, 1400}, {false, 5200, 1400},
+    {true, 601, 300},    {true, 301, 300},    {true, 301, 300},
+    {false, 6600, 1400}, {false, 6600, 1400}, {false, 2400, 1400},
+};
+
+// Both directions cross 2^32 mid-flow; numbers after the wrap are all below
+// the running maximum, and some of them are retransmitted.
+const std::vector<TcpStep> kSequenceWrap = {
+    {true, kWrap - 600, 300},   {false, kWrap - 3000, 1400},
+    {false, kWrap - 1600, 1400}, {false, kWrap - 200, 1400},
+    {false, 1200, 1400},        {true, kWrap - 300, 300},
+    {true, 0, 300},             {false, 2600, 1400},
+    {false, 1200, 1400},        {false, kWrap - 1600, 1400},
+    {true, 0, 300},             {false, 4000, 1400},
+    {false, 2600, 1400},
+};
+
+// Every packet of each direction repeats one sequence number.
+const std::vector<TcpStep> kAllDuplicates = {
+    {true, 7, 300},     {false, 900, 1400}, {false, 900, 1400},
+    {true, 7, 300},     {false, 900, 1400}, {true, 7, 300},
+    {false, 900, 1400},
+};
+
+// Pure ACKs only, some with repeated numbers: nothing counts.
+const std::vector<TcpStep> kNoData = {
+    {true, 1, 0},    {false, 900, 0}, {false, 900, 0},
+    {true, 1, 0},    {true, 5, 0},    {false, 100, 0},
+};
+
+TEST(PacketColumns, TcpRetransmissionBelowRunningMaximum) {
+  ExpectMatchesOracle(TcpFlow(kBelowRunningMax));
+}
+
+TEST(PacketColumns, TcpOutOfOrderFirstOccurrenceThenItsRetransmission) {
+  const CaptureTrace trace = TcpFlow(kOutOfOrderThenRetransmitted);
+  ExpectMatchesOracle(trace);
+  // Downlink 1000, 3800, 2400, 5200 and 6600 count once each.
+  const PacketColumns columns = PacketColumns::Build(trace);
+  EXPECT_EQ(infer::CountedDownlink(columns.flow(0), /*quic=*/false).Window(-1, -1).bytes,
+            5 * 1400);
+}
+
+TEST(PacketColumns, TcpSequenceWrapMidFlow) {
+  const CaptureTrace trace = TcpFlow(kSequenceWrap);
+  ExpectMatchesOracle(trace);
+  // Downlink kWrap - 3000, - 1600, - 200, 1200, 2600 and 4000 count once each.
+  const PacketColumns columns = PacketColumns::Build(trace);
+  EXPECT_EQ(infer::CountedDownlink(columns.flow(0), /*quic=*/false).Window(-1, -1).bytes,
+            6 * 1400);
+}
+
+TEST(PacketColumns, TcpAllDuplicateFlow) {
+  const CaptureTrace trace = TcpFlow(kAllDuplicates);
+  ExpectMatchesOracle(trace);
+  const PacketColumns columns = PacketColumns::Build(trace);
+  EXPECT_EQ(infer::DetectRequests(columns.flow(0), /*quic=*/false).size(), 1u);
+  EXPECT_EQ(infer::CountedDownlink(columns.flow(0), /*quic=*/false).Window(-1, -1).bytes,
+            1400);
+}
+
+TEST(PacketColumns, TcpFlowWithoutData) {
+  const CaptureTrace trace = TcpFlow(kNoData);
+  ExpectMatchesOracle(trace);
+  const PacketColumns columns = PacketColumns::Build(trace);
+  EXPECT_TRUE(infer::DetectRequests(columns.flow(0), /*quic=*/false).empty());
+  EXPECT_TRUE(infer::EstimateExchanges(columns.flow(0), /*quic=*/false).empty());
+  ExpectMatchesOracle({});
+}
+
+// All five flows in one capture, merged by time: the same dedupe per flow,
+// through the scatter path.
+TEST(PacketColumns, TcpEdgeFlowsInterleaved) {
+  CaptureTrace trace;
+  uint16_t port = 41000;
+  TimeUs start = 0;
+  for (const auto* steps : {&kBelowRunningMax, &kOutOfOrderThenRetransmitted,
+                            &kSequenceWrap, &kAllDuplicates, &kNoData}) {
+    const CaptureTrace flow = TcpFlow(*steps, port++, start);
+    trace.insert(trace.end(), flow.begin(), flow.end());
+    start += 7 * kUsPerMs;
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const PacketRecord& a, const PacketRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  ASSERT_TRUE(FlowsInterleave(trace));
+  ExpectMatchesOracle(trace);
 }
 
 }  // namespace

@@ -37,9 +37,6 @@
 namespace csi::infer {
 namespace {
 
-using testutil::AnalyzeFixedBatch;
-using testutil::DigestResults;
-using testutil::GoldenBatchDigest;
 using testutil::MakeBatch;
 
 capture::PacketRecord BasePacket() {
@@ -478,19 +475,6 @@ TEST(ResultCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
             << ctx;
       }
     }
-  }
-}
-
-TEST(ResultCacheDifferential, GoldenDigestsHoldOnAndOff) {
-  for (const DesignType design :
-       {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
-    BatchConfig off;
-    off.threads = 4;
-    off.caches.result.budget_mb = 0;
-    EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
-        << DesignTypeName(design) << " result cache on";
-    EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design, off)), GoldenBatchDigest(design))
-        << DesignTypeName(design) << " result cache off";
   }
 }
 
