@@ -1,7 +1,5 @@
 #include "src/common/build_info.h"
 
-#include "src/common/simd.h"
-
 namespace csi {
 
 telemetry::Labels BuildInfoLabels() {
@@ -9,14 +7,6 @@ telemetry::Labels BuildInfoLabels() {
       // Mirrors capture::kPacketLayoutVersion (packet_columns.h); duplicated
       // here so csi_common does not depend on csi_capture.
       {"packet_layout", "soa-v2"},
-      {"simd",
-#if defined(CSI_SIMD_DISABLED)
-       "off"
-#else
-       "on"
-#endif
-      },
-      {"simd_backend", simd::BackendName(simd::ActiveBackend())},
   };
 }
 

@@ -1,8 +1,7 @@
-// Build/runtime provenance for metrics artifacts: which SIMD backend the
-// process dispatched to, whether the vector kernels were compiled in, and the
-// capture column layout. Exported as the conventional `csi_build_info` gauge
-// (constant value 1, facts in labels) so every METRICS_*.json / .prom
-// snapshot records how it was produced.
+// Build provenance for metrics artifacts: the capture column layout. Exported
+// as the conventional `csi_build_info` gauge (constant value 1, facts in
+// labels) so every METRICS_*.json / .prom snapshot records how it was
+// produced.
 
 #ifndef CSI_SRC_COMMON_BUILD_INFO_H_
 #define CSI_SRC_COMMON_BUILD_INFO_H_
@@ -11,9 +10,7 @@
 
 namespace csi {
 
-// Label set describing this binary and process:
-//   simd_backend          runtime-dispatched kernel ("scalar"/"sse2"/...)
-//   simd                  "on" unless compiled out with -DCSI_SIMD=OFF
+// Label set describing this binary:
 //   packet_layout         the capture column layout version
 telemetry::Labels BuildInfoLabels();
 

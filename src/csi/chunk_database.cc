@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/common/simd.h"
 #include "src/common/telemetry.h"
 
 namespace csi::infer {
@@ -61,48 +60,12 @@ Bytes ChunkDatabase::AdmissibleLow(Bytes estimated, double k) {
 }
 
 std::pair<size_t, size_t> ChunkDatabase::FlatRange(Bytes lo, Bytes hi) const {
-  // Hybrid scan: binary steps narrow the sorted array until a window this
-  // small remains, then one SIMD count pass resolves the exact boundary. The
-  // last levels of a binary search are branch-miss-dominated; a linear
-  // compare-count over a couple of cache lines beats them, and the result is
-  // identical to lower_bound/upper_bound by construction.
-  constexpr size_t kScanWindow = 128;
-  const Bytes* data = sizes_.data();
-  const size_t n = sizes_.size();
-
-  // Invariant: sizes_[i] < lo for all i < a; sizes_[i] >= lo for all i >= b.
-  size_t a = 0;
-  size_t b = n;
-  while (b - a > kScanWindow) {
-    const size_t mid = a + (b - a) / 2;
-    if (data[mid] < lo) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  const size_t first = a + simd::CountBelow(data + a, b - a, lo);
-
-  // Upper bound for hi, started at `first` so last >= first even when the
-  // window is empty (hi < lo) — same contract as the old equal_range pair.
-  size_t c = first;
-  size_t d = n;
-  while (d - c > kScanWindow) {
-    const size_t mid = c + (d - c) / 2;
-    if (data[mid] <= hi) {
-      c = mid + 1;
-    } else {
-      d = mid;
-    }
-  }
-  const size_t last = c + simd::CountAtOrBelow(data + c, d - c, hi);
-
-  if (simd::ActiveBackend() != simd::Backend::kScalar) {
-    CSI_COUNTER_INC("csi_simd_window_scans_total");
-  } else {
-    CSI_COUNTER_INC("csi_scalar_window_scans_total");
-  }
-  return {first, last};
+  // The upper bound for hi starts at `first`, so last >= first even when the
+  // window is empty (hi < lo) — the same pair DbSnapshot::DeltaRange uses.
+  const auto first = std::lower_bound(sizes_.begin(), sizes_.end(), lo);
+  const auto last = std::upper_bound(first, sizes_.end(), hi);
+  return {static_cast<size_t>(first - sizes_.begin()),
+          static_cast<size_t>(last - sizes_.begin())};
 }
 
 std::vector<media::ChunkRef> ChunkDatabase::VideoCandidatesInSizeRange(Bytes lo,

@@ -13,11 +13,10 @@
 // the ladders the tools serve (6 tracks x 120 positions) it takes
 // microseconds and runs once per batch.
 //
-// A range query binary-narrows the sorted sizes array to a small window and
-// resolves the exact bounds with a SIMD count scan (src/common/simd.h); the
-// scalar and vector paths return identical candidate sets. The database is
-// immutable after construction and safe to share across threads (batch
-// inference fans many Analyze calls out over one instance).
+// A range query is one std::lower_bound/std::upper_bound pair over the
+// sorted sizes array. The database is immutable after construction and safe
+// to share across threads (batch inference fans many Analyze calls out over
+// one instance).
 
 #ifndef CSI_SRC_CSI_CHUNK_DATABASE_H_
 #define CSI_SRC_CSI_CHUNK_DATABASE_H_

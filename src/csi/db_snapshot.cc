@@ -39,11 +39,10 @@ std::pair<size_t, size_t> DbSnapshot::DeltaRange(Bytes lo, Bytes hi) const {
   const auto last = std::upper_bound(
       first, delta.end(), hi,
       [](Bytes bound, const internal::DeltaEntry& e) { return bound < e.size; });
-  // Same contract as ChunkDatabase::FlatRange: last >= first even when the
-  // window is inverted (hi < lo).
+  // Same pair as ChunkDatabase::FlatRange: the upper bound starts at `first`,
+  // so last >= first even when the window is inverted (hi < lo).
   return {static_cast<size_t>(first - delta.begin()),
-          std::max(static_cast<size_t>(first - delta.begin()),
-                   static_cast<size_t>(last - delta.begin()))};
+          static_cast<size_t>(last - delta.begin())};
 }
 
 bool DbSnapshot::DeltaHasSizeInWindow(Bytes lo, Bytes hi, int min_index) const {

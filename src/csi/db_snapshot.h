@@ -6,9 +6,9 @@
 // and compactions happening concurrently (see live_database.h) never block or
 // mutate it (RCU-style readers).
 //
-// A snapshot is a *base* ChunkDatabase (the flat SIMD-scanned size index)
-// plus a small sorted delta buffer of (size, packed ref) entries appended by
-// live-manifest refreshes after the base was built. Queries binary-narrow the
+// A snapshot is a *base* ChunkDatabase (the flat size-sorted index) plus a
+// small sorted delta buffer of (size, packed ref) entries appended by
+// live-manifest refreshes after the base was built. Queries binary-search the
 // base index as before and merge the delta window in (size, ref) order, so
 // the candidate lists are byte-identical to a full rebuild at the same
 // refresh point — the determinism contract locked in by

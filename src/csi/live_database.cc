@@ -37,9 +37,6 @@ void ValidateUniformManifest(const media::Manifest& manifest) {
 LiveChunkDatabase::LiveChunkDatabase(const media::Manifest& initial, Options options)
     : options_(options) {
   ValidateUniformManifest(initial);
-  if (options_.pool == nullptr) {
-    options_.background_compaction = false;
-  }
   auto manifest_version = std::make_shared<const media::Manifest>(initial);
   auto base = std::make_shared<const ChunkDatabase>(manifest_version.get());
   num_tracks_ = base->num_video_tracks();
@@ -177,7 +174,7 @@ DbSnapshot LiveChunkDatabase::ApplyRefresh(const ManifestRefresh& refresh) {
   }
 
   if (trigger_compaction) {
-    if (options_.background_compaction) {
+    if (options_.pool != nullptr) {
       StartBackgroundCompaction(std::move(manifest_version));
     } else {
       CompactFrom(std::move(manifest_version));

@@ -48,15 +48,12 @@ struct ManifestRefresh {
 // Tuning knobs for LiveChunkDatabase. Namespace-scope (not nested) so it is
 // a complete type when used as a defaulted constructor argument.
 struct LiveDbOptions {
-  // Pool background compactions run on; null compacts inline.
+  // Pool a triggered compaction runs on in the background (publishing when
+  // done); null compacts inline inside ApplyRefresh before it returns.
   ThreadPool* pool = nullptr;
   // Delta size (in chunks) at which a refresh triggers compaction. 0
   // compacts after every refresh; SIZE_MAX never compacts automatically.
   size_t compact_after_delta_chunks = 4096;
-  // Run triggered compactions on `pool` in the background (publishes when
-  // done); false compacts inline inside ApplyRefresh before it returns.
-  // Ignored (treated as false) when `pool` is null.
-  bool background_compaction = true;
 };
 
 // Thread-safe owner of the evolving database. All members are safe to call

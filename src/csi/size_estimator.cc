@@ -58,10 +58,11 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
   // HTTPS: a stateful walk over the uplink data packets that drops
   // retransmissions (duplicate sequence numbers) and merges segments of one
   // multi-segment request message (contiguous in sequence and
-  // near-simultaneous).
+  // near-simultaneous). Sequence numbers are 32 bits on the wire, so
+  // contiguity is tested modulo 2^32: a message may straddle the wrap.
   const uint64_t* seq = flow.tcp_seqs();
   SeenSequences seen;
-  uint64_t last_end_seq = 0;
+  uint32_t last_end_seq = 0;
   TimeUs last_time = -kUsPerSec;
   bool have_last = false;
   for (size_t i = 0; i < n; ++i) {
@@ -71,10 +72,10 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
     if (!seen.Insert(seq[i])) {
       continue;  // retransmission
     }
-    const bool contiguous = have_last && seq[i] == last_end_seq;
+    const bool contiguous = have_last && static_cast<uint32_t>(seq[i]) == last_end_seq;
     const bool near = ts[i] - last_time <= kRequestMergeGap;
     if (contiguous && near) {
-      last_end_seq = seq[i] + static_cast<uint64_t>(payload[i]);
+      last_end_seq = static_cast<uint32_t>(seq[i] + static_cast<uint64_t>(payload[i]));
       last_time = ts[i];
       if (flow.has_sni(i)) {
         requests.back().carries_sni = true;
@@ -82,7 +83,7 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
       continue;
     }
     requests.push_back(DetectedRequest{ts[i], flow.has_sni(i)});
-    last_end_seq = seq[i] + static_cast<uint64_t>(payload[i]);
+    last_end_seq = static_cast<uint32_t>(seq[i] + static_cast<uint64_t>(payload[i]));
     last_time = ts[i];
     have_last = true;
   }

@@ -233,7 +233,6 @@ TEST(CandidateCacheDifferential, CacheOnMatchesCacheOffOn120Schedules) {
         options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
         break;
     }
-    options.background_compaction = rng.Chance(0.5);
     LiveChunkDatabase live(m, options);
 
     const Bytes audio_size =
@@ -469,7 +468,6 @@ TEST(CandidateCacheConcurrency, SharedCacheHammeredByReadersWhileRefreshing) {
   LiveChunkDatabase::Options options;
   options.pool = &pool;
   options.compact_after_delta_chunks = 6;
-  options.background_compaction = true;
   LiveChunkDatabase live(m, options);
   GroupCandidateCache cache(4ull * 1024 * 1024);
 

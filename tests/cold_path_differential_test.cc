@@ -6,13 +6,12 @@
 //
 //   1. Seeded sweep: testbed sessions across all four designs. Each columnar
 //      stage — media-flow ids, requests, exchanges, windowed byte sums,
-//      SP1/SP2 groups — equals the oracle (the stages do not dispatch on the
-//      SIMD backend, so once is enough), and on every supported backend the
-//      engine digest equals the forced-scalar digest (the chunk database's
-//      size-window scans do dispatch). CSI_TEST_SCHEDULES raises the sweep
-//      for the nightly deep-differential job.
-//   2. Golden digests: the fixed instrumentation-invariance batch hashes to
-//      the same per-design constants under each forced backend.
+//      SP1/SP2 groups — equals the oracle, and Analyze(trace) has the same
+//      digest as Analyze(columns). CSI_TEST_SCHEDULES raises the sweep for
+//      the nightly deep-differential job.
+//   2. Sequence wrap: request segments that straddle 2^32 (TCP sequence
+//      numbers are 32 bits on the wire) merge into one request, in the
+//      engine and in the oracle.
 //   3. Overload identity: Analyze(trace) — PacketColumns::Build, then the
 //      columns overload — shares prefix-cache entries with Analyze(columns).
 //   4. Batch identity: BatchAnalyzer::AnalyzeAll over pre-built columns
@@ -27,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "src/capture/packet_columns.h"
-#include "src/common/simd.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/testbed/experiment.h"
 #include "tests/inference_digest.h"
@@ -39,28 +37,6 @@ namespace {
 
 constexpr DesignType kAllDesigns[] = {DesignType::kCH, DesignType::kSH,
                                       DesignType::kCQ, DesignType::kSQ};
-
-// Restores the pre-test dispatch choice even when an assertion fails
-// mid-test; ForceBackend is process-wide state.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(simd::ActiveBackend()) {}
-  ~BackendGuard() { simd::ForceBackend(saved_); }
-
- private:
-  simd::Backend saved_;
-};
-
-std::vector<simd::Backend> AllSupportedBackends() {
-  std::vector<simd::Backend> backends{simd::Backend::kScalar};
-  for (simd::Backend b :
-       {simd::Backend::kSse2, simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    if (simd::BackendSupported(b)) {
-      backends.push_back(b);
-    }
-  }
-  return backends;
-}
 
 uint64_t DigestOne(const InferenceResult& result) {
   return testutil::DigestResults({result});
@@ -88,8 +64,6 @@ InferenceConfig EngineConfig(DesignType design) {
 }
 
 TEST(ColdPathDifferential, SeededSweepMatchesOracle) {
-  BackendGuard guard;
-  const std::vector<simd::Backend> backends = AllSupportedBackends();
   // One testbed session per schedule, round-robin over the designs. The
   // tier-1 default stays small; the nightly deep job raises it via
   // CSI_TEST_SCHEDULES.
@@ -105,28 +79,39 @@ TEST(ColdPathDifferential, SeededSweepMatchesOracle) {
     const InferenceEngine engine(&manifest, EngineConfig(design));
 
     oracle::ExpectColumnarMatchesOracle(trace, manifest.host);
-    ASSERT_TRUE(simd::ForceBackend(simd::Backend::kScalar));
-    const uint64_t want = DigestOne(engine.Analyze(columns));
-    for (const simd::Backend backend : backends) {
-      SCOPED_TRACE(simd::BackendName(backend));
-      ASSERT_TRUE(simd::ForceBackend(backend));
-      EXPECT_EQ(DigestOne(engine.Analyze(columns)), want);
-      EXPECT_EQ(DigestOne(engine.Analyze(trace)), want) << "trace overload";
-    }
+    EXPECT_EQ(DigestOne(engine.Analyze(trace)), DigestOne(engine.Analyze(columns)))
+        << "trace overload";
   }
 }
 
-TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryBackend) {
-  BackendGuard guard;
-  for (const DesignType design : kAllDesigns) {
-    const uint64_t golden = testutil::GoldenBatchDigest(design);
-    for (const simd::Backend backend : AllSupportedBackends()) {
-      ASSERT_TRUE(simd::ForceBackend(backend));
-      EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design)), golden)
-          << "design " << static_cast<int>(design) << " backend "
-          << simd::BackendName(backend);
-    }
-  }
+TEST(ColdPathDifferential, RequestSegmentsStraddlingSequenceWrapAreOneRequest) {
+  capture::CaptureTrace trace;
+  auto add_uplink = [&trace](TimeUs t, uint64_t seq) {
+    capture::PacketRecord r;
+    r.timestamp = t;
+    r.from_client = true;
+    r.client_ip = 1;
+    r.server_ip = 2;
+    r.client_port = 5000;
+    r.server_port = 443;
+    r.payload = 100;
+    r.tcp_seq = seq;
+    trace.push_back(r);
+  };
+  // A 100 B segment ends exactly at 2^32; the next one, 1 ms later, starts at
+  // sequence 0.
+  add_uplink(0, (uint64_t{1} << 32) - 100);
+  add_uplink(kUsPerMs, 0);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+  ASSERT_EQ(columns.flow_count(), 1u);
+  EXPECT_EQ(DetectRequests(columns.flow(0), /*quic=*/false).size(), 1u);
+  EXPECT_EQ(oracle::DetectRequests(trace, /*quic=*/false).size(), 1u);
+
+  // A gap across the wrap is still a new request.
+  trace[1].tcp_seq = 50;
+  const capture::PacketColumns gapped = capture::PacketColumns::Build(trace);
+  EXPECT_EQ(DetectRequests(gapped.flow(0), /*quic=*/false).size(), 2u);
+  EXPECT_EQ(oracle::DetectRequests(trace, /*quic=*/false).size(), 2u);
 }
 
 TEST(ColdPathDifferential, TraceOverloadSharesPrefixCacheWithColumns) {

@@ -1,5 +1,5 @@
-// Property-based differential tests for the ChunkDatabase build and the SIMD
-// size-window scan.
+// Property-based differential tests for the ChunkDatabase build and its
+// size-window queries.
 //
 // Two identities are locked in here:
 //   1. Build identity: for any manifest the flat index equals an oracle
@@ -8,24 +8,26 @@
 //      is a strict total order because packed refs are unique, so the oracle
 //      pins every tie.
 //   2. Query identity: for any (estimate, k) or [lo, hi] window — including
-//      empty and INT64_MAX-adjacent ones — every SIMD backend returns the
-//      same candidates as the scalar path.
+//      empty and INT64_MAX-adjacent ones — VideoCandidatesInSizeRange,
+//      VideoCandidates and HasVideoCandidate equal a linear filter over the
+//      manifest.
 //
-// Both properties are exercised on ~200 seeded random VBR manifests plus a
-// battery of hand-written edge cases (zero-chunk tracks, single-chunk videos,
-// duplicate sizes across tracks).
+// Both properties are exercised on seeded random VBR manifests
+// (CSI_TEST_SCHEDULES raises the counts) plus a battery of hand-written edge
+// cases (zero-chunk tracks, single-chunk videos, duplicate sizes across
+// tracks).
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/db_snapshot.h"
 #include "src/media/manifest.h"
@@ -40,31 +42,11 @@ using media::Manifest;
 using media::MediaType;
 using media::Track;
 
-// Restores the pre-test dispatch choice even when an assertion fails
-// mid-test; ForceBackend is process-wide state.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(simd::ActiveBackend()) {}
-  ~BackendGuard() { simd::ForceBackend(saved_); }
-
- private:
-  simd::Backend saved_;
-};
-
-std::vector<simd::Backend> SupportedVectorBackends() {
-  std::vector<simd::Backend> backends;
-  for (simd::Backend b : {simd::Backend::kSse2, simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    if (simd::BackendSupported(b)) {
-      backends.push_back(b);
-    }
-  }
-  return backends;
-}
-
 // A random VBR encoding ladder. Sizes are drawn to collide often (duplicate
 // sizes within and across tracks) because ties are exactly where a sort
-// without the packed-ref tiebreak would diverge from the oracle. Track/position counts stay far inside
-// the PackRef limits (track < 4096, index < 2^20).
+// without the packed-ref tiebreak would diverge from the oracle.
+// Track/position counts stay far inside the PackRef limits (track < 4096,
+// index < 2^20).
 Manifest RandomManifest(Rng* rng) {
   Manifest m;
   m.asset_id = "fuzz";
@@ -211,138 +193,86 @@ TEST(DbDifferentialTest, DuplicateSizesAcrossTracksKeepDeterministicOrder) {
   EXPECT_EQ(db.VideoCandidatesInSizeRange(7777, 7777).size(), 5u * 17u);
 }
 
-// --- Query identity: scalar vs SIMD ---------------------------------------
+// --- Query identity: database vs linear filter -----------------------------
 
-TEST(DbDifferentialTest, ScalarAndSimdQueriesAgreeOnRandomWindows) {
-  const std::vector<simd::Backend> vector_backends = SupportedVectorBackends();
-  if (vector_backends.empty()) {
-    GTEST_SKIP() << "no vector backend on this build/CPU (scalar-only)";
+// Every video chunk with size in [lo, hi], found by walking the manifest, in
+// flat-index order: ascending size, ties by track then index.
+std::vector<ChunkRef> LinearBySize(const Manifest& m, Bytes lo, Bytes hi) {
+  std::vector<ChunkRef> out;
+  for (size_t t = 0; t < m.video_tracks.size(); ++t) {
+    const std::vector<Chunk>& chunks = m.video_tracks[t].chunks;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      if (chunks[i].size >= lo && chunks[i].size <= hi) {
+        out.push_back(ChunkRef{MediaType::kVideo, static_cast<int>(t), static_cast<int>(i)});
+      }
+    }
   }
-  BackendGuard guard;
-  for (uint64_t seed = 1000; seed < 1060; ++seed) {
+  std::sort(out.begin(), out.end(), [&m](const ChunkRef& a, const ChunkRef& b) {
+    return std::make_tuple(m.SizeOf(a), a.track, a.index) <
+           std::make_tuple(m.SizeOf(b), b.track, b.index);
+  });
+  return out;
+}
+
+// LinearBySize for Property (1) in VideoCandidates order: track, then size,
+// then index. The lower bound is the documented ceil(S~ / (1 + k)).
+std::vector<ChunkRef> LinearCandidates(const Manifest& m, Bytes estimated, double k) {
+  std::vector<ChunkRef> out =
+      LinearBySize(m, ChunkDatabase::AdmissibleLow(estimated, k), estimated);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ChunkRef& a, const ChunkRef& b) { return a.track < b.track; });
+  return out;
+}
+
+TEST(DbDifferentialTest, QueriesMatchLinearFilterOnRandomManifests) {
+  constexpr Bytes kMax = std::numeric_limits<Bytes>::max();
+  const uint64_t schedules = testutil::ScheduleCount(60);
+  for (uint64_t seed = 1000; seed < 1000 + schedules; ++seed) {
     Rng rng(seed);
     const Manifest m = RandomManifest(&rng);
     const ChunkDatabase db(&m);
-    const Bytes max_size =
-        db.flat_sizes().empty() ? 4'000'000 : db.flat_sizes().back();
+    const std::vector<Bytes>& sizes = db.flat_sizes();
+    const Bytes max_size = sizes.empty() ? 4'000'000 : sizes.back();
+    auto some_size = [&]() {
+      return sizes[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(sizes.size()) - 1))];
+    };
 
-    // Randomized probes: in-range estimates, the paper's k values, empty
-    // windows (lo > hi), and INT64_MAX-adjacent estimates.
+    // Estimates: in range, exactly a chunk size (hi lands on an entry), and
+    // INT64_MAX-adjacent; k cycles through the paper's 0.01, 0.05 and random.
     std::vector<std::pair<Bytes, double>> estimates;
     for (int i = 0; i < 24; ++i) {
       const double k = (i % 3 == 0) ? 0.01 : (i % 3 == 1) ? 0.05 : rng.Uniform(0.0, 0.2);
-      estimates.emplace_back(rng.UniformInt(1, max_size + 1000), k);
+      const Bytes est =
+          (!sizes.empty() && i % 2 == 0) ? some_size() : rng.UniformInt(1, max_size + 1000);
+      estimates.emplace_back(est, k);
     }
-    estimates.emplace_back(std::numeric_limits<Bytes>::max(), 0.05);
-    estimates.emplace_back(std::numeric_limits<Bytes>::max() - 1, 0.01);
+    estimates.emplace_back(kMax, 0.05);
+    estimates.emplace_back(kMax - 1, 0.01);
+
+    // Windows: random (about half have lo > hi, so they are empty), both ends
+    // on chunk sizes (duplicates included), INT64_MAX-adjacent, and empty.
     std::vector<std::pair<Bytes, Bytes>> windows;
     for (int i = 0; i < 12; ++i) {
       windows.emplace_back(rng.UniformInt(0, max_size), rng.UniformInt(0, max_size));
+      if (!sizes.empty()) {
+        windows.emplace_back(some_size(), some_size());
+      }
     }
-    windows.emplace_back(std::numeric_limits<Bytes>::max() - 1,
-                         std::numeric_limits<Bytes>::max());
-    windows.emplace_back(5, 1);  // deliberately empty
+    windows.emplace_back(kMax - 1, kMax);
+    windows.emplace_back(0, kMax);
+    windows.emplace_back(5, 1);
 
-    ASSERT_TRUE(simd::ForceBackend(simd::Backend::kScalar));
-    std::vector<std::vector<ChunkRef>> scalar_by_estimate;
-    std::vector<bool> scalar_has;
     for (const auto& [est, k] : estimates) {
-      scalar_by_estimate.push_back(db.VideoCandidates(est, k));
-      scalar_has.push_back(db.HasVideoCandidate(est, k));
+      const std::vector<ChunkRef> want = LinearCandidates(m, est, k);
+      EXPECT_EQ(db.VideoCandidates(est, k), want)
+          << "seed " << seed << " estimate " << est << " k " << k;
+      EXPECT_EQ(db.HasVideoCandidate(est, k), !want.empty())
+          << "seed " << seed << " estimate " << est << " k " << k;
     }
-    std::vector<std::vector<ChunkRef>> scalar_by_window;
     for (const auto& [lo, hi] : windows) {
-      scalar_by_window.push_back(db.VideoCandidatesInSizeRange(lo, hi));
-    }
-
-    for (simd::Backend backend : vector_backends) {
-      ASSERT_TRUE(simd::ForceBackend(backend));
-      for (size_t i = 0; i < estimates.size(); ++i) {
-        const auto& [est, k] = estimates[i];
-        EXPECT_EQ(db.VideoCandidates(est, k), scalar_by_estimate[i])
-            << "seed " << seed << " backend " << simd::BackendName(backend)
-            << " estimate " << est << " k " << k;
-        EXPECT_EQ(db.HasVideoCandidate(est, k), scalar_has[i])
-            << "seed " << seed << " backend " << simd::BackendName(backend);
-      }
-      for (size_t i = 0; i < windows.size(); ++i) {
-        EXPECT_EQ(db.VideoCandidatesInSizeRange(windows[i].first, windows[i].second),
-                  scalar_by_window[i])
-            << "seed " << seed << " backend " << simd::BackendName(backend)
-            << " window [" << windows[i].first << ", " << windows[i].second << "]";
-      }
-    }
-  }
-}
-
-// --- Count kernels vs scalar reference ------------------------------------
-
-size_t RefCountBelow(const std::vector<int64_t>& v, int64_t bound) {
-  return static_cast<size_t>(
-      std::count_if(v.begin(), v.end(), [&](int64_t x) { return x < bound; }));
-}
-
-size_t RefCountAtOrBelow(const std::vector<int64_t>& v, int64_t bound) {
-  return static_cast<size_t>(
-      std::count_if(v.begin(), v.end(), [&](int64_t x) { return x <= bound; }));
-}
-
-TEST(DbDifferentialTest, CountKernelsMatchScalarReference) {
-  BackendGuard guard;
-  std::vector<simd::Backend> backends = SupportedVectorBackends();
-  backends.push_back(simd::Backend::kScalar);
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  Rng rng(7);
-  // Lengths cover n = 0, sub-lane-width runs, and odd tails past every lane
-  // width in use (2, 4).
-  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 16u, 17u, 33u, 64u, 67u}) {
-    std::vector<int64_t> data(n);
-    for (auto& x : data) {
-      switch (rng.UniformInt(0, 4)) {
-        case 0: x = kMin; break;
-        case 1: x = kMax; break;
-        case 2: x = rng.UniformInt(-5, 5); break;
-        default: x = rng.NextU64() >> 1; break;  // large positive
-      }
-    }
-    std::vector<int64_t> bounds = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
-    for (int i = 0; i < 8; ++i) {
-      bounds.push_back(static_cast<int64_t>(rng.NextU64()));
-    }
-    for (int64_t bound : bounds) {
-      const size_t want_below = RefCountBelow(data, bound);
-      const size_t want_at_or_below = RefCountAtOrBelow(data, bound);
-      for (simd::Backend backend : backends) {
-        ASSERT_TRUE(simd::ForceBackend(backend));
-        EXPECT_EQ(simd::CountBelow(data.data(), n, bound), want_below)
-            << simd::BackendName(backend) << " n=" << n << " bound=" << bound;
-        EXPECT_EQ(simd::CountAtOrBelow(data.data(), n, bound), want_at_or_below)
-            << simd::BackendName(backend) << " n=" << n << " bound=" << bound;
-      }
-    }
-  }
-}
-
-TEST(DbDifferentialTest, CountKernelsOnSortedRunsMatchBinarySearch) {
-  BackendGuard guard;
-  std::vector<simd::Backend> backends = SupportedVectorBackends();
-  backends.push_back(simd::Backend::kScalar);
-  Rng rng(11);
-  std::vector<int64_t> data(129);
-  for (auto& x : data) {
-    x = rng.UniformInt(0, 1000);
-  }
-  std::sort(data.begin(), data.end());
-  for (int64_t bound : {-1, 0, 1, 499, 500, 501, 999, 1000, 1001}) {
-    const auto lower = static_cast<size_t>(
-        std::lower_bound(data.begin(), data.end(), bound) - data.begin());
-    const auto upper = static_cast<size_t>(
-        std::upper_bound(data.begin(), data.end(), bound) - data.begin());
-    for (simd::Backend backend : backends) {
-      ASSERT_TRUE(simd::ForceBackend(backend));
-      EXPECT_EQ(simd::CountBelow(data.data(), data.size(), bound), lower);
-      EXPECT_EQ(simd::CountAtOrBelow(data.data(), data.size(), bound), upper);
+      EXPECT_EQ(db.VideoCandidatesInSizeRange(lo, hi), LinearBySize(m, lo, hi))
+          << "seed " << seed << " window [" << lo << ", " << hi << "]";
     }
   }
 }

@@ -73,9 +73,9 @@ inline uint64_t DigestResults(const std::vector<infer::InferenceResult>& results
 }
 
 // Golden digests of the fixed batches below, one per design type. Must match
-// with and without an active trace session (full or flight mode), in
-// -DCSI_SIMD=OFF builds, and with any subset of cache tiers set to budget 0
-// (inference_e2e_test's AnyTierSubsetKeepsGoldenDigests).
+// with and without an active trace session (full or flight mode), and with
+// any subset of cache tiers set to budget 0 (inference_e2e_test's
+// AnyTierSubsetKeepsGoldenDigests).
 inline constexpr uint64_t kChBatchDigest = 0xd4a3acc8aa2025b6ull;
 inline constexpr uint64_t kShBatchDigest = 0xb3d468293556d2b8ull;
 inline constexpr uint64_t kCqBatchDigest = 0x29a194610a7aadffull;
@@ -111,7 +111,7 @@ inline FixedBatch MakeFixedBatch(infer::DesignType design) {
 
 // Analyzes the fixed batch. `batch` lets cache/threading tests vary the
 // execution shape — the digest must not move for ANY such shape (output is
-// scheduling-, cache- and SIMD-backend-independent by design).
+// scheduling- and cache-independent by design).
 inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
     infer::DesignType design,
     infer::BatchConfig batch =

@@ -106,13 +106,13 @@ inline std::vector<infer::DetectedRequest> DetectRequests(
   }
   std::set<uint64_t> seen;
   bool have_last = false;
-  uint64_t last_end_seq = 0;
+  uint32_t last_end_seq = 0;  // wire sequence numbers wrap at 2^32
   TimeUs last_time = 0;
   for (const capture::PacketRecord& p : flow) {
     if (!p.from_client || p.payload <= 0 || !seen.insert(p.tcp_seq).second) {
       continue;
     }
-    const bool continuation = have_last && p.tcp_seq == last_end_seq &&
+    const bool continuation = have_last && static_cast<uint32_t>(p.tcp_seq) == last_end_seq &&
                               p.timestamp - last_time <= kRequestMergeGap;
     if (continuation) {
       requests.back().carries_sni |= !p.sni.empty();
@@ -120,7 +120,7 @@ inline std::vector<infer::DetectedRequest> DetectRequests(
       requests.push_back(infer::DetectedRequest{p.timestamp, !p.sni.empty()});
     }
     have_last = true;
-    last_end_seq = p.tcp_seq + static_cast<uint64_t>(p.payload);
+    last_end_seq = static_cast<uint32_t>(p.tcp_seq + static_cast<uint64_t>(p.payload));
     last_time = p.timestamp;
   }
   return requests;
