@@ -1,6 +1,10 @@
 #include "src/capture/packet_columns.h"
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/common/telemetry.h"
@@ -8,19 +12,32 @@
 namespace csi::capture {
 namespace {
 
-// Moves column entry i to flow-major slot slot[i].
+// A maximal stretch of consecutive capture-order packets of one flow.
+struct Run {
+  size_t start = 0;  // capture-order index of the run's first packet
+  uint32_t flow = 0;
+};
+
+// Moves run k of `column`, [runs[k].start, runs[k + 1].start), to its
+// flow-major start dest[k]. The last run is a sentinel at the column's end.
 template <typename T>
-void Scatter(const std::vector<uint32_t>& slot, std::vector<T>* column) {
+void ScatterRuns(const std::vector<Run>& runs, const std::vector<size_t>& dest,
+                 std::vector<T>* column) {
   std::vector<T> out(column->size());
-  for (size_t i = 0; i < slot.size(); ++i) {
-    out[slot[i]] = (*column)[i];
+  for (size_t k = 0; k + 1 < runs.size(); ++k) {
+    std::copy(column->begin() + static_cast<ptrdiff_t>(runs[k].start),
+              column->begin() + static_cast<ptrdiff_t>(runs[k + 1].start),
+              out.begin() + static_cast<ptrdiff_t>(dest[k]));
   }
   column->swap(out);
 }
 
-}  // namespace
+template <typename T>
+size_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
 
-const std::string PacketColumns::empty_sni_;
+}  // namespace
 
 PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   CSI_SPAN("column_build", {"packets", static_cast<int64_t>(trace.size())});
@@ -29,23 +46,24 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   c.ts_.reserve(n);
   c.payload_.reserve(n);
   c.seq_.reserve(n);
-  c.dir_.reserve(n);
-  c.sni_ref_.reserve(n);
-  std::vector<uint32_t> flow_of;
-  flow_of.reserve(n);
+  c.flags_.reserve(n);
 
   // One pass in capture order: write every column, intern flow keys in
   // first-appearance order (a packet of the previous packet's flow skips the
-  // map), count packets and downlink bytes per flow and runs of equal flow
-  // ids, record first non-empty SNIs, and intern the distinct SNI strings.
+  // map), count packets and downlink bytes per flow, record the capture-order
+  // runs of one flow, and keep each flow's first non-empty SNI.
   std::map<FlowKey, uint32_t> flow_ids;
-  std::map<std::string, int32_t> sni_ids;
   std::vector<size_t> counts;
-  size_t runs = 0;
+  std::vector<Run> runs;
   FlowKey run_key;
   uint32_t f = 0;
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
+    if (r.payload < 0 || r.payload > std::numeric_limits<uint32_t>::max()) {
+      throw std::invalid_argument("packet columns: packet " + std::to_string(i) +
+                                  " has payload " + std::to_string(r.payload) +
+                                  ", outside the 32 bits a pcap carries");
+    }
     const FlowKey key = FlowKeyOf(r);
     if (i == 0 || key != run_key) {
       const auto [it, inserted] =
@@ -58,30 +76,25 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
       }
       f = it->second;
       run_key = key;
-      ++runs;
+      runs.push_back(Run{i, f});
     }
-    flow_of.push_back(f);
     ++counts[f];
-    if (!r.from_client) {
+    uint8_t flags = 0;
+    if (r.from_client) {
+      flags |= kFromClient;
+    } else {
       c.flow_downlink_[f] += r.payload;
     }
-    int32_t sni_ref = -1;
     if (!r.sni.empty()) {
+      flags |= kCarriesSni;
       if (c.flow_snis_[f].empty()) {
         c.flow_snis_[f] = r.sni;
       }
-      const auto [sit, sni_inserted] =
-          sni_ids.try_emplace(r.sni, static_cast<int32_t>(c.sni_table_.size()));
-      if (sni_inserted) {
-        c.sni_table_.push_back(sit->first);
-      }
-      sni_ref = sit->second;
     }
     c.ts_.push_back(r.timestamp);
-    c.payload_.push_back(r.payload);
-    c.seq_.push_back(r.tcp_seq);
-    c.dir_.push_back(r.from_client ? 1 : 0);
-    c.sni_ref_.push_back(sni_ref);
+    c.payload_.push_back(static_cast<uint32_t>(r.payload));
+    c.seq_.push_back(static_cast<uint32_t>(r.tcp_seq));
+    c.flags_.push_back(flags);
   }
 
   const size_t flows = c.flow_keys_.size();
@@ -92,20 +105,27 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
 
   // When every flow's packets are already contiguous, the runs appear in
   // first-appearance (= id) order and capture order is flow-major. Otherwise
-  // turn each packet's flow id into its flow-major slot, in place, and move
-  // every column there.
-  if (runs != flows) {
+  // give each run its flow-major start and move every column there.
+  if (runs.size() != flows) {
+    runs.push_back(Run{n, 0});
     std::vector<size_t> cursor(c.flow_begin_.begin(), c.flow_begin_.begin() + flows);
-    for (uint32_t& slot : flow_of) {
-      slot = static_cast<uint32_t>(cursor[slot]++);
+    std::vector<size_t> dest(runs.size() - 1);
+    for (size_t k = 0; k < dest.size(); ++k) {
+      dest[k] = cursor[runs[k].flow];
+      cursor[runs[k].flow] += runs[k + 1].start - runs[k].start;
     }
-    Scatter(flow_of, &c.ts_);
-    Scatter(flow_of, &c.payload_);
-    Scatter(flow_of, &c.seq_);
-    Scatter(flow_of, &c.dir_);
-    Scatter(flow_of, &c.sni_ref_);
+    ScatterRuns(runs, dest, &c.ts_);
+    ScatterRuns(runs, dest, &c.payload_);
+    ScatterRuns(runs, dest, &c.seq_);
+    ScatterRuns(runs, dest, &c.flags_);
   }
   return c;
+}
+
+size_t PacketColumns::held_bytes() const {
+  return CapacityBytes(ts_) + CapacityBytes(payload_) + CapacityBytes(seq_) +
+         CapacityBytes(flags_) + CapacityBytes(flow_keys_) + CapacityBytes(flow_snis_) +
+         CapacityBytes(flow_downlink_) + CapacityBytes(flow_begin_);
 }
 
 }  // namespace csi::capture

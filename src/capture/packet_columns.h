@@ -3,21 +3,26 @@
 // A `CaptureTrace` stores one 104-byte `PacketRecord` struct (plus an
 // `std::string sni` that is empty for all but the rare ClientHello) per
 // packet. CSI reads five things per packet: size, timing, direction, the TCP
-// sequence number and the SNI. `PacketColumns` holds exactly those, as
-// parallel flat columns that the cold-path stages (classify, split, request
-// detection, size estimation, fingerprinting) scan with plain loops:
+// sequence number and whether the packet carries an SNI. `PacketColumns`
+// holds exactly those, as parallel flat columns at the width a pcap carries
+// them, which the cold-path stages (classify, split, request detection, size
+// estimation, fingerprinting) scan with plain loops:
 //
-//   - int64 timestamp / payload columns,
-//   - a uint64 tcp-seq column,
-//   - a uint8 direction column holding exactly 0 or 1 (1 = client→server),
-//   - a small-int SNI reference column pointing into a side table of the few
-//     distinct SNI strings (SNIs are interned once per trace, not copied per
-//     packet),
+//   - an int64 timestamp column (microseconds: a pcap's 32-bit seconds times
+//     10^6 does not fit in 32 bits),
+//   - a uint32 payload column (a pcap's `orig_len` is 32 bits; `Build`
+//     refuses a record whose payload is negative or wider),
+//   - a uint32 TCP sequence column (the TCP header's field is 32 bits; a
+//     wider record value is cut to its low 32 bits, as the pcap writer does),
+//   - a uint8 flags column: kFromClient (client→server) and kCarriesSni,
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span) built in the same pass.
+//     total, column span) built in the same pass. The flow's first SNI is the
+//     only SNI string any stage reads, so no per-packet string is kept.
 //
-// 29 bytes per packet. Wire size, TCP ack and QUIC packet number stay in the
-// records: no stage reads them.
+// 17 bytes per packet (8 + 4 + 4 + 1). Wire size, TCP ack and QUIC packet
+// number stay in the records: no stage reads them. Because every column is as
+// wide as its pcap field, `Build` of a trace gives the same columns as `Build`
+// of that trace written to a pcap and read back.
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
 // `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
@@ -43,7 +48,11 @@ namespace csi::capture {
 
 // Reported by csi_build_info (see src/common/build_info.cc, which duplicates
 // the literal to keep csi_common independent of csi_capture).
-inline constexpr char kPacketLayoutVersion[] = "soa-v2";
+inline constexpr char kPacketLayoutVersion[] = "soa-v3";
+
+// Bits of the flags column.
+inline constexpr uint8_t kFromClient = 1;  // the packet goes client→server
+inline constexpr uint8_t kCarriesSni = 2;  // the packet carries an SNI
 
 class PacketColumns;
 
@@ -59,10 +68,9 @@ struct FlowView {
   bool empty() const { return begin == end; }
 
   inline const int64_t* timestamps() const;
-  inline const int64_t* payloads() const;
-  inline const uint64_t* tcp_seqs() const;
-  inline const uint8_t* from_client() const;
-  inline bool has_sni(size_t i) const;  // i is view-relative
+  inline const uint32_t* payloads() const;
+  inline const uint32_t* tcp_seqs() const;
+  inline const uint8_t* flags() const;
   inline const FlowKey& key() const;
   inline const std::string& sni() const;  // first non-empty SNI of the flow
 };
@@ -72,27 +80,24 @@ class PacketColumns {
   // Transposes `trace` into columns in one pass over the records: it writes
   // every column in capture order while assigning flow ids in
   // first-appearance order. Only when the capture is not flow-contiguous
-  // (flow-id run count != flow count) are the columns then scattered into
-  // flow-major order, one column at a time. Timed under the `column_build`
-  // stage span.
+  // (more capture-order runs of one flow than flows) are the columns then
+  // moved into flow-major order, run by run. Throws std::invalid_argument
+  // for a record whose payload is negative or above UINT32_MAX (a pcap
+  // cannot hold one). Timed under the `column_build` stage span.
   static PacketColumns Build(const CaptureTrace& trace);
 
   size_t packet_count() const { return ts_.size(); }
   size_t flow_count() const { return flow_keys_.size(); }
 
+  // Bytes the columns and the per-flow side tables hold: capacity() times
+  // element size, summed.
+  size_t held_bytes() const;
+
   // Flow-major columns (size packet_count()).
   const int64_t* timestamps() const { return ts_.data(); }
-  const int64_t* payloads() const { return payload_.data(); }
-  const uint64_t* tcp_seqs() const { return seq_.data(); }
-  const uint8_t* from_client() const { return dir_.data(); }
-
-  // SNI reference column: -1 for no SNI, else an index into sni_table().
-  const int32_t* sni_refs() const { return sni_ref_.data(); }
-  const std::vector<std::string>& sni_table() const { return sni_table_; }
-  // The SNI carried by flow-major slot `i` ("" when none).
-  const std::string& sni_at(size_t i) const {
-    return sni_ref_[i] < 0 ? empty_sni_ : sni_table_[sni_ref_[i]];
-  }
+  const uint32_t* payloads() const { return payload_.data(); }
+  const uint32_t* tcp_seqs() const { return seq_.data(); }
+  const uint8_t* flags() const { return flags_.data(); }
 
   // Per-flow side tables (size flow_count(); ids are first-appearance order).
   const FlowKey& flow_key(uint32_t flow) const { return flow_keys_[flow]; }
@@ -108,35 +113,27 @@ class PacketColumns {
 
  private:
   std::vector<int64_t> ts_;
-  std::vector<int64_t> payload_;
-  std::vector<uint64_t> seq_;
-  std::vector<uint8_t> dir_;
-  std::vector<int32_t> sni_ref_;
+  std::vector<uint32_t> payload_;
+  std::vector<uint32_t> seq_;
+  std::vector<uint8_t> flags_;
 
   std::vector<FlowKey> flow_keys_;
   std::vector<std::string> flow_snis_;
   std::vector<int64_t> flow_downlink_;
   std::vector<size_t> flow_begin_;  // size flow_count() + 1
-
-  std::vector<std::string> sni_table_;
-
-  static const std::string empty_sni_;
 };
 
 inline const int64_t* FlowView::timestamps() const {
   return columns->timestamps() + begin;
 }
-inline const int64_t* FlowView::payloads() const {
+inline const uint32_t* FlowView::payloads() const {
   return columns->payloads() + begin;
 }
-inline const uint64_t* FlowView::tcp_seqs() const {
+inline const uint32_t* FlowView::tcp_seqs() const {
   return columns->tcp_seqs() + begin;
 }
-inline const uint8_t* FlowView::from_client() const {
-  return columns->from_client() + begin;
-}
-inline bool FlowView::has_sni(size_t i) const {
-  return columns->sni_refs()[begin + i] >= 0;
+inline const uint8_t* FlowView::flags() const {
+  return columns->flags() + begin;
 }
 inline const FlowKey& FlowView::key() const { return columns->flow_key(flow); }
 inline const std::string& FlowView::sni() const {

@@ -59,14 +59,14 @@ TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns) {
                  static_cast<uint64_t>(static_cast<uint8_t>(key.transport)));
     mixer.Absorb((static_cast<uint64_t>(key.client_ip) << 32) |
                  static_cast<uint64_t>(key.server_ip));
+    mixer.AbsorbString(columns.flow_sni(f));
     const capture::FlowView view = columns.flow(f);
     mixer.Absorb(static_cast<uint64_t>(view.size()));
     for (size_t i = view.begin; i < view.end; ++i) {
       mixer.Absorb(static_cast<uint64_t>(columns.timestamps()[i]));
-      mixer.Absorb(columns.from_client()[i]);
-      mixer.Absorb(static_cast<uint64_t>(columns.payloads()[i]));
+      mixer.Absorb(columns.flags()[i]);
+      mixer.Absorb(columns.payloads()[i]);
       mixer.Absorb(columns.tcp_seqs()[i]);
-      mixer.AbsorbString(columns.sni_at(i));
     }
   }
   return TraceFingerprint{mixer.lo, mixer.hi};

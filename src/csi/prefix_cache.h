@@ -14,12 +14,13 @@
 //   (128-bit trace fingerprint, interned classifier/splitter context)
 //
 // to the immutable `AnalysisPrefix` the per-packet stages produce. The
-// fingerprint hashes every field the PacketColumns hold (addressing, timing,
-// direction, payload size, TCP sequence number, SNI) flow by flow, so two
-// captures share an entry exactly when their PacketColumns — the inference
-// input — are identical. Captures that differ only in fields the columns do
-// not hold (wire size, TCP ack, QUIC packet number) share an entry, and the
-// same analysis result. The context interns the knobs the prefix stages
+// fingerprint hashes every field the PacketColumns hold (addressing, each
+// flow's first SNI, timing, the direction and carries-SNI flags, payload
+// size, TCP sequence number) flow by flow, so two captures share an entry
+// exactly when their PacketColumns — the inference input — are identical.
+// Captures that differ only in what the columns do not hold (wire size, TCP
+// ack, QUIC packet number, an SNI string other than its flow's first) share
+// an entry, and the same analysis result. The context interns the knobs the prefix stages
 // read (design, host suffix, splitter thresholds) with full structural
 // equality, never a lossy hash.
 //
@@ -67,8 +68,8 @@ struct TraceFingerprint {
 };
 
 // One sequential sweep: packet count, flow count, then every flow in id order
-// — its key, its packet count and each of its packets' column values, SNI
-// included.
+// — its key, its first SNI, its packet count and each of its packets' column
+// values.
 // Equal digests therefore mean equal PacketColumns as analysis reads them;
 // captures that differ only in how their flows interleave share a digest
 // (and an analysis result).

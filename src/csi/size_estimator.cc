@@ -22,7 +22,7 @@ constexpr TimeUs kRequestMergeGap = 25 * kUsPerMs;
 class SeenSequences {
  public:
   // True the first time `seq` is offered.
-  bool Insert(uint64_t seq) {
+  bool Insert(uint32_t seq) {
     if (ascending_.empty() || seq > ascending_.back()) {
       ascending_.push_back(seq);
       return true;
@@ -34,8 +34,8 @@ class SeenSequences {
   }
 
  private:
-  std::vector<uint64_t> ascending_;  // strictly increasing
-  std::unordered_set<uint64_t> out_of_order_;
+  std::vector<uint32_t> ascending_;  // strictly increasing
+  std::unordered_set<uint32_t> out_of_order_;
 };
 
 }  // namespace
@@ -44,13 +44,13 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
                                             bool quic) {
   const size_t n = flow.size();
   const int64_t* ts = flow.timestamps();
-  const int64_t* payload = flow.payloads();
-  const uint8_t* dir = flow.from_client();
+  const uint32_t* payload = flow.payloads();
+  const uint8_t* flags = flow.flags();
   std::vector<DetectedRequest> requests;
   if (quic) {
     for (size_t i = 0; i < n; ++i) {
-      if (dir[i] != 0 && payload[i] >= kQuicRequestThreshold) {
-        requests.push_back(DetectedRequest{ts[i], flow.has_sni(i)});
+      if ((flags[i] & capture::kFromClient) != 0 && payload[i] >= kQuicRequestThreshold) {
+        requests.push_back(DetectedRequest{ts[i], (flags[i] & capture::kCarriesSni) != 0});
       }
     }
     return requests;
@@ -58,33 +58,30 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
   // HTTPS: a stateful walk over the uplink data packets that drops
   // retransmissions (duplicate sequence numbers) and merges segments of one
   // multi-segment request message (contiguous in sequence and
-  // near-simultaneous). Sequence numbers are 32 bits on the wire, so
-  // contiguity is tested modulo 2^32: a message may straddle the wrap.
-  const uint64_t* seq = flow.tcp_seqs();
+  // near-simultaneous). Sequence numbers are 32 bits, so the end of a
+  // segment wraps modulo 2^32: a message may straddle the wrap.
+  const uint32_t* seq = flow.tcp_seqs();
   SeenSequences seen;
   uint32_t last_end_seq = 0;
   TimeUs last_time = -kUsPerSec;
   bool have_last = false;
   for (size_t i = 0; i < n; ++i) {
-    if (dir[i] == 0 || payload[i] <= 0) {
+    if ((flags[i] & capture::kFromClient) == 0 || payload[i] == 0) {
       continue;
     }
     if (!seen.Insert(seq[i])) {
       continue;  // retransmission
     }
-    const bool contiguous = have_last && static_cast<uint32_t>(seq[i]) == last_end_seq;
+    const bool carries_sni = (flags[i] & capture::kCarriesSni) != 0;
+    const bool contiguous = have_last && seq[i] == last_end_seq;
     const bool near = ts[i] - last_time <= kRequestMergeGap;
+    last_end_seq = seq[i] + payload[i];
+    last_time = ts[i];
     if (contiguous && near) {
-      last_end_seq = static_cast<uint32_t>(seq[i] + static_cast<uint64_t>(payload[i]));
-      last_time = ts[i];
-      if (flow.has_sni(i)) {
-        requests.back().carries_sni = true;
-      }
+      requests.back().carries_sni |= carries_sni;
       continue;
     }
-    requests.push_back(DetectedRequest{ts[i], flow.has_sni(i)});
-    last_end_seq = static_cast<uint32_t>(seq[i] + static_cast<uint64_t>(payload[i]));
-    last_time = ts[i];
+    requests.push_back(DetectedRequest{ts[i], carries_sni});
     have_last = true;
   }
   return requests;
@@ -93,20 +90,21 @@ std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
 CountedDownlink::CountedDownlink(const capture::FlowView& flow, bool quic) {
   const size_t n = flow.size();
   const int64_t* ts = flow.timestamps();
-  const int64_t* payload = flow.payloads();
-  const uint8_t* dir = flow.from_client();
-  const uint64_t* seq = flow.tcp_seqs();
+  const uint32_t* payload = flow.payloads();
+  const uint8_t* flags = flow.flags();
+  const uint32_t* seq = flow.tcp_seqs();
   // Retransmissions are removed in capture order (§3.2).
   SeenSequences seen;
   std::vector<std::pair<TimeUs, Bytes>> counted;
   for (size_t i = 0; i < n; ++i) {
-    if (dir[i] != 0 || payload[i] <= 0) {
+    if ((flags[i] & capture::kFromClient) != 0 || payload[i] == 0) {
       continue;
     }
+    const Bytes bytes = payload[i];
     if (quic) {
-      counted.emplace_back(ts[i], std::max<Bytes>(payload[i] - net::kQuicHeaderBytes, 0));
+      counted.emplace_back(ts[i], std::max<Bytes>(bytes - net::kQuicHeaderBytes, 0));
     } else if (seen.Insert(seq[i])) {
-      counted.emplace_back(ts[i], payload[i]);
+      counted.emplace_back(ts[i], bytes);
     }
   }
   auto by_time = [](const auto& a, const auto& b) { return a.first < b.first; };

@@ -97,15 +97,15 @@ std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
                                           const SplitterConfig& config) {
   const size_t n = flow.size();
   const int64_t* ts = flow.timestamps();
-  const int64_t* payload = flow.payloads();
-  const uint8_t* dir = flow.from_client();
+  const uint32_t* payload = flow.payloads();
+  const uint8_t* flags = flow.flags();
 
   // Downlink data packets (payload beyond the QUIC public header), sorted
   // because SplitCore binary-searches them and a capture may step back in
   // time.
   std::vector<TimeUs> downlink_times;
   for (size_t i = 0; i < n; ++i) {
-    if (dir[i] == 0 && payload[i] > net::kQuicHeaderBytes) {
+    if ((flags[i] & capture::kFromClient) == 0 && payload[i] > net::kQuicHeaderBytes) {
       downlink_times.push_back(ts[i]);
     }
   }

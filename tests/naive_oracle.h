@@ -9,7 +9,7 @@
 //     5-tuple, in first-appearance order) and only then filtered by the SNI /
 //     server-IP rule;
 //   - HTTPS retransmissions are found with a std::set of seen sequence
-//     numbers;
+//     numbers, taken modulo 2^32 as the TCP header carries them;
 //   - every exchange and every window rescans the whole flow, so size
 //     estimation is O(requests × packets) and needs no sorted timestamps;
 //   - SP1/SP2 splitting hands oracle requests, sorted downlink times and
@@ -24,6 +24,7 @@
 #define CSI_TESTS_NAIVE_ORACLE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <set>
 #include <string>
@@ -104,12 +105,13 @@ inline std::vector<infer::DetectedRequest> DetectRequests(
     }
     return requests;
   }
-  std::set<uint64_t> seen;
+  std::set<uint32_t> seen;
   bool have_last = false;
   uint32_t last_end_seq = 0;  // wire sequence numbers wrap at 2^32
   TimeUs last_time = 0;
   for (const capture::PacketRecord& p : flow) {
-    if (!p.from_client || p.payload <= 0 || !seen.insert(p.tcp_seq).second) {
+    if (!p.from_client || p.payload <= 0 ||
+        !seen.insert(static_cast<uint32_t>(p.tcp_seq)).second) {
       continue;
     }
     const bool continuation = have_last && static_cast<uint32_t>(p.tcp_seq) == last_end_seq &&
@@ -131,11 +133,11 @@ inline std::vector<infer::DetectedRequest> DetectRequests(
 inline std::vector<bool> CountedDownlink(const std::vector<capture::PacketRecord>& flow,
                                          bool quic) {
   std::vector<bool> counted(flow.size(), false);
-  std::set<uint64_t> seen;
+  std::set<uint32_t> seen;
   for (size_t i = 0; i < flow.size(); ++i) {
     const capture::PacketRecord& p = flow[i];
     if (!p.from_client && p.payload > 0) {
-      counted[i] = quic || seen.insert(p.tcp_seq).second;
+      counted[i] = quic || seen.insert(static_cast<uint32_t>(p.tcp_seq)).second;
     }
   }
   return counted;
@@ -247,10 +249,11 @@ inline void ExpectColumnarMatchesOracle(const capture::CaptureTrace& trace,
     for (size_t i = 0; i < view.size(); ++i) {
       const capture::PacketRecord& p = packets[i];
       EXPECT_EQ(view.timestamps()[i], p.timestamp);
-      EXPECT_EQ(view.payloads()[i], p.payload);
-      EXPECT_EQ(view.tcp_seqs()[i], p.tcp_seq);
-      EXPECT_EQ(view.from_client()[i] != 0, p.from_client);
-      EXPECT_EQ(columns.sni_at(view.begin + i), p.sni);
+      EXPECT_EQ(static_cast<Bytes>(view.payloads()[i]), p.payload);
+      EXPECT_EQ(view.tcp_seqs()[i], static_cast<uint32_t>(p.tcp_seq));
+      EXPECT_EQ((view.flags()[i] & capture::kFromClient) != 0, p.from_client);
+      EXPECT_EQ((view.flags()[i] & capture::kCarriesSni) != 0, !p.sni.empty());
+      EXPECT_EQ(view.flags()[i] & ~(capture::kFromClient | capture::kCarriesSni), 0);
     }
 
     // Fixed windows plus windows at the flow's quartiles.

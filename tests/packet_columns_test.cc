@@ -16,16 +16,24 @@
 //      step below the running maximum, arrive out of order and are then
 //      retransmitted, wrap at 2^32, repeat on every packet, or never carry
 //      data, alone and interleaved, against the oracle's std::set dedupe.
+//   4. Pcap width: every column is as wide as its pcap field, so Build of a
+//      trace equals Build of the same trace after a pcap round trip, column
+//      by column (random traces whose 64-bit sequence numbers cross 2^32, and
+//      60-s CH and SQ sessions, whose analyses must match too), and Build
+//      refuses a payload a pcap cannot carry.
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/capture/packet_columns.h"
+#include "src/capture/pcap_io.h"
 #include "src/common/rng.h"
+#include "tests/inference_digest.h"
 #include "tests/naive_oracle.h"
 
 namespace csi::capture {
@@ -113,10 +121,9 @@ TEST(PacketColumns, SingleFlowIsIdentityPermutation) {
   EXPECT_EQ(columns.flow_end(0), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(columns.timestamps()[i], trace[i].timestamp);
-    EXPECT_EQ(columns.payloads()[i], trace[i].payload);
-    EXPECT_EQ(columns.tcp_seqs()[i], trace[i].tcp_seq);
-    EXPECT_EQ(columns.from_client()[i] != 0, trace[i].from_client);
-    EXPECT_EQ(columns.sni_at(i), trace[i].sni);
+    EXPECT_EQ(static_cast<Bytes>(columns.payloads()[i]), trace[i].payload);
+    EXPECT_EQ(columns.tcp_seqs()[i], static_cast<uint32_t>(trace[i].tcp_seq));
+    EXPECT_EQ(columns.flags()[i], trace[i].from_client ? kFromClient : 0);
   }
 }
 
@@ -146,18 +153,37 @@ TEST(PacketColumns, SniOnNonFirstPacket) {
   const PacketColumns columns = PacketColumns::Build(trace);
   ASSERT_EQ(columns.flow_count(), 1u);
   EXPECT_EQ(columns.flow_sni(0), "late.example");
-  EXPECT_EQ(columns.sni_at(0), "");
-  EXPECT_EQ(columns.sni_at(1), "late.example");
+  EXPECT_EQ(columns.flags()[0], kFromClient);
+  EXPECT_EQ(columns.flags()[1], kFromClient | kCarriesSni);
+  EXPECT_EQ(columns.flags()[2], 0);
   ExpectMatchesOracle(trace);
 }
 
-TEST(PacketColumns, SniInternedOncePerDistinctName) {
+// 17 bytes per packet (timestamp 8, payload 4, sequence 4, flags 1), plus one
+// entry per flow in each side table and the end of the last span.
+TEST(PacketColumns, HeldBytesAreSeventeenPerPacketPlusFlowTables) {
   CaptureTrace trace;
-  trace.push_back(MakePacket(10, 40000, true, 100, net::Transport::kUdp, "x.example"));
-  trace.push_back(MakePacket(20, 40001, true, 100, net::Transport::kUdp, "x.example"));
-  trace.push_back(MakePacket(30, 40002, true, 100, net::Transport::kUdp, "y.example"));
+  for (int i = 0; i < 1000; ++i) {
+    trace.push_back(MakePacket(i * 1000, 40000, i % 3 == 0, 100 + i));
+  }
   const PacketColumns columns = PacketColumns::Build(trace);
-  EXPECT_EQ(columns.sni_table().size(), 2u);
+  EXPECT_EQ(columns.held_bytes(), 17 * trace.size() + sizeof(FlowKey) + sizeof(std::string) +
+                                      sizeof(int64_t) + 2 * sizeof(size_t));
+  EXPECT_EQ(PacketColumns::Build({}).held_bytes(), sizeof(size_t));
+}
+
+// A pcap's orig_len is 32 bits: a payload it cannot carry is refused, the
+// widest one it can is kept.
+TEST(PacketColumns, PayloadOutsideThirtyTwoBitsThrows) {
+  for (const Bytes payload : {Bytes{-1}, Bytes{1} << 32}) {
+    SCOPED_TRACE(payload);
+    CaptureTrace trace{MakePacket(10, 40000, false, 100), MakePacket(20, 40000, false, payload)};
+    EXPECT_THROW(PacketColumns::Build(trace), std::invalid_argument);
+  }
+  const CaptureTrace widest{MakePacket(10, 40000, false, (Bytes{1} << 32) - 1)};
+  const PacketColumns columns = PacketColumns::Build(widest);
+  EXPECT_EQ(columns.payloads()[0], UINT32_MAX);
+  EXPECT_EQ(columns.flow_downlink_bytes(0), (Bytes{1} << 32) - 1);
 }
 
 // True when some flow's packets are not contiguous in capture order, so
@@ -332,6 +358,112 @@ TEST(PacketColumns, TcpEdgeFlowsInterleaved) {
                    });
   ASSERT_TRUE(FlowsInterleave(trace));
   ExpectMatchesOracle(trace);
+}
+
+// ---- Pcap width --------------------------------------------------------------
+
+constexpr uint64_t kSeqWrap = uint64_t{1} << 32;
+
+// A random capture that SerializePcap can express exactly: server port 443,
+// SNIs only on client packets with room for the SNI, no sequence number on
+// UDP. Each TCP flow's 64-bit sequence numbers start just below a multiple of
+// 2^32 and climb past it, with retransmissions now and then.
+CaptureTrace WritableTrace(Rng* rng, int packets) {
+  CaptureTrace trace;
+  const int flows = static_cast<int>(rng->UniformInt(1, 5));
+  std::vector<uint64_t> next_seq;
+  for (int f = 0; f < flows; ++f) {
+    next_seq.push_back(kSeqWrap * static_cast<uint64_t>(rng->UniformInt(1, 3)) -
+                       static_cast<uint64_t>(rng->UniformInt(0, 30000)));
+  }
+  TimeUs now = 0;
+  for (int i = 0; i < packets; ++i) {
+    now += rng->UniformInt(0, 30 * kUsPerMs);
+    const int f = static_cast<int>(rng->UniformInt(0, flows - 1));
+    PacketRecord r;
+    r.timestamp = now;
+    r.from_client = rng->Chance(0.3);
+    r.transport = (f % 2 == 0) ? net::Transport::kTcp : net::Transport::kUdp;
+    r.client_ip = 0x0a000001;
+    r.server_ip = 0xc0a80001 + static_cast<uint32_t>(f);
+    r.client_port = static_cast<uint16_t>(40000 + f);
+    r.server_port = 443;
+    r.payload = rng->Chance(0.15) ? 0 : rng->UniformInt(1, 1500);
+    r.wire_size = r.payload + 40;
+    if (r.transport == net::Transport::kTcp) {
+      uint64_t& seq = next_seq[static_cast<size_t>(f)];
+      r.tcp_seq = rng->Chance(0.1) && seq > 1400 ? seq - 1400 : seq;
+      seq = std::max(seq, r.tcp_seq + static_cast<uint64_t>(r.payload));
+      r.tcp_ack = rng->NextU64();
+    }
+    r.quic_packet_number = static_cast<uint64_t>(i);
+    if (r.from_client && r.payload >= 64 && rng->Chance(0.1)) {
+      r.sni = "s" + std::to_string(rng->UniformInt(0, 3)) + ".cdn.example";
+    }
+    trace.push_back(std::move(r));
+  }
+  return trace;
+}
+
+// Every column, every flow table entry.
+void ExpectSameColumns(const PacketColumns& want, const PacketColumns& got) {
+  ASSERT_EQ(got.packet_count(), want.packet_count());
+  ASSERT_EQ(got.flow_count(), want.flow_count());
+  for (uint32_t f = 0; f < want.flow_count(); ++f) {
+    EXPECT_EQ(got.flow_key(f), want.flow_key(f)) << "flow " << f;
+    EXPECT_EQ(got.flow_sni(f), want.flow_sni(f)) << "flow " << f;
+    EXPECT_EQ(got.flow_downlink_bytes(f), want.flow_downlink_bytes(f)) << "flow " << f;
+    EXPECT_EQ(got.flow_begin(f), want.flow_begin(f)) << "flow " << f;
+    EXPECT_EQ(got.flow_end(f), want.flow_end(f)) << "flow " << f;
+  }
+  const size_t n = want.packet_count();
+  EXPECT_TRUE(std::equal(want.timestamps(), want.timestamps() + n, got.timestamps()));
+  EXPECT_TRUE(std::equal(want.payloads(), want.payloads() + n, got.payloads()));
+  EXPECT_TRUE(std::equal(want.tcp_seqs(), want.tcp_seqs() + n, got.tcp_seqs()));
+  EXPECT_TRUE(std::equal(want.flags(), want.flags() + n, got.flags()));
+}
+
+PacketColumns RoundTripColumns(const CaptureTrace& trace) {
+  return PacketColumns::Build(ParsePcap(SerializePcap(trace)));
+}
+
+TEST(PacketColumnsPcapWidth, RandomTracesSurviveAPcapRoundTrip) {
+  int crossed = 0;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    Rng rng(7100 + seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const CaptureTrace trace = WritableTrace(&rng, static_cast<int>(rng.UniformInt(0, 300)));
+    for (const PacketRecord& r : trace) {
+      if (r.tcp_seq % kSeqWrap < 30000 && r.tcp_seq >= kSeqWrap) {
+        ++crossed;
+        break;
+      }
+    }
+    ExpectSameColumns(PacketColumns::Build(trace), RoundTripColumns(trace));
+    ExpectMatchesOracle(trace);
+  }
+  // Most traces carry TCP sequence numbers past a multiple of 2^32.
+  EXPECT_GT(crossed, 15);
+}
+
+TEST(PacketColumnsPcapWidth, SessionsSurviveAPcapRoundTripWithTheSameAnalysis) {
+  for (const infer::DesignType design : {infer::DesignType::kCH, infer::DesignType::kSQ}) {
+    SCOPED_TRACE(infer::DesignTypeName(design));
+    const media::Manifest manifest = testbed::MakeAssetForDesign(design, 1, 60 * kUsPerSec);
+    const CaptureTrace session =
+        testutil::MakeBatch(manifest, design, 1, 60 * kUsPerSec).front();
+    const PacketColumns columns = PacketColumns::Build(session);
+    const PacketColumns round_trip = RoundTripColumns(session);
+    ExpectSameColumns(columns, round_trip);
+
+    infer::InferenceConfig config;
+    config.design = design;
+    const infer::InferenceEngine engine(&manifest, config);
+    const infer::InferenceResult result = engine.Analyze(columns);
+    ASSERT_FALSE(result.sequences.empty());
+    EXPECT_EQ(testutil::DigestResults({engine.Analyze(round_trip)}),
+              testutil::DigestResults({result}));
+  }
 }
 
 }  // namespace

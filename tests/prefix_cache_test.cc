@@ -139,6 +139,44 @@ TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
   }
 }
 
+// Analysis reads one SNI string per flow, the first; a later packet only
+// says that it carries an SNI. Which string that later packet carries changes
+// neither the fingerprint nor the result.
+TEST(TraceFingerprint, SniStringsAfterTheFlowsFirstLeaveItAndTheResultAlone) {
+  const media::Manifest manifest =
+      testbed::MakeAssetForDesign(DesignType::kCH, 1, 60 * kUsPerSec);
+  const capture::CaptureTrace session =
+      MakeBatch(manifest, DesignType::kCH, 1, 60 * kUsPerSec).front();
+  // A client data packet well after the flow's ClientHello.
+  size_t late = session.size() / 2;
+  while (late < session.size() && (!session[late].from_client || session[late].payload == 0)) {
+    ++late;
+  }
+  ASSERT_LT(late, session.size());
+  ASSERT_TRUE(session[late].sni.empty());
+  const auto with_late_sni = [&](const std::string& sni) {
+    capture::CaptureTrace t = session;
+    t[late].sni = sni;
+    return t;
+  };
+  const capture::CaptureTrace a = with_late_sni("first.example");
+  const capture::CaptureTrace b = with_late_sni("second.example");
+  const capture::PacketColumns columns = capture::PacketColumns::Build(a);
+  ASSERT_EQ(columns.flow_count(), 1u);
+  ASSERT_FALSE(columns.flow_sni(0).empty());
+  ASSERT_NE(columns.flow_sni(0), "first.example");
+  EXPECT_EQ(Fingerprint(b), FingerprintColumns(columns));
+  // Whether the packet carries an SNI at all still counts.
+  EXPECT_NE(Fingerprint(session), FingerprintColumns(columns));
+
+  InferenceConfig config;
+  config.design = DesignType::kCH;
+  const InferenceEngine engine(&manifest, config);
+  const InferenceResult result = engine.Analyze(columns);
+  ASSERT_FALSE(result.sequences.empty());
+  EXPECT_EQ(DigestResults({engine.Analyze(b)}), DigestResults({result}));
+}
+
 TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
   // 500 random traces; a collision needs both independent 64-bit mixes to
   // collide at once, so any duplicate here is a real mixing bug.

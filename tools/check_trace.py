@@ -40,7 +40,9 @@ Optionally validates one or more --metrics JSON exports (csi_batch
 --metrics-out --metrics-format json). Per file, the counters of each cache
 tier (prefix, result, candidate) must be internally consistent (lookups ==
 hits + misses, inserts + refused <= misses, evictions <= inserts,
-invalidations <= misses). Across files given in order, every
+invalidations <= misses), and the csi_capture_columns_bytes gauge (the
+bytes the tool's held capture columns take) must be present and
+non-negative. Across files given in order, every
 csi_{prefix,result,candidate}_cache_*_total counter must be monotonically
 non-decreasing — the order should match the order the exports were produced
 in.
@@ -302,24 +304,38 @@ def check_cache_counters(path, counters, tier):
         fail(f"{path}: {tier}-cache invalidations ({invalidations}) > misses ({misses})")
 
 
-def load_counters(path):
+def load_values(path, kind):
+    """The {name: value} entries of the export's `kind` list (counters or gauges)."""
     with open(path, encoding="utf-8") as fp:
         doc = json.load(fp)
-    if not isinstance(doc, dict) or "counters" not in doc:
-        fail(f"{path}: metrics export must be an object with a counters list")
-    counters = {}
-    for c in doc["counters"]:
+    if not isinstance(doc, dict) or not isinstance(doc.get(kind), list):
+        fail(f"{path}: metrics export must be an object with a {kind} list")
+    values = {}
+    for c in doc[kind]:
         if not isinstance(c, dict) or "name" not in c or "value" not in c:
-            fail(f"{path}: malformed counter entry {c!r}")
-        counters[c["name"]] = c["value"]
-    return counters
+            fail(f"{path}: malformed {kind} entry {c!r}")
+        values[c["name"]] = c["value"]
+    return values
+
+
+COLUMNS_GAUGE = "csi_capture_columns_bytes"
+
+
+def check_columns_gauge(path):
+    gauges = load_values(path, "gauges")
+    if COLUMNS_GAUGE not in gauges:
+        fail(f"{path}: gauge {COLUMNS_GAUGE} is missing")
+    value = gauges[COLUMNS_GAUGE]
+    if not isinstance(value, (int, float)) or value < 0:
+        fail(f"{path}: gauge {COLUMNS_GAUGE} is {value!r}, not a non-negative number")
 
 
 def check_metrics(paths):
     previous = None
     prev_path = None
     for path in paths:
-        counters = load_counters(path)
+        counters = load_values(path, "counters")
+        check_columns_gauge(path)
         check_cache_counters(path, counters, "prefix")
         check_cache_counters(path, counters, "result")
         check_cache_counters(path, counters, "candidate")

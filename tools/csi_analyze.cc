@@ -19,6 +19,7 @@
 #include "src/capture/packet_columns.h"
 #include "src/capture/pcap_io.h"
 #include "src/common/table.h"
+#include "src/common/telemetry.h"
 #include "src/common/tracing.h"
 #include "src/csi/candidate_cache.h"
 #include "src/csi/inference.h"
@@ -89,6 +90,7 @@ int Run(int argc, char** argv) {
   // records are dropped before the engine runs.
   const capture::PacketColumns columns =
       capture::PacketColumns::Build(capture::ReadPcap(pcap_path));
+  CSI_GAUGE_SET("csi_capture_columns_bytes", columns.held_bytes());
   std::printf("loaded %zu packets, manifest %s: %d video tracks x %d chunks%s\n",
               columns.packet_count(), manifest.asset_id.c_str(),
               manifest.num_video_tracks(), manifest.num_positions(),

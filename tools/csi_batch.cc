@@ -11,8 +11,9 @@
 //
 // The deployment workload (paper §6.2.3 scaled up): a directory of per-device
 // captures of the same service, analyzed over one shared chunk database.
-// Prints per-trace summaries plus batch throughput in sessions/sec, both for
-// analysis alone and end to end with the pcap ingest, and can dump a
+// Prints per-trace summaries, the bytes the held capture columns take, plus
+// batch throughput in sessions/sec, both for analysis alone and end to end
+// with the pcap ingest, and can dump a
 // pipeline-telemetry snapshot (stage latencies, cache hit rates,
 // thread-pool stats) next to the results.
 //
@@ -200,6 +201,7 @@ int Run(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> failures;
   columns.reserve(pcap_paths.size());
   size_t total_packets = 0;
+  size_t columns_bytes = 0;
   const auto ingest_start = std::chrono::steady_clock::now();
   for (const std::string& path : pcap_paths) {
     try {
@@ -211,13 +213,20 @@ int Run(int argc, char** argv) {
     }
     loaded_paths.push_back(path);
     total_packets += columns.back().packet_count();
+    columns_bytes += columns.back().held_bytes();
   }
+  CSI_GAUGE_SET("csi_capture_columns_bytes", columns_bytes);
   const double ingest_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - ingest_start).count();
   std::printf("loaded %zu trace(s), %zu packets total in %.3f s; manifest %s: %d tracks x "
               "%d chunks\n",
               columns.size(), total_packets, ingest_s, manifest.asset_id.c_str(),
               manifest.num_video_tracks(), manifest.num_positions());
+  std::printf("columns held: %.1f MiB (%zu packets, %.1f B/packet)\n",
+              static_cast<double>(columns_bytes) / (1024.0 * 1024.0), total_packets,
+              total_packets > 0
+                  ? static_cast<double>(columns_bytes) / static_cast<double>(total_packets)
+                  : 0.0);
   for (const auto& [path, what] : failures) {
     std::fprintf(stderr, "warning: skipped %s: %s\n", path.c_str(), what.c_str());
   }
