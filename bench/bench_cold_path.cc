@@ -1,11 +1,16 @@
 // Cold-path microbenchmarks over the columnar capture layout.
 //
-// BM_ReadPcap / BM_ColumnBuild time ingest the way csibench pays it: one
-// 10-min CH capture read from a file, then transposed to columns, each with
-// its minor page faults per iteration. A csibench batch holds every capture's
-// columns until the batch ends, so BM_ColumnBuild keeps its last
-// kHeldColumns builds alive too: each Build writes into pages no earlier
-// build freed, and `minor_faults` counts the pages the columns take.
+// BM_ReadPcap / BM_ColumnBuild time ingest the way csibench pays it, each
+// with its minor page faults per iteration. A csibench batch holds every
+// capture's columns until the batch ends, so both keep their last
+// kHeldColumns builds alive. BM_ReadPcap reads a file, builds its columns and
+// drops the packet records, alternating two 10-min CH captures built as
+// csibench builds its sessions, one of them 441,863 packets long: its record
+// block must fit under glibc's 32 MiB mmap threshold to reuse the heap pages
+// the previous capture freed, or every read faults in fresh pages.
+// BM_ColumnBuild transposes one 10-min CH capture's records over and over:
+// each Build writes into pages no earlier build freed, and `minor_faults`
+// counts the pages the columns take.
 //
 // BM_ChColdBatch / BM_SqColdBatch are the headline numbers: a cache-disabled
 // batch (every trace pays the full per-packet pipeline) over pre-built
@@ -22,11 +27,13 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/capture/packet_columns.h"
@@ -101,31 +108,58 @@ capture::FlowView DominantFlowView(const Workload& w) {
 
 // --- Ingest -----------------------------------------------------------------
 
-// One 10-min CH capture (the length csibench reads) written to a temp file
-// once per process and removed at exit.
+// A capture written to a temp file once per process and removed at exit.
 struct TempPcap {
+  TempPcap(const std::string& name, const capture::CaptureTrace& trace)
+      : path(std::filesystem::temp_directory_path() / name) {
+    capture::WritePcap(path, trace);
+    bytes = static_cast<int64_t>(std::filesystem::file_size(path));
+  }
+  TempPcap(const TempPcap&) = delete;
+  TempPcap& operator=(const TempPcap&) = delete;
+  ~TempPcap() { std::remove(path.c_str()); }
+
   std::string path;
   int64_t bytes = 0;
-  ~TempPcap() { std::remove(path.c_str()); }
 };
 
+// A 10-min CH session (the length csibench reads) over `downlink`.
+capture::CaptureTrace TenMinuteChSession(nettrace::BandwidthTrace downlink, uint64_t seed) {
+  static const media::Manifest manifest =
+      testbed::MakeAssetForDesign(infer::DesignType::kCH, 1, 600 * kUsPerSec);
+  testbed::SessionConfig session;
+  session.design = infer::DesignType::kCH;
+  session.manifest = &manifest;
+  session.downlink = std::move(downlink);
+  session.duration = 600 * kUsPerSec;
+  session.seed = seed;
+  return testbed::RunStreamingSession(session).capture;
+}
+
 const TempPcap& TenMinuteChPcap() {
-  static const TempPcap pcap = [] {
-    const media::Manifest manifest =
-        testbed::MakeAssetForDesign(infer::DesignType::kCH, 1, 600 * kUsPerSec);
-    testbed::SessionConfig session;
-    session.design = infer::DesignType::kCH;
-    session.manifest = &manifest;
-    session.downlink = nettrace::StableTrace("s", 6 * kMbps);
-    session.duration = 600 * kUsPerSec;
-    session.seed = 1;
-    TempPcap out;
-    out.path = (std::filesystem::temp_directory_path() / "csi_bench_cold_path_ch_600s.pcap");
-    capture::WritePcap(out.path, testbed::RunStreamingSession(session).capture);
-    out.bytes = static_cast<int64_t>(std::filesystem::file_size(out.path));
-    return out;
-  }();
+  static const TempPcap pcap("csi_bench_cold_path_ch_600s.pcap",
+                             TenMinuteChSession(nettrace::StableTrace("s", 6 * kMbps), 1));
   return pcap;
+}
+
+// csibench's ch_cold_10min session `index` of seed 1: a 6 Mbps cellular
+// downlink (cv 0.5, 2-s steps) and the session seed csibench derives.
+capture::CaptureTrace CsibenchChSession(uint64_t index) {
+  const uint64_t seed = 5 * (20 + index) + 1;
+  Rng rng(seed ^ 0xBEEF);
+  return TenMinuteChSession(
+      nettrace::CellularTrace("gen", 6 * kMbps, 0.5, 600 * kUsPerSec, 2 * kUsPerSec, rng),
+      seed);
+}
+
+// Sessions 1 (441,863 packets, the batch's largest) and 6 (386,245, near its
+// 383k mean).
+const std::array<TempPcap, 2>& CsibenchChPcaps() {
+  static const std::array<TempPcap, 2> pcaps = {{
+      {"csi_bench_cold_path_csibench_s01.pcap", CsibenchChSession(1)},
+      {"csi_bench_cold_path_csibench_s06.pcap", CsibenchChSession(6)},
+  }};
+  return pcaps;
 }
 
 int64_t MinorFaults() {
@@ -134,19 +168,35 @@ int64_t MinorFaults() {
   return usage.ru_minflt;
 }
 
+// The captures of one ch_cold_10min batch.
+constexpr size_t kHeldColumns = 20;
+
 void BM_ReadPcap(benchmark::State& state) {
-  const TempPcap& pcap = TenMinuteChPcap();
+  const auto& pcaps = CsibenchChPcaps();
+  std::vector<capture::PacketColumns> held;
+  held.reserve(kHeldColumns);
+  int64_t bytes = 0;
+  int64_t packets = 0;
+  size_t next = 0;
   const int64_t faults = MinorFaults();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(capture::ReadPcap(pcap.path));
+    if (held.size() == kHeldColumns) {
+      state.PauseTiming();
+      held.clear();
+      state.ResumeTiming();
+    }
+    const TempPcap& pcap = pcaps[next];
+    next ^= 1;
+    const capture::CaptureTrace trace = capture::ReadPcap(pcap.path);
+    held.push_back(capture::PacketColumns::Build(trace));
+    bytes += pcap.bytes;
+    packets += static_cast<int64_t>(trace.size());
   }
   state.counters["minor_faults"] = benchmark::Counter(
       static_cast<double>(MinorFaults() - faults), benchmark::Counter::kAvgIterations);
-  state.SetBytesProcessed(state.iterations() * pcap.bytes);
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(packets);
 }
-
-// The captures of one ch_cold_10min batch.
-constexpr size_t kHeldColumns = 20;
 
 void BM_ColumnBuild(benchmark::State& state) {
   static const capture::CaptureTrace* trace =

@@ -1,9 +1,7 @@
 #include "src/capture/packet_columns.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -59,11 +57,6 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   uint32_t f = 0;
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
-    if (r.payload < 0 || r.payload > std::numeric_limits<uint32_t>::max()) {
-      throw std::invalid_argument("packet columns: packet " + std::to_string(i) +
-                                  " has payload " + std::to_string(r.payload) +
-                                  ", outside the 32 bits a pcap carries");
-    }
     const FlowKey key = FlowKeyOf(r);
     if (i == 0 || key != run_key) {
       const auto [it, inserted] =
@@ -92,8 +85,8 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
       }
     }
     c.ts_.push_back(r.timestamp);
-    c.payload_.push_back(static_cast<uint32_t>(r.payload));
-    c.seq_.push_back(static_cast<uint32_t>(r.tcp_seq));
+    c.payload_.push_back(r.payload);
+    c.seq_.push_back(r.tcp_seq);
     c.flags_.push_back(flags);
   }
 

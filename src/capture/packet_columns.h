@@ -1,7 +1,7 @@
 // Columnar (structure-of-arrays) view of a capture trace.
 //
-// A `CaptureTrace` stores one 104-byte `PacketRecord` struct (plus an
-// `std::string sni` that is empty for all but the rare ClientHello) per
+// A `CaptureTrace` stores one 72-byte `PacketRecord` struct (32 bytes of it
+// an `std::string sni` that is empty for all but the rare ClientHello) per
 // packet. CSI reads five things per packet: size, timing, direction, the TCP
 // sequence number and whether the packet carries an SNI. `PacketColumns`
 // holds exactly those, as parallel flat columns at the width a pcap carries
@@ -10,18 +10,16 @@
 //
 //   - an int64 timestamp column (microseconds: a pcap's 32-bit seconds times
 //     10^6 does not fit in 32 bits),
-//   - a uint32 payload column (a pcap's `orig_len` is 32 bits; `Build`
-//     refuses a record whose payload is negative or wider),
-//   - a uint32 TCP sequence column (the TCP header's field is 32 bits; a
-//     wider record value is cut to its low 32 bits, as the pcap writer does),
+//   - a uint32 payload column (a pcap's `orig_len` is 32 bits),
+//   - a uint32 TCP sequence column (the TCP header's field is 32 bits),
 //   - a uint8 flags column: kFromClient (client→server) and kCarriesSni,
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
 //     total, column span) built in the same pass. The flow's first SNI is the
 //     only SNI string any stage reads, so no per-packet string is kept.
 //
-// 17 bytes per packet (8 + 4 + 4 + 1). Wire size, TCP ack and QUIC packet
-// number stay in the records: no stage reads them. Because every column is as
-// wide as its pcap field, `Build` of a trace gives the same columns as `Build`
+// 17 bytes per packet (8 + 4 + 4 + 1). TCP ack and QUIC packet number stay
+// in the records: no stage reads them. The records already hold every field
+// at its pcap width, so `Build` of a trace gives the same columns as `Build`
 // of that trace written to a pcap and read back.
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
@@ -81,9 +79,8 @@ class PacketColumns {
   // every column in capture order while assigning flow ids in
   // first-appearance order. Only when the capture is not flow-contiguous
   // (more capture-order runs of one flow than flows) are the columns then
-  // moved into flow-major order, run by run. Throws std::invalid_argument
-  // for a record whose payload is negative or above UINT32_MAX (a pcap
-  // cannot hold one). Timed under the `column_build` stage span.
+  // moved into flow-major order, run by run. Timed under the `column_build`
+  // stage span.
   static PacketColumns Build(const CaptureTrace& trace);
 
   size_t packet_count() const { return ts_.size(); }

@@ -21,24 +21,33 @@ namespace csi::capture {
 
 struct PacketRecord {
   TimeUs timestamp = 0;
-  bool from_client = false;
-  net::Transport transport = net::Transport::kTcp;
 
   uint32_t client_ip = 0;
   uint32_t server_ip = 0;
-  uint16_t client_port = 0;
-  uint16_t server_port = 0;
 
   // Transport payload bytes (TCP payload / UDP payload).
-  Bytes payload = 0;
-  Bytes wire_size = 0;
+  uint32_t payload = 0;
 
-  uint64_t tcp_seq = 0;
-  uint64_t tcp_ack = 0;
-  uint64_t quic_packet_number = 0;
+  uint32_t tcp_seq = 0;
+  uint32_t tcp_ack = 0;
+  uint32_t quic_packet_number = 0;
+
+  uint16_t client_port = 0;
+  uint16_t server_port = 0;
+  bool from_client = false;
+  net::Transport transport = net::Transport::kTcp;
 
   std::string sni;  // non-empty only on a ClientHello
+
+  // IPv4 + TCP/UDP headers + payload: the pcap `orig_len` of the packet.
+  Bytes wire_size() const {
+    return net::kIpHeaderBytes +
+           (transport == net::Transport::kTcp ? net::kTcpHeaderBytes : net::kUdpHeaderBytes) +
+           payload;
+  }
 };
+
+static_assert(sizeof(PacketRecord) == 72, "PacketRecord holds each field at its pcap width");
 
 // Connection identity as reconstructible from a capture: the 5-tuple.
 struct FlowKey {
@@ -64,7 +73,10 @@ using CaptureTrace = std::vector<PacketRecord>;
 
 // Builds the observer-visible record for a packet crossing the gateway at
 // `now`. This is the only place simulation packets are projected into
-// observable form.
+// observable form. Throws std::invalid_argument when the packet's wire size
+// (payload plus headers) is negative or above UINT32_MAX, which a pcap's
+// `orig_len` cannot carry; the TCP sequence and ack numbers and the QUIC
+// packet number are cut to their low 32 bits, as the pcap writer does.
 PacketRecord RecordFrom(const net::Packet& packet, TimeUs now);
 
 }  // namespace csi::capture

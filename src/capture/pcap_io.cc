@@ -211,8 +211,7 @@ CaptureTrace Parse(Window& window) {
     r.server_ip = r.from_client ? dst_ip : src_ip;
     r.client_port = r.from_client ? src_port : dst_port;
     r.server_port = r.from_client ? dst_port : src_port;
-    r.wire_size = static_cast<Bytes>(orig_len);
-    r.payload = static_cast<Bytes>(orig_len) - static_cast<Bytes>(headers);
+    r.payload = orig_len - headers;
     const uint8_t* const body = pkt + headers;
     if (is_tcp) {
       r.tcp_seq = Load32be(l4 + 4);
@@ -254,11 +253,10 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
 
     // Build the (possibly truncated) packet body.
     std::vector<uint8_t> pkt;
-    const uint32_t transport_header = is_tcp ? 20u : 8u;
-    const uint32_t ip_total = 20u + transport_header + static_cast<uint32_t>(r.payload);
+    const Bytes full_len = r.wire_size();
     // IPv4 header.
     Put16be(pkt, 0x4500);  // version 4, IHL 5, TOS 0
-    Put16be(pkt, static_cast<uint16_t>(std::min<uint32_t>(ip_total, 0xFFFF)));
+    Put16be(pkt, static_cast<uint16_t>(std::min<Bytes>(full_len, 0xFFFF)));
     Put32be(pkt, 0x4000);  // id 0, DF
     Put8(pkt, 64);         // ttl
     Put8(pkt, is_tcp ? kIpProtoTcp : kIpProtoUdp);
@@ -268,8 +266,8 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
     if (is_tcp) {
       Put16be(pkt, src_port);
       Put16be(pkt, dst_port);
-      Put32be(pkt, static_cast<uint32_t>(r.tcp_seq));
-      Put32be(pkt, static_cast<uint32_t>(r.tcp_ack));
+      Put32be(pkt, r.tcp_seq);
+      Put32be(pkt, r.tcp_ack);
       Put16be(pkt, 0x5010);  // data offset 5, ACK flag
       Put16be(pkt, 0xFFFF);  // window
       Put32be(pkt, 0);       // checksum, urgent
@@ -281,19 +279,18 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
     } else {
       Put16be(pkt, src_port);
       Put16be(pkt, dst_port);
-      Put16be(pkt, static_cast<uint16_t>(std::min<Bytes>(8 + r.payload, 0xFFFF)));
+      Put16be(pkt, static_cast<uint16_t>(std::min<Bytes>(full_len - kIpv4HeaderBytes, 0xFFFF)));
       Put16be(pkt, 0);  // checksum
       // QUIC public header: flags + 8-byte CID + 4-byte packet number.
       Put8(pkt, r.sni.empty() ? 0x40 : 0xC0);
       pkt.insert(pkt.end(), 8, 0);
-      Put32be(pkt, static_cast<uint32_t>(r.quic_packet_number));
+      Put32be(pkt, r.quic_packet_number);
       if (!r.sni.empty()) {
         PutSni(pkt, r.sni);
       }
     }
     // Zero-fill the rest of the payload up to the snap length, or cut there.
-    const size_t full_len = 20u + transport_header + static_cast<size_t>(r.payload);
-    pkt.resize(std::min<size_t>(full_len, kPcapSnapLen), 0);
+    pkt.resize(static_cast<size_t>(std::min<Bytes>(full_len, kPcapSnapLen)), 0);
 
     // Per-packet header.
     Put32le(out, static_cast<uint32_t>(r.timestamp / kUsPerSec));

@@ -18,7 +18,7 @@
 
 namespace csi::net {
 
-enum class Transport { kTcp, kUdp };
+enum class Transport : uint8_t { kTcp, kUdp };
 
 // Header sizes used for wire accounting.
 inline constexpr Bytes kIpHeaderBytes = 20;

@@ -43,11 +43,66 @@ TEST(RecordFrom, ProjectsObservableFields) {
   const PacketRecord r = RecordFrom(p, 123456);
   EXPECT_EQ(r.timestamp, 123456);
   EXPECT_FALSE(r.from_client);
-  EXPECT_EQ(r.payload, 1200);
-  EXPECT_EQ(r.wire_size, p.WireSize());
+  EXPECT_EQ(r.payload, 1200u);
+  EXPECT_EQ(r.wire_size(), p.WireSize());
   EXPECT_EQ(r.tcp_seq, 777u);
   EXPECT_EQ(r.tcp_ack, 888u);
   EXPECT_EQ(r.client_port, 51234);
+}
+
+auto Fields(const PacketRecord& r) {
+  return std::tuple(r.timestamp, r.from_client, r.transport, r.client_ip, r.server_ip,
+                    r.client_port, r.server_port, r.payload, r.tcp_seq, r.tcp_ack,
+                    r.quic_packet_number, r.sni);
+}
+
+// Every field at the width a pcap carries it: 72 bytes, so a 10-min capture's
+// record block stays below glibc's 32 MiB mmap threshold up to 466k packets.
+TEST(PacketRecord, IsSeventyTwoBytes) { EXPECT_EQ(sizeof(PacketRecord), 72u); }
+
+// A pcap's orig_len is 32 bits and holds the headers too: a payload whose
+// wire size it cannot carry is refused, the widest one it can is kept.
+TEST(RecordFrom, RejectsAPayloadAPcapCannotCarry) {
+  for (const net::Transport transport : {net::Transport::kTcp, net::Transport::kUdp}) {
+    const Bytes headers = transport == net::Transport::kTcp ? 40 : 28;
+    net::Packet p = SamplePacket(false, transport);
+    for (const Bytes payload : {Bytes{-1}, Bytes{1} << 32, Bytes{UINT32_MAX} - headers + 1}) {
+      SCOPED_TRACE(payload);
+      p.payload = payload;
+      EXPECT_THROW(RecordFrom(p, 0), std::invalid_argument);
+    }
+    p.payload = Bytes{UINT32_MAX} - headers;
+    const PacketRecord widest = RecordFrom(p, 0);
+    EXPECT_EQ(widest.payload, UINT32_MAX - headers);
+    EXPECT_EQ(widest.wire_size(), Bytes{UINT32_MAX});
+  }
+}
+
+// Sequence, ack and packet numbers above 2^32 are cut to the 32 bits the
+// headers carry, so a record equals its own pcap round trip, field by field,
+// up to the widest payload.
+TEST(RecordFrom, EqualsItsOwnPcapRoundTrip) {
+  net::Packet tcp = SamplePacket(true, net::Transport::kTcp);
+  tcp.tcp_seq = (uint64_t{3} << 32) + 12345;
+  tcp.tcp_ack = (uint64_t{1} << 40) + 7;
+  tcp.quic_packet_number = 0;
+  tcp.sni = "cdn.video.example";
+  net::Packet udp = SamplePacket(false, net::Transport::kUdp);
+  udp.tcp_seq = 0;
+  udp.tcp_ack = 0;
+  udp.quic_packet_number = (uint64_t{1} << 33) + 99;
+  net::Packet widest = tcp;
+  widest.payload = Bytes{UINT32_MAX} - 40;
+  for (const net::Packet& p : {tcp, udp, widest}) {
+    const PacketRecord r = RecordFrom(p, 5 * kUsPerSec + 17);
+    const CaptureTrace parsed = ParsePcap(SerializePcap({r}));
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(Fields(parsed[0]), Fields(r));
+    EXPECT_EQ(parsed[0].wire_size(), p.WireSize());
+    EXPECT_EQ(r.tcp_seq, static_cast<uint32_t>(p.tcp_seq));
+    EXPECT_EQ(r.tcp_ack, static_cast<uint32_t>(p.tcp_ack));
+    EXPECT_EQ(r.quic_packet_number, static_cast<uint32_t>(p.quic_packet_number));
+  }
 }
 
 TEST(GatewayTap, RecordsAndForwards) {
@@ -117,7 +172,7 @@ TEST(Pcap, SerializeParseRoundTrip) {
     EXPECT_EQ(parsed[i].client_port, trace[i].client_port);
     EXPECT_EQ(parsed[i].server_port, trace[i].server_port);
     EXPECT_EQ(parsed[i].payload, trace[i].payload);
-    EXPECT_EQ(parsed[i].wire_size, trace[i].wire_size);
+    EXPECT_EQ(parsed[i].wire_size(), trace[i].wire_size());
     EXPECT_EQ(parsed[i].sni, trace[i].sni);
     if (trace[i].transport == net::Transport::kTcp) {
       EXPECT_EQ(parsed[i].tcp_seq, trace[i].tcp_seq);
@@ -381,8 +436,8 @@ void ParseMutant(const std::vector<uint8_t>& bytes) {
     return;
   }
   for (const PacketRecord& r : parsed) {
-    ASSERT_GE(r.payload, 0);
-    ASSERT_EQ(r.wire_size - r.payload, r.transport == net::Transport::kTcp ? 40 : 28);
+    // The payload is orig_len less the headers: it never wraps below zero.
+    ASSERT_LE(r.wire_size(), Bytes{UINT32_MAX});
     ASSERT_LE(r.sni.size(), kPcapSnapLen);
   }
 }
@@ -521,12 +576,6 @@ std::string Outcome(const std::function<CaptureTrace()>& read) {
   }
 }
 
-auto Fields(const PacketRecord& r) {
-  return std::tuple(r.timestamp, r.from_client, r.transport, r.client_ip, r.server_ip,
-                    r.client_port, r.server_port, r.payload, r.wire_size, r.tcp_seq, r.tcp_ack,
-                    r.quic_packet_number, r.sni);
-}
-
 void ExpectSameRecords(const CaptureTrace& a, const CaptureTrace& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -647,7 +696,7 @@ TEST(PcapWindow, RecordEndingNearTheWindowEdge) {
     const CaptureTrace from_file = ReadPcap(path);
     ASSERT_EQ(from_file.size(), to_fill / kFiller + 2);
     EXPECT_EQ(from_file[from_file.size() - 2].sni, "abc");
-    EXPECT_EQ(from_file[from_file.size() - 3].wire_size, last_filler);
+    EXPECT_EQ(from_file[from_file.size() - 3].wire_size(), last_filler);
     ExpectSameRecords(from_file, ParsePcap(bytes));
   }
   std::remove(path.c_str());

@@ -16,15 +16,15 @@
 //      step below the running maximum, arrive out of order and are then
 //      retransmitted, wrap at 2^32, repeat on every packet, or never carry
 //      data, alone and interleaved, against the oracle's std::set dedupe.
-//   4. Pcap width: every column is as wide as its pcap field, so Build of a
-//      trace equals Build of the same trace after a pcap round trip, column
-//      by column (random traces whose 64-bit sequence numbers cross 2^32, and
-//      60-s CH and SQ sessions, whose analyses must match too), and Build
-//      refuses a payload a pcap cannot carry.
+//   4. Pcap width: every record field and every column is as wide as its
+//      pcap field, so Build of a trace equals Build of the same trace after a
+//      pcap round trip, column by column (random traces whose 32-bit
+//      sequence numbers wrap, and 60-s CH and SQ sessions, whose analyses
+//      must match too), and the widest payload a record holds is kept.
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -40,7 +40,7 @@ namespace csi::capture {
 namespace {
 
 PacketRecord MakePacket(TimeUs ts, uint16_t client_port, bool from_client,
-                        Bytes payload, net::Transport transport = net::Transport::kUdp,
+                        uint32_t payload, net::Transport transport = net::Transport::kUdp,
                         std::string sni = "") {
   PacketRecord r;
   r.timestamp = ts;
@@ -51,10 +51,9 @@ PacketRecord MakePacket(TimeUs ts, uint16_t client_port, bool from_client,
   r.client_port = client_port;
   r.server_port = 443;
   r.payload = payload;
-  r.wire_size = payload + 40;
-  r.tcp_seq = static_cast<uint64_t>(ts) * 7;
-  r.tcp_ack = static_cast<uint64_t>(ts) * 3;
-  r.quic_packet_number = static_cast<uint64_t>(ts) / 10;
+  r.tcp_seq = static_cast<uint32_t>(ts * 7);
+  r.tcp_ack = static_cast<uint32_t>(ts * 3);
+  r.quic_packet_number = static_cast<uint32_t>(ts / 10);
   r.sni = std::move(sni);
   return r;
 }
@@ -68,7 +67,7 @@ CaptureTrace RandomTrace(Rng* rng, int packets, bool backwards = false) {
   CaptureTrace trace;
   const int flows = static_cast<int>(rng->UniformInt(1, 6));
   TimeUs now = 0;
-  std::vector<uint64_t> last_seq(static_cast<size_t>(flows), 0);
+  std::vector<uint32_t> last_seq(static_cast<size_t>(flows), 0);
   for (int i = 0; i < packets; ++i) {
     now = std::max<TimeUs>(
         now + rng->UniformInt(backwards ? -40 * kUsPerMs : 0, 50 * kUsPerMs), 0);
@@ -81,18 +80,17 @@ CaptureTrace RandomTrace(Rng* rng, int packets, bool backwards = false) {
     r.server_ip = 0xc0a80001 + static_cast<uint32_t>(f % 2);
     r.client_port = static_cast<uint16_t>(40000 + f);
     r.server_port = 443;
-    r.payload = rng->Chance(0.15) ? 0 : rng->UniformInt(1, 1500);
-    r.wire_size = r.payload + 40;
+    r.payload = rng->Chance(0.15) ? 0 : static_cast<uint32_t>(rng->UniformInt(1, 1500));
     // Duplicate sequence numbers now and then: the HTTPS estimator's
     // retransmission filter must behave identically over columns.
     if (rng->Chance(0.2) && last_seq[static_cast<size_t>(f)] != 0) {
       r.tcp_seq = last_seq[static_cast<size_t>(f)];
     } else {
-      r.tcp_seq = rng->NextU64() % 100000;
+      r.tcp_seq = static_cast<uint32_t>(rng->NextU64() % 100000);
       last_seq[static_cast<size_t>(f)] = r.tcp_seq;
     }
-    r.tcp_ack = rng->NextU64() % 100000;
-    r.quic_packet_number = static_cast<uint64_t>(i);
+    r.tcp_ack = static_cast<uint32_t>(rng->NextU64() % 100000);
+    r.quic_packet_number = static_cast<uint32_t>(i);
     if (rng->Chance(0.05)) {
       r.sni = (f % 2 == 0) ? "media.cdn.example" : "other.example";
     }
@@ -172,18 +170,15 @@ TEST(PacketColumns, HeldBytesAreSeventeenPerPacketPlusFlowTables) {
   EXPECT_EQ(PacketColumns::Build({}).held_bytes(), sizeof(size_t));
 }
 
-// A pcap's orig_len is 32 bits: a payload it cannot carry is refused, the
-// widest one it can is kept.
-TEST(PacketColumns, PayloadOutsideThirtyTwoBitsThrows) {
-  for (const Bytes payload : {Bytes{-1}, Bytes{1} << 32}) {
-    SCOPED_TRACE(payload);
-    CaptureTrace trace{MakePacket(10, 40000, false, 100), MakePacket(20, 40000, false, payload)};
-    EXPECT_THROW(PacketColumns::Build(trace), std::invalid_argument);
-  }
-  const CaptureTrace widest{MakePacket(10, 40000, false, (Bytes{1} << 32) - 1)};
+// The widest payload a record holds is kept, and the flow's 64-bit downlink
+// total adds it without wrapping. (RecordFrom refuses a payload a pcap cannot
+// carry; see capture_test.)
+TEST(PacketColumns, WidestPayloadIsKept) {
+  const CaptureTrace widest{MakePacket(10, 40000, false, UINT32_MAX),
+                            MakePacket(20, 40000, false, UINT32_MAX)};
   const PacketColumns columns = PacketColumns::Build(widest);
   EXPECT_EQ(columns.payloads()[0], UINT32_MAX);
-  EXPECT_EQ(columns.flow_downlink_bytes(0), (Bytes{1} << 32) - 1);
+  EXPECT_EQ(columns.flow_downlink_bytes(0), 2 * Bytes{UINT32_MAX});
 }
 
 // True when some flow's packets are not contiguous in capture order, so
@@ -235,8 +230,8 @@ TEST(PacketColumns, StageOutputsMatchOracle) {
 // One packet of a hand-built TCP flow.
 struct TcpStep {
   bool from_client = false;
-  uint64_t seq = 0;
-  Bytes payload = 0;
+  uint32_t seq = 0;
+  uint32_t payload = 0;
 };
 
 // A TCP flow from client port `port`, one packet every 40 ms from `start`,
@@ -362,19 +357,16 @@ TEST(PacketColumns, TcpEdgeFlowsInterleaved) {
 
 // ---- Pcap width --------------------------------------------------------------
 
-constexpr uint64_t kSeqWrap = uint64_t{1} << 32;
-
 // A random capture that SerializePcap can express exactly: server port 443,
 // SNIs only on client packets with room for the SNI, no sequence number on
-// UDP. Each TCP flow's 64-bit sequence numbers start just below a multiple of
-// 2^32 and climb past it, with retransmissions now and then.
+// UDP. Each TCP flow's 32-bit sequence numbers start up to 30000 below 2^32
+// and wrap past it, with retransmissions now and then.
 CaptureTrace WritableTrace(Rng* rng, int packets) {
   CaptureTrace trace;
   const int flows = static_cast<int>(rng->UniformInt(1, 5));
-  std::vector<uint64_t> next_seq;
+  std::vector<uint32_t> next_seq;
   for (int f = 0; f < flows; ++f) {
-    next_seq.push_back(kSeqWrap * static_cast<uint64_t>(rng->UniformInt(1, 3)) -
-                       static_cast<uint64_t>(rng->UniformInt(0, 30000)));
+    next_seq.push_back(UINT32_MAX - static_cast<uint32_t>(rng->UniformInt(0, 30000)));
   }
   TimeUs now = 0;
   for (int i = 0; i < packets; ++i) {
@@ -388,15 +380,18 @@ CaptureTrace WritableTrace(Rng* rng, int packets) {
     r.server_ip = 0xc0a80001 + static_cast<uint32_t>(f);
     r.client_port = static_cast<uint16_t>(40000 + f);
     r.server_port = 443;
-    r.payload = rng->Chance(0.15) ? 0 : rng->UniformInt(1, 1500);
-    r.wire_size = r.payload + 40;
+    r.payload = rng->Chance(0.15) ? 0 : static_cast<uint32_t>(rng->UniformInt(1, 1500));
     if (r.transport == net::Transport::kTcp) {
-      uint64_t& seq = next_seq[static_cast<size_t>(f)];
-      r.tcp_seq = rng->Chance(0.1) && seq > 1400 ? seq - 1400 : seq;
-      seq = std::max(seq, r.tcp_seq + static_cast<uint64_t>(r.payload));
-      r.tcp_ack = rng->NextU64();
+      // A retransmission repeats a number up to 1400 back; new data moves the
+      // next number on, modulo 2^32.
+      uint32_t& seq = next_seq[static_cast<size_t>(f)];
+      r.tcp_seq = rng->Chance(0.1) ? seq - 1400 : seq;
+      if (r.tcp_seq == seq) {
+        seq += r.payload;
+      }
+      r.tcp_ack = static_cast<uint32_t>(rng->NextU64());
     }
-    r.quic_packet_number = static_cast<uint64_t>(i);
+    r.quic_packet_number = static_cast<uint32_t>(i);
     if (r.from_client && r.payload >= 64 && rng->Chance(0.1)) {
       r.sni = "s" + std::to_string(rng->UniformInt(0, 3)) + ".cdn.example";
     }
@@ -427,23 +422,36 @@ PacketColumns RoundTripColumns(const CaptureTrace& trace) {
   return PacketColumns::Build(ParsePcap(SerializePcap(trace)));
 }
 
+// True when some TCP flow's sequence numbers wrap: a number of the flow lies
+// in the top quarter of the 32-bit range and a later one in the bottom
+// quarter.
+bool SequenceWraps(const CaptureTrace& trace) {
+  std::map<FlowKey, bool> near_top;
+  for (const PacketRecord& r : trace) {
+    if (r.transport != net::Transport::kTcp) {
+      continue;
+    }
+    bool& top = near_top[FlowKeyOf(r)];
+    if (top && r.tcp_seq < (1u << 30)) {
+      return true;
+    }
+    top = top || r.tcp_seq >= 3u << 30;
+  }
+  return false;
+}
+
 TEST(PacketColumnsPcapWidth, RandomTracesSurviveAPcapRoundTrip) {
-  int crossed = 0;
+  int wrapped = 0;
   for (uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(7100 + seed);
     SCOPED_TRACE("seed " + std::to_string(seed));
     const CaptureTrace trace = WritableTrace(&rng, static_cast<int>(rng.UniformInt(0, 300)));
-    for (const PacketRecord& r : trace) {
-      if (r.tcp_seq % kSeqWrap < 30000 && r.tcp_seq >= kSeqWrap) {
-        ++crossed;
-        break;
-      }
-    }
+    wrapped += SequenceWraps(trace) ? 1 : 0;
     ExpectSameColumns(PacketColumns::Build(trace), RoundTripColumns(trace));
     ExpectMatchesOracle(trace);
   }
-  // Most traces carry TCP sequence numbers past a multiple of 2^32.
-  EXPECT_GT(crossed, 15);
+  // Most traces carry a TCP flow whose sequence numbers wrap at 2^32.
+  EXPECT_GT(wrapped, 15);
 }
 
 TEST(PacketColumnsPcapWidth, SessionsSurviveAPcapRoundTripWithTheSameAnalysis) {

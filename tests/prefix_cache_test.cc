@@ -49,7 +49,6 @@ capture::PacketRecord BasePacket() {
   p.client_port = 51000;
   p.server_port = 443;
   p.payload = 1200;
-  p.wire_size = 1242;
   p.tcp_seq = 7;
   p.tcp_ack = 9;
   p.quic_packet_number = 3;
@@ -102,9 +101,9 @@ TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
   EXPECT_NE(Fingerprint(empty), ref);
 }
 
-// PacketColumns hold no wire size, TCP ack or QUIC packet number, and no
-// stage reads them: a capture that differs only there has the same
-// fingerprint, so it shares cache entries and gets the same analysis.
+// PacketColumns hold no TCP ack or QUIC packet number, and no stage reads
+// them: a capture that differs only there has the same fingerprint, so it
+// shares cache entries and gets the same analysis.
 TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
   const capture::CaptureTrace base{BasePacket()};
   const auto mutated = [&](auto&& mutate) {
@@ -113,7 +112,6 @@ TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
     return Fingerprint(t);
   };
   const TraceFingerprint ref = Fingerprint(base);
-  EXPECT_EQ(mutated([](auto& p) { p.wire_size += 1; }), ref);
   EXPECT_EQ(mutated([](auto& p) { p.tcp_ack += 1; }), ref);
   EXPECT_EQ(mutated([](auto& p) { p.quic_packet_number += 1; }), ref);
 
@@ -124,7 +122,6 @@ TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
         MakeBatch(manifest, design, 1, 60 * kUsPerSec).front();
     capture::CaptureTrace other = session;
     for (capture::PacketRecord& p : other) {
-      p.wire_size += 17;
       p.tcp_ack ^= 0x5a5a;
       p.quic_packet_number += 1000;
     }
@@ -191,9 +188,8 @@ TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
       now += rng.UniformInt(1, 50000);
       p.timestamp = now;
       p.from_client = rng.Chance(0.5);
-      p.payload = rng.UniformInt(0, 1500);
-      p.wire_size = p.payload + 42;
-      p.quic_packet_number = static_cast<uint64_t>(i);
+      p.payload = static_cast<uint32_t>(rng.UniformInt(0, 1500));
+      p.quic_packet_number = static_cast<uint32_t>(i);
       if (i == 0) {
         p.sni = "s" + std::to_string(rng.UniformInt(0, 1 << 20)) + ".example.com";
       } else {

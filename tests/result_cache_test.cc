@@ -49,7 +49,6 @@ capture::PacketRecord BasePacket() {
   p.client_port = 51000;
   p.server_port = 443;
   p.payload = 1200;
-  p.wire_size = 1242;
   p.sni = "v.example.com";
   return p;
 }

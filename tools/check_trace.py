@@ -41,8 +41,9 @@ Optionally validates one or more --metrics JSON exports (csi_batch
 tier (prefix, result, candidate) must be internally consistent (lookups ==
 hits + misses, inserts + refused <= misses, evictions <= inserts,
 invalidations <= misses), and the csi_capture_columns_bytes gauge (the
-bytes the tool's held capture columns take) must be present and
-non-negative. Across files given in order, every
+bytes the tool's held capture columns take) and the
+csi_capture_records_peak_bytes gauge (the largest packet-record block it
+read) must be present and non-negative. Across files given in order, every
 csi_{prefix,result,candidate}_cache_*_total counter must be monotonically
 non-decreasing — the order should match the order the exports were produced
 in.
@@ -318,16 +319,17 @@ def load_values(path, kind):
     return values
 
 
-COLUMNS_GAUGE = "csi_capture_columns_bytes"
+CAPTURE_GAUGES = ("csi_capture_columns_bytes", "csi_capture_records_peak_bytes")
 
 
-def check_columns_gauge(path):
+def check_capture_gauges(path):
     gauges = load_values(path, "gauges")
-    if COLUMNS_GAUGE not in gauges:
-        fail(f"{path}: gauge {COLUMNS_GAUGE} is missing")
-    value = gauges[COLUMNS_GAUGE]
-    if not isinstance(value, (int, float)) or value < 0:
-        fail(f"{path}: gauge {COLUMNS_GAUGE} is {value!r}, not a non-negative number")
+    for name in CAPTURE_GAUGES:
+        if name not in gauges:
+            fail(f"{path}: gauge {name} is missing")
+        value = gauges[name]
+        if not isinstance(value, (int, float)) or value < 0:
+            fail(f"{path}: gauge {name} is {value!r}, not a non-negative number")
 
 
 def check_metrics(paths):
@@ -335,7 +337,7 @@ def check_metrics(paths):
     prev_path = None
     for path in paths:
         counters = load_values(path, "counters")
-        check_columns_gauge(path)
+        check_capture_gauges(path)
         check_cache_counters(path, counters, "prefix")
         check_cache_counters(path, counters, "result")
         check_cache_counters(path, counters, "candidate")

@@ -88,8 +88,12 @@ int Run(int argc, char** argv) {
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
   // Transpose to the columnar layout right after the pcap parse; the packet
   // records are dropped before the engine runs.
-  const capture::PacketColumns columns =
-      capture::PacketColumns::Build(capture::ReadPcap(pcap_path));
+  const capture::PacketColumns columns = [&] {
+    const capture::CaptureTrace trace = capture::ReadPcap(pcap_path);
+    CSI_GAUGE_SET("csi_capture_records_peak_bytes",
+                  trace.capacity() * sizeof(capture::PacketRecord));
+    return capture::PacketColumns::Build(trace);
+  }();
   CSI_GAUGE_SET("csi_capture_columns_bytes", columns.held_bytes());
   std::printf("loaded %zu packets, manifest %s: %d video tracks x %d chunks%s\n",
               columns.packet_count(), manifest.asset_id.c_str(),

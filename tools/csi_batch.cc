@@ -192,7 +192,8 @@ int Run(int argc, char** argv) {
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
   // Ingest: each capture is transposed to the columnar layout right after
   // its read and its packet records are freed at once, so only one capture's
-  // records are ever held. Every --repeat / --follow-manifests round then
+  // records are ever held; the largest such record block is reported beside
+  // the columns. Every --repeat / --follow-manifests round then
   // analyzes the PacketColumns directly. A corrupt capture is an expected
   // condition at deployment scale (truncated tcpdump, mid-rotation file):
   // record it, keep going, fail at the end.
@@ -202,10 +203,14 @@ int Run(int argc, char** argv) {
   columns.reserve(pcap_paths.size());
   size_t total_packets = 0;
   size_t columns_bytes = 0;
+  size_t records_peak_bytes = 0;
   const auto ingest_start = std::chrono::steady_clock::now();
   for (const std::string& path : pcap_paths) {
     try {
-      columns.push_back(capture::PacketColumns::Build(capture::ReadPcap(path)));
+      const capture::CaptureTrace trace = capture::ReadPcap(path);
+      records_peak_bytes =
+          std::max(records_peak_bytes, trace.capacity() * sizeof(capture::PacketRecord));
+      columns.push_back(capture::PacketColumns::Build(trace));
     } catch (const std::exception& e) {
       failures.emplace_back(path, e.what());
       CSI_COUNTER_INC("csi_batch_trace_load_failures_total");
@@ -216,17 +221,19 @@ int Run(int argc, char** argv) {
     columns_bytes += columns.back().held_bytes();
   }
   CSI_GAUGE_SET("csi_capture_columns_bytes", columns_bytes);
+  CSI_GAUGE_SET("csi_capture_records_peak_bytes", records_peak_bytes);
   const double ingest_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - ingest_start).count();
   std::printf("loaded %zu trace(s), %zu packets total in %.3f s; manifest %s: %d tracks x "
               "%d chunks\n",
               columns.size(), total_packets, ingest_s, manifest.asset_id.c_str(),
               manifest.num_video_tracks(), manifest.num_positions());
-  std::printf("columns held: %.1f MiB (%zu packets, %.1f B/packet)\n",
+  std::printf("columns held: %.1f MiB (%zu packets, %.1f B/packet); records peak %.1f MiB\n",
               static_cast<double>(columns_bytes) / (1024.0 * 1024.0), total_packets,
               total_packets > 0
                   ? static_cast<double>(columns_bytes) / static_cast<double>(total_packets)
-                  : 0.0);
+                  : 0.0,
+              static_cast<double>(records_peak_bytes) / (1024.0 * 1024.0));
   for (const auto& [path, what] : failures) {
     std::fprintf(stderr, "warning: skipped %s: %s\n", path.c_str(), what.c_str());
   }
