@@ -24,22 +24,7 @@ std::string FormatNumber(double v) {
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
+  trace::AppendJsonEscaped(&out, s);
   return out;
 }
 

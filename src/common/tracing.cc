@@ -11,6 +11,36 @@
 
 namespace csi::trace {
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
 namespace {
 
 std::atomic<bool> g_enabled{false};
@@ -69,41 +99,6 @@ ThreadLog& LocalLog() {
     return created;
   }();
   return *log;
-}
-
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  AppendJsonEscaped(out, s.c_str());
 }
 
 // Chrome trace ts is in microseconds; keep nanosecond precision as a fixed

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace csi::trace {
@@ -140,6 +141,11 @@ class TraceSession {
 // Pure exporter over an explicit event list — the deterministic core of
 // TraceSession::ExportChromeTrace, exposed for golden tests.
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
+
+// Appends `s` as the body of a JSON string: quote and backslash escaped, and
+// every control byte as \n, \t, \r or \u00XX. The one JSON string escaper
+// of the trace export, the metrics JSON export and the audit JSONL.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 // Allocates a process-unique nonzero flow id.
 uint64_t NewFlowId();

@@ -3,29 +3,13 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/common/tracing.h"
+
 namespace csi::infer {
 
 namespace {
 
 thread_local InferenceAudit* t_current_audit = nullptr;
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-}
 
 void AppendInt(std::string* out, const char* key, int64_t value) {
   char buf[64];
@@ -58,7 +42,7 @@ AuditScope::~AuditScope() { t_current_audit = previous_; }
 
 std::string InferenceAudit::ToJsonLine(const std::string& label) const {
   std::string out = "{\"trace\":\"";
-  AppendEscaped(&out, label);
+  trace::AppendJsonEscaped(&out, label);
   out.push_back('"');
   AppendInt(&out, "media_flows", media_flows);
   AppendInt(&out, "groups", groups);

@@ -202,23 +202,17 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     return set;
   }
 
-  // Canonical start range, shared by the candidate-cache key and the
-  // result-tier hull record: lo clamps to 0, hi becomes kOpenHi when it
-  // reaches the snapshot's live edge.
-  const int canon_lo = std::max(start_lo, 0);
-  const int canon_hi =
-      start_hi >= db.num_positions() - 1 ? GroupCandidateCache::kOpenHi : start_hi;
-
   // Consult the shared cross-trace cache before doing any work. The two
   // early-outs above are cheaper than a cache probe and stay uncached.
   GroupCandidateCache* const shared = config.shared_cache;
-  GroupCandidateCache::Query query;
+  if (shared != nullptr && context_id == 0) {
+    context_id = shared->InternContext(config, display);
+  }
+  // The key's canonical start range (lo clamped to 0, hi kOpenHi at the live
+  // edge) is also what the result-tier hull record reads.
+  const GroupCandidateCache::Query query = GroupCandidateCache::MakeQuery(
+      db, context_id, n_req, group.estimated_total, start_lo, start_hi);
   if (shared != nullptr) {
-    if (context_id == 0) {
-      context_id = shared->InternContext(config, display);
-    }
-    query = GroupCandidateCache::MakeQuery(db, context_id, n_req, group.estimated_total,
-                                           start_lo, start_hi);
     CandidateSetHull cached_hull;
     if (std::shared_ptr<const GroupCandidateSet> hit =
             shared->Lookup(query, db, &cached_hull)) {
@@ -231,7 +225,8 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
       // A hit skipped the enumeration but the result still depends on it:
       // fold the entry's recorded hulls into the result-tier collector
       // exactly as the computed path below would.
-      RecordEnumerationForResultCache(cached_hull, canon_lo, canon_hi, db.num_positions());
+      RecordEnumerationForResultCache(cached_hull, query.start_lo, query.start_hi,
+                                      db.num_positions());
       return hit;
     }
   }
@@ -444,7 +439,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   if (shared != nullptr) {
     shared->Insert(query, db, hull, set);
   }
-  RecordEnumerationForResultCache(hull, canon_lo, canon_hi, db.num_positions());
+  RecordEnumerationForResultCache(hull, query.start_lo, query.start_hi, db.num_positions());
   return set;
 }
 

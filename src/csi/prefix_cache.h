@@ -35,17 +35,15 @@
 //
 // Hits return a shared_ptr to an immutable AnalysisPrefix — a warm Analyze
 // jumps straight to the snapshot-dependent candidate/graph search without
-// copying packet vectors. Eviction is per-shard second-chance (clock) over a
-// byte budget via the shared ShardedClockStore (cache_common.h). A budget of 0
-// (BatchConfig::caches.prefix) means no cache is created at all.
+// copying packet vectors. Storage, eviction and accounting are the shared
+// core's (cache_common.h). A budget of 0 (BatchConfig::caches.prefix) means
+// no cache is created at all.
 
 #ifndef CSI_SRC_CSI_PREFIX_CACHE_H_
 #define CSI_SRC_CSI_PREFIX_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -91,68 +89,18 @@ struct AnalysisPrefix {
   std::vector<EstimatedExchange> exchanges;
 };
 
-class AnalysisPrefixCache {
- public:
-  static constexpr int kDefaultShards = 16;
-
-  // Unified stats block shared by every cache tier (invalidations stays 0
-  // here: prefix entries are snapshot-independent and never revalidate).
-  using Stats = CacheStats;
-
+// Key, context and names of the prefix tier over the shared core
+// (cache_common.h). Entries never read the database, so they never revalidate.
+struct PrefixTier {
   struct Query {
     TraceFingerprint fingerprint;
     uint32_t context = 0;
 
     friend bool operator==(const Query&, const Query&) = default;
   };
-
-  explicit AnalysisPrefixCache(size_t budget_bytes, int shards = kDefaultShards);
-
-  AnalysisPrefixCache(const AnalysisPrefixCache&) = delete;
-  AnalysisPrefixCache& operator=(const AnalysisPrefixCache&) = delete;
-
-  // Interns the prefix-relevant subset of an inference config — design type,
-  // host suffix, splitter knobs — and returns a process-stable id (>= 1).
-  // Full structural equality, so two engines share an id only when every knob
-  // the prefix stages read is identical.
-  uint32_t InternContext(DesignType design, const std::string& host_suffix,
-                         const SplitterConfig& splitter);
-
-  // Fingerprints `columns` and assembles the key. O(packets), but pure
-  // arithmetic — far cheaper than the classify/split work a hit skips.
-  static Query MakeQuery(const capture::PacketColumns& columns,
-                         uint32_t context);
-
-  // Returns the cached prefix, or null on a miss. Never blocks behind an
-  // insert on another shard; entries are valid under every database snapshot
-  // (see the safety argument above), so there is no revalidation step.
-  std::shared_ptr<const AnalysisPrefix> Lookup(const Query& query);
-
-  // Publishes a computed prefix. Replaces any existing entry for the key (a
-  // racing thread computed the same trace); values larger than a whole
-  // shard's budget are not admitted.
-  void Insert(const Query& query, std::shared_ptr<const AnalysisPrefix> prefix);
-
-  // Drops every entry (stats survive). Test/bench seam for cold-start runs.
-  void Clear();
-
-  Stats stats() const;
-  size_t budget_bytes() const { return store_.budget_bytes(); }
-  int shards() const { return store_.shards(); }
-
- private:
-  struct QueryHash {
+  struct Hash {
     size_t operator()(const Query& q) const;
   };
-
-  struct Entry {
-    Query query;
-    std::shared_ptr<const AnalysisPrefix> prefix;
-    size_t bytes = 0;
-    // Second-chance bit, guarded by the shard mutex.
-    bool referenced = false;
-  };
-
   // The interned prefix-relevant context fields (see InternContext).
   struct Context {
     DesignType design = DesignType::kCH;
@@ -161,21 +109,33 @@ class AnalysisPrefixCache {
 
     friend bool operator==(const Context&, const Context&) = default;
   };
+  using Value = AnalysisPrefix;
+  struct Extra {};
+  static constexpr internal::TierNames kNames{"prefix", "prefix_cache", "prefix_cache_lookup",
+                                              "fingerprint_match", /*revalidates=*/false};
+};
 
-  static size_t ApproxBytes(const AnalysisPrefix& prefix);
+class AnalysisPrefixCache : public internal::CacheCore<PrefixTier> {
+ public:
+  using CacheCore::CacheCore;
 
-  internal::ShardedClockStore<Query, Entry, QueryHash> store_;
+  // Interns the prefix-relevant subset of an inference config — design type,
+  // host suffix, splitter knobs — and returns a process-stable id (>= 1).
+  uint32_t InternContext(DesignType design, const std::string& host_suffix,
+                         const SplitterConfig& splitter);
 
-  mutable std::mutex contexts_mu_;
-  std::vector<Context> contexts_;
+  // Fingerprints `columns` and assembles the key. O(packets), but pure
+  // arithmetic — far cheaper than the classify/split work a hit skips.
+  static Query MakeQuery(const capture::PacketColumns& columns,
+                         uint32_t context);
 
-  // Lock-free tallies (bytes/entries live in the shards and are summed on
-  // demand).
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> refused_{0};
+  // Returns the cached prefix, or null on a miss. Entries are valid under
+  // every database snapshot (see the safety argument above).
+  std::shared_ptr<const AnalysisPrefix> Lookup(const Query& query);
+
+  // Publishes a computed prefix; values larger than a whole shard's budget
+  // are not admitted.
+  void Insert(const Query& query, std::shared_ptr<const AnalysisPrefix> prefix);
 };
 
 }  // namespace csi::infer

@@ -68,9 +68,12 @@ struct InferenceResult {
   std::vector<InferredSequence> sequences;
   // True if enumeration hit the cap and `sequences` is a subset.
   bool truncated = false;
-  // Estimated exchanges the sequences are built over (diagnostics).
+  // Always empty: no inference path fills it. It stays only because csibench
+  // reads it (DigestResults).
   std::vector<EstimatedExchange> exchanges;
-  // SQ only: sizes (request counts) of the traffic groups after splitting.
+  // Request count of each searched group, in search order, for every design:
+  // the SP1/SP2 traffic groups for SQ, one single-request group per
+  // estimated exchange for CH/SH/CQ.
   std::vector<int> group_sizes;
 
   friend bool operator==(const InferenceResult&, const InferenceResult&) = default;

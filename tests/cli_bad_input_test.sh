@@ -84,6 +84,14 @@ expected_error=
 expected_error="error: --threads must be >= 0"
 expect_error "$batch" --manifest "$manifest" --design CH --quiet --threads -3 \
   "$work/good/session.pcap"
+# -1 is a value like any other, not a spelling of "the default".
+expected_error="error: --db-compact-after must be >= 0"
+expected_status=2
+for n in -1 -7; do
+  expect_error "$batch" --manifest "$manifest" --design CH --quiet --follow-manifests 2 \
+    --db-compact-after "$n" "$work/good/session.pcap"
+done
+expected_status=
 # The database build is serial; its thread-count flag is gone.
 expected_error="unknown argument: --db-build-threads"
 expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$manifest" --design CH \

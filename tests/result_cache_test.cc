@@ -4,12 +4,13 @@
 // is byte-identical with the result cache on and off, for every design path,
 // capture set, repeat schedule, thread count, and live-refresh replay — the cache may only change WHETHER the pipeline runs,
 // never what it produces. On top of the differential sweeps this suite pins
-// the hull-capture rules (RecordEnumerationForResultCache mirrors the
-// candidate tier's Revalidate conditions at analyze time), the revalidation
-// boundaries (same state, delta-disjoint re-anchor, delta-in-window and
-// compaction invalidations, stale-snapshot keeps), eviction under a tiny
-// budget, and a TSan'd hammer where concurrent BatchAnalyzers share one
-// result cache while a LiveChunkDatabase publishes refreshes under them.
+// the one dependence rule both revalidating tiers share
+// (EnumerationDependence), the revalidation boundaries (same state,
+// delta-disjoint re-anchor, delta-in-window and compaction invalidations,
+// stale-snapshot keeps), the shared core's five lookup outcomes on the
+// candidate and result tiers alike, eviction under a tiny budget, and a
+// TSan'd hammer where concurrent BatchAnalyzers share one result cache while
+// a LiveChunkDatabase publishes refreshes under them.
 //
 // The seeded sweep honors CSI_TEST_SCHEDULES (tests/test_env.h): tier-1 CI
 // runs the fast default, the scheduled deep-differential job raises it.
@@ -26,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/telemetry.h"
+#include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/live_database.h"
@@ -70,6 +73,29 @@ std::shared_ptr<const InferenceResult> MakeResult(int sequences) {
   return result;
 }
 
+// The first half of an SQ asset as a live database's start, and the rest as
+// one refresh that appends real chunk sizes (tens of KB).
+std::pair<media::Manifest, ManifestRefresh> HalfSqAsset() {
+  const media::Manifest full =
+      testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
+  const int start_positions = std::max(1, full.num_positions() / 2);
+  media::Manifest prefix = full;
+  for (auto& track : prefix.video_tracks) {
+    track.chunks.resize(static_cast<size_t>(start_positions));
+  }
+  for (auto& track : prefix.audio_tracks) {
+    track.chunks.resize(std::min(track.chunks.size(),
+                                 static_cast<size_t>(start_positions)));
+  }
+  ManifestRefresh refresh;
+  refresh.video_appends.resize(full.video_tracks.size());
+  for (size_t t = 0; t < full.video_tracks.size(); ++t) {
+    const auto& chunks = full.video_tracks[t].chunks;
+    refresh.video_appends[t].assign(chunks.begin() + start_positions, chunks.end());
+  }
+  return {prefix, refresh};
+}
+
 // --- Hull capture rules -----------------------------------------------------
 
 TEST(ResultHullScope, InstallsNestsAndRestores) {
@@ -109,7 +135,9 @@ TEST(ResultHull, WidenUnionsWindows) {
   EXPECT_EQ(hull.probe_hi, 900);
 }
 
-TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
+// The one dependence rule both revalidating tiers use: the candidate tier at
+// each entry's anchor, the result tier at analyze time.
+TEST(EnumerationDependence, MapsEachRangeShapeToItsDependence) {
   CandidateSetHull video;
   video.has_video_split = true;
   video.v_max = 3;
@@ -121,30 +149,20 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
   // Wide enough that a [0, live edge] range floors the per-start DFS budget.
   constexpr int kPositions = 100;
   static_assert(kMaxDfsNodes / kPositions <= GroupCandidateCache::kPerStartNodeFloor);
+  constexpr int kOpen = GroupCandidateCache::kOpenHi;
 
   {
     // No video split: the enumeration never reads the position axis.
-    ResultHull out;
-    ResultHullScope scope(&out);
     CandidateSetHull no_video = video;
     no_video.has_video_split = false;
-    RecordEnumerationForResultCache(no_video, 0, GroupCandidateCache::kOpenHi, kPositions);
-    EXPECT_FALSE(out.sensitive);
+    EXPECT_FALSE(EnumerationDependence(no_video, 0, kOpen, kPositions).sensitive);
   }
+  // Concrete range whose longest run cannot cross the live edge.
+  EXPECT_FALSE(EnumerationDependence(video, 10, 20, kPositions).sensitive);
   {
-    // Concrete range whose longest run cannot cross the live edge.
-    ResultHull out;
-    ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 10, 20, kPositions);
-    EXPECT_FALSE(out.sensitive);
-  }
-  {
-    // Concrete range with a run crossing the analyze-time edge: the
-    // multi-chunk upper bound is the only thing between an appended chunk and
-    // a new candidate.
-    ResultHull out;
-    ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 90, kPositions - 2, kPositions);
+    // Concrete range with a run crossing the edge: the multi-chunk upper
+    // bound is the only thing between an appended chunk and a new candidate.
+    const PositionDependence out = EnumerationDependence(video, 90, kPositions - 2, kPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_FALSE(out.unsafe);
     EXPECT_EQ(out.probe_lo, 0);
@@ -153,9 +171,7 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
   {
     // Growth range, multi-chunk splits, budget under the floor: appended
     // chunks can seed candidates anywhere up to the overall hull.
-    ResultHull out;
-    ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 0, GroupCandidateCache::kOpenHi, kPositions);
+    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_FALSE(out.unsafe);
     EXPECT_EQ(out.probe_lo, 0);
@@ -163,11 +179,9 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
   }
   {
     // Growth range, single-chunk splits only: the v == 1 window floor holds.
-    ResultHull out;
-    ResultHullScope scope(&out);
     CandidateSetHull single = video;
     single.v_max = 1;
-    RecordEnumerationForResultCache(single, 0, GroupCandidateCache::kOpenHi, kPositions);
+    const PositionDependence out = EnumerationDependence(single, 0, kOpen, kPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_FALSE(out.unsafe);
     EXPECT_EQ(out.probe_lo, single.hull1_lo);
@@ -177,14 +191,22 @@ TEST(RecordEnumeration, MirrorsCandidateTierConditions) {
     // Growth range narrow enough that its per-start DFS budget sits above
     // the floor: the cutoff itself shifts with the live edge — unprovable by
     // any window.
-    ResultHull out;
-    ResultHullScope scope(&out);
     constexpr int kNarrowPositions = 10;
     static_assert(kMaxDfsNodes / kNarrowPositions > GroupCandidateCache::kPerStartNodeFloor);
-    RecordEnumerationForResultCache(video, 0, GroupCandidateCache::kOpenHi, kNarrowPositions);
+    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kNarrowPositions);
     EXPECT_TRUE(out.sensitive);
     EXPECT_TRUE(out.unsafe);
   }
+
+  // The result tier folds exactly that dependence into its collector.
+  ResultHull out;
+  {
+    ResultHullScope scope(&out);
+    RecordEnumerationForResultCache(video, 10, 20, kPositions);
+    EXPECT_FALSE(out.sensitive);
+    RecordEnumerationForResultCache(video, 90, kPositions - 2, kPositions);
+  }
+  EXPECT_EQ(out, EnumerationDependence(video, 90, kPositions - 2, kPositions));
 }
 
 TEST(RecordSizeProbe, UsesAdmissibleWindow) {
@@ -232,23 +254,7 @@ TEST(ResultCacheMechanics, InternContextDistinguishesEveryKnob) {
 }
 
 TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
-  const media::Manifest full =
-      testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
-  const int start_positions = std::max(1, full.num_positions() / 2);
-  media::Manifest prefix = full;
-  for (auto& track : prefix.video_tracks) {
-    track.chunks.resize(static_cast<size_t>(start_positions));
-  }
-  for (auto& track : prefix.audio_tracks) {
-    track.chunks.resize(std::min(track.chunks.size(),
-                                 static_cast<size_t>(start_positions)));
-  }
-  ManifestRefresh refresh;
-  refresh.video_appends.resize(full.video_tracks.size());
-  for (size_t t = 0; t < full.video_tracks.size(); ++t) {
-    const auto& chunks = full.video_tracks[t].chunks;
-    refresh.video_appends[t].assign(chunks.begin() + start_positions, chunks.end());
-  }
+  const auto [prefix, refresh] = HalfSqAsset();
 
   LiveChunkDatabase live(prefix, {});
   const DbSnapshot a = live.Acquire();
@@ -321,23 +327,7 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
 }
 
 TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
-  const media::Manifest full =
-      testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
-  const int start_positions = std::max(1, full.num_positions() / 2);
-  media::Manifest prefix = full;
-  for (auto& track : prefix.video_tracks) {
-    track.chunks.resize(static_cast<size_t>(start_positions));
-  }
-  for (auto& track : prefix.audio_tracks) {
-    track.chunks.resize(std::min(track.chunks.size(),
-                                 static_cast<size_t>(start_positions)));
-  }
-  ManifestRefresh refresh;
-  refresh.video_appends.resize(full.video_tracks.size());
-  for (size_t t = 0; t < full.video_tracks.size(); ++t) {
-    const auto& chunks = full.video_tracks[t].chunks;
-    refresh.video_appends[t].assign(chunks.begin() + start_positions, chunks.end());
-  }
+  const auto [prefix, refresh] = HalfSqAsset();
 
   LiveDbOptions options;
   options.compact_after_delta_chunks = 0;  // compact on every refresh
@@ -409,6 +399,121 @@ TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
   EXPECT_EQ(stats.inserts, 0u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(cache.Lookup(query, db), nullptr);
+}
+
+// --- The shared core's lookup outcomes, per revalidating tier -------------
+
+// Per-tier adapters: Insert stores an entry whose dependence is the size
+// window [lo, hi]. Both tiers' Lookup(key, db) is called directly.
+struct CandidateTierOps {
+  using Cache = GroupCandidateCache;
+  static constexpr const char* kStem = "candidate";
+  static constexpr const char* kInstant = "group_cache";
+  static constexpr const char* kSpan = "group_cache_lookup";
+
+  static Cache::Query Key(const DbSnapshot& db, int id) {
+    // A range reaching the live edge: the same key at every state.
+    return Cache::MakeQuery(db, 1, id, 1000, 0, db.num_positions());
+  }
+  static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db, Bytes lo,
+                     Bytes hi) {
+    // Single-chunk splits over a growth range depend on [hull1_lo, hull_all_hi].
+    CandidateSetHull hull;
+    hull.has_video_split = true;
+    hull.v_max = 1;
+    hull.has_v1 = true;
+    hull.hull1_lo = lo;
+    hull.hull1_hi = hi;
+    hull.hull_all_hi = hi;
+    cache->Insert(key, db, hull, std::make_shared<GroupCandidateSet>());
+  }
+};
+
+struct ResultTierOps {
+  using Cache = ResultCache;
+  static constexpr const char* kStem = "result";
+  static constexpr const char* kInstant = "result_cache";
+  static constexpr const char* kSpan = "result_cache_lookup";
+
+  static Cache::Query Key(const DbSnapshot& db, int id) { return QueryFor(db, 1, 1000 + id); }
+  static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db, Bytes lo,
+                     Bytes hi) {
+    ResultHull hull;
+    hull.Widen(lo, hi);
+    cache->Insert(key, db, hull, MakeResult(1), {});
+  }
+};
+
+template <typename Ops>
+class CacheCoreOutcomes : public ::testing::Test {};
+using RevalidatingTiers = ::testing::Types<CandidateTierOps, ResultTierOps>;
+TYPED_TEST_SUITE(CacheCoreOutcomes, RevalidatingTiers);
+
+// Each of the five outcomes moves the tier's stats and exported counters as
+// documented and explains itself with its trace instant(s), once per lookup.
+TYPED_TEST(CacheCoreOutcomes, FiveOutcomesCountAndTraceOnce) {
+  using Ops = TypeParam;
+  const auto [prefix, refresh] = HalfSqAsset();
+  LiveChunkDatabase live(prefix, {});
+  const DbSnapshot a = live.Acquire();
+  typename Ops::Cache cache(1 << 20);
+  Ops::Insert(&cache, Ops::Key(a, 1), a, 1, 2);                           // no append fits
+  Ops::Insert(&cache, Ops::Key(a, 2), a, 0, static_cast<Bytes>(1) << 40);  // every append fits
+
+  const auto exported = [](const char* what) {
+    return telemetry::MetricsRegistry::Global()
+        .GetCounter(std::string("csi_") + Ops::kStem + "_cache_" + what + "_total")
+        ->Value();
+  };
+  const CacheStats stats_before = cache.stats();
+  const int64_t lookups_before = exported("lookups");
+  const int64_t hits_before = exported("hits");
+  const int64_t misses_before = exported("misses");
+  const int64_t invalidations_before = exported("invalidations");
+
+  trace::TraceSession& session = trace::TraceSession::Global();
+  session.Start({});
+  EXPECT_NE(cache.Lookup(Ops::Key(a, 1), a), nullptr);  // hit: same state
+  EXPECT_EQ(cache.Lookup(Ops::Key(a, 3), a), nullptr);  // absent
+  const DbSnapshot b = live.ApplyRefresh(refresh);
+  ASSERT_GT(b.num_positions(), a.num_positions());
+  EXPECT_NE(cache.Lookup(Ops::Key(b, 1), b), nullptr);  // revalidated, re-anchored to B
+  EXPECT_EQ(cache.Lookup(Ops::Key(a, 1), a), nullptr);  // stale snapshot: kept
+  EXPECT_EQ(cache.stats().entries, stats_before.entries);
+  EXPECT_EQ(cache.Lookup(Ops::Key(b, 2), b), nullptr);  // invalidated: dropped
+  EXPECT_EQ(cache.stats().entries, stats_before.entries - 1);
+  session.Stop();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits - stats_before.hits, 2u);
+  EXPECT_EQ(stats.misses - stats_before.misses, 3u);
+  EXPECT_EQ(stats.invalidations - stats_before.invalidations, 1u);
+  EXPECT_EQ(exported("lookups") - lookups_before, 5);
+  EXPECT_EQ(exported("hits") - hits_before, 2);
+  EXPECT_EQ(exported("misses") - misses_before, 3);
+  EXPECT_EQ(exported("invalidations") - invalidations_before, 1);
+
+  std::vector<std::pair<std::string, std::string>> instants;
+  int spans = 0;
+  for (const trace::TraceEvent& e : session.Collect()) {
+    if (e.phase == 'B' && std::string(e.name) == Ops::kSpan) {
+      ++spans;
+    }
+    if (e.phase == 'i' && std::string(e.name) == Ops::kInstant) {
+      ASSERT_EQ(e.num_args, 2);
+      instants.emplace_back(e.args[0].string_value, e.args[1].string_value);
+    }
+  }
+  EXPECT_EQ(spans, 5);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"hit", "same_state"},
+      {"miss", "absent"},
+      {"revalidated", "delta_proven_disjoint"},
+      {"miss", "stale_snapshot"},
+      {"invalidated", "delta_in_window_or_compaction"},
+      {"miss", "invalidated"},
+  };
+  EXPECT_EQ(instants, expected);
 }
 
 // --- Differential replay: on vs off -----------------------------------------

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -270,6 +272,104 @@ TEST(Audit, CollectionIsInertAndPopulatesPerTraceRecords) {
     EXPECT_NE(line.find("\"dfs_nodes_expanded\":"), std::string::npos) << line;
     EXPECT_NE(line.find("\"best_cost\":"), std::string::npos) << line;
   }
+}
+
+// Minimal RFC 8259 reader for one flat JSON object: string keys; string,
+// number, true, false or null values. A raw control byte inside a string is
+// a parse error, as in any conforming parser.
+bool ParseJsonString(const std::string& s, size_t* pos, std::string* out) {
+  if (*pos >= s.size() || s[*pos] != '"') {
+    return false;
+  }
+  ++*pos;
+  while (*pos < s.size()) {
+    const char c = s[(*pos)++];
+    if (c == '"') {
+      return true;
+    }
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return false;
+    }
+    if (c != '\\') {
+      out->push_back(c);
+      continue;
+    }
+    if (*pos >= s.size()) {
+      return false;
+    }
+    const char e = s[(*pos)++];
+    const std::string simple = "\"\\/bfnrt";
+    const std::string decoded = "\"\\/\b\f\n\r\t";
+    if (simple.find(e) != std::string::npos) {
+      out->push_back(decoded[simple.find(e)]);
+    } else if (e == 'u' && *pos + 4 <= s.size() &&
+               s.substr(*pos, 4).find_first_not_of("0123456789abcdefABCDEF") ==
+                   std::string::npos) {
+      const unsigned long code = std::stoul(s.substr(*pos, 4), nullptr, 16);
+      if (code > 0x7f) {
+        return false;  // ASCII is all the labels here need
+      }
+      out->push_back(static_cast<char>(code));
+      *pos += 4;
+    } else {
+      return false;
+    }
+  }
+  return false;
+}
+
+bool ParseFlatJsonObject(const std::string& s, std::map<std::string, std::string>* fields) {
+  size_t pos = 0;
+  if (s.empty() || s[pos++] != '{') {
+    return false;
+  }
+  while (true) {
+    std::string key;
+    std::string value;
+    if (!ParseJsonString(s, &pos, &key) || pos >= s.size() || s[pos++] != ':') {
+      return false;
+    }
+    if (pos < s.size() && s[pos] == '"') {
+      if (!ParseJsonString(s, &pos, &value)) {
+        return false;
+      }
+    } else {
+      const size_t end = s.find_first_of(",}", pos);
+      if (end == std::string::npos) {
+        return false;
+      }
+      value = s.substr(pos, end - pos);
+      char* parsed_end = nullptr;
+      std::strtod(value.c_str(), &parsed_end);
+      const bool number = !value.empty() && (value[0] == '-' || std::isdigit(value[0])) &&
+                          parsed_end == value.c_str() + value.size();
+      if (!number && value != "true" && value != "false" && value != "null") {
+        return false;
+      }
+      pos = end;
+    }
+    (*fields)[key] = value;
+    if (pos >= s.size()) {
+      return false;
+    }
+    const char separator = s[pos++];
+    if (separator == '}') {
+      return pos == s.size();
+    }
+    if (separator != ',') {
+      return false;
+    }
+  }
+}
+
+TEST(Audit, ToJsonLineIsValidJsonForControlBytesInTheLabel) {
+  infer::InferenceAudit audit;
+  const std::string label = "a\tb\x01";
+  std::map<std::string, std::string> fields;
+  ASSERT_TRUE(ParseFlatJsonObject(audit.ToJsonLine(label), &fields)) << audit.ToJsonLine(label);
+  EXPECT_EQ(fields["trace"], label);
+  EXPECT_EQ(fields["truncated"], "false");
+  EXPECT_EQ(fields["best_cost"], "null");
 }
 
 TEST(Audit, ToJsonLineEscapesLabelAndEncodesMissingCosts) {

@@ -18,13 +18,15 @@ Prefix-cache telemetry checks on the same trace file:
   * the number of those instants equals the number of 'B' events for the
     "prefix_cache_lookup" span — every lookup explains itself exactly once.
 
-Result-cache telemetry checks on the same trace file:
-  * every 'i' instant named "result_cache" carries args with an outcome of
-    "hit", "revalidated", "invalidated" or "miss" plus a non-empty reason;
+Result- and candidate-cache telemetry checks on the same trace file, for
+the "result_cache" and "group_cache" instants alike:
+  * every such 'i' instant carries args with an outcome of "hit",
+    "revalidated", "invalidated" or "miss" plus a non-empty reason;
   * the number of terminal instants (hit/revalidated/miss) equals the number
-    of 'B' events for the "result_cache_lookup" span — every lookup resolves
-    exactly once. "invalidated" instants are extra (a lookup that drops a
-    stale entry then misses emits both), so they may not exceed lookups.
+    of 'B' events for the tier's lookup span ("result_cache_lookup",
+    "group_cache_lookup") — every lookup resolves exactly once.
+    "invalidated" instants are extra (a lookup that drops a stale entry then
+    misses emits both), so they may not exceed lookups.
 
 Cross-plane check (--run-metrics, a metrics JSON export written by the same
 run as the trace): every stage span in the trace ('B' events of category
@@ -58,6 +60,8 @@ import json
 import sys
 
 ALLOWED_PHASES = {"B", "E", "i", "s", "t", "f"}
+# Trace instant -> lookup span of the tiers whose entries revalidate.
+REVALIDATING_TIERS = {"result_cache": "result_cache_lookup", "group_cache": "group_cache_lookup"}
 REQUIRED_AUDIT_KEYS = (
     "trace",
     "media_flows",
@@ -88,9 +92,12 @@ def check_trace(path):
     flow_steps = []  # (id, ts, phase) for 't'/'f'
     prefix_lookups = 0  # 'B' events of the prefix_cache_lookup span
     prefix_instants = 0  # 'i' events named prefix_cache
-    result_lookups = 0  # 'B' events of the result_cache_lookup span
-    result_terminal = 0  # result_cache instants that resolve a lookup
-    result_invalidated = 0  # extra instants for dropped stale entries
+    # Per revalidating tier: 'B' events of its lookup span, instants that
+    # resolve a lookup, and extra instants for dropped stale entries.
+    lookups = {tier: 0 for tier in REVALIDATING_TIERS}
+    terminal = {tier: 0 for tier in REVALIDATING_TIERS}
+    invalidated = {tier: 0 for tier in REVALIDATING_TIERS}
+    tier_of_span = {span: tier for tier, span in REVALIDATING_TIERS.items()}
     stage_begins = {}  # stage name -> 'B' count
     for i, ev in enumerate(events):
         where = f"{path}: event {i}"
@@ -146,25 +153,26 @@ def check_trace(path):
             reason = args.get("reason")
             if not isinstance(reason, str) or not reason:
                 fail(f"{where}: prefix_cache instant missing a reason string")
-        if ph == "B" and ev["name"] == "result_cache_lookup":
-            result_lookups += 1
-        if ph == "i" and ev["name"] == "result_cache":
+        if ph == "B" and ev["name"] in tier_of_span:
+            lookups[tier_of_span[ev["name"]]] += 1
+        if ph == "i" and ev["name"] in REVALIDATING_TIERS:
+            tier = ev["name"]
             args = ev.get("args")
             if not isinstance(args, dict):
-                fail(f"{where}: result_cache instant without args")
+                fail(f"{where}: {tier} instant without args")
             outcome = args.get("outcome")
             if outcome in ("hit", "revalidated", "miss"):
-                result_terminal += 1
+                terminal[tier] += 1
             elif outcome == "invalidated":
-                result_invalidated += 1
+                invalidated[tier] += 1
             else:
                 fail(
-                    f"{where}: result_cache outcome must be one of "
+                    f"{where}: {tier} outcome must be one of "
                     f"hit/revalidated/invalidated/miss, got {outcome!r}"
                 )
             reason = args.get("reason")
             if not isinstance(reason, str) or not reason:
-                fail(f"{where}: result_cache instant missing a reason string")
+                fail(f"{where}: {tier} instant missing a reason string")
 
     for fid, ts, ph, i in flow_steps:
         if fid not in flow_starts:
@@ -178,17 +186,18 @@ def check_trace(path):
             f"{prefix_instants} prefix_cache instant(s) — every lookup must "
             f"explain its outcome exactly once"
         )
-    if result_terminal != result_lookups:
-        fail(
-            f"{path}: {result_lookups} result_cache_lookup span(s) but "
-            f"{result_terminal} terminal result_cache instant(s) — every "
-            f"lookup must resolve (hit/revalidated/miss) exactly once"
-        )
-    if result_invalidated > result_lookups:
-        fail(
-            f"{path}: {result_invalidated} result_cache 'invalidated' "
-            f"instant(s) exceed {result_lookups} lookup span(s)"
-        )
+    for tier, span in REVALIDATING_TIERS.items():
+        if terminal[tier] != lookups[tier]:
+            fail(
+                f"{path}: {lookups[tier]} {span} span(s) but "
+                f"{terminal[tier]} terminal {tier} instant(s) — every "
+                f"lookup must resolve (hit/revalidated/miss) exactly once"
+            )
+        if invalidated[tier] > lookups[tier]:
+            fail(
+                f"{path}: {invalidated[tier]} {tier} 'invalidated' "
+                f"instant(s) exceed {lookups[tier]} lookup span(s)"
+            )
 
     open_spans = sum(depth.values())
     n_flows = len(flow_starts)
@@ -196,7 +205,8 @@ def check_trace(path):
         f"check_trace: OK: {len(events)} events, {n_flows} flow(s), "
         f"{open_spans} trailing open span(s), "
         f"{prefix_lookups} prefix-cache lookup(s), "
-        f"{result_lookups} result-cache lookup(s)"
+        f"{lookups['result_cache']} result-cache lookup(s), "
+        f"{lookups['group_cache']} candidate-cache lookup(s)"
     )
     return stage_begins
 

@@ -130,7 +130,10 @@ int Run(int argc, char** argv) {
   int threads = 0;
   int repeat = 1;
   int follow_refreshes = 0;
-  int db_compact_after = -1;
+  // Starts at the library default, so a negative value can only come from the
+  // command line.
+  int db_compact_after =
+      static_cast<int>(infer::LiveChunkDatabase::Options{}.compact_after_delta_chunks);
   bool quiet = false;
 
   tools::FlagParser parser;
@@ -178,7 +181,7 @@ int Run(int argc, char** argv) {
   if (follow_refreshes < 0) {
     Usage("--follow-manifests must be >= 0");
   }
-  if (db_compact_after < -1) {
+  if (db_compact_after < 0) {
     Usage("--db-compact-after must be >= 0");
   }
 
@@ -271,9 +274,7 @@ int Run(int argc, char** argv) {
   }
   if (plan.has_value()) {
     infer::LiveChunkDatabase::Options live_options;
-    if (db_compact_after >= 0) {
-      live_options.compact_after_delta_chunks = static_cast<size_t>(db_compact_after);
-    }
+    live_options.compact_after_delta_chunks = static_cast<size_t>(db_compact_after);
     live.emplace(plan->start, live_options);
     // The engine must rank against the same non-media objects at every
     // refresh point; pin the full manifest's size up front (the default would
