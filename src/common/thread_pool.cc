@@ -23,12 +23,21 @@ void RunTimedTask(const std::function<void()>& task) {
 
 ThreadPool::ThreadPool(int num_workers) {
   workers_.reserve(static_cast<size_t>(std::max(num_workers, 0)));
-  for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
+  try {
+    for (int i = 0; i < num_workers; ++i) {
+      workers_.emplace_back([this]() { WorkerLoop(); });
+    }
+  } catch (...) {
+    // A thread failed to start. No destructor runs, and a joinable
+    // std::thread left in workers_ would terminate the process on unwind.
+    StopAndJoin();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { StopAndJoin(); }
+
+void ThreadPool::StopAndJoin() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;

@@ -62,6 +62,8 @@ class ThreadPool {
  private:
   void Post(std::function<void()> task);
   void WorkerLoop();
+  // Lets the workers drain the queue, then joins them.
+  void StopAndJoin();
   // Pops and runs one queued task on the calling thread; false if the queue
   // was empty. Used by ParallelFor to help instead of blocking idle.
   bool RunOneTask();

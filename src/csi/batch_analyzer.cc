@@ -24,8 +24,6 @@ int ResolveThreads(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// Creates the batch-wide shared cache of one tier unless the caller brought
-// their own or the tier's budget is 0.
 template <typename Cache>
 void ResolveCache(std::shared_ptr<Cache>* cache, const CacheOptions& options) {
   if (*cache != nullptr || options.budget_mb <= 0) {
@@ -36,11 +34,15 @@ void ResolveCache(std::shared_ptr<Cache>* cache, const CacheOptions& options) {
 
 }  // namespace
 
+void AttachCaches(const BatchConfig::Caches& budgets, InferenceConfig::Caches* caches) {
+  ResolveCache(&caches->candidate, budgets.candidate);
+  ResolveCache(&caches->prefix, budgets.prefix);
+  ResolveCache(&caches->result, budgets.result);
+}
+
 InferenceEngine BatchAnalyzer::MakeEngine(DbSnapshot snapshot, InferenceConfig config,
                                           const BatchConfig& batch) {
-  ResolveCache(&config.caches.candidate, batch.caches.candidate);
-  ResolveCache(&config.caches.prefix, batch.caches.prefix);
-  ResolveCache(&config.caches.result, batch.caches.result);
+  AttachCaches(batch.caches, &config.caches);
   return InferenceEngine(std::move(snapshot), std::move(config));
 }
 

@@ -59,6 +59,11 @@ struct BatchConfig {
   size_t progress_every = 16;
 };
 
+// The one path from tier budgets to tiers: creates each tier of `caches`
+// that is still null and has a positive budget in `budgets`. A tier the caller
+// attached already is kept.
+void AttachCaches(const BatchConfig::Caches& budgets, InferenceConfig::Caches* caches);
+
 class BatchAnalyzer {
  public:
   // `manifest` must outlive the analyzer (same contract as InferenceEngine).

@@ -16,7 +16,8 @@
 //
 // A tier supplies a traits struct and a thin class over CacheCore<Tier>:
 //   Query, Hash   the key and its hash;
-//   Context       the knobs the cached computation reads, interned;
+//   Context       the settings slice the cached computation reads
+//                 (settings.h), interned by its defaulted operator==;
 //   Value, Extra  the shared payload and the per-entry side data a hit
 //                 returns (the candidate tier's hulls, the result tier's
 //                 dependence and audit shape);
@@ -24,8 +25,9 @@
 //                 whether entries revalidate against a DbSnapshot;
 //   Dependence    (revalidating tiers) the entry's PositionDependence at a
 //                 position count.
-// The class keeps its public names (MakeQuery, Lookup, Insert, its
-// InternContext overload) and its payload's byte estimate.
+// The class keeps its public names (MakeQuery, Lookup, Insert) and its
+// payload's byte estimate; callers intern a context with the core's
+// InternContext.
 //
 // Snapshot revalidation — why a hit under a newer state is exact. Within one
 // database lineage, refreshes only ever append positions: chunk sizes at

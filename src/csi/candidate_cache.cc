@@ -70,19 +70,6 @@ PositionDependence EnumerationDependence(const CandidateSetHull& hull, int start
   return dependence;
 }
 
-uint32_t GroupCandidateCache::InternContext(const GroupSearchConfig& config,
-                                            const DisplayConstraints& display) {
-  // Only the knobs EnumerateGroupCandidateSet reads. pool is excluded (output
-  // is pool-independent by construction), and max_sequences /
-  // enable_merge_repair steer the sequence chain, not the per-group
-  // enumeration.
-  return CacheCore::InternContext(Context{
-      config.k, config.expected_overhead, config.expected_fixed_overhead,
-      config.max_candidates_per_group, config.max_group_requests,
-      config.max_phantom_requests, config.other_object_sizes, config.enable_wildcards,
-      display});
-}
-
 GroupCandidateCache::Query GroupCandidateCache::MakeQuery(const DbSnapshot& db,
                                                           uint32_t context, int requests,
                                                           Bytes estimated_total, int start_lo,

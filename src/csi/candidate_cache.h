@@ -7,7 +7,7 @@
 // GroupCandidateCache is the cross-trace/cross-session amortization layer,
 // mapping
 //
-//   (database lineage, interned config+display context,
+//   (database lineage, interned (EnumerationSettings, display) context,
 //    request count, estimated total bytes, canonical start range)
 //
 // to the immutable ranked output of EnumerateGroupCandidateSet. The key
@@ -89,16 +89,12 @@ struct CandidateTier {
   struct Hash {
     size_t operator()(const Query& q) const;
   };
-  // The interned enumeration-relevant context fields (see InternContext).
+  // What one enumeration reads: the EnumerationSettings slice of its
+  // GroupSearchConfig (settings.h) and the display constraints. The pool, the
+  // cache pointer and the sequence-chain knobs are not in it: the per-group
+  // output does not depend on them.
   struct Context {
-    double k = 0.0;
-    double expected_overhead = 0.0;
-    Bytes expected_fixed_overhead = 0;
-    int max_candidates_per_group = 0;
-    int max_group_requests = 0;
-    int max_phantom_requests = 0;
-    std::vector<Bytes> other_object_sizes;
-    bool enable_wildcards = false;
+    EnumerationSettings settings;
     DisplayConstraints display;
 
     friend bool operator==(const Context&, const Context&) = default;
@@ -125,11 +121,6 @@ class GroupCandidateCache : public internal::CacheCore<CandidateTier> {
   static constexpr int64_t kPerStartNodeFloor = 1 << 16;
 
   using CacheCore::CacheCore;
-
-  // Interns the enumeration-relevant subset of (config, display) and returns
-  // a process-stable id (>= 1) for use in queries. Cheap to call repeatedly;
-  // callers that run many enumerations should still intern once up front.
-  uint32_t InternContext(const GroupSearchConfig& config, const DisplayConstraints& display);
 
   // Canonicalizes a raw admissible start range against `db` and assembles the
   // key: lo clamps to 0, hi becomes kOpenHi when it reaches the snapshot's

@@ -206,7 +206,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   // early-outs above are cheaper than a cache probe and stay uncached.
   GroupCandidateCache* const shared = config.shared_cache;
   if (shared != nullptr && context_id == 0) {
-    context_id = shared->InternContext(config, display);
+    context_id = shared->InternContext({config, display});
   }
   // The key's canonical start range (lo clamped to 0, hi kOpenHi at the live
   // edge) is also what the result-tier hull record reads.
@@ -485,7 +485,7 @@ class GroupSequenceSearcher {
     // Intern the shared-cache context once per search instead of per
     // enumeration (it is identical for every group of this run).
     if (config_.shared_cache != nullptr) {
-      context_id_ = config_.shared_cache->InternContext(config_, display_);
+      context_id_ = config_.shared_cache->InternContext({config_, display_});
     }
   }
 

@@ -30,6 +30,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/csi/db_snapshot.h"
+#include "src/csi/settings.h"
 #include "src/csi/splitter.h"
 #include "src/csi/types.h"
 
@@ -61,31 +62,13 @@ struct GroupCandidate {
 // each. The cache tiers' growth revalidation reads it too.
 inline constexpr int64_t kMaxDfsNodes = 2'000'000;
 
-struct GroupSearchConfig {
-  double k = 0.05;  // QUIC size-estimation error bound
-  // Calibrated estimate-inflation model (protocol overhead, §3.2):
-  // estimate ~ true_bytes * (1 + expected_overhead) + objects * fixed
-  // (record/frame framing is proportional; HTTP headers are per object).
-  // Used only to *rank* candidates so the likeliest sequences are enumerated
-  // before the cap, never to reject them.
-  double expected_overhead = 0.006;
-  Bytes expected_fixed_overhead = 230;
-  // Per-(group, start-range) candidate cap.
-  int max_candidates_per_group = 5000;
-  // Groups with more requests than this always become wildcards.
-  int max_group_requests = 16;
-  // QUIC request packets may be retransmitted under new packet numbers and
-  // are then double-counted by the request detector; allow explanations with
-  // up to this many fewer objects than detected requests.
-  int max_phantom_requests = 2;
+// The enumeration's settings (settings.h) plus what steers the sequence chain
+// and how the search runs; only the EnumerationSettings base and the display
+// constraints key the candidate tier.
+struct GroupSearchConfig : EnumerationSettings {
   int max_sequences = 512;
-  // Sizes of known non-media objects that may appear in a group (manifest,
-  // init segments).
-  std::vector<Bytes> other_object_sizes;
-  // Ablation switches (all on by default; see bench_ablation_robustness):
-  // wildcard fallbacks for unexplainable groups, and the merge transition
-  // that repairs exchanges split by retransmitted QUIC requests.
-  bool enable_wildcards = true;
+  // Ablation switch (on by default; see bench_ablation_robustness): the merge
+  // transition that repairs exchanges split by retransmitted QUIC requests.
   bool enable_merge_repair = true;
   // Optional worker pool for candidate enumeration: the admissible start
   // range is partitioned into disjoint per-start-index jobs whose merged,

@@ -59,33 +59,32 @@ void InferenceEngine::FinishConfig() {
     config_.other_object_sizes.push_back(manifest_->SerializedSize() +
                                          config_.expected_fixed_overhead);
   }
+  // Intern after the default fills, so two engines built from the same
+  // manifest share a context whether or not the defaults were explicit.
   if (config_.caches.prefix != nullptr) {
-    // Intern after the host-suffix default fill so two engines built from the
-    // same manifest share a context whether or not the suffix was explicit.
-    prefix_context_ = config_.caches.prefix->InternContext(
-        config_.design, config_.host_suffix, config_.splitter);
+    prefix_context_ = config_.caches.prefix->InternContext(config_);
   }
   if (config_.caches.result != nullptr) {
-    // Every knob a result can depend on, captured after the default fills for
-    // the same sharing reason as the prefix context. Pools and the other
-    // cache pointers are excluded: results are byte-identical across those.
-    ResultCache::Context ctx;
-    ctx.design = config_.design;
-    ctx.host_suffix = config_.host_suffix;
-    ctx.splitter = config_.splitter;
-    ctx.k_https = config_.k_https;
-    ctx.k_quic = config_.k_quic;
-    ctx.expected_overhead_https = config_.expected_overhead_https;
-    ctx.expected_overhead_quic = config_.expected_overhead_quic;
-    ctx.expected_fixed_overhead = config_.expected_fixed_overhead;
-    ctx.max_sequences = config_.max_sequences;
-    ctx.max_candidates_per_group = config_.max_candidates_per_group;
-    ctx.enable_wildcards = config_.enable_wildcards;
-    ctx.enable_merge_repair = config_.enable_merge_repair;
-    ctx.enable_phantom_deficit = config_.enable_phantom_deficit;
-    ctx.enable_calibrated_ranking = config_.enable_calibrated_ranking;
-    ctx.other_object_sizes = config_.other_object_sizes;
-    result_context_ = config_.caches.result->InternContext(ctx);
+    result_context_ = config_.caches.result->InternContext(config_);
+  }
+  const bool quic = IsQuic(config_.design);
+  search_.k = quic ? config_.k_quic : config_.k_https;
+  search_.expected_overhead =
+      quic ? config_.expected_overhead_quic : config_.expected_overhead_https;
+  search_.expected_fixed_overhead = config_.expected_fixed_overhead;
+  search_.max_sequences = config_.max_sequences;
+  search_.max_candidates_per_group = config_.max_candidates_per_group;
+  search_.other_object_sizes = config_.other_object_sizes;
+  search_.enable_wildcards = config_.enable_wildcards;
+  search_.enable_merge_repair = config_.enable_merge_repair;
+  search_.pool = config_.search_pool;
+  search_.shared_cache = config_.caches.candidate.get();
+  if (!config_.enable_phantom_deficit) {
+    search_.max_phantom_requests = 0;
+  }
+  if (!config_.enable_calibrated_ranking) {
+    search_.expected_overhead = 0.0;
+    search_.expected_fixed_overhead = 0;
   }
 }
 
@@ -149,13 +148,20 @@ void InferenceEngine::MergePhantomSplits(std::vector<EstimatedExchange>* exchang
   }
 }
 
-AnalysisPrefix InferenceEngine::ComputePrefix(
-    const capture::PacketColumns& columns) const {
+namespace {
+
+// The snapshot-independent front of Analyze: flow classification plus — for
+// the dominant media flow — SP1/SP2 traffic splitting (SQ) or SNI-filtered
+// per-exchange size estimation (pre-merge-repair). It takes only the
+// PrefixSettings slice, the prefix tier's key, so it cannot read a setting
+// that key leaves out.
+AnalysisPrefix ComputePrefix(const capture::PacketColumns& columns,
+                             const PrefixSettings& settings) {
   AnalysisPrefix prefix;
   std::vector<uint32_t> media;
   {
     CSI_SPAN("flow_classify", {"packets", static_cast<int64_t>(columns.packet_count())});
-    media = ClassifyMediaFlowIds(columns, config_.host_suffix);
+    media = ClassifyMediaFlowIds(columns, settings.host_suffix);
   }
   prefix.media_flows = static_cast<int>(media.size());
   if (media.empty()) {
@@ -172,13 +178,13 @@ AnalysisPrefix InferenceEngine::ComputePrefix(
   }
   const capture::FlowView view = columns.flow(main_flow);
 
-  if (config_.design == DesignType::kSQ) {
+  if (settings.design == DesignType::kSQ) {
     CSI_SPAN("traffic_split", {"packets", static_cast<int64_t>(view.size())});
-    prefix.groups = SplitIntoGroups(view, config_.splitter);
+    prefix.groups = SplitIntoGroups(view, settings.splitter);
   } else {
     CSI_SPAN("size_estimate", {"packets", static_cast<int64_t>(view.size())});
     for (const EstimatedExchange& ex :
-         EstimateExchanges(view, IsQuic(config_.design))) {
+         EstimateExchanges(view, IsQuic(settings.design))) {
       if (ex.carries_sni) {
         // Handshake exchange (ClientHello / QUIC Initial): the data in its
         // window is the server's handshake flight, not a media object.
@@ -192,6 +198,8 @@ AnalysisPrefix InferenceEngine::ComputePrefix(
   }
   return prefix;
 }
+
+}  // namespace
 
 InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
                                          const DisplayConstraints& display,
@@ -259,7 +267,7 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     prefix = prefix_cache->Lookup(prefix_query);
   }
   if (prefix == nullptr) {
-    auto computed = std::make_shared<AnalysisPrefix>(ComputePrefix(columns));
+    auto computed = std::make_shared<AnalysisPrefix>(ComputePrefix(columns, config_));
     if (prefix_cache != nullptr) {
       prefix_cache->Insert(prefix_query, computed);
     }
@@ -283,28 +291,6 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     return {};
   }
 
-  const bool quic = IsQuic(config_.design);
-
-  GroupSearchConfig group;
-  group.k = quic ? config_.k_quic : config_.k_https;
-  group.expected_overhead = quic ? config_.expected_overhead_quic
-                                 : config_.expected_overhead_https;
-  group.expected_fixed_overhead = config_.expected_fixed_overhead;
-  group.max_sequences = config_.max_sequences;
-  group.max_candidates_per_group = config_.max_candidates_per_group;
-  group.other_object_sizes = config_.other_object_sizes;
-  group.enable_wildcards = config_.enable_wildcards;
-  group.enable_merge_repair = config_.enable_merge_repair;
-  group.pool = config_.search_pool;
-  group.shared_cache = config_.caches.candidate.get();
-  if (!config_.enable_phantom_deficit) {
-    group.max_phantom_requests = 0;
-  }
-  if (!config_.enable_calibrated_ranking) {
-    group.expected_overhead = 0.0;
-    group.expected_fixed_overhead = 0;
-  }
-
   // Both cases reduce to the same layered search (Fig. 9): for transport MUX
   // the layers are SP1/SP2 traffic groups (already split in the prefix);
   // otherwise every exchange becomes its own single-request group after the
@@ -315,8 +301,8 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
   const std::vector<TrafficGroup>* groups = &prefix->groups;
   if (config_.design != DesignType::kSQ) {
     std::vector<EstimatedExchange> exchanges = prefix->exchanges;
-    if (quic && config_.enable_merge_repair) {
-      MergePhantomSplits(&exchanges, group.k);
+    if (IsQuic(config_.design) && config_.enable_merge_repair) {
+      MergePhantomSplits(&exchanges, search_.k);
     }
     for (const EstimatedExchange& ex : exchanges) {
       TrafficGroup g;
@@ -334,7 +320,7 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
   if (effective_audit != nullptr) {
     effective_audit->groups = static_cast<int>(groups->size());
   }
-  InferenceResult result = SearchGroupSequences(*groups, snapshot_, group, display);
+  InferenceResult result = SearchGroupSequences(*groups, snapshot_, search_, display);
   if (effective_audit != nullptr) {
     effective_audit->sequences = static_cast<int>(result.sequences.size());
     effective_audit->truncated = result.truncated;

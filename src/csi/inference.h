@@ -20,34 +20,14 @@
 #include "src/csi/group_search.h"
 #include "src/csi/prefix_cache.h"
 #include "src/csi/result_cache.h"
-#include "src/csi/splitter.h"
+#include "src/csi/settings.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
 
-struct InferenceConfig {
-  DesignType design = DesignType::kCH;
-  // Hostname suffix identifying the service's media flows.
-  std::string host_suffix;
-  double k_https = 0.01;
-  double k_quic = 0.05;
-  // Calibrated overhead model for candidate ranking (§3.2 measurements):
-  // TLS record framing + HTTP headers for HTTPS; QUIC frame headers +
-  // undetectable retransmissions for QUIC.
-  double expected_overhead_https = 0.0015;
-  double expected_overhead_quic = 0.006;
-  Bytes expected_fixed_overhead = 180;
-  int max_sequences = 512;
-  SplitterConfig splitter;
-  int max_candidates_per_group = 5000;
-  // Ablation switches (see bench_ablation_robustness).
-  bool enable_wildcards = true;
-  bool enable_merge_repair = true;
-  bool enable_phantom_deficit = true;
-  bool enable_calibrated_ranking = true;
-  // Sizes of known non-media objects (manifest etc.) for SQ group matching.
-  // Auto-filled with the manifest size when empty.
-  std::vector<Bytes> other_object_sizes;
+// The settings a result depends on (InferenceSettings, settings.h) plus how
+// the engine runs: neither member below enters a cache key.
+struct InferenceConfig : InferenceSettings {
   // Optional worker pool for the SQ candidate enumeration (see
   // GroupSearchConfig::pool). Results are identical with or without it.
   // Caller keeps the pool alive for the engine's lifetime.
@@ -57,15 +37,16 @@ struct InferenceConfig {
   // each other up), optional (null: no caching at that tier) and
   // byte-transparent: results are identical with any subset attached.
   //  * result (result_cache.h) memoizes whole InferenceResults keyed on
-  //    (trace fingerprint, config context, database lineage) — a hit skips
+  //    (trace fingerprint, InferenceSettings, database lineage) — a hit skips
   //    classification, splitting, enumeration and the sequence search
   //    outright; calls with display constraints bypass it.
   //  * prefix (prefix_cache.h) is consulted before the per-packet stages
   //    (flow classification, size estimation, traffic splitting). Keyed on a
-  //    trace fingerprint + interned config context, and snapshot-independent:
-  //    entries stay valid across UpdateSnapshot / LiveChunkDatabase publishes.
+  //    trace fingerprint + PrefixSettings, and snapshot-independent: entries
+  //    stay valid across UpdateSnapshot / LiveChunkDatabase publishes.
   //  * candidate (candidate_cache.h) holds group-candidate sets consulted by
-  //    the group enumeration of every design.
+  //    the group enumeration of every design, keyed on the engine's
+  //    EnumerationSettings and the call's display constraints.
   struct Caches {
     std::shared_ptr<AnalysisPrefixCache> prefix;
     std::shared_ptr<GroupCandidateCache> candidate;
@@ -114,14 +95,10 @@ class InferenceEngine {
   const InferenceConfig& config() const { return config_; }
 
  private:
-  // Shared tail of both constructors: validates the config, then fills the
-  // defaults derived from manifest_.
+  // Shared tail of both constructors: validates the config, fills the
+  // defaults derived from manifest_, interns the cache contexts and builds
+  // search_.
   void FinishConfig();
-  // The snapshot-independent front of Analyze: flow classification plus — for
-  // the dominant media flow — SP1/SP2 traffic splitting (SQ) or SNI-filtered
-  // per-exchange size estimation (pre-merge-repair). A pure function of
-  // (capture, design, host_suffix, splitter); what the prefix cache memoizes.
-  AnalysisPrefix ComputePrefix(const capture::PacketColumns& columns) const;
   // True if `estimate` satisfies Property (1) for some video chunk, audio
   // chunk, or known non-media object.
   bool MatchesSomething(Bytes estimate, double k) const;
@@ -131,11 +108,11 @@ class InferenceEngine {
   const media::Manifest* manifest_;
   InferenceConfig config_;
   DbSnapshot snapshot_;
-  // Interned prefix-cache context id for this engine's (design, host_suffix,
-  // splitter) triple; 0 when no prefix cache is attached.
+  // The group search's config, derived from config_ once.
+  GroupSearchConfig search_;
+  // Interned ids of config_'s PrefixSettings and InferenceSettings slices; 0
+  // when that tier is not attached.
   uint32_t prefix_context_ = 0;
-  // Interned result-cache context id for this engine's full result-relevant
-  // config; 0 when no result cache is attached.
   uint32_t result_context_ = 0;
 };
 

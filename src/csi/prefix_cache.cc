@@ -68,13 +68,6 @@ size_t PrefixTier::Hash::operator()(const Query& q) const {
   return static_cast<size_t>(h);
 }
 
-uint32_t AnalysisPrefixCache::InternContext(DesignType design, const std::string& host_suffix,
-                                            const SplitterConfig& splitter) {
-  // The splitter only runs for SQ, but interning it unconditionally is free
-  // and keeps the id a function of the full knob set.
-  return CacheCore::InternContext(Context{design, host_suffix, splitter});
-}
-
 AnalysisPrefixCache::Query AnalysisPrefixCache::MakeQuery(
     const capture::PacketColumns& columns, uint32_t context) {
   return Query{FingerprintColumns(columns), context};

@@ -11,7 +11,7 @@
 // AnalysisPrefixCache is the amortization layer for that front of the
 // pipeline: a sharded, concurrent, byte-budgeted cache mapping
 //
-//   (128-bit trace fingerprint, interned classifier/splitter context)
+//   (128-bit trace fingerprint, interned PrefixSettings)
 //
 // to the immutable `AnalysisPrefix` the per-packet stages produce. The
 // fingerprint hashes every field the PacketColumns hold (addressing, each
@@ -20,9 +20,10 @@
 // exactly when their PacketColumns — the inference input — are identical.
 // Captures that differ only in what the columns do not hold (wire size, TCP
 // ack, QUIC packet number, an SNI string other than its flow's first) share
-// an entry, and the same analysis result. The context interns the knobs the prefix stages
-// read (design, host suffix, splitter thresholds) with full structural
-// equality, never a lossy hash.
+// an entry, and the same analysis result. The context is the PrefixSettings
+// slice of the inference settings (settings.h): the prefix stages take only
+// that slice, so the compiler checks that the key covers what they read. It
+// is interned with full structural equality, never a lossy hash.
 //
 // Safety argument (simpler than the candidate cache's): the cached value is a
 // pure function of (capture bytes, context). No database state enters the
@@ -44,12 +45,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/capture/packet_columns.h"
 #include "src/csi/cache_common.h"
-#include "src/csi/splitter.h"
+#include "src/csi/settings.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
@@ -101,14 +101,8 @@ struct PrefixTier {
   struct Hash {
     size_t operator()(const Query& q) const;
   };
-  // The interned prefix-relevant context fields (see InternContext).
-  struct Context {
-    DesignType design = DesignType::kCH;
-    std::string host_suffix;
-    SplitterConfig splitter;
-
-    friend bool operator==(const Context&, const Context&) = default;
-  };
+  // The prefix is a function of the capture and these settings alone.
+  using Context = PrefixSettings;
   using Value = AnalysisPrefix;
   struct Extra {};
   static constexpr internal::TierNames kNames{"prefix", "prefix_cache", "prefix_cache_lookup",
@@ -118,11 +112,6 @@ struct PrefixTier {
 class AnalysisPrefixCache : public internal::CacheCore<PrefixTier> {
  public:
   using CacheCore::CacheCore;
-
-  // Interns the prefix-relevant subset of an inference config — design type,
-  // host suffix, splitter knobs — and returns a process-stable id (>= 1).
-  uint32_t InternContext(DesignType design, const std::string& host_suffix,
-                         const SplitterConfig& splitter);
 
   // Fingerprints `columns` and assembles the key. O(packets), but pure
   // arithmetic — far cheaper than the classify/split work a hit skips.

@@ -7,7 +7,7 @@
 // is the top tier that collapses all of it: a sharded, concurrent,
 // byte-budgeted cache mapping
 //
-//   (128-bit trace fingerprint, interned full-config context,
+//   (128-bit trace fingerprint, interned InferenceSettings,
 //    database lineage)
 //
 // to the immutable `InferenceResult` Analyze produced, anchored to the
@@ -43,15 +43,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "src/common/units.h"
 #include "src/csi/cache_common.h"
 #include "src/csi/candidate_cache.h"
 #include "src/csi/db_snapshot.h"
 #include "src/csi/prefix_cache.h"
-#include "src/csi/splitter.h"
+#include "src/csi/settings.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
@@ -94,29 +92,9 @@ void RecordSizeProbeForResultCache(Bytes estimated, double k);
 // Key, context and names of the result tier over the shared core
 // (cache_common.h).
 struct ResultTier {
-  // The result-relevant subset of InferenceConfig, interned with full
-  // structural equality. Thread pools, db-build knobs and the cache pointers
-  // themselves are excluded: results are byte-identical across those by
-  // construction.
-  struct Context {
-    DesignType design = DesignType::kCH;
-    std::string host_suffix;
-    SplitterConfig splitter;
-    double k_https = 0.0;
-    double k_quic = 0.0;
-    double expected_overhead_https = 0.0;
-    double expected_overhead_quic = 0.0;
-    Bytes expected_fixed_overhead = 0;
-    int max_sequences = 0;
-    int max_candidates_per_group = 0;
-    bool enable_wildcards = false;
-    bool enable_merge_repair = false;
-    bool enable_phantom_deficit = false;
-    bool enable_calibrated_ranking = false;
-    std::vector<Bytes> other_object_sizes;
-
-    friend bool operator==(const Context&, const Context&) = default;
-  };
+  // Every setting a result reads: the InferenceSettings slice of the
+  // engine's config (settings.h). Pools and cache pointers are outside it.
+  using Context = InferenceSettings;
   struct Query {
     TraceFingerprint fingerprint;
     uint32_t context = 0;

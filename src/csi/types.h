@@ -50,6 +50,8 @@ struct InferredSlot {
   media::ChunkRef chunk;  // valid for kVideo and kAudio
   TimeUs request_time = 0;
   TimeUs done_time = 0;
+  // Always 0: no inference path fills it. It stays only because csibench
+  // reads it (DigestResults); filling it would change that digest.
   Bytes estimated_size = 0;
 
   friend bool operator==(const InferredSlot&, const InferredSlot&) = default;

@@ -431,6 +431,54 @@ TEST_F(CandidateCacheInvalidation, CompactionWithoutAppendsKeepsEntries) {
   EXPECT_EQ(after.invalidations, before.invalidations);
 }
 
+// --- The key covers every setting the enumeration reads -------------------
+
+// The candidate tier keys on (EnumerationSettings, display). Two enumerations
+// that share one GroupCandidateCache and differ in a single one of them must
+// not share an entry. The mutations take the whole GroupSearchConfig, so a
+// setting moved out of the slice still compiles here and fails the check.
+TEST(CandidateTierKey, EveryEnumerationSettingAndTheDisplaySplitTheKey) {
+  const Manifest m = SmallManifest(12);
+  const DbSnapshot snap(std::make_shared<const ChunkDatabase>(&m));
+  // Two requests: within every max_group_requests below, so each call probes
+  // the cache.
+  const TrafficGroup group = MakeGroup(2, 1000 + 1007 + 40);
+  struct Call {
+    GroupSearchConfig config;
+    DisplayConstraints display;
+  };
+  using Mutation = void (*)(Call&);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"k", [](Call& c) { c.config.k += 0.01; }},
+      {"expected_overhead", [](Call& c) { c.config.expected_overhead += 0.001; }},
+      {"expected_fixed_overhead", [](Call& c) { c.config.expected_fixed_overhead += 1; }},
+      {"max_candidates_per_group", [](Call& c) { c.config.max_candidates_per_group = 3; }},
+      {"max_group_requests", [](Call& c) { c.config.max_group_requests = 8; }},
+      {"max_phantom_requests", [](Call& c) { c.config.max_phantom_requests = 0; }},
+      {"other_object_sizes", [](Call& c) { c.config.other_object_sizes.push_back(500); }},
+      {"enable_wildcards", [](Call& c) { c.config.enable_wildcards = false; }},
+      {"display", [](Call& c) { c.display[0] = 1; }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    GroupCandidateCache cache(16u << 20);
+    Call call;
+    call.config.shared_cache = &cache;
+    const auto enumerate = [&]() {
+      return EnumerateGroupCandidateSet(group, snap, call.config, call.display, 0,
+                                        snap.num_positions());
+    };
+    ASSERT_FALSE(enumerate()->candidates.empty());
+    enumerate();  // control: the same settings hit
+    ASSERT_EQ(cache.stats().hits, 1u);
+    mutate(call);
+    enumerate();
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().contexts, 2u);
+  }
+}
+
 // --- Eviction stays under the byte budget ---------------------------------
 
 TEST(CandidateCacheEviction, NeverExceedsByteBudgetUnderLoad) {

@@ -80,10 +80,15 @@ expected_error="cannot read $work/good"
 expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$work/good" --design CH
 expect_error "$batch" --manifest "$work/good" --design CH --quiet "$work/good/session.pcap"
 expected_error=
-# Usage errors exit before any worker pool starts.
-expected_error="error: --threads must be >= 0"
-expect_error "$batch" --manifest "$manifest" --design CH --quiet --threads -3 \
-  "$work/good/session.pcap"
+# Usage errors exit before any worker pool starts: a thread count past the
+# bound is refused before a single thread is asked for.
+expected_error="error: --threads must be between 0 and 1024"
+expected_status=2
+for n in -3 1025; do
+  expect_error "$batch" --manifest "$manifest" --design CH --quiet --threads "$n" \
+    "$work/good/session.pcap"
+done
+expected_status=
 # -1 is a value like any other, not a spelling of "the default".
 expected_error="error: --db-compact-after must be >= 0"
 expected_status=2

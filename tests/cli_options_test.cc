@@ -161,7 +161,7 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
                      "--cache-mb", "candidate=128"});
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_mb, 128);
+    EXPECT_EQ(common.caches.candidate.budget_mb, 128);
   }
   {
     // Defaults: cache on at 64 MiB.
@@ -169,21 +169,21 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_mb, 64);
+    EXPECT_EQ(common.caches.candidate.budget_mb, 64);
   }
   {
     // --cache-mb candidate=0 is valid: it turns the tier off.
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
-    common.candidate_cache_mb = 0;
+    common.caches.candidate.budget_mb = 0;
     EXPECT_TRUE(common.Validate(&error)) << error;
   }
   {
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
-    common.candidate_cache_mb = -1;
+    common.caches.candidate.budget_mb = -1;
     EXPECT_FALSE(common.Validate(&error));
     EXPECT_NE(error.find("--cache-mb candidate"), std::string::npos);
   }
@@ -231,9 +231,9 @@ TEST(CommonOptionsTest, UnifiedCacheFlagsCoverAllTiers) {
                    "--cache-mb", "result=0"});
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
-  EXPECT_EQ(common.prefix_cache_mb, 8);
-  EXPECT_EQ(common.candidate_cache_mb, 16);
-  EXPECT_EQ(common.result_cache_mb, 0);
+  EXPECT_EQ(common.caches.prefix.budget_mb, 8);
+  EXPECT_EQ(common.caches.candidate.budget_mb, 16);
+  EXPECT_EQ(common.caches.result.budget_mb, 0);
 }
 
 TEST(CommonOptionsTest, RepeatedCacheFlagsLastOneWins) {
@@ -248,8 +248,8 @@ TEST(CommonOptionsTest, RepeatedCacheFlagsLastOneWins) {
                    "--cache-mb", "prefix=16"});
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
-  EXPECT_EQ(common.candidate_cache_mb, 32);
-  EXPECT_EQ(common.prefix_cache_mb, 16);
+  EXPECT_EQ(common.caches.candidate.budget_mb, 32);
+  EXPECT_EQ(common.caches.prefix.budget_mb, 16);
 }
 
 TEST(CommonOptionsTest, PerTierCacheFlagsAreGone) {
@@ -273,13 +273,13 @@ TEST(CommonOptionsTest, ResultCacheFlagsValidate) {
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.result_cache_mb, 64);
+    EXPECT_EQ(common.caches.result.budget_mb, 64);
   }
   {
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
-    common.result_cache_mb = -1;
+    common.caches.result.budget_mb = -1;
     EXPECT_FALSE(common.Validate(&error));
     EXPECT_NE(error.find("--cache-mb result"), std::string::npos);
   }

@@ -267,28 +267,49 @@ TEST(TraceFingerprint, FlowOrderMatters) {
 
 // --- Cache mechanics -------------------------------------------------------
 
-TEST(AnalysisPrefixCache, InternContextDistinguishesEveryKnob) {
-  AnalysisPrefixCache cache(1 << 20);
-  SplitterConfig splitter;
-  const uint32_t base = cache.InternContext(DesignType::kSQ, "a.example.com", splitter);
-  EXPECT_GE(base, 1u);
-  EXPECT_EQ(cache.InternContext(DesignType::kSQ, "a.example.com", splitter), base);
+// The prefix tier keys on the PrefixSettings slice alone. Two engines that
+// share one AnalysisPrefixCache and differ only in a setting outside it share
+// the entry; a difference in any PrefixSettings field splits it. The
+// mutations take the whole InferenceConfig, so a field moved between the
+// slices still compiles here and fails the check.
+TEST(PrefixTierKey, SharedAcrossOtherSettingsSplitByEveryPrefixSetting) {
+  const TimeUs duration = 20 * kUsPerSec;
+  const media::Manifest manifest = testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(MakeBatch(manifest, DesignType::kSQ, 1, duration)[0]);
+  InferenceConfig base;
+  base.design = DesignType::kSQ;
+  base.host_suffix = manifest.host;
 
-  EXPECT_NE(cache.InternContext(DesignType::kCQ, "a.example.com", splitter), base);
-  EXPECT_NE(cache.InternContext(DesignType::kSQ, "b.example.com", splitter), base);
-  SplitterConfig idle = splitter;
-  idle.idle_threshold += 1;
-  EXPECT_NE(cache.InternContext(DesignType::kSQ, "a.example.com", idle), base);
-  SplitterConfig window = splitter;
-  window.simultaneity_window += 1;
-  EXPECT_NE(cache.InternContext(DesignType::kSQ, "a.example.com", window), base);
-  SplitterConfig sp1 = splitter;
-  sp1.enable_sp1 = false;
-  EXPECT_NE(cache.InternContext(DesignType::kSQ, "a.example.com", sp1), base);
-  SplitterConfig sp2 = splitter;
-  sp2.enable_sp2 = false;
-  EXPECT_NE(cache.InternContext(DesignType::kSQ, "a.example.com", sp2), base);
-  EXPECT_EQ(cache.stats().contexts, 7u);
+  using Mutation = void (*)(InferenceConfig&);
+  const auto run = [&](Mutation mutate) {
+    InferenceConfig config = base;
+    config.caches.prefix = std::make_shared<AnalysisPrefixCache>(32u << 20);
+    EXPECT_FALSE(InferenceEngine(&manifest, config).Analyze(columns).sequences.empty());
+    mutate(config);
+    InferenceEngine(&manifest, config).Analyze(columns);
+    return config.caches.prefix->stats();
+  };
+  const CacheStats shared = run([](InferenceConfig& c) { c.k_quic += 0.01; });
+  EXPECT_EQ(shared.hits, 1u);
+  EXPECT_EQ(shared.contexts, 1u);
+
+  const std::vector<std::pair<const char*, Mutation>> prefix_mutations = {
+      {"design", [](InferenceConfig& c) { c.design = DesignType::kCQ; }},
+      {"host_suffix", [](InferenceConfig& c) { c.host_suffix = "other.example"; }},
+      {"splitter.idle_threshold", [](InferenceConfig& c) { c.splitter.idle_threshold += 1; }},
+      {"splitter.simultaneity_window",
+       [](InferenceConfig& c) { c.splitter.simultaneity_window += 1; }},
+      {"splitter.enable_sp1", [](InferenceConfig& c) { c.splitter.enable_sp1 = false; }},
+      {"splitter.enable_sp2", [](InferenceConfig& c) { c.splitter.enable_sp2 = false; }},
+  };
+  for (const auto& [name, mutate] : prefix_mutations) {
+    SCOPED_TRACE(name);
+    const CacheStats split = run(mutate);
+    EXPECT_EQ(split.hits, 0u);
+    EXPECT_EQ(split.misses, 2u);
+    EXPECT_EQ(split.contexts, 2u);
+  }
 }
 
 TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {

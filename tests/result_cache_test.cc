@@ -222,35 +222,62 @@ TEST(RecordSizeProbe, UsesAdmissibleWindow) {
 
 // --- Cache mechanics --------------------------------------------------------
 
-TEST(ResultCacheMechanics, InternContextDistinguishesEveryKnob) {
-  ResultCache cache(1 << 20);
-  ResultCache::Context base;
+// The result tier keys on the InferenceSettings slice. Two engines that share
+// one ResultCache and differ in a single setting must not share an entry: the
+// second engine's Analyze of the same capture misses. The mutations take the
+// whole InferenceConfig, so a setting moved out of the slice still compiles
+// here and fails the check.
+TEST(ResultTierKey, EveryInferenceSettingSplitsTheKey) {
+  const TimeUs duration = 20 * kUsPerSec;
+  const media::Manifest manifest = testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(MakeBatch(manifest, DesignType::kSQ, 1, duration)[0]);
+  // One snapshot, so every engine queries the same lineage.
+  const DbSnapshot snapshot(std::make_shared<const ChunkDatabase>(&manifest));
+  InferenceConfig base;
   base.design = DesignType::kSQ;
-  base.host_suffix = "a.example.com";
-  base.k_https = 0.96;
-  base.max_sequences = 512;
-  base.other_object_sizes = {1000};
-  const uint32_t id = cache.InternContext(base);
-  EXPECT_GE(id, 1u);
-  EXPECT_EQ(cache.InternContext(base), id);
+  // Explicit, so that no setting reaches the key only through a default fill.
+  base.host_suffix = manifest.host;
+  base.other_object_sizes = {manifest.SerializedSize() + base.expected_fixed_overhead};
 
-  const auto differs = [&](auto&& mutate) {
-    ResultCache::Context c = base;
-    mutate(c);
-    return cache.InternContext(c) != id;
+  using Mutation = void (*)(InferenceConfig&);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"design", [](InferenceConfig& c) { c.design = DesignType::kCQ; }},
+      {"host_suffix", [](InferenceConfig& c) { c.host_suffix = "other.example"; }},
+      {"splitter.idle_threshold", [](InferenceConfig& c) { c.splitter.idle_threshold += 1; }},
+      {"splitter.simultaneity_window",
+       [](InferenceConfig& c) { c.splitter.simultaneity_window += 1; }},
+      {"splitter.enable_sp1", [](InferenceConfig& c) { c.splitter.enable_sp1 = false; }},
+      {"splitter.enable_sp2", [](InferenceConfig& c) { c.splitter.enable_sp2 = false; }},
+      {"k_https", [](InferenceConfig& c) { c.k_https += 0.01; }},
+      {"k_quic", [](InferenceConfig& c) { c.k_quic += 0.01; }},
+      {"expected_overhead_https", [](InferenceConfig& c) { c.expected_overhead_https += 0.001; }},
+      {"expected_overhead_quic", [](InferenceConfig& c) { c.expected_overhead_quic += 0.001; }},
+      {"expected_fixed_overhead", [](InferenceConfig& c) { c.expected_fixed_overhead += 1; }},
+      {"max_sequences", [](InferenceConfig& c) { c.max_sequences = 7; }},
+      {"max_candidates_per_group", [](InferenceConfig& c) { c.max_candidates_per_group = 100; }},
+      {"enable_wildcards", [](InferenceConfig& c) { c.enable_wildcards = false; }},
+      {"enable_merge_repair", [](InferenceConfig& c) { c.enable_merge_repair = false; }},
+      {"enable_phantom_deficit", [](InferenceConfig& c) { c.enable_phantom_deficit = false; }},
+      {"enable_calibrated_ranking",
+       [](InferenceConfig& c) { c.enable_calibrated_ranking = false; }},
+      {"other_object_sizes", [](InferenceConfig& c) { c.other_object_sizes.push_back(1000); }},
   };
-  EXPECT_TRUE(differs([](auto& c) { c.design = DesignType::kCQ; }));
-  EXPECT_TRUE(differs([](auto& c) { c.host_suffix = "b.example.com"; }));
-  EXPECT_TRUE(differs([](auto& c) { c.splitter.idle_threshold += 1; }));
-  EXPECT_TRUE(differs([](auto& c) { c.k_https += 0.01; }));
-  EXPECT_TRUE(differs([](auto& c) { c.k_quic += 0.01; }));
-  EXPECT_TRUE(differs([](auto& c) { c.expected_fixed_overhead += 1; }));
-  EXPECT_TRUE(differs([](auto& c) { c.max_sequences += 1; }));
-  EXPECT_TRUE(differs([](auto& c) { c.max_candidates_per_group += 1; }));
-  EXPECT_TRUE(differs([](auto& c) { c.enable_wildcards = !c.enable_wildcards; }));
-  EXPECT_TRUE(differs([](auto& c) { c.enable_merge_repair = !c.enable_merge_repair; }));
-  EXPECT_TRUE(differs([](auto& c) { c.other_object_sizes.push_back(2000); }));
-  EXPECT_EQ(cache.stats().contexts, 12u);
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    InferenceConfig config = base;
+    config.caches.result = std::make_shared<ResultCache>(64u << 20);
+    const ResultCache& cache = *config.caches.result;
+    ASSERT_FALSE(InferenceEngine(snapshot, config).Analyze(columns).sequences.empty());
+    // Control: the same settings hit.
+    InferenceEngine(snapshot, config).Analyze(columns);
+    ASSERT_EQ(cache.stats().hits, 1u);
+    mutate(config);
+    InferenceEngine(snapshot, config).Analyze(columns);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().contexts, 2u);
+  }
 }
 
 TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {

@@ -139,9 +139,9 @@ void CommonOptions::Register(FlagParser* parser) {
   parser->AddString("--host", &host_suffix);
   parser->AddString("--metrics-out", &metrics_out);
   parser->AddString("--metrics-format", &metrics_format);
-  parser->AddKeyedInt("--cache-mb", "prefix", &prefix_cache_mb);
-  parser->AddKeyedInt("--cache-mb", "candidate", &candidate_cache_mb);
-  parser->AddKeyedInt("--cache-mb", "result", &result_cache_mb);
+  parser->AddKeyedInt("--cache-mb", "prefix", &caches.prefix.budget_mb);
+  parser->AddKeyedInt("--cache-mb", "candidate", &caches.candidate.budget_mb);
+  parser->AddKeyedInt("--cache-mb", "result", &caches.result.budget_mb);
   parser->AddString("--trace-out", &trace_out);
   parser->AddString("--trace-mode", &trace_mode);
   parser->AddString("--audit-out", &audit_out);
@@ -167,10 +167,10 @@ bool CommonOptions::Validate(std::string* error) const {
     }
     return false;
   }
-  for (const auto& [name, budget_mb] :
-       {std::pair{"result", result_cache_mb}, std::pair{"prefix", prefix_cache_mb},
-        std::pair{"candidate", candidate_cache_mb}}) {
-    if (budget_mb < 0) {
+  for (const auto& [name, budget] :
+       {std::pair{"result", caches.result}, std::pair{"prefix", caches.prefix},
+        std::pair{"candidate", caches.candidate}}) {
+    if (budget.budget_mb < 0) {
       if (error != nullptr) {
         *error = std::string("--cache-mb ") + name + " must be >= 0";
       }

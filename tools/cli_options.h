@@ -14,6 +14,7 @@
 
 #include "src/common/telemetry.h"
 #include "src/csi/audit.h"
+#include "src/csi/batch_analyzer.h"
 #include "src/csi/candidate_cache.h"
 #include "src/csi/prefix_cache.h"
 #include "src/csi/result_cache.h"
@@ -68,13 +69,10 @@ struct CommonOptions {
   std::string metrics_out;
   std::string metrics_format = "json";
   // Per-tier cache budgets in MiB, written by `--cache-mb <name>=N` (last
-  // flag on the command line wins); 0 turns the tier off.
-  // The shared group-candidate cache.
-  int candidate_cache_mb = 64;
-  // The shared analysis-prefix cache.
-  int prefix_cache_mb = 32;
-  // The shared whole-result cache.
-  int result_cache_mb = 64;
+  // flag on the command line wins; 0 turns the tier off) and starting at the
+  // library defaults. Both tools attach their tiers from it through
+  // infer::AttachCaches.
+  infer::BatchConfig::Caches caches;
   // Structured-trace output (Chrome trace-event JSON, Perfetto-loadable);
   // empty leaves tracing off entirely.
   std::string trace_out;

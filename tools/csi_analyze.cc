@@ -21,7 +21,7 @@
 #include "src/common/table.h"
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
-#include "src/csi/candidate_cache.h"
+#include "src/csi/batch_analyzer.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
 #include "tools/cli_options.h"
@@ -107,23 +107,9 @@ int Run(int argc, char** argv) {
     config.host_suffix = common.host_suffix;
   }
   // Single-trace runs still profit within the trace (repeated group
-  // signatures across SQ groups); the cache also feeds the hit-rate metrics.
-  if (common.candidate_cache_mb > 0) {
-    config.caches.candidate = std::make_shared<infer::GroupCandidateCache>(
-        static_cast<size_t>(common.candidate_cache_mb) * 1024 * 1024);
-  }
-  // One trace means at most one prefix entry, but attaching the cache keeps
-  // the lookup metrics and trace instants exercised on the single-shot tool.
-  if (common.prefix_cache_mb > 0) {
-    config.caches.prefix = std::make_shared<infer::AnalysisPrefixCache>(
-        static_cast<size_t>(common.prefix_cache_mb) * 1024 * 1024);
-  }
-  // Same reasoning for the whole-result tier: a single shot can only miss,
-  // but the lookup path and its metrics stay exercised.
-  if (common.result_cache_mb > 0) {
-    config.caches.result = std::make_shared<infer::ResultCache>(
-        static_cast<size_t>(common.result_cache_mb) * 1024 * 1024);
-  }
+  // signatures across SQ groups), and every attached tier keeps its lookup
+  // metrics and trace instants exercised on the single-shot tool.
+  infer::AttachCaches(common.caches, &config.caches);
   const infer::InferenceEngine engine(&manifest, config);
   infer::InferenceAudit audit;
   infer::InferenceResult result;
@@ -170,7 +156,7 @@ int Run(int argc, char** argv) {
 
   if (report == "sequence" || report == "both") {
     TextTable table;
-    table.SetHeader({"request (s)", "kind", "track", "index", "estimated bytes"});
+    table.SetHeader({"request (s)", "kind", "track", "index"});
     for (const auto& slot : best.slots) {
       const char* kind = slot.kind == infer::SlotKind::kVideo   ? "video"
                          : slot.kind == infer::SlotKind::kAudio ? "audio"
@@ -180,8 +166,7 @@ int Run(int argc, char** argv) {
                         ? "-"
                         : manifest.TrackOf(slot.chunk).name,
                     slot.kind == infer::SlotKind::kOther ? "-"
-                                                         : std::to_string(slot.chunk.index),
-                    std::to_string(slot.estimated_size)});
+                                                         : std::to_string(slot.chunk.index)});
     }
     std::printf("%s\n", table.Render().c_str());
   }

@@ -65,7 +65,7 @@ namespace {
                "                 [--audit-out FILE]\n"
                "\n"
                "  --threads N            worker threads for the trace fan-out\n"
-               "                         (default 0 = hardware concurrency)\n"
+               "                         (0 to 1024; default 0 = hardware concurrency)\n"
                "  --follow-manifests N   replay a live manifest: start from a half-length\n"
                "                         prefix and apply N metadata refreshes spread across\n"
                "                         the --repeat rounds via a LiveChunkDatabase\n"
@@ -172,8 +172,10 @@ int Run(int argc, char** argv) {
   if (pcap_paths.empty()) {
     Usage("no pcap inputs (pass files or --dir)");
   }
-  if (threads < 0) {
-    Usage("--threads must be >= 0");
+  // A bound far above any core count, so that a typo cannot ask the pool for
+  // more threads than the process may start.
+  if (threads < 0 || threads > 1024) {
+    Usage("--threads must be between 0 and 1024");
   }
   if (repeat < 1) {
     Usage("--repeat must be >= 1");
@@ -248,9 +250,7 @@ int Run(int argc, char** argv) {
   }
   infer::BatchConfig batch;
   batch.threads = threads;
-  batch.caches.candidate.budget_mb = common.candidate_cache_mb;
-  batch.caches.prefix.budget_mb = common.prefix_cache_mb;
-  batch.caches.result.budget_mb = common.result_cache_mb;
+  batch.caches = common.caches;
   if (!quiet) {
     batch.progress = [](size_t done, size_t total_traces) {
       std::fprintf(stderr, "  ...%zu/%zu traces\n", done, total_traces);
