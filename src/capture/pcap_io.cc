@@ -196,6 +196,15 @@ CaptureTrace Parse(Window& window) {
     if (incl_len < headers || orig_len < headers) {
       throw std::runtime_error("pcap: packet shorter than its headers");
     }
+    // Captured bytes past the original length are bytes the packet never had;
+    // read as QUIC or TLS fields they would dress up a zero-payload packet.
+    if (incl_len > orig_len) {
+      throw std::runtime_error("pcap: captured length exceeds original length");
+    }
+    // Microseconds of a whole second or more would shift the packet later.
+    if (ts_usec >= kUsPerSec) {
+      throw std::runtime_error("pcap: bad timestamp");
+    }
     const uint32_t src_ip = Load32be(pkt + 12);
     const uint32_t dst_ip = Load32be(pkt + 16);
     const uint8_t* const l4 = pkt + kIpv4HeaderBytes;

@@ -35,8 +35,8 @@ struct BatchConfig {
   //  * candidate — group-candidate cache (candidate_cache.h): repeated group
   //    signatures across traces and refreshes skip enumeration.
   //  * result    — whole-result cache (result_cache.h): a repeat of the same
-  //    trace under the same (or a provably-equivalent) snapshot state skips
-  //    the entire pipeline.
+  //    trace under the same snapshot state (or a compaction's republish of
+  //    it) skips the entire pipeline.
   // `budget_mb = 0` disables a tier. Results are byte-identical with any
   // subset disabled (inference_e2e_test's AnyTierSubsetKeepsGoldenDigests,
   // plus the per-tier on-vs-off tests).

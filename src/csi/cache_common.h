@@ -20,7 +20,7 @@
 //                 (settings.h), interned by its defaulted operator==;
 //   Value, Extra  the shared payload and the per-entry side data a hit
 //                 returns (the candidate tier's hulls, the result tier's
-//                 dependence and audit shape);
+//                 audit shape);
 //   kNames        metric stem, trace instant, lookup span, hit reason, and
 //                 whether entries revalidate against a DbSnapshot;
 //   Dependence    (revalidating tiers) the entry's PositionDependence at a
@@ -34,32 +34,32 @@
 // positions below an entry's anchor P_A never change and audio is CBR. So a
 // value computed at state A stays byte-identical at a later state B unless an
 // appended chunk could have entered the computation. PositionDependence
-// records, per entry, how the computation read the position axis:
+// states, per entry, how the computation read the position axis:
 //   * insensitive — never (video-free enumerations, concrete start ranges
-//     whose longest run ends before P_A, results without media flows);
+//     whose longest run ends before P_A);
 //   * a size window [probe_lo, probe_hi] — an appended chunk can change the
 //     output only if its size lies inside: a single-chunk candidate needs its
-//     size in a v == 1 split window, a multi-chunk run through it survives the
-//     DFS's MinSum prune only if it alone is below the run's upper bound, and
-//     a merge-repair probe flips only for a size in its admissible window;
-//   * unsafe — a growth range whose per-start DFS budget sat above the floor
-//     (GroupCandidateCache::kPerStartNodeFloor): the budget shrinks as the
-//     live edge moves, a different cutoff on the same inputs, which no window
-//     can rule out.
+//     size in a v == 1 split window, and a multi-chunk run through it
+//     survives the DFS's MinSum prune only if it alone is below the run's
+//     upper bound;
+//   * unsafe — any append may change it: a growth range whose per-start DFS
+//     budget sat above the floor (GroupCandidateCache::kPerStartNodeFloor;
+//     the budget shrinks as the live edge moves, a different cutoff on the
+//     same inputs, which no window can rule out), and every whole-session
+//     result (result_cache.h).
 // EnumerationDependence (candidate_cache.h) maps one group enumeration to its
-// dependence. The candidate tier evaluates it per entry at the entry's
-// current anchor; the result tier folds every enumeration and merge-repair
-// probe of one Analyze into a union at analyze time (ResultHull). Revalidate
-// below is then the one anchored check both tiers run: same state → hit;
-// same positions (a compaction's republish) → re-anchor; an older snapshot
-// than the anchor → miss and keep the entry for newer readers; appended
-// positions → re-anchor when the dependence is insensitive, or when no
-// appended chunk's size lies in its window (one DbSnapshot::
-// DeltaHasSizeInWindow probe, O(log delta)). A compaction that folded the
-// appends into the base can no longer be probed one-sidedly against P_A, so
-// sensitive entries then invalidate, as do unsafe ones. Re-anchoring makes
-// later checks O(1) and the rule transitive across refreshes; an invalidated
-// entry is dropped at once, since no later state of the lineage can prove it.
+// dependence, evaluated per candidate entry at the entry's current anchor;
+// the result tier's is constant. Revalidate below is the one anchored check
+// both tiers run: same state → hit; same positions (a compaction's
+// republish) → re-anchor; an older snapshot than the anchor → miss and keep
+// the entry for newer readers; appended positions → re-anchor when the
+// dependence is insensitive, or when no appended chunk's size lies in its
+// window (one DbSnapshot::DeltaHasSizeInWindow probe, O(log delta)). A
+// compaction that folded the appends into the base can no longer be probed
+// one-sidedly against P_A, so sensitive entries then invalidate, as do unsafe
+// ones. Re-anchoring makes later checks O(1) and the rule transitive across
+// refreshes; an invalidated entry is dropped at once, since no later state of
+// the lineage can prove it.
 
 #ifndef CSI_SRC_CSI_CACHE_COMMON_H_
 #define CSI_SRC_CSI_CACHE_COMMON_H_
@@ -152,19 +152,6 @@ struct PositionDependence {
     }
     probe_lo = std::min(probe_lo, lo);
     probe_hi = std::max(probe_hi, hi);
-  }
-
-  // Folds another dependence into this union.
-  void Merge(const PositionDependence& other) {
-    if (!other.sensitive) {
-      return;
-    }
-    if (other.unsafe) {
-      sensitive = true;
-      unsafe = true;
-      return;
-    }
-    Widen(other.probe_lo, other.probe_hi);
   }
 
   friend bool operator==(const PositionDependence&, const PositionDependence&) = default;

@@ -88,10 +88,10 @@ GroupCandidateCache::Query GroupCandidateCache::MakeQuery(const DbSnapshot& db,
   return q;
 }
 
-std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
-    const Query& query, const DbSnapshot& db, CandidateSetHull* hull_out) {
+std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(const Query& query,
+                                                                    const DbSnapshot& db) {
   std::shared_ptr<const GroupCandidateSet> hit;
-  const internal::LookupOutcome outcome = CacheCore::Lookup(query, &db, &hit, hull_out);
+  const internal::LookupOutcome outcome = CacheCore::Lookup(query, &db, &hit);
   if (InferenceAudit* const audit = CurrentAudit()) {
     switch (outcome) {
       case internal::LookupOutcome::kHit:

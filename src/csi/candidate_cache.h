@@ -129,12 +129,9 @@ class GroupCandidateCache : public internal::CacheCore<CandidateTier> {
                          Bytes estimated_total, int start_lo, int start_hi);
 
   // Returns the cached set when a valid entry exists for `query` under `db`'s
-  // state, else null (see the core's lookup outcomes). On a hit, `hull_out`
-  // (when non-null) receives the entry's recorded size hulls so the caller
-  // can fold the skipped enumeration into the result-tier hull. Bumps the
-  // active InferenceAudit's cache counters.
-  std::shared_ptr<const GroupCandidateSet> Lookup(const Query& query, const DbSnapshot& db,
-                                                  CandidateSetHull* hull_out = nullptr);
+  // state, else null (see the core's lookup outcomes). Bumps the active
+  // InferenceAudit's cache counters.
+  std::shared_ptr<const GroupCandidateSet> Lookup(const Query& query, const DbSnapshot& db);
 
   // Publishes an enumeration result computed against `db`; sets larger than
   // a whole shard's budget are not admitted.
@@ -147,8 +144,7 @@ class GroupCandidateCache : public internal::CacheCore<CandidateTier> {
 // `canonical_start_hi` its upper one as MakeQuery canonicalizes it
 // (GroupCandidateCache::kOpenHi when the range reached the live edge), and
 // `positions` the position count the output is exact for. The candidate tier
-// evaluates it at each entry's anchor; the result tier folds it into a
-// ResultHull at analyze time.
+// evaluates it at each entry's anchor.
 PositionDependence EnumerationDependence(const CandidateSetHull& hull, int start_lo,
                                          int canonical_start_hi, int positions);
 

@@ -15,7 +15,6 @@
 #include "src/common/tracing.h"
 #include "src/csi/audit.h"
 #include "src/csi/candidate_cache.h"
-#include "src/csi/result_cache.h"
 
 namespace csi::infer {
 namespace {
@@ -208,25 +207,16 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   if (shared != nullptr && context_id == 0) {
     context_id = shared->InternContext({config, display});
   }
-  // The key's canonical start range (lo clamped to 0, hi kOpenHi at the live
-  // edge) is also what the result-tier hull record reads.
   const GroupCandidateCache::Query query = GroupCandidateCache::MakeQuery(
       db, context_id, n_req, group.estimated_total, start_lo, start_hi);
   if (shared != nullptr) {
-    CandidateSetHull cached_hull;
-    if (std::shared_ptr<const GroupCandidateSet> hit =
-            shared->Lookup(query, db, &cached_hull)) {
+    if (std::shared_ptr<const GroupCandidateSet> hit = shared->Lookup(query, db)) {
       if (audit != nullptr) {
         audit->candidates += static_cast<int64_t>(hit->candidates.size());
         if (hit->truncated) {
           ++audit->enum_truncations;
         }
       }
-      // A hit skipped the enumeration but the result still depends on it:
-      // fold the entry's recorded hulls into the result-tier collector
-      // exactly as the computed path below would.
-      RecordEnumerationForResultCache(cached_hull, query.start_lo, query.start_hi,
-                                      db.num_positions());
       return hit;
     }
   }
@@ -439,7 +429,6 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   if (shared != nullptr) {
     shared->Insert(query, db, hull, set);
   }
-  RecordEnumerationForResultCache(hull, query.start_lo, query.start_hi, db.num_positions());
   return set;
 }
 

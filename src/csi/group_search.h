@@ -59,7 +59,7 @@ struct GroupCandidate {
 
 // DFS node budget per (group, start-range) enumeration, split evenly across
 // the start indexes with a floor of GroupCandidateCache::kPerStartNodeFloor
-// each. The cache tiers' growth revalidation reads it too.
+// each. The candidate tier's growth revalidation reads it too.
 inline constexpr int64_t kMaxDfsNodes = 2'000'000;
 
 // The enumeration's settings (settings.h) plus what steers the sequence chain

@@ -94,11 +94,6 @@ void InferenceEngine::UpdateSnapshot(DbSnapshot snapshot) {
 }
 
 bool InferenceEngine::MatchesSomething(Bytes estimate, double k) const {
-  // The video-index probe below is snapshot-dependent: an appended chunk
-  // inside the admissible window can flip a "no" to a "yes" (audio is CBR and
-  // other_object_sizes is config, both append-invariant). Tell the
-  // result-tier collector, for positive and negative answers alike.
-  RecordSizeProbeForResultCache(estimate, k);
   if (snapshot_.HasVideoCandidate(estimate, k) || snapshot_.AudioPossible(estimate, k)) {
     return true;
   }
@@ -251,10 +246,6 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
   InferenceAudit* const effective_audit =
       audit != nullptr ? audit : result_cache != nullptr ? &local_audit : nullptr;
   const AuditScope audit_scope(effective_audit);
-  // Collector for everything the compute path reads off the position axis;
-  // stays insensitive when the cache is off or the trace has no media flows.
-  ResultHull result_hull;
-  const ResultHullScope hull_scope(result_cache != nullptr ? &result_hull : nullptr);
 
   // Consult the shared prefix cache before paying for the per-packet stages;
   // on a miss, compute and publish so later repeats (this engine or any other
@@ -281,12 +272,9 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     CSI_COUNTER_INC("csi_analyze_no_media_flow_total");
     CSI_TRACE_INSTANT("analyze_no_media_flow", "stage");
     if (result_cache != nullptr) {
-      // Classification never touches the database, so the empty result is
-      // valid under every state of the lineage (the hull is insensitive).
       ResultCache::AuditShape shape;
       shape.media_flows = 0;
-      result_cache->Insert(result_query, snapshot_, result_hull,
-                           std::make_shared<InferenceResult>(), shape);
+      result_cache->Insert(result_query, snapshot_, std::make_shared<InferenceResult>(), shape);
     }
     return {};
   }
@@ -364,7 +352,7 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     shape.has_runner_up_cost = effective_audit->has_runner_up_cost;
     shape.runner_up_cost = effective_audit->runner_up_cost;
     auto owned = std::make_shared<InferenceResult>(std::move(result));
-    result_cache->Insert(result_query, snapshot_, result_hull, owned, shape);
+    result_cache->Insert(result_query, snapshot_, owned, shape);
     return *owned;
   }
   return result;

@@ -15,6 +15,7 @@
 #include "src/capture/packet_columns.h"
 #include "src/capture/packet_record.h"
 #include "src/csi/audit.h"
+#include "src/csi/candidate_cache.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/db_snapshot.h"
 #include "src/csi/group_search.h"
@@ -33,13 +34,18 @@ struct InferenceConfig : InferenceSettings {
   // Caller keeps the pool alive for the engine's lifetime.
   ThreadPool* search_pool = nullptr;
   // The shared cache tiers. All three are share-owned (several engines, or a
-  // BatchAnalyzer plus standalone engines, may point at one cache and warm
-  // each other up), optional (null: no caching at that tier) and
-  // byte-transparent: results are identical with any subset attached.
+  // BatchAnalyzer plus standalone engines, may point at one cache), optional
+  // (null: no caching at that tier) and byte-transparent: results are
+  // identical with any subset attached. The result and candidate tiers key on
+  // the database lineage, so engines share their entries only when built
+  // from one DbSnapshot (or snapshots of one LiveChunkDatabase); engines
+  // built from a Manifest* each build their own database, a lineage of its
+  // own, and share only the prefix tier.
   //  * result (result_cache.h) memoizes whole InferenceResults keyed on
   //    (trace fingerprint, InferenceSettings, database lineage) — a hit skips
   //    classification, splitting, enumeration and the sequence search
-  //    outright; calls with display constraints bypass it.
+  //    outright; calls with display constraints bypass it. An entry is exact
+  //    for its snapshot state: any append invalidates it.
   //  * prefix (prefix_cache.h) is consulted before the per-packet stages
   //    (flow classification, size estimation, traffic splitting). Keyed on a
   //    trace fingerprint + PrefixSettings, and snapshot-independent: entries

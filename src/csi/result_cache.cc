@@ -2,42 +2,7 @@
 
 #include <utility>
 
-#include "src/csi/chunk_database.h"
-
 namespace csi::infer {
-
-namespace {
-
-// The collector the engine installed around the running Analyze, if any.
-thread_local ResultHull* t_result_hull = nullptr;
-
-}  // namespace
-
-ResultHullScope::ResultHullScope(ResultHull* hull) : previous_(t_result_hull) {
-  t_result_hull = hull;
-}
-
-ResultHullScope::~ResultHullScope() { t_result_hull = previous_; }
-
-ResultHull* CurrentResultHull() { return t_result_hull; }
-
-void RecordEnumerationForResultCache(const CandidateSetHull& hull, int start_lo,
-                                     int canonical_start_hi, int positions) {
-  if (ResultHull* const collector = CurrentResultHull()) {
-    collector->Merge(EnumerationDependence(hull, start_lo, canonical_start_hi, positions));
-  }
-}
-
-void RecordSizeProbeForResultCache(Bytes estimated, double k) {
-  ResultHull* const collector = CurrentResultHull();
-  if (collector == nullptr) {
-    return;
-  }
-  // Recorded for positive and negative probes alike: an appended chunk in the
-  // window can flip a negative answer to positive (and a compaction-proof
-  // positive stays positive, so widening is merely conservative).
-  collector->Widen(ChunkDatabase::AdmissibleLow(estimated, k), estimated);
-}
 
 size_t ResultTier::Hash::operator()(const Query& q) const {
   uint64_t h = q.fingerprint.lo;
@@ -56,15 +21,11 @@ std::shared_ptr<const InferenceResult> ResultCache::Lookup(const Query& query,
                                                            const DbSnapshot& db,
                                                            AuditShape* shape) {
   std::shared_ptr<const InferenceResult> hit;
-  Extra extra;
-  CacheCore::Lookup(query, &db, &hit, shape != nullptr ? &extra : nullptr);
-  if (hit != nullptr && shape != nullptr) {
-    *shape = extra.shape;
-  }
+  CacheCore::Lookup(query, &db, &hit, shape);
   return hit;
 }
 
-void ResultCache::Insert(const Query& query, const DbSnapshot& db, const ResultHull& hull,
+void ResultCache::Insert(const Query& query, const DbSnapshot& db,
                          std::shared_ptr<const InferenceResult> result,
                          const AuditShape& shape) {
   if (result == nullptr) {
@@ -77,7 +38,7 @@ void ResultCache::Insert(const Query& query, const DbSnapshot& db, const ResultH
   for (const InferredSequence& s : result->sequences) {
     bytes += s.slots.capacity() * sizeof(InferredSlot);
   }
-  CacheCore::Insert(query, &db, std::move(result), bytes, Extra{hull, shape});
+  CacheCore::Insert(query, &db, std::move(result), bytes, shape);
 }
 
 }  // namespace csi::infer

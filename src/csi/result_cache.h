@@ -14,19 +14,19 @@
 // snapshot state it was produced at. A hit returns the finished result —
 // nothing downstream of the fingerprint runs.
 //
-// Snapshot awareness is the candidate tier's rule one level up (the
-// soundness argument is in cache_common.h). While Analyze computes a result,
-// a thread-local ResultHull collector (installed by the engine) folds in
-// every way the computation touched the position axis:
-//
-//   * each group enumeration contributes its EnumerationDependence at the
-//     analyze-time position count (RecordEnumerationForResultCache), and
-//   * each merge-repair size probe contributes its admissible window
-//     [AdmissibleLow(estimate, k), estimate] (RecordSizeProbeForResultCache).
-//
-// The union is one PositionDependence; an entry computed at state A
-// revalidates under a later state B of the same lineage by the shared
-// anchored check, one delta probe over that union for the whole pipeline.
+// Validity: an entry is exact for its content version, and nothing more. A
+// whole-session result reads the chunk database through the Property (1)
+// window [S/(1+k), S] of every request and every group enumeration, so the
+// chunks a live refresh appends land inside one of those windows; on every
+// measured live replay no result ever survived an append (ch_live_replay:
+// 24 of 24 cross-refresh lookups invalidated; six 10-min CH captures under
+// csi_batch --follow-manifests: 12 of 12 at 2 refreshes, 30 of 30 at 5). The
+// tier therefore reports a constant unsafe dependence, and the shared
+// anchored check (cache_common.h) yields:
+//   * same state → hit;
+//   * a compaction's republish with the same position count → re-anchor, hit;
+//   * a reader pinning an older state → miss, the entry is kept;
+//   * any append → invalidate, and the entry is dropped at once.
 //
 // Entries also carry the audit shape of the skipped work (media flows,
 // groups, sequence count, best/runner-up costs) so a hit can fill the
@@ -44,50 +44,13 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/common/units.h"
 #include "src/csi/cache_common.h"
-#include "src/csi/candidate_cache.h"
 #include "src/csi/db_snapshot.h"
 #include "src/csi/prefix_cache.h"
 #include "src/csi/settings.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
-
-// Everything one Analyze call's output depended on along the position axis:
-// the union of its enumerations' and size probes' dependences.
-using ResultHull = PositionDependence;
-
-// Thread-local collector the engine installs around the compute path of one
-// Analyze. Same shape as AuditScope: scopes nest, null is a valid no-op
-// target, and the previous collector is restored on destruction.
-class ResultHullScope {
- public:
-  explicit ResultHullScope(ResultHull* hull);
-  ~ResultHullScope();
-
-  ResultHullScope(const ResultHullScope&) = delete;
-  ResultHullScope& operator=(const ResultHullScope&) = delete;
-
- private:
-  ResultHull* previous_;
-};
-
-// The collector installed on this thread, or null. Record* helpers below are
-// the intended writers; exposed for tests.
-ResultHull* CurrentResultHull();
-
-// Folds one group enumeration's EnumerationDependence into the active
-// collector (no-op without one): `canonical_start_hi` must already be
-// canonicalized (GroupCandidateCache::kOpenHi when the range reached the live
-// edge), `positions` is the analyze-time snapshot's count.
-void RecordEnumerationForResultCache(const CandidateSetHull& hull, int start_lo,
-                                     int canonical_start_hi, int positions);
-
-// Folds one merge-repair size probe into the active collector (no-op without
-// one): the probe's answer can only flip if an appended chunk lands in the
-// admissible window [AdmissibleLow(estimated, k), estimated].
-void RecordSizeProbeForResultCache(Bytes estimated, double k);
 
 // Key, context and names of the result tier over the shared core
 // (cache_common.h).
@@ -120,16 +83,13 @@ struct ResultTier {
     double runner_up_cost = 0.0;
   };
   using Value = InferenceResult;
-  struct Extra {
-    ResultHull hull;
-    AuditShape shape;
-  };
+  using Extra = AuditShape;
   static constexpr internal::TierNames kNames{"result", "result_cache", "result_cache_lookup",
                                               "same_state", /*revalidates=*/true};
 
-  // The hull the entry's computation collected, whatever the anchor.
-  static PositionDependence Dependence(const Query&, const Extra& extra, int) {
-    return extra.hull;
+  // Any append may change a result (see the file comment), whatever the entry.
+  static PositionDependence Dependence(const Query&, const Extra&, int) {
+    return {.sensitive = true, .unsafe = true};
   }
 };
 
@@ -150,9 +110,9 @@ class ResultCache : public internal::CacheCore<ResultTier> {
   std::shared_ptr<const InferenceResult> Lookup(const Query& query, const DbSnapshot& db,
                                                 AuditShape* shape = nullptr);
 
-  // Publishes a result computed against `db` with the hull its computation
-  // collected; results larger than a whole shard's budget are not admitted.
-  void Insert(const Query& query, const DbSnapshot& db, const ResultHull& hull,
+  // Publishes a result computed against `db`; results larger than a whole
+  // shard's budget are not admitted.
+  void Insert(const Query& query, const DbSnapshot& db,
               std::shared_ptr<const InferenceResult> result, const AuditShape& shape);
 };
 

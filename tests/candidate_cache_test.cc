@@ -269,6 +269,71 @@ TEST(CandidateCacheDifferential, CacheOnMatchesCacheOffOn120Schedules) {
   }
 }
 
+// --- Position dependence of one enumeration -------------------------------
+
+// The dependence rule the candidate tier evaluates at each entry's anchor.
+TEST(EnumerationDependence, MapsEachRangeShapeToItsDependence) {
+  CandidateSetHull video;
+  video.has_video_split = true;
+  video.v_max = 3;
+  video.has_v1 = true;
+  video.hull1_lo = 400;
+  video.hull1_hi = 800;
+  video.hull2_hi = 1200;
+  video.hull_all_hi = 1500;
+  // Wide enough that a [0, live edge] range floors the per-start DFS budget.
+  constexpr int kPositions = 100;
+  static_assert(kMaxDfsNodes / kPositions <= GroupCandidateCache::kPerStartNodeFloor);
+  constexpr int kOpen = GroupCandidateCache::kOpenHi;
+
+  {
+    // No video split: the enumeration never reads the position axis.
+    CandidateSetHull no_video = video;
+    no_video.has_video_split = false;
+    EXPECT_FALSE(EnumerationDependence(no_video, 0, kOpen, kPositions).sensitive);
+  }
+  // Concrete range whose longest run cannot cross the live edge.
+  EXPECT_FALSE(EnumerationDependence(video, 10, 20, kPositions).sensitive);
+  {
+    // Concrete range with a run crossing the edge: the multi-chunk upper
+    // bound is the only thing between an appended chunk and a new candidate.
+    const PositionDependence out = EnumerationDependence(video, 90, kPositions - 2, kPositions);
+    EXPECT_TRUE(out.sensitive);
+    EXPECT_FALSE(out.unsafe);
+    EXPECT_EQ(out.probe_lo, 0);
+    EXPECT_EQ(out.probe_hi, video.hull2_hi);
+  }
+  {
+    // Growth range, multi-chunk splits, budget under the floor: appended
+    // chunks can seed candidates anywhere up to the overall hull.
+    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kPositions);
+    EXPECT_TRUE(out.sensitive);
+    EXPECT_FALSE(out.unsafe);
+    EXPECT_EQ(out.probe_lo, 0);
+    EXPECT_EQ(out.probe_hi, video.hull_all_hi);
+  }
+  {
+    // Growth range, single-chunk splits only: the v == 1 window floor holds.
+    CandidateSetHull single = video;
+    single.v_max = 1;
+    const PositionDependence out = EnumerationDependence(single, 0, kOpen, kPositions);
+    EXPECT_TRUE(out.sensitive);
+    EXPECT_FALSE(out.unsafe);
+    EXPECT_EQ(out.probe_lo, single.hull1_lo);
+    EXPECT_EQ(out.probe_hi, single.hull_all_hi);
+  }
+  {
+    // Growth range narrow enough that its per-start DFS budget sits above
+    // the floor: the cutoff itself shifts with the live edge — unprovable by
+    // any window.
+    constexpr int kNarrowPositions = 10;
+    static_assert(kMaxDfsNodes / kNarrowPositions > GroupCandidateCache::kPerStartNodeFloor);
+    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kNarrowPositions);
+    EXPECT_TRUE(out.sensitive);
+    EXPECT_TRUE(out.unsafe);
+  }
+}
+
 // --- Targeted delta invalidation ------------------------------------------
 
 // Positions of the invalidation fixture's manifests: enough that a

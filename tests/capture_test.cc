@@ -262,14 +262,22 @@ class PcapBuilder {
     return Record(std::move(packet), 40, 40);
   }
 
+  // Stamps the records that follow with (`ts_sec`, `ts_usec`); the default
+  // is (1, 0).
+  PcapBuilder& Stamp(uint32_t ts_sec, uint32_t ts_usec) {
+    ts_sec_ = ts_sec;
+    ts_usec_ = ts_usec;
+    return *this;
+  }
+
   // A copy sized exactly, so the sanitizer builds flag a read one byte past
   // the last record.
   std::vector<uint8_t> bytes() const { return bytes_; }
 
  private:
   PcapBuilder& Record(std::vector<uint8_t> packet, uint32_t incl_len, uint32_t orig_len) {
-    Le32(1);  // ts_sec
-    Le32(0);  // ts_usec
+    Le32(ts_sec_);
+    Le32(ts_usec_);
     Le32(incl_len);
     Le32(orig_len);
     packet.resize(incl_len, 0);
@@ -283,6 +291,8 @@ class PcapBuilder {
     }
   }
 
+  uint32_t ts_sec_ = 1;
+  uint32_t ts_usec_ = 0;
   std::vector<uint8_t> bytes_;
 };
 
@@ -404,6 +414,33 @@ TEST(Pcap, UdpRecordShorterThanTheQuicHeaderKeepsNoQuicFields) {
   EXPECT_EQ(parsed[0].sni, "");
 }
 
+TEST(Pcap, RejectsCapturedLengthAboveOriginalLength) {
+  // A headers-only UDP packet on the wire whose record carries 18 more bytes:
+  // read as a QUIC header they would give it a packet number and an SNI.
+  EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(40, 40).UdpRecord(46, 28, QuicSni(3)).bytes()),
+            "pcap: captured length exceeds original length");
+  EXPECT_EQ(ParseError(PcapBuilder().TcpRecord(41, 40).bytes()),
+            "pcap: captured length exceeds original length");
+  // All of the packet captured parses.
+  const CaptureTrace parsed = ParsePcap(PcapBuilder().UdpRecord(46, 46, QuicSni(3)).bytes());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].payload, 18);
+  EXPECT_EQ(parsed[0].quic_packet_number, 7u);
+  EXPECT_EQ(parsed[0].sni, "abc");
+}
+
+TEST(Pcap, RejectsMicrosecondsOfAWholeSecondOrMore) {
+  // 2,500,000 µs after second 1 would read as 3.5 s.
+  EXPECT_EQ(ParseError(PcapBuilder().Stamp(1, 2'500'000).TcpRecord(40, 40).bytes()),
+            "pcap: bad timestamp");
+  EXPECT_EQ(ParseError(
+                PcapBuilder().TcpRecord(40, 40).Stamp(1, 1'000'000).TcpRecord(40, 40).bytes()),
+            "pcap: bad timestamp");
+  const CaptureTrace parsed = ParsePcap(PcapBuilder().Stamp(1, 999'999).TcpRecord(40, 40).bytes());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].timestamp, kUsPerSec + 999'999);
+}
+
 std::string ReadError(const std::string& path) {
   try {
     ReadPcap(path);
@@ -425,6 +462,23 @@ TEST(Pcap, ReadRejectsEmptyMissingAndDirectoryPaths) {
   ::rmdir(dir.c_str());
 }
 
+uint32_t GetLe32(const std::vector<uint8_t>& bytes, size_t at) {
+  return bytes[at] | bytes[at + 1] << 8 | bytes[at + 2] << 16 |
+         static_cast<uint32_t>(bytes[at + 3]) << 24;
+}
+
+// The byte offsets of each record's incl_len field in a well-framed capture,
+// such as one SerializePcap wrote or ParsePcap accepted (ts_sec and ts_usec
+// sit at -8 and -4, orig_len at +4).
+std::vector<size_t> InclLenOffsets(const std::vector<uint8_t>& bytes) {
+  std::vector<size_t> offsets;
+  for (size_t at = 24; at + 16 <= bytes.size();) {
+    offsets.push_back(at + 8);
+    at += 16 + size_t{GetLe32(bytes, at + 8)};
+  }
+  return offsets;
+}
+
 // Parses a mutated capture: it must either return a trace whose every record
 // is self-consistent or throw std::runtime_error. Any other exception fails
 // the test, and the sanitizer builds catch an out-of-bounds read.
@@ -435,27 +489,20 @@ void ParseMutant(const std::vector<uint8_t>& bytes) {
   } catch (const std::runtime_error&) {
     return;
   }
-  for (const PacketRecord& r : parsed) {
+  const std::vector<size_t> incl_len_at = InclLenOffsets(bytes);
+  ASSERT_EQ(incl_len_at.size(), parsed.size());
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    const PacketRecord& r = parsed[i];
     // The payload is orig_len less the headers: it never wraps below zero.
     ASSERT_LE(r.wire_size(), Bytes{UINT32_MAX});
     ASSERT_LE(r.sni.size(), kPcapSnapLen);
+    // No captured byte past the packet's end, no second hidden in ts_usec.
+    const size_t at = incl_len_at[i];
+    ASSERT_LE(GetLe32(bytes, at), GetLe32(bytes, at + 4));
+    const uint32_t ts_usec = GetLe32(bytes, at - 4);
+    ASSERT_LT(ts_usec, uint32_t{1'000'000});
+    ASSERT_EQ(r.timestamp, TimeUs{GetLe32(bytes, at - 8)} * kUsPerSec + ts_usec);
   }
-}
-
-uint32_t GetLe32(const std::vector<uint8_t>& bytes, size_t at) {
-  return bytes[at] | bytes[at + 1] << 8 | bytes[at + 2] << 16 |
-         static_cast<uint32_t>(bytes[at + 3]) << 24;
-}
-
-// The byte offsets of each record's incl_len field in a capture SerializePcap
-// wrote (orig_len follows at +4).
-std::vector<size_t> InclLenOffsets(const std::vector<uint8_t>& bytes) {
-  std::vector<size_t> offsets;
-  for (size_t at = 24; at + 16 <= bytes.size();) {
-    offsets.push_back(at + 8);
-    at += 16 + size_t{GetLe32(bytes, at + 8)};
-  }
-  return offsets;
 }
 
 void PutLe32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {

@@ -2,12 +2,12 @@
 //
 // Same absolute contract as the lower tiers, one level up: inference output
 // is byte-identical with the result cache on and off, for every design path,
-// capture set, repeat schedule, thread count, and live-refresh replay — the cache may only change WHETHER the pipeline runs,
-// never what it produces. On top of the differential sweeps this suite pins
-// the one dependence rule both revalidating tiers share
-// (EnumerationDependence), the revalidation boundaries (same state,
-// delta-disjoint re-anchor, delta-in-window and compaction invalidations,
-// stale-snapshot keeps), the shared core's five lookup outcomes on the
+// capture set, repeat schedule, thread count, and live-refresh replay — the
+// cache may only change WHETHER the pipeline runs, never what it produces. On
+// top of the differential sweeps this suite pins the result tier's one
+// validity rule (same state hits, a compaction's republish re-anchors, an
+// older reader misses and keeps the entry, any append invalidates), engine
+// sharing through one lineage, the shared core's five lookup outcomes on the
 // candidate and result tiers alike, eviction under a tiny budget, and a
 // TSan'd hammer where concurrent BatchAnalyzers share one result cache while
 // a LiveChunkDatabase publishes refreshes under them.
@@ -96,128 +96,15 @@ std::pair<media::Manifest, ManifestRefresh> HalfSqAsset() {
   return {prefix, refresh};
 }
 
-// --- Hull capture rules -----------------------------------------------------
-
-TEST(ResultHullScope, InstallsNestsAndRestores) {
-  EXPECT_EQ(CurrentResultHull(), nullptr);
-  ResultHull outer;
-  {
-    ResultHullScope scope(&outer);
-    EXPECT_EQ(CurrentResultHull(), &outer);
-    ResultHull inner;
-    {
-      ResultHullScope nested(&inner);
-      EXPECT_EQ(CurrentResultHull(), &inner);
-    }
-    EXPECT_EQ(CurrentResultHull(), &outer);
-    {
-      ResultHullScope null_scope(nullptr);  // null is a valid no-op target
-      EXPECT_EQ(CurrentResultHull(), nullptr);
-      RecordSizeProbeForResultCache(1000, 0.96);  // must not crash
-    }
-    EXPECT_EQ(CurrentResultHull(), &outer);
+// One appended position whose chunks (3 GiB each) are far bigger than any
+// Property (1) window a session's requests can read.
+ManifestRefresh OversizedAppend(const media::Manifest& manifest) {
+  ManifestRefresh refresh;
+  refresh.video_appends.resize(manifest.video_tracks.size());
+  for (auto& appends : refresh.video_appends) {
+    appends.push_back(media::Chunk{static_cast<Bytes>(3) << 30, 2 * kUsPerSec});
   }
-  EXPECT_EQ(CurrentResultHull(), nullptr);
-  EXPECT_FALSE(outer.sensitive);
-}
-
-TEST(ResultHull, WidenUnionsWindows) {
-  ResultHull hull;
-  hull.Widen(100, 200);
-  EXPECT_TRUE(hull.sensitive);
-  EXPECT_EQ(hull.probe_lo, 100);
-  EXPECT_EQ(hull.probe_hi, 200);
-  hull.Widen(50, 150);
-  EXPECT_EQ(hull.probe_lo, 50);
-  EXPECT_EQ(hull.probe_hi, 200);
-  hull.Widen(80, 900);
-  EXPECT_EQ(hull.probe_lo, 50);
-  EXPECT_EQ(hull.probe_hi, 900);
-}
-
-// The one dependence rule both revalidating tiers use: the candidate tier at
-// each entry's anchor, the result tier at analyze time.
-TEST(EnumerationDependence, MapsEachRangeShapeToItsDependence) {
-  CandidateSetHull video;
-  video.has_video_split = true;
-  video.v_max = 3;
-  video.has_v1 = true;
-  video.hull1_lo = 400;
-  video.hull1_hi = 800;
-  video.hull2_hi = 1200;
-  video.hull_all_hi = 1500;
-  // Wide enough that a [0, live edge] range floors the per-start DFS budget.
-  constexpr int kPositions = 100;
-  static_assert(kMaxDfsNodes / kPositions <= GroupCandidateCache::kPerStartNodeFloor);
-  constexpr int kOpen = GroupCandidateCache::kOpenHi;
-
-  {
-    // No video split: the enumeration never reads the position axis.
-    CandidateSetHull no_video = video;
-    no_video.has_video_split = false;
-    EXPECT_FALSE(EnumerationDependence(no_video, 0, kOpen, kPositions).sensitive);
-  }
-  // Concrete range whose longest run cannot cross the live edge.
-  EXPECT_FALSE(EnumerationDependence(video, 10, 20, kPositions).sensitive);
-  {
-    // Concrete range with a run crossing the edge: the multi-chunk upper
-    // bound is the only thing between an appended chunk and a new candidate.
-    const PositionDependence out = EnumerationDependence(video, 90, kPositions - 2, kPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_FALSE(out.unsafe);
-    EXPECT_EQ(out.probe_lo, 0);
-    EXPECT_EQ(out.probe_hi, video.hull2_hi);
-  }
-  {
-    // Growth range, multi-chunk splits, budget under the floor: appended
-    // chunks can seed candidates anywhere up to the overall hull.
-    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_FALSE(out.unsafe);
-    EXPECT_EQ(out.probe_lo, 0);
-    EXPECT_EQ(out.probe_hi, video.hull_all_hi);
-  }
-  {
-    // Growth range, single-chunk splits only: the v == 1 window floor holds.
-    CandidateSetHull single = video;
-    single.v_max = 1;
-    const PositionDependence out = EnumerationDependence(single, 0, kOpen, kPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_FALSE(out.unsafe);
-    EXPECT_EQ(out.probe_lo, single.hull1_lo);
-    EXPECT_EQ(out.probe_hi, single.hull_all_hi);
-  }
-  {
-    // Growth range narrow enough that its per-start DFS budget sits above
-    // the floor: the cutoff itself shifts with the live edge — unprovable by
-    // any window.
-    constexpr int kNarrowPositions = 10;
-    static_assert(kMaxDfsNodes / kNarrowPositions > GroupCandidateCache::kPerStartNodeFloor);
-    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kNarrowPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_TRUE(out.unsafe);
-  }
-
-  // The result tier folds exactly that dependence into its collector.
-  ResultHull out;
-  {
-    ResultHullScope scope(&out);
-    RecordEnumerationForResultCache(video, 10, 20, kPositions);
-    EXPECT_FALSE(out.sensitive);
-    RecordEnumerationForResultCache(video, 90, kPositions - 2, kPositions);
-  }
-  EXPECT_EQ(out, EnumerationDependence(video, 90, kPositions - 2, kPositions));
-}
-
-TEST(RecordSizeProbe, UsesAdmissibleWindow) {
-  ResultHull out;
-  ResultHullScope scope(&out);
-  const Bytes estimated = 100000;
-  const double k = 0.96;
-  RecordSizeProbeForResultCache(estimated, k);
-  EXPECT_TRUE(out.sensitive);
-  EXPECT_EQ(out.probe_lo, ChunkDatabase::AdmissibleLow(estimated, k));
-  EXPECT_EQ(out.probe_hi, estimated);
+  return refresh;
 }
 
 // --- Cache mechanics --------------------------------------------------------
@@ -280,10 +167,15 @@ TEST(ResultTierKey, EveryInferenceSettingSplitsTheKey) {
   }
 }
 
+// The result tier's one validity rule: an entry is exact for its content
+// version. Any append invalidates it, whatever the appended sizes; a reader
+// pinning an older state misses and the entry survives; another lineage never
+// shares.
 TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
-  const auto [prefix, refresh] = HalfSqAsset();
-
-  LiveChunkDatabase live(prefix, {});
+  const media::Manifest prefix = HalfSqAsset().first;
+  LiveDbOptions options;
+  options.compact_after_delta_chunks = SIZE_MAX;  // appends stay in the delta
+  LiveChunkDatabase live(prefix, options);
   const DbSnapshot a = live.Acquire();
   ResultCache cache(1 << 20);
   ResultCache::AuditShape shape_in;
@@ -292,59 +184,36 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
   shape_in.has_best_cost = true;
   shape_in.best_cost = 3.5;
 
-  // Insensitive entry: valid at A and at every later state of the lineage.
-  const auto insensitive_q = QueryFor(a, 1, 1000);
-  cache.Insert(insensitive_q, a, ResultHull{}, MakeResult(1), shape_in);
+  const auto query = QueryFor(a, 1, 1000);
+  cache.Insert(query, a, MakeResult(1), shape_in);
   ResultCache::AuditShape shape_out;
-  ASSERT_NE(cache.Lookup(insensitive_q, a, &shape_out), nullptr);
+  ASSERT_NE(cache.Lookup(query, a, &shape_out), nullptr);
   EXPECT_EQ(shape_out.media_flows, 2);
   EXPECT_EQ(shape_out.sequences, 1);
   EXPECT_TRUE(shape_out.has_best_cost);
   EXPECT_EQ(shape_out.best_cost, 3.5);
 
-  // Sensitive entries with a window the appended sizes cannot touch (real
-  // chunks are tens of KB) vs. one that swallows every append.
-  ResultHull disjoint;
-  disjoint.Widen(1, 2);
-  const auto disjoint_q = QueryFor(a, 1, 2000);
-  cache.Insert(disjoint_q, a, disjoint, MakeResult(1), {});
-  ResultHull covering;
-  covering.Widen(0, static_cast<Bytes>(1) << 40);
-  const auto covering_q = QueryFor(a, 1, 3000);
-  cache.Insert(covering_q, a, covering, MakeResult(1), {});
-  ResultHull unsafe;
-  unsafe.sensitive = true;
-  unsafe.unsafe = true;
-  const auto unsafe_q = QueryFor(a, 1, 4000);
-  cache.Insert(unsafe_q, a, unsafe, MakeResult(1), {});
-
-  // All four hit at the exact state they were inserted at.
-  EXPECT_NE(cache.Lookup(disjoint_q, a), nullptr);
-  EXPECT_NE(cache.Lookup(covering_q, a), nullptr);
-  EXPECT_NE(cache.Lookup(unsafe_q, a), nullptr);
-
-  const DbSnapshot b = live.ApplyRefresh(refresh);
+  // An append no window could touch still invalidates: dropped, counted once,
+  // and absent afterwards.
+  const DbSnapshot b = live.ApplyRefresh(OversizedAppend(prefix));
   ASSERT_GT(b.num_positions(), a.num_positions());
   ASSERT_EQ(b.lineage_id(), a.lineage_id());
-
+  ASSERT_EQ(b.base_positions(), a.num_positions());
   const auto before = cache.stats();
-  // Insensitive and delta-disjoint entries revalidate and re-anchor to B...
-  EXPECT_NE(cache.Lookup(insensitive_q, b), nullptr);
-  EXPECT_NE(cache.Lookup(disjoint_q, b), nullptr);
-  // ...the covering-window and unsafe entries are provably unusable: dropped,
-  // counted, and absent afterwards.
-  EXPECT_EQ(cache.Lookup(covering_q, b), nullptr);
-  EXPECT_EQ(cache.Lookup(unsafe_q, b), nullptr);
+  EXPECT_EQ(cache.Lookup(query, b), nullptr);
   const auto after = cache.stats();
-  EXPECT_EQ(after.hits, before.hits + 2);
-  EXPECT_EQ(after.invalidations, before.invalidations + 2);
-  EXPECT_EQ(cache.Lookup(covering_q, b), nullptr);
+  EXPECT_EQ(after.invalidations, before.invalidations + 1);
+  EXPECT_EQ(after.entries, before.entries - 1);
+  EXPECT_EQ(cache.Lookup(query, b), nullptr);
   EXPECT_EQ(cache.stats().invalidations, after.invalidations);  // already gone
 
-  // Re-anchored entries are now exact at B; a reader still pinning A gets a
-  // miss but the entry survives for current readers.
-  EXPECT_EQ(cache.Lookup(disjoint_q, a), nullptr);
-  EXPECT_NE(cache.Lookup(disjoint_q, b), nullptr);
+  // Recomputed at B: a reader still pinning A misses, but the entry survives
+  // for current readers.
+  cache.Insert(query, b, MakeResult(1), {});
+  EXPECT_EQ(cache.Lookup(query, a), nullptr);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_NE(cache.Lookup(query, b), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, after.invalidations);
 
   // A different lineage never shares entries, whatever the fingerprint.
   LiveChunkDatabase other(prefix, {});
@@ -353,36 +222,73 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
   EXPECT_EQ(cache.Lookup(QueryFor(c, 1, 1000), c), nullptr);
 }
 
-TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
+// A compaction's republish with the same position count changes no chunk: an
+// entry anchored after the last append re-anchors and hits. One anchored
+// before an append the compaction folded in invalidates like any append.
+TEST(ResultCacheMechanics, CompactionRepublishReanchorsAndHits) {
   const auto [prefix, refresh] = HalfSqAsset();
-
   LiveDbOptions options;
-  options.compact_after_delta_chunks = 0;  // compact on every refresh
+  options.compact_after_delta_chunks = SIZE_MAX;  // compact only on CompactNow
   LiveChunkDatabase live(prefix, options);
   const DbSnapshot a = live.Acquire();
-
   ResultCache cache(1 << 20);
-  ResultHull disjoint;
-  disjoint.Widen(1, 2);
-  const auto query = QueryFor(a, 1, 1000);
-  cache.Insert(query, a, disjoint, MakeResult(1), {});
+  const auto before_append = QueryFor(a, 1, 1000);
+  cache.Insert(before_append, a, MakeResult(1), {});
+  const DbSnapshot b = live.ApplyRefresh(refresh);
+  const auto after_append = QueryFor(b, 1, 2000);
+  cache.Insert(after_append, b, MakeResult(1), {});
 
-  live.ApplyRefresh(refresh);
-  live.WaitForCompaction();
-  const DbSnapshot b = live.Acquire();
-  ASSERT_GT(b.num_positions(), a.num_positions());
-  if (b.base_positions() <= a.num_positions()) {
-    GTEST_SKIP() << "compaction did not fold the delta; nothing to test";
-  }
-  // The appends are folded into the base: the one-sided delta probe can no
-  // longer prove disjointness, even for a window no append could touch.
-  EXPECT_EQ(cache.Lookup(query, b), nullptr);
+  const DbSnapshot c = live.CompactNow();
+  ASSERT_NE(c.state_id(), b.state_id());
+  ASSERT_EQ(c.num_positions(), b.num_positions());
+  ASSERT_EQ(c.base_positions(), c.num_positions());
+  EXPECT_NE(cache.Lookup(after_append, c), nullptr);  // re-anchored to C
+  EXPECT_NE(cache.Lookup(after_append, c), nullptr);  // now a same-state hit
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.Lookup(before_append, c), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
 
-  // An insensitive entry shrugs the compaction off.
-  const auto easy = QueryFor(a, 1, 2000);
-  cache.Insert(easy, b, ResultHull{}, MakeResult(1), {});
-  EXPECT_NE(cache.Lookup(easy, b), nullptr);
+// Engines share result and candidate entries only through one database
+// lineage. Engines built from one manifest pointer each build their own
+// database, so the second one hits the prefix tier alone; engines built from
+// one snapshot share the result entry.
+TEST(ResultCacheSharing, EnginesShareResultsOnlyThroughOneLineage) {
+  const TimeUs duration = 20 * kUsPerSec;
+  const media::Manifest manifest = testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(MakeBatch(manifest, DesignType::kSQ, 1, duration)[0]);
+  const auto config_with_fresh_caches = [] {
+    InferenceConfig config;
+    config.design = DesignType::kSQ;
+    config.caches.prefix = std::make_shared<AnalysisPrefixCache>(64u << 20);
+    config.caches.candidate = std::make_shared<GroupCandidateCache>(64u << 20);
+    config.caches.result = std::make_shared<ResultCache>(64u << 20);
+    return config;
+  };
+  {
+    const InferenceConfig config = config_with_fresh_caches();
+    const InferenceResult first = InferenceEngine(&manifest, config).Analyze(columns);
+    ASSERT_FALSE(first.sequences.empty());
+    const CacheStats candidate_first = config.caches.candidate->stats();
+    EXPECT_EQ(InferenceEngine(&manifest, config).Analyze(columns), first);
+    EXPECT_EQ(config.caches.prefix->stats().hits, 1u);
+    EXPECT_EQ(config.caches.result->stats().hits, 0u);
+    EXPECT_EQ(config.caches.result->stats().misses, 2u);
+    // The second engine repeats the first one's lookups, none across engines.
+    const CacheStats candidate = config.caches.candidate->stats();
+    EXPECT_EQ(candidate.hits, 2 * candidate_first.hits);
+    EXPECT_EQ(candidate.misses, 2 * candidate_first.misses);
+  }
+  {
+    const InferenceConfig config = config_with_fresh_caches();
+    const DbSnapshot snapshot(std::make_shared<const ChunkDatabase>(&manifest));
+    const InferenceResult first = InferenceEngine(snapshot, config).Analyze(columns);
+    EXPECT_EQ(InferenceEngine(snapshot, config).Analyze(columns), first);
+    EXPECT_EQ(config.caches.result->stats().hits, 1u);
+    EXPECT_EQ(config.caches.result->stats().misses, 1u);
+  }
 }
 
 TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
@@ -393,7 +299,7 @@ TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
 
   ResultCache cache(4096, 2);
   for (int i = 0; i < 64; ++i) {
-    cache.Insert(QueryFor(db, 1, 1000 + i), db, ResultHull{}, MakeResult(2), {});
+    cache.Insert(QueryFor(db, 1, 1000 + i), db, MakeResult(2), {});
   }
   const auto stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -402,7 +308,7 @@ TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
 
   // A result bigger than a whole shard is refused outright.
   const auto huge_q = QueryFor(db, 1, 999999);
-  cache.Insert(huge_q, db, ResultHull{}, MakeResult(256), {});
+  cache.Insert(huge_q, db, MakeResult(256), {});
   EXPECT_EQ(cache.Lookup(huge_q, db), nullptr);
 
   cache.Clear();
@@ -420,7 +326,7 @@ TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
   // Two shards of 2 KiB each: a 256-sequence result alone exceeds one shard.
   ResultCache cache(4096, 2);
   const auto query = QueryFor(db, 1, 1000);
-  cache.Insert(query, db, ResultHull{}, MakeResult(256), {});
+  cache.Insert(query, db, MakeResult(256), {});
   const auto stats = cache.stats();
   EXPECT_EQ(stats.refused, 1u);
   EXPECT_EQ(stats.inserts, 0u);
@@ -430,8 +336,8 @@ TEST(ResultCacheMechanics, OversizedResultIsRefusedAndCounted) {
 
 // --- The shared core's lookup outcomes, per revalidating tier -------------
 
-// Per-tier adapters: Insert stores an entry whose dependence is the size
-// window [lo, hi]. Both tiers' Lookup(key, db) is called directly.
+// Per-tier adapters: Insert stores an entry that any append invalidates. Both
+// tiers' Lookup(key, db) is called directly.
 struct CandidateTierOps {
   using Cache = GroupCandidateCache;
   static constexpr const char* kStem = "candidate";
@@ -442,16 +348,14 @@ struct CandidateTierOps {
     // A range reaching the live edge: the same key at every state.
     return Cache::MakeQuery(db, 1, id, 1000, 0, db.num_positions());
   }
-  static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db, Bytes lo,
-                     Bytes hi) {
-    // Single-chunk splits over a growth range depend on [hull1_lo, hull_all_hi].
+  static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db) {
+    // Single-chunk splits over a growth range with a window every size fits.
     CandidateSetHull hull;
     hull.has_video_split = true;
     hull.v_max = 1;
     hull.has_v1 = true;
-    hull.hull1_lo = lo;
-    hull.hull1_hi = hi;
-    hull.hull_all_hi = hi;
+    hull.hull1_hi = static_cast<Bytes>(1) << 40;
+    hull.hull_all_hi = hull.hull1_hi;
     cache->Insert(key, db, hull, std::make_shared<GroupCandidateSet>());
   }
 };
@@ -463,11 +367,8 @@ struct ResultTierOps {
   static constexpr const char* kSpan = "result_cache_lookup";
 
   static Cache::Query Key(const DbSnapshot& db, int id) { return QueryFor(db, 1, 1000 + id); }
-  static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db, Bytes lo,
-                     Bytes hi) {
-    ResultHull hull;
-    hull.Widen(lo, hi);
-    cache->Insert(key, db, hull, MakeResult(1), {});
+  static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db) {
+    cache->Insert(key, db, MakeResult(1), {});
   }
 };
 
@@ -481,11 +382,15 @@ TYPED_TEST_SUITE(CacheCoreOutcomes, RevalidatingTiers);
 TYPED_TEST(CacheCoreOutcomes, FiveOutcomesCountAndTraceOnce) {
   using Ops = TypeParam;
   const auto [prefix, refresh] = HalfSqAsset();
-  LiveChunkDatabase live(prefix, {});
+  LiveDbOptions options;
+  options.compact_after_delta_chunks = SIZE_MAX;  // compact only on CompactNow
+  LiveChunkDatabase live(prefix, options);
   const DbSnapshot a = live.Acquire();
   typename Ops::Cache cache(1 << 20);
-  Ops::Insert(&cache, Ops::Key(a, 1), a, 1, 2);                           // no append fits
-  Ops::Insert(&cache, Ops::Key(a, 2), a, 0, static_cast<Bytes>(1) << 40);  // every append fits
+  Ops::Insert(&cache, Ops::Key(a, 2), a);  // anchored before the append
+  const DbSnapshot b = live.ApplyRefresh(refresh);
+  ASSERT_GT(b.num_positions(), a.num_positions());
+  Ops::Insert(&cache, Ops::Key(b, 1), b);  // anchored after it
 
   const auto exported = [](const char* what) {
     return telemetry::MetricsRegistry::Global()
@@ -500,14 +405,15 @@ TYPED_TEST(CacheCoreOutcomes, FiveOutcomesCountAndTraceOnce) {
 
   trace::TraceSession& session = trace::TraceSession::Global();
   session.Start({});
-  EXPECT_NE(cache.Lookup(Ops::Key(a, 1), a), nullptr);  // hit: same state
-  EXPECT_EQ(cache.Lookup(Ops::Key(a, 3), a), nullptr);  // absent
-  const DbSnapshot b = live.ApplyRefresh(refresh);
-  ASSERT_GT(b.num_positions(), a.num_positions());
-  EXPECT_NE(cache.Lookup(Ops::Key(b, 1), b), nullptr);  // revalidated, re-anchored to B
+  EXPECT_NE(cache.Lookup(Ops::Key(b, 1), b), nullptr);  // hit: same state
+  EXPECT_EQ(cache.Lookup(Ops::Key(b, 3), b), nullptr);  // absent
+  // A compaction's republish: new state, same positions.
+  const DbSnapshot c = live.CompactNow();
+  ASSERT_EQ(c.num_positions(), b.num_positions());
+  EXPECT_NE(cache.Lookup(Ops::Key(c, 1), c), nullptr);  // revalidated, re-anchored to C
   EXPECT_EQ(cache.Lookup(Ops::Key(a, 1), a), nullptr);  // stale snapshot: kept
   EXPECT_EQ(cache.stats().entries, stats_before.entries);
-  EXPECT_EQ(cache.Lookup(Ops::Key(b, 2), b), nullptr);  // invalidated: dropped
+  EXPECT_EQ(cache.Lookup(Ops::Key(c, 2), c), nullptr);  // invalidated: dropped
   EXPECT_EQ(cache.stats().entries, stats_before.entries - 1);
   session.Stop();
 
