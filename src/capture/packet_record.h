@@ -39,7 +39,8 @@ struct PacketRecord {
 
   std::string sni;  // non-empty only on a ClientHello
 
-  // IPv4 + TCP/UDP headers + payload: the pcap `orig_len` of the packet.
+  // Fixed IPv4 + TCP/UDP headers + payload: the pcap `orig_len` of the
+  // packet as SerializePcap writes it (no IP or TCP options).
   Bytes wire_size() const {
     return net::kIpHeaderBytes +
            (transport == net::Transport::kTcp ? net::kTcpHeaderBytes : net::kUdpHeaderBytes) +

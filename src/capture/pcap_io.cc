@@ -178,23 +178,40 @@ CaptureTrace Parse(Window& window) {
     const uint8_t* const pkt_end = pkt + incl_len;
 
     // Every record must hold the fixed IPv4 header before any of it is read,
-    // and the transport header once the protocol is known (below).
+    // and each further header before its fields are (below).
     if (incl_len < kIpv4HeaderBytes) {
       throw std::runtime_error("pcap: packet shorter than its headers");
     }
     if ((pkt[0] >> 4) != 4) {
       throw std::runtime_error("pcap: not IPv4");
     }
+    // IHL and the TCP data offset count 32-bit words; options sit between the
+    // fixed header and what follows it.
+    const uint32_t ip_header = (pkt[0] & 0x0Fu) * 4u;
+    if (ip_header < kIpv4HeaderBytes) {
+      throw std::runtime_error("pcap: bad IP header length");
+    }
     const uint8_t proto = pkt[9];
     if (proto != kIpProtoTcp && proto != kIpProtoUdp) {
       throw std::runtime_error("pcap: unsupported IP protocol");
     }
     const bool is_tcp = proto == kIpProtoTcp;
-    const uint32_t headers = kIpv4HeaderBytes + (is_tcp ? kTcpHeaderBytes : kUdpHeaderBytes);
+    uint32_t headers = ip_header + (is_tcp ? kTcpHeaderBytes : kUdpHeaderBytes);
     // A short capture length would read the fixed transport fields out of the
     // next record; a short original length would make the payload negative.
     if (incl_len < headers || orig_len < headers) {
       throw std::runtime_error("pcap: packet shorter than its headers");
+    }
+    const uint8_t* const l4 = pkt + ip_header;
+    if (is_tcp) {
+      const uint32_t tcp_header = (l4[12] >> 4) * 4u;
+      if (tcp_header < kTcpHeaderBytes) {
+        throw std::runtime_error("pcap: bad TCP data offset");
+      }
+      headers = ip_header + tcp_header;
+      if (incl_len < headers || orig_len < headers) {
+        throw std::runtime_error("pcap: packet shorter than its headers");
+      }
     }
     // Captured bytes past the original length are bytes the packet never had;
     // read as QUIC or TLS fields they would dress up a zero-payload packet.
@@ -207,7 +224,6 @@ CaptureTrace Parse(Window& window) {
     }
     const uint32_t src_ip = Load32be(pkt + 12);
     const uint32_t dst_ip = Load32be(pkt + 16);
-    const uint8_t* const l4 = pkt + kIpv4HeaderBytes;
     const uint16_t src_port = Load16be(l4);
     const uint16_t dst_port = Load16be(l4 + 2);
 

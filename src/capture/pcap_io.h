@@ -19,10 +19,13 @@
 // window from memory, so both entry points share one framing and parse loop.
 // The reader uses pread, not mmap, so a file truncated while it is read fails
 // with an error instead of raising SIGBUS. Every length field is checked
-// against the bytes left before anything it covers is read. Malformed input
-// (bad magic or link type, a truncated header or body, a non-IPv4 packet, an
-// IP protocol other than TCP/UDP, or lengths shorter than the headers) throws
-// std::runtime_error; it never reads past the input.
+// against the bytes left before anything it covers is read. The IPv4 header
+// length (IHL) and the TCP data offset are honoured, so IP and TCP options
+// never shift the payload, the SNI or the QUIC fields. Malformed input (bad
+// magic or link type, a truncated header or body, a non-IPv4 packet, an IHL
+// or TCP data offset below 5 words, an IP protocol other than TCP/UDP, or
+// lengths shorter than the headers) throws std::runtime_error; it never reads
+// past the input.
 
 #ifndef CSI_SRC_CAPTURE_PCAP_IO_H_
 #define CSI_SRC_CAPTURE_PCAP_IO_H_

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "src/common/tracing.h"
 
@@ -17,11 +18,10 @@ void AppendInt(std::string* out, const char* key, int64_t value) {
   out->append(buf);
 }
 
-void AppendDoubleOrNull(std::string* out, const char* key, bool present,
-                        double value) {
+void AppendDoubleOrNull(std::string* out, const char* key, const std::optional<double>& value) {
   char buf[96];
-  if (present) {
-    std::snprintf(buf, sizeof(buf), ",\"%s\":%.9g", key, value);
+  if (value.has_value()) {
+    std::snprintf(buf, sizeof(buf), ",\"%s\":%.9g", key, *value);
   } else {
     std::snprintf(buf, sizeof(buf), ",\"%s\":null", key);
   }
@@ -40,12 +40,13 @@ AuditScope::AuditScope(InferenceAudit* audit) : previous_(t_current_audit) {
 
 AuditScope::~AuditScope() { t_current_audit = previous_; }
 
-std::string InferenceAudit::ToJsonLine(const std::string& label) const {
+std::string InferenceAudit::ToJsonLine(const std::string& label,
+                                       const InferenceResult& result) const {
   std::string out = "{\"trace\":\"";
   trace::AppendJsonEscaped(&out, label);
   out.push_back('"');
   AppendInt(&out, "media_flows", media_flows);
-  AppendInt(&out, "groups", groups);
+  AppendInt(&out, "groups", static_cast<int64_t>(result.group_sizes.size()));
   AppendInt(&out, "enumerations", enumerations);
   AppendInt(&out, "candidates", candidates);
   AppendInt(&out, "enum_truncations", enum_truncations);
@@ -57,11 +58,11 @@ std::string InferenceAudit::ToJsonLine(const std::string& label) const {
   AppendInt(&out, "cache_invalidations", cache_invalidations);
   AppendInt(&out, "cache_misses", cache_misses);
   AppendInt(&out, "chain_nodes", chain_nodes);
-  AppendInt(&out, "sequences", sequences);
+  AppendInt(&out, "sequences", static_cast<int64_t>(result.sequences.size()));
   out.append(",\"truncated\":");
-  out.append(truncated ? "true" : "false");
-  AppendDoubleOrNull(&out, "best_cost", has_best_cost, best_cost);
-  AppendDoubleOrNull(&out, "runner_up_cost", has_runner_up_cost, runner_up_cost);
+  out.append(result.truncated ? "true" : "false");
+  AppendDoubleOrNull(&out, "best_cost", result.best_cost);
+  AppendDoubleOrNull(&out, "runner_up_cost", result.runner_up_cost);
   out.push_back('}');
   return out;
 }

@@ -1,18 +1,20 @@
-// Per-trace inference audit: a compact explanation record of *why* the
-// engine produced the sequences it did — candidate counts per stage, DFS
-// nodes expanded vs pruned, which shared-cache path each enumeration took,
-// and the chosen-vs-runner-up explanation scores. Emitted as trace-event
-// args when a TraceSession is active and serialized to `--audit-out` JSONL
-// by the tools, so a misinferred session can be diagnosed offline without
-// rerunning it.
+// Per-trace inference audit: the work behind one InferenceEngine::Analyze
+// call — candidate counts per stage, DFS nodes expanded vs pruned, which
+// shared-cache path each enumeration took — and the media-flow count. The
+// rest of an audit line (groups, sequences, truncation, best and runner-up
+// costs) is read from the InferenceResult. Emitted as trace-event args when
+// a TraceSession is active and serialized to `--audit-out` JSONL by the
+// tools, so a misinferred session can be diagnosed offline without rerunning
+// it.
 //
 // Collection uses a thread-local pointer installed by AuditScope for the
-// duration of one InferenceEngine::Analyze call: the deep layers (group
-// enumeration, candidate cache, chain search) accumulate through
-// CurrentAudit() without threading a parameter through every signature.
-// The collector is thread-confined by construction — the chain search runs
-// on the analyzing thread, and DFS tallies from ParallelFor workers are
-// merged by the calling thread before being recorded.
+// duration of one Analyze call that was given an audit: the deep layers
+// (group enumeration, candidate cache, chain search) count their work
+// through CurrentAudit() without threading a parameter through every
+// signature. The collector is thread-confined by construction — the chain
+// search runs on the analyzing thread, and DFS tallies from ParallelFor
+// workers are merged by the calling thread before being recorded. A
+// result-tier hit does none of that work, so its counters read 0.
 
 #ifndef CSI_SRC_CSI_AUDIT_H_
 #define CSI_SRC_CSI_AUDIT_H_
@@ -20,12 +22,14 @@
 #include <cstdint>
 #include <string>
 
+#include "src/csi/types.h"
+
 namespace csi::infer {
 
 struct InferenceAudit {
-  // Session shape.
+  // Media flows the classifier found: the one fact of a line that the result
+  // does not hold.
   int media_flows = 0;
-  int groups = 0;  // traffic groups (SQ) or exchange-derived groups
   // Candidate enumeration, summed over every (group, start-range) the chain
   // search evaluated.
   int64_t enumerations = 0;
@@ -43,20 +47,13 @@ struct InferenceAudit {
   // Sequence chaining. chain_nodes counts the root plus every child the
   // beam generated, not the path nodes it stored (only beam survivors are).
   int64_t chain_nodes = 0;
-  int sequences = 0;
-  bool truncated = false;
-  // Path cost of the emitted best explanation and its closest competitor
-  // (absent when fewer than one/two complete sequences exist). A large gap
-  // means the inference is unambiguous; near-ties flag sessions worth a
-  // second look.
-  bool has_best_cost = false;
-  double best_cost = 0.0;
-  bool has_runner_up_cost = false;
-  double runner_up_cost = 0.0;
 
-  // One JSON object on one line (stable key order) for --audit-out JSONL.
-  // `label` identifies the trace (file path or index).
-  std::string ToJsonLine(const std::string& label) const;
+  // One JSON object on one line (stable key order) for --audit-out JSONL:
+  // these fields interleaved with `result`'s group count, sequence count,
+  // truncation and costs. `label` identifies the trace (file path or index).
+  std::string ToJsonLine(const std::string& label, const InferenceResult& result) const;
+
+  friend bool operator==(const InferenceAudit&, const InferenceAudit&) = default;
 };
 
 // The active collector for this thread, or null when no audit was requested.

@@ -20,11 +20,11 @@ TierMetrics::TierMetrics(const TierNames& tier_names) : names(tier_names) {
   bytes = registry.GetGauge(stem + "bytes");
 }
 
-void TierTallies::CountLookup(LookupOutcome outcome, const TierMetrics& metrics) {
+void TierTallies::CountLookup(const LookupVerdict& verdict, const TierMetrics& metrics) {
   const char* const instant = metrics.names.instant;
   metrics.lookups->Increment();
   const char* miss_reason = "absent";
-  switch (outcome) {
+  switch (verdict.outcome) {
     case LookupOutcome::kHit:
       hits_.fetch_add(1, std::memory_order_relaxed);
       metrics.hits->Increment();
@@ -34,14 +34,12 @@ void TierTallies::CountLookup(LookupOutcome outcome, const TierMetrics& metrics)
     case LookupOutcome::kRevalidated:
       hits_.fetch_add(1, std::memory_order_relaxed);
       metrics.hits->Increment();
-      CSI_TRACE_INSTANT(instant, "cache", {"outcome", "revalidated"},
-                        {"reason", "delta_proven_disjoint"});
+      CSI_TRACE_INSTANT(instant, "cache", {"outcome", "revalidated"}, {"reason", verdict.reason});
       return;
     case LookupOutcome::kInvalidated:
       invalidations_.fetch_add(1, std::memory_order_relaxed);
       metrics.invalidations->Increment();
-      CSI_TRACE_INSTANT(instant, "cache", {"outcome", "invalidated"},
-                        {"reason", "delta_in_window_or_compaction"});
+      CSI_TRACE_INSTANT(instant, "cache", {"outcome", "invalidated"}, {"reason", verdict.reason});
       miss_reason = "invalidated";
       break;
     case LookupOutcome::kStaleSnapshot:

@@ -20,7 +20,7 @@
 //                 (settings.h), interned by its defaulted operator==;
 //   Value, Extra  the shared payload and the per-entry side data a hit
 //                 returns (the candidate tier's hulls, the result tier's
-//                 audit shape);
+//                 media-flow count);
 //   kNames        metric stem, trace instant, lookup span, hit reason, and
 //                 whether entries revalidate against a DbSnapshot;
 //   Dependence    (revalidating tiers) the entry's PositionDependence at a
@@ -177,33 +177,47 @@ struct SnapshotAnchor {
   int positions = 0;
 };
 
+// One lookup's outcome and, for kRevalidated and kInvalidated, its cause (a
+// string literal: the trace ring stores the pointer).
+struct LookupVerdict {
+  LookupOutcome outcome = LookupOutcome::kAbsent;
+  const char* reason = nullptr;
+};
+
 // The one anchored check (see the soundness argument above). `dependence_at`
 // maps the anchor's position count to the entry's PositionDependence; it runs
 // only when positions were appended since the anchor. Re-anchors on
 // kRevalidated. Caller holds the entry's shard mutex.
 template <typename DependenceAt>
-LookupOutcome Revalidate(SnapshotAnchor& anchor, const DbSnapshot& db,
+LookupVerdict Revalidate(SnapshotAnchor& anchor, const DbSnapshot& db,
                          const DependenceAt& dependence_at) {
   if (db.state_id() == anchor.state_id) {
-    return LookupOutcome::kHit;
+    return {LookupOutcome::kHit};
   }
   const int pa = anchor.positions;
   const int pb = db.num_positions();
   if (pb < pa) {
     // A reader pinning an older state than the anchor (a publish raced the
     // batch): not provable from this snapshot, but still right for newer ones.
-    return LookupOutcome::kStaleSnapshot;
+    return {LookupOutcome::kStaleSnapshot};
   }
+  const char* reason = "same_positions";
   if (pb > pa) {
     const PositionDependence dependence = dependence_at(pa);
-    if (dependence.sensitive &&
-        (dependence.unsafe || db.base_positions() > pa ||
-         db.DeltaHasSizeInWindow(dependence.probe_lo, dependence.probe_hi, pa))) {
-      return LookupOutcome::kInvalidated;
+    if (!dependence.sensitive) {
+      reason = "position_insensitive";
+    } else if (dependence.unsafe) {
+      return {LookupOutcome::kInvalidated, "append"};
+    } else if (db.base_positions() > pa) {
+      return {LookupOutcome::kInvalidated, "compaction_folded_delta"};
+    } else if (db.DeltaHasSizeInWindow(dependence.probe_lo, dependence.probe_hi, pa)) {
+      return {LookupOutcome::kInvalidated, "delta_in_window"};
+    } else {
+      reason = "delta_proven_disjoint";
     }
   }
   anchor = SnapshotAnchor{db.state_id(), pb};
-  return LookupOutcome::kRevalidated;
+  return {LookupOutcome::kRevalidated, reason};
 }
 
 // The names one tier exports under. All must be string literals: the trace
@@ -236,8 +250,8 @@ struct TierMetrics {
 class TierTallies {
  public:
   // Counts one lookup and emits its trace instant (an invalidation emits an
-  // "invalidated" instant before its miss).
-  void CountLookup(LookupOutcome outcome, const TierMetrics& metrics);
+  // "invalidated" instant, with its cause, before its miss).
+  void CountLookup(const LookupVerdict& verdict, const TierMetrics& metrics);
   // Counts one insert: refused when `evicted` < 0, else admitted after
   // evicting that many entries.
   void CountInsert(int64_t evicted, const TierMetrics& metrics);
@@ -320,25 +334,26 @@ class CacheCore {
                        std::shared_ptr<const Value>* value, Extra* extra = nullptr) {
     CSI_SPAN(Tier::kNames.lookup_span);
     Shard& shard = ShardFor(query);
-    LookupOutcome outcome = LookupOutcome::kAbsent;
+    LookupVerdict verdict;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       const auto it = shard.index.find(query);
       if (it != shard.index.end()) {
         Entry& entry = *it->second;
-        outcome = LookupOutcome::kHit;
+        verdict.outcome = LookupOutcome::kHit;
         if constexpr (Tier::kNames.revalidates) {
-          outcome = Revalidate(entry.anchor, *db, [&entry](int positions) {
+          verdict = Revalidate(entry.anchor, *db, [&entry](int positions) {
             return Tier::Dependence(entry.query, entry.extra, positions);
           });
         }
-        if (outcome == LookupOutcome::kHit || outcome == LookupOutcome::kRevalidated) {
+        if (verdict.outcome == LookupOutcome::kHit ||
+            verdict.outcome == LookupOutcome::kRevalidated) {
           entry.referenced = true;
           *value = entry.value;
           if (extra != nullptr) {
             *extra = entry.extra;
           }
-        } else if (outcome == LookupOutcome::kInvalidated) {
+        } else if (verdict.outcome == LookupOutcome::kInvalidated) {
           // Unusable under every later state too: drop it now instead of
           // letting it rot until eviction.
           shard.bytes -= entry.bytes;
@@ -347,8 +362,8 @@ class CacheCore {
         }
       }
     }
-    tallies_.CountLookup(outcome, Metrics());
-    return outcome;
+    tallies_.CountLookup(verdict, Metrics());
+    return verdict.outcome;
   }
 
   // Publishes `value`, computed against `db` (null for tiers that do not

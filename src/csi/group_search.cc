@@ -582,8 +582,8 @@ class GroupSequenceSearcher {
     // low-information interpretations).
     std::vector<std::vector<SlotAssignment>> clean;
     std::vector<std::vector<SlotAssignment>> degraded;
-    // Path costs parallel to clean/degraded, kept for the audit record
-    // (chosen vs runner-up explanation scores).
+    // Path costs parallel to clean/degraded, for the result's best and
+    // runner-up costs.
     std::vector<double> clean_costs;
     std::vector<double> degraded_costs;
     for (int slot : frontier) {
@@ -625,6 +625,12 @@ class GroupSequenceSearcher {
     for (const auto& assignment : chosen) {
       result.sequences.push_back(BuildSequence(assignment));
     }
+    if (!chosen_costs.empty()) {
+      result.best_cost = chosen_costs[0];
+    }
+    if (chosen_costs.size() > 1) {
+      result.runner_up_cost = chosen_costs[1];
+    }
     result.truncated = truncated_;
     CSI_COUNTER_ADD("csi_chain_nodes_total", chain_nodes);
     if (truncated_) {
@@ -632,14 +638,6 @@ class GroupSequenceSearcher {
     }
     if (InferenceAudit* audit = CurrentAudit()) {
       audit->chain_nodes += chain_nodes;
-      if (!chosen_costs.empty()) {
-        audit->has_best_cost = true;
-        audit->best_cost = chosen_costs[0];
-      }
-      if (chosen_costs.size() > 1) {
-        audit->has_runner_up_cost = true;
-        audit->runner_up_cost = chosen_costs[1];
-      }
     }
     return result;
   }

@@ -220,32 +220,18 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
   ResultCache::Query result_query;
   if (result_cache != nullptr) {
     result_query = ResultCache::MakeQuery(fingerprint, result_context_, snapshot_);
-    ResultCache::AuditShape shape;
+    int media_flows = 0;
     if (std::shared_ptr<const InferenceResult> hit =
-            result_cache->Lookup(result_query, snapshot_, &shape)) {
+            result_cache->Lookup(result_query, snapshot_, &media_flows)) {
+      // The result carries the rest of the audit line; the skipped work
+      // counts as zero, which is how a served-from-cache line reads.
       if (audit != nullptr) {
-        // Replay the shape of the skipped work; per-stage work counters stay
-        // zero, which is how a served-from-cache audit line reads.
-        audit->media_flows = shape.media_flows;
-        audit->groups = shape.groups;
-        audit->sequences = shape.sequences;
-        audit->truncated = shape.truncated;
-        audit->has_best_cost = shape.has_best_cost;
-        audit->best_cost = shape.best_cost;
-        audit->has_runner_up_cost = shape.has_runner_up_cost;
-        audit->runner_up_cost = shape.runner_up_cost;
+        audit->media_flows = media_flows;
       }
       return *hit;
     }
   }
-
-  // The insert below needs the audit shape (the chain search reports costs
-  // through CurrentAudit()), so collect into a local audit when the caller
-  // didn't ask for one. Collection never changes the result.
-  InferenceAudit local_audit;
-  InferenceAudit* const effective_audit =
-      audit != nullptr ? audit : result_cache != nullptr ? &local_audit : nullptr;
-  const AuditScope audit_scope(effective_audit);
+  const AuditScope audit_scope(audit);
 
   // Consult the shared prefix cache before paying for the per-packet stages;
   // on a miss, compute and publish so later repeats (this engine or any other
@@ -265,16 +251,14 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     prefix = std::move(computed);
   }
 
-  if (effective_audit != nullptr) {
-    effective_audit->media_flows = prefix->media_flows;
+  if (audit != nullptr) {
+    audit->media_flows = prefix->media_flows;
   }
   if (prefix->media_flows == 0) {
     CSI_COUNTER_INC("csi_analyze_no_media_flow_total");
     CSI_TRACE_INSTANT("analyze_no_media_flow", "stage");
     if (result_cache != nullptr) {
-      ResultCache::AuditShape shape;
-      shape.media_flows = 0;
-      result_cache->Insert(result_query, snapshot_, std::make_shared<InferenceResult>(), shape);
+      result_cache->Insert(result_query, snapshot_, std::make_shared<InferenceResult>(), 0);
     }
     return {};
   }
@@ -305,22 +289,15 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     groups = &local_groups;
   }
   CSI_SPAN("group_search", {"groups", static_cast<int64_t>(groups->size())});
-  if (effective_audit != nullptr) {
-    effective_audit->groups = static_cast<int>(groups->size());
-  }
   InferenceResult result = SearchGroupSequences(*groups, snapshot_, search_, display);
-  if (effective_audit != nullptr) {
-    effective_audit->sequences = static_cast<int>(result.sequences.size());
-    effective_audit->truncated = result.truncated;
-  }
   if (audit != nullptr) {
     // Surface the audit in the trace too, so a Perfetto view of the session
     // carries the explanation without the JSONL side channel.
     CSI_TRACE_INSTANT("inference_audit_stages", "audit",
                       {"media_flows", audit->media_flows},
-                      {"groups", audit->groups},
-                      {"sequences", audit->sequences},
-                      {"truncated", audit->truncated ? 1 : 0});
+                      {"groups", static_cast<int64_t>(result.group_sizes.size())},
+                      {"sequences", static_cast<int64_t>(result.sequences.size())},
+                      {"truncated", result.truncated ? 1 : 0});
     CSI_TRACE_INSTANT("inference_audit_enum", "audit",
                       {"enumerations", audit->enumerations},
                       {"candidates", audit->candidates},
@@ -331,28 +308,15 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
                       {"revalidations", audit->cache_revalidations},
                       {"invalidations", audit->cache_invalidations},
                       {"misses", audit->cache_misses});
-    if (audit->has_best_cost) {
+    if (result.best_cost.has_value()) {
       CSI_TRACE_INSTANT("inference_audit_scores", "audit",
-                        {"best_cost", audit->best_cost},
-                        {"runner_up_cost", audit->has_runner_up_cost
-                                               ? audit->runner_up_cost
-                                               : -1.0});
+                        {"best_cost", *result.best_cost},
+                        {"runner_up_cost", result.runner_up_cost.value_or(-1.0)});
     }
   }
   if (result_cache != nullptr) {
-    // effective_audit is non-null whenever the cache is attached; freeze the
-    // shape of the work a future hit will skip alongside the result.
-    ResultCache::AuditShape shape;
-    shape.media_flows = effective_audit->media_flows;
-    shape.groups = effective_audit->groups;
-    shape.sequences = effective_audit->sequences;
-    shape.truncated = effective_audit->truncated;
-    shape.has_best_cost = effective_audit->has_best_cost;
-    shape.best_cost = effective_audit->best_cost;
-    shape.has_runner_up_cost = effective_audit->has_runner_up_cost;
-    shape.runner_up_cost = effective_audit->runner_up_cost;
     auto owned = std::make_shared<InferenceResult>(std::move(result));
-    result_cache->Insert(result_query, snapshot_, owned, shape);
+    result_cache->Insert(result_query, snapshot_, owned, prefix->media_flows);
     return *owned;
   }
   return result;

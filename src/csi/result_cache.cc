@@ -19,15 +19,15 @@ ResultCache::Query ResultCache::MakeQuery(const TraceFingerprint& fingerprint,
 
 std::shared_ptr<const InferenceResult> ResultCache::Lookup(const Query& query,
                                                            const DbSnapshot& db,
-                                                           AuditShape* shape) {
+                                                           int* media_flows) {
   std::shared_ptr<const InferenceResult> hit;
-  CacheCore::Lookup(query, &db, &hit, shape);
+  CacheCore::Lookup(query, &db, &hit, media_flows);
   return hit;
 }
 
 void ResultCache::Insert(const Query& query, const DbSnapshot& db,
                          std::shared_ptr<const InferenceResult> result,
-                         const AuditShape& shape) {
+                         int media_flows) {
   if (result == nullptr) {
     return;
   }
@@ -38,7 +38,7 @@ void ResultCache::Insert(const Query& query, const DbSnapshot& db,
   for (const InferredSequence& s : result->sequences) {
     bytes += s.slots.capacity() * sizeof(InferredSlot);
   }
-  CacheCore::Insert(query, &db, std::move(result), bytes, shape);
+  CacheCore::Insert(query, &db, std::move(result), bytes, media_flows);
 }
 
 }  // namespace csi::infer

@@ -28,10 +28,10 @@
 //   * a reader pinning an older state → miss, the entry is kept;
 //   * any append → invalidate, and the entry is dropped at once.
 //
-// Entries also carry the audit shape of the skipped work (media flows,
-// groups, sequence count, best/runner-up costs) so a hit can fill the
-// caller's InferenceAudit; per-stage work counters stay zero, which is how a
-// replayed audit line is recognizable as served-from-cache.
+// A result carries its own costs, so an entry adds only the one fact an
+// audit line needs beyond it: the media-flow count. A hit fills the caller's
+// InferenceAudit with that count alone; its work counters stay zero, which is
+// how a served-from-cache audit line reads.
 //
 // Lookups with non-empty display constraints bypass the cache (the engine
 // keys only on the constraint-free path). Storage, eviction and accounting
@@ -68,22 +68,9 @@ struct ResultTier {
   struct Hash {
     size_t operator()(const Query& q) const;
   };
-  // Audit shape of the work a hit skips, replayed into the caller's
-  // InferenceAudit so replayed audit lines stay meaningful. Per-stage work
-  // counters (enumerations, DFS nodes, chain nodes, ...) are deliberately
-  // absent: a hit did none of that work and reports zeros.
-  struct AuditShape {
-    int media_flows = 0;
-    int groups = 0;
-    int sequences = 0;
-    bool truncated = false;
-    bool has_best_cost = false;
-    double best_cost = 0.0;
-    bool has_runner_up_cost = false;
-    double runner_up_cost = 0.0;
-  };
   using Value = InferenceResult;
-  using Extra = AuditShape;
+  // The media-flow count of the analyzed capture (InferenceAudit::media_flows).
+  using Extra = int;
   static constexpr internal::TierNames kNames{"result", "result_cache", "result_cache_lookup",
                                               "same_state", /*revalidates=*/true};
 
@@ -95,8 +82,6 @@ struct ResultTier {
 
 class ResultCache : public internal::CacheCore<ResultTier> {
  public:
-  using AuditShape = ResultTier::AuditShape;
-
   using CacheCore::CacheCore;
 
   // Assembles a key from an already-computed fingerprint (the engine shares
@@ -105,15 +90,15 @@ class ResultCache : public internal::CacheCore<ResultTier> {
                          const DbSnapshot& db);
 
   // Returns the cached result when a valid entry exists for `query` under
-  // `db`'s state, else null (see the core's lookup outcomes). Fills `shape`
-  // (if non-null) on a hit.
+  // `db`'s state, else null (see the core's lookup outcomes). Fills
+  // `media_flows` (if non-null) on a hit.
   std::shared_ptr<const InferenceResult> Lookup(const Query& query, const DbSnapshot& db,
-                                                AuditShape* shape = nullptr);
+                                                int* media_flows = nullptr);
 
   // Publishes a result computed against `db`; results larger than a whole
   // shard's budget are not admitted.
   void Insert(const Query& query, const DbSnapshot& db,
-              std::shared_ptr<const InferenceResult> result, const AuditShape& shape);
+              std::shared_ptr<const InferenceResult> result, int media_flows);
 };
 
 }  // namespace csi::infer

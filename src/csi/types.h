@@ -4,6 +4,7 @@
 #define CSI_SRC_CSI_TYPES_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,9 +66,17 @@ struct InferredSequence {
   friend bool operator==(const InferredSequence&, const InferredSequence&) = default;
 };
 
-// Full inference result.
+// Full inference result: the lowest-cost paths through the Fig. 9 layered
+// graph, with their costs.
 struct InferenceResult {
   std::vector<InferredSequence> sequences;
+  // Path cost of the best sequence and of its closest competitor, as the
+  // chain search ranked them (absent when fewer than one/two complete paths
+  // exist). The runner-up is reported even when `max_sequences` withholds
+  // it. A large gap means an unambiguous answer; a near-tie flags a session
+  // worth a second look.
+  std::optional<double> best_cost;
+  std::optional<double> runner_up_cost;
   // True if enumeration hit the cap and `sequences` is a subset.
   bool truncated = false;
   // Always empty: no inference path fills it. It stays only because csibench

@@ -238,6 +238,10 @@ class PcapBuilder {
         0x01, 0xbb, 0xc8, 0x22,                      // 443 -> 51234
         0, 0, 0x10, 0x92, 0, 0, 0x16, 0x22,          // seq, ack
         0x50, 0x10, 0xff, 0xff, 0, 0, 0, 0};         // offset, flags, ...
+    if (tcp_timestamps_) {
+      packet[kIpv4Header + 12] = 0x80;  // data offset 8 words
+      packet.insert(packet.end(), {1, 1, 8, 10, 0, 0, 0, 1, 0, 0, 0, 2});
+    }
     packet.insert(packet.end(), payload.begin(), payload.end());
     return Record(std::move(packet), incl_len, orig_len);
   }
@@ -252,6 +256,16 @@ class PcapBuilder {
         0xc8, 0x22, 0x01, 0xbb, 0, 0, 0, 0};         // 51234 -> 443, len, sum
     packet.insert(packet.end(), payload.begin(), payload.end());
     return Record(std::move(packet), incl_len, orig_len);
+  }
+
+  // Gives the TCP and UDP records that follow `ip_option_words` 4-byte words
+  // of IPv4 options (NOPs; IHL 5 + words) and, when `tcp_timestamps`, the
+  // 12-byte TCP timestamp option (NOP, NOP, kind 8, length 10; data offset
+  // 8). `incl_len` and `orig_len` count the options. The default is none.
+  PcapBuilder& Options(int ip_option_words, bool tcp_timestamps) {
+    ip_option_words_ = ip_option_words;
+    tcp_timestamps_ = tcp_timestamps;
+    return *this;
   }
 
   // One 40-byte IPv4 record whose protocol byte is `proto`.
@@ -275,7 +289,13 @@ class PcapBuilder {
   std::vector<uint8_t> bytes() const { return bytes_; }
 
  private:
+  static constexpr size_t kIpv4Header = 20;
+
   PcapBuilder& Record(std::vector<uint8_t> packet, uint32_t incl_len, uint32_t orig_len) {
+    if (packet[9] == 6 || packet[9] == 17) {
+      packet[0] = static_cast<uint8_t>(0x45 + ip_option_words_);
+      packet.insert(packet.begin() + kIpv4Header, 4 * static_cast<size_t>(ip_option_words_), 1);
+    }
     Le32(ts_sec_);
     Le32(ts_usec_);
     Le32(incl_len);
@@ -293,6 +313,8 @@ class PcapBuilder {
 
   uint32_t ts_sec_ = 1;
   uint32_t ts_usec_ = 0;
+  int ip_option_words_ = 0;
+  bool tcp_timestamps_ = false;
   std::vector<uint8_t> bytes_;
 };
 
@@ -441,6 +463,59 @@ TEST(Pcap, RejectsMicrosecondsOfAWholeSecondOrMore) {
   EXPECT_EQ(parsed[0].timestamp, kUsPerSec + 999'999);
 }
 
+// IP options and a TCP timestamp option sit between the fixed headers and
+// the payload: the ports, sequence numbers, payload length, SNI and QUIC
+// fields are read after them.
+TEST(Pcap, IpAndTcpOptionsDoNotShiftTheFields) {
+  const CaptureTrace parsed = ParsePcap(PcapBuilder()
+                                            .Options(1, true)  // 24 + 32 header bytes
+                                            .TcpRecord(64, 100, TlsSni(3))
+                                            .Options(0, true)  // 20 + 32
+                                            .TcpRecord(60, 1500, TlsSni(3))
+                                            .Options(2, false)  // 28 + 8
+                                            .UdpRecord(54, 54, QuicSni(3))
+                                            .bytes());
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_FALSE(parsed[0].from_client);
+  EXPECT_EQ(parsed[0].server_port, 443);
+  EXPECT_EQ(parsed[0].client_port, 51234);
+  EXPECT_EQ(parsed[0].tcp_seq, 4242u);
+  EXPECT_EQ(parsed[0].tcp_ack, 5666u);
+  EXPECT_EQ(parsed[0].payload, 44);
+  EXPECT_EQ(parsed[0].sni, "abc");
+  EXPECT_EQ(parsed[1].payload, 1448);
+  EXPECT_EQ(parsed[1].sni, "abc");
+  EXPECT_TRUE(parsed[2].from_client);
+  EXPECT_EQ(parsed[2].client_port, 51234);
+  EXPECT_EQ(parsed[2].payload, 18);
+  EXPECT_EQ(parsed[2].quic_packet_number, 7u);
+  EXPECT_EQ(parsed[2].sni, "abc");
+}
+
+TEST(Pcap, RejectsHeaderLengthsBelowFiveWords) {
+  // Byte 40 is the first record's IPv4 version/IHL byte, byte 72 its TCP
+  // data offset byte.
+  std::vector<uint8_t> short_ip = PcapBuilder().TcpRecord(40, 40).bytes();
+  short_ip[40] = 0x44;
+  EXPECT_EQ(ParseError(short_ip), "pcap: bad IP header length");
+  std::vector<uint8_t> short_tcp = PcapBuilder().TcpRecord(40, 40).bytes();
+  short_tcp[72] = 0x40;
+  EXPECT_EQ(ParseError(short_tcp), "pcap: bad TCP data offset");
+}
+
+TEST(Pcap, RejectsOptionsLongerThanTheRecord) {
+  // Captured bytes end inside the IP options, then inside the TCP options.
+  EXPECT_EQ(ParseError(PcapBuilder().Options(10, false).TcpRecord(40, 1500).bytes()),
+            "pcap: packet shorter than its headers");
+  EXPECT_EQ(ParseError(PcapBuilder().Options(0, true).TcpRecord(48, 1500).bytes()),
+            "pcap: packet shorter than its headers");
+  // The original length ends inside the TCP options.
+  EXPECT_EQ(ParseError(PcapBuilder().Options(0, true).TcpRecord(52, 50).bytes()),
+            "pcap: packet shorter than its headers");
+  EXPECT_EQ(ParseError(PcapBuilder().Options(1, false).UdpRecord(31, 31, {}).bytes()),
+            "pcap: packet shorter than its headers");
+}
+
 std::string ReadError(const std::string& path) {
   try {
     ReadPcap(path);
@@ -502,6 +577,20 @@ void ParseMutant(const std::vector<uint8_t>& bytes) {
     const uint32_t ts_usec = GetLe32(bytes, at - 4);
     ASSERT_LT(ts_usec, uint32_t{1'000'000});
     ASSERT_EQ(r.timestamp, TimeUs{GetLe32(bytes, at - 8)} * kUsPerSec + ts_usec);
+    // The payload is what follows the IPv4 header (IHL words) and the TCP
+    // header (data offset words) or the 8-byte UDP header, all captured.
+    const size_t pkt = at + 8;
+    const uint32_t incl_len = GetLe32(bytes, at);
+    const uint32_t ip_header = (bytes[pkt] & 0x0Fu) * 4u;
+    ASSERT_GE(ip_header, 20u);
+    uint32_t headers = ip_header + 8;
+    if (r.transport == net::Transport::kTcp) {
+      ASSERT_LE(ip_header + 20, incl_len);
+      headers = ip_header + (bytes[pkt + ip_header + 12] >> 4) * 4u;
+      ASSERT_GE(headers, ip_header + 20);
+    }
+    ASSERT_LE(headers, incl_len);
+    ASSERT_EQ(r.payload, GetLe32(bytes, at + 4) - headers);
   }
 }
 
@@ -519,13 +608,16 @@ std::vector<uint8_t> CaptureWithRecordLongerThanTheWindow() {
 }
 
 TEST(PcapMutation, TruncationAtEveryOffset) {
-  // The serialized sample, two captures whose last bytes are an SNI, so a cut
-  // that the body check let through would read past the buffer, and one
-  // longer than the reader's window, so cuts land after a refill.
+  // The serialized sample, four captures whose last bytes are an SNI (two of
+  // them behind IP and TCP options), so a cut that the body check let through
+  // would read past the buffer, and one longer than the reader's window, so
+  // cuts land after a refill.
   const std::vector<std::vector<uint8_t>> bases = {
       SerializePcap(SampleTrace()),
       PcapBuilder().TcpRecord(40, 40).TcpRecord(48, 100, TlsSni(3)).bytes(),
       PcapBuilder().TcpRecord(40, 40).UdpRecord(46, 1200, QuicSni(3)).bytes(),
+      PcapBuilder().Options(1, true).TcpRecord(64, 100, TlsSni(3)).bytes(),
+      PcapBuilder().Options(2, false).UdpRecord(54, 1200, QuicSni(3)).bytes(),
       CaptureWithRecordLongerThanTheWindow()};
   for (const std::vector<uint8_t>& base : bases) {
     for (size_t len = 0; len <= base.size(); ++len) {

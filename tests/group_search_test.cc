@@ -396,6 +396,9 @@ TEST(SearchGroupSequences, ExchangesRecoverContiguousRunAcrossTracks) {
   EXPECT_EQ(VideoSlots(result.sequences[0]),
             (std::vector<std::pair<int, int>>{{0, 1}, {2, 2}, {1, 3}}));
   EXPECT_EQ(result.group_sizes, (std::vector<int>{1, 1, 1}));
+  // A unique answer: a best cost and no competitor.
+  EXPECT_TRUE(result.best_cost.has_value());
+  EXPECT_FALSE(result.runner_up_cost.has_value());
 }
 
 TEST(SearchGroupSequences, AudioExchangeBetweenVideoExchanges) {
@@ -452,6 +455,28 @@ TEST(SearchGroupSequences, CollidingTracksYieldFourSequences) {
     EXPECT_EQ(video[0].second, 0);
     EXPECT_EQ(video[1].second, 1);
   }
+}
+
+// The costs belong to the ranked paths, not to the emitted subset: a cap of
+// one still reports the runner-up, with the uncapped search's values.
+TEST(SearchGroupSequences, SequenceCapOfOneKeepsTheRunnerUpCost) {
+  media::Manifest m = ExchangeManifest();
+  for (size_t i = 0; i < 6; ++i) {
+    m.video_tracks[1].chunks[i].size = m.video_tracks[0].chunks[i].size;
+  }
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
+  const auto groups = ExchangeGroups({HttpsEst(100000), HttpsEst(103000)});
+  const auto all = SearchGroupSequences(groups, db, HttpsConfig());
+  GroupSearchConfig config = HttpsConfig();
+  config.max_sequences = 1;
+  const auto one = SearchGroupSequences(groups, db, config);
+  ASSERT_EQ(one.sequences.size(), 1u);
+  EXPECT_TRUE(one.truncated);
+  ASSERT_TRUE(all.best_cost.has_value());
+  ASSERT_TRUE(all.runner_up_cost.has_value());
+  EXPECT_EQ(one.best_cost, all.best_cost);
+  EXPECT_EQ(one.runner_up_cost, all.runner_up_cost);
+  EXPECT_LE(*one.best_cost, *one.runner_up_cost);
 }
 
 TEST(SearchGroupSequences, SequenceCapReturnsExactlyTheCapAndTruncates) {
@@ -611,13 +636,9 @@ void ExpectChainMatchesOracle(const ChainInstance& inst,
   for (size_t i = 0; i < want.sequences.size(); ++i) {
     ASSERT_EQ(got.sequences[i], want.sequences[i]) << "sequence " << i;
   }
-  EXPECT_EQ(got.truncated, want.truncated);
-  EXPECT_EQ(got.group_sizes, want.group_sizes);
+  // The rest of the result: truncation, group sizes, best and runner-up cost.
+  EXPECT_EQ(got, want);
   EXPECT_EQ(got_audit.chain_nodes, want_audit.chain_nodes);
-  EXPECT_EQ(got_audit.has_best_cost, want_audit.has_best_cost);
-  EXPECT_EQ(got_audit.best_cost, want_audit.best_cost);
-  EXPECT_EQ(got_audit.has_runner_up_cost, want_audit.has_runner_up_cost);
-  EXPECT_EQ(got_audit.runner_up_cost, want_audit.runner_up_cost);
   EXPECT_EQ(got_audit.enumerations, want_audit.enumerations);
   EXPECT_EQ(got_audit.candidates, want_audit.candidates);
 }

@@ -15,10 +15,10 @@
 // Both order each layer's children, in generation order, on the cost alone:
 // the oracle with a full std::sort, the search with SortPrefix, which puts
 // std::sort's elements in std::sort's tie order into the beam_width slots it
-// keeps. So the beams agree and the outputs must be identical: sequences in
-// order, `truncated`, and the audit's chain_nodes, best cost and runner-up
-// cost (written to infer::CurrentAudit() exactly as the production search
-// writes them).
+// keeps. So the beams agree and the outputs must be identical: the results
+// (sequences in order, `truncated`, best and runner-up cost) and the audit's
+// chain_nodes (written to infer::CurrentAudit() exactly as the production
+// search writes them).
 
 #ifndef CSI_TESTS_NAIVE_CHAIN_ORACLE_H_
 #define CSI_TESTS_NAIVE_CHAIN_ORACLE_H_
@@ -170,17 +170,15 @@ class NaiveChainSearch {
     for (const auto& assignment : chosen) {
       result.sequences.push_back(BuildSequence(assignment));
     }
+    if (!chosen_costs.empty()) {
+      result.best_cost = chosen_costs[0];
+    }
+    if (chosen_costs.size() > 1) {
+      result.runner_up_cost = chosen_costs[1];
+    }
     result.truncated = truncated_;
     if (InferenceAudit* audit = CurrentAudit()) {
       audit->chain_nodes += static_cast<int64_t>(arena.size());
-      if (!chosen_costs.empty()) {
-        audit->has_best_cost = true;
-        audit->best_cost = chosen_costs[0];
-      }
-      if (chosen_costs.size() > 1) {
-        audit->has_runner_up_cost = true;
-        audit->runner_up_cost = chosen_costs[1];
-      }
     }
     return result;
   }

@@ -7,8 +7,9 @@
 // top of the differential sweeps this suite pins the result tier's one
 // validity rule (same state hits, a compaction's republish re-anchors, an
 // older reader misses and keeps the entry, any append invalidates), engine
-// sharing through one lineage, the shared core's five lookup outcomes on the
-// candidate and result tiers alike, eviction under a tiny budget, and a
+// sharing through one lineage, the shared core's five lookup outcomes and
+// their causes on the candidate and result tiers alike, a hit's audit line
+// (the result's shape, zero work), eviction under a tiny budget, and a
 // TSan'd hammer where concurrent BatchAnalyzers share one result cache while
 // a LiveChunkDatabase publishes refreshes under them.
 //
@@ -29,6 +30,7 @@
 
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
+#include "src/csi/audit.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/live_database.h"
@@ -73,11 +75,9 @@ std::shared_ptr<const InferenceResult> MakeResult(int sequences) {
   return result;
 }
 
-// The first half of an SQ asset as a live database's start, and the rest as
-// one refresh that appends real chunk sizes (tens of KB).
-std::pair<media::Manifest, ManifestRefresh> HalfSqAsset() {
-  const media::Manifest full =
-      testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
+// The first half of `full` as a live database's start, and the rest as one
+// refresh that appends its real chunk sizes (tens of KB).
+std::pair<media::Manifest, ManifestRefresh> SplitAsset(const media::Manifest& full) {
   const int start_positions = std::max(1, full.num_positions() / 2);
   media::Manifest prefix = full;
   for (auto& track : prefix.video_tracks) {
@@ -94,6 +94,10 @@ std::pair<media::Manifest, ManifestRefresh> HalfSqAsset() {
     refresh.video_appends[t].assign(chunks.begin() + start_positions, chunks.end());
   }
   return {prefix, refresh};
+}
+
+std::pair<media::Manifest, ManifestRefresh> HalfSqAsset() {
+  return SplitAsset(testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec));
 }
 
 // One appended position whose chunks (3 GiB each) are far bigger than any
@@ -178,20 +182,13 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
   LiveChunkDatabase live(prefix, options);
   const DbSnapshot a = live.Acquire();
   ResultCache cache(1 << 20);
-  ResultCache::AuditShape shape_in;
-  shape_in.media_flows = 2;
-  shape_in.sequences = 1;
-  shape_in.has_best_cost = true;
-  shape_in.best_cost = 3.5;
 
+  // The entry's one side fact, the media-flow count, comes back on a hit.
   const auto query = QueryFor(a, 1, 1000);
-  cache.Insert(query, a, MakeResult(1), shape_in);
-  ResultCache::AuditShape shape_out;
-  ASSERT_NE(cache.Lookup(query, a, &shape_out), nullptr);
-  EXPECT_EQ(shape_out.media_flows, 2);
-  EXPECT_EQ(shape_out.sequences, 1);
-  EXPECT_TRUE(shape_out.has_best_cost);
-  EXPECT_EQ(shape_out.best_cost, 3.5);
+  cache.Insert(query, a, MakeResult(1), 2);
+  int media_flows = 0;
+  ASSERT_NE(cache.Lookup(query, a, &media_flows), nullptr);
+  EXPECT_EQ(media_flows, 2);
 
   // An append no window could touch still invalidates: dropped, counted once,
   // and absent afterwards.
@@ -344,6 +341,9 @@ struct CandidateTierOps {
   static constexpr const char* kInstant = "group_cache";
   static constexpr const char* kSpan = "group_cache_lookup";
 
+  // A compaction folded the append in, so no window can be probed.
+  static constexpr const char* kInvalidatedReason = "compaction_folded_delta";
+
   static Cache::Query Key(const DbSnapshot& db, int id) {
     // A range reaching the live edge: the same key at every state.
     return Cache::MakeQuery(db, 1, id, 1000, 0, db.num_positions());
@@ -365,6 +365,8 @@ struct ResultTierOps {
   static constexpr const char* kStem = "result";
   static constexpr const char* kInstant = "result_cache";
   static constexpr const char* kSpan = "result_cache_lookup";
+  // Any append invalidates a result.
+  static constexpr const char* kInvalidatedReason = "append";
 
   static Cache::Query Key(const DbSnapshot& db, int id) { return QueryFor(db, 1, 1000 + id); }
   static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db) {
@@ -441,12 +443,115 @@ TYPED_TEST(CacheCoreOutcomes, FiveOutcomesCountAndTraceOnce) {
   const std::vector<std::pair<std::string, std::string>> expected = {
       {"hit", "same_state"},
       {"miss", "absent"},
-      {"revalidated", "delta_proven_disjoint"},
+      {"revalidated", "same_positions"},
       {"miss", "stale_snapshot"},
-      {"invalidated", "delta_in_window_or_compaction"},
+      {"invalidated", Ops::kInvalidatedReason},
       {"miss", "invalidated"},
   };
   EXPECT_EQ(instants, expected);
+}
+
+// The anchored check names the cause of every revalidation and invalidation,
+// and re-anchors only on a revalidation.
+TEST(Revalidate, ReportsEachCause) {
+  const auto [prefix, refresh] = HalfSqAsset();
+  LiveDbOptions options;
+  options.compact_after_delta_chunks = SIZE_MAX;  // compact only on CompactNow
+  LiveChunkDatabase live(prefix, options);
+  const DbSnapshot a = live.Acquire();
+  const DbSnapshot b = live.ApplyRefresh(refresh);
+  const DbSnapshot c = live.CompactNow();
+  ASSERT_EQ(b.base_positions(), a.num_positions());
+  ASSERT_GT(c.base_positions(), a.num_positions());
+  const PositionDependence insensitive;
+  const PositionDependence unsafe{.sensitive = true, .unsafe = true};
+  const PositionDependence no_chunk_fits{.sensitive = true, .probe_lo = 1, .probe_hi = 2};
+  const PositionDependence every_chunk_fits{
+      .sensitive = true, .probe_lo = 0, .probe_hi = static_cast<Bytes>(1) << 40};
+
+  struct Case {
+    const char* name;
+    const DbSnapshot* anchored_at;
+    const DbSnapshot* reader;
+    PositionDependence dependence;
+    internal::LookupOutcome outcome;
+    const char* reason;
+  };
+  using internal::LookupOutcome;
+  const std::vector<Case> cases = {
+      {"same state", &b, &b, unsafe, LookupOutcome::kHit, nullptr},
+      {"older reader", &b, &a, unsafe, LookupOutcome::kStaleSnapshot, nullptr},
+      {"republish", &b, &c, unsafe, LookupOutcome::kRevalidated, "same_positions"},
+      {"insensitive", &a, &b, insensitive, LookupOutcome::kRevalidated, "position_insensitive"},
+      {"disjoint", &a, &b, no_chunk_fits, LookupOutcome::kRevalidated, "delta_proven_disjoint"},
+      {"unsafe", &a, &b, unsafe, LookupOutcome::kInvalidated, "append"},
+      {"in window", &a, &b, every_chunk_fits, LookupOutcome::kInvalidated, "delta_in_window"},
+      {"folded", &a, &c, no_chunk_fits, LookupOutcome::kInvalidated, "compaction_folded_delta"},
+  };
+  for (const Case& test : cases) {
+    SCOPED_TRACE(test.name);
+    const internal::SnapshotAnchor start{test.anchored_at->state_id(),
+                                         test.anchored_at->num_positions()};
+    internal::SnapshotAnchor anchor = start;
+    const internal::LookupVerdict verdict =
+        internal::Revalidate(anchor, *test.reader, [&](int) { return test.dependence; });
+    EXPECT_EQ(verdict.outcome, test.outcome);
+    EXPECT_STREQ(verdict.reason, test.reason);
+    const bool moved = anchor.state_id != start.state_id || anchor.positions != start.positions;
+    EXPECT_EQ(moved, test.outcome == LookupOutcome::kRevalidated);
+  }
+}
+
+// A result-tier hit's audit line: media flows, groups, sequences, truncation
+// and both costs equal the computing line's, and every work counter reads 0.
+// Checked for a same-state hit and for one re-anchored by a compaction's
+// republish, on an SQ and a CH capture.
+TEST(ResultCacheAudit, HitLineKeepsTheShapeAndZeroesTheWork) {
+  for (const DesignType design : {DesignType::kSQ, DesignType::kCH}) {
+    SCOPED_TRACE(DesignTypeName(design));
+    const TimeUs duration = 30 * kUsPerSec;
+    const media::Manifest full = testbed::MakeAssetForDesign(design, 1, duration);
+    const capture::PacketColumns columns =
+        capture::PacketColumns::Build(MakeBatch(full, design, 1, duration)[0]);
+    const auto [prefix, refresh] = SplitAsset(full);
+    LiveDbOptions options;
+    options.compact_after_delta_chunks = SIZE_MAX;  // compact only on CompactNow
+    LiveChunkDatabase live(prefix, options);
+    live.ApplyRefresh(refresh);
+    InferenceConfig config;
+    config.design = design;
+    config.caches.result = std::make_shared<ResultCache>(256u << 20);
+    InferenceEngine engine(live.Acquire(), config);
+
+    InferenceAudit computing;
+    const InferenceResult computed = engine.Analyze(columns, {}, &computing);
+    ASSERT_TRUE(computed.best_cost.has_value());
+    ASSERT_EQ(computing.media_flows, 1);
+    ASSERT_GT(computing.enumerations, 0);
+    ASSERT_GT(computing.chain_nodes, 0);
+    // The computing line with every work counter at 0.
+    InferenceAudit no_work;
+    no_work.media_flows = computing.media_flows;
+    const std::string want = no_work.ToJsonLine("s", computed);
+    ASSERT_NE(computing.ToJsonLine("s", computed), want);
+
+    InferenceAudit hit;
+    const InferenceResult same_state = engine.Analyze(columns, {}, &hit);
+    EXPECT_EQ(same_state, computed);
+    EXPECT_EQ(hit, no_work);
+    EXPECT_EQ(hit.ToJsonLine("s", same_state), want);
+
+    const DbSnapshot republished = live.CompactNow();
+    ASSERT_EQ(republished.num_positions(), full.num_positions());
+    engine.UpdateSnapshot(republished);
+    InferenceAudit reanchored;
+    const InferenceResult after_compaction = engine.Analyze(columns, {}, &reanchored);
+    EXPECT_EQ(after_compaction, computed);
+    EXPECT_EQ(reanchored, no_work);
+    EXPECT_EQ(reanchored.ToJsonLine("s", after_compaction), want);
+    EXPECT_EQ(config.caches.result->stats().hits, 2u);
+    EXPECT_EQ(config.caches.result->stats().misses, 1u);
+  }
 }
 
 // --- Differential replay: on vs off -----------------------------------------

@@ -258,16 +258,14 @@ TEST(Audit, CollectionIsInertAndPopulatesPerTraceRecords) {
   for (size_t i = 0; i < audits.size(); ++i) {
     const infer::InferenceAudit& audit = audits[i];
     EXPECT_EQ(audit.media_flows, 1) << "trace " << i;
-    EXPECT_GT(audit.groups, 0) << "trace " << i;
+    EXPECT_FALSE(results[i].group_sizes.empty()) << "trace " << i;
     EXPECT_GT(audit.enumerations, 0) << "trace " << i;
     EXPECT_GT(audit.candidates, 0) << "trace " << i;
     EXPECT_GT(audit.chain_nodes, 0) << "trace " << i;
-    EXPECT_EQ(audit.sequences, static_cast<int>(results[i].sequences.size()))
-        << "trace " << i;
     if (!results[i].sequences.empty()) {
-      EXPECT_TRUE(audit.has_best_cost) << "trace " << i;
+      EXPECT_TRUE(results[i].best_cost.has_value()) << "trace " << i;
     }
-    const std::string line = audit.ToJsonLine("trace-" + std::to_string(i));
+    const std::string line = audit.ToJsonLine("trace-" + std::to_string(i), results[i]);
     EXPECT_EQ(line.find("{\"trace\":\"trace-"), 0u) << line;
     EXPECT_NE(line.find("\"dfs_nodes_expanded\":"), std::string::npos) << line;
     EXPECT_NE(line.find("\"best_cost\":"), std::string::npos) << line;
@@ -366,7 +364,8 @@ TEST(Audit, ToJsonLineIsValidJsonForControlBytesInTheLabel) {
   infer::InferenceAudit audit;
   const std::string label = "a\tb\x01";
   std::map<std::string, std::string> fields;
-  ASSERT_TRUE(ParseFlatJsonObject(audit.ToJsonLine(label), &fields)) << audit.ToJsonLine(label);
+  ASSERT_TRUE(ParseFlatJsonObject(audit.ToJsonLine(label, {}), &fields))
+      << audit.ToJsonLine(label, {});
   EXPECT_EQ(fields["trace"], label);
   EXPECT_EQ(fields["truncated"], "false");
   EXPECT_EQ(fields["best_cost"], "null");
@@ -375,11 +374,32 @@ TEST(Audit, ToJsonLineIsValidJsonForControlBytesInTheLabel) {
 TEST(Audit, ToJsonLineEscapesLabelAndEncodesMissingCosts) {
   infer::InferenceAudit audit;
   audit.media_flows = 1;
-  const std::string line = audit.ToJsonLine("path\\with\"quote");
+  const std::string line = audit.ToJsonLine("path\\with\"quote", {});
   EXPECT_EQ(line.find("{\"trace\":\"path\\\\with\\\"quote\""), 0u) << line;
   EXPECT_NE(line.find("\"best_cost\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"runner_up_cost\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"truncated\":false"), std::string::npos) << line;
+}
+
+// The line's shape comes from the result: group and sequence counts, the
+// truncation flag and both costs, in the writer's stable key order.
+TEST(Audit, ToJsonLineReadsTheShapeFromTheResult) {
+  infer::InferenceAudit audit;
+  audit.media_flows = 2;
+  audit.chain_nodes = 9;
+  infer::InferenceResult result;
+  result.sequences.resize(3);
+  result.group_sizes = {1, 2};
+  result.truncated = true;
+  result.best_cost = 0.25;
+  result.runner_up_cost = 0.5;
+  EXPECT_EQ(audit.ToJsonLine("t", result),
+            "{\"trace\":\"t\",\"media_flows\":2,\"groups\":2,\"enumerations\":0,"
+            "\"candidates\":0,\"enum_truncations\":0,\"wildcards\":0,"
+            "\"dfs_nodes_expanded\":0,\"dfs_nodes_pruned\":0,\"cache_hits\":0,"
+            "\"cache_revalidations\":0,\"cache_invalidations\":0,\"cache_misses\":0,"
+            "\"chain_nodes\":9,\"sequences\":3,\"truncated\":true,\"best_cost\":0.25,"
+            "\"runner_up_cost\":0.5}");
 }
 
 }  // namespace

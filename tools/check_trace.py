@@ -20,8 +20,11 @@ Prefix-cache telemetry checks on the same trace file:
 
 Result- and candidate-cache telemetry checks on the same trace file, for
 the "result_cache" and "group_cache" instants alike:
-  * every such 'i' instant carries args with an outcome of "hit",
-    "revalidated", "invalidated" or "miss" plus a non-empty reason;
+  * every such 'i' instant carries args with an outcome and a reason that
+    outcome allows: "hit" (same_state), "revalidated" (same_positions,
+    position_insensitive, delta_proven_disjoint), "invalidated" (append,
+    compaction_folded_delta, delta_in_window) or "miss" (absent,
+    stale_snapshot, invalidated);
   * the number of terminal instants (hit/revalidated/miss) equals the number
     of 'B' events for the tier's lookup span ("result_cache_lookup",
     "group_cache_lookup") — every lookup resolves exactly once.
@@ -36,7 +39,13 @@ histogram's count — both planes come from the same span sites, and the trace
 may only hold fewer (ring overwrites, session start after the first stages).
 
 Optionally validates an --audit JSONL file: one JSON object per line, each
-with the per-trace audit fields the inference engine records.
+with every per-trace audit field the inference engine writes. Counters are
+non-negative integers, "truncated" is a bool, and the costs are a number or
+null; "best_cost" is null exactly when "sequences" is 0, and a non-null
+"runner_up_cost" is >= "best_cost". Every candidate-cache lookup is one
+enumeration (cache_hits + cache_revalidations + cache_misses <=
+enumerations), and every invalidation resolves as a miss (cache_invalidations
+<= cache_misses).
 
 Optionally validates one or more --metrics JSON exports (csi_batch
 --metrics-out --metrics-format json). Per file, the counters of each cache
@@ -62,15 +71,30 @@ import sys
 ALLOWED_PHASES = {"B", "E", "i", "s", "t", "f"}
 # Trace instant -> lookup span of the tiers whose entries revalidate.
 REVALIDATING_TIERS = {"result_cache": "result_cache_lookup", "group_cache": "group_cache_lookup"}
-REQUIRED_AUDIT_KEYS = (
-    "trace",
+# Outcome -> the reasons a revalidating tier's instant may give for it.
+REVALIDATING_REASONS = {
+    "hit": {"same_state"},
+    "revalidated": {"same_positions", "position_insensitive", "delta_proven_disjoint"},
+    "invalidated": {"append", "compaction_folded_delta", "delta_in_window"},
+    "miss": {"absent", "stale_snapshot", "invalidated"},
+}
+AUDIT_COUNTERS = (
     "media_flows",
     "groups",
+    "enumerations",
     "candidates",
+    "enum_truncations",
+    "wildcards",
     "dfs_nodes_expanded",
+    "dfs_nodes_pruned",
+    "cache_hits",
+    "cache_revalidations",
+    "cache_invalidations",
+    "cache_misses",
+    "chain_nodes",
     "sequences",
-    "truncated",
 )
+AUDIT_COSTS = ("best_cost", "runner_up_cost")
 
 
 def fail(msg):
@@ -161,18 +185,21 @@ def check_trace(path):
             if not isinstance(args, dict):
                 fail(f"{where}: {tier} instant without args")
             outcome = args.get("outcome")
-            if outcome in ("hit", "revalidated", "miss"):
-                terminal[tier] += 1
-            elif outcome == "invalidated":
-                invalidated[tier] += 1
-            else:
+            if outcome not in REVALIDATING_REASONS:
                 fail(
                     f"{where}: {tier} outcome must be one of "
                     f"hit/revalidated/invalidated/miss, got {outcome!r}"
                 )
+            if outcome == "invalidated":
+                invalidated[tier] += 1
+            else:
+                terminal[tier] += 1
             reason = args.get("reason")
-            if not isinstance(reason, str) or not reason:
-                fail(f"{where}: {tier} instant missing a reason string")
+            if reason not in REVALIDATING_REASONS[outcome]:
+                fail(
+                    f"{where}: {tier} {outcome!r} reason must be one of "
+                    f"{'/'.join(sorted(REVALIDATING_REASONS[outcome]))}, got {reason!r}"
+                )
 
     for fid, ts, ph, i in flow_steps:
         if fid not in flow_starts:
@@ -244,6 +271,41 @@ def check_stage_planes(trace_path, stage_begins, metrics_path):
     )
 
 
+def check_audit_record(where, rec):
+    for key in ("trace", *AUDIT_COUNTERS, "truncated", *AUDIT_COSTS):
+        if key not in rec:
+            fail(f"{where}: missing audit field {key!r}")
+    if not isinstance(rec["trace"], str):
+        fail(f"{where}: trace label must be a string")
+    for key in AUDIT_COUNTERS:
+        value = rec[key]
+        # bool is an int subclass in Python; a counter is never true/false.
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            fail(f"{where}: {key} is {value!r}, not a non-negative integer")
+    if not isinstance(rec["truncated"], bool):
+        fail(f"{where}: truncated is {rec['truncated']!r}, not a bool")
+    for key in AUDIT_COSTS:
+        value = rec[key]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            fail(f"{where}: {key} is {value!r}, not a number or null")
+    best, runner_up = rec["best_cost"], rec["runner_up_cost"]
+    if (best is None) != (rec["sequences"] == 0):
+        fail(f"{where}: best_cost {best!r} must be null exactly when sequences is 0")
+    if runner_up is not None and (best is None or runner_up < best):
+        fail(f"{where}: runner_up_cost {runner_up!r} below best_cost {best!r}")
+    lookups = rec["cache_hits"] + rec["cache_revalidations"] + rec["cache_misses"]
+    if lookups > rec["enumerations"]:
+        fail(
+            f"{where}: {lookups} candidate-cache lookup(s) exceed "
+            f"{rec['enumerations']} enumeration(s)"
+        )
+    if rec["cache_invalidations"] > rec["cache_misses"]:
+        fail(
+            f"{where}: cache_invalidations ({rec['cache_invalidations']}) > "
+            f"cache_misses ({rec['cache_misses']})"
+        )
+
+
 def check_audit(path):
     n = 0
     with open(path, encoding="utf-8") as fp:
@@ -257,9 +319,7 @@ def check_audit(path):
                 fail(f"{path}:{lineno}: invalid JSON: {e}")
             if not isinstance(rec, dict):
                 fail(f"{path}:{lineno}: audit record must be an object")
-            for key in REQUIRED_AUDIT_KEYS:
-                if key not in rec:
-                    fail(f"{path}:{lineno}: missing audit field {key!r}")
+            check_audit_record(f"{path}:{lineno}", rec)
             n += 1
     if n == 0:
         fail(f"{path}: no audit records")

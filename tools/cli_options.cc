@@ -388,7 +388,8 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
 }
 
 bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& labels,
-                     const std::vector<infer::InferenceAudit>& audits, std::string* error) {
+                     const std::vector<infer::InferenceAudit>& audits,
+                     const std::vector<infer::InferenceResult>& results, std::string* error) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     if (error != nullptr) {
@@ -397,7 +398,8 @@ bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& la
     return false;
   }
   for (size_t i = 0; i < audits.size(); ++i) {
-    out << audits[i].ToJsonLine(i < labels.size() ? labels[i] : std::to_string(i)) << '\n';
+    out << audits[i].ToJsonLine(i < labels.size() ? labels[i] : std::to_string(i), results[i])
+        << '\n';
   }
   return CloseChecked(&out, path, error);
 }

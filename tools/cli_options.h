@@ -144,11 +144,13 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
 // stage histograms. No trailing newline.
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);
 
-// Writes audits[i] as a JSON line labeled labels[i] (falling back to the
-// index when labels run short); false with *error ("cannot write audit log
-// to <path>", or "short write to <path>") on failure.
+// Writes audits[i] beside results[i] (one per audit) as a JSON line labeled
+// labels[i] (falling back to the index when labels run short); false with
+// *error ("cannot write audit log to <path>", or "short write to <path>") on
+// failure.
 bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& labels,
-                     const std::vector<infer::InferenceAudit>& audits, std::string* error);
+                     const std::vector<infer::InferenceAudit>& audits,
+                     const std::vector<infer::InferenceResult>& results, std::string* error);
 
 }  // namespace csi::tools
 

@@ -130,7 +130,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
   if (!common.audit_out.empty() &&
-      !tools::WriteAuditJsonl(common.audit_out, {pcap_path}, {audit}, &error)) {
+      !tools::WriteAuditJsonl(common.audit_out, {pcap_path}, {audit}, {result}, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }

@@ -378,7 +378,7 @@ int Run(int argc, char** argv) {
     metrics_ok = false;
   }
   if (audits_out != nullptr &&
-      !tools::WriteAuditJsonl(common.audit_out, loaded_paths, audits, &error)) {
+      !tools::WriteAuditJsonl(common.audit_out, loaded_paths, audits, results, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     metrics_ok = false;
   }
