@@ -3,11 +3,13 @@
 // BM_ReadPcap / BM_ColumnBuild time ingest the way csibench pays it, each
 // with its minor page faults per iteration. A csibench batch holds every
 // capture's columns until the batch ends, so both keep their last
-// kHeldColumns builds alive. BM_ReadPcap reads a file, builds its columns and
-// drops the packet records, alternating two 10-min CH captures built as
-// csibench builds its sessions, one of them 441,863 packets long: its record
-// block must fit under glibc's 32 MiB mmap threshold to reuse the heap pages
-// the previous capture freed, or every read faults in fresh pages.
+// kHeldColumns builds alive. BM_ReadPcap reads a file in ReadPcap's one pass,
+// builds its columns and drops the packet records, alternating two 10-min CH
+// captures built as csibench builds its sessions, one of them 441,863 packets
+// long. The reader reserves its record block from the first window's mean
+// record length plus 1/64 slack: 441,863 x 72 B x ~1.017 = 32.4 MB, under
+// glibc's 32 MiB (33.55 MB) mmap threshold, so the block reuses the heap
+// pages the previous capture freed instead of faulting in fresh ones.
 // BM_ColumnBuild transposes one 10-min CH capture's records over and over:
 // each Build writes into pages no earlier build freed, and `minor_faults`
 // counts the pages the columns take.

@@ -79,6 +79,10 @@ class Window {
 
   size_t size() const { return size_; }
 
+  // The bytes the buffer holds: the first window's until the first refill.
+  const uint8_t* held() const { return buf_.get(); }
+  size_t held_bytes() const { return len_; }
+
   // The `n` bytes at source offset `at`, which the caller has checked lie
   // before the end of the source; they are loaded first if the buffer does
   // not hold all of them.
@@ -131,9 +135,43 @@ class Window {
   size_t len_ = 0;
 };
 
-// Parses the pcap bytes behind `window`. Every length is checked against the
-// bytes left in the source before the bytes it covers are asked for, and the
-// record's own bounds guard every load inside it.
+// The smallest record the parse accepts: a record header, an IPv4 header and
+// a UDP header.
+constexpr size_t kMinRecordBytes = kRecordHeaderBytes + kIpv4HeaderBytes + kUdpHeaderBytes;
+
+// The record count to reserve: the capture's bytes after the global header
+// over the mean length of the complete records in the first window (`held`,
+// loaded from offset 0 by the magic check), at least kMinRecordBytes, plus
+// 1/64 slack; 0 when that window holds no complete record. Only speed depends
+// on it: a capture with more records grows the trace as any vector grows. The
+// floor bounds the block at about 1.66x the file whatever the first records
+// are; the slack keeps the largest 10-min CH capture (441,863 records) under
+// glibc's 32 MiB mmap threshold, which 1/16 would cross.
+size_t EstimateRecords(const uint8_t* held, size_t held_bytes, size_t size) {
+  size_t records = 0;
+  size_t at = kGlobalHeaderBytes;
+  while (held_bytes - at >= kRecordHeaderBytes) {
+    const size_t length = kRecordHeaderBytes + Load32le(held + at + 8);
+    if (length > held_bytes - at) {
+      break;
+    }
+    at += length;
+    ++records;
+  }
+  if (records == 0) {
+    return 0;
+  }
+  // In floating point, so that a huge (sparse) file cannot wrap the product.
+  const double sampled =
+      static_cast<double>(std::max(at - kGlobalHeaderBytes, records * kMinRecordBytes));
+  const auto estimate = static_cast<size_t>(static_cast<double>(size - kGlobalHeaderBytes) *
+                                            static_cast<double>(records) / sampled);
+  return estimate + estimate / 64;
+}
+
+// Parses the pcap bytes behind `window` in one pass. Every length is checked
+// against the bytes left in the source before the bytes it covers are asked
+// for, and the record's own bounds guard every load inside it.
 CaptureTrace Parse(Window& window) {
   const size_t size = window.size();
   if (size < 4 || Load32le(window.At(0, 4)) != kPcapMagic) {
@@ -146,20 +184,8 @@ CaptureTrace Parse(Window& window) {
     throw std::runtime_error("pcap: unsupported link type");
   }
 
-  // Count the records in a first pass so the trace is sized once; a record
-  // that runs past the end stops the count and is rejected by the parse below.
-  size_t records = 0;
-  for (size_t at = kGlobalHeaderBytes; size - at >= kRecordHeaderBytes;) {
-    const uint32_t incl_len = Load32le(window.At(at, kRecordHeaderBytes) + 8);
-    if (incl_len > size - at - kRecordHeaderBytes) {
-      break;
-    }
-    at += kRecordHeaderBytes + incl_len;
-    ++records;
-  }
   CaptureTrace trace;
-  trace.reserve(records);
-
+  trace.reserve(EstimateRecords(window.held(), window.held_bytes(), size));
   for (size_t at = kGlobalHeaderBytes; at != size;) {
     if (size - at < kRecordHeaderBytes) {
       throw std::runtime_error("pcap: truncated packet header");

@@ -10,13 +10,17 @@
 // `tcpdump -s 256` capture of encrypted traffic.
 //
 // `ReadPcap` takes the file size from fstat and streams the file with pread
-// through one reused window of kPcapWindowBytes, in two passes: the first
-// hops the record headers to count the records so the trace is sized once,
-// the second parses. The window starts each refill at the first record that
-// does not fit, so a record is always parsed in one piece; it grows only for
-// a record longer than the window, and only after that record's length has
-// been checked against the bytes left in the file. `ParsePcap` feeds the same
-// window from memory, so both entry points share one framing and parse loop.
+// through one reused window of kPcapWindowBytes, in one pass: each byte is
+// read once. The trace is sized from the first window, which the magic check
+// loads: the file's bytes over the mean length of the complete records it
+// holds (at least the 44 bytes of the smallest record the parse accepts),
+// plus 1/64 slack; a capture that outgrows that estimate grows the trace as
+// any vector grows, so only speed depends on it. The window starts each
+// refill at the first record that does not fit, so a record is always parsed
+// in one piece; it grows only for a record longer than the window, and only
+// after that record's length has been checked against the bytes left in the
+// file. `ParsePcap` feeds the same window from memory, so both entry points
+// share one framing, sizing and parse loop.
 // The reader uses pread, not mmap, so a file truncated while it is read fails
 // with an error instead of raising SIGBUS. Every length field is checked
 // against the bytes left before anything it covers is read. The IPv4 header

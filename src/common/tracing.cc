@@ -291,17 +291,20 @@ uint64_t TraceSession::dropped_events() const {
   return dropped;
 }
 
-std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
+std::string ChromeTraceJson(const std::vector<TraceEvent>& events, uint64_t dropped_events) {
   std::string out;
   out.reserve(events.size() * 96 + 64);
-  out.append("{\"traceEvents\":");
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "{\"droppedEvents\":%" PRIu64 ",\"traceEvents\":",
+                dropped_events);
+  out.append(buf);
   AppendEventArray(&out, events);
   out.append("}\n");
   return out;
 }
 
 std::string TraceSession::ExportChromeTrace() const {
-  return ChromeTraceJson(Collect());
+  return ChromeTraceJson(Collect(), dropped_events());
 }
 
 bool TraceSession::ExportChromeTrace(const std::string& path,

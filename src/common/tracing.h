@@ -127,7 +127,9 @@ class TraceSession {
   // Events overwritten so far across all rings (ring-buffer drop count).
   uint64_t dropped_events() const;
 
-  // Chrome trace-event JSON, object form: {"traceEvents":[...]}.
+  // Chrome trace-event JSON, object form: {"droppedEvents":N,"traceEvents":[...]},
+  // where N is dropped_events(): a ring that wrapped lost its oldest events,
+  // so the first spans of a thread may end without their beginning.
   std::string ExportChromeTrace() const;
   bool ExportChromeTrace(const std::string& path, std::string* error) const;
 
@@ -140,7 +142,7 @@ class TraceSession {
 
 // Pure exporter over an explicit event list — the deterministic core of
 // TraceSession::ExportChromeTrace, exposed for golden tests.
-std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
+std::string ChromeTraceJson(const std::vector<TraceEvent>& events, uint64_t dropped_events);
 
 // Appends `s` as the body of a JSON string: quote and backslash escaped, and
 // every control byte as \n, \t, \r or \u00XX. The one JSON string escaper

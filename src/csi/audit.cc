@@ -40,11 +40,12 @@ AuditScope::AuditScope(InferenceAudit* audit) : previous_(t_current_audit) {
 
 AuditScope::~AuditScope() { t_current_audit = previous_; }
 
-std::string InferenceAudit::ToJsonLine(const std::string& label,
+std::string InferenceAudit::ToJsonLine(const std::string& label, int round,
                                        const InferenceResult& result) const {
   std::string out = "{\"trace\":\"";
   trace::AppendJsonEscaped(&out, label);
   out.push_back('"');
+  AppendInt(&out, "round", round);
   AppendInt(&out, "media_flows", media_flows);
   AppendInt(&out, "groups", static_cast<int64_t>(result.group_sizes.size()));
   AppendInt(&out, "enumerations", enumerations);

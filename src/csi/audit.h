@@ -50,8 +50,10 @@ struct InferenceAudit {
 
   // One JSON object on one line (stable key order) for --audit-out JSONL:
   // these fields interleaved with `result`'s group count, sequence count,
-  // truncation and costs. `label` identifies the trace (file path or index).
-  std::string ToJsonLine(const std::string& label, const InferenceResult& result) const;
+  // truncation and costs. `label` identifies the trace (file path or index)
+  // and `round` the tool's pass over its traces (0 for the first or only).
+  std::string ToJsonLine(const std::string& label, int round,
+                         const InferenceResult& result) const;
 
   friend bool operator==(const InferenceAudit&, const InferenceAudit&) = default;
 };

@@ -161,7 +161,8 @@ TEST(Pcap, SerializeParseRoundTrip) {
   const CaptureTrace trace = SampleTrace();
   const CaptureTrace parsed = ParsePcap(SerializePcap(trace));
   ASSERT_EQ(parsed.size(), trace.size());
-  EXPECT_EQ(parsed.capacity(), trace.size());  // the header pass sized it once
+  // The whole capture fits in the first window, so the estimate is exact.
+  EXPECT_EQ(parsed.capacity(), trace.size() + trace.size() / 64);
   for (size_t i = 0; i < trace.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_EQ(parsed[i].timestamp, trace[i].timestamp);
@@ -725,7 +726,9 @@ void ExpectSameRecords(const CaptureTrace& a, const CaptureTrace& b) {
 // The record starts where the reader refills its window while it walks
 // `bytes` from a window that starts at `first`: a refill starts at the first
 // record that does not fit in the kPcapWindowBytes the window holds. The
-// count pass starts its window at 0, the parse pass at the first record.
+// reader's window starts at 0, where the magic check loads it; the edges of a
+// window that starts at the first record (byte 24) are tested as well, as
+// they cut the records at other offsets.
 std::vector<size_t> RefillStarts(const std::vector<uint8_t>& bytes, size_t first) {
   std::vector<size_t> starts;
   size_t base = first;
@@ -745,7 +748,10 @@ TEST(PcapWindow, FileAndMemoryGiveBackALongSession) {
   const std::string path = ::testing::TempDir() + "/csi_capture_window.pcap";
   WriteBytes(path, bytes);
   const CaptureTrace from_file = ReadPcap(path);
-  EXPECT_EQ(from_file.capacity(), from_file.size());
+  // Sized once from the first window: its mean record length is within 1/64
+  // of the session's, and the reader adds 1/64 slack.
+  EXPECT_LE(from_file.size(), from_file.capacity());
+  EXPECT_LE(from_file.capacity(), from_file.size() + from_file.size() / 32);
   // Both entry points give back the session's own records.
   ExpectSameRecords(from_file, LongCapture().trace);
   ExpectSameRecords(ParsePcap(bytes), LongCapture().trace);
@@ -754,8 +760,8 @@ TEST(PcapWindow, FileAndMemoryGiveBackALongSession) {
 
 TEST(PcapWindow, TruncationAroundWindowEdges) {
   const std::vector<uint8_t>& bytes = LongCapture().bytes;
-  // Cuts within 64 bytes of where each of the first four windows of either
-  // pass ends or its successor starts.
+  // Cuts within 64 bytes of where each of the first four windows from either
+  // start ends or its successor starts.
   std::set<size_t, std::greater<>> cuts;
   for (const size_t first : {size_t{0}, size_t{24}}) {
     size_t base = first;
@@ -810,10 +816,9 @@ TEST(PcapWindow, LyingLengthsOnRecordsThatStraddleAWindowEdge) {
   std::remove(path.c_str());
 }
 
-// An SNI record ending within 80 bytes either side of the parse pass's first
-// window edge (its window starts at the first record, byte 24): the last
-// byte of the SNI is the last byte of the record, so a window one byte short
-// garbles it.
+// An SNI record ending within 80 bytes either side of the reader's first
+// window edge (its window starts at byte 0): the last byte of the SNI is the
+// last byte of the record, so a window one byte short garbles it.
 TEST(PcapWindow, RecordEndingNearTheWindowEdge) {
   constexpr size_t kFiller = 16 + kPcapSnapLen;  // one full-snap record
   constexpr size_t kSniRecord = 16 + 48;
@@ -821,7 +826,7 @@ TEST(PcapWindow, RecordEndingNearTheWindowEdge) {
   for (int delta = -80; delta <= 80; ++delta) {
     SCOPED_TRACE(delta);
     // Fillers, then one record sized so the SNI record ends at edge + delta.
-    const size_t to_fill = kPcapWindowBytes + static_cast<size_t>(delta) - kSniRecord;
+    const size_t to_fill = kPcapWindowBytes + static_cast<size_t>(delta) - kSniRecord - 24;
     PcapBuilder builder;
     for (size_t i = 0; i < to_fill / kFiller - 1; ++i) {
       builder.TcpRecord(kPcapSnapLen, 1500);
@@ -830,7 +835,7 @@ TEST(PcapWindow, RecordEndingNearTheWindowEdge) {
     builder.TcpRecord(last_filler, last_filler).TcpRecord(48, 100, TlsSni(3)).TcpRecord(40, 40);
     const std::vector<uint8_t> bytes = builder.bytes();
     ASSERT_EQ(InclLenOffsets(bytes)[to_fill / kFiller] + 8 + 48,
-              24 + kPcapWindowBytes + static_cast<size_t>(delta));
+              kPcapWindowBytes + static_cast<size_t>(delta));
     WriteBytes(path, bytes);
     const CaptureTrace from_file = ReadPcap(path);
     ASSERT_EQ(from_file.size(), to_fill / kFiller + 2);
@@ -851,6 +856,94 @@ TEST(PcapWindow, RecordLongerThanTheWindowGrowsIt) {
   EXPECT_EQ(from_file[2].payload, 1000);
   ExpectSameRecords(from_file, ParsePcap(bytes));
   std::remove(path.c_str());
+}
+
+// --- Sizing the trace from the first window ----------------------------------
+
+constexpr size_t kSnapRecord = 16 + kPcapSnapLen;  // a full-snap TCP record
+constexpr size_t kAckRecord = 16 + 40;             // a TCP record without payload
+
+// `snaps` full-snap downlink records, then `acks` pure ACKs, or the ACKs
+// first when `acks_first`; one millisecond apart.
+CaptureTrace SnapsAndAcks(size_t snaps, size_t acks, bool acks_first) {
+  CaptureTrace trace;
+  for (int block = 0; block < 2; ++block) {
+    const bool ack = (block == 0) == acks_first;
+    for (size_t i = 0; i < (ack ? acks : snaps); ++i) {
+      net::Packet p = SamplePacket(ack, net::Transport::kTcp);
+      p.payload = ack ? 0 : 1448;
+      p.quic_packet_number = 0;  // a TCP record carries none
+      p.tcp_seq = 1000 + 1448 * trace.size();
+      trace.push_back(RecordFrom(p, static_cast<TimeUs>(trace.size()) * 1000));
+    }
+  }
+  return trace;
+}
+
+// The trace both entry points give back for `bytes`, after checking that
+// they give back `expected`.
+CaptureTrace ReadsBack(const std::vector<uint8_t>& bytes, const CaptureTrace& expected) {
+  const std::string path = ::testing::TempDir() + "/csi_capture_sizing.pcap";
+  WriteBytes(path, bytes);
+  CaptureTrace from_file = ReadPcap(path);
+  std::remove(path.c_str());
+  ExpectSameRecords(from_file, expected);
+  ExpectSameRecords(ParsePcap(bytes), expected);
+  return from_file;
+}
+
+TEST(PcapSizing, LowEstimateGrowsTheTrace) {
+  // The first window holds only full-snap records; three windows of ACKs
+  // follow, so the capture has more records than the estimate reserves.
+  const size_t snaps = kPcapWindowBytes / kSnapRecord + 1;
+  const CaptureTrace trace = SnapsAndAcks(snaps, 3 * kPcapWindowBytes / kAckRecord, false);
+  const std::vector<uint8_t> bytes = SerializePcap(trace);
+  const size_t estimate = (bytes.size() - 24) / kSnapRecord;
+  ASSERT_LT(estimate + estimate / 64, trace.size());
+  const CaptureTrace parsed = ReadsBack(bytes, trace);
+  EXPECT_GE(parsed.capacity(), parsed.size());
+}
+
+TEST(PcapSizing, HighEstimateStaysUnderTheSmallestRecordBound) {
+  // The reverse: a first window of ACKs, then three windows of full-snap
+  // records, so the estimate reserves more than the capture holds.
+  const size_t acks = kPcapWindowBytes / kAckRecord + 1;
+  const CaptureTrace trace = SnapsAndAcks(3 * kPcapWindowBytes / kSnapRecord, acks, true);
+  const std::vector<uint8_t> bytes = SerializePcap(trace);
+  const CaptureTrace parsed = ReadsBack(bytes, trace);
+  EXPECT_GT(parsed.capacity(), parsed.size());
+  // Never more records than the file holds at 44 bytes each, plus the slack.
+  const size_t most = (bytes.size() - 24) / 44;
+  EXPECT_LE(parsed.capacity(), most + most / 64);
+}
+
+TEST(PcapSizing, CaptureSmallerThanOneWindowIsSizedExactly) {
+  const CaptureTrace trace = SnapsAndAcks(300, 200, false);
+  const std::vector<uint8_t> bytes = SerializePcap(trace);
+  ASSERT_LT(bytes.size(), kPcapWindowBytes);
+  const CaptureTrace parsed = ReadsBack(bytes, trace);
+  EXPECT_EQ(parsed.capacity(), trace.size() + trace.size() / 64);
+}
+
+TEST(PcapSizing, HeaderOnlyCaptureReservesNothing) {
+  const std::vector<uint8_t> bytes = SerializePcap({});
+  ASSERT_EQ(bytes.size(), 24u);
+  EXPECT_EQ(ReadsBack(bytes, {}).capacity(), 0u);
+}
+
+TEST(PcapSizing, FirstRecordLongerThanTheWindowLeavesNoEstimate) {
+  // No complete record in the first window, so the trace starts unsized and
+  // grows through the long record and the capture after it.
+  constexpr uint32_t kLong = kPcapWindowBytes + 100;
+  std::vector<uint8_t> bytes = PcapBuilder().TcpRecord(kLong, kLong).bytes();
+  const CaptureTrace rest = SnapsAndAcks(2000, 2000, false);
+  const std::vector<uint8_t> rest_bytes = SerializePcap(rest);
+  bytes.insert(bytes.end(), rest_bytes.begin() + 24, rest_bytes.end());
+  CaptureTrace expected = ParsePcap(PcapBuilder().TcpRecord(kLong, kLong).bytes());
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(expected[0].payload, static_cast<Bytes>(kLong - 40));
+  expected.insert(expected.end(), rest.begin(), rest.end());
+  ReadsBack(bytes, expected);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ mkdir "$work/good"
   exit 1
 }
 # A 60-s capture spans several read windows, where the 20-s one fits in one.
-mkdir "$work/long"
+# csi_testgen creates the missing output directory itself.
 "$testgen" --design CH --duration 60 --seed 1 --out "$work/long" > /dev/null || {
   echo "FAIL: csi_testgen could not write the 60-s reference session"
   exit 1
@@ -129,8 +129,11 @@ if [ -e /dev/full ]; then
   done
 fi
 expected_error=
-# csi_testgen's inputs are its flags and its output directory.
-expect_error "$testgen" --design CH --out "$work/missing-dir"
+# csi_testgen's inputs are its flags and its output directory. A directory
+# it cannot create (here, below a file) fails before the simulation runs.
+expected_error="error: cannot create $work/junk.pcap/session"
+expect_error "$testgen" --design CH --out "$work/junk.pcap/session"
+expected_error=
 expect_error "$testgen" --design CH --out "$work/good" --duration abc
 expect_error "$testgen" --design CH --out "$work/good" --duration 60x
 expect_error "$testgen" --design CH --out "$work/good" --seed -1

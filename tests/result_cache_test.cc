@@ -532,14 +532,14 @@ TEST(ResultCacheAudit, HitLineKeepsTheShapeAndZeroesTheWork) {
     // The computing line with every work counter at 0.
     InferenceAudit no_work;
     no_work.media_flows = computing.media_flows;
-    const std::string want = no_work.ToJsonLine("s", computed);
-    ASSERT_NE(computing.ToJsonLine("s", computed), want);
+    const std::string want = no_work.ToJsonLine("s", 0, computed);
+    ASSERT_NE(computing.ToJsonLine("s", 0, computed), want);
 
     InferenceAudit hit;
     const InferenceResult same_state = engine.Analyze(columns, {}, &hit);
     EXPECT_EQ(same_state, computed);
     EXPECT_EQ(hit, no_work);
-    EXPECT_EQ(hit.ToJsonLine("s", same_state), want);
+    EXPECT_EQ(hit.ToJsonLine("s", 0, same_state), want);
 
     const DbSnapshot republished = live.CompactNow();
     ASSERT_EQ(republished.num_positions(), full.num_positions());
@@ -548,7 +548,7 @@ TEST(ResultCacheAudit, HitLineKeepsTheShapeAndZeroesTheWork) {
     const InferenceResult after_compaction = engine.Analyze(columns, {}, &reanchored);
     EXPECT_EQ(after_compaction, computed);
     EXPECT_EQ(reanchored, no_work);
-    EXPECT_EQ(reanchored.ToJsonLine("s", after_compaction), want);
+    EXPECT_EQ(reanchored.ToJsonLine("s", 0, after_compaction), want);
     EXPECT_EQ(config.caches.result->stats().hits, 2u);
     EXPECT_EQ(config.caches.result->stats().misses, 1u);
   }

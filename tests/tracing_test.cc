@@ -71,6 +71,8 @@ TEST(Tracing, RingOverwritesOldestAndCountsDrops) {
     EXPECT_EQ(events[i].args[0].int_value, static_cast<int64_t>(i) + 12);
   }
   EXPECT_EQ(session.dropped_events(), 12u);
+  // The export says how many events the ring lost.
+  EXPECT_EQ(session.ExportChromeTrace().find("{\"droppedEvents\":12,\"traceEvents\":["), 0u);
 }
 
 TEST(Tracing, ParallelForPropagatesFlowAcrossThreads) {
@@ -205,7 +207,7 @@ TEST(Tracing, ChromeTraceJsonGolden) {
   events[4].ts_ns = 4000;
 
   const std::string expected =
-      "{\"traceEvents\":["
+      "{\"droppedEvents\":3,\"traceEvents\":["
       "{\"name\":\"analyze\",\"cat\":\"stage\",\"ph\":\"B\",\"ts\":1.500,"
       "\"pid\":1,\"tid\":1,\"args\":{\"packets\":4821,\"ratio\":0.5}},\n"
       "{\"name\":\"parallel_for\",\"cat\":\"flow\",\"ph\":\"s\",\"ts\":2.000,"
@@ -217,7 +219,7 @@ TEST(Tracing, ChromeTraceJsonGolden) {
       "{\"name\":\"analyze\",\"cat\":\"stage\",\"ph\":\"E\",\"ts\":4.000,"
       "\"pid\":1,\"tid\":1}"
       "]}\n";
-  EXPECT_EQ(trace::ChromeTraceJson(events), expected);
+  EXPECT_EQ(trace::ChromeTraceJson(events, 3), expected);
 }
 
 // The invariance contract, tracing edition: the golden digest holds with an
@@ -265,7 +267,7 @@ TEST(Audit, CollectionIsInertAndPopulatesPerTraceRecords) {
     if (!results[i].sequences.empty()) {
       EXPECT_TRUE(results[i].best_cost.has_value()) << "trace " << i;
     }
-    const std::string line = audit.ToJsonLine("trace-" + std::to_string(i), results[i]);
+    const std::string line = audit.ToJsonLine("trace-" + std::to_string(i), 0, results[i]);
     EXPECT_EQ(line.find("{\"trace\":\"trace-"), 0u) << line;
     EXPECT_NE(line.find("\"dfs_nodes_expanded\":"), std::string::npos) << line;
     EXPECT_NE(line.find("\"best_cost\":"), std::string::npos) << line;
@@ -364,8 +366,8 @@ TEST(Audit, ToJsonLineIsValidJsonForControlBytesInTheLabel) {
   infer::InferenceAudit audit;
   const std::string label = "a\tb\x01";
   std::map<std::string, std::string> fields;
-  ASSERT_TRUE(ParseFlatJsonObject(audit.ToJsonLine(label, {}), &fields))
-      << audit.ToJsonLine(label, {});
+  ASSERT_TRUE(ParseFlatJsonObject(audit.ToJsonLine(label, 0, {}), &fields))
+      << audit.ToJsonLine(label, 0, {});
   EXPECT_EQ(fields["trace"], label);
   EXPECT_EQ(fields["truncated"], "false");
   EXPECT_EQ(fields["best_cost"], "null");
@@ -374,7 +376,7 @@ TEST(Audit, ToJsonLineIsValidJsonForControlBytesInTheLabel) {
 TEST(Audit, ToJsonLineEscapesLabelAndEncodesMissingCosts) {
   infer::InferenceAudit audit;
   audit.media_flows = 1;
-  const std::string line = audit.ToJsonLine("path\\with\"quote", {});
+  const std::string line = audit.ToJsonLine("path\\with\"quote", 0, {});
   EXPECT_EQ(line.find("{\"trace\":\"path\\\\with\\\"quote\""), 0u) << line;
   EXPECT_NE(line.find("\"best_cost\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"runner_up_cost\":null"), std::string::npos) << line;
@@ -382,7 +384,8 @@ TEST(Audit, ToJsonLineEscapesLabelAndEncodesMissingCosts) {
 }
 
 // The line's shape comes from the result: group and sequence counts, the
-// truncation flag and both costs, in the writer's stable key order.
+// truncation flag and both costs, in the writer's stable key order after the
+// label and the round.
 TEST(Audit, ToJsonLineReadsTheShapeFromTheResult) {
   infer::InferenceAudit audit;
   audit.media_flows = 2;
@@ -393,8 +396,8 @@ TEST(Audit, ToJsonLineReadsTheShapeFromTheResult) {
   result.truncated = true;
   result.best_cost = 0.25;
   result.runner_up_cost = 0.5;
-  EXPECT_EQ(audit.ToJsonLine("t", result),
-            "{\"trace\":\"t\",\"media_flows\":2,\"groups\":2,\"enumerations\":0,"
+  EXPECT_EQ(audit.ToJsonLine("t", 2, result),
+            "{\"trace\":\"t\",\"round\":2,\"media_flows\":2,\"groups\":2,\"enumerations\":0,"
             "\"candidates\":0,\"enum_truncations\":0,\"wildcards\":0,"
             "\"dfs_nodes_expanded\":0,\"dfs_nodes_pruned\":0,\"cache_hits\":0,"
             "\"cache_revalidations\":0,\"cache_invalidations\":0,\"cache_misses\":0,"

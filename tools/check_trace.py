@@ -2,7 +2,9 @@
 """Validate a Chrome trace-event JSON file produced by --trace-out.
 
 Checks (beyond `python3 -m json.tool` well-formedness):
-  * top level is an object with a "traceEvents" list;
+  * top level is an object with a "traceEvents" list and, if present, a
+    non-negative integer "droppedEvents" (the events the per-thread rings
+    overwrote);
   * every event carries name/cat/ph/ts/pid/tid with sane types;
   * phases are restricted to the set the tracer emits (B E i s t f);
   * per-thread B/E nesting balances — an 'E' without a matching 'B' is an
@@ -31,6 +33,15 @@ the "result_cache" and "group_cache" instants alike:
     "invalidated" instants are extra (a lookup that drops a stale entry then
     misses emits both), so they may not exceed lookups.
 
+When "droppedEvents" is above 0, a ring wrapped and lost its oldest events,
+which may include the 'B' of a span whose 'E' survived, the 's' of a flow
+whose later steps survived on another thread, and the lookup span of a
+surviving cache instant. Then, and only then, an 'E' without a matching 'B'
+and a 't'/'f' without its 's' are forgiven (they began before the oldest
+surviving event of their ring; both counts are reported), and the
+lookup/outcome count comparisons above are skipped, with a note saying so.
+Every other check holds as written.
+
 Cross-plane check (--run-metrics, a metrics JSON export written by the same
 run as the trace): every stage span in the trace ('B' events of category
 "stage", all emitted by CSI_SPAN) must appear as a csi_stage_duration_seconds
@@ -39,11 +50,13 @@ histogram's count — both planes come from the same span sites, and the trace
 may only hold fewer (ring overwrites, session start after the first stages).
 
 Optionally validates an --audit JSONL file: one JSON object per line, each
-with every per-trace audit field the inference engine writes. Counters are
-non-negative integers, "truncated" is a bool, and the costs are a number or
-null; "best_cost" is null exactly when "sequences" is 0, and a non-null
-"runner_up_cost" is >= "best_cost". Every candidate-cache lookup is one
-enumeration (cache_hits + cache_revalidations + cache_misses <=
+with every per-trace audit field the inference engine writes and the
+"round" mark the tool writes (the pass over its captures that the line
+belongs to, a non-negative integer that never decreases from line to line).
+Counters are non-negative integers, "truncated" is a bool, and the costs are
+a number or null; "best_cost" is null exactly when "sequences" is 0, and a
+non-null "runner_up_cost" is >= "best_cost". Every candidate-cache lookup is
+one enumeration (cache_hits + cache_revalidations + cache_misses <=
 enumerations), and every invalidation resolves as a miss (cache_invalidations
 <= cache_misses).
 
@@ -110,6 +123,10 @@ def check_trace(path):
     events = doc["traceEvents"]
     if not isinstance(events, list) or not events:
         fail(f"{path}: traceEvents must be a non-empty list")
+    dropped = doc.get("droppedEvents", 0)
+    if isinstance(dropped, bool) or not isinstance(dropped, int) or dropped < 0:
+        fail(f"{path}: droppedEvents is {dropped!r}, not a non-negative integer")
+    unmatched_ends = 0  # 'E's forgiven because the ring dropped their 'B'
 
     depth = {}  # tid -> open 'B' count
     flow_starts = {}  # flow id -> ts of 's'
@@ -148,9 +165,12 @@ def check_trace(path):
                 stage_begins[ev["name"]] = stage_begins.get(ev["name"], 0) + 1
         elif ph == "E":
             d = depth.get(ev["tid"], 0)
-            if d == 0:
+            if d > 0:
+                depth[ev["tid"]] = d - 1
+            elif dropped > 0:
+                unmatched_ends += 1
+            else:
                 fail(f"{where}: 'E' on tid {ev['tid']} without a matching 'B'")
-            depth[ev["tid"]] = d - 1
         elif ph in ("s", "t", "f"):
             if "id" not in ev:
                 fail(f"{where}: flow event without an 'id'")
@@ -201,30 +221,42 @@ def check_trace(path):
                     f"{'/'.join(sorted(REVALIDATING_REASONS[outcome]))}, got {reason!r}"
                 )
 
+    unstarted_steps = 0  # flow steps forgiven because the ring dropped their 's'
     for fid, ts, ph, i in flow_steps:
         if fid not in flow_starts:
+            if dropped > 0:
+                unstarted_steps += 1
+                continue
             fail(f"{path}: event {i}: flow '{ph}' id {fid} has no 's' start")
         if ts < flow_starts[fid]:
             fail(f"{path}: event {i}: flow '{ph}' id {fid} precedes its 's'")
 
-    if prefix_instants != prefix_lookups:
-        fail(
-            f"{path}: {prefix_lookups} prefix_cache_lookup span(s) but "
-            f"{prefix_instants} prefix_cache instant(s) — every lookup must "
-            f"explain its outcome exactly once"
+    if dropped > 0:
+        # A lookup span's 'B' or its instant may be among the dropped events.
+        print(
+            f"check_trace: note: {dropped} dropped event(s); forgave {unmatched_ends} "
+            f"'E'(s) and {unstarted_steps} flow step(s) whose 'B' or 's' was dropped, "
+            f"and skipped the lookup/outcome count checks"
         )
-    for tier, span in REVALIDATING_TIERS.items():
-        if terminal[tier] != lookups[tier]:
+    else:
+        if prefix_instants != prefix_lookups:
             fail(
-                f"{path}: {lookups[tier]} {span} span(s) but "
-                f"{terminal[tier]} terminal {tier} instant(s) — every "
-                f"lookup must resolve (hit/revalidated/miss) exactly once"
+                f"{path}: {prefix_lookups} prefix_cache_lookup span(s) but "
+                f"{prefix_instants} prefix_cache instant(s) — every lookup must "
+                f"explain its outcome exactly once"
             )
-        if invalidated[tier] > lookups[tier]:
-            fail(
-                f"{path}: {invalidated[tier]} {tier} 'invalidated' "
-                f"instant(s) exceed {lookups[tier]} lookup span(s)"
-            )
+        for tier, span in REVALIDATING_TIERS.items():
+            if terminal[tier] != lookups[tier]:
+                fail(
+                    f"{path}: {lookups[tier]} {span} span(s) but "
+                    f"{terminal[tier]} terminal {tier} instant(s) — every "
+                    f"lookup must resolve (hit/revalidated/miss) exactly once"
+                )
+            if invalidated[tier] > lookups[tier]:
+                fail(
+                    f"{path}: {invalidated[tier]} {tier} 'invalidated' "
+                    f"instant(s) exceed {lookups[tier]} lookup span(s)"
+                )
 
     open_spans = sum(depth.values())
     n_flows = len(flow_starts)
@@ -272,12 +304,12 @@ def check_stage_planes(trace_path, stage_begins, metrics_path):
 
 
 def check_audit_record(where, rec):
-    for key in ("trace", *AUDIT_COUNTERS, "truncated", *AUDIT_COSTS):
+    for key in ("trace", "round", *AUDIT_COUNTERS, "truncated", *AUDIT_COSTS):
         if key not in rec:
             fail(f"{where}: missing audit field {key!r}")
     if not isinstance(rec["trace"], str):
         fail(f"{where}: trace label must be a string")
-    for key in AUDIT_COUNTERS:
+    for key in ("round", *AUDIT_COUNTERS):
         value = rec[key]
         # bool is an int subclass in Python; a counter is never true/false.
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -308,6 +340,7 @@ def check_audit_record(where, rec):
 
 def check_audit(path):
     n = 0
+    last_round = 0
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
@@ -320,10 +353,13 @@ def check_audit(path):
             if not isinstance(rec, dict):
                 fail(f"{path}:{lineno}: audit record must be an object")
             check_audit_record(f"{path}:{lineno}", rec)
+            if rec["round"] < last_round:
+                fail(f"{path}:{lineno}: round {rec['round']} after round {last_round}")
+            last_round = rec["round"]
             n += 1
     if n == 0:
         fail(f"{path}: no audit records")
-    print(f"check_trace: OK: {n} audit record(s)")
+    print(f"check_trace: OK: {n} audit record(s) in {last_round + 1} round(s)")
 
 
 MONOTONIC_COUNTERS = (

@@ -398,7 +398,8 @@ bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& la
     return false;
   }
   for (size_t i = 0; i < audits.size(); ++i) {
-    out << audits[i].ToJsonLine(i < labels.size() ? labels[i] : std::to_string(i), results[i])
+    out << audits[i].ToJsonLine(labels[i % labels.size()],
+                                static_cast<int>(i / labels.size()), results[i])
         << '\n';
   }
   return CloseChecked(&out, path, error);

@@ -144,8 +144,9 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
 // stage histograms. No trailing newline.
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);
 
-// Writes audits[i] beside results[i] (one per audit) as a JSON line labeled
-// labels[i] (falling back to the index when labels run short); false with
+// Writes audits[i] beside results[i] (one per audit) as a JSON line, for
+// rounds of one audit per label in round order: line i is labeled
+// labels[i % labels.size()] and marked round i / labels.size(). False with
 // *error ("cannot write audit log to <path>", or "short write to <path>") on
 // failure.
 bool WriteAuditJsonl(const std::string& path, const std::vector<std::string>& labels,

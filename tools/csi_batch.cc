@@ -82,7 +82,8 @@ namespace {
                "                         FILE only when a trace analysis throws (post-mortem)\n"
                "  --audit-out FILE       per-trace inference audit records as JSONL\n"
                "                         (candidate counts, DFS/prune totals, cache path,\n"
-               "                         chosen-vs-runner-up costs)\n");
+               "                         chosen-vs-runner-up costs), one per trace and\n"
+               "                         --repeat round, marked with the round\n");
   std::exit(error == nullptr ? 0 : 2);
 }
 
@@ -295,9 +296,12 @@ int Run(int argc, char** argv) {
   std::vector<infer::InferenceResult> results;
   std::vector<double> trace_seconds;
   std::vector<std::string> trace_errors;
-  std::vector<infer::InferenceAudit> audits;
+  std::vector<infer::InferenceAudit> round_audits;
   std::vector<infer::InferenceAudit>* audits_out =
-      common.audit_out.empty() ? nullptr : &audits;
+      common.audit_out.empty() ? nullptr : &round_audits;
+  // With --audit-out, every round's audits and results, in round order.
+  std::vector<infer::InferenceAudit> audits;
+  std::vector<infer::InferenceResult> audited_results;
   size_t applied = 0;
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < repeat; ++r) {
@@ -318,6 +322,10 @@ int Run(int argc, char** argv) {
       }
     }
     results = analyzer->AnalyzeAll(columns, &trace_seconds, &trace_errors, audits_out);
+    if (audits_out != nullptr) {
+      audits.insert(audits.end(), round_audits.begin(), round_audits.end());
+      audited_results.insert(audited_results.end(), results.begin(), results.end());
+    }
   }
   const auto elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start);
   if (live.has_value()) {
@@ -378,7 +386,8 @@ int Run(int argc, char** argv) {
     metrics_ok = false;
   }
   if (audits_out != nullptr &&
-      !tools::WriteAuditJsonl(common.audit_out, loaded_paths, audits, results, &error)) {
+      !tools::WriteAuditJsonl(common.audit_out, loaded_paths, audits, audited_results,
+                              &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     metrics_ok = false;
   }

@@ -5,7 +5,7 @@
 //               [--cv COEFF] [--adaptation NAME] [--pasr X] [--seed N]
 //               [--shaper-rate MBPS --shaper-bucket BYTES]
 //
-// Writes into DIR:
+// Writes into DIR, which it creates if it is missing:
 //   session.pcap     the encrypted capture (analyze with csi_analyze)
 //   video.manifest   the chunk-size database
 //   ground_truth.tsv the instrumented-player log (for scoring)
@@ -16,6 +16,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <system_error>
@@ -117,6 +118,13 @@ int Run(int argc, char** argv) {
   infer::DesignType design{};
   if (!tools::ParseDesignName(design_name, &design)) {
     Usage("unknown design type");
+  }
+  // Before the simulation, so that a bad --out fails at once.
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "error: cannot create %s\n", out_dir.c_str());
+    return 2;
   }
   const TimeUs duration = SecondsToUs(duration_s);
   const media::Manifest manifest =
