@@ -21,15 +21,18 @@
 // fingerprint, each run over pre-built columns so the stage cost is isolated
 // from the one-time transpose that BM_BuildColumns measures. BM_SequenceChain
 // times Step 2 alone: the layered chain search over one 10-min SQ session's
-// split groups. BM_ChildSort times the beam cut inside it on one synthetic
-// layer the size of that search's largest: a full std::sort of the children
-// against SortPrefix of the kept beam.
+// split groups, with the children it expands per search (`children`, the
+// audit's chain_nodes) and the wall time per child (`ns_per_child`).
+// BM_ChildSort times the beam cut inside it on one synthetic layer the size
+// of that search's largest: a full std::sort of the children against
+// SortPrefix of the kept beam.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -42,6 +45,7 @@
 #include "src/capture/pcap_io.h"
 #include "src/common/rng.h"
 #include "src/common/sort_prefix.h"
+#include "src/csi/audit.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/flow_classifier.h"
@@ -172,6 +176,10 @@ int64_t MinorFaults() {
 
 // The captures of one ch_cold_10min batch.
 constexpr size_t kHeldColumns = 20;
+// BM_ReadPcap and BM_ColumnBuild run a fixed count, a multiple of
+// kHeldColumns, so `minor_faults` averages over the same held batches on
+// every build.
+constexpr benchmark::IterationCount kIngestIterations = 2 * kHeldColumns;
 
 void BM_ReadPcap(benchmark::State& state) {
   const auto& pcaps = CsibenchChPcaps();
@@ -314,10 +322,22 @@ ChainInput MakeChainInput() {
 void BM_SequenceChain(benchmark::State& state) {
   static const ChainInput* in = new ChainInput(MakeChainInput());
   const infer::DbSnapshot db(std::make_shared<const infer::ChunkDatabase>(&in->manifest));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::SearchGroupSequences(in->groups, db, in->config));
+  infer::InferenceAudit audit;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    infer::AuditScope scope(&audit);
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(infer::SearchGroupSequences(in->groups, db, in->config));
+    }
   }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
   state.counters["groups"] = static_cast<double>(in->groups.size());
+  // The audit's chain_nodes (the root plus every expanded child) per search,
+  // and the wall time per child.
+  const double chain_nodes = static_cast<double>(audit.chain_nodes);
+  state.counters["children"] = chain_nodes / static_cast<double>(state.iterations());
+  state.counters["ns_per_child"] = elapsed.count() / chain_nodes;
 }
 
 // One layer of the chain's beam cut, shaped like the largest layer of the
@@ -409,8 +429,8 @@ void BM_SqColdBatch(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_ReadPcap)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ColumnBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReadPcap)->Unit(benchmark::kMillisecond)->Iterations(kIngestIterations);
+BENCHMARK(BM_ColumnBuild)->Unit(benchmark::kMillisecond)->Iterations(kIngestIterations);
 BENCHMARK(BM_BuildColumns);
 BENCHMARK(BM_Classify);
 BENCHMARK(BM_EstimateExchanges);

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <iterator>
-#include <map>
 #include <numeric>
 #include <queue>
-#include <tuple>
+#include <unordered_map>
 
 #include "src/common/sort_prefix.h"
 #include "src/common/telemetry.h"
@@ -497,14 +497,22 @@ class GroupSequenceSearcher {
     // Because a merge advances two layers at once, frontiers are kept per
     // "first uncovered group" and processed in order. Only beam survivors
     // become PathNodes; every expanded child is first a 16-byte Child.
+    //
+    // What a parent expands into depends only on its layer and its state
+    // (lo, hi), and a layer's parents share few states. Each layer therefore
+    // runs two passes in slot order: the first resolves each distinct state
+    // once, in first-occurrence order (so enumerations run in the order the
+    // parents first need them), and counts the layer's children; the second
+    // writes every child into a buffer reserved to exactly that count.
     std::vector<std::vector<PathNode>> frontiers(groups_.size() + 2);
     frontiers[0].push_back(PathNode{-1, 0, positions_, nullptr, false, -1, 0.0});
     int64_t chain_nodes = 1;  // the root plus every generated child
-    const int beam_width = std::max(config_.max_sequences * 4, 2048);
-    const int max_expansions_per_node = 768;
+    const int64_t beam_width = std::max<int64_t>(int64_t{config_.max_sequences} * 4, 2048);
 
     std::vector<Child> next;
-    std::vector<ParentLists> lists;
+    std::vector<StateLists> states;        // this layer's distinct states
+    std::vector<uint32_t> slot_state;      // each slot's index into states
+    std::unordered_map<uint64_t, uint32_t> state_index;
     for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
       const std::vector<PathNode>& frontier = frontiers[static_cast<size_t>(g)];
       const int requests = groups_[static_cast<size_t>(g)].num_requests();
@@ -515,33 +523,38 @@ class GroupSequenceSearcher {
       const bool merge = config_.enable_merge_repair &&
                          g + 1 < static_cast<int>(groups_.size()) && requests == 1 &&
                          groups_[static_cast<size_t>(g) + 1].num_requests() == 1;
-      next.clear();
-      lists.resize(frontier.size());
-      auto expand_with = [&](int slot, const CostedList& list, int list_requests,
-                             uint32_t merged_bit) {
-        const PathNode& parent = frontier[static_cast<size_t>(slot)];
-        int expansions = 0;
-        for (size_t i = 0; i < list.cands->size(); ++i) {
-          if (expansions >= max_expansions_per_node) {
-            truncated_ = true;
-            break;
-          }
-          if (!Apply((*list.cands)[i], list_requests, parent.lo, parent.hi).feasible) {
-            continue;
-          }
-          next.push_back(Child{parent.cost + (*list.costs)[i], slot,
-                               static_cast<uint32_t>(i) << 1 | merged_bit});
-          ++expansions;
+      states.clear();
+      state_index.clear();
+      slot_state.resize(frontier.size());
+      size_t children = 0;
+      for (size_t slot = 0; slot < frontier.size(); ++slot) {
+        const PathNode& parent = frontier[slot];
+        const uint64_t key = static_cast<uint64_t>(static_cast<uint32_t>(parent.lo)) << 32 |
+                             static_cast<uint32_t>(parent.hi);
+        const auto [it, fresh] =
+            state_index.try_emplace(key, static_cast<uint32_t>(states.size()));
+        if (fresh) {
+          // Braced initialization runs left to right: plain, then merged.
+          states.push_back(StateLists{
+              &CandidatesFor(g, parent.lo, parent.hi),
+              merge ? &MergedCandidatesFor(g, parent.lo, parent.hi) : nullptr});
         }
-      };
-      for (int slot = 0; slot < static_cast<int>(frontier.size()); ++slot) {
-        const PathNode& parent = frontier[static_cast<size_t>(slot)];
-        ParentLists& parent_lists = lists[static_cast<size_t>(slot)];
-        parent_lists.plain = CandidatesFor(g, parent.lo, parent.hi);
-        expand_with(slot, parent_lists.plain, requests, 0);
+        slot_state[slot] = it->second;
+        const StateLists& lists = states[it->second];
+        children += lists.plain->steps.size() + (merge ? lists.merged->steps.size() : 0);
+      }
+      next.clear();
+      next.reserve(children);
+      for (size_t slot = 0; slot < frontier.size(); ++slot) {
+        const double cost = frontier[slot].cost;
+        const StateLists& lists = states[slot_state[slot]];
+        for (const Step& step : lists.plain->steps) {
+          next.push_back(Child{cost + step.cost, static_cast<int>(slot), step.cand});
+        }
         if (merge) {
-          parent_lists.merged = MergedCandidatesFor(g, parent.lo, parent.hi);
-          expand_with(slot, parent_lists.merged, 2, 1);
+          for (const Step& step : lists.merged->steps) {
+            next.push_back(Child{cost + step.cost, static_cast<int>(slot), step.cand});
+          }
         }
       }
       chain_nodes += static_cast<int64_t>(next.size());
@@ -551,16 +564,16 @@ class GroupSequenceSearcher {
       // rest unsorted.
       SortPrefix(next.begin(), next.end(), beam_width,
                  [](const Child& a, const Child& b) { return a.cost < b.cost; });
-      if (static_cast<int>(next.size()) > beam_width) {
+      if (static_cast<int64_t>(next.size()) > beam_width) {
         next.resize(static_cast<size_t>(beam_width));
         truncated_ = true;
       }
       for (const Child& child : next) {
         const PathNode& parent = frontier[static_cast<size_t>(child.parent)];
         const bool merged = (child.cand & 1) != 0;
-        const ParentLists& parent_lists = lists[static_cast<size_t>(child.parent)];
-        const GroupCandidate& c =
-            (*(merged ? parent_lists.merged : parent_lists.plain).cands)[child.cand >> 1];
+        const StateLists& lists = states[slot_state[static_cast<size_t>(child.parent)]];
+        const CandidateList& list = *(merged ? lists.merged : lists.plain);
+        const GroupCandidate& c = list.set->candidates[child.cand >> 1];
         const Transition tr = Apply(c, merged ? 2 : requests, parent.lo, parent.hi);
         frontiers[static_cast<size_t>(g) + (merged ? 2 : 1)].push_back(
             PathNode{g, tr.lo, tr.hi, &c, merged, child.parent, child.cost});
@@ -677,27 +690,29 @@ class GroupSequenceSearcher {
   };
   static_assert(sizeof(Child) == 16);
 
-  // A cached candidate list and each candidate's step cost (CandidateCost
-  // against the group it explains), computed once per list.
-  struct CostedList {
-    const std::vector<GroupCandidate>* cands = nullptr;
-    const std::vector<double>* costs = nullptr;
-  };
-  // The lists one parent was expanded with, for decoding its survivors.
-  struct ParentLists {
-    CostedList plain;
-    CostedList merged;
+  // A candidate a parent may take: its step cost (CandidateCost against the
+  // group it explains) and its index in the list shifted left past the
+  // merged bit, as a Child carries it.
+  struct Step {
+    double cost;
+    uint32_t cand;
   };
 
-  static std::vector<double> StepCosts(const std::vector<GroupCandidate>& cands,
-                                       const TrafficGroup& group, const GroupSearchConfig& config) {
-    std::vector<double> costs;
-    costs.reserve(cands.size());
-    for (const GroupCandidate& c : cands) {
-      costs.push_back(CandidateCost(c, group.estimated_total, group.num_requests(), config));
-    }
-    return costs;
-  }
+  // One enumeration of a group (or merged pair) from one state (lo, hi), and
+  // its steps: the first kMaxExpansionsPerNode candidates Apply admits from
+  // that state, in list order. Every parent in the state takes these steps.
+  struct CandidateList {
+    std::shared_ptr<const GroupCandidateSet> set;
+    std::vector<Step> steps;
+  };
+  // The lists the parents in one state expand with; `merged` stays null on
+  // a layer without the merge transition.
+  struct StateLists {
+    const CandidateList* plain = nullptr;
+    const CandidateList* merged = nullptr;
+  };
+
+  static constexpr size_t kMaxExpansionsPerNode = 768;
 
   // Two adjacent single-request groups viewed as one (phantom repair).
   TrafficGroup MergedGroup(int g) const {
@@ -712,47 +727,61 @@ class GroupSequenceSearcher {
     return merged;
   }
 
-  CostedList MergedCandidatesFor(int g, int lo, int hi) {
-    const auto key = std::make_tuple(g, lo, hi);
-    auto it = merged_cand_cache_.find(key);
-    if (it == merged_cand_cache_.end()) {
-      const TrafficGroup merged = MergedGroup(g);
-      const std::shared_ptr<const GroupCandidateSet> set =
-          EnumerateGroupCandidateSet(merged, db_, config_, display_, lo, hi, context_id_);
-      // Only the one-object-deficit explanations make sense for a merge (two
-      // requests, one real object); the filtered copy stays local — the
-      // shared cache keeps the unfiltered set for other consumers of the
-      // same key.
-      MergedList list;
-      for (const GroupCandidate& c : set->candidates) {
-        if (c.wildcard ||
-            static_cast<int>(c.tracks.size()) + c.audio_count + c.other_count != 1) {
-          continue;
-        }
-        list.cands.push_back(c);
+  const CandidateList& MergedCandidatesFor(int g, int lo, int hi) {
+    const TrafficGroup merged = MergedGroup(g);
+    const std::shared_ptr<const GroupCandidateSet> set =
+        EnumerateGroupCandidateSet(merged, db_, config_, display_, lo, hi, context_id_);
+    // Only the one-object-deficit explanations make sense for a merge (two
+    // requests, one real object); the filtered copy stays local — the
+    // shared cache keeps the unfiltered set for other consumers of the
+    // same key.
+    auto filtered = std::make_shared<GroupCandidateSet>();
+    for (const GroupCandidate& c : set->candidates) {
+      if (c.wildcard ||
+          static_cast<int>(c.tracks.size()) + c.audio_count + c.other_count != 1) {
+        continue;
       }
-      list.costs = StepCosts(list.cands, merged, config_);
-      truncated_ = truncated_ || set->truncated;
-      it = merged_cand_cache_.emplace(key, std::move(list)).first;
+      filtered->candidates.push_back(c);
     }
-    return CostedList{&it->second.cands, &it->second.costs};
+    filtered->truncated = set->truncated;
+    return StoreList(std::move(filtered), merged, lo, hi, 1);
   }
 
-  // Lazy, cached per-(group, start-range) candidate enumeration. The range
-  // conditioning is what keeps the per-group search space tractable. Sets are
-  // held by pointer: a shared-cache hit is never copied into the searcher.
-  CostedList CandidatesFor(int g, int lo, int hi) {
-    const auto key = std::make_tuple(g, lo, hi);
-    auto it = cand_cache_.find(key);
-    if (it == cand_cache_.end()) {
-      const TrafficGroup& group = groups_[static_cast<size_t>(g)];
-      std::shared_ptr<const GroupCandidateSet> set =
-          EnumerateGroupCandidateSet(group, db_, config_, display_, lo, hi, context_id_);
-      truncated_ = truncated_ || set->truncated;
-      std::vector<double> costs = StepCosts(set->candidates, group, config_);
-      it = cand_cache_.emplace(key, CachedSet{std::move(set), std::move(costs)}).first;
+  // Lazy per-(group, start-range) candidate enumeration: Run asks once per
+  // (layer, state). The range conditioning is what keeps the per-group search
+  // space tractable. Sets are held by pointer: a shared-cache hit is never
+  // copied into the searcher.
+  const CandidateList& CandidatesFor(int g, int lo, int hi) {
+    const TrafficGroup& group = groups_[static_cast<size_t>(g)];
+    return StoreList(
+        EnumerateGroupCandidateSet(group, db_, config_, display_, lo, hi, context_id_), group,
+        lo, hi, 0);
+  }
+
+  // Stores an enumeration with its steps from state (lo, hi). The per-parent
+  // cap binds, and truncates the search, when any candidate (feasible or
+  // not) follows the last step it admits; the list is drawn by at least the
+  // parent that asked for it.
+  const CandidateList& StoreList(std::shared_ptr<const GroupCandidateSet> set,
+                                 const TrafficGroup& group, int lo, int hi,
+                                 uint32_t merged_bit) {
+    truncated_ = truncated_ || set->truncated;
+    CandidateList& list = lists_.emplace_back();
+    const std::vector<GroupCandidate>& cands = set->candidates;
+    for (size_t i = 0; i < cands.size(); ++i) {
+      if (list.steps.size() == kMaxExpansionsPerNode) {
+        truncated_ = true;
+        break;
+      }
+      if (!Apply(cands[i], group.num_requests(), lo, hi).feasible) {
+        continue;
+      }
+      list.steps.push_back(
+          Step{CandidateCost(cands[i], group.estimated_total, group.num_requests(), config_),
+               static_cast<uint32_t>(i) << 1 | merged_bit});
     }
-    return CostedList{&it->second.set->candidates, &it->second.costs};
+    list.set = std::move(set);
+    return list;
   }
 
   // Next-index range after explaining a group of `requests` detected
@@ -844,16 +873,9 @@ class GroupSequenceSearcher {
   // Shared-cache context id, interned once in the constructor (0 = no shared
   // cache; the enumeration then ignores it).
   uint32_t context_id_ = 0;
-  struct CachedSet {
-    std::shared_ptr<const GroupCandidateSet> set;
-    std::vector<double> costs;
-  };
-  struct MergedList {
-    std::vector<GroupCandidate> cands;
-    std::vector<double> costs;
-  };
-  std::map<std::tuple<int, int, int>, CachedSet> cand_cache_;
-  std::map<std::tuple<int, int, int>, MergedList> merged_cand_cache_;
+  // Every list the search enumerated; beam survivors point into them, so
+  // they stay in place until the result is built.
+  std::deque<CandidateList> lists_;
   bool truncated_ = false;
 };
 

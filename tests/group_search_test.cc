@@ -609,6 +609,44 @@ ChainInstance RandomChainInstance(uint64_t seed) {
   return inst;
 }
 
+// A hand-built instance for the case the seeded sweep misses: a capped list
+// drawn by two parents. Tracks 0 and 1 tie, so the first group's readings of
+// chunk 0 leave two parents in state (1, 1); from there the five-request
+// second group has more than 768 feasible readings under the loose window.
+ChainInstance SharedCappedStateInstance() {
+  ChainInstance inst;
+  media::Manifest& m = inst.manifest;
+  m.asset_id = "shared-capped";
+  m.host = "cdn.example";
+  for (int t = 0; t < 5; ++t) {
+    media::Track track;
+    track.name = "T" + std::to_string(t);
+    track.nominal_bitrate = (t + 1) * 500 * kKbps;
+    for (int i = 0; i < 8; ++i) {
+      track.chunks.push_back(media::Chunk{100000 * std::max(t, 1) + 3000 * i, 5 * kUsPerSec});
+    }
+    m.video_tracks.push_back(track);
+  }
+  media::Track audio;
+  audio.type = media::MediaType::kAudio;
+  audio.name = "audio";
+  for (int i = 0; i < 8; ++i) {
+    audio.chunks.push_back(media::Chunk{60000, 5 * kUsPerSec});
+  }
+  m.audio_tracks.push_back(audio);
+  inst.config.k = 0.3;
+  inst.config.expected_overhead = 0.005;
+  inst.config.expected_fixed_overhead = 0;
+  inst.config.max_sequences = 8;
+  Bytes run = 0;
+  for (size_t i = 1; i <= 5; ++i) {
+    run += m.video_tracks[2].chunks[i].size;
+  }
+  inst.groups.push_back(MakeGroup(1, Est(m.video_tracks[0].chunks[0].size), 0));
+  inst.groups.push_back(MakeGroup(5, Est(run), 5 * kUsPerSec));
+  return inst;
+}
+
 void ExpectChainMatchesOracle(const ChainInstance& inst,
                               oracle::NaiveChainSearch::Coverage* coverage) {
   const DbSnapshot db(std::make_shared<const ChunkDatabase>(&inst.manifest));
@@ -620,6 +658,8 @@ void ExpectChainMatchesOracle(const ChainInstance& inst,
     want = naive.Run();
     const auto& c = naive.coverage();
     coverage->capped_parents += c.capped_parents;
+    coverage->shared_state_parents += c.shared_state_parents;
+    coverage->capped_shared_states += c.capped_shared_states;
     coverage->beam_cuts += c.beam_cuts;
     coverage->boundary_ties += c.boundary_ties;
     coverage->beam_ties += c.beam_ties;
@@ -653,13 +693,40 @@ TEST(ChainDifferential, MatchesFullArenaOracleOnSeededInstances) {
       return;
     }
   }
-  // The sweep reached every case it exists for.
+  {
+    SCOPED_TRACE("shared capped state");
+    ExpectChainMatchesOracle(SharedCappedStateInstance(), &coverage);
+  }
+  // The sweep and the hand-built instance reached every case they exist for.
   EXPECT_GT(coverage.capped_parents, 0);
+  EXPECT_GT(coverage.shared_state_parents, 0);
+  EXPECT_GT(coverage.capped_shared_states, 0);
   EXPECT_GT(coverage.beam_cuts, 0);
   EXPECT_GT(coverage.boundary_ties, 0);
   EXPECT_GT(coverage.beam_ties, 0);
   EXPECT_GT(coverage.merged_nodes, 0);
   EXPECT_GT(coverage.wildcard_nodes, 0);
+}
+
+// The beam keeps max(4 * max_sequences, 2048) children per layer. A cap past
+// 2^31 / 4 must widen the beam, not wrap the product negative and fall back
+// to 2,048: seed 33 cuts its beam at 2,048, and neither a 10^8 nor a 10^9
+// cap cuts it at all.
+TEST(SearchGroupSequences, HugeSequenceCapDoesNotNarrowTheBeam) {
+  ChainInstance inst = RandomChainInstance(33);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&inst.manifest));
+  oracle::NaiveChainSearch naive(inst.groups, db, inst.config, {});
+  naive.Run();
+  ASSERT_GT(naive.coverage().beam_cuts, 0);
+
+  inst.config.max_sequences = 100'000'000;
+  const InferenceResult wide = SearchGroupSequences(inst.groups, db, inst.config);
+  inst.config.max_sequences = 1'000'000'000;
+  const InferenceResult huge = SearchGroupSequences(inst.groups, db, inst.config);
+  EXPECT_FALSE(wide.truncated);
+  EXPECT_FALSE(huge.truncated);
+  EXPECT_EQ(huge.sequences.size(), wide.sequences.size());
+  EXPECT_EQ(huge, wide);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 //
 //   - every expanded child is a full PathNode in one arena that is never
 //     trimmed, and the beam keeps arena indexes;
-//   - the step cost is recomputed for every (parent, candidate) pair;
+//   - every parent filters its candidate list through Apply, caps it and
+//     recomputes the step cost of each (parent, candidate) pair, where the
+//     search does all three once per (layer, state);
 //   - the candidate lists come from infer::EnumerateGroupCandidateSet with
 //     no per-list memo beyond the (group, lo, hi) map the beam needs.
 //
@@ -24,8 +26,10 @@
 #define CSI_TESTS_NAIVE_CHAIN_ORACLE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -42,6 +46,8 @@ class NaiveChainSearch {
   // reached every case it is meant to cover.
   struct Coverage {
     int capped_parents = 0;   // parents cut off at max_expansions_per_node
+    int shared_state_parents = 0;  // parents in a state an earlier parent of the layer had
+    int capped_shared_states = 0;  // capped lists drawn by two or more parents
     int beam_cuts = 0;        // layers with more than beam_width children
     int boundary_ties = 0;    // cut layers whose last kept and first dropped child tie
     int beam_ties = 0;        // layers with equal-cost children among the kept
@@ -64,13 +70,17 @@ class NaiveChainSearch {
     const int positions = db_.num_positions();
     std::vector<PathNode> arena;
     arena.push_back(PathNode{-1, 0, 0, positions, nullptr, false, -1, 0.0});
-    const int beam_width = std::max(config_.max_sequences * 4, 2048);
+    const int64_t beam_width = std::max<int64_t>(int64_t{config_.max_sequences} * 4, 2048);
     const int max_expansions_per_node = 768;
 
     std::vector<std::vector<int>> frontiers(groups_.size() + 2);
     frontiers[0].push_back(0);
     for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
       std::vector<std::pair<double, int>> next;
+      // Parents per state (lo, hi), and the (lo, hi, merged) lists that hit
+      // the per-parent cap, for the coverage counters.
+      std::map<std::pair<int, int>, int> state_parents;
+      std::set<std::tuple<int, int, bool>> capped_lists;
       auto expand_with = [&](int idx, const std::vector<GroupCandidate>& cands,
                              const TrafficGroup& group, bool merged, int next_g) {
         const PathNode parent = arena[static_cast<size_t>(idx)];
@@ -79,6 +89,7 @@ class NaiveChainSearch {
           if (expansions >= max_expansions_per_node) {
             truncated_ = true;
             ++coverage_.capped_parents;
+            capped_lists.emplace(parent.lo, parent.hi, merged);
             break;
           }
           const Transition tr = Apply(c, group.num_requests(), parent.lo, parent.hi, positions);
@@ -95,6 +106,9 @@ class NaiveChainSearch {
       };
       for (int idx : frontiers[static_cast<size_t>(g)]) {
         const PathNode parent = arena[static_cast<size_t>(idx)];
+        if (state_parents[{parent.lo, parent.hi}]++ > 0) {
+          ++coverage_.shared_state_parents;
+        }
         expand_with(idx, CandidatesFor(g, parent.lo, parent.hi),
                     groups_[static_cast<size_t>(g)], /*merged=*/false, g + 1);
         if (config_.enable_merge_repair && g + 1 < static_cast<int>(groups_.size()) &&
@@ -104,9 +118,14 @@ class NaiveChainSearch {
                       /*merged=*/true, g + 2);
         }
       }
+      for (const auto& [lo, hi, merged] : capped_lists) {
+        if (state_parents[{lo, hi}] >= 2) {
+          ++coverage_.capped_shared_states;
+        }
+      }
       std::sort(next.begin(), next.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
-      if (static_cast<int>(next.size()) > beam_width) {
+      if (static_cast<int64_t>(next.size()) > beam_width) {
         ++coverage_.beam_cuts;
         if (next[static_cast<size_t>(beam_width) - 1].first ==
             next[static_cast<size_t>(beam_width)].first) {
