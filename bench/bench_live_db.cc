@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/csi/candidate_cache.h"
 #include "src/csi/chunk_database.h"
-#include "src/csi/group_search.h"
 #include "src/csi/live_database.h"
 #include "src/media/manifest.h"
 
@@ -148,76 +146,6 @@ void BM_Compaction(benchmark::State& state) {
   }
 }
 
-// Group enumeration across live-manifest refreshes, with and without the
-// shared candidate cache (arg 1/0). The append sizes sit outside every query
-// window, so a warm cache revalidates entries against the delta probe instead
-// of re-enumerating — the --follow-manifests steady state.
-void BM_GroupEnumAcrossRefreshes(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  const media::Manifest manifest = LiveManifest(512);
-
-  // Two-chunk groups planted on the low tracks: estimates stay well under
-  // the out-of-window append size below.
-  Rng qrng(0x9a);
-  std::vector<infer::TrafficGroup> groups;
-  for (int i = 0; i < 24; ++i) {
-    const int start = static_cast<int>(qrng.UniformInt(0, 509));
-    const int track = static_cast<int>(qrng.UniformInt(0, 2));
-    infer::TrafficGroup g;
-    Bytes total = 0;
-    for (int j = 0; j < 2; ++j) {
-      g.requests.push_back(infer::DetectedRequest{});
-      total += manifest.video_tracks[static_cast<size_t>(track)]
-                   .chunks[static_cast<size_t>(start + j)]
-                   .size;
-    }
-    g.estimated_total = total + total / 300 + 1;
-    groups.push_back(std::move(g));
-  }
-
-  // Live-edge appends no candidate window can contain.
-  const auto big_refresh = [] {
-    infer::ManifestRefresh refresh;
-    refresh.video_appends.resize(kTracks);
-    for (int t = 0; t < kTracks; ++t) {
-      refresh.video_appends[static_cast<size_t>(t)].push_back(
-          media::Chunk{50'000'000, 2'000'000});
-    }
-    return refresh;
-  };
-
-  infer::GroupSearchConfig config;
-  config.k = 0.05;
-  config.expected_overhead = 0.005;
-  constexpr int kRefreshes = 8;
-  for (auto _ : state) {
-    state.PauseTiming();
-    infer::LiveChunkDatabase::Options options;
-    options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
-    infer::LiveChunkDatabase live(manifest, options);
-    infer::GroupCandidateCache cache(64ull << 20);
-    infer::GroupSearchConfig run = config;
-    if (cached) {
-      run.shared_cache = &cache;
-    }
-    const auto enumerate_all = [&](const infer::DbSnapshot& snap) {
-      for (const infer::TrafficGroup& g : groups) {
-        benchmark::DoNotOptimize(
-            infer::EnumerateGroupCandidateSet(g, snap, run, {}, 0, snap.num_positions()));
-      }
-    };
-    enumerate_all(live.Acquire());  // warm pass at the starting epoch
-    state.ResumeTiming();
-    for (int r = 0; r < kRefreshes; ++r) {
-      live.ApplyRefresh(big_refresh());
-      enumerate_all(live.Acquire());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kRefreshes *
-                          static_cast<int64_t>(groups.size()));
-  state.counters["cache"] = cached ? 1 : 0;
-}
-
 }  // namespace
 
 BENCHMARK(BM_LiveRefresh)->ArgName("appended")->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
@@ -230,11 +158,5 @@ BENCHMARK(BM_FullRebuildPerRefresh)
     ->UseRealTime();
 BENCHMARK(BM_SnapshotQuery)->ArgName("delta")->Arg(0)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK(BM_Compaction)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GroupEnumAcrossRefreshes)
-    ->ArgName("cache")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 BENCHMARK_MAIN();

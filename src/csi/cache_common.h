@@ -12,54 +12,37 @@
 //   * Lookup: one shard probe, then one of five outcomes (LookupOutcome),
 //     each with its counters and its trace instant;
 //   * context interning with full structural equality, never a lossy hash;
-//   * the snapshot rule: PositionDependence and the anchored revalidation.
+//   * the snapshot rule: the anchored revalidation.
 //
 // A tier supplies a traits struct and a thin class over CacheCore<Tier>:
 //   Query, Hash   the key and its hash;
 //   Context       the settings slice the cached computation reads
 //                 (settings.h), interned by its defaulted operator==;
 //   Value, Extra  the shared payload and the per-entry side data a hit
-//                 returns (the candidate tier's hulls, the result tier's
-//                 media-flow count);
+//                 returns (the result tier's media-flow count);
 //   kNames        metric stem, trace instant, lookup span, hit reason, and
-//                 whether entries revalidate against a DbSnapshot;
-//   Dependence    (revalidating tiers) the entry's PositionDependence at a
-//                 position count.
+//                 whether entries revalidate against a DbSnapshot.
 // The class keeps its public names (MakeQuery, Lookup, Insert) and its
 // payload's byte estimate; callers intern a context with the core's
 // InternContext.
 //
 // Snapshot revalidation — why a hit under a newer state is exact. Within one
 // database lineage, refreshes only ever append positions: chunk sizes at
-// positions below an entry's anchor P_A never change and audio is CBR. So a
-// value computed at state A stays byte-identical at a later state B unless an
-// appended chunk could have entered the computation. PositionDependence
-// states, per entry, how the computation read the position axis:
-//   * insensitive — never (video-free enumerations, concrete start ranges
-//     whose longest run ends before P_A);
-//   * a size window [probe_lo, probe_hi] — an appended chunk can change the
-//     output only if its size lies inside: a single-chunk candidate needs its
-//     size in a v == 1 split window, and a multi-chunk run through it
-//     survives the DFS's MinSum prune only if it alone is below the run's
-//     upper bound;
-//   * unsafe — any append may change it: a growth range whose per-start DFS
-//     budget sat above the floor (GroupCandidateCache::kPerStartNodeFloor;
-//     the budget shrinks as the live edge moves, a different cutoff on the
-//     same inputs, which no window can rule out), and every whole-session
-//     result (result_cache.h).
-// EnumerationDependence (candidate_cache.h) maps one group enumeration to its
-// dependence, evaluated per candidate entry at the entry's current anchor;
-// the result tier's is constant. Revalidate below is the one anchored check
-// both tiers run: same state → hit; same positions (a compaction's
-// republish) → re-anchor; an older snapshot than the anchor → miss and keep
-// the entry for newer readers; appended positions → re-anchor when the
-// dependence is insensitive, or when no appended chunk's size lies in its
-// window (one DbSnapshot::DeltaHasSizeInWindow probe, O(log delta)). A
-// compaction that folded the appends into the base can no longer be probed
-// one-sidedly against P_A, so sensitive entries then invalidate, as do unsafe
-// ones. Re-anchoring makes later checks O(1) and the rule transitive across
-// refreshes; an invalidated entry is dropped at once, since no later state of
-// the lineage can prove it.
+// positions below an entry's anchor P never change and audio is CBR. So a
+// value computed at state A stays byte-identical at a later state B if the
+// computation never read a position at or past P. The tier decides that once,
+// at Insert (`survives_appends`): a candidate enumeration whose splits ask for
+// no video, or whose concrete start range keeps every run below P
+// (candidate_cache.h); never a whole-session result (result_cache.h).
+// Revalidate below is the one anchored check both tiers run:
+//   * same state → hit;
+//   * an older snapshot than the anchor → miss, and the entry is kept for
+//     newer readers;
+//   * same position count (a compaction's republish) → re-anchor;
+//   * appended positions → re-anchor if the entry survives appends, else
+//     invalidate and drop it at once, since no later state of the lineage can
+//     prove it.
+// Re-anchoring makes the rule transitive across refreshes.
 
 #ifndef CSI_SRC_CSI_CACHE_COMMON_H_
 #define CSI_SRC_CSI_CACHE_COMMON_H_
@@ -78,7 +61,6 @@
 #include <vector>
 
 #include "src/common/telemetry.h"
-#include "src/common/units.h"
 #include "src/csi/db_snapshot.h"
 
 namespace csi::infer {
@@ -101,8 +83,8 @@ struct CacheStats {
   uint64_t evictions = 0;
   // Inserts not admitted because the entry alone exceeds one shard's budget.
   uint64_t refused = 0;
-  // Entries dropped because a newer state's appends (or a compaction that hid
-  // them) could have changed their output.
+  // Entries dropped because a newer state appended positions they may have
+  // read.
   uint64_t invalidations = 0;
   uint64_t bytes = 0;
   uint64_t entries = 0;
@@ -133,30 +115,6 @@ inline std::string FormatCacheSummary(const std::string& name, const CacheStats&
   return buffer;
 }
 
-// How a cached value depends on the database's position axis (see the
-// soundness argument above): insensitive (`sensitive` false), a size window
-// [probe_lo, probe_hi], or `unsafe`. Widened monotonically; wider is always
-// sound (more invalidation, never a missed one).
-struct PositionDependence {
-  bool sensitive = false;
-  bool unsafe = false;
-  Bytes probe_lo = 0;
-  Bytes probe_hi = 0;
-
-  void Widen(Bytes lo, Bytes hi) {
-    if (!sensitive) {
-      sensitive = true;
-      probe_lo = lo;
-      probe_hi = hi;
-      return;
-    }
-    probe_lo = std::min(probe_lo, lo);
-    probe_hi = std::max(probe_hi, hi);
-  }
-
-  friend bool operator==(const PositionDependence&, const PositionDependence&) = default;
-};
-
 namespace internal {
 
 // Boost-style hash combine shared by the tiers' key hashes and the prefix
@@ -171,10 +129,12 @@ inline uint64_t Mix(uint64_t h, uint64_t v) {
 enum class LookupOutcome { kHit, kRevalidated, kInvalidated, kStaleSnapshot, kAbsent };
 
 // The published state an entry's value is exact for; revalidation moves it
-// forward.
+// forward. `survives_appends`: the value read no position at or past
+// `positions`, so appends leave it exact.
 struct SnapshotAnchor {
   uint64_t state_id = 0;
   int positions = 0;
+  bool survives_appends = false;
 };
 
 // One lookup's outcome and, for kRevalidated and kInvalidated, its cause (a
@@ -184,39 +144,27 @@ struct LookupVerdict {
   const char* reason = nullptr;
 };
 
-// The one anchored check (see the soundness argument above). `dependence_at`
-// maps the anchor's position count to the entry's PositionDependence; it runs
-// only when positions were appended since the anchor. Re-anchors on
+// The one anchored check (see the soundness argument above). Re-anchors on
 // kRevalidated. Caller holds the entry's shard mutex.
-template <typename DependenceAt>
-LookupVerdict Revalidate(SnapshotAnchor& anchor, const DbSnapshot& db,
-                         const DependenceAt& dependence_at) {
+inline LookupVerdict Revalidate(SnapshotAnchor& anchor, const DbSnapshot& db) {
   if (db.state_id() == anchor.state_id) {
     return {LookupOutcome::kHit};
   }
-  const int pa = anchor.positions;
-  const int pb = db.num_positions();
-  if (pb < pa) {
+  const int positions = db.num_positions();
+  if (positions < anchor.positions) {
     // A reader pinning an older state than the anchor (a publish raced the
     // batch): not provable from this snapshot, but still right for newer ones.
     return {LookupOutcome::kStaleSnapshot};
   }
   const char* reason = "same_positions";
-  if (pb > pa) {
-    const PositionDependence dependence = dependence_at(pa);
-    if (!dependence.sensitive) {
-      reason = "position_insensitive";
-    } else if (dependence.unsafe) {
+  if (positions > anchor.positions) {
+    if (!anchor.survives_appends) {
       return {LookupOutcome::kInvalidated, "append"};
-    } else if (db.base_positions() > pa) {
-      return {LookupOutcome::kInvalidated, "compaction_folded_delta"};
-    } else if (db.DeltaHasSizeInWindow(dependence.probe_lo, dependence.probe_hi, pa)) {
-      return {LookupOutcome::kInvalidated, "delta_in_window"};
-    } else {
-      reason = "delta_proven_disjoint";
     }
+    reason = "position_insensitive";
   }
-  anchor = SnapshotAnchor{db.state_id(), pb};
+  anchor.state_id = db.state_id();
+  anchor.positions = positions;
   return {LookupOutcome::kRevalidated, reason};
 }
 
@@ -342,9 +290,7 @@ class CacheCore {
         Entry& entry = *it->second;
         verdict.outcome = LookupOutcome::kHit;
         if constexpr (Tier::kNames.revalidates) {
-          verdict = Revalidate(entry.anchor, *db, [&entry](int positions) {
-            return Tier::Dependence(entry.query, entry.extra, positions);
-          });
+          verdict = Revalidate(entry.anchor, *db);
         }
         if (verdict.outcome == LookupOutcome::kHit ||
             verdict.outcome == LookupOutcome::kRevalidated) {
@@ -367,12 +313,14 @@ class CacheCore {
   }
 
   // Publishes `value`, computed against `db` (null for tiers that do not
-  // revalidate), charging `value_bytes` plus the entry itself. Replaces any
+  // revalidate), charging `value_bytes` plus the entry itself.
+  // `survives_appends` marks a value that read no position at or past `db`'s
+  // position count (see the soundness argument above). Replaces any
   // entry for the key (a racing thread computed the same key, or a fresher
   // state supersedes a stale entry), then runs the clock sweep; a value
   // larger than a whole shard's budget is refused.
   void Insert(const Query& query, const DbSnapshot* db, std::shared_ptr<const Value> value,
-              size_t value_bytes, Extra extra = {}) {
+              size_t value_bytes, Extra extra = {}, bool survives_appends = false) {
     if (value == nullptr) {
       return;
     }
@@ -394,7 +342,7 @@ class CacheCore {
       }
       SnapshotAnchor anchor;
       if (db != nullptr) {
-        anchor = SnapshotAnchor{db->state_id(), db->num_positions()};
+        anchor = SnapshotAnchor{db->state_id(), db->num_positions(), survives_appends};
       }
       shard.entries.push_back(
           Entry{query, anchor, std::move(extra), std::move(value), bytes, false});

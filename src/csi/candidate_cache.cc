@@ -17,57 +17,21 @@ size_t CandidateTier::Hash::operator()(const Query& q) const {
   return static_cast<size_t>(h);
 }
 
-PositionDependence CandidateTier::Dependence(const Query& query, const Extra& hull,
-                                             int positions) {
-  return EnumerationDependence(hull, query.start_lo, query.start_hi, positions);
-}
-
-// An enumeration over positions [0, P) can diverge at a later state only
-// through (a) new single-chunk candidates drawn from appended positions,
-// (b) DFS runs that touch an appended position, or (c) per-start node budgets
-// shifting with the clamped range. Each case maps to a window or to unsafe.
-PositionDependence EnumerationDependence(const CandidateSetHull& hull, int start_lo,
-                                         int canonical_start_hi, int positions) {
-  PositionDependence dependence;
-  if (!hull.has_video_split) {
-    // Only video-free (and wildcard-fallback) explanations exist; they never
-    // read the position axis.
-    return dependence;
+// An enumeration over positions [0, P) reads the position axis through its
+// single-chunk index window, filtered to [start_lo, start_hi], and its DFS
+// runs of at most v_max chunks from each start. A concrete hi keeps the
+// clamped range, and with it every per-start DFS budget, the same at later
+// states; a growth range (kOpenHi) takes in the appended starts.
+bool EnumerationSurvivesAppends(int v_max, int start_lo, int canonical_start_hi,
+                                int positions) {
+  if (v_max == 0) {
+    return true;  // video-free explanations never read the position axis
   }
-  const int lo = std::max(start_lo, 0);
-  if (canonical_start_hi != GroupCandidateCache::kOpenHi) {
-    // Concrete hi < P - 1: the clamped start range — and with it every
-    // per-start budget — stays the same at later states, and the single-chunk
-    // path drops appended refs via its index > start_hi filter. Only
-    // multi-chunk runs that start inside the range but extend past P can
-    // differ.
-    if (hull.v_max <= 1 || lo > canonical_start_hi ||
-        canonical_start_hi + hull.v_max <= positions) {
-      return dependence;  // no run can cross the live edge
-    }
-    // A crossing run is pruned before its DFS expands a node iff its minimum
-    // sum already exceeds the split's window — guaranteed when every appended
-    // chunk alone is bigger than every multi-chunk upper bound.
-    dependence.Widen(0, hull.hull2_hi);
-    return dependence;
+  if (canonical_start_hi == GroupCandidateCache::kOpenHi) {
+    return false;
   }
-  // Growth: the range runs to the live edge, so appended positions join it.
-  // Their candidates must all be pruned or filtered, and the old starts must
-  // keep their exact budgets.
-  const int range = positions - lo;  // starts enumerated at P
-  if (hull.v_max >= 2 && range >= 1 &&
-      kMaxDfsNodes / range > GroupCandidateCache::kPerStartNodeFloor) {
-    // The per-start budget exceeded the floor, so widening the range would
-    // shrink it — same inputs, different cutoff.
-    dependence.sensitive = true;
-    dependence.unsafe = true;
-    return dependence;
-  }
-  // An appended chunk inside the window could seed a new single-chunk
-  // candidate (v == 1 hull) or let a run through it survive the MinSum prune
-  // (any chunk <= the v >= 2 bound keeps the minimum sum under it).
-  dependence.Widen(hull.v_max >= 2 ? 0 : hull.hull1_lo, hull.hull_all_hi);
-  return dependence;
+  return std::max(start_lo, 0) > canonical_start_hi ||
+         canonical_start_hi + v_max <= positions;
 }
 
 GroupCandidateCache::Query GroupCandidateCache::MakeQuery(const DbSnapshot& db,
@@ -80,10 +44,9 @@ GroupCandidateCache::Query GroupCandidateCache::MakeQuery(const DbSnapshot& db,
   q.requests = requests;
   q.estimated_total = estimated_total;
   q.start_lo = std::max(start_lo, 0);
-  // "Reaches the live edge" ranges share one key across refreshes; the
-  // concrete-hi invariant (hi < positions at every state the entry is
-  // anchored to) is what lets non-growth revalidation treat the clamped range
-  // as fixed.
+  // "Reaches the live edge" ranges share one key across refreshes; a
+  // concrete hi stays below the position count at every later state, so the
+  // clamped range is fixed.
   q.start_hi = start_hi >= db.num_positions() - 1 ? kOpenHi : start_hi;
   return q;
 }
@@ -113,8 +76,7 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(const Query
   return hit;
 }
 
-void GroupCandidateCache::Insert(const Query& query, const DbSnapshot& db,
-                                 const CandidateSetHull& hull,
+void GroupCandidateCache::Insert(const Query& query, const DbSnapshot& db, int v_max,
                                  std::shared_ptr<const GroupCandidateSet> set) {
   if (set == nullptr) {
     return;
@@ -123,7 +85,9 @@ void GroupCandidateCache::Insert(const Query& query, const DbSnapshot& db,
   for (const GroupCandidate& c : set->candidates) {
     bytes += c.tracks.capacity() * sizeof(int);
   }
-  CacheCore::Insert(query, &db, std::move(set), bytes, hull);
+  CacheCore::Insert(
+      query, &db, std::move(set), bytes, {},
+      EnumerationSurvivesAppends(v_max, query.start_lo, query.start_hi, db.num_positions()));
 }
 
 }  // namespace csi::infer

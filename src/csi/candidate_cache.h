@@ -16,11 +16,12 @@
 //
 // Snapshot awareness (the part that makes --follow-manifests warm-start):
 // entries are NOT dropped wholesale when a LiveChunkDatabase publishes. Each
-// entry records the state it was computed at plus the size hulls of its
-// object splits; under a newer state of the same lineage it is lazily
-// revalidated by the shared anchored check, with the dependence
-// EnumerationDependence derives from those hulls at the entry's anchor. The
-// soundness argument is in cache_common.h.
+// entry records the state it was computed at and one fact decided at Insert:
+// whether the enumeration could have read a position at or past that state's
+// position count (EnumerationSurvivesAppends). Under a newer state of the same
+// lineage the shared anchored check re-anchors an entry that survives appends
+// and drops every other one that sees an append. The soundness argument is in
+// cache_common.h.
 //
 // Storage, eviction (an entry's cost is the heap footprint of its candidate
 // vectors) and accounting are the shared core's. A budget of 0
@@ -47,28 +48,6 @@ namespace csi::infer {
 struct GroupCandidateSet {
   std::vector<GroupCandidate> candidates;
   bool truncated = false;
-};
-
-// Size hulls of the object splits an enumeration ran with, recorded per entry
-// for cross-state revalidation. All windows are on *true video byte sums*.
-struct CandidateSetHull {
-  // True when some split asks for at least one video chunk. Entries without
-  // any video split never touch the position axis and revalidate trivially.
-  bool has_video_split = false;
-  // Largest video run length any split asks for.
-  int v_max = 0;
-  // Hull of the single-chunk (v == 1) split windows: a chunk whose size lies
-  // outside [hull1_lo, hull1_hi] can never become a new single-chunk
-  // candidate.
-  bool has_v1 = false;
-  Bytes hull1_lo = 0;
-  Bytes hull1_hi = 0;
-  // Max upper bound over multi-chunk (v >= 2) split windows: an appended
-  // chunk with size > hull2_hi makes every run through it prunable
-  // (MinSum > video_hi) before the DFS expands a node.
-  Bytes hull2_hi = 0;
-  // Max upper bound over all video splits (v >= 1).
-  Bytes hull_all_hi = 0;
 };
 
 // Key, context and names of the candidate tier over the shared core
@@ -100,25 +79,20 @@ struct CandidateTier {
     friend bool operator==(const Context&, const Context&) = default;
   };
   using Value = GroupCandidateSet;
-  using Extra = CandidateSetHull;
+  struct Extra {};
   static constexpr internal::TierNames kNames{"candidate", "group_cache",
                                               "group_cache_lookup", "same_state",
                                               /*revalidates=*/true};
-
-  // The entry's dependence at its anchor's position count.
-  static PositionDependence Dependence(const Query& query, const Extra& hull, int positions);
 };
 
 class GroupCandidateCache : public internal::CacheCore<CandidateTier> {
  public:
   // Canonical "up to the live edge" upper start bound: a caller whose raw
   // start_hi reaches its snapshot's last position stores/looks up under this
-  // sentinel, so chain-root ranges hit across refreshes that move the edge.
+  // sentinel. Such a growth-range entry never survives an append, and the
+  // shared key is what lets the first lookup after one find it and drop it,
+  // instead of leaving it orphaned under a key no later state asks for.
   static constexpr int kOpenHi = std::numeric_limits<int>::max();
-  // Per-start DFS budget floor of group_search.cc's enumeration. The
-  // growth-range rule of EnumerationDependence leans on budgets flooring
-  // identically at both states.
-  static constexpr int64_t kPerStartNodeFloor = 1 << 16;
 
   using CacheCore::CacheCore;
 
@@ -133,20 +107,20 @@ class GroupCandidateCache : public internal::CacheCore<CandidateTier> {
   // InferenceAudit's cache counters.
   std::shared_ptr<const GroupCandidateSet> Lookup(const Query& query, const DbSnapshot& db);
 
-  // Publishes an enumeration result computed against `db`; sets larger than
-  // a whole shard's budget are not admitted.
-  void Insert(const Query& query, const DbSnapshot& db, const CandidateSetHull& hull,
+  // Publishes an enumeration result computed against `db`, whose longest
+  // split asks for `v_max` video chunks; sets larger than a whole shard's
+  // budget are not admitted.
+  void Insert(const Query& query, const DbSnapshot& db, int v_max,
               std::shared_ptr<const GroupCandidateSet> set);
 };
 
-// How one group enumeration's output depends on the position axis (see
-// cache_common.h): `start_lo` is the range's lower start bound,
-// `canonical_start_hi` its upper one as MakeQuery canonicalizes it
-// (GroupCandidateCache::kOpenHi when the range reached the live edge), and
-// `positions` the position count the output is exact for. The candidate tier
-// evaluates it at each entry's anchor.
-PositionDependence EnumerationDependence(const CandidateSetHull& hull, int start_lo,
-                                         int canonical_start_hi, int positions);
+// Whether one group enumeration's output stays exact under every later state
+// of its lineage: true when no split asks for video (`v_max` 0), or when the
+// canonical start range is concrete (not GroupCandidateCache::kOpenHi) and
+// either empty or ends early enough that its longest run stays below
+// `positions`, the count the output was computed at. Any other enumeration
+// may read appended positions.
+bool EnumerationSurvivesAppends(int v_max, int start_lo, int canonical_start_hi, int positions);
 
 }  // namespace csi::infer
 

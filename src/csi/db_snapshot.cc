@@ -45,17 +45,6 @@ std::pair<size_t, size_t> DbSnapshot::DeltaRange(Bytes lo, Bytes hi) const {
           static_cast<size_t>(last - delta.begin())};
 }
 
-bool DbSnapshot::DeltaHasSizeInWindow(Bytes lo, Bytes hi, int min_index) const {
-  const auto [first, last] = DeltaRange(lo, hi);
-  const std::vector<internal::DeltaEntry>& delta = rep_->delta;
-  for (size_t i = first; i < last; ++i) {
-    if (ChunkDatabase::IndexOfPacked(delta[i].packed) >= min_index) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<media::ChunkRef> DbSnapshot::VideoCandidatesInSizeRange(Bytes lo, Bytes hi) const {
   const internal::SnapshotRep& rep = *rep_;
   if (rep.delta.empty()) {

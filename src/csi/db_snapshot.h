@@ -80,7 +80,7 @@ struct SnapshotRep {
   // LiveChunkDatabase; standalone full-build reps get their own). Two states
   // of the same lineage differ only by appends — positions are never resized
   // or resized downward and existing chunk sizes never change — which is what
-  // makes cross-state cache revalidation sound (see candidate_cache.h).
+  // makes cross-state cache revalidation sound (see cache_common.h).
   uint64_t lineage_id = 0;
 };
 
@@ -117,11 +117,6 @@ class DbSnapshot {
   int base_positions() const { return rep_->base->num_positions(); }
   // True when both handles pin the exact same published state.
   bool SameStateAs(const DbSnapshot& other) const { return rep_ == other.rep_; }
-
-  // Validity probe for cross-state cache revalidation: true iff some delta
-  // chunk at absolute position >= min_index has size in [lo, hi]. O(log d) to
-  // narrow the sorted delta buffer plus a scan of the in-window entries.
-  bool DeltaHasSizeInWindow(Bytes lo, Bytes hi, int min_index) const;
 
   // Manifest version this snapshot describes.
   const media::Manifest* manifest() const {

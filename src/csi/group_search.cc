@@ -66,7 +66,7 @@ std::vector<ObjectSplit> EnumerateObjectSplits(const TrafficGroup& group,
   const int n_req = group.num_requests();
   const Bytes audio_size = db.audio_sizes().empty() ? 0 : db.audio_sizes()[0];
   const int num_others = static_cast<int>(config.other_object_sizes.size());
-  const int num_masks = 1 << std::min(num_others, 8);
+  const int num_masks = 1 << std::min(num_others, kMaxOtherObjects);
   for (int mask = 0; mask < num_masks; ++mask) {
     Bytes other_bytes = 0;
     int other_count = 0;
@@ -231,24 +231,11 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   const std::vector<ObjectSplit> splits = EnumerateObjectSplits(group, db, config);
   bool capped_flag = false;
 
-  // Size hulls of the splits, recorded with the cache entry so later states
-  // can prove the output unchanged (see candidate_cache.h).
-  CandidateSetHull hull;
+  // The longest video run any split asks for decides whether the cached set
+  // survives appends (candidate_cache.h).
+  int v_max = 0;
   for (const ObjectSplit& split : splits) {
-    if (split.video_count < 1) {
-      continue;
-    }
-    hull.has_video_split = true;
-    hull.v_max = std::max(hull.v_max, split.video_count);
-    hull.hull_all_hi = std::max(hull.hull_all_hi, split.video_hi);
-    if (split.video_count == 1) {
-      const Bytes lo = std::max<Bytes>(split.video_lo, 0);
-      hull.hull1_lo = hull.has_v1 ? std::min(hull.hull1_lo, lo) : lo;
-      hull.hull1_hi = std::max(hull.hull1_hi, split.video_hi);
-      hull.has_v1 = true;
-    } else {
-      hull.hull2_hi = std::max(hull.hull2_hi, split.video_hi);
-    }
+    v_max = std::max(v_max, split.video_count);
   }
 
   // Video-free explanations (start-agnostic): valid when the window admits
@@ -310,15 +297,11 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   // function of the query alone (never of the partitioning), so the
   // per-start outputs — and hence the merged list — are identical whether
   // the starts run serially or fan out across config.pool workers.
-  bool any_multi = false;
-  for (const ObjectSplit& split : splits) {
-    any_multi = any_multi || split.video_count >= 2;
-  }
-  if (any_multi && start_lo <= start_hi) {
+  if (v_max >= 2 && start_lo <= start_hi) {
     const SizeBounds bounds(db);
     const int range = start_hi - start_lo + 1;
     const int64_t per_start_nodes =
-        std::max<int64_t>(kMaxDfsNodes / range, GroupCandidateCache::kPerStartNodeFloor);
+        std::max<int64_t>(kMaxDfsNodes / range, kPerStartNodeFloor);
     std::vector<std::vector<GroupCandidate>> per_start(static_cast<size_t>(range));
     std::vector<char> start_capped(static_cast<size_t>(range), 0);
     // Per-job tallies merged by the calling thread: the audit collector is
@@ -427,7 +410,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
   set->candidates.reserve(candidates.size());
   std::move(candidates.begin(), candidates.end(), std::back_inserter(set->candidates));
   if (shared != nullptr) {
-    shared->Insert(query, db, hull, set);
+    shared->Insert(query, db, v_max, set);
   }
   return set;
 }

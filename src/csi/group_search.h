@@ -58,9 +58,14 @@ struct GroupCandidate {
 };
 
 // DFS node budget per (group, start-range) enumeration, split evenly across
-// the start indexes with a floor of GroupCandidateCache::kPerStartNodeFloor
-// each. The candidate tier's growth revalidation reads it too.
+// the start indexes with a floor of kPerStartNodeFloor each.
 inline constexpr int64_t kMaxDfsNodes = 2'000'000;
+inline constexpr int64_t kPerStartNodeFloor = 1 << 16;
+
+// Most known non-media objects (EnumerationSettings::other_object_sizes) one
+// enumeration combines: every subset of them is tried, 2^n splits per group.
+// InferenceEngine rejects a config with more.
+inline constexpr int kMaxOtherObjects = 8;
 
 // The enumeration's settings (settings.h) plus what steers the sequence chain
 // and how the search runs; only the EnumerationSettings base and the display

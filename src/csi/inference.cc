@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
@@ -49,6 +50,10 @@ InferenceEngine::InferenceEngine(const media::Manifest* manifest, InferenceConfi
 void InferenceEngine::FinishConfig() {
   if (config_.max_sequences < 1) {
     throw std::invalid_argument("max_sequences must be >= 1");
+  }
+  if (config_.other_object_sizes.size() > static_cast<size_t>(kMaxOtherObjects)) {
+    throw std::invalid_argument("other_object_sizes holds more than " +
+                                std::to_string(kMaxOtherObjects) + " sizes");
   }
   if (config_.host_suffix.empty()) {
     config_.host_suffix = manifest_->host;

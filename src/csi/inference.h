@@ -66,7 +66,8 @@ class InferenceEngine {
   // Primary constructor: the engine queries `snapshot` — an immutable,
   // epoch-tagged database version (see db_snapshot.h / live_database.h). The
   // snapshot's manifest fills config defaults (host suffix, manifest object
-  // size). Throws std::invalid_argument when config.max_sequences < 1.
+  // size). Throws std::invalid_argument when config.max_sequences < 1 or
+  // config.other_object_sizes holds more than kMaxOtherObjects sizes.
   InferenceEngine(DbSnapshot snapshot, InferenceConfig config);
 
   // Builds a full database from `manifest` (caller keeps it alive), then

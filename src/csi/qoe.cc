@@ -53,17 +53,14 @@ QoeReport AnalyzeQoe(const InferredSequence& sequence, const media::Manifest& ma
   // --- Playback reconstruction ---
   // Startup: playback begins once `startup_buffer` of content is downloaded.
   TimeUs buffered = 0;
-  size_t start_chunk = 0;
   TimeUs play_start = video.front()->done_time;
   for (size_t i = 0; i < video.size(); ++i) {
     buffered += manifest.ChunkOf(video[i]->chunk).duration;
     play_start = std::max(play_start, video[i]->done_time);
-    start_chunk = i;
     if (buffered >= config.startup_buffer) {
       break;
     }
   }
-  (void)start_chunk;
   report.startup_delay = play_start - sequence.slots.front().request_time;
 
   // Walk chunks: each displays as soon as the previous one finished and its

@@ -20,7 +20,6 @@ struct QoeConfig {
   // Playback starts once this much content is buffered (matching the
   // player's startup behaviour).
   TimeUs startup_buffer = 10 * kUsPerSec;
-  TimeUs rebuffer_target = 5 * kUsPerSec;
   // Buffer sampling step for the occupancy curve.
   TimeUs sample_step = kUsPerSec;
 };

@@ -20,9 +20,9 @@
 // chunks a live refresh appends land inside one of those windows; on every
 // measured live replay no result ever survived an append (ch_live_replay:
 // 24 of 24 cross-refresh lookups invalidated; six 10-min CH captures under
-// csi_batch --follow-manifests: 12 of 12 at 2 refreshes, 30 of 30 at 5). The
-// tier therefore reports a constant unsafe dependence, and the shared
-// anchored check (cache_common.h) yields:
+// csi_batch --follow-manifests: 12 of 12 at 2 refreshes, 30 of 30 at 5). So
+// no result is inserted as surviving appends, and the shared anchored check
+// (cache_common.h) yields:
 //   * same state → hit;
 //   * a compaction's republish with the same position count → re-anchor, hit;
 //   * a reader pinning an older state → miss, the entry is kept;
@@ -73,11 +73,6 @@ struct ResultTier {
   using Extra = int;
   static constexpr internal::TierNames kNames{"result", "result_cache", "result_cache_lookup",
                                               "same_state", /*revalidates=*/true};
-
-  // Any append may change a result (see the file comment), whatever the entry.
-  static PositionDependence Dependence(const Query&, const Extra&, int) {
-    return {.sensitive = true, .unsafe = true};
-  }
 };
 
 class ResultCache : public internal::CacheCore<ResultTier> {

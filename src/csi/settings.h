@@ -49,7 +49,8 @@ struct InferenceSettings : PrefixSettings {
   bool enable_phantom_deficit = true;
   bool enable_calibrated_ranking = true;
   // Sizes of known non-media objects (manifest etc.) for SQ group matching.
-  // Auto-filled with the manifest size when empty.
+  // Auto-filled with the manifest size when empty; at most kMaxOtherObjects
+  // (group_search.h), or InferenceEngine throws.
   std::vector<Bytes> other_object_sizes;
 
   friend bool operator==(const InferenceSettings&, const InferenceSettings&) = default;

@@ -3,11 +3,11 @@
 //
 // The contract locked in here: enumeration results are byte-identical with
 // the cache enabled, disabled, and across live-manifest refreshes — for any
-// append schedule and compaction cadence. Revalidation must hit when no
-// appended chunk can enter an entry's output, invalidate when one can (or
-// when a compaction hides the appends), stay under its byte budget while
-// evicting, and survive concurrent readers racing a publisher (run under
-// TSan in CI).
+// append schedule and compaction cadence. An entry that never read a position
+// at or past its anchor must hit across appends and compactions, every other
+// entry must invalidate on an append, the cache must stay under its byte
+// budget while evicting, and it must survive concurrent readers racing a
+// publisher (run under TSan in CI).
 
 #include <algorithm>
 #include <atomic>
@@ -24,6 +24,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/candidate_cache.h"
 #include "src/csi/group_search.h"
@@ -52,9 +53,8 @@ Bytes RandomChunkSize(Rng* rng, std::vector<Bytes>* palette) {
 
 // Random uniform live-edge manifest (same shape as live_database_test). Mixes
 // narrow manifests, where a growth range's per-start DFS budget
-// (kMaxDfsNodes / range) sits above its floor and trips the growth-range
-// budget check, with wide ones (>= 31 positions), where a chain-root range
-// floors the budget and revalidates by the delta-size probe alone.
+// (kMaxDfsNodes / range) sits above its floor, with wide ones (>= 31
+// positions), where a chain-root range floors it.
 Manifest RandomUniformManifest(Rng* rng, std::vector<Bytes>* palette) {
   Manifest m;
   m.asset_id = "cache-fuzz";
@@ -269,79 +269,43 @@ TEST(CandidateCacheDifferential, CacheOnMatchesCacheOffOn120Schedules) {
   }
 }
 
-// --- Position dependence of one enumeration -------------------------------
+// --- Which enumerations survive appends ----------------------------------
 
-// The dependence rule the candidate tier evaluates at each entry's anchor.
-TEST(EnumerationDependence, MapsEachRangeShapeToItsDependence) {
-  CandidateSetHull video;
-  video.has_video_split = true;
-  video.v_max = 3;
-  video.has_v1 = true;
-  video.hull1_lo = 400;
-  video.hull1_hi = 800;
-  video.hull2_hi = 1200;
-  video.hull_all_hi = 1500;
-  // Wide enough that a [0, live edge] range floors the per-start DFS budget.
+// The one fact the candidate tier records per entry at Insert.
+TEST(EnumerationSurvivesAppends, MapsEachRangeShapeToItsRule) {
   constexpr int kPositions = 100;
-  static_assert(kMaxDfsNodes / kPositions <= GroupCandidateCache::kPerStartNodeFloor);
   constexpr int kOpen = GroupCandidateCache::kOpenHi;
-
-  {
-    // No video split: the enumeration never reads the position axis.
-    CandidateSetHull no_video = video;
-    no_video.has_video_split = false;
-    EXPECT_FALSE(EnumerationDependence(no_video, 0, kOpen, kPositions).sensitive);
-  }
-  // Concrete range whose longest run cannot cross the live edge.
-  EXPECT_FALSE(EnumerationDependence(video, 10, 20, kPositions).sensitive);
-  {
-    // Concrete range with a run crossing the edge: the multi-chunk upper
-    // bound is the only thing between an appended chunk and a new candidate.
-    const PositionDependence out = EnumerationDependence(video, 90, kPositions - 2, kPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_FALSE(out.unsafe);
-    EXPECT_EQ(out.probe_lo, 0);
-    EXPECT_EQ(out.probe_hi, video.hull2_hi);
-  }
-  {
-    // Growth range, multi-chunk splits, budget under the floor: appended
-    // chunks can seed candidates anywhere up to the overall hull.
-    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_FALSE(out.unsafe);
-    EXPECT_EQ(out.probe_lo, 0);
-    EXPECT_EQ(out.probe_hi, video.hull_all_hi);
-  }
-  {
-    // Growth range, single-chunk splits only: the v == 1 window floor holds.
-    CandidateSetHull single = video;
-    single.v_max = 1;
-    const PositionDependence out = EnumerationDependence(single, 0, kOpen, kPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_FALSE(out.unsafe);
-    EXPECT_EQ(out.probe_lo, single.hull1_lo);
-    EXPECT_EQ(out.probe_hi, single.hull_all_hi);
-  }
-  {
-    // Growth range narrow enough that its per-start DFS budget sits above
-    // the floor: the cutoff itself shifts with the live edge — unprovable by
-    // any window.
-    constexpr int kNarrowPositions = 10;
-    static_assert(kMaxDfsNodes / kNarrowPositions > GroupCandidateCache::kPerStartNodeFloor);
-    const PositionDependence out = EnumerationDependence(video, 0, kOpen, kNarrowPositions);
-    EXPECT_TRUE(out.sensitive);
-    EXPECT_TRUE(out.unsafe);
+  struct Case {
+    const char* name;
+    int v_max;
+    int start_lo;
+    int start_hi;
+    bool survives;
+  };
+  const std::vector<Case> cases = {
+      // No split asks for video: the position axis is never read.
+      {"video-free growth range", 0, 0, kOpen, true},
+      {"video-free concrete range", 0, 10, 20, true},
+      // Concrete ranges whose longest run ends before P.
+      {"concrete run ending before P", 3, 10, 20, true},
+      {"concrete run ending at P - 1", 3, 90, kPositions - 3, true},
+      {"single-chunk concrete range", 1, 0, kPositions - 2, true},
+      // A run from the last starts would read an appended position.
+      {"concrete run crossing P", 3, 90, kPositions - 2, false},
+      // Appended positions join a growth range's starts.
+      {"single-chunk growth range", 1, 0, kOpen, false},
+      {"growth range from a late start", 3, 95, kOpen, false},
+      // No start to enumerate, now or at any later state.
+      {"empty concrete range", 3, 50, 40, true},
+  };
+  for (const Case& test : cases) {
+    EXPECT_EQ(EnumerationSurvivesAppends(test.v_max, test.start_lo, test.start_hi, kPositions),
+              test.survives)
+        << test.name;
   }
 }
 
 // --- Targeted delta invalidation ------------------------------------------
-
-// Positions of the invalidation fixture's manifests: enough that a
-// [0, live edge] range floors the per-start DFS budget (kMaxDfsNodes / 32 is
-// below GroupCandidateCache::kPerStartNodeFloor), so growth revalidation is
-// decided by the delta-size probe alone, not the budget-shift guard.
-constexpr int kFlooredPositions = 32;
-static_assert(kMaxDfsNodes / kFlooredPositions <= GroupCandidateCache::kPerStartNodeFloor);
 
 // Fixed two-track manifest with well-separated sizes; audio 32000.
 Manifest SmallManifest(int positions) {
@@ -380,30 +344,48 @@ ManifestRefresh UniformAppend(int tracks, Bytes size) {
 
 class CandidateCacheInvalidation : public ::testing::Test {
  protected:
-  // Enumerates `group` over [0, live edge] with the cache and asserts the
-  // result matches a cache-off run at the same state.
+  // Enumerates `group` over [lo, hi] (default: [0, live edge]) with the cache
+  // and asserts the result matches a cache-off run at the same state.
   std::vector<GroupCandidate> Enumerate(const DbSnapshot& snap, const TrafficGroup& group,
-                                        GroupCandidateCache* cache) {
+                                        GroupCandidateCache* cache, int lo = 0, int hi = -1) {
     GroupSearchConfig off;
     off.k = 0.05;
     off.expected_overhead = 0.005;
     off.expected_fixed_overhead = 0;
     GroupSearchConfig on = off;
     on.shared_cache = cache;
+    if (hi < 0) {
+      hi = snap.num_positions();
+    }
     bool trunc_on = false;
     bool trunc_off = false;
-    const auto cached = EnumerateGroupCandidates(group, snap, on, {}, 0,
-                                                 snap.num_positions(), &trunc_on);
-    const auto cold = EnumerateGroupCandidates(group, snap, off, {}, 0,
-                                               snap.num_positions(), &trunc_off);
+    const auto cached = EnumerateGroupCandidates(group, snap, on, {}, lo, hi, &trunc_on);
+    const auto cold = EnumerateGroupCandidates(group, snap, off, {}, lo, hi, &trunc_off);
     EXPECT_EQ(cached, cold);
     EXPECT_EQ(trunc_on, trunc_off);
     return cached;
   }
+
+  // The (outcome, reason) of every group_cache instant `run` emits.
+  template <typename Run>
+  std::vector<std::pair<std::string, std::string>> Instants(const Run& run) {
+    trace::TraceSession& session = trace::TraceSession::Global();
+    session.Start({});
+    run();
+    session.Stop();
+    std::vector<std::pair<std::string, std::string>> instants;
+    for (const trace::TraceEvent& e : session.Collect()) {
+      if (e.phase == 'i' && std::string(e.name) == "group_cache") {
+        EXPECT_EQ(e.num_args, 2);
+        instants.emplace_back(e.args[0].string_value, e.args[1].string_value);
+      }
+    }
+    return instants;
+  }
 };
 
-TEST_F(CandidateCacheInvalidation, AppendOutsideWindowRevalidatesAndHits) {
-  const Manifest m = SmallManifest(kFlooredPositions);
+TEST_F(CandidateCacheInvalidation, GrowthRangeEntryInvalidatesOnAnyAppend) {
+  const Manifest m = SmallManifest(32);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);
@@ -416,65 +398,63 @@ TEST_F(CandidateCacheInvalidation, AppendOutsideWindowRevalidatesAndHits) {
   const auto before = cache.stats();
   EXPECT_GE(before.inserts, 1u);
 
-  // The widest split window tops out at the estimate itself; an append just
-  // past it (adjacent, outside) can never enter the output.
+  // The widest split window tops out at the estimate itself, so no appended
+  // chunk just past it could enter the output — but the range runs to the
+  // live edge, and the entry does not outlive the append.
   live.ApplyRefresh(UniformAppend(2, group.estimated_total + 1));
-  Enumerate(live.Acquire(), group, &cache);
+  const auto instants = Instants([&] { Enumerate(live.Acquire(), group, &cache); });
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"invalidated", "append"}, {"miss", "invalidated"}};
+  EXPECT_EQ(instants, expected);
   const auto after = cache.stats();
-  EXPECT_GT(after.hits, before.hits) << "outside-window append must revalidate, not recompute";
-  EXPECT_EQ(after.invalidations, before.invalidations);
-}
-
-TEST_F(CandidateCacheInvalidation, AppendInsideWindowInvalidates) {
-  const Manifest m = SmallManifest(kFlooredPositions);
-  LiveChunkDatabase::Options options;
-  options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
-  LiveChunkDatabase live(m, options);
-  GroupCandidateCache cache(1 << 20);
-  const Bytes truth = 1000 + 7 * 3 + 32'000;
-  const TrafficGroup group = MakeGroup(2, truth + truth / 300);
-
-  Enumerate(live.Acquire(), group, &cache);
-  const auto before = cache.stats();
-
-  // An append at the window's upper boundary (adjacent, inside) could become
-  // a candidate: the entry must drop and the fresh result must see the new
-  // position.
-  live.ApplyRefresh(UniformAppend(2, group.estimated_total));
-  const auto fresh = Enumerate(live.Acquire(), group, &cache);
-  const auto after = cache.stats();
-  EXPECT_GT(after.invalidations, before.invalidations);
-  EXPECT_EQ(after.hits, before.hits) << "inside-window append must not serve the stale set";
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.invalidations, before.invalidations + 1);
   // The re-inserted entry is anchored at the new state and hits again.
   Enumerate(live.Acquire(), group, &cache);
   EXPECT_GT(cache.stats().hits, after.hits);
-  (void)fresh;
 }
 
-TEST_F(CandidateCacheInvalidation, CompactionHidingAppendsInvalidates) {
-  const Manifest m = SmallManifest(kFlooredPositions);
+TEST_F(CandidateCacheInvalidation, ConcreteRangeEntryRevalidatesAcrossAppendsAndCompaction) {
+  const Manifest m = SmallManifest(32);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);
   GroupCandidateCache cache(1 << 20);
-  const Bytes truth = 1000 + 7 * 3 + 32'000;
-  const TrafficGroup group = MakeGroup(2, truth + truth / 300);
+  // CH-shaped: one request, video (t0, i4), starts [3, 5] well before the
+  // live edge.
+  const Bytes truth = 1000 + 7 * 4;
+  const TrafficGroup group = MakeGroup(1, truth + truth / 300);
+  constexpr int kLo = 3;
+  constexpr int kHi = 5;
 
-  Enumerate(live.Acquire(), group, &cache);
+  const auto first = Enumerate(live.Acquire(), group, &cache, kLo, kHi);
+  ASSERT_FALSE(first.empty());
   const auto before = cache.stats();
+  EXPECT_EQ(before.inserts, 1u);
 
-  // Outside-window append, normally revalidatable — but compaction folds it
-  // into the base where the one-sided probe can no longer see it.
-  live.ApplyRefresh(UniformAppend(2, group.estimated_total + 1));
-  live.CompactNow();
-  Enumerate(live.Acquire(), group, &cache);
+  // An appended chunk inside the entry's size window still cannot enter the
+  // output: no start in [3, 5] reaches it.
+  live.ApplyRefresh(UniformAppend(2, group.estimated_total));
+  EXPECT_EQ(Instants([&] { Enumerate(live.Acquire(), group, &cache, kLo, kHi); }),
+            (std::vector<std::pair<std::string, std::string>>{
+                {"revalidated", "position_insensitive"}}));
+
+  // A second append, folded into the base by a compaction before any lookup.
+  live.ApplyRefresh(UniformAppend(2, group.estimated_total));
+  const DbSnapshot compacted = live.CompactNow();
+  ASSERT_EQ(compacted.base_positions(), compacted.num_positions());
+  EXPECT_EQ(Instants([&] { Enumerate(compacted, group, &cache, kLo, kHi); }),
+            (std::vector<std::pair<std::string, std::string>>{
+                {"revalidated", "position_insensitive"}}));
+
   const auto after = cache.stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_GT(after.invalidations, before.invalidations);
+  EXPECT_EQ(after.hits, before.hits + 2);
+  EXPECT_EQ(after.invalidations, before.invalidations);
+  EXPECT_EQ(after.inserts, before.inserts);
 }
 
 TEST_F(CandidateCacheInvalidation, CompactionWithoutAppendsKeepsEntries) {
-  const Manifest m = SmallManifest(kFlooredPositions);
+  const Manifest m = SmallManifest(32);
   LiveChunkDatabase::Options options;
   options.compact_after_delta_chunks = std::numeric_limits<size_t>::max();
   LiveChunkDatabase live(m, options);

@@ -130,6 +130,11 @@ def main():
         expect("rounds in order", True, trace(), rounds)
         expect("round out of order", False, trace(), rounds[:3] + rounds[:1])
         expect("retired reason", False, trace(result_reason="delta_in_window_or_compaction"))
+        for retired in ("delta_in_window", "compaction_folded_delta"):
+            expect(f"retired invalidation reason {retired}", False,
+                   trace(result_reason=retired))
+        expect("retired revalidation reason delta_proven_disjoint", False,
+               trace(group_reason="delta_proven_disjoint"))
         expect("invalidation reason on a revalidation", False, trace(group_reason="append"))
         bad_lines = {
             "negative counter": {"candidates": -1},

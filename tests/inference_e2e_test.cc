@@ -206,6 +206,29 @@ TEST(InferenceE2e, MaxSequencesBelowOneIsRejected) {
   EXPECT_NO_THROW(infer::InferenceEngine(&manifest, config));
 }
 
+// The group search combines at most kMaxOtherObjects known non-media sizes;
+// a config with more is rejected by both constructors instead of having its
+// extra sizes silently never enter any explanation.
+TEST(InferenceE2e, TooManyOtherObjectSizesAreRejected) {
+  const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 0, 60 * kUsPerSec);
+  infer::InferenceConfig config;
+  config.design = DesignType::kSQ;
+  for (int i = 0; i < infer::kMaxOtherObjects; ++i) {
+    config.other_object_sizes.push_back(1000 + 100 * i);
+  }
+  EXPECT_NO_THROW(infer::InferenceEngine(&manifest, config));
+  EXPECT_NO_THROW(infer::BatchAnalyzer(&manifest, config));
+  config.other_object_sizes.push_back(5000);
+  try {
+    const infer::InferenceEngine engine(&manifest, config);
+    ADD_FAILURE() << "InferenceEngine accepted " << config.other_object_sizes.size()
+                  << " other-object sizes";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "other_object_sizes holds more than 8 sizes");
+  }
+  EXPECT_THROW(infer::BatchAnalyzer(&manifest, config), std::invalid_argument);
+}
+
 // Multi-service golden digests: the shared fixed batch locked to one constant
 // per design path (CH/SH/CQ/SQ), not just SQ. The cache-tier test below and
 // the tracing and cold-path identity tests reuse the same helpers, so any

@@ -341,22 +341,13 @@ struct CandidateTierOps {
   static constexpr const char* kInstant = "group_cache";
   static constexpr const char* kSpan = "group_cache_lookup";
 
-  // A compaction folded the append in, so no window can be probed.
-  static constexpr const char* kInvalidatedReason = "compaction_folded_delta";
-
   static Cache::Query Key(const DbSnapshot& db, int id) {
     // A range reaching the live edge: the same key at every state.
     return Cache::MakeQuery(db, 1, id, 1000, 0, db.num_positions());
   }
   static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db) {
-    // Single-chunk splits over a growth range with a window every size fits.
-    CandidateSetHull hull;
-    hull.has_video_split = true;
-    hull.v_max = 1;
-    hull.has_v1 = true;
-    hull.hull1_hi = static_cast<Bytes>(1) << 40;
-    hull.hull_all_hi = hull.hull1_hi;
-    cache->Insert(key, db, hull, std::make_shared<GroupCandidateSet>());
+    // Single-chunk splits over a growth range: appended starts join it.
+    cache->Insert(key, db, /*v_max=*/1, std::make_shared<GroupCandidateSet>());
   }
 };
 
@@ -365,8 +356,6 @@ struct ResultTierOps {
   static constexpr const char* kStem = "result";
   static constexpr const char* kInstant = "result_cache";
   static constexpr const char* kSpan = "result_cache_lookup";
-  // Any append invalidates a result.
-  static constexpr const char* kInvalidatedReason = "append";
 
   static Cache::Query Key(const DbSnapshot& db, int id) { return QueryFor(db, 1, 1000 + id); }
   static void Insert(Cache* cache, const Cache::Query& key, const DbSnapshot& db) {
@@ -445,7 +434,7 @@ TYPED_TEST(CacheCoreOutcomes, FiveOutcomesCountAndTraceOnce) {
       {"miss", "absent"},
       {"revalidated", "same_positions"},
       {"miss", "stale_snapshot"},
-      {"invalidated", Ops::kInvalidatedReason},
+      {"invalidated", "append"},
       {"miss", "invalidated"},
   };
   EXPECT_EQ(instants, expected);
@@ -463,42 +452,38 @@ TEST(Revalidate, ReportsEachCause) {
   const DbSnapshot c = live.CompactNow();
   ASSERT_EQ(b.base_positions(), a.num_positions());
   ASSERT_GT(c.base_positions(), a.num_positions());
-  const PositionDependence insensitive;
-  const PositionDependence unsafe{.sensitive = true, .unsafe = true};
-  const PositionDependence no_chunk_fits{.sensitive = true, .probe_lo = 1, .probe_hi = 2};
-  const PositionDependence every_chunk_fits{
-      .sensitive = true, .probe_lo = 0, .probe_hi = static_cast<Bytes>(1) << 40};
 
   struct Case {
     const char* name;
     const DbSnapshot* anchored_at;
     const DbSnapshot* reader;
-    PositionDependence dependence;
+    bool survives_appends;
     internal::LookupOutcome outcome;
     const char* reason;
   };
   using internal::LookupOutcome;
   const std::vector<Case> cases = {
-      {"same state", &b, &b, unsafe, LookupOutcome::kHit, nullptr},
-      {"older reader", &b, &a, unsafe, LookupOutcome::kStaleSnapshot, nullptr},
-      {"republish", &b, &c, unsafe, LookupOutcome::kRevalidated, "same_positions"},
-      {"insensitive", &a, &b, insensitive, LookupOutcome::kRevalidated, "position_insensitive"},
-      {"disjoint", &a, &b, no_chunk_fits, LookupOutcome::kRevalidated, "delta_proven_disjoint"},
-      {"unsafe", &a, &b, unsafe, LookupOutcome::kInvalidated, "append"},
-      {"in window", &a, &b, every_chunk_fits, LookupOutcome::kInvalidated, "delta_in_window"},
-      {"folded", &a, &c, no_chunk_fits, LookupOutcome::kInvalidated, "compaction_folded_delta"},
+      {"same state", &b, &b, false, LookupOutcome::kHit, nullptr},
+      {"older reader", &b, &a, false, LookupOutcome::kStaleSnapshot, nullptr},
+      {"republish", &b, &c, false, LookupOutcome::kRevalidated, "same_positions"},
+      {"append, survives", &a, &b, true, LookupOutcome::kRevalidated, "position_insensitive"},
+      {"append", &a, &b, false, LookupOutcome::kInvalidated, "append"},
+      {"folded append, survives", &a, &c, true, LookupOutcome::kRevalidated,
+       "position_insensitive"},
+      {"folded append", &a, &c, false, LookupOutcome::kInvalidated, "append"},
   };
   for (const Case& test : cases) {
     SCOPED_TRACE(test.name);
     const internal::SnapshotAnchor start{test.anchored_at->state_id(),
-                                         test.anchored_at->num_positions()};
+                                         test.anchored_at->num_positions(),
+                                         test.survives_appends};
     internal::SnapshotAnchor anchor = start;
-    const internal::LookupVerdict verdict =
-        internal::Revalidate(anchor, *test.reader, [&](int) { return test.dependence; });
+    const internal::LookupVerdict verdict = internal::Revalidate(anchor, *test.reader);
     EXPECT_EQ(verdict.outcome, test.outcome);
     EXPECT_STREQ(verdict.reason, test.reason);
     const bool moved = anchor.state_id != start.state_id || anchor.positions != start.positions;
     EXPECT_EQ(moved, test.outcome == LookupOutcome::kRevalidated);
+    EXPECT_EQ(anchor.survives_appends, start.survives_appends);
   }
 }
 

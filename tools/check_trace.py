@@ -24,8 +24,7 @@ Result- and candidate-cache telemetry checks on the same trace file, for
 the "result_cache" and "group_cache" instants alike:
   * every such 'i' instant carries args with an outcome and a reason that
     outcome allows: "hit" (same_state), "revalidated" (same_positions,
-    position_insensitive, delta_proven_disjoint), "invalidated" (append,
-    compaction_folded_delta, delta_in_window) or "miss" (absent,
+    position_insensitive), "invalidated" (append) or "miss" (absent,
     stale_snapshot, invalidated);
   * the number of terminal instants (hit/revalidated/miss) equals the number
     of 'B' events for the tier's lookup span ("result_cache_lookup",
@@ -87,8 +86,8 @@ REVALIDATING_TIERS = {"result_cache": "result_cache_lookup", "group_cache": "gro
 # Outcome -> the reasons a revalidating tier's instant may give for it.
 REVALIDATING_REASONS = {
     "hit": {"same_state"},
-    "revalidated": {"same_positions", "position_insensitive", "delta_proven_disjoint"},
-    "invalidated": {"append", "compaction_folded_delta", "delta_in_window"},
+    "revalidated": {"same_positions", "position_insensitive"},
+    "invalidated": {"append"},
     "miss": {"absent", "stale_snapshot", "invalidated"},
 }
 AUDIT_COUNTERS = (
