@@ -3,23 +3,22 @@
 // BM_ReadPcap / BM_ColumnBuild time ingest the way csibench pays it, each
 // with its minor page faults per iteration. A csibench batch holds every
 // capture's columns until the batch ends, so both keep their last
-// kHeldColumns builds alive. BM_ReadPcap reads a file in ReadPcap's one pass,
-// builds its columns and drops the packet records, alternating two 10-min CH
-// captures built as csibench builds its sessions, one of them 441,863 packets
-// long. The reader reserves its record block from the first window's mean
-// record length plus 1/64 slack: 441,863 x 72 B x ~1.017 = 32.4 MB, under
-// glibc's 32 MiB (33.55 MB) mmap threshold, so the block reuses the heap
-// pages the previous capture freed instead of faulting in fresh ones.
-// BM_ColumnBuild transposes one 10-min CH capture's records over and over:
-// each Build writes into pages no earlier build freed, and `minor_faults`
-// counts the pages the columns take.
+// kHeldColumns builds alive. BM_ReadPcap reads a file in ReadPcap's one pass
+// into a CaptureTrace (capture-order columns, flows interned as it parses),
+// builds the flow-major columns and drops the trace, alternating two 10-min
+// CH captures built as csibench builds its sessions, one of them 441,863
+// packets long. `trace_bytes_per_packet` is the trace's held_bytes() over its
+// packets: 29 B of columns per packet, plus the reader's 1/64 sizing slack
+// and the flow table. BM_ColumnBuild builds one 10-min CH capture's columns
+// from its trace over and over: each Build writes into pages no earlier build
+// freed, and `minor_faults` counts the pages the columns take.
 //
 // BM_ChColdBatch / BM_SqColdBatch are the headline numbers: a cache-disabled
 // batch (every trace pays the full per-packet pipeline) over pre-built
 // columns. The per-stage benches attribute it: flow classification,
 // request/size estimation (CH), traffic splitting (SQ) and the prefix-cache
 // fingerprint, each run over pre-built columns so the stage cost is isolated
-// from the one-time transpose that BM_BuildColumns measures. BM_SequenceChain
+// from the one-time column build that BM_BuildColumns measures. BM_SequenceChain
 // times Step 2 alone: the layered chain search over one 10-min SQ session's
 // split groups, with the children it expands per search (`children`, the
 // audit's chain_nodes) and the wall time per child (`ns_per_child`).
@@ -62,7 +61,7 @@ namespace {
 
 // One service + captured sessions per design path we attribute: CH exercises
 // the HTTPS estimator, SQ the QUIC splitter. Generated once per process;
-// columns are pre-built so stage benches never time the transpose.
+// columns are pre-built so stage benches never time the column build.
 struct Workload {
   media::Manifest manifest;
   std::vector<capture::CaptureTrace> traces;
@@ -187,6 +186,7 @@ void BM_ReadPcap(benchmark::State& state) {
   held.reserve(kHeldColumns);
   int64_t bytes = 0;
   int64_t packets = 0;
+  size_t trace_bytes = 0;
   size_t next = 0;
   const int64_t faults = MinorFaults();
   for (auto _ : state) {
@@ -201,9 +201,12 @@ void BM_ReadPcap(benchmark::State& state) {
     held.push_back(capture::PacketColumns::Build(trace));
     bytes += pcap.bytes;
     packets += static_cast<int64_t>(trace.size());
+    trace_bytes += trace.held_bytes();
   }
   state.counters["minor_faults"] = benchmark::Counter(
       static_cast<double>(MinorFaults() - faults), benchmark::Counter::kAvgIterations);
+  state.counters["trace_bytes_per_packet"] =
+      static_cast<double>(trace_bytes) / static_cast<double>(std::max<int64_t>(packets, 1));
   state.SetBytesProcessed(bytes);
   state.SetItemsProcessed(packets);
 }
@@ -228,7 +231,7 @@ void BM_ColumnBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace->size()));
 }
 
-// --- Transpose --------------------------------------------------------------
+// --- Column build -----------------------------------------------------------
 
 void BM_BuildColumns(benchmark::State& state) {
   const Workload& w = ChWorkload();

@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/capture_trace.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/result_cache.h"
 #include "src/testbed/experiment.h"

@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/capture_trace.h"
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"

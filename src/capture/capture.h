@@ -7,7 +7,7 @@
 #ifndef CSI_SRC_CAPTURE_CAPTURE_H_
 #define CSI_SRC_CAPTURE_CAPTURE_H_
 
-#include "src/capture/packet_record.h"
+#include "src/capture/capture_trace.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
 

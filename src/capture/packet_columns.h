@@ -1,12 +1,11 @@
-// Columnar (structure-of-arrays) view of a capture trace.
+// Columnar (structure-of-arrays) view of a capture trace, in flow-major
+// order.
 //
-// A `CaptureTrace` stores one 72-byte `PacketRecord` struct (32 bytes of it
-// an `std::string sni` that is empty for all but the rare ClientHello) per
-// packet. CSI reads five things per packet: size, timing, direction, the TCP
-// sequence number and whether the packet carries an SNI. `PacketColumns`
-// holds exactly those, as parallel flat columns at the width a pcap carries
-// them, which the cold-path stages (classify, split, request detection, size
-// estimation, fingerprinting) scan with plain loops:
+// CSI reads five things per packet: size, timing, direction, the TCP sequence
+// number and whether the packet carries an SNI. `PacketColumns` holds exactly
+// those, as parallel flat columns at the width a pcap carries them, which the
+// cold-path stages (classify, split, request detection, size estimation,
+// fingerprinting) scan with plain loops:
 //
 //   - an int64 timestamp column (microseconds: a pcap's 32-bit seconds times
 //     10^6 does not fit in 32 bits),
@@ -14,13 +13,15 @@
 //   - a uint32 TCP sequence column (the TCP header's field is 32 bits),
 //   - a uint8 flags column: kFromClient (client→server) and kCarriesSni,
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span) built in the same pass. The flow's first SNI is the
-//     only SNI string any stage reads, so no per-packet string is kept.
+//     total, column span). The flow's first SNI is the only SNI string any
+//     stage reads, so no per-packet string is kept.
 //
-// 17 bytes per packet (8 + 4 + 4 + 1). TCP ack and QUIC packet number stay
-// in the records: no stage reads them. The records already hold every field
-// at its pcap width, so `Build` of a trace gives the same columns as `Build`
-// of that trace written to a pcap and read back.
+// 17 bytes per packet (8 + 4 + 4 + 1). The `CaptureTrace` these are built
+// from already stores the same columns in capture order at the same widths,
+// plus TCP ack, QUIC packet number and flow id (29 bytes per packet), and
+// its flow table; no stage reads the three extra columns. So `Build` of a
+// trace gives the same columns as `Build` of that trace written to a pcap and
+// read back.
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
 // `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
@@ -40,17 +41,13 @@
 #include <string>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/capture_trace.h"
 
 namespace csi::capture {
 
 // Reported by csi_build_info (see src/common/build_info.cc, which duplicates
 // the literal to keep csi_common independent of csi_capture).
 inline constexpr char kPacketLayoutVersion[] = "soa-v3";
-
-// Bits of the flags column.
-inline constexpr uint8_t kFromClient = 1;  // the packet goes client→server
-inline constexpr uint8_t kCarriesSni = 2;  // the packet carries an SNI
 
 class PacketColumns;
 
@@ -75,11 +72,11 @@ struct FlowView {
 
 class PacketColumns {
  public:
-  // Transposes `trace` into columns in one pass over the records: it writes
-  // every column in capture order while assigning flow ids in
-  // first-appearance order. Only when the capture is not flow-contiguous
-  // (more capture-order runs of one flow than flows) are the columns then
-  // moved into flow-major order, run by run. Timed under the `column_build`
+  // Takes the flow table (keys, packet counts, downlink totals) and each
+  // flow's first SNI from `trace`, and copies its timestamp, payload,
+  // sequence and flags columns: as they are when the capture is
+  // flow-contiguous (as many capture-order runs of one flow as flows), else
+  // moved into flow-major order run by run. Timed under the `column_build`
   // stage span.
   static PacketColumns Build(const CaptureTrace& trace);
 

@@ -3,8 +3,10 @@
 // A `PacketRecord` is what tcpdump at the gateway would give an analyst for
 // one encrypted packet (paper Fig. 2): timing, addressing, direction, sizes,
 // TCP sequence/ack numbers, the QUIC packet number, and the SNI if the packet
-// carries a ClientHello. Nothing else from the simulation leaks in — the CSI
-// inference consumes only this structure.
+// carries a ClientHello. Nothing else from the simulation leaks in. A
+// `CaptureTrace` (capture_trace.h) takes and gives back packets as records but
+// stores them as columns, so a record exists only while a caller holds one:
+// the simulator's tap, the pcap writer, and the tests and their oracles.
 
 #ifndef CSI_SRC_CAPTURE_PACKET_RECORD_H_
 #define CSI_SRC_CAPTURE_PACKET_RECORD_H_
@@ -12,7 +14,6 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "src/common/units.h"
 #include "src/net/packet.h"
@@ -68,9 +69,6 @@ struct FlowKey {
 inline FlowKey FlowKeyOf(const PacketRecord& r) {
   return FlowKey{r.transport, r.client_ip, r.server_ip, r.client_port, r.server_port};
 }
-
-// A full capture session, in timestamp order.
-using CaptureTrace = std::vector<PacketRecord>;
 
 // Builds the observer-visible record for a packet crossing the gateway at
 // `now`. This is the only place simulation packets are projected into

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/common/telemetry.h"
 
@@ -58,11 +59,11 @@ uint32_t Load32le(const uint8_t* p) {
 }
 
 // The SNI of `len` bytes at `p` when all of them lie before `end`, else "".
-std::string SniAt(const uint8_t* p, const uint8_t* end, uint16_t len) {
+std::string_view SniAt(const uint8_t* p, const uint8_t* end, uint16_t len) {
   if (len == 0 || len > end - p) {
-    return std::string();
+    return {};
   }
-  return std::string(reinterpret_cast<const char*>(p), len);
+  return std::string_view(reinterpret_cast<const char*>(p), len);
 }
 
 // The pcap bytes seen through one reused buffer that holds bytes
@@ -143,10 +144,10 @@ constexpr size_t kMinRecordBytes = kRecordHeaderBytes + kIpv4HeaderBytes + kUdpH
 // over the mean length of the complete records in the first window (`held`,
 // loaded from offset 0 by the magic check), at least kMinRecordBytes, plus
 // 1/64 slack; 0 when that window holds no complete record. Only speed depends
-// on it: a capture with more records grows the trace as any vector grows. The
-// floor bounds the block at about 1.66x the file whatever the first records
-// are; the slack keeps the largest 10-min CH capture (441,863 records) under
-// glibc's 32 MiB mmap threshold, which 1/16 would cross.
+// on it: a capture with more records grows each column as any vector grows.
+// The floor bounds the columns at about 0.67x the file whatever the first
+// records are; the slack covers the first window's mean straying from the
+// whole file's, so that a capture rarely outgrows its estimate.
 size_t EstimateRecords(const uint8_t* held, size_t held_bytes, size_t size) {
   size_t records = 0;
   size_t at = kGlobalHeaderBytes;
@@ -253,32 +254,34 @@ CaptureTrace Parse(Window& window) {
     const uint16_t src_port = Load16be(l4);
     const uint16_t dst_port = Load16be(l4 + 2);
 
-    PacketRecord& r = trace.emplace_back();
-    r.timestamp = static_cast<TimeUs>(ts_sec) * kUsPerSec + ts_usec;
-    r.transport = is_tcp ? net::Transport::kTcp : net::Transport::kUdp;
     // Client side = the endpoint on the ephemeral port.
-    r.from_client = dst_port == 443;
-    r.client_ip = r.from_client ? src_ip : dst_ip;
-    r.server_ip = r.from_client ? dst_ip : src_ip;
-    r.client_port = r.from_client ? src_port : dst_port;
-    r.server_port = r.from_client ? dst_port : src_port;
-    r.payload = orig_len - headers;
+    const bool from_client = dst_port == 443;
+    const FlowKey key{is_tcp ? net::Transport::kTcp : net::Transport::kUdp,
+                      from_client ? src_ip : dst_ip, from_client ? dst_ip : src_ip,
+                      from_client ? src_port : dst_port, from_client ? dst_port : src_port};
+    const uint32_t payload = orig_len - headers;
     const uint8_t* const body = pkt + headers;
+    uint32_t tcp_seq = 0;
+    uint32_t tcp_ack = 0;
+    uint32_t quic_packet_number = 0;
+    std::string_view sni;
     if (is_tcp) {
-      r.tcp_seq = Load32be(l4 + 4);
-      r.tcp_ack = Load32be(l4 + 8);
+      tcp_seq = Load32be(l4 + 4);
+      tcp_ack = Load32be(l4 + 8);
       // SNI marker: TLS handshake record.
-      if (r.payload > 0 && pkt_end - body >= 5 && body[0] == 0x16 && body[1] == 0x03 &&
+      if (payload > 0 && pkt_end - body >= 5 && body[0] == 0x16 && body[1] == 0x03 &&
           body[2] == 0x01) {
-        r.sni = SniAt(body + 5, pkt_end, Load16be(body + 3));
+        sni = SniAt(body + 5, pkt_end, Load16be(body + 3));
       }
     } else if (pkt_end - body >= 13) {
       // QUIC public header: flags, 8-byte CID, 4-byte packet number.
-      r.quic_packet_number = Load32be(body + 9);
+      quic_packet_number = Load32be(body + 9);
       if ((body[0] & 0x80) != 0 && pkt_end - body >= 15) {
-        r.sni = SniAt(body + 15, pkt_end, Load16be(body + 13));
+        sni = SniAt(body + 15, pkt_end, Load16be(body + 13));
       }
     }
+    trace.Append(static_cast<TimeUs>(ts_sec) * kUsPerSec + ts_usec, key, from_client, payload,
+                 tcp_seq, tcp_ack, quic_packet_number, sni);
   }
   return trace;
 }

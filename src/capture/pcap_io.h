@@ -11,11 +11,14 @@
 //
 // `ReadPcap` takes the file size from fstat and streams the file with pread
 // through one reused window of kPcapWindowBytes, in one pass: each byte is
-// read once. The trace is sized from the first window, which the magic check
-// loads: the file's bytes over the mean length of the complete records it
-// holds (at least the 44 bytes of the smallest record the parse accepts),
-// plus 1/64 slack; a capture that outgrows that estimate grows the trace as
-// any vector grows, so only speed depends on it. The window starts each
+// read once. Each record's fields go straight into the trace's pcap-width
+// columns, and its flow is interned as it is parsed (see capture_trace.h);
+// no per-packet record or string is built. The trace is sized from the first
+// window, which the magic check loads: the file's bytes over the mean length
+// of the complete records it holds (at least the 44 bytes of the smallest
+// record the parse accepts), plus 1/64 slack; a capture that outgrows that
+// estimate grows the columns as any vector grows, so only speed depends on
+// it. The window starts each
 // refill at the first record that does not fit, so a record is always parsed
 // in one piece; it grows only for a record longer than the window, and only
 // after that record's length has been checked against the bytes left in the
@@ -39,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/capture_trace.h"
 
 namespace csi::capture {
 

@@ -12,8 +12,8 @@
 #include <memory>
 #include <string>
 
+#include "src/capture/capture_trace.h"
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/audit.h"
 #include "src/csi/candidate_cache.h"
 #include "src/csi/chunk_database.h"

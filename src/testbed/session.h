@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/capture_trace.h"
 #include "src/csi/types.h"
 #include "src/media/manifest.h"
 #include "src/net/token_bucket.h"

@@ -56,8 +56,8 @@ auto Fields(const PacketRecord& r) {
                     r.quic_packet_number, r.sni);
 }
 
-// Every field at the width a pcap carries it: 72 bytes, so a 10-min capture's
-// record block stays below glibc's 32 MiB mmap threshold up to 466k packets.
+// Every field at the width a pcap carries it: 72 bytes. A trace stores its
+// packets as columns, so a record exists only while a caller holds one.
 TEST(PacketRecord, IsSeventyTwoBytes) { EXPECT_EQ(sizeof(PacketRecord), 72u); }
 
 // A pcap's orig_len is 32 bits and holds the headers too: a payload whose
@@ -942,7 +942,9 @@ TEST(PcapSizing, FirstRecordLongerThanTheWindowLeavesNoEstimate) {
   CaptureTrace expected = ParsePcap(PcapBuilder().TcpRecord(kLong, kLong).bytes());
   ASSERT_EQ(expected.size(), 1u);
   EXPECT_EQ(expected[0].payload, static_cast<Bytes>(kLong - 40));
-  expected.insert(expected.end(), rest.begin(), rest.end());
+  for (const PacketRecord& r : rest) {
+    expected.push_back(r);
+  }
   ReadsBack(bytes, expected);
 }
 

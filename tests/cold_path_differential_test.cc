@@ -85,8 +85,8 @@ TEST(ColdPathDifferential, SeededSweepMatchesOracle) {
 }
 
 TEST(ColdPathDifferential, RequestSegmentsStraddlingSequenceWrapAreOneRequest) {
-  capture::CaptureTrace trace;
-  auto add_uplink = [&trace](TimeUs t, uint64_t seq) {
+  std::vector<capture::PacketRecord> records;
+  auto add_uplink = [&records](TimeUs t, uint64_t seq) {
     capture::PacketRecord r;
     r.timestamp = t;
     r.from_client = true;
@@ -96,22 +96,24 @@ TEST(ColdPathDifferential, RequestSegmentsStraddlingSequenceWrapAreOneRequest) {
     r.server_port = 443;
     r.payload = 100;
     r.tcp_seq = seq;
-    trace.push_back(r);
+    records.push_back(r);
   };
   // A 100 B segment ends exactly at 2^32; the next one, 1 ms later, starts at
   // sequence 0.
   add_uplink(0, (uint64_t{1} << 32) - 100);
   add_uplink(kUsPerMs, 0);
+  const capture::CaptureTrace trace(records.begin(), records.end());
   const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
   ASSERT_EQ(columns.flow_count(), 1u);
   EXPECT_EQ(DetectRequests(columns.flow(0), /*quic=*/false).size(), 1u);
-  EXPECT_EQ(oracle::DetectRequests(trace, /*quic=*/false).size(), 1u);
+  EXPECT_EQ(oracle::DetectRequests(records, /*quic=*/false).size(), 1u);
 
   // A gap across the wrap is still a new request.
-  trace[1].tcp_seq = 50;
-  const capture::PacketColumns gapped = capture::PacketColumns::Build(trace);
+  records[1].tcp_seq = 50;
+  const capture::PacketColumns gapped =
+      capture::PacketColumns::Build(capture::CaptureTrace(records.begin(), records.end()));
   EXPECT_EQ(DetectRequests(gapped.flow(0), /*quic=*/false).size(), 2u);
-  EXPECT_EQ(oracle::DetectRequests(trace, /*quic=*/false).size(), 2u);
+  EXPECT_EQ(oracle::DetectRequests(records, /*quic=*/false).size(), 2u);
 }
 
 TEST(ColdPathDifferential, TraceOverloadSharesPrefixCacheWithColumns) {

@@ -33,8 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capture/capture_trace.h"
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/size_estimator.h"
 #include "src/csi/splitter.h"

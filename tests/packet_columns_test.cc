@@ -21,11 +21,18 @@
 //      pcap round trip, column by column (random traces whose 32-bit
 //      sequence numbers wrap, and 60-s CH and SQ sessions, whose analyses
 //      must match too), and the widest payload a record holds is kept.
+//   5. CaptureTrace: a multi-flow, interleaved trace with a mid-flow TCP
+//      ClientHello, a QUIC Initial and a second SNI in one flow gives every
+//      field back as appended, numbers its flows in first-appearance order,
+//      and builds the oracle's columns and its own pcap round trip's, both
+//      when Build copies the columns and when it scatters them.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -338,19 +345,20 @@ TEST(PacketColumns, TcpFlowWithoutData) {
 // All five flows in one capture, merged by time: the same dedupe per flow,
 // through the scatter path.
 TEST(PacketColumns, TcpEdgeFlowsInterleaved) {
-  CaptureTrace trace;
+  std::vector<PacketRecord> records;
   uint16_t port = 41000;
   TimeUs start = 0;
   for (const auto* steps : {&kBelowRunningMax, &kOutOfOrderThenRetransmitted,
                             &kSequenceWrap, &kAllDuplicates, &kNoData}) {
     const CaptureTrace flow = TcpFlow(*steps, port++, start);
-    trace.insert(trace.end(), flow.begin(), flow.end());
+    records.insert(records.end(), flow.begin(), flow.end());
     start += 7 * kUsPerMs;
   }
-  std::stable_sort(trace.begin(), trace.end(),
+  std::stable_sort(records.begin(), records.end(),
                    [](const PacketRecord& a, const PacketRecord& b) {
                      return a.timestamp < b.timestamp;
                    });
+  const CaptureTrace trace(records.begin(), records.end());
   ASSERT_TRUE(FlowsInterleave(trace));
   ExpectMatchesOracle(trace);
 }
@@ -472,6 +480,138 @@ TEST(PacketColumnsPcapWidth, SessionsSurviveAPcapRoundTripWithTheSameAnalysis) {
     EXPECT_EQ(testutil::DigestResults({engine.Analyze(round_trip)}),
               testutil::DigestResults({result}));
   }
+}
+
+// ---- CaptureTrace ------------------------------------------------------------
+
+auto Fields(const PacketRecord& r) {
+  return std::tuple(r.timestamp, r.from_client, r.transport, r.client_ip, r.server_ip,
+                    r.client_port, r.server_port, r.payload, r.tcp_seq, r.tcp_ack,
+                    r.quic_packet_number, r.sni);
+}
+
+// A packet SerializePcap writes exactly: no TCP numbers on UDP, no QUIC
+// packet number on TCP.
+PacketRecord WritablePacket(TimeUs ts, uint16_t client_port, bool from_client,
+                            uint32_t payload, net::Transport transport, std::string sni = "") {
+  PacketRecord r = MakePacket(ts, client_port, from_client, payload, transport, std::move(sni));
+  if (transport == net::Transport::kUdp) {
+    r.tcp_seq = 0;
+    r.tcp_ack = 0;
+  } else {
+    r.quic_packet_number = 0;
+  }
+  return r;
+}
+
+// Three flows interleaved packet by packet: TCP flow 0 sends its ClientHello
+// after two packets without one, QUIC flow 1 opens with an Initial and later
+// carries a second SNI, and TCP flow 2 starts mid-capture.
+std::vector<PacketRecord> MixedRecords() {
+  constexpr net::Transport kTcp = net::Transport::kTcp;
+  constexpr net::Transport kUdp = net::Transport::kUdp;
+  return {
+      WritablePacket(10, 40000, true, 0, kTcp),
+      WritablePacket(20, 40001, true, 1200, kUdp, "q.cdn.example"),
+      WritablePacket(30, 40000, false, 0, kTcp),
+      WritablePacket(40, 40000, true, 330, kTcp, "media.cdn.example"),
+      WritablePacket(50, 40001, false, 1300, kUdp),
+      WritablePacket(60, 40002, true, 200, kTcp, "other.example"),
+      WritablePacket(70, 40000, false, 1400, kTcp),
+      WritablePacket(80, 40001, true, 900, kUdp, "second.cdn.example"),
+      WritablePacket(90, 40002, false, 1448, kTcp),
+      WritablePacket(100, 40001, false, 1350, kUdp),
+  };
+}
+
+TEST(CaptureTrace, EveryFieldReadsBackAsAppended) {
+  const std::vector<PacketRecord> records = MixedRecords();
+  CaptureTrace trace;
+  for (const PacketRecord& r : records) {
+    trace.push_back(r);
+  }
+  ASSERT_EQ(trace.size(), records.size());
+  size_t i = 0;
+  for (const PacketRecord& r : trace) {
+    EXPECT_EQ(Fields(r), Fields(records[i])) << "iterated packet " << i;
+    EXPECT_EQ(Fields(trace[i]), Fields(records[i])) << "indexed packet " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, records.size());
+  const CaptureTrace copy(trace.begin(), trace.end());
+  const CaptureTrace parsed = ParsePcap(SerializePcap(trace));
+  ASSERT_EQ(parsed.size(), records.size());
+  for (i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(Fields(copy[i]), Fields(records[i])) << "copied packet " << i;
+    EXPECT_EQ(Fields(parsed[i]), Fields(records[i])) << "parsed packet " << i;
+  }
+}
+
+TEST(CaptureTrace, FlowIdsFollowFirstAppearance) {
+  const std::vector<PacketRecord> records = MixedRecords();
+  for (const CaptureTrace& trace :
+       {CaptureTrace(records.begin(), records.end()),
+        ParsePcap(SerializePcap(CaptureTrace(records.begin(), records.end())))}) {
+    ASSERT_EQ(trace.flow_keys().size(), 3u);
+    for (uint32_t f = 0; f < 3; ++f) {
+      EXPECT_EQ(trace.flow_keys()[f].client_port, 40000 + f);
+    }
+    EXPECT_EQ(trace.flow_ids(), (std::vector<uint32_t>{0, 1, 0, 0, 1, 2, 0, 1, 2, 1}));
+    EXPECT_EQ(trace.flow_packets(), (std::vector<size_t>{4, 4, 2}));
+    EXPECT_EQ(trace.flow_downlink_bytes(), (std::vector<int64_t>{1400, 2650, 1448}));
+    EXPECT_EQ(trace.runs(), 9u);
+    EXPECT_EQ(trace.flags(), (std::vector<uint8_t>{kFromClient, kFromClient | kCarriesSni, 0,
+                                                   kFromClient | kCarriesSni, 0,
+                                                   kFromClient | kCarriesSni, 0,
+                                                   kFromClient | kCarriesSni, 0, 0}));
+    ASSERT_EQ(trace.snis().size(), 4u);
+    EXPECT_EQ(trace.snis()[0].packet, 1u);
+    EXPECT_EQ(trace.snis()[1].packet, 3u);
+    EXPECT_EQ(trace.snis()[2].packet, 5u);
+    EXPECT_EQ(trace.snis()[3].packet, 7u);
+    EXPECT_EQ(trace.snis()[3].name, "second.cdn.example");
+  }
+}
+
+// Interleaved, Build scatters the columns run by run; with each flow's
+// packets moved together (flows still in first-appearance order) it copies
+// them. Either way it builds the oracle's columns, and the same columns as
+// the trace's pcap round trip.
+TEST(CaptureTrace, BuildMatchesTheOracleAndThePcapRoundTripOnBothPaths) {
+  std::vector<PacketRecord> by_flow = MixedRecords();
+  std::stable_sort(by_flow.begin(), by_flow.end(),
+                   [](const PacketRecord& a, const PacketRecord& b) {
+                     return a.client_port < b.client_port;
+                   });
+  std::vector<PacketRecord> interleaved = MixedRecords();
+  for (const auto* records : {&interleaved, &by_flow}) {
+    const CaptureTrace trace(records->begin(), records->end());
+    const bool scatters = records == &interleaved;
+    SCOPED_TRACE(scatters ? "scatter path" : "copy path");
+    EXPECT_EQ(trace.runs() != trace.flow_keys().size(), scatters);
+    ExpectMatchesOracle(trace);
+    const PacketColumns columns = PacketColumns::Build(trace);
+    ExpectSameColumns(columns, RoundTripColumns(trace));
+    EXPECT_EQ(columns.flow_sni(0), "media.cdn.example");
+    EXPECT_EQ(columns.flow_sni(1), "q.cdn.example");
+    EXPECT_EQ(columns.flow_sni(2), "other.example");
+  }
+}
+
+// 29 bytes per packet (timestamp 8; payload, TCP seq, TCP ack, QUIC packet
+// number and flow id 4 each; flags 1), plus one entry per flow in the flow
+// table and one per SNI.
+TEST(CaptureTrace, HeldBytesAreTwentyNinePerPacketPlusTables) {
+  CaptureTrace trace;
+  trace.reserve(1000);
+  trace.push_back(MakePacket(0, 40000, true, 100, net::Transport::kUdp, "a.example"));
+  for (int i = 1; i < 1000; ++i) {
+    trace.push_back(MakePacket(i * 1000, 40000, i % 3 == 0, 100 + i));
+  }
+  EXPECT_EQ(trace.capacity(), 1000u);
+  EXPECT_EQ(trace.held_bytes(), 29 * trace.capacity() + sizeof(FlowKey) + sizeof(size_t) +
+                                    sizeof(int64_t) + sizeof(CaptureTrace::Sni));
+  EXPECT_EQ(CaptureTrace().held_bytes(), 0u);
 }
 
 }  // namespace

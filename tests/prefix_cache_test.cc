@@ -63,9 +63,10 @@ TraceFingerprint Fingerprint(const capture::CaptureTrace& trace) {
 }
 
 TEST(TraceFingerprint, DeterministicAcrossCalls) {
-  capture::CaptureTrace trace{BasePacket(), BasePacket(), BasePacket()};
-  trace[1].timestamp = 2000;
-  trace[2].timestamp = 3000;
+  std::vector<capture::PacketRecord> records{BasePacket(), BasePacket(), BasePacket()};
+  records[1].timestamp = 2000;
+  records[2].timestamp = 3000;
+  const capture::CaptureTrace trace(records.begin(), records.end());
   const TraceFingerprint a = Fingerprint(trace);
   const TraceFingerprint b = Fingerprint(trace);
   EXPECT_EQ(a, b);
@@ -78,9 +79,9 @@ TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
   const TraceFingerprint ref = Fingerprint(base);
 
   const auto mutated = [&](auto&& mutate) {
-    capture::CaptureTrace t = base;
-    mutate(t[0]);
-    return Fingerprint(t);
+    capture::PacketRecord p = BasePacket();
+    mutate(p);
+    return Fingerprint({p});
   };
   EXPECT_NE(mutated([](auto& p) { p.timestamp += 1; }), ref);
   EXPECT_NE(mutated([](auto& p) { p.from_client = false; }), ref);
@@ -107,9 +108,9 @@ TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
 TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
   const capture::CaptureTrace base{BasePacket()};
   const auto mutated = [&](auto&& mutate) {
-    capture::CaptureTrace t = base;
-    mutate(t[0]);
-    return Fingerprint(t);
+    capture::PacketRecord p = BasePacket();
+    mutate(p);
+    return Fingerprint({p});
   };
   const TraceFingerprint ref = Fingerprint(base);
   EXPECT_EQ(mutated([](auto& p) { p.tcp_ack += 1; }), ref);
@@ -120,11 +121,12 @@ TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
     const media::Manifest manifest = testbed::MakeAssetForDesign(design, 1, 60 * kUsPerSec);
     const capture::CaptureTrace session =
         MakeBatch(manifest, design, 1, 60 * kUsPerSec).front();
-    capture::CaptureTrace other = session;
-    for (capture::PacketRecord& p : other) {
+    std::vector<capture::PacketRecord> records(session.begin(), session.end());
+    for (capture::PacketRecord& p : records) {
       p.tcp_ack ^= 0x5a5a;
       p.quic_packet_number += 1000;
     }
+    const capture::CaptureTrace other(records.begin(), records.end());
     EXPECT_EQ(Fingerprint(other), Fingerprint(session));
 
     InferenceConfig config;
@@ -152,9 +154,9 @@ TEST(TraceFingerprint, SniStringsAfterTheFlowsFirstLeaveItAndTheResultAlone) {
   ASSERT_LT(late, session.size());
   ASSERT_TRUE(session[late].sni.empty());
   const auto with_late_sni = [&](const std::string& sni) {
-    capture::CaptureTrace t = session;
-    t[late].sni = sni;
-    return t;
+    std::vector<capture::PacketRecord> records(session.begin(), session.end());
+    records[late].sni = sni;
+    return capture::CaptureTrace(records.begin(), records.end());
   };
   const capture::CaptureTrace a = with_late_sni("first.example");
   const capture::CaptureTrace b = with_late_sni("second.example");
@@ -220,33 +222,37 @@ struct TwoFlowCaptures {
 TwoFlowCaptures MakeTwoFlowCaptures() {
   TwoFlowCaptures c;
   c.manifest = testbed::MakeAssetForDesign(DesignType::kCH, 1, 60 * kUsPerSec);
-  const capture::CaptureTrace session = MakeBatch(c.manifest, DesignType::kCH, 1,
-                                                  60 * kUsPerSec)
-                                            .front();
-  capture::CaptureTrace other;
+  const capture::CaptureTrace trace =
+      MakeBatch(c.manifest, DesignType::kCH, 1, 60 * kUsPerSec).front();
+  const std::vector<capture::PacketRecord> session(trace.begin(), trace.end());
+  std::vector<capture::PacketRecord> other;
   for (size_t i = 1; i + 1 < session.size(); i += 97) {
     capture::PacketRecord p = BasePacket();
     p.timestamp = session[i].timestamp;
     p.sni = i == 1 ? "other.example" : "";
     other.push_back(p);
   }
-  c.interleaved = session;
-  c.interleaved.insert(c.interleaved.end(), other.begin(), other.end());
-  std::stable_sort(c.interleaved.begin(), c.interleaved.end(),
+  std::vector<capture::PacketRecord> interleaved = session;
+  interleaved.insert(interleaved.end(), other.begin(), other.end());
+  std::stable_sort(interleaved.begin(), interleaved.end(),
                    [](const capture::PacketRecord& a, const capture::PacketRecord& b) {
                      return a.timestamp < b.timestamp;
                    });
-  c.flow_by_flow = session;
-  c.flow_by_flow.insert(c.flow_by_flow.end(), other.begin(), other.end());
-  c.other_first = other;
-  c.other_first.insert(c.other_first.end(), session.begin(), session.end());
+  std::vector<capture::PacketRecord> flow_by_flow = session;
+  flow_by_flow.insert(flow_by_flow.end(), other.begin(), other.end());
+  std::vector<capture::PacketRecord> other_first = other;
+  other_first.insert(other_first.end(), session.begin(), session.end());
+  c.interleaved = capture::CaptureTrace(interleaved.begin(), interleaved.end());
+  c.flow_by_flow = capture::CaptureTrace(flow_by_flow.begin(), flow_by_flow.end());
+  c.other_first = capture::CaptureTrace(other_first.begin(), other_first.end());
   return c;
 }
 
 TEST(TraceFingerprint, CrossFlowInterleavingDoesNotMatter) {
   const TwoFlowCaptures c = MakeTwoFlowCaptures();
   // The other flow's packets really are spread through the session.
-  ASSERT_NE(FlowKeyOf(c.interleaved.back()), FlowKeyOf(c.flow_by_flow.back()));
+  ASSERT_NE(FlowKeyOf(c.interleaved[c.interleaved.size() - 1]),
+            FlowKeyOf(c.flow_by_flow[c.flow_by_flow.size() - 1]));
   const capture::PacketColumns a = capture::PacketColumns::Build(c.interleaved);
   const capture::PacketColumns b = capture::PacketColumns::Build(c.flow_by_flow);
   ASSERT_EQ(a.flow_count(), 2u);
@@ -349,9 +355,9 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
     auto value = std::make_shared<AnalysisPrefix>();
     value->media_flows = 1;
     value->exchanges.resize(8);
-    capture::CaptureTrace t = trace;
-    t[0].timestamp = 1000 + i;
-    cache.Insert(AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(t), 1),
+    capture::PacketRecord p = BasePacket();
+    p.timestamp = 1000 + i;
+    cache.Insert(AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build({p}), 1),
                  std::move(value));
   }
   const auto stats = cache.stats();

@@ -59,9 +59,9 @@ capture::PacketRecord BasePacket() {
 }
 
 ResultCache::Query QueryFor(const DbSnapshot& db, uint32_t context, TimeUs stamp) {
-  capture::CaptureTrace trace{BasePacket()};
-  trace[0].timestamp = stamp;
-  return ResultCache::MakeQuery(FingerprintColumns(capture::PacketColumns::Build(trace)),
+  capture::PacketRecord p = BasePacket();
+  p.timestamp = stamp;
+  return ResultCache::MakeQuery(FingerprintColumns(capture::PacketColumns::Build({p})),
                                 context, db);
 }
 

@@ -1,6 +1,8 @@
 // Failure-injection and robustness tests: bursty loss, noisy OCR, ablation
 // switches, and degraded inputs.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/csi/displayed_info.h"
@@ -142,10 +144,10 @@ TEST(Robustness, TruncatedCaptureGivesPartialButConsistentResult) {
   // index contiguity and score well against the truncated ground truth.
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 1, 6 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kCH, 23);
-  capture::CaptureTrace half(result.capture.begin(),
-                             result.capture.begin() +
-                                 static_cast<long>(result.capture.size() / 2));
-  const TimeUs cut = half.back().timestamp;
+  std::vector<capture::PacketRecord> records(result.capture.begin(), result.capture.end());
+  records.resize(records.size() / 2);
+  const capture::CaptureTrace half(records.begin(), records.end());
+  const TimeUs cut = records.back().timestamp;
   std::vector<player::DownloadRecord> truncated_gt;
   for (const auto& d : result.downloads) {
     if (d.done_time <= cut) {

@@ -65,8 +65,8 @@ tier (prefix, result, candidate) must be internally consistent (lookups ==
 hits + misses, inserts + refused <= misses, evictions <= inserts,
 invalidations <= misses), and the csi_capture_columns_bytes gauge (the
 bytes the tool's held capture columns take) and the
-csi_capture_records_peak_bytes gauge (the largest packet-record block it
-read) must be present and non-negative. Across files given in order, every
+csi_capture_records_peak_bytes gauge (the column bytes of the largest
+capture trace it read) must be present and non-negative. Across files given in order, every
 csi_{prefix,result,candidate}_cache_*_total counter must be monotonically
 non-decreasing — the order should match the order the exports were produced
 in.

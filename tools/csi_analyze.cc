@@ -86,12 +86,11 @@ int Run(int argc, char** argv) {
   // Before the database build so the build spans land in the trace.
   tools::StartTraceSessionIfRequested(common);
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
-  // Transpose to the columnar layout right after the pcap parse; the packet
-  // records are dropped before the engine runs.
+  // Build the flow-major columns right after the pcap parse; the
+  // capture-order trace is dropped before the engine runs.
   const capture::PacketColumns columns = [&] {
     const capture::CaptureTrace trace = capture::ReadPcap(pcap_path);
-    CSI_GAUGE_SET("csi_capture_records_peak_bytes",
-                  trace.capacity() * sizeof(capture::PacketRecord));
+    CSI_GAUGE_SET("csi_capture_records_peak_bytes", trace.held_bytes());
     return capture::PacketColumns::Build(trace);
   }();
   CSI_GAUGE_SET("csi_capture_columns_bytes", columns.held_bytes());

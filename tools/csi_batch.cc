@@ -196,9 +196,9 @@ int Run(int argc, char** argv) {
   // Before the database build so the build spans land in the trace.
   tools::StartTraceSessionIfRequested(common);
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
-  // Ingest: each capture is transposed to the columnar layout right after
-  // its read and its packet records are freed at once, so only one capture's
-  // records are ever held; the largest such record block is reported beside
+  // Ingest: each capture's flow-major columns are built right after its read
+  // and its capture-order trace is freed at once, so only one capture's trace
+  // is ever held; the largest such trace's column bytes are reported beside
   // the columns. Every --repeat / --follow-manifests round then
   // analyzes the PacketColumns directly. A corrupt capture is an expected
   // condition at deployment scale (truncated tcpdump, mid-rotation file):
@@ -214,8 +214,7 @@ int Run(int argc, char** argv) {
   for (const std::string& path : pcap_paths) {
     try {
       const capture::CaptureTrace trace = capture::ReadPcap(path);
-      records_peak_bytes =
-          std::max(records_peak_bytes, trace.capacity() * sizeof(capture::PacketRecord));
+      records_peak_bytes = std::max(records_peak_bytes, trace.held_bytes());
       columns.push_back(capture::PacketColumns::Build(trace));
     } catch (const std::exception& e) {
       failures.emplace_back(path, e.what());
@@ -234,7 +233,7 @@ int Run(int argc, char** argv) {
               "%d chunks\n",
               columns.size(), total_packets, ingest_s, manifest.asset_id.c_str(),
               manifest.num_video_tracks(), manifest.num_positions());
-  std::printf("columns held: %.1f MiB (%zu packets, %.1f B/packet); records peak %.1f MiB\n",
+  std::printf("columns held: %.1f MiB (%zu packets, %.1f B/packet); trace peak %.1f MiB\n",
               static_cast<double>(columns_bytes) / (1024.0 * 1024.0), total_packets,
               total_packets > 0
                   ? static_cast<double>(columns_bytes) / static_cast<double>(total_packets)
