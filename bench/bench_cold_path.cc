@@ -9,9 +9,13 @@
 // CH captures built as csibench builds its sessions, one of them 441,863
 // packets long. `trace_bytes_per_packet` is the trace's held_bytes() over its
 // packets: 29 B of columns per packet, plus the reader's 1/64 sizing slack
-// and the flow table. BM_ColumnBuild builds one 10-min CH capture's columns
-// from its trace over and over: each Build writes into pages no earlier build
-// freed, and `minor_faults` counts the pages the columns take.
+// and the flow table. BM_ColumnBuild builds one capture's columns from its
+// trace over and over, on each of Build's three paths (a 10-min CH capture
+// that drops its pure ACKs, a 10-min SQ capture that is copied as it is, and
+// two interleaved CH flows that are scattered): each Build writes into pages
+// no earlier build freed, and `minor_faults` counts the pages the columns
+// take. It reports the build's `ns_per_packet`, the columns'
+// `held_bytes_per_packet` and the `held_share` of the captured packets.
 //
 // BM_ChColdBatch / BM_SqColdBatch are the headline numbers: a cache-disabled
 // batch (every trace pays the full per-packet pipeline) over pre-built
@@ -211,24 +215,81 @@ void BM_ReadPcap(benchmark::State& state) {
   state.SetItemsProcessed(packets);
 }
 
-void BM_ColumnBuild(benchmark::State& state) {
+// The three Build paths, each on a 10-min capture: CH, whose pure ACKs
+// (half its packets) stay out of the columns; SQ, where every packet carries
+// payload and the flows are contiguous, so Build copies the columns as they
+// are; and two CH flows merged by time, which Build scatters run by run.
+const capture::CaptureTrace& TenMinuteChTrace() {
   static const capture::CaptureTrace* trace =
       new capture::CaptureTrace(capture::ReadPcap(TenMinuteChPcap().path));
+  return *trace;
+}
+
+const capture::CaptureTrace& TenMinuteSqTrace() {
+  static const capture::CaptureTrace* trace = [] {
+    static const media::Manifest manifest =
+        testbed::MakeAssetForDesign(infer::DesignType::kSQ, 1, 600 * kUsPerSec);
+    testbed::SessionConfig session;
+    session.design = infer::DesignType::kSQ;
+    session.manifest = &manifest;
+    session.downlink = nettrace::StableTrace("s", 6 * kMbps);
+    session.duration = 600 * kUsPerSec;
+    session.seed = 1;
+    return new capture::CaptureTrace(testbed::RunStreamingSession(session).capture);
+  }();
+  return *trace;
+}
+
+// The 10-min CH capture and a copy of it on the next client port, 1 ms
+// later, merged by time.
+const capture::CaptureTrace& InterleavedChTrace() {
+  static const capture::CaptureTrace* trace = [] {
+    const capture::CaptureTrace& one = TenMinuteChTrace();
+    std::vector<capture::PacketRecord> records(one.begin(), one.end());
+    const size_t n = records.size();
+    for (size_t i = 0; i < n; ++i) {
+      capture::PacketRecord r = records[i];
+      r.client_port += 1;
+      r.timestamp += kUsPerMs;
+      records.push_back(std::move(r));
+    }
+    std::stable_sort(records.begin(), records.end(),
+                     [](const capture::PacketRecord& a, const capture::PacketRecord& b) {
+                       return a.timestamp < b.timestamp;
+                     });
+    return new capture::CaptureTrace(records.begin(), records.end());
+  }();
+  return *trace;
+}
+
+// Builds one capture's columns over and over, with the build's wall time and
+// the columns' held bytes per captured packet beside the minor faults.
+void BM_ColumnBuild(benchmark::State& state, const capture::CaptureTrace& (*capture)()) {
+  const capture::CaptureTrace& trace = capture();
   std::vector<capture::PacketColumns> held;
   held.reserve(kHeldColumns);
   const int64_t faults = MinorFaults();
+  std::chrono::duration<double, std::nano> build_ns{0};
   for (auto _ : state) {
     if (held.size() == kHeldColumns) {
       state.PauseTiming();
       held.clear();
       state.ResumeTiming();
     }
-    held.push_back(capture::PacketColumns::Build(*trace));
+    const auto start = std::chrono::steady_clock::now();
+    held.push_back(capture::PacketColumns::Build(trace));
+    build_ns += std::chrono::steady_clock::now() - start;
     benchmark::DoNotOptimize(held.back());
   }
+  const double packets = static_cast<double>(trace.size());
   state.counters["minor_faults"] = benchmark::Counter(
       static_cast<double>(MinorFaults() - faults), benchmark::Counter::kAvgIterations);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace->size()));
+  state.counters["ns_per_packet"] =
+      build_ns.count() / (packets * static_cast<double>(state.iterations()));
+  state.counters["held_bytes_per_packet"] =
+      static_cast<double>(held.back().held_bytes()) / packets;
+  state.counters["held_share"] = static_cast<double>(held.back().packet_count()) / packets;
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
 }
 
 // --- Column build -----------------------------------------------------------
@@ -255,12 +316,18 @@ void BM_Classify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.total_packets));
 }
 
+// The per-stage benches count captured packets, pure ACKs included, though
+// the columns hold only the packets with payload.
+int64_t DominantFlowPackets(const Workload& w) {
+  return static_cast<int64_t>(w.traces.front().flow_packets()[w.dominant_flow]);
+}
+
 void BM_EstimateExchanges(benchmark::State& state) {
   const capture::FlowView view = DominantFlowView(ChWorkload());
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::EstimateExchanges(view, /*quic=*/false));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(view.size()));
+  state.SetItemsProcessed(state.iterations() * DominantFlowPackets(ChWorkload()));
 }
 
 void BM_SplitGroups(benchmark::State& state) {
@@ -268,16 +335,15 @@ void BM_SplitGroups(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::SplitIntoGroups(view));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(view.size()));
+  state.SetItemsProcessed(state.iterations() * DominantFlowPackets(SqWorkload()));
 }
 
 void BM_Fingerprint(benchmark::State& state) {
-  const capture::PacketColumns& columns = ChWorkload().columns.front();
+  const Workload& w = ChWorkload();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::FingerprintColumns(columns));
+    benchmark::DoNotOptimize(infer::FingerprintColumns(w.columns.front()));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(columns.packet_count()));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.traces.front().size()));
 }
 
 // --- Step-2 chain -------------------------------------------------------------
@@ -433,7 +499,15 @@ void BM_SqColdBatch(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ReadPcap)->Unit(benchmark::kMillisecond)->Iterations(kIngestIterations);
-BENCHMARK(BM_ColumnBuild)->Unit(benchmark::kMillisecond)->Iterations(kIngestIterations);
+BENCHMARK_CAPTURE(BM_ColumnBuild, ch_drop_acks, TenMinuteChTrace)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kIngestIterations);
+BENCHMARK_CAPTURE(BM_ColumnBuild, sq_copy, TenMinuteSqTrace)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kIngestIterations);
+BENCHMARK_CAPTURE(BM_ColumnBuild, ch_two_flows_scatter, InterleavedChTrace)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kIngestIterations);
 BENCHMARK(BM_BuildColumns);
 BENCHMARK(BM_Classify);
 BENCHMARK(BM_EstimateExchanges);

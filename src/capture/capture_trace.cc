@@ -37,12 +37,14 @@ void CaptureTrace::Append(TimeUs timestamp, const FlowKey& key, bool from_client
     if (inserted) {
       flow_keys_.push_back(key);
       flow_packets_.push_back(0);
+      flow_data_packets_.push_back(0);
       flow_downlink_.push_back(0);
     }
     f = it->second;
     ++runs_;
   }
   ++flow_packets_[f];
+  flow_data_packets_[f] += payload != 0 ? 1 : 0;
   uint8_t flags = 0;
   if (from_client) {
     flags |= kFromClient;
@@ -88,7 +90,8 @@ size_t CaptureTrace::held_bytes() const {
   return CapacityBytes(ts_) + CapacityBytes(payload_) + CapacityBytes(seq_) +
          CapacityBytes(ack_) + CapacityBytes(pn_) + CapacityBytes(flow_) +
          CapacityBytes(flags_) + CapacityBytes(flow_keys_) + CapacityBytes(flow_packets_) +
-         CapacityBytes(flow_downlink_) + CapacityBytes(snis_);
+         CapacityBytes(flow_data_packets_) + CapacityBytes(flow_downlink_) +
+         CapacityBytes(snis_);
 }
 
 }  // namespace csi::capture

@@ -11,13 +11,15 @@
 //     `PacketColumns` uses.
 //
 // That is 29 bytes per packet. Beside the columns it keeps a flow table (the
-// 5-tuple of each flow in first-appearance order, with its packet count and
-// downlink byte total) and, for each packet that carries an SNI, the packet's
-// index and the SNI string. No per-packet string and no per-packet record is
-// stored. Flows are interned as packets are appended: a packet of the
-// previous packet's flow skips the map. `PacketColumns::Build` reads the flow
-// table and copies (or, for an interleaved capture, scatters) the columns it
-// needs; it reads no record and looks up no map.
+// 5-tuple of each flow in first-appearance order, with its packet count, its
+// count of packets that carry payload and its downlink byte total) and, for
+// each packet that carries an SNI, the packet's index and the SNI string. No
+// per-packet string and no per-packet record is stored. Flows are interned as
+// packets are appended: a packet of the previous packet's flow skips the map.
+// `PacketColumns::Build` reads the flow table and copies the columns it needs
+// (or, when some packets carry no payload or the flows interleave, moves the
+// payload-carrying packets run by run); it reads no record and looks up no
+// map.
 //
 // The record API is by value: `push_back` takes a `PacketRecord`, and
 // `operator[]` and const iteration give one back, assembled from the columns,
@@ -129,6 +131,8 @@ class CaptureTrace {
   // The flow table (ids are first-appearance order).
   const std::vector<FlowKey>& flow_keys() const { return flow_keys_; }
   const std::vector<size_t>& flow_packets() const { return flow_packets_; }
+  // Packets with payload > 0, the ones PacketColumns holds.
+  const std::vector<size_t>& flow_data_packets() const { return flow_data_packets_; }
   const std::vector<int64_t>& flow_downlink_bytes() const { return flow_downlink_; }
   // Maximal stretches of consecutive packets of one flow; equal to the flow
   // count when every flow's packets are contiguous.
@@ -148,6 +152,7 @@ class CaptureTrace {
 
   std::vector<FlowKey> flow_keys_;
   std::vector<size_t> flow_packets_;
+  std::vector<size_t> flow_data_packets_;
   std::vector<int64_t> flow_downlink_;
   std::map<FlowKey, uint32_t> flow_index_;
   size_t runs_ = 0;

@@ -13,19 +13,29 @@
 //   - a uint32 TCP sequence column (the TCP header's field is 32 bits),
 //   - a uint8 flags column: kFromClient (client→server) and kCarriesSni,
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span). The flow's first SNI is the only SNI string any
-//     stage reads, so no per-packet string is kept.
+//     total, the timestamp of the flow's last captured packet, column span).
+//     The flow's first SNI is the only SNI string any stage reads, so no
+//     per-packet string is kept.
 //
-// 17 bytes per packet (8 + 4 + 4 + 1). The `CaptureTrace` these are built
-// from already stores the same columns in capture order at the same widths,
-// plus TCP ack, QUIC packet number and flow id (29 bytes per packet), and
-// its flow table; no stage reads the three extra columns. So `Build` of a
-// trace gives the same columns as `Build` of that trace written to a pcap and
-// read back.
+// Only packets that carry payload are held: 17 bytes per payload-carrying
+// packet (8 + 4 + 4 + 1). A zero-payload packet (a pure TCP ACK, half of an
+// HTTPS capture) is neither a request nor response data, so request
+// detection, size estimation and the splitter's downlink scan all skip it.
+// The one thing such a packet can still change is the time of its flow's
+// last packet, which closes the splitter's final group; the side table keeps
+// that time for every flow, whatever its last packet's payload. Flow keys,
+// SNIs and downlink totals come from the whole capture.
 //
-// Storage is *flow-major*: each flow's packets occupy one contiguous span
-// `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
-// follow first-appearance order. A `FlowView` is a non-owning
+// The `CaptureTrace` these are built from already stores the same columns in
+// capture order at the same widths, plus TCP ack, QUIC packet number and flow
+// id (29 bytes per packet), and its flow table, which counts each flow's
+// payload-carrying packets as they are appended. No stage reads the three
+// extra columns. So `Build` of a trace gives the same columns as `Build` of
+// that trace written to a pcap and read back.
+//
+// Storage is *flow-major*: each flow's held packets occupy one contiguous
+// span `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow
+// ids follow first-appearance order. A `FlowView` is a non-owning
 // {columns, flow, span} triple that the estimator/splitter stages consume
 // with zero per-flow packet copies. The cross-flow interleaving of the
 // capture is not kept: no analysis stage reads it.
@@ -47,17 +57,20 @@ namespace csi::capture {
 
 // Reported by csi_build_info (see src/common/build_info.cc, which duplicates
 // the literal to keep csi_common independent of csi_capture).
-inline constexpr char kPacketLayoutVersion[] = "soa-v3";
+inline constexpr char kPacketLayoutVersion[] = "soa-v4";
 
 class PacketColumns;
 
-// Non-owning view of one flow's contiguous column span. Pointer accessors are
-// already offset to the flow's first packet, so stages index 0..size().
+// Non-owning view of one flow's contiguous column span: the flow's
+// payload-carrying packets in capture order. Pointer accessors are already
+// offset to the flow's first held packet, so stages index 0..size().
+// `last_time()` is the timestamp of the flow's last captured packet, held or
+// not.
 struct FlowView {
   const PacketColumns* columns = nullptr;
   uint32_t flow = 0;
-  size_t begin = 0;  // absolute column index of the flow's first packet
-  size_t end = 0;    // one past the flow's last packet
+  size_t begin = 0;  // absolute column index of the flow's first held packet
+  size_t end = 0;    // one past the flow's last held packet
 
   size_t size() const { return end - begin; }
   bool empty() const { return begin == end; }
@@ -68,18 +81,22 @@ struct FlowView {
   inline const uint8_t* flags() const;
   inline const FlowKey& key() const;
   inline const std::string& sni() const;  // first non-empty SNI of the flow
+  inline TimeUs last_time() const;
 };
 
 class PacketColumns {
  public:
-  // Takes the flow table (keys, packet counts, downlink totals) and each
-  // flow's first SNI from `trace`, and copies its timestamp, payload,
-  // sequence and flags columns: as they are when the capture is
-  // flow-contiguous (as many capture-order runs of one flow as flows), else
-  // moved into flow-major order run by run. Timed under the `column_build`
-  // stage span.
+  // Takes the flow table (keys, payload-carrying packet counts, downlink
+  // totals) and each flow's first SNI from `trace`, reads each flow's last
+  // packet time at the end of its last capture-order run, and copies the
+  // timestamp, payload, sequence and flags of the packets with payload. When
+  // the capture is flow-contiguous (as many capture-order runs of one flow as
+  // flows) and every packet carries payload, the columns are copied as they
+  // are; else each run's payload-carrying packets are moved into flow-major
+  // order. Timed under the `column_build` stage span.
   static PacketColumns Build(const CaptureTrace& trace);
 
+  // Held packets: those with payload > 0.
   size_t packet_count() const { return ts_.size(); }
   size_t flow_count() const { return flow_keys_.size(); }
 
@@ -99,6 +116,8 @@ class PacketColumns {
   int64_t flow_downlink_bytes(uint32_t flow) const {
     return flow_downlink_[flow];
   }
+  // Timestamp of the flow's last captured packet, whatever its payload.
+  TimeUs flow_last_time(uint32_t flow) const { return flow_last_ts_[flow]; }
   size_t flow_begin(uint32_t flow) const { return flow_begin_[flow]; }
   size_t flow_end(uint32_t flow) const { return flow_begin_[flow + 1]; }
   FlowView flow(uint32_t f) const {
@@ -114,6 +133,7 @@ class PacketColumns {
   std::vector<FlowKey> flow_keys_;
   std::vector<std::string> flow_snis_;
   std::vector<int64_t> flow_downlink_;
+  std::vector<int64_t> flow_last_ts_;
   std::vector<size_t> flow_begin_;  // size flow_count() + 1
 };
 
@@ -133,6 +153,7 @@ inline const FlowKey& FlowView::key() const { return columns->flow_key(flow); }
 inline const std::string& FlowView::sni() const {
   return columns->flow_sni(flow);
 }
+inline TimeUs FlowView::last_time() const { return columns->flow_last_time(flow); }
 
 }  // namespace csi::capture
 

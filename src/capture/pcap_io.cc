@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "src/common/telemetry.h"
@@ -344,7 +345,15 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace) {
       }
     }
     // Zero-fill the rest of the payload up to the snap length, or cut there.
-    pkt.resize(static_cast<size_t>(std::min<Bytes>(full_len, kPcapSnapLen)), 0);
+    // A cut may not reach into the SNI: the packet would read back without
+    // it.
+    const size_t captured = static_cast<size_t>(std::min<Bytes>(full_len, kPcapSnapLen));
+    if (!r.sni.empty() && pkt.size() > captured) {
+      throw std::invalid_argument("pcap: SNI of " + std::to_string(r.sni.size()) +
+                                  " B does not fit in the captured bytes of a " +
+                                  std::to_string(r.payload) + "-B payload");
+    }
+    pkt.resize(captured, 0);
 
     // Per-packet header.
     Put32le(out, static_cast<uint32_t>(r.timestamp / kUsPerSec));

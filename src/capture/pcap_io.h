@@ -51,7 +51,11 @@ inline constexpr uint32_t kPcapSnapLen = 256;
 // records it holds, small enough to stay in L2 beside the parse.
 inline constexpr size_t kPcapWindowBytes = 256 * 1024;
 
-// Serializes the trace into pcap bytes.
+// Serializes the trace into pcap bytes. Throws std::invalid_argument for a
+// packet whose captured bytes cannot hold its SNI: a TCP payload below 5 B
+// plus the SNI, a UDP payload below 15 B plus the SNI, or an SNI that runs
+// past the snap length. Written cut short, it would read back without its
+// SNI.
 std::vector<uint8_t> SerializePcap(const CaptureTrace& trace);
 
 // Parses pcap bytes back into a trace. The client side of each flow is the
@@ -59,8 +63,9 @@ std::vector<uint8_t> SerializePcap(const CaptureTrace& trace);
 // malformed input.
 CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes);
 
-// File convenience wrappers. WritePcap throws std::runtime_error when the file
-// cannot be opened or the write comes up short; ReadPcap throws
+// File convenience wrappers. WritePcap throws as SerializePcap does, and
+// std::runtime_error when the file cannot be opened or the write comes up
+// short; ReadPcap throws
 // "pcap: cannot open <path>" / "pcap: cannot read <path>" when the path is
 // missing, is not a regular file, or cannot be read in full (a file that
 // shrinks while it is read), and times the read and parse under the

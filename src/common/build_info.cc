@@ -6,7 +6,7 @@ telemetry::Labels BuildInfoLabels() {
   return {
       // Mirrors capture::kPacketLayoutVersion (packet_columns.h); duplicated
       // here so csi_common does not depend on csi_capture.
-      {"packet_layout", "soa-v3"},
+      {"packet_layout", "soa-v4"},
   };
 }
 

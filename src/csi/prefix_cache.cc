@@ -51,6 +51,7 @@ TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns) {
     mixer.AbsorbString(columns.flow_sni(f));
     const capture::FlowView view = columns.flow(f);
     mixer.Absorb(static_cast<uint64_t>(view.size()));
+    mixer.Absorb(static_cast<uint64_t>(view.last_time()));
     for (size_t i = view.begin; i < view.end; ++i) {
       mixer.Absorb(static_cast<uint64_t>(columns.timestamps()[i]));
       mixer.Absorb(columns.flags()[i]);

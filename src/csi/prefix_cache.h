@@ -15,15 +15,17 @@
 //
 // to the immutable `AnalysisPrefix` the per-packet stages produce. The
 // fingerprint hashes every field the PacketColumns hold (addressing, each
-// flow's first SNI, timing, the direction and carries-SNI flags, payload
-// size, TCP sequence number) flow by flow, so two captures share an entry
-// exactly when their PacketColumns — the inference input — are identical.
-// Captures that differ only in what the columns do not hold (wire size, TCP
-// ack, QUIC packet number, an SNI string other than its flow's first) share
-// an entry, and the same analysis result. The context is the PrefixSettings
-// slice of the inference settings (settings.h): the prefix stages take only
-// that slice, so the compiler checks that the key covers what they read. It
-// is interned with full structural equality, never a lossy hash.
+// flow's first SNI and last packet time, timing, the direction and
+// carries-SNI flags, payload size, TCP sequence number) flow by flow, so two
+// captures share an entry exactly when their PacketColumns — the inference
+// input — are identical. Captures that differ only in what the columns do
+// not hold (wire size, TCP ack, QUIC packet number, an SNI string other than
+// its flow's first, the timing and sequence numbers of zero-payload packets
+// other than each flow's last) share an entry, and the same analysis result.
+// The context is the PrefixSettings slice of the inference settings
+// (settings.h): the prefix stages take only that slice, so the compiler
+// checks that the key covers what they read. It is interned with full
+// structural equality, never a lossy hash.
 //
 // Safety argument (simpler than the candidate cache's): the cached value is a
 // pure function of (capture bytes, context). No database state enters the
@@ -65,9 +67,9 @@ struct TraceFingerprint {
   friend bool operator==(const TraceFingerprint&, const TraceFingerprint&) = default;
 };
 
-// One sequential sweep: packet count, flow count, then every flow in id order
-// — its key, its first SNI, its packet count and each of its packets' column
-// values.
+// One sequential sweep: held packet count, flow count, then every flow in id
+// order — its key, its first SNI, its held packet count, its last packet time
+// and each of its held packets' column values.
 // Equal digests therefore mean equal PacketColumns as analysis reads them;
 // captures that differ only in how their flows interleave share a digest
 // (and an analysis result).

@@ -21,6 +21,9 @@ constexpr TimeUs kRequestMergeGap = 25 * kUsPerMs;
 // a hash set.
 class SeenSequences {
  public:
+  // Room for `count` ascending numbers.
+  void reserve(size_t count) { ascending_.reserve(count); }
+
   // True the first time `seq` is offered.
   bool Insert(uint32_t seq) {
     if (ascending_.empty() || seq > ascending_.back()) {
@@ -93,30 +96,50 @@ CountedDownlink::CountedDownlink(const capture::FlowView& flow, bool quic) {
   const uint32_t* payload = flow.payloads();
   const uint8_t* flags = flow.flags();
   const uint32_t* seq = flow.tcp_seqs();
+  auto downlink_data = [&](size_t i) {
+    return (flags[i] & capture::kFromClient) == 0 && payload[i] != 0;
+  };
+  size_t data_packets = 0;
+  for (size_t i = 0; i < n; ++i) {
+    data_packets += downlink_data(i) ? 1 : 0;
+  }
+  times_.reserve(data_packets);
+  prefix_.reserve(data_packets + 1);
+  prefix_.push_back(0);
   // Retransmissions are removed in capture order (§3.2).
   SeenSequences seen;
-  std::vector<std::pair<TimeUs, Bytes>> counted;
+  if (!quic) {
+    seen.reserve(data_packets);
+  }
+  bool sorted = true;
   for (size_t i = 0; i < n; ++i) {
-    if ((flags[i] & capture::kFromClient) != 0 || payload[i] == 0) {
+    if (!downlink_data(i)) {
       continue;
     }
-    const Bytes bytes = payload[i];
+    Bytes bytes = payload[i];
     if (quic) {
-      counted.emplace_back(ts[i], std::max<Bytes>(bytes - net::kQuicHeaderBytes, 0));
-    } else if (seen.Insert(seq[i])) {
-      counted.emplace_back(ts[i], bytes);
+      bytes = std::max<Bytes>(bytes - net::kQuicHeaderBytes, 0);
+    } else if (!seen.Insert(seq[i])) {
+      continue;
     }
-  }
-  auto by_time = [](const auto& a, const auto& b) { return a.first < b.first; };
-  if (!std::is_sorted(counted.begin(), counted.end(), by_time)) {
-    std::sort(counted.begin(), counted.end(), by_time);
-  }
-  times_.reserve(counted.size());
-  prefix_.reserve(counted.size() + 1);
-  prefix_.push_back(0);
-  for (const auto& [time, bytes] : counted) {
-    times_.push_back(time);
+    sorted = sorted && (times_.empty() || ts[i] >= times_.back());
+    times_.push_back(ts[i]);
     prefix_.push_back(prefix_.back() + bytes);
+  }
+  if (sorted) {
+    return;
+  }
+  // The capture stepped back in time: order the packets by time. Window sums
+  // do not depend on the order of equal times.
+  std::vector<std::pair<TimeUs, Bytes>> counted(times_.size());
+  for (size_t k = 0; k < times_.size(); ++k) {
+    counted[k] = {times_[k], prefix_[k + 1] - prefix_[k]};
+  }
+  std::sort(counted.begin(), counted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t k = 0; k < counted.size(); ++k) {
+    times_[k] = counted[k].first;
+    prefix_[k + 1] = prefix_[k] + counted[k].second;
   }
 }
 

@@ -46,8 +46,9 @@ struct DownlinkWindow {
 // the first data packet with each TCP sequence number (later ones are
 // retransmissions); QUIC: every data packet, as its payload minus the public
 // header (floored at 0) — in timestamp order with their byte prefix sums.
-// Built in one pass per flow (plus a sort only when the capture steps back in
-// time), so every window query is two binary searches.
+// Built in two passes per flow, one counting the downlink data packets so the
+// arrays are sized once and one filling them (plus a sort only when the
+// capture steps back in time), so every window query is two binary searches.
 class CountedDownlink {
  public:
   CountedDownlink(const capture::FlowView& flow, bool quic);

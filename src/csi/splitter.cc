@@ -113,9 +113,12 @@ std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
     std::sort(downlink_times.begin(), downlink_times.end());
   }
 
+  // Every flow of the columns has a captured packet, held or not; the last
+  // one closes the final group.
   const CountedDownlink counted(flow, /*quic=*/true);
-  return SplitCore(DetectRequests(flow, /*quic=*/true), downlink_times, n > 0,
-                   n > 0 ? ts[n - 1] : 0, config, [&counted](TimeUs begin, TimeUs end) {
+  return SplitCore(DetectRequests(flow, /*quic=*/true), downlink_times,
+                   /*have_packets=*/true, flow.last_time(), config,
+                   [&counted](TimeUs begin, TimeUs end) {
                      return counted.Window(begin, end).bytes;
                    });
 }

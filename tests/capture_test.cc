@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/capture/capture.h"
@@ -195,6 +196,42 @@ TEST(Pcap, TruncatesAtSnapLength) {
   // Original length is preserved.
   const CaptureTrace parsed = ParsePcap(bytes);
   EXPECT_EQ(parsed[0].payload, 1448);
+}
+
+// A record whose captured bytes cannot hold its SNI would read back without
+// it, so SerializePcap refuses it; one whose SNI just fits reads back whole.
+TEST(Pcap, SerializeRefusesAnSniItsCapturedBytesCannotHold) {
+  const auto with_sni = [](net::Transport transport, Bytes payload, std::string sni) {
+    net::Packet p = SamplePacket(true, transport);
+    p.payload = payload;
+    p.sni = std::move(sni);
+    return CaptureTrace{RecordFrom(p, 1000)};
+  };
+  const std::string sni(11, 's');
+  const std::string long_sni(230, 's');
+  constexpr net::Transport kTcp = net::Transport::kTcp;
+  constexpr net::Transport kUdp = net::Transport::kUdp;
+  for (const CaptureTrace& refused :
+       {with_sni(kTcp, 5, sni), with_sni(kUdp, 5, sni), with_sni(kUdp, 20, sni),
+        with_sni(kTcp, 5 + 10, sni), with_sni(kUdp, 15 + 10, sni),
+        with_sni(kTcp, 1448, long_sni), with_sni(kUdp, 1200, long_sni)}) {
+    SCOPED_TRACE(std::to_string(refused[0].payload) + "-B payload, " +
+                 std::to_string(refused[0].sni.size()) + "-B SNI");
+    EXPECT_THROW(SerializePcap(refused), std::invalid_argument);
+  }
+  // The TCP SNI follows 40 B of headers and 5 B of TLS record, the QUIC one
+  // 28 B of headers and 15 B of public header.
+  for (const CaptureTrace& kept :
+       {with_sni(kTcp, 5 + 11, sni), with_sni(kUdp, 15 + 11, sni), with_sni(kTcp, 330, sni),
+        with_sni(kUdp, 1221, sni), with_sni(kTcp, 1448, std::string(256 - 45, 's')),
+        with_sni(kUdp, 1200, std::string(256 - 43, 's'))}) {
+    SCOPED_TRACE(std::to_string(kept[0].payload) + "-B payload, " +
+                 std::to_string(kept[0].sni.size()) + "-B SNI");
+    const CaptureTrace parsed = ParsePcap(SerializePcap(kept));
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].sni, kept[0].sni);
+    EXPECT_EQ(parsed.flags()[0], kFromClient | kCarriesSni);
+  }
 }
 
 TEST(Pcap, FileRoundTrip) {

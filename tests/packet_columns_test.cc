@@ -164,16 +164,19 @@ TEST(PacketColumns, SniOnNonFirstPacket) {
   ExpectMatchesOracle(trace);
 }
 
-// 17 bytes per packet (timestamp 8, payload 4, sequence 4, flags 1), plus one
-// entry per flow in each side table and the end of the last span.
+// 17 bytes per payload-carrying packet (timestamp 8, payload 4, sequence 4,
+// flags 1), plus one entry per flow in each side table and the end of the
+// last span. Every fourth packet is a pure ACK, which takes no bytes.
 TEST(PacketColumns, HeldBytesAreSeventeenPerPacketPlusFlowTables) {
   CaptureTrace trace;
   for (int i = 0; i < 1000; ++i) {
-    trace.push_back(MakePacket(i * 1000, 40000, i % 3 == 0, 100 + i));
+    trace.push_back(MakePacket(i * 1000, 40000, i % 3 == 0, i % 4 == 0 ? 0 : 100 + i));
   }
   const PacketColumns columns = PacketColumns::Build(trace);
-  EXPECT_EQ(columns.held_bytes(), 17 * trace.size() + sizeof(FlowKey) + sizeof(std::string) +
-                                      sizeof(int64_t) + 2 * sizeof(size_t));
+  ASSERT_EQ(columns.packet_count(), 750u);
+  EXPECT_EQ(columns.held_bytes(), 17 * columns.packet_count() + sizeof(FlowKey) +
+                                      sizeof(std::string) + 2 * sizeof(int64_t) +
+                                      2 * sizeof(size_t));
   EXPECT_EQ(PacketColumns::Build({}).held_bytes(), sizeof(size_t));
 }
 
@@ -600,7 +603,8 @@ TEST(CaptureTrace, BuildMatchesTheOracleAndThePcapRoundTripOnBothPaths) {
 
 // 29 bytes per packet (timestamp 8; payload, TCP seq, TCP ack, QUIC packet
 // number and flow id 4 each; flags 1), plus one entry per flow in the flow
-// table and one per SNI.
+// table (key, packet count, payload-carrying packet count, downlink total)
+// and one per SNI.
 TEST(CaptureTrace, HeldBytesAreTwentyNinePerPacketPlusTables) {
   CaptureTrace trace;
   trace.reserve(1000);
@@ -609,8 +613,9 @@ TEST(CaptureTrace, HeldBytesAreTwentyNinePerPacketPlusTables) {
     trace.push_back(MakePacket(i * 1000, 40000, i % 3 == 0, 100 + i));
   }
   EXPECT_EQ(trace.capacity(), 1000u);
-  EXPECT_EQ(trace.held_bytes(), 29 * trace.capacity() + sizeof(FlowKey) + sizeof(size_t) +
-                                    sizeof(int64_t) + sizeof(CaptureTrace::Sni));
+  EXPECT_EQ(trace.held_bytes(), 29 * trace.capacity() + sizeof(FlowKey) +
+                                    2 * sizeof(size_t) + sizeof(int64_t) +
+                                    sizeof(CaptureTrace::Sni));
   EXPECT_EQ(CaptureTrace().held_bytes(), 0u);
 }
 

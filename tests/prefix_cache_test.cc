@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -135,6 +136,61 @@ TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
     const InferenceResult result = engine.Analyze(session);
     ASSERT_FALSE(result.sequences.empty());
     EXPECT_EQ(DigestResults({engine.Analyze(other)}), DigestResults({result}));
+  }
+}
+
+// PacketColumns hold only the packets that carry payload, plus each flow's
+// last packet time. A capture that differs only in the timestamps and TCP
+// sequence numbers of zero-payload packets (pure ACKs), other than each
+// flow's last packet, has the same fingerprint and the same analysis; a
+// different last packet time changes the fingerprint.
+TEST(TraceFingerprint, PureAcksLeaveItAndTheResultAloneButTheLastPacketTimeCounts) {
+  for (const DesignType design : {DesignType::kCH, DesignType::kSH}) {
+    SCOPED_TRACE(DesignTypeName(design));
+    const media::Manifest manifest = testbed::MakeAssetForDesign(design, 1, 60 * kUsPerSec);
+    const capture::CaptureTrace session =
+        MakeBatch(manifest, design, 1, 60 * kUsPerSec).front();
+    std::vector<capture::PacketRecord> records(session.begin(), session.end());
+    std::map<capture::FlowKey, size_t> last;
+    for (size_t i = 0; i < records.size(); ++i) {
+      last[FlowKeyOf(records[i])] = i;
+    }
+    std::vector<bool> is_last(records.size(), false);
+    for (const auto& [key, i] : last) {
+      is_last[i] = true;
+    }
+    size_t moved = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      capture::PacketRecord& p = records[i];
+      if (p.payload == 0 && !is_last[i]) {
+        p.timestamp += 7 + static_cast<TimeUs>(i % 500);
+        p.tcp_seq ^= 0x5a5a5a;
+        ++moved;
+      }
+    }
+    // Pure ACKs are a large share of an HTTPS capture.
+    ASSERT_GT(moved, records.size() / 4);
+    const capture::CaptureTrace other(records.begin(), records.end());
+    EXPECT_EQ(Fingerprint(other), Fingerprint(session));
+
+    InferenceConfig config;
+    config.design = design;
+    const InferenceEngine engine(&manifest, config);
+    const InferenceResult result = engine.Analyze(session);
+    ASSERT_FALSE(result.sequences.empty());
+    EXPECT_EQ(DigestResults({engine.Analyze(other)}), DigestResults({result}));
+
+    // Each flow's last packet time is part of the key, also where that packet
+    // carries no payload.
+    ASSERT_TRUE(std::any_of(last.begin(), last.end(),
+                            [&](const auto& flow) { return records[flow.second].payload == 0; }));
+    for (const auto& [key, i] : last) {
+      std::vector<capture::PacketRecord> later = records;
+      later[i].timestamp += 1;
+      EXPECT_NE(Fingerprint(capture::CaptureTrace(later.begin(), later.end())),
+                Fingerprint(other))
+          << "flow of packet " << i;
+    }
   }
 }
 

@@ -88,16 +88,23 @@ int Run(int argc, char** argv) {
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
   // Build the flow-major columns right after the pcap parse; the
   // capture-order trace is dropped before the engine runs.
+  size_t packets = 0;
   const capture::PacketColumns columns = [&] {
     const capture::CaptureTrace trace = capture::ReadPcap(pcap_path);
     CSI_GAUGE_SET("csi_capture_records_peak_bytes", trace.held_bytes());
+    packets = trace.size();
     return capture::PacketColumns::Build(trace);
   }();
   CSI_GAUGE_SET("csi_capture_columns_bytes", columns.held_bytes());
-  std::printf("loaded %zu packets, manifest %s: %d video tracks x %d chunks%s\n",
-              columns.packet_count(), manifest.asset_id.c_str(),
-              manifest.num_video_tracks(), manifest.num_positions(),
-              manifest.has_separate_audio() ? " + audio" : "");
+  std::printf("loaded %zu packets, manifest %s: %d video tracks x %d chunks%s\n", packets,
+              manifest.asset_id.c_str(), manifest.num_video_tracks(),
+              manifest.num_positions(), manifest.has_separate_audio() ? " + audio" : "");
+  std::printf("columns held: %.1f MiB (%zu of %zu packets, %.1f B/held packet)\n",
+              static_cast<double>(columns.held_bytes()) / (1024.0 * 1024.0),
+              columns.packet_count(), packets,
+              columns.packet_count() > 0 ? static_cast<double>(columns.held_bytes()) /
+                                               static_cast<double>(columns.packet_count())
+                                         : 0.0);
 
   infer::InferenceConfig config;
   config.design = common.design();

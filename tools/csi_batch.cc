@@ -208,13 +208,16 @@ int Run(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> failures;
   columns.reserve(pcap_paths.size());
   size_t total_packets = 0;
+  size_t held_packets = 0;
   size_t columns_bytes = 0;
   size_t records_peak_bytes = 0;
   const auto ingest_start = std::chrono::steady_clock::now();
   for (const std::string& path : pcap_paths) {
+    size_t packets = 0;
     try {
       const capture::CaptureTrace trace = capture::ReadPcap(path);
       records_peak_bytes = std::max(records_peak_bytes, trace.held_bytes());
+      packets = trace.size();
       columns.push_back(capture::PacketColumns::Build(trace));
     } catch (const std::exception& e) {
       failures.emplace_back(path, e.what());
@@ -222,7 +225,8 @@ int Run(int argc, char** argv) {
       continue;
     }
     loaded_paths.push_back(path);
-    total_packets += columns.back().packet_count();
+    total_packets += packets;
+    held_packets += columns.back().packet_count();
     columns_bytes += columns.back().held_bytes();
   }
   CSI_GAUGE_SET("csi_capture_columns_bytes", columns_bytes);
@@ -233,10 +237,12 @@ int Run(int argc, char** argv) {
               "%d chunks\n",
               columns.size(), total_packets, ingest_s, manifest.asset_id.c_str(),
               manifest.num_video_tracks(), manifest.num_positions());
-  std::printf("columns held: %.1f MiB (%zu packets, %.1f B/packet); trace peak %.1f MiB\n",
-              static_cast<double>(columns_bytes) / (1024.0 * 1024.0), total_packets,
-              total_packets > 0
-                  ? static_cast<double>(columns_bytes) / static_cast<double>(total_packets)
+  std::printf("columns held: %.1f MiB (%zu of %zu packets, %.1f B/held packet); trace peak "
+              "%.1f MiB\n",
+              static_cast<double>(columns_bytes) / (1024.0 * 1024.0), held_packets,
+              total_packets,
+              held_packets > 0
+                  ? static_cast<double>(columns_bytes) / static_cast<double>(held_packets)
                   : 0.0,
               static_cast<double>(records_peak_bytes) / (1024.0 * 1024.0));
   for (const auto& [path, what] : failures) {
