@@ -16,6 +16,7 @@
 
 #include <cstdio>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/table.h"
 #include "src/testbed/experiment.h"
 
@@ -75,7 +76,7 @@ int main() {
         config.design = variant.design;
         variant.tweak(&config);
         const infer::InferenceEngine engine(&manifest, config);
-        const auto inference = engine.Analyze(result.capture);
+        const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
         runs.push_back(testbed::ScoreInference(inference, result.downloads));
       }
     }

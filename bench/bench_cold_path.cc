@@ -483,8 +483,12 @@ void RunColdBatch(benchmark::State& state, const Workload& w,
   batch.caches.prefix.budget_mb = 0;
   batch.caches.result.budget_mb = 0;
   infer::BatchAnalyzer analyzer(&w.manifest, config, batch);
+  std::vector<const capture::PacketColumns*> columns;
+  for (const capture::PacketColumns& c : w.columns) {
+    columns.push_back(&c);
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.columns));
+    benchmark::DoNotOptimize(analyzer.AnalyzeAll(columns));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.traces.size()));
 }

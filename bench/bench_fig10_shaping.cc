@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/table.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
@@ -58,7 +59,7 @@ ShapingOutcome RunShaped(const media::Manifest& manifest, const nettrace::Bandwi
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
   ShapingOutcome outcome;
   outcome.track_fraction.assign(static_cast<size_t>(manifest.num_video_tracks()), 0.0);
   if (inference.sequences.empty()) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <optional>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/table.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
@@ -48,7 +49,7 @@ void RunCase(const char* title, const media::Manifest& manifest,
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
   std::printf("%s\n", title);
   if (inference.sequences.empty()) {
     std::printf("  (no inferred sequence)\n\n");

@@ -27,18 +27,20 @@ using namespace csi;
 
 namespace {
 
-// One SQ service plus captured sessions, generated once per process.
+// One SQ service plus captured sessions, generated once per process; each
+// capture's columns are built once here, outside every timed loop.
 // Duplicated captures model the replay stream the cache banks on.
 struct Workload {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> columns;
+  std::vector<const capture::PacketColumns*> traces;
 };
 
 const Workload& SqWorkload() {
   static const Workload* workload = [] {
     auto* w = new Workload;
     w->manifest = testbed::MakeAssetForDesign(infer::DesignType::kSQ, 1);
-    std::vector<capture::CaptureTrace> unique;
+    std::vector<capture::PacketColumns> unique;
     for (int i = 0; i < 2; ++i) {
       testbed::SessionConfig config;
       config.design = infer::DesignType::kSQ;
@@ -46,12 +48,14 @@ const Workload& SqWorkload() {
       config.downlink = nettrace::StableTrace("s", (4 + 2 * i) * kMbps);
       config.duration = 60 * kUsPerSec;
       config.seed = 100 + static_cast<uint64_t>(i);
-      unique.push_back(testbed::RunStreamingSession(config).capture);
+      unique.push_back(
+          capture::PacketColumns::Build(testbed::RunStreamingSession(config).capture));
     }
     for (int copy = 0; copy < 3; ++copy) {
-      for (const capture::CaptureTrace& trace : unique) {
-        w->traces.push_back(trace);
-      }
+      w->columns.insert(w->columns.end(), unique.begin(), unique.end());
+    }
+    for (const capture::PacketColumns& columns : w->columns) {
+      w->traces.push_back(&columns);
     }
     return w;
   }();
@@ -86,8 +90,7 @@ void ReportPrefixCounters(benchmark::State& state, const infer::BatchAnalyzer& a
 // every cached lookup pays, so it has to stay a small fraction of the
 // per-packet stages it replaces.
 void BM_FingerprintColumns(benchmark::State& state) {
-  const capture::PacketColumns columns =
-      capture::PacketColumns::Build(SqWorkload().traces.front());
+  const capture::PacketColumns& columns = SqWorkload().columns.front();
   for (auto _ : state) {
     benchmark::DoNotOptimize(infer::FingerprintColumns(columns));
   }

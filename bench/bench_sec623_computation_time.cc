@@ -1,6 +1,8 @@
 // §6.2.3: CSI computation time. The paper reports a few seconds for a
 // 10-minute trace on the non-MUX designs and up to ~1 minute for SQ.
 // google-benchmark over the inference engine, excluding session simulation.
+// BM_Inference times one session from its capture (column build + analysis);
+// BM_BatchInferenceCold times analysis only, over columns built up front.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/inference.h"
 #include "src/testbed/experiment.h"
@@ -47,7 +50,7 @@ void BM_Inference(benchmark::State& state, infer::DesignType design) {
   config.design = design;
   const infer::InferenceEngine engine(&prepared.manifest, config);
   for (auto _ : state) {
-    auto result = engine.Analyze(prepared.session.capture);
+    auto result = engine.Analyze(capture::PacketColumns::Build(prepared.session.capture));
     benchmark::DoNotOptimize(result);
   }
   state.counters["packets"] = static_cast<double>(prepared.session.capture.size());
@@ -69,7 +72,8 @@ void BM_DatabaseBuild(benchmark::State& state) {
 // hits from the previous one.
 struct PreparedBatch {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> columns;
+  std::vector<const capture::PacketColumns*> traces;
 };
 
 const PreparedBatch& PrepareBatch() {
@@ -87,7 +91,10 @@ const PreparedBatch& PrepareBatch() {
                                                 2 * kUsPerSec, rng);
       config.duration = duration;
       config.seed = 4000 + static_cast<uint64_t>(i);
-      cache->traces.push_back(RunStreamingSession(config).capture);
+      cache->columns.push_back(capture::PacketColumns::Build(RunStreamingSession(config).capture));
+    }
+    for (const capture::PacketColumns& columns : cache->columns) {
+      cache->traces.push_back(&columns);
     }
   }
   return *cache;

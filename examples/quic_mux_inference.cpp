@@ -89,7 +89,7 @@ int main() {
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSQ;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(columns);
   const auto accuracy = testbed::ScoreInference(inference, result.downloads);
   std::printf("\nstep 2.2: %d candidate sequence(s); best accuracy %.1f%%, worst %.1f%%\n",
               accuracy.num_sequences, 100 * accuracy.best, 100 * accuracy.worst);

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
 #include "src/testbed/experiment.h"
@@ -47,7 +48,9 @@ int main() {
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(&manifest, config);
-  const infer::InferenceResult inference = engine.Analyze(result.capture);
+  // The engine reads the capture as flow-major columns, built once per capture.
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const infer::InferenceResult inference = engine.Analyze(columns);
   const testbed::AccuracyResult accuracy =
       testbed::ScoreInference(inference, result.downloads);
   std::printf("inference: %d candidate sequence(s); accuracy best=%.1f%% worst=%.1f%%\n",

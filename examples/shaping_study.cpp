@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/table.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
@@ -57,7 +58,7 @@ int main() {
       session.shaper = shaper;
 
       const auto result = RunStreamingSession(session);
-      const auto inference = engine.Analyze(result.capture);
+      const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
       if (inference.sequences.empty()) {
         continue;
       }

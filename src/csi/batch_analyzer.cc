@@ -56,11 +56,11 @@ BatchAnalyzer::BatchAnalyzer(DbSnapshot snapshot, InferenceConfig config, BatchC
       pool_(ResolveThreads(batch_.threads)),
       engine_(MakeEngine(std::move(snapshot), std::move(config), batch_)) {}
 
-std::vector<InferenceResult> BatchAnalyzer::RunBatch(
-    size_t total,
-    const std::function<InferenceResult(size_t index, InferenceAudit* audit)>& analyze_one,
+std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
+    const std::vector<const capture::PacketColumns*>& columns,
     std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
     std::vector<InferenceAudit>* audits) {
+  const size_t total = columns.size();
   std::vector<InferenceResult> results(total);
   if (trace_seconds != nullptr) {
     trace_seconds->assign(total, 0.0);
@@ -75,29 +75,31 @@ std::vector<InferenceResult> BatchAnalyzer::RunBatch(
   std::atomic<size_t> completed{0};
   std::mutex progress_mu;
   pool_.ParallelFor(static_cast<int64_t>(total), [&](int64_t i) {
+    const size_t index = static_cast<size_t>(i);
     // The per-trace timing slot keeps its own clock pair (noise next to
     // Analyze itself); the batch_trace span feeds the histogram and trace.
     const auto start = std::chrono::steady_clock::now();
     {
       CSI_SPAN("batch_trace", {"index", i});
-      // A throwing trace must not take its siblings down with it: the slot
+      // A throwing capture must not take its siblings down with it: the slot
       // keeps a default result and the error is reported by index. Letting
       // the exception escape would make ParallelFor abort the remaining
-      // traces.
+      // captures.
       try {
-        InferenceAudit* const audit =
-            audits != nullptr ? &(*audits)[static_cast<size_t>(i)] : nullptr;
-        results[static_cast<size_t>(i)] = analyze_one(static_cast<size_t>(i), audit);
+        const capture::PacketColumns& capture = *columns[index];
+        InferenceAudit* const audit = audits != nullptr ? &(*audits)[index] : nullptr;
+        results[index] = batch_.analyze_override ? batch_.analyze_override(capture)
+                                                 : engine_.Analyze(capture, {}, audit);
       } catch (const std::exception& e) {
         if (trace_errors != nullptr) {
-          (*trace_errors)[static_cast<size_t>(i)] = e.what();
+          (*trace_errors)[index] = e.what();
         }
         CSI_COUNTER_INC("csi_batch_trace_analyze_failures_total");
         trace::TraceSession::Global().DumpFlightRecord(
             "batch trace " + std::to_string(i), e.what());
       } catch (...) {
         if (trace_errors != nullptr) {
-          (*trace_errors)[static_cast<size_t>(i)] = "unknown error";
+          (*trace_errors)[index] = "unknown error";
         }
         CSI_COUNTER_INC("csi_batch_trace_analyze_failures_total");
         trace::TraceSession::Global().DumpFlightRecord(
@@ -105,7 +107,7 @@ std::vector<InferenceResult> BatchAnalyzer::RunBatch(
       }
     }
     if (trace_seconds != nullptr) {
-      (*trace_seconds)[static_cast<size_t>(i)] =
+      (*trace_seconds)[index] =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     }
     CSI_COUNTER_INC("csi_batch_traces_total");
@@ -118,54 +120,6 @@ std::vector<InferenceResult> BatchAnalyzer::RunBatch(
     }
   });
   return results;
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<const capture::CaptureTrace*>& traces,
-    std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
-    std::vector<InferenceAudit>* audits) {
-  return RunBatch(
-      traces.size(),
-      [&](size_t i, InferenceAudit* audit) {
-        const capture::CaptureTrace& trace = *traces[i];
-        return batch_.analyze_override ? batch_.analyze_override(trace)
-                                       : engine_.Analyze(trace, {}, audit);
-      },
-      trace_seconds, trace_errors, audits);
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<capture::CaptureTrace>& traces, std::vector<double>* trace_seconds,
-    std::vector<std::string>* trace_errors, std::vector<InferenceAudit>* audits) {
-  std::vector<const capture::CaptureTrace*> pointers;
-  pointers.reserve(traces.size());
-  for (const capture::CaptureTrace& trace : traces) {
-    pointers.push_back(&trace);
-  }
-  return AnalyzeAll(pointers, trace_seconds, trace_errors, audits);
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<const capture::PacketColumns*>& columns,
-    std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
-    std::vector<InferenceAudit>* audits) {
-  return RunBatch(
-      columns.size(),
-      [&](size_t i, InferenceAudit* audit) {
-        return engine_.Analyze(*columns[i], {}, audit);
-      },
-      trace_seconds, trace_errors, audits);
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<capture::PacketColumns>& columns, std::vector<double>* trace_seconds,
-    std::vector<std::string>* trace_errors, std::vector<InferenceAudit>* audits) {
-  std::vector<const capture::PacketColumns*> pointers;
-  pointers.reserve(columns.size());
-  for (const capture::PacketColumns& c : columns) {
-    pointers.push_back(&c);
-  }
-  return AnalyzeAll(pointers, trace_seconds, trace_errors, audits);
 }
 
 }  // namespace csi::infer

@@ -2,14 +2,14 @@
 //
 // The deployment-scale workload is many concurrent sessions of the *same*
 // service (one manifest, one fingerprint database), not one capture at a
-// time: a gateway tap produces a stream of per-device traces that all need
+// time: a gateway tap produces a stream of per-device captures that all need
 // Step 1 + Step 2 analysis. BatchAnalyzer owns one InferenceEngine — and
 // therefore one immutable ChunkDatabase shared by every worker — and fans
-// Analyze calls for N traces out across a fixed thread pool.
+// Analyze calls for N captures' PacketColumns out across a fixed thread pool.
 //
 // Determinism: results land in the output vector by input index, and the
-// per-trace analysis itself is scheduling-independent, so AnalyzeAll returns
-// bit-identical results for any worker count (tested in
+// per-capture analysis itself is scheduling-independent, so AnalyzeAll
+// returns bit-identical results for any worker count (tested in
 // batch_analyzer_test).
 
 #ifndef CSI_SRC_CSI_BATCH_ANALYZER_H_
@@ -47,10 +47,8 @@ struct BatchConfig {
   };
   Caches caches;
   // Test seam / fault injection: when set, called instead of
-  // InferenceEngine::Analyze for every trace. Trace-mode batches only — the
-  // columnar AnalyzeAll overloads have no trace to hand it and always go
-  // through the engine.
-  std::function<InferenceResult(const capture::CaptureTrace&)> analyze_override;
+  // InferenceEngine::Analyze for every capture of a batch.
+  std::function<InferenceResult(const capture::PacketColumns&)> analyze_override;
   // Invoked with (completed, total) after every `progress_every`-th completed
   // trace and once at batch end. Called from worker threads, serialized by a
   // mutex — keep it cheap. Completion order is scheduling-dependent; only the
@@ -82,47 +80,30 @@ class BatchAnalyzer {
   // same as InferenceEngine::UpdateSnapshot).
   void UpdateSnapshot(DbSnapshot snapshot) { engine_.UpdateSnapshot(std::move(snapshot)); }
 
-  // Analyzes traces[i] into result[i]. Blocks until the whole batch is done.
+  // Analyzes *columns[i] into result[i]. Blocks until the whole batch is
+  // done. The caller builds each capture's columns once
+  // (PacketColumns::Build) and keeps them alive for the call; re-analyzing
+  // the same captures (csi_batch --repeat / --follow-manifests) reuses them.
   // If `trace_seconds` is non-null it is resized to the batch size and
-  // slot i receives trace i's wall-clock analysis time (by-index slots, so
+  // slot i receives capture i's wall-clock analysis time (by-index slots, so
   // the output is deterministic even though scheduling is not).
   //
-  // Fault isolation: a trace whose analysis throws does not poison its
+  // Fault isolation: a capture whose analysis throws does not poison its
   // siblings. The failed slot keeps a default-constructed InferenceResult,
   // the exception message lands in trace_errors[i] (when non-null; sibling
   // slots hold empty strings), and csi_batch_trace_analyze_failures_total is
   // incremented — the batch itself always completes. When a flight-recorder
-  // trace session is active, the first failing trace also dumps the
+  // trace session is active, the first failing capture also dumps the
   // per-thread event rings (TraceSession::DumpFlightRecord) before the batch
   // moves on.
   //
   // If `audits` is non-null it is resized to the batch size and slot i
-  // receives trace i's inference audit record (see audit.h). Audits are
+  // receives capture i's inference audit record (see audit.h). Audits are
   // by-index like the other out-params, so they stay deterministic; slots of
-  // failed traces keep whatever was recorded before the throw. The
+  // failed captures keep whatever was recorded before the throw. The
   // analyze_override test seam bypasses the engine and leaves audits empty.
   std::vector<InferenceResult> AnalyzeAll(
-      const std::vector<const capture::CaptureTrace*>& traces,
-      std::vector<double>* trace_seconds = nullptr,
-      std::vector<std::string>* trace_errors = nullptr,
-      std::vector<InferenceAudit>* audits = nullptr);
-  std::vector<InferenceResult> AnalyzeAll(const std::vector<capture::CaptureTrace>& traces,
-                                          std::vector<double>* trace_seconds = nullptr,
-                                          std::vector<std::string>* trace_errors = nullptr,
-                                          std::vector<InferenceAudit>* audits = nullptr);
-
-  // Columnar batches: identical fan-out, fault isolation and out-params over
-  // pre-built PacketColumns (see InferenceEngine::Analyze(PacketColumns)).
-  // Callers that re-analyze the same captures (csi_batch --repeat /
-  // --follow-manifests) transpose once up front and every pass skips the
-  // per-trace column build.
-  std::vector<InferenceResult> AnalyzeAll(
       const std::vector<const capture::PacketColumns*>& columns,
-      std::vector<double>* trace_seconds = nullptr,
-      std::vector<std::string>* trace_errors = nullptr,
-      std::vector<InferenceAudit>* audits = nullptr);
-  std::vector<InferenceResult> AnalyzeAll(
-      const std::vector<capture::PacketColumns>& columns,
       std::vector<double>* trace_seconds = nullptr,
       std::vector<std::string>* trace_errors = nullptr,
       std::vector<InferenceAudit>* audits = nullptr);
@@ -149,16 +130,6 @@ class BatchAnalyzer {
   // which keeps the member-init list free of evaluation-order traps.
   static InferenceEngine MakeEngine(DbSnapshot snapshot, InferenceConfig config,
                                     const BatchConfig& batch);
-
-  // Shared fan-out core of every AnalyzeAll flavor: by-index slots, per-trace
-  // timing/fault isolation/telemetry, progress throttling. `analyze_one` runs
-  // on a worker thread and may throw; the wrapper contains the damage.
-  std::vector<InferenceResult> RunBatch(
-      size_t total,
-      const std::function<InferenceResult(size_t index, InferenceAudit* audit)>&
-          analyze_one,
-      std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
-      std::vector<InferenceAudit>* audits);
 
   BatchConfig batch_;
   ThreadPool pool_;

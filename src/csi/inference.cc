@@ -201,12 +201,6 @@ AnalysisPrefix ComputePrefix(const capture::PacketColumns& columns,
 
 }  // namespace
 
-InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
-                                         const DisplayConstraints& display,
-                                         InferenceAudit* audit) const {
-  return Analyze(capture::PacketColumns::Build(trace), display, audit);
-}
-
 InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {

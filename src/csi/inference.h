@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 
-#include "src/capture/capture_trace.h"
 #include "src/capture/packet_columns.h"
 #include "src/csi/audit.h"
 #include "src/csi/candidate_cache.h"
@@ -75,19 +74,14 @@ class InferenceEngine {
   InferenceEngine(const media::Manifest* manifest, InferenceConfig config);
 
   // Runs the inference on a capture's columns (see
-  // capture/packet_columns.h): the cache fingerprint mixes over the columns
-  // and the per-packet stages consume FlowViews. `display` optionally carries
+  // capture/packet_columns.h), the library's one input: the caller builds
+  // them from the capture once (PacketColumns::Build) and may analyze them
+  // any number of times. The cache fingerprint mixes over the columns and
+  // the per-packet stages consume FlowViews. `display` optionally carries
   // (index -> track) constraints from screen analysis. `audit`, when
   // non-null, is filled with the per-trace explanation record (see audit.h);
   // collecting it never changes the result.
   InferenceResult Analyze(const capture::PacketColumns& columns,
-                          const DisplayConstraints& display = {},
-                          InferenceAudit* audit = nullptr) const;
-
-  // Convenience for one-shot callers: PacketColumns::Build, then the columns
-  // overload. Callers that analyze the same capture repeatedly (csi_batch
-  // --repeat, --follow-manifests) build the columns once instead.
-  InferenceResult Analyze(const capture::CaptureTrace& trace,
                           const DisplayConstraints& display = {},
                           InferenceAudit* audit = nullptr) const;
 

@@ -109,6 +109,10 @@ Manifest Manifest::Parse(const std::string& text) {
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
+    // A field that parses but describes no real track or chunk: a bitrate,
+    // size or duration of 0 or below (a zero duration turns the QoE layer's
+    // bitrate into NaN, a negative size widens every size window).
+    bool positive = true;
     if (tag == "asset") {
       ls >> m.asset_id;
     } else if (tag == "host") {
@@ -117,6 +121,7 @@ Manifest Manifest::Parse(const std::string& text) {
       Track t;
       int64_t bitrate = 0;
       ls >> t.name >> bitrate;
+      positive = bitrate > 0;
       t.nominal_bitrate = static_cast<BitsPerSec>(bitrate);
       t.type = tag == "video-track" ? MediaType::kVideo : MediaType::kAudio;
       auto& list = t.type == MediaType::kVideo ? m.video_tracks : m.audio_tracks;
@@ -128,6 +133,7 @@ Manifest Manifest::Parse(const std::string& text) {
       }
       Chunk c;
       ls >> c.size >> c.duration;
+      positive = c.size > 0 && c.duration > 0;
       current->chunks.push_back(c);
     } else {
       throw std::runtime_error("manifest: unknown tag '" + tag + "'");
@@ -135,11 +141,26 @@ Manifest Manifest::Parse(const std::string& text) {
     if (!AtCleanEnd(ls)) {
       throw std::runtime_error("manifest: malformed line " + std::to_string(line_no));
     }
+    if (!positive) {
+      throw std::runtime_error("manifest: value not positive on line " +
+                               std::to_string(line_no));
+    }
   }
   // Inference matches against the video ladder: without one every slot would
   // come out as "other" with zero QoE instead of an error.
   if (m.video_tracks.empty()) {
     throw std::runtime_error("manifest: no video track");
+  }
+  // Every video track covers every playback position. A shorter one (a file
+  // cut at a line boundary, a hand edit) would leave positions the database
+  // can only fill with size-0 chunks.
+  const Track& first = m.video_tracks.front();
+  for (const Track& t : m.video_tracks) {
+    if (t.chunks.size() != first.chunks.size()) {
+      throw std::runtime_error("manifest: video track '" + t.name + "' has " +
+                               std::to_string(t.chunks.size()) + " chunks, track '" +
+                               first.name + "' has " + std::to_string(first.chunks.size()));
+    }
   }
   return m;
 }

@@ -76,8 +76,9 @@ struct Manifest {
   // Serializes to / parses from a simple line-oriented text format, standing
   // in for a DASH MPD / HLS playlist with explicit chunk sizes. Parse throws
   // std::runtime_error on an unknown tag, a field that does not parse, a
-  // trailing token, a last line without its '\n' (a cut file), or a ladder
-  // without a video track (an empty file).
+  // trailing token, a last line without its '\n' (a cut file), a track
+  // bitrate or chunk size or duration of 0 or below, video tracks of unequal
+  // length, or a ladder without a video track (an empty file).
   std::string Serialize() const;
   static Manifest Parse(const std::string& text);
 

@@ -9,12 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/telemetry.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/live_database.h"
 #include "src/csi/splitter.h"
 #include "src/testbed/experiment.h"
+#include "tests/inference_digest.h"
 
 namespace csi {
 namespace {
@@ -22,6 +24,7 @@ namespace {
 using infer::DesignType;
 using testbed::MakeAssetForDesign;
 using testbed::RunStreamingSession;
+using testutil::Pointers;
 
 std::vector<testbed::SessionResult> MakeSessions(const media::Manifest& manifest,
                                                  DesignType design, int count,
@@ -43,18 +46,19 @@ std::vector<testbed::SessionResult> MakeSessions(const media::Manifest& manifest
   return sessions;
 }
 
-std::vector<capture::CaptureTrace> TracesOf(const std::vector<testbed::SessionResult>& s) {
-  std::vector<capture::CaptureTrace> traces;
+// Each session's capture columns, built once, as csi_batch builds them.
+std::vector<capture::PacketColumns> ColumnsOf(const std::vector<testbed::SessionResult>& s) {
+  std::vector<capture::PacketColumns> columns;
   for (const auto& session : s) {
-    traces.push_back(session.capture);
+    columns.push_back(capture::PacketColumns::Build(session.capture));
   }
-  return traces;
+  return columns;
 }
 
 TEST(BatchAnalyzer, EightTracesIdenticalAcrossOneAndEightThreads) {
   const TimeUs duration = 90 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSH, 1, duration);
-  const auto traces = TracesOf(MakeSessions(manifest, DesignType::kSH, 8, duration));
+  const auto columns = ColumnsOf(MakeSessions(manifest, DesignType::kSH, 8, duration));
 
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
@@ -65,11 +69,11 @@ TEST(BatchAnalyzer, EightTracesIdenticalAcrossOneAndEightThreads) {
   infer::BatchAnalyzer one(&manifest, config, serial);
   infer::BatchAnalyzer eight(&manifest, config, wide);
 
-  const auto results_1 = one.AnalyzeAll(traces);
-  const auto results_8 = eight.AnalyzeAll(traces);
+  const auto results_1 = one.AnalyzeAll(Pointers(columns));
+  const auto results_8 = eight.AnalyzeAll(Pointers(columns));
   ASSERT_EQ(results_1.size(), 8u);
   ASSERT_EQ(results_8.size(), 8u);
-  for (size_t i = 0; i < traces.size(); ++i) {
+  for (size_t i = 0; i < columns.size(); ++i) {
     EXPECT_EQ(results_1[i], results_8[i]) << "trace " << i;
   }
 }
@@ -77,7 +81,7 @@ TEST(BatchAnalyzer, EightTracesIdenticalAcrossOneAndEightThreads) {
 TEST(BatchAnalyzer, MatchesSingleTraceEngineByIndex) {
   const TimeUs duration = 90 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 2, duration);
-  const auto traces = TracesOf(MakeSessions(manifest, DesignType::kCH, 4, duration));
+  const auto columns = ColumnsOf(MakeSessions(manifest, DesignType::kCH, 4, duration));
 
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
@@ -85,10 +89,10 @@ TEST(BatchAnalyzer, MatchesSingleTraceEngineByIndex) {
   infer::BatchConfig batch;
   batch.threads = 4;
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
-  const auto results = analyzer.AnalyzeAll(traces);
-  ASSERT_EQ(results.size(), traces.size());
-  for (size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(results[i], reference.Analyze(traces[i])) << "trace " << i;
+  const auto results = analyzer.AnalyzeAll(Pointers(columns));
+  ASSERT_EQ(results.size(), columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    EXPECT_EQ(results[i], reference.Analyze(columns[i])) << "trace " << i;
   }
 }
 
@@ -97,7 +101,7 @@ TEST(BatchAnalyzer, MatchesSingleTraceEngineByIndex) {
 TEST(BatchAnalyzer, ThrowingTraceDoesNotPoisonSiblings) {
   const TimeUs duration = 90 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 3, duration);
-  const auto traces = TracesOf(MakeSessions(manifest, DesignType::kCH, 5, duration));
+  const auto columns = ColumnsOf(MakeSessions(manifest, DesignType::kCH, 5, duration));
   const size_t poison = 2;
 
   infer::InferenceConfig config;
@@ -106,11 +110,11 @@ TEST(BatchAnalyzer, ThrowingTraceDoesNotPoisonSiblings) {
 
   infer::BatchConfig batch;
   batch.threads = 4;
-  batch.analyze_override = [&](const capture::CaptureTrace& trace) {
-    if (&trace == &traces[poison]) {
+  batch.analyze_override = [&](const capture::PacketColumns& capture) {
+    if (&capture == &columns[poison]) {
       throw std::runtime_error("injected analyze failure");
     }
-    return reference.Analyze(trace);
+    return reference.Analyze(capture);
   };
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
 
@@ -120,17 +124,17 @@ TEST(BatchAnalyzer, ThrowingTraceDoesNotPoisonSiblings) {
 
   std::vector<double> seconds;
   std::vector<std::string> errors;
-  const auto results = analyzer.AnalyzeAll(traces, &seconds, &errors);
+  const auto results = analyzer.AnalyzeAll(Pointers(columns), &seconds, &errors);
 
-  ASSERT_EQ(results.size(), traces.size());
-  ASSERT_EQ(errors.size(), traces.size());
-  ASSERT_EQ(seconds.size(), traces.size());
-  for (size_t i = 0; i < traces.size(); ++i) {
+  ASSERT_EQ(results.size(), columns.size());
+  ASSERT_EQ(errors.size(), columns.size());
+  ASSERT_EQ(seconds.size(), columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
     if (i == poison) {
       EXPECT_EQ(results[i], infer::InferenceResult{}) << "failed slot must stay default";
       EXPECT_EQ(errors[i], "injected analyze failure");
     } else {
-      EXPECT_EQ(results[i], reference.Analyze(traces[i])) << "trace " << i;
+      EXPECT_EQ(results[i], reference.Analyze(columns[i])) << "trace " << i;
       EXPECT_TRUE(errors[i].empty()) << "trace " << i << ": " << errors[i];
     }
   }
@@ -140,25 +144,30 @@ TEST(BatchAnalyzer, ThrowingTraceDoesNotPoisonSiblings) {
 TEST(BatchAnalyzer, NonStdExceptionIsReportedAsUnknown) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 1, duration);
-  const auto traces = TracesOf(MakeSessions(manifest, DesignType::kCH, 2, duration));
+  const auto columns = ColumnsOf(MakeSessions(manifest, DesignType::kCH, 2, duration));
 
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.analyze_override = [&](const capture::CaptureTrace& trace) -> infer::InferenceResult {
-    if (&trace == &traces[0]) {
+  auto* failures = telemetry::MetricsRegistry::Global().GetCounter(
+      "csi_batch_trace_analyze_failures_total");
+  const uint64_t failures_before = failures->Value();
+  batch.analyze_override = [&](const capture::PacketColumns& capture) -> infer::InferenceResult {
+    if (&capture == &columns[0]) {
       throw 42;  // not derived from std::exception
     }
     return {};
   };
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
   std::vector<std::string> errors;
-  const auto results = analyzer.AnalyzeAll(traces, nullptr, &errors);
+  const auto results = analyzer.AnalyzeAll(Pointers(columns), nullptr, &errors);
   ASSERT_EQ(results.size(), 2u);
   ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(results[0], infer::InferenceResult{}) << "failed slot must stay default";
   EXPECT_EQ(errors[0], "unknown error");
   EXPECT_TRUE(errors[1].empty());
+  EXPECT_EQ(failures->Value(), failures_before + 1);
 }
 
 // The snapshot-based constructor is the new primary API: analyzing through a
@@ -168,7 +177,8 @@ TEST(BatchAnalyzer, NonStdExceptionIsReportedAsUnknown) {
 TEST(BatchAnalyzer, SnapshotConstructorMatchesManifestConstructor) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSH, 1, duration);
-  const auto traces = TracesOf(MakeSessions(manifest, DesignType::kSH, 3, duration));
+  const auto columns = ColumnsOf(MakeSessions(manifest, DesignType::kSH, 3, duration));
+  const auto traces = Pointers(columns);
 
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
@@ -203,7 +213,7 @@ TEST(BatchAnalyzer, EmptyBatchYieldsEmptyResults) {
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
   infer::BatchAnalyzer analyzer(&manifest, config);
-  EXPECT_TRUE(analyzer.AnalyzeAll(std::vector<capture::CaptureTrace>{}).empty());
+  EXPECT_TRUE(analyzer.AnalyzeAll({}).empty());
 }
 
 // The SQ candidate enumeration partitions its start range across workers;
@@ -268,8 +278,9 @@ TEST(GroupSearchParallel, FullSqInferenceIdenticalSerialVsParallel) {
   parallel_config.search_pool = &pool;
   const infer::InferenceEngine parallel_engine(&manifest, parallel_config);
 
-  const auto serial = serial_engine.Analyze(session.capture);
-  const auto parallel = parallel_engine.Analyze(session.capture);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(session.capture);
+  const auto serial = serial_engine.Analyze(columns);
+  const auto parallel = parallel_engine.Analyze(columns);
   EXPECT_FALSE(serial.sequences.empty());
   EXPECT_EQ(serial, parallel);
 }

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/tracing.h"
@@ -31,6 +32,7 @@
 #include "src/csi/live_database.h"
 #include "src/media/manifest.h"
 #include "src/testbed/experiment.h"
+#include "tests/inference_digest.h"
 #include "tests/test_env.h"
 
 namespace csi::infer {
@@ -620,7 +622,7 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   using testbed::MakeAssetForDesign;
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> columns;
   for (int i = 0; i < 3; ++i) {
     testbed::SessionConfig sc;
     sc.design = DesignType::kSQ;
@@ -628,14 +630,15 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
     sc.downlink = nettrace::StableTrace("s", (4 + i) * kMbps);
     sc.duration = duration;
     sc.seed = 100 + static_cast<uint64_t>(i);
-    traces.push_back(testbed::RunStreamingSession(sc).capture);
+    columns.push_back(capture::PacketColumns::Build(testbed::RunStreamingSession(sc).capture));
   }
   // Duplicate the list: the second half re-analyzes the same captures, which
   // is the cross-trace amortization the cache exists for.
-  const size_t unique = traces.size();
+  const size_t unique = columns.size();
   for (size_t i = 0; i < unique; ++i) {
-    traces.push_back(traces[i]);
+    columns.push_back(columns[i]);
   }
+  const auto traces = testutil::Pointers(columns);
 
   InferenceConfig config;
   config.design = DesignType::kSQ;

@@ -35,6 +35,14 @@ head -c 4096 /dev/urandom > "$work/junk.manifest"
 head -c 200 "$manifest" > "$work/truncated.manifest"
 # An empty manifest has no video track to match against.
 : > "$work/empty.manifest"
+# Hand-edited ladders whose lines all parse but describe no real chunk: every
+# chunk duration 0, one negative chunk size, and a video track that lost its
+# last chunks.
+sed 's/^chunk \([0-9]*\) [0-9]*$/chunk \1 0/' "$manifest" > "$work/zero-duration.manifest"
+awk '/^chunk / && !done { $2 = -115528; done = 1 } { print }' "$manifest" \
+  > "$work/negative-size.manifest"
+awk '/^video-track/ { track++ } track == 2 && /^chunk / && ++cut <= 3 { next } { print }' \
+  "$manifest" > "$work/short-track.manifest"
 
 failures=0
 expect_error() {
@@ -73,6 +81,16 @@ expect_error "$analyze" --pcap "$work/good/session.pcap" --manifest "$work/empty
   --design CH
 expect_error "$batch" --manifest "$work/empty.manifest" --design CH --quiet \
   "$work/good/session.pcap"
+for input in zero-duration negative-size short-track; do
+  case $input in
+    short-track) expected_error="manifest: video track '" ;;
+    *) expected_error="manifest: value not positive on line" ;;
+  esac
+  expect_error "$analyze" --pcap "$work/good/session.pcap" \
+    --manifest "$work/$input.manifest" --design CH
+  expect_error "$batch" --manifest "$work/$input.manifest" --design CH --quiet \
+    "$work/good/session.pcap"
+done
 expected_error=
 # A pcap path and a manifest path that name a directory.
 expect_error "$analyze" --pcap "$work/good" --manifest "$manifest" --design CH

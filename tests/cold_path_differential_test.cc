@@ -6,20 +6,17 @@
 //
 //   1. Seeded sweep: testbed sessions across all four designs. Each columnar
 //      stage — media-flow ids, requests, exchanges, windowed byte sums,
-//      SP1/SP2 groups — equals the oracle, and Analyze(trace) has the same
-//      digest as Analyze(columns). CSI_TEST_SCHEDULES raises the sweep for
-//      the nightly deep-differential job.
+//      SP1/SP2 groups — equals the oracle. CSI_TEST_SCHEDULES raises the
+//      sweep for the nightly deep-differential job.
 //   2. Sequence wrap: request segments that straddle 2^32 (TCP sequence
 //      numbers are 32 bits on the wire) merge into one request, in the
 //      engine and in the oracle.
-//   3. Overload identity: Analyze(trace) — PacketColumns::Build, then the
-//      columns overload — shares prefix-cache entries with Analyze(columns).
-//   4. Batch identity: BatchAnalyzer::AnalyzeAll over pre-built columns
-//      equals the trace batch, for serial and threaded pools (the threaded
-//      run doubles as TSan coverage for concurrent read-only column access).
+//   3. Batch identity: BatchAnalyzer::AnalyzeAll over pre-built columns
+//      equals a serial InferenceEngine::Analyze of each, for serial and
+//      threaded pools (the threaded run doubles as TSan coverage for
+//      concurrent read-only column access).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,10 +34,6 @@ namespace {
 
 constexpr DesignType kAllDesigns[] = {DesignType::kCH, DesignType::kSH,
                                       DesignType::kCQ, DesignType::kSQ};
-
-uint64_t DigestOne(const InferenceResult& result) {
-  return testutil::DigestResults({result});
-}
 
 capture::CaptureTrace MakeSession(const media::Manifest& manifest, DesignType design,
                                   uint64_t seed, TimeUs duration) {
@@ -75,12 +68,7 @@ TEST(ColdPathDifferential, SeededSweepMatchesOracle) {
     const media::Manifest manifest =
         testbed::MakeAssetForDesign(design, static_cast<int>(s % 3), duration);
     const capture::CaptureTrace trace = MakeSession(manifest, design, s, duration);
-    const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
-    const InferenceEngine engine(&manifest, EngineConfig(design));
-
     oracle::ExpectColumnarMatchesOracle(trace, manifest.host);
-    EXPECT_EQ(DigestOne(engine.Analyze(trace)), DigestOne(engine.Analyze(columns)))
-        << "trace overload";
   }
 }
 
@@ -116,46 +104,23 @@ TEST(ColdPathDifferential, RequestSegmentsStraddlingSequenceWrapAreOneRequest) {
   EXPECT_EQ(oracle::DetectRequests(records, /*quic=*/false).size(), 2u);
 }
 
-TEST(ColdPathDifferential, TraceOverloadSharesPrefixCacheWithColumns) {
-  const TimeUs duration = 60 * kUsPerSec;
-  const media::Manifest manifest =
-      testbed::MakeAssetForDesign(DesignType::kSQ, 0, duration);
-  const capture::CaptureTrace trace = MakeSession(manifest, DesignType::kSQ, 3, duration);
-  const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
-
-  InferenceConfig config = EngineConfig(DesignType::kSQ);
-  config.caches.prefix = std::make_shared<AnalysisPrefixCache>(8 * 1024 * 1024);
-  const InferenceEngine engine(&manifest, config);
-
-  // Warm the cache through the trace overload, then hit it through the
-  // columns overload: both fingerprint the same columns, so the second call
-  // must be a hit with identical output.
-  const uint64_t want = DigestOne(engine.Analyze(trace));
-  const auto before = config.caches.prefix->stats();
-  EXPECT_EQ(DigestOne(engine.Analyze(columns)), want);
-  const auto after = config.caches.prefix->stats();
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_EQ(after.misses, before.misses);
-}
-
-TEST(ColdPathDifferential, BatchColumnsOverloadMatchesTraceBatch) {
+TEST(ColdPathDifferential, BatchMatchesSerialAnalyze) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCQ, 0, duration);
-  std::vector<capture::CaptureTrace> traces;
   std::vector<capture::PacketColumns> columns;
   for (uint64_t s = 0; s < 4; ++s) {
-    traces.push_back(MakeSession(manifest, DesignType::kCQ, 20 + s, duration));
-    columns.push_back(capture::PacketColumns::Build(traces.back()));
+    columns.push_back(
+        capture::PacketColumns::Build(MakeSession(manifest, DesignType::kCQ, 20 + s, duration)));
   }
 
-  InferenceConfig config = EngineConfig(DesignType::kCQ);
-  uint64_t want = 0;
+  const InferenceConfig config = EngineConfig(DesignType::kCQ);
+  std::vector<InferenceResult> serial;
   {
-    BatchConfig batch;
-    batch.threads = 1;
-    BatchAnalyzer analyzer(&manifest, config, batch);
-    want = testutil::DigestResults(analyzer.AnalyzeAll(traces));
+    const InferenceEngine engine(&manifest, config);
+    for (const capture::PacketColumns& c : columns) {
+      serial.push_back(engine.Analyze(c));
+    }
   }
   // Threaded columns batch: workers share the read-only PacketColumns (TSan
   // coverage) and every out-param slot must land by index.
@@ -166,8 +131,9 @@ TEST(ColdPathDifferential, BatchColumnsOverloadMatchesTraceBatch) {
     std::vector<double> seconds;
     std::vector<std::string> errors;
     std::vector<InferenceAudit> audits;
-    const auto results = analyzer.AnalyzeAll(columns, &seconds, &errors, &audits);
-    EXPECT_EQ(testutil::DigestResults(results), want) << "threads " << threads;
+    const auto results =
+        analyzer.AnalyzeAll(testutil::Pointers(columns), &seconds, &errors, &audits);
+    EXPECT_EQ(results, serial) << "threads " << threads;
     ASSERT_EQ(seconds.size(), columns.size());
     ASSERT_EQ(errors.size(), columns.size());
     ASSERT_EQ(audits.size(), columns.size());

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/testbed/experiment.h"
 
@@ -35,6 +36,30 @@ inline std::vector<capture::CaptureTrace> MakeBatch(const media::Manifest& manif
     traces.push_back(RunStreamingSession(config).capture);
   }
   return traces;
+}
+
+// Builds each capture's columns once, as every caller of the analysis library
+// does before it analyzes.
+inline std::vector<capture::PacketColumns> BuildColumns(
+    const std::vector<capture::CaptureTrace>& traces) {
+  std::vector<capture::PacketColumns> columns;
+  columns.reserve(traces.size());
+  for (const capture::CaptureTrace& trace : traces) {
+    columns.push_back(capture::PacketColumns::Build(trace));
+  }
+  return columns;
+}
+
+// The batch BatchAnalyzer::AnalyzeAll takes: pointers into `columns`, which
+// must outlive it.
+inline std::vector<const capture::PacketColumns*> Pointers(
+    const std::vector<capture::PacketColumns>& columns) {
+  std::vector<const capture::PacketColumns*> pointers;
+  pointers.reserve(columns.size());
+  for (const capture::PacketColumns& c : columns) {
+    pointers.push_back(&c);
+  }
+  return pointers;
 }
 
 // FNV-1a over every integer field of the result; pure integer arithmetic, so
@@ -95,17 +120,17 @@ inline uint64_t GoldenBatchDigest(infer::DesignType design) {
   return 0;
 }
 
-// The fixed batch every invariance test analyzes: 4 deterministic synthetic
-// sessions of a 90 s single-asset manifest.
+// The fixed batch every invariance test analyzes: the columns of 4
+// deterministic synthetic sessions of a 90 s single-asset manifest.
 struct FixedBatch {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> columns;
 };
 
 inline FixedBatch MakeFixedBatch(infer::DesignType design) {
   const TimeUs duration = 90 * kUsPerSec;
   FixedBatch fixed{testbed::MakeAssetForDesign(design, 1, duration), {}};
-  fixed.traces = MakeBatch(fixed.manifest, design, 4, duration);
+  fixed.columns = BuildColumns(MakeBatch(fixed.manifest, design, 4, duration));
   return fixed;
 }
 
@@ -124,7 +149,7 @@ inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
   infer::InferenceConfig config;
   config.design = design;
   infer::BatchAnalyzer analyzer(&fixed.manifest, config, batch);
-  return analyzer.AnalyzeAll(fixed.traces);
+  return analyzer.AnalyzeAll(Pointers(fixed.columns));
 }
 
 inline std::vector<infer::InferenceResult> AnalyzeFixedSqBatch() {

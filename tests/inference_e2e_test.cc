@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/capture/packet_columns.h"
 #include "src/capture/pcap_io.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/displayed_info.h"
@@ -42,7 +43,7 @@ E2e RunE2e(DesignType design, nettrace::BandwidthTrace trace, uint64_t seed,
   infer::InferenceConfig config;
   config.design = design;
   const infer::InferenceEngine engine(&out.manifest, config);
-  out.inference = engine.Analyze(out.session.capture);
+  out.inference = engine.Analyze(capture::PacketColumns::Build(out.session.capture));
   out.accuracy = testbed::ScoreInference(out.inference, out.session.downloads);
   return out;
 }
@@ -88,11 +89,12 @@ TEST(InferenceE2e, DisplayedChunkInfoNeverHurts) {
     infer::InferenceConfig config;
     config.design = design;
     const infer::InferenceEngine engine(&manifest, config);
-    const auto plain = engine.Analyze(session.capture);
+    const capture::PacketColumns columns = capture::PacketColumns::Build(session.capture);
+    const auto plain = engine.Analyze(columns);
     Rng ocr_rng(1);
     const auto display = infer::SampleDisplayedChunks(session.displays, s.duration,
                                                       infer::OcrConfig{}, ocr_rng);
-    const auto constrained = engine.Analyze(session.capture, display);
+    const auto constrained = engine.Analyze(columns, display);
     const auto acc_plain = testbed::ScoreInference(plain, session.downloads);
     const auto acc_display = testbed::ScoreInference(constrained, session.downloads);
     // Screen constraints only remove candidates inconsistent with what was
@@ -114,7 +116,7 @@ TEST(InferenceE2e, SurvivesPcapRoundTrip) {
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
   const infer::InferenceEngine engine(&direct.manifest, config);
-  const auto inference = engine.Analyze(round_tripped);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(round_tripped));
   const auto accuracy = testbed::ScoreInference(inference, direct.session.downloads);
   EXPECT_EQ(accuracy.best, direct.accuracy.best);
   EXPECT_EQ(accuracy.num_sequences, direct.accuracy.num_sequences);
@@ -134,7 +136,7 @@ TEST(InferenceE2e, LossyLinkStillAccurate) {
     infer::InferenceConfig config;
     config.design = design;
     const infer::InferenceEngine engine(&manifest, config);
-    const auto inference = engine.Analyze(session.capture);
+    const auto inference = engine.Analyze(capture::PacketColumns::Build(session.capture));
     const auto accuracy = testbed::ScoreInference(inference, session.downloads);
     EXPECT_GT(accuracy.best, 0.95) << infer::DesignTypeName(design);
   }
@@ -179,7 +181,7 @@ TEST(InferenceE2e, EmptyCaptureYieldsNoSequences) {
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto result = engine.Analyze(capture::CaptureTrace{});
+  const auto result = engine.Analyze(capture::PacketColumns::Build(capture::CaptureTrace{}));
   EXPECT_TRUE(result.sequences.empty());
 }
 
@@ -283,7 +285,7 @@ TEST(InferenceE2e, AnyTierSubsetKeepsGoldenDigests) {
       EXPECT_EQ(analyzer.candidate_cache() == nullptr, candidate_off) << shape;
       EXPECT_EQ(analyzer.result_cache() == nullptr, result_off) << shape;
       for (const char* pass : {"cold", "warm"}) {
-        EXPECT_EQ(testutil::DigestResults(analyzer.AnalyzeAll(fixed.traces)),
+        EXPECT_EQ(testutil::DigestResults(analyzer.AnalyzeAll(testutil::Pointers(fixed.columns))),
                   testutil::GoldenBatchDigest(design))
             << shape << ", " << pass << " pass";
       }
@@ -298,7 +300,8 @@ TEST(InferenceE2e, ForeignTrafficIgnored) {
   config.design = DesignType::kCH;
   config.host_suffix = "unrelated.example.org";
   const infer::InferenceEngine engine(&e2e.manifest, config);
-  EXPECT_TRUE(engine.Analyze(e2e.session.capture).sequences.empty());
+  EXPECT_TRUE(
+      engine.Analyze(capture::PacketColumns::Build(e2e.session.capture)).sequences.empty());
 }
 
 }  // namespace

@@ -240,22 +240,39 @@ std::string ParseError(const std::string& text) {
 
 TEST(Manifest, ParseRejectsCutText) {
   Rng rng(12);
-  const std::string text =
-      EncodeAsset("asset-1", "cdn.example", 60 * kUsPerSec, BaseConfig(), rng).Serialize();
+  const Manifest full = EncodeAsset("asset-1", "cdn.example", 60 * kUsPerSec, BaseConfig(), rng);
+  ASSERT_GE(full.num_video_tracks(), 2);
+  const std::string text = full.Serialize();
   // Every prefix that stops inside a line is refused with that line's number.
+  // A prefix cut at a line boundary has no half line to give it away, but
+  // whatever it parses to has every video track at full length: a cut after
+  // the header or any chunk but the last of a video track after the first is
+  // refused.
   int line_no = 1;
+  int refused_at_boundary = 0;
   for (size_t cut = 1; cut < text.size(); ++cut) {
     if (text[cut - 1] == '\n') {
       ++line_no;
+      const std::string prefix = text.substr(0, cut);
+      if (!ParseError(prefix).empty()) {
+        ++refused_at_boundary;
+        continue;
+      }
+      const Manifest m = Manifest::Parse(prefix);
+      for (const Track& t : m.video_tracks) {
+        ASSERT_EQ(t.chunks.size(), m.video_tracks.front().chunks.size()) << "cut at " << cut;
+      }
       continue;
     }
     ASSERT_EQ(ParseError(text.substr(0, cut)),
               "manifest: truncated line " + std::to_string(line_no))
         << "cut at " << cut;
   }
+  EXPECT_GE(refused_at_boundary, (full.num_video_tracks() - 1) * full.num_positions());
   EXPECT_EQ(ParseError(text), "");
   EXPECT_EQ(ParseError("#CSI-MANIFEST v1"), "manifest: truncated line 1");
 }
+
 
 // An empty file, or a ladder with only audio, has nothing to match chunks
 // against: it is refused rather than labelling every slot "other".
@@ -281,6 +298,28 @@ TEST(Manifest, ParseRejectsMalformedFields) {
   EXPECT_EQ(ParseError("asset a b\n"), "manifest: malformed line 1");
   EXPECT_EQ(ParseError("host\n"), "manifest: malformed line 1");
   EXPECT_EQ(ParseError("# a comment may say anything\nasset a\nvideo-track T0 300000\n"), "");
+  // Fields that parse but describe no real chunk or track.
+  EXPECT_EQ(ParseError(head + "chunk 1000 0\n"), "manifest: value not positive on line 5");
+  EXPECT_EQ(ParseError(head + "chunk 0 5000000\n"), "manifest: value not positive on line 5");
+  EXPECT_EQ(ParseError(head + "chunk -115528 5000000\n"),
+            "manifest: value not positive on line 5");
+  EXPECT_EQ(ParseError(head + "chunk 1000 -5000000\n"), "manifest: value not positive on line 5");
+  EXPECT_EQ(ParseError("video-track T0 0\n"), "manifest: value not positive on line 1");
+  EXPECT_EQ(ParseError("video-track T0 -300000\n"), "manifest: value not positive on line 1");
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000\naudio-track A0 0\n"),
+            "manifest: value not positive on line 6");
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000\naudio-track A0 128000\nchunk 100 0\n"),
+            "manifest: value not positive on line 7");
+  // Video tracks of unequal length leave positions without a chunk.
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000\nchunk 1000 5000000\n"
+                              "video-track T1 600000\nchunk 2000 5000000\n"),
+            "manifest: video track 'T1' has 1 chunks, track 'T0' has 2");
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000\nvideo-track T1 600000\n"),
+            "manifest: video track 'T1' has 0 chunks, track 'T0' has 1");
+  // Audio tracks may be shorter than the video ladder.
+  EXPECT_EQ(ParseError(head + "chunk 1000 5000000\nchunk 1000 5000000\n"
+                              "audio-track A0 128000\nchunk 100 5000000\n"),
+            "");
 }
 
 TEST(Manifest, ChunkLookup) {

@@ -37,8 +37,10 @@
 namespace csi::infer {
 namespace {
 
+using testutil::BuildColumns;
 using testutil::DigestResults;
 using testutil::MakeBatch;
+using testutil::Pointers;
 
 capture::PacketRecord BasePacket() {
   capture::PacketRecord p;
@@ -133,9 +135,10 @@ TEST(TraceFingerprint, FieldsOutsideTheColumnsLeaveItAndTheResultAlone) {
     InferenceConfig config;
     config.design = design;
     const InferenceEngine engine(&manifest, config);
-    const InferenceResult result = engine.Analyze(session);
+    const InferenceResult result = engine.Analyze(capture::PacketColumns::Build(session));
     ASSERT_FALSE(result.sequences.empty());
-    EXPECT_EQ(DigestResults({engine.Analyze(other)}), DigestResults({result}));
+    EXPECT_EQ(DigestResults({engine.Analyze(capture::PacketColumns::Build(other))}),
+              DigestResults({result}));
   }
 }
 
@@ -176,9 +179,10 @@ TEST(TraceFingerprint, PureAcksLeaveItAndTheResultAloneButTheLastPacketTimeCount
     InferenceConfig config;
     config.design = design;
     const InferenceEngine engine(&manifest, config);
-    const InferenceResult result = engine.Analyze(session);
+    const InferenceResult result = engine.Analyze(capture::PacketColumns::Build(session));
     ASSERT_FALSE(result.sequences.empty());
-    EXPECT_EQ(DigestResults({engine.Analyze(other)}), DigestResults({result}));
+    EXPECT_EQ(DigestResults({engine.Analyze(capture::PacketColumns::Build(other))}),
+              DigestResults({result}));
 
     // Each flow's last packet time is part of the key, also where that packet
     // carries no payload.
@@ -229,7 +233,8 @@ TEST(TraceFingerprint, SniStringsAfterTheFlowsFirstLeaveItAndTheResultAlone) {
   const InferenceEngine engine(&manifest, config);
   const InferenceResult result = engine.Analyze(columns);
   ASSERT_FALSE(result.sequences.empty());
-  EXPECT_EQ(DigestResults({engine.Analyze(b)}), DigestResults({result}));
+  EXPECT_EQ(DigestResults({engine.Analyze(capture::PacketColumns::Build(b))}),
+            DigestResults({result}));
 }
 
 TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
@@ -435,16 +440,16 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
 
 // --- Differential replay: on vs off -----------------------------------------
 
-std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manifest,
-                                                    DesignType design, int unique) {
-  auto traces = MakeBatch(manifest, design, unique, 60 * kUsPerSec);
+std::vector<capture::PacketColumns> SeededCaptureSet(const media::Manifest& manifest,
+                                                     DesignType design, int unique) {
+  auto columns = BuildColumns(MakeBatch(manifest, design, unique, 60 * kUsPerSec));
   // Duplicates are the cache's bread and butter: re-analyzing the same bytes
   // must hit, and hit output must equal recomputed output.
-  const size_t n = traces.size();
+  const size_t n = columns.size();
   for (size_t i = 0; i < n; ++i) {
-    traces.push_back(traces[i]);
+    columns.push_back(columns[i]);
   }
-  return traces;
+  return columns;
 }
 
 TEST(PrefixCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
@@ -455,7 +460,8 @@ TEST(PrefixCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
   for (const DesignType design : {DesignType::kSQ, DesignType::kCH, DesignType::kCQ}) {
     const media::Manifest manifest =
         testbed::MakeAssetForDesign(design, 1, 60 * kUsPerSec);
-    const auto traces = SeededCaptureSet(manifest, design, 3);
+    const auto columns = SeededCaptureSet(manifest, design, 3);
+    const auto traces = Pointers(columns);
     const std::string ctx = DesignTypeName(design);
 
     // Reference: both caches off, serial.
@@ -506,7 +512,8 @@ TEST(PrefixCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
 TEST(PrefixCacheSharing, WarmHitsAcrossEnginesAndBatches) {
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
-  const auto traces = MakeBatch(manifest, DesignType::kSQ, 2, 60 * kUsPerSec);
+  const auto columns = BuildColumns(MakeBatch(manifest, DesignType::kSQ, 2, 60 * kUsPerSec));
+  const auto traces = Pointers(columns);
   auto shared = std::make_shared<AnalysisPrefixCache>(32 << 20);
 
   InferenceConfig config;
@@ -569,7 +576,8 @@ TEST(PrefixCacheLiveReplay, EntriesSurviveRefreshesAndStayByteIdentical) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  const auto traces = MakeBatch(full, DesignType::kSQ, 3, duration);
+  const auto columns = BuildColumns(MakeBatch(full, DesignType::kSQ, 3, duration));
+  const auto traces = Pointers(columns);
   const int start_positions = std::max(1, full.num_positions() / 2);
   const auto refreshes = TailRefreshes(full, start_positions, 3);
   ASSERT_FALSE(refreshes.empty());
@@ -632,7 +640,8 @@ TEST(PrefixCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   const TimeUs duration = 45 * kUsPerSec;
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  const auto traces = MakeBatch(full, DesignType::kSQ, 3, duration);
+  const auto columns = BuildColumns(MakeBatch(full, DesignType::kSQ, 3, duration));
+  const auto traces = Pointers(columns);
   const int start_positions = std::max(1, full.num_positions() / 2);
   const auto refreshes = TailRefreshes(full, start_positions, 6);
 

@@ -42,7 +42,9 @@
 namespace csi::infer {
 namespace {
 
+using testutil::BuildColumns;
 using testutil::MakeBatch;
+using testutil::Pointers;
 
 capture::PacketRecord BasePacket() {
   capture::PacketRecord p;
@@ -541,16 +543,16 @@ TEST(ResultCacheAudit, HitLineKeepsTheShapeAndZeroesTheWork) {
 
 // --- Differential replay: on vs off -----------------------------------------
 
-std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manifest,
-                                                    DesignType design, int unique) {
-  auto traces = MakeBatch(manifest, design, unique, 60 * kUsPerSec);
+std::vector<capture::PacketColumns> SeededCaptureSet(const media::Manifest& manifest,
+                                                     DesignType design, int unique) {
+  auto columns = BuildColumns(MakeBatch(manifest, design, unique, 60 * kUsPerSec));
   // Duplicates are the top tier's whole purpose: re-analyzing the same bytes
   // must hit, and hit output must equal recomputed output.
-  const size_t n = traces.size();
+  const size_t n = columns.size();
   for (size_t i = 0; i < n; ++i) {
-    traces.push_back(traces[i]);
+    columns.push_back(columns[i]);
   }
-  return traces;
+  return columns;
 }
 
 TEST(ResultCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
@@ -561,7 +563,8 @@ TEST(ResultCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
   for (const DesignType design : {DesignType::kSQ, DesignType::kCH, DesignType::kCQ}) {
     const media::Manifest manifest =
         testbed::MakeAssetForDesign(design, 1, 60 * kUsPerSec);
-    const auto traces = SeededCaptureSet(manifest, design, 3);
+    const auto columns = SeededCaptureSet(manifest, design, 3);
+    const auto traces = Pointers(columns);
     const std::string ctx = DesignTypeName(design);
 
     // Reference: every cache tier off, serial.
@@ -608,7 +611,8 @@ TEST(ResultCacheDifferential, CacheOnOffByteIdenticalAcrossSchedules) {
 TEST(ResultCacheSharing, SecondBatchOverSameTracesRunsFullyWarm) {
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
-  const auto traces = MakeBatch(manifest, DesignType::kSQ, 3, 60 * kUsPerSec);
+  const auto columns = BuildColumns(MakeBatch(manifest, DesignType::kSQ, 3, 60 * kUsPerSec));
+  const auto traces = Pointers(columns);
 
   InferenceConfig config;
   config.design = DesignType::kSQ;
@@ -667,7 +671,8 @@ TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  const auto traces = MakeBatch(full, DesignType::kSQ, 3, duration);
+  const auto columns = BuildColumns(MakeBatch(full, DesignType::kSQ, 3, duration));
+  const auto traces = Pointers(columns);
   const int start_positions = std::max(1, full.num_positions() / 2);
   const auto refreshes = TailRefreshes(full, start_positions, 3);
   ASSERT_FALSE(refreshes.empty());
@@ -729,7 +734,8 @@ TEST(ResultCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   const TimeUs duration = 45 * kUsPerSec;
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  const auto traces = MakeBatch(full, DesignType::kSQ, 3, duration);
+  const auto columns = BuildColumns(MakeBatch(full, DesignType::kSQ, 3, duration));
+  const auto traces = Pointers(columns);
   const int start_positions = std::max(1, full.num_positions() / 2);
   const auto refreshes = TailRefreshes(full, start_positions, 6);
 

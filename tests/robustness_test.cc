@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/displayed_info.h"
 #include "src/csi/inference.h"
 #include "src/testbed/experiment.h"
@@ -44,8 +45,8 @@ TEST(Robustness, BurstyLossStillInfersAccurately) {
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto accuracy =
-      testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+  const auto accuracy = testbed::ScoreInference(
+      engine.Analyze(capture::PacketColumns::Build(result.capture)), result.downloads);
   EXPECT_GT(accuracy.best, 0.95);
 }
 
@@ -57,7 +58,8 @@ TEST(Robustness, NoisyOcrStillHelps) {
   infer::InferenceConfig config;
   config.design = DesignType::kSQ;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto plain = testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const auto plain = testbed::ScoreInference(engine.Analyze(columns), result.downloads);
   infer::OcrConfig ocr;
   ocr.miss_rate = 0.5;
   Rng rng(1);
@@ -65,7 +67,7 @@ TEST(Robustness, NoisyOcrStillHelps) {
                                                     6 * 60 * kUsPerSec, ocr, rng);
   EXPECT_GT(display.size(), 10u);
   const auto noisy =
-      testbed::ScoreInference(engine.Analyze(result.capture, display), result.downloads);
+      testbed::ScoreInference(engine.Analyze(columns, display), result.downloads);
   EXPECT_GE(noisy.best + 1e-9, plain.best);
 }
 
@@ -98,6 +100,7 @@ TEST(Robustness, AblationSwitchesDoNotBreakNonMux) {
   // Disabling the robustness machinery must degrade gracefully, never crash.
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 0, 4 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kCH, 13, 4 * 60 * kUsPerSec);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   for (const bool wildcards : {true, false}) {
     for (const bool merge : {true, false}) {
       infer::InferenceConfig config;
@@ -106,8 +109,7 @@ TEST(Robustness, AblationSwitchesDoNotBreakNonMux) {
       config.enable_merge_repair = merge;
       config.enable_phantom_deficit = false;
       const infer::InferenceEngine engine(&manifest, config);
-      const auto accuracy =
-          testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+      const auto accuracy = testbed::ScoreInference(engine.Analyze(columns), result.downloads);
       EXPECT_GT(accuracy.best, 0.9) << wildcards << merge;
     }
   }
@@ -120,7 +122,7 @@ TEST(Robustness, UncalibratedRankingStillFindsSomething) {
   config.design = DesignType::kSQ;
   config.enable_calibrated_ranking = false;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
   EXPECT_FALSE(inference.sequences.empty());
 }
 
@@ -133,9 +135,9 @@ TEST(Robustness, Sp2DisabledDegradesSqButRuns) {
   without_sp2.splitter.enable_sp2 = false;
   const infer::InferenceEngine engine_on(&manifest, with_sp2);
   const infer::InferenceEngine engine_off(&manifest, without_sp2);
-  const auto on = testbed::ScoreInference(engine_on.Analyze(result.capture), result.downloads);
-  const auto off =
-      testbed::ScoreInference(engine_off.Analyze(result.capture), result.downloads);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+  const auto on = testbed::ScoreInference(engine_on.Analyze(columns), result.downloads);
+  const auto off = testbed::ScoreInference(engine_off.Analyze(columns), result.downloads);
   EXPECT_GE(on.best + 1e-9, off.best);
 }
 
@@ -157,7 +159,7 @@ TEST(Robustness, TruncatedCaptureGivesPartialButConsistentResult) {
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
   const infer::InferenceEngine engine(&manifest, config);
-  const auto inference = engine.Analyze(half);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(half));
   ASSERT_FALSE(inference.sequences.empty());
   const auto accuracy = testbed::ScoreInference(inference, truncated_gt);
   EXPECT_GT(accuracy.best, 0.9);
@@ -181,8 +183,8 @@ TEST(Robustness, WrongDesignTypeFailsSafely) {
   infer::InferenceConfig config;
   config.design = DesignType::kCQ;  // ignores multiplexing
   const infer::InferenceEngine engine(&manifest, config);
-  const auto accuracy =
-      testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+  const auto accuracy = testbed::ScoreInference(
+      engine.Analyze(capture::PacketColumns::Build(result.capture)), result.downloads);
   EXPECT_LT(accuracy.best, 1.0);
 }
 

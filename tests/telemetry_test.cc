@@ -233,7 +233,7 @@ TEST(TelemetryInvariance, AnalyzePopulatesStageHistograms) {
 TEST(BatchAnalyzer, ProgressCallbackAndTimingSlots) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest = testbed::MakeAssetForDesign(DesignType::kCH, 2, duration);
-  const auto traces = MakeBatch(manifest, DesignType::kCH, 5, duration);
+  const auto columns = testutil::BuildColumns(MakeBatch(manifest, DesignType::kCH, 5, duration));
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
   infer::BatchConfig batch;
@@ -247,7 +247,7 @@ TEST(BatchAnalyzer, ProgressCallbackAndTimingSlots) {
   };
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
   std::vector<double> seconds;
-  const auto results = analyzer.AnalyzeAll(traces, &seconds);
+  const auto results = analyzer.AnalyzeAll(testutil::Pointers(columns), &seconds);
   ASSERT_EQ(results.size(), 5u);
   ASSERT_EQ(seconds.size(), 5u);
   for (double s : seconds) {

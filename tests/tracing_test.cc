@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/telemetry.h"
 #include "src/common/thread_pool.h"
 #include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"
@@ -145,19 +146,25 @@ TEST(Tracing, FlightRecorderDumpsOnAnalysisFailureFirstWins) {
   config.design = DesignType::kSQ;
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.analyze_override = [](const capture::CaptureTrace&) -> infer::InferenceResult {
+  batch.analyze_override = [](const capture::PacketColumns&) -> infer::InferenceResult {
     throw std::runtime_error("injected trace failure");
   };
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
-  const std::vector<capture::CaptureTrace> traces(3);
+  const std::vector<capture::PacketColumns> columns =
+      testutil::BuildColumns(std::vector<capture::CaptureTrace>(3));
+  auto* failures = telemetry::MetricsRegistry::Global().GetCounter(
+      "csi_batch_trace_analyze_failures_total");
+  const uint64_t failures_before = failures->Value();
   std::vector<std::string> errors;
-  const auto results = analyzer.AnalyzeAll(traces, nullptr, &errors);
-  // All three traces failed in isolation; the batch itself completed.
+  const auto results = analyzer.AnalyzeAll(testutil::Pointers(columns), nullptr, &errors);
+  // All three captures failed in isolation; the batch itself completed.
   ASSERT_EQ(results.size(), 3u);
   ASSERT_EQ(errors.size(), 3u);
-  for (const std::string& e : errors) {
-    EXPECT_EQ(e, "injected trace failure");
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i], infer::InferenceResult{}) << "failed slot must stay default";
+    EXPECT_EQ(errors[i], "injected trace failure");
   }
+  EXPECT_EQ(failures->Value(), failures_before + 3);
   // Only the first failure dumped; later calls are refused.
   EXPECT_FALSE(session.DumpFlightRecord("later", "cascade failure"));
   session.Stop();
@@ -245,14 +252,15 @@ TEST(Audit, CollectionIsInertAndPopulatesPerTraceRecords) {
   const TimeUs duration = 90 * kUsPerSec;
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  const auto traces = MakeBatch(manifest, DesignType::kSQ, 4, duration);
+  const auto columns = testutil::BuildColumns(MakeBatch(manifest, DesignType::kSQ, 4, duration));
   infer::InferenceConfig config;
   config.design = DesignType::kSQ;
   infer::BatchConfig batch;
   batch.threads = 4;
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
   std::vector<infer::InferenceAudit> audits;
-  const auto results = analyzer.AnalyzeAll(traces, nullptr, nullptr, &audits);
+  const auto results =
+      analyzer.AnalyzeAll(testutil::Pointers(columns), nullptr, nullptr, &audits);
   // Collecting audits must not perturb the inference (same golden batch as
   // the invariance tests).
   EXPECT_EQ(DigestResults(results), kSqBatchDigest);

@@ -298,6 +298,11 @@ int Run(int argc, char** argv) {
     analyzer.emplace(&manifest, config, batch);
   }
 
+  std::vector<const capture::PacketColumns*> batch_columns;
+  batch_columns.reserve(columns.size());
+  for (const capture::PacketColumns& c : columns) {
+    batch_columns.push_back(&c);
+  }
   std::vector<infer::InferenceResult> results;
   std::vector<double> trace_seconds;
   std::vector<std::string> trace_errors;
@@ -326,7 +331,7 @@ int Run(int argc, char** argv) {
                      snapshot.num_positions(), snapshot.delta_chunks());
       }
     }
-    results = analyzer->AnalyzeAll(columns, &trace_seconds, &trace_errors, audits_out);
+    results = analyzer->AnalyzeAll(batch_columns, &trace_seconds, &trace_errors, audits_out);
     if (audits_out != nullptr) {
       audits.insert(audits.end(), round_audits.begin(), round_audits.end());
       audited_results.insert(audited_results.end(), results.begin(), results.end());
